@@ -2,9 +2,9 @@
 # Repository gate: tier-1 verification (full build + every test), a
 # strict -Wall -Wextra -Werror compile of all src/ libraries, a
 # doc-drift guard (docs/wire-contracts.md vs core/layout.h + markdown
-# link check), and an ASan+UBSan build + test pass (catches the
-# lifetime/aliasing bugs the guardrail and fault paths are most prone
-# to).
+# link check), a golden smoke gate (bench stdout vs bench/golden/), and
+# an ASan+UBSan build + test pass (catches the lifetime/aliasing bugs the
+# guardrail and fault paths are most prone to).
 #
 # Usage: scripts/check.sh            # from anywhere inside the repo
 #        RDX_SKIP_SANITIZERS=1 scripts/check.sh   # quick gate only
@@ -116,6 +116,42 @@ awk -v b="$base" -v f="$fast" -v wb="$want_base" -v wf="$want_fast" \
   printf "perf gate OK: %.1f -> %.1f ns/op (%.2fx, budget %.1f +/-20%%)\n",
          b, f, b / f, wf
 }'
+
+echo
+echo "== golden smoke gate: bench stdout vs bench/golden/ =="
+# Virtual time is deterministic, so a bench's full RDX_BENCH_SMOKE=1
+# stdout (git_sha stamp stripped) must match bench/golden/<bench>.txt byte
+# for byte: the proof that a refactor changed no behaviour. Three benches
+# have no golden because they print host wall-clock timings, which differ
+# from run to run: ablation_jit (interpreter vs JIT insn/s),
+# ablation_xstate (host-timed XState ops) and guardrail_overhead
+# (steady_clock hook timing). A change that moves a number on purpose
+# refreshes the goldens; docs/benchmarks.md says how.
+no_golden=(ablation_jit ablation_xstate guardrail_overhead)
+golden_fail=0
+for bench in build/bench/*; do
+  [[ -f "$bench" && -x "$bench" ]] || continue
+  name="$(basename "$bench")"
+  golden="bench/golden/$name.txt"
+  if [[ " ${no_golden[*]} " == *" $name "* ]]; then
+    continue
+  fi
+  if [[ ! -f "$golden" ]]; then
+    echo "golden gate: $name has no $golden"
+    golden_fail=1
+    continue
+  fi
+  if ! RDX_BENCH_SMOKE=1 "$bench" | sed -E 's/"git_sha": "[^"]*", ?//' \
+       | diff -u "$golden" - ; then
+    echo "golden gate: $name smoke output differs from $golden"
+    golden_fail=1
+  fi
+done
+if [[ "$golden_fail" != "0" ]]; then
+  echo "golden smoke gate FAILED (see above)"
+  exit 1
+fi
+echo "golden smoke gate OK"
 
 if [[ "${RDX_BENCH_SMOKE:-0}" == "1" ]]; then
   echo

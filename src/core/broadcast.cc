@@ -1,6 +1,7 @@
 #include "core/broadcast.h"
 
 #include <cstdio>
+#include <optional>
 
 #include "core/reliability.h"
 
@@ -36,6 +37,15 @@ void ForAll(std::size_t n,
 
 }  // namespace
 
+void CollectiveCodeFlow::CpSpan(const char* name, int hook,
+                                sim::SimTime start, sim::Duration dur,
+                                const char* args) {
+  if (cp_.tracer() == nullptr) return;
+  cp_.tracer()->AddComplete(name, static_cast<std::uint32_t>(cp_.self()),
+                            static_cast<std::uint32_t>(hook), start, dur,
+                            args);
+}
+
 void CollectiveCodeFlow::Broadcast(
     const bpf::Program& prog, int hook, UpdateBarrier* barrier,
     std::function<void(StatusOr<BroadcastResult>)> done) {
@@ -44,91 +54,23 @@ void CollectiveCodeFlow::Broadcast(
   // Own a copy: the caller's program need not outlive the async phases.
   auto prog_copy = std::make_shared<bpf::Program>(prog);
 
-  // Validate + compile once (the compile cache makes this amortized),
-  // then per-node: deploy XStates, link, prepare.
-  cp_.ValidateCode(*prog_copy, [this, prog_copy, hook, barrier, t0,
-                          done = std::move(done)](Status s) mutable {
-    if (!s.ok()) {
-      done(s);
+  // Validate + compile once (the artifact cache makes this amortized),
+  // then per node: deploy XStates, link, prepare.
+  cp_.Build(*prog_copy, [this, prog_copy, hook, barrier, t0,
+                         done = std::move(done)](
+                            StatusOr<const bpf::JitImage*> image) mutable {
+    if (!image.ok()) {
+      done(image.status());
       return;
     }
-    cp_.JitCompileCode(*prog_copy, [this, prog_copy, hook, barrier, t0,
-                              done = std::move(done)](
-                                 StatusOr<const bpf::JitImage*> img) mutable {
-      if (!img.ok()) {
-        done(img.status());
-        return;
-      }
-      auto prepared =
-          std::make_shared<std::vector<ControlPlane::PreparedImage>>(
-              group_.size());
-      const bpf::JitImage* image = img.value();
-      ForAll(
-          group_.size(),
-          [this, image, prog_copy, prepared, hook](
-              std::size_t i, std::function<void(Status)> done_i) {
-            const bpf::Program& prog = *prog_copy;
-            CodeFlow& flow = *group_[i];
-            // Deploy missing XStates on this node, then link + prepare.
-            auto deploy_next =
-                std::make_shared<std::function<void(std::size_t)>>();
-            std::weak_ptr<std::function<void(std::size_t)>> weak =
-                deploy_next;
-            *deploy_next = [this, &flow, image, &prog, prog_copy, prepared,
-                            i, hook, done_i, weak](std::size_t m) mutable {
-              auto self = weak.lock();
-              if (!self) return;
-              while (m < prog.maps.size() &&
-                     flow.xstates().count(prog.maps[m].name) != 0) {
-                ++m;
-              }
-              if (m < prog.maps.size()) {
-                cp_.DeployXState(flow, prog.maps[m],
-                                 [self, m, done_i](
-                                     StatusOr<std::uint64_t> addr) {
-                                   if (!addr.ok()) {
-                                     done_i(addr.status());
-                                     return;
-                                   }
-                                   (*self)(m + 1);
-                                 });
-                return;
-              }
-              cp_.LinkCode(flow, *image,
-                           [this, &flow, prepared, i, hook, done_i](
-                               StatusOr<bpf::JitImage> linked) {
-                             if (!linked.ok()) {
-                               done_i(linked.status());
-                               return;
-                             }
-                             cp_.PrepareImage(
-                                 flow, linked->Serialize(),
-                                 flow.HookVersion(hook) + 1,
-                                 [prepared, i, done_i](
-                                     StatusOr<ControlPlane::PreparedImage>
-                                         p) {
-                                   if (!p.ok()) {
-                                     done_i(p.status());
-                                     return;
-                                   }
-                                   (*prepared)[i] = p.value();
-                                   done_i(OkStatus());
-                                 });
-                           });
-            };
-            (*deploy_next)(0);
-          },
-          [this, prepared, hook, barrier, t0,
-           done = std::move(done)](Status all) mutable {
-            if (!all.ok()) {
-              if (barrier != nullptr) barrier->ReleaseBuffered();
-              done(all);
-              return;
-            }
-            CommitAll(std::move(*prepared), hook, barrier, t0,
-                      cp_.events().Now(), std::move(done));
-          });
-    });
+    const std::uint64_t fp = ProgramFingerprint(*prog_copy);
+    PrepareAndCommit(
+        [this, prog_copy, image = *image, hook, fp](std::size_t i,
+                                                     PrepareDone done_i) {
+          cp_.LinkAndPrepare(*group_[i], *prog_copy, *image, hook, fp,
+                             std::move(done_i));
+        },
+        hook, barrier, t0, std::move(done));
   });
 }
 
@@ -148,142 +90,118 @@ void CollectiveCodeFlow::BroadcastWasm(
   owned->reserve(filters.size());
   for (const wasm::FilterModule* filter : filters) owned->push_back(*filter);
 
-  auto prepared = std::make_shared<std::vector<ControlPlane::PreparedImage>>(
-      group_.size());
-  ForAll(
-      group_.size(),
-      [this, owned, prepared, hook](std::size_t i,
-                                    std::function<void(Status)> done_i) {
-        CodeFlow& flow = *group_[i];
+  PrepareAndCommit(
+      [this, owned, hook](std::size_t i, PrepareDone done_i) {
         const wasm::FilterModule& module = (*owned)[i];
-        cp_.ValidateWasm(module, [this, &flow, &module, owned, prepared, i,
-                                  hook, done_i](Status s) mutable {
-          if (!s.ok()) {
-            done_i(s);
+        cp_.Build(module, [this, owned, &module, i, hook,
+                           done_i = std::move(done_i)](
+                              StatusOr<const wasm::WasmImage*> image) mutable {
+          if (!image.ok()) {
+            done_i(image.status());
             return;
           }
-          cp_.CompileWasm(module, [this, &flow, prepared, i, hook, done_i](
-                                      StatusOr<const wasm::WasmImage*> img) {
-            if (!img.ok()) {
-              done_i(img.status());
-              return;
-            }
-            cp_.LinkWasm(flow, *img.value(),
-                         [this, &flow, prepared, i, hook,
-                          done_i](StatusOr<wasm::WasmImage> linked) {
-                           if (!linked.ok()) {
-                             done_i(linked.status());
-                             return;
-                           }
-                           cp_.PrepareImage(
-                               flow, linked->Serialize(),
-                               flow.HookVersion(hook) + 1,
-                               [prepared, i, done_i](
-                                   StatusOr<ControlPlane::PreparedImage> p) {
-                                 if (!p.ok()) {
-                                   done_i(p.status());
-                                   return;
-                                 }
-                                 (*prepared)[i] = p.value();
-                                 done_i(OkStatus());
-                               });
-                         });
-          });
+          cp_.LinkAndPrepare(*group_[i], module, **image, hook,
+                             WasmFingerprint(module), std::move(done_i));
         });
       },
-      [this, prepared, hook, barrier, t0,
-       done = std::move(done)](Status all) mutable {
-        if (!all.ok()) {
-          if (barrier != nullptr) barrier->ReleaseBuffered();
-          done(all);
-          return;
-        }
-        CommitAll(std::move(*prepared), hook, barrier, t0,
-                  cp_.events().Now(), std::move(done));
-      });
+      hook, barrier, t0, std::move(done));
 }
 
-void CollectiveCodeFlow::CommitAll(
-    std::vector<ControlPlane::PreparedImage> prepared, int hook,
-    UpdateBarrier* barrier, sim::SimTime t0, sim::SimTime prepare_done,
+void CollectiveCodeFlow::PrepareAndCommit(
+    std::function<void(std::size_t, PrepareDone)> prepare, int hook,
+    UpdateBarrier* barrier, sim::SimTime t0,
     std::function<void(StatusOr<BroadcastResult>)> done) {
+  auto prepared = std::make_shared<std::vector<ControlPlane::PreparedImage>>(
+      group_.size());
   auto first_commit = std::make_shared<sim::SimTime>(0);
-  auto last_commit = std::make_shared<sim::SimTime>(0);
-  auto prepared_shared =
-      std::make_shared<std::vector<ControlPlane::PreparedImage>>(
-          std::move(prepared));
-
+  auto fail = [barrier](const Status& why,
+                        std::function<void(StatusOr<BroadcastResult>)>& cb) {
+    if (barrier != nullptr) barrier->ReleaseBuffered();
+    cb(why);
+  };
+  // Phase 1: prepare every node.
   ForAll(
       group_.size(),
-      [this, prepared_shared, hook, first_commit, last_commit](
+      [prepare = std::move(prepare), prepared](
           std::size_t i, std::function<void(Status)> done_i) {
-        cp_.CommitPrepared(
-            *group_[i], hook, (*prepared_shared)[i],
-            [this, first_commit, last_commit, done_i](Status s) {
-              const sim::SimTime now = cp_.events().Now();
-              if (*first_commit == 0) *first_commit = now;
-              *last_commit = std::max(*last_commit, now);
-              done_i(s);
-            });
+        prepare(i, [prepared, i, done_i](
+                       StatusOr<ControlPlane::PreparedImage> p) {
+          if (p.ok()) (*prepared)[i] = p.value();
+          done_i(p.status());
+        });
       },
-      [this, barrier, hook, t0, prepare_done, first_commit, last_commit,
-       prepared_shared, done = std::move(done)](Status all) mutable {
+      [this, prepared, first_commit, fail, hook, barrier, t0,
+       done = std::move(done)](Status all) mutable {
         if (!all.ok()) {
-          if (barrier != nullptr) barrier->ReleaseBuffered();
-          done(all);
+          fail(all, done);
           return;
         }
-        // Visibility barrier: the commits have landed in DRAM, but each
-        // data-plane CPU sees its new hook only after the injected flush
-        // executes. Poll the group (1 us cadence) until every sandbox
-        // serves the new version, then release buffered requests — this
-        // is what guarantees no request observes mixed logic.
-        auto wait_visible =
-            std::make_shared<std::function<void()>>();
-        std::weak_ptr<std::function<void()>> weak = wait_visible;
-        *wait_visible = [this, barrier, hook, t0, prepare_done, first_commit,
-                         last_commit, prepared_shared, done, weak] {
-          auto self = weak.lock();
-          if (!self) return;
-          for (std::size_t i = 0; i < group_.size(); ++i) {
-            if (group_[i]->sandbox->VisibleVersion(hook) !=
-                (*prepared_shared)[i].version) {
-              cp_.events().ScheduleAfter(sim::Micros(1),
-                                         [self] { (*self)(); });
-              return;
-            }
-          }
-          BroadcastResult result;
-          result.nodes = group_.size();
-          result.prepare_time = prepare_done - t0;
-          result.commit_window = cp_.events().Now() - *first_commit;
-          result.total = cp_.events().Now() - t0;
-          (void)*last_commit;
-          if (barrier != nullptr) {
-            result.buffered_requests = barrier->BufferedCount();
-            barrier->ReleaseBuffered();
-          }
-          if (cp_.tracer() != nullptr) {
-            // Waves render on the control plane's own pid, one lane per
-            // hook: the prepare fan-out, then the commit window that BBU
-            // buffering covers.
-            const std::uint32_t pid =
-                static_cast<std::uint32_t>(cp_.self());
-            const std::uint32_t tid = static_cast<std::uint32_t>(hook);
-            char args[96];
-            std::snprintf(args, sizeof(args),
-                          "\"nodes\": %zu, \"buffered\": %zu",
-                          result.nodes, result.buffered_requests);
-            cp_.tracer()->AddComplete("broadcast", pid, tid, t0,
-                                      result.total, args);
-            cp_.tracer()->AddComplete("broadcast:prepare", pid, tid, t0,
-                                      result.prepare_time);
-            cp_.tracer()->AddComplete("broadcast:commit_window", pid, tid,
-                                      *first_commit, result.commit_window);
-          }
-          done(result);
-        };
-        (*wait_visible)();
+        const sim::SimTime prepare_done = cp_.events().Now();
+        // Phase 2: fire every qword commit in parallel.
+        ForAll(
+            group_.size(),
+            [this, prepared, hook, first_commit](
+                std::size_t i, std::function<void(Status)> done_i) {
+              cp_.CommitPrepared(*group_[i], hook, (*prepared)[i],
+                                 [this, first_commit, done_i](Status s) {
+                                   if (*first_commit == 0) {
+                                     *first_commit = cp_.events().Now();
+                                   }
+                                   done_i(s);
+                                 });
+            },
+            [this, barrier, hook, t0, prepare_done, first_commit, prepared,
+             fail, done = std::move(done)](Status all2) mutable {
+              if (!all2.ok()) {
+                fail(all2, done);
+                return;
+              }
+              // Visibility barrier: the commits have landed in DRAM, but
+              // each data-plane CPU sees its new hook only after the
+              // injected flush executes. Poll the group (1 us cadence)
+              // until every sandbox serves the new version, then release
+              // buffered requests — this is what guarantees no request
+              // observes mixed logic.
+              auto wait_visible = std::make_shared<std::function<void()>>();
+              std::weak_ptr<std::function<void()>> weak = wait_visible;
+              *wait_visible = [this, barrier, hook, t0, prepare_done,
+                               first_commit, prepared, done, weak] {
+                auto self = weak.lock();
+                if (!self) return;
+                for (std::size_t i = 0; i < group_.size(); ++i) {
+                  if (group_[i]->sandbox->VisibleVersion(hook) !=
+                      (*prepared)[i].version) {
+                    cp_.events().ScheduleAfter(sim::Micros(1),
+                                               [self] { (*self)(); });
+                    return;
+                  }
+                }
+                BroadcastResult result;
+                result.nodes = group_.size();
+                result.prepare_time = prepare_done - t0;
+                result.commit_window = cp_.events().Now() - *first_commit;
+                result.total = cp_.events().Now() - t0;
+                if (barrier != nullptr) {
+                  result.buffered_requests = barrier->BufferedCount();
+                  barrier->ReleaseBuffered();
+                }
+                if (cp_.tracer() != nullptr) {
+                  // Waves render on the control plane's own pid, one lane
+                  // per hook: the prepare fan-out, then the commit window
+                  // that BBU buffering covers.
+                  char args[96];
+                  std::snprintf(args, sizeof(args),
+                                "\"nodes\": %zu, \"buffered\": %zu",
+                                result.nodes, result.buffered_requests);
+                  CpSpan("broadcast", hook, t0, result.total, args);
+                  CpSpan("broadcast:prepare", hook, t0, result.prepare_time);
+                  CpSpan("broadcast:commit_window", hook, *first_commit,
+                         result.commit_window);
+                }
+                done(result);
+              };
+              (*wait_visible)();
+            });
       });
 }
 
@@ -303,9 +221,9 @@ struct CollectiveCodeFlow::PipelineState {
   std::vector<bool> alive;
   std::size_t stragglers = 0;
 
-  // Compile-stage -> deploy-stage handoff (the pipeline registers).
+  // Compile-stage -> deploy-stage handoff (the pipeline registers); an
+  // image is non-null once its wave compiled.
   std::vector<const bpf::JitImage*> images;
-  std::vector<bool> image_ready;
   std::vector<WaveResult> waves;
   std::size_t next_deploy = 0;
   bool deploying = false;
@@ -333,7 +251,6 @@ void CollectiveCodeFlow::DeployPipelined(
     st->waves[k].hook = st->hooks[k];
   }
   st->images.resize(specs.size(), nullptr);
-  st->image_ready.resize(specs.size(), false);
   st->nodes.resize(group_.size());
   st->alive.assign(group_.size(), true);
   for (std::size_t i = 0; i < group_.size(); ++i) {
@@ -350,36 +267,25 @@ void CollectiveCodeFlow::CompileWave(std::shared_ptr<PipelineState> st,
                                      std::size_t k) {
   if (st->failed) return;
   const sim::SimTime start = cp_.events().Now();
-  st->waves[k].compile_cache_hit =
-      cp_.artifact_cache().ContainsEbpf(ProgramFingerprint(st->progs[k]));
-  cp_.ValidateCode(st->progs[k], [this, st, k, start](Status s) {
-    if (!s.ok()) {
-      AbortPipeline(st, s);
+  st->waves[k].compile_cache_hit = cp_.artifact_cache().HasImage(
+      ArtifactCache::Kind::kEbpf, ProgramFingerprint(st->progs[k]));
+  cp_.Build(st->progs[k], [this, st, k, start](
+                              StatusOr<const bpf::JitImage*> img) {
+    if (!img.ok()) {
+      AbortPipeline(st, img.status());
       return;
     }
-    cp_.JitCompileCode(
-        st->progs[k],
-        [this, st, k, start](StatusOr<const bpf::JitImage*> img) {
-          if (!img.ok()) {
-            AbortPipeline(st, img.status());
-            return;
-          }
-          st->images[k] = img.value();
-          st->image_ready[k] = true;
-          st->waves[k].compile = cp_.events().Now() - start;
-          if (cp_.tracer() != nullptr && st->waves[k].compile > 0) {
-            cp_.tracer()->AddComplete(
-                "pipeline:compile", static_cast<std::uint32_t>(cp_.self()),
-                static_cast<std::uint32_t>(st->hooks[k]), start,
-                st->waves[k].compile);
-          }
-          // The pipeline's overlap: start compiling the next wave while
-          // this one's transfer + commit are still in flight.
-          if (st->opts.pipelined && k + 1 < st->progs.size()) {
-            CompileWave(st, k + 1);
-          }
-          TryDeployWave(st);
-        });
+    st->images[k] = img.value();
+    st->waves[k].compile = cp_.events().Now() - start;
+    if (st->waves[k].compile > 0) {
+      CpSpan("pipeline:compile", st->hooks[k], start, st->waves[k].compile);
+    }
+    // The pipeline's overlap: start compiling the next wave while this
+    // one's transfer + commit are still in flight.
+    if (st->opts.pipelined && k + 1 < st->progs.size()) {
+      CompileWave(st, k + 1);
+    }
+    TryDeployWave(st);
   });
 }
 
@@ -389,7 +295,7 @@ void CollectiveCodeFlow::TryDeployWave(std::shared_ptr<PipelineState> st) {
     FinishPipeline(st);
     return;
   }
-  if (!st->image_ready[st->next_deploy]) return;
+  if (st->images[st->next_deploy] == nullptr) return;
   st->deploying = true;
   const std::size_t k = st->next_deploy;
   DeployWave(st, k, [this, st, k] {
@@ -398,7 +304,7 @@ void CollectiveCodeFlow::TryDeployWave(std::shared_ptr<PipelineState> st) {
     if (st->failed) return;
     // Serial schedule: the next wave's compile starts only now.
     if (!st->opts.pipelined && k + 1 < st->progs.size() &&
-        !st->image_ready[k + 1]) {
+        st->images[k + 1] == nullptr) {
       CompileWave(st, k + 1);
       return;
     }
@@ -413,10 +319,10 @@ void CollectiveCodeFlow::DeployWave(std::shared_ptr<PipelineState> st,
   const std::uint64_t fp = ProgramFingerprint(st->progs[k]);
   const bpf::JitImage* image = st->images[k];
   const sim::SimTime wave_start = cp_.events().Now();
-  auto prepared = std::make_shared<std::vector<ControlPlane::PreparedImage>>(
-      group_.size());
-  auto has_prepared = std::make_shared<std::vector<bool>>(group_.size(),
-                                                          false);
+  // Per node: the prepared image, once its XStates, link and prepare
+  // succeeded.
+  auto prepared = std::make_shared<
+      std::vector<std::optional<ControlPlane::PreparedImage>>>(group_.size());
   auto wave_done_shared =
       std::make_shared<std::function<void()>>(std::move(wave_done));
   // A node-level failure either quarantines the node (straggler
@@ -436,74 +342,31 @@ void CollectiveCodeFlow::DeployWave(std::shared_ptr<PipelineState> st,
   // dispatch overhead once per node as the serial path does.
   cp_.events().ScheduleAfter(
       cp_.config().cost.rdx_dispatch_overhead,
-      [this, st, k, hook, fp, image, wave_start, prepared, has_prepared,
-       node_failed, wave_done_shared] {
+      [this, st, k, hook, fp, image, wave_start, prepared, node_failed,
+       wave_done_shared] {
         ForAll(
             group_.size(),
-            [this, st, k, hook, fp, image, prepared, has_prepared,
-             node_failed](std::size_t i, std::function<void(Status)> done_i) {
+            [this, st, k, hook, fp, image, prepared, node_failed](
+                std::size_t i, std::function<void(Status)> done_i) {
               if (!st->alive[i]) {
                 done_i(OkStatus());
                 return;
               }
-              CodeFlow& flow = *group_[i];
-              const bpf::Program& prog = st->progs[k];
-              // Deploy missing XStates, then link + prepare (the image
-              // chunks ride one doorbell-batched chain per node).
-              auto deploy_next =
-                  std::make_shared<std::function<void(std::size_t)>>();
-              std::weak_ptr<std::function<void(std::size_t)>> weak =
-                  deploy_next;
-              *deploy_next = [this, st, &flow, &prog, image, prepared,
-                              has_prepared, i, k, hook, fp, done_i, weak,
-                              node_failed](std::size_t m) mutable {
-                auto self = weak.lock();
-                if (!self) return;
-                while (m < prog.maps.size() &&
-                       flow.xstates().count(prog.maps[m].name) != 0) {
-                  ++m;
-                }
-                if (m < prog.maps.size()) {
-                  cp_.DeployXState(
-                      flow, prog.maps[m],
-                      [self, m, i, done_i, node_failed](
-                          StatusOr<std::uint64_t> addr) {
-                        if (!addr.ok()) {
-                          node_failed(i, addr.status(), done_i);
-                          return;
-                        }
-                        (*self)(m + 1);
-                      });
-                  return;
-                }
-                cp_.LinkCode(
-                    flow, *image,
-                    [this, st, &flow, prepared, has_prepared, i, k, hook, fp,
-                     done_i, node_failed](StatusOr<bpf::JitImage> linked) {
-                      if (!linked.ok()) {
-                        node_failed(i, linked.status(), done_i);
-                        return;
-                      }
-                      cp_.PrepareImage(
-                          flow, linked->Serialize(),
-                          flow.HookVersion(hook) + 1,
-                          [prepared, has_prepared, i, done_i, node_failed](
-                              StatusOr<ControlPlane::PreparedImage> p) {
-                            if (!p.ok()) {
-                              node_failed(i, p.status(), done_i);
-                              return;
-                            }
-                            (*prepared)[i] = p.value();
-                            (*has_prepared)[i] = true;
-                            done_i(OkStatus());
-                          },
-                          fp);
-                    });
-              };
-              (*deploy_next)(0);
+              // The image chunks ride one doorbell-batched chain per node.
+              cp_.LinkAndPrepare(
+                  *group_[i], st->progs[k], *image, hook, fp,
+                  [prepared, i, done_i, node_failed](
+                      StatusOr<ControlPlane::PreparedImage> p) {
+                    if (!p.ok()) {
+                      node_failed(i, p.status(), done_i);
+                      return;
+                    }
+                    (*prepared)[i] = p.value();
+                    done_i(OkStatus());
+                  });
             },
-            [this, st, k, hook, wave_start, prepared, has_prepared,
-             node_failed, wave_done_shared](Status all) {
+            [this, st, k, hook, wave_start, prepared, node_failed,
+             wave_done_shared](Status all) {
               if (st->failed) {
                 (*wave_done_shared)();
                 return;
@@ -514,21 +377,16 @@ void CollectiveCodeFlow::DeployWave(std::shared_ptr<PipelineState> st,
                 return;
               }
               st->waves[k].transfer = cp_.events().Now() - wave_start;
-              if (cp_.tracer() != nullptr) {
-                cp_.tracer()->AddComplete(
-                    "pipeline:transfer",
-                    static_cast<std::uint32_t>(cp_.self()),
-                    static_cast<std::uint32_t>(hook), wave_start,
-                    st->waves[k].transfer);
-              }
+              CpSpan("pipeline:transfer", hook, wave_start,
+                     st->waves[k].transfer);
               // Commit wave: CAS every prepared node concurrently, one
               // fan-out across the per-node QPs.
               const sim::SimTime commit_start = cp_.events().Now();
               ForAll(
                   group_.size(),
-                  [this, st, k, hook, prepared, has_prepared, node_failed](
+                  [this, st, k, hook, prepared, node_failed](
                       std::size_t i, std::function<void(Status)> done_i) {
-                    if (!st->alive[i] || !(*has_prepared)[i]) {
+                    if (!st->alive[i] || !(*prepared)[i]) {
                       done_i(OkStatus());
                       return;
                     }
@@ -537,7 +395,7 @@ void CollectiveCodeFlow::DeployWave(std::shared_ptr<PipelineState> st,
                     const std::uint64_t expected =
                         it == flow.hooks_.end() ? 0 : it->second.desc_addr;
                     cp_.CommitPreparedCas(
-                        flow, hook, (*prepared)[i], expected,
+                        flow, hook, *(*prepared)[i], expected,
                         [this, st, k, i, done_i,
                          node_failed](Status s) {
                           if (!s.ok()) {
@@ -561,13 +419,8 @@ void CollectiveCodeFlow::DeployWave(std::shared_ptr<PipelineState> st,
                       return;
                     }
                     st->waves[k].commit = cp_.events().Now() - commit_start;
-                    if (cp_.tracer() != nullptr) {
-                      cp_.tracer()->AddComplete(
-                          "pipeline:commit",
-                          static_cast<std::uint32_t>(cp_.self()),
-                          static_cast<std::uint32_t>(hook), commit_start,
-                          st->waves[k].commit);
-                    }
+                    CpSpan("pipeline:commit", hook, commit_start,
+                           st->waves[k].commit);
                     (*wave_done_shared)();
                   });
             });
@@ -622,9 +475,7 @@ void CollectiveCodeFlow::FinishPipeline(std::shared_ptr<PipelineState> st) {
                   "\"nodes\": %zu, \"waves\": %zu, \"stragglers\": %zu",
                   result.nodes.size(), result.waves.size(),
                   result.stragglers);
-    cp_.tracer()->AddComplete("pipeline",
-                              static_cast<std::uint32_t>(cp_.self()), 0,
-                              st->t0, result.total, args);
+    CpSpan("pipeline", 0, st->t0, result.total, args);
   }
   st->done(std::move(result));
 }

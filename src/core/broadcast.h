@@ -127,11 +127,19 @@ class CollectiveCodeFlow {
   void AbortPipeline(std::shared_ptr<PipelineState> st, const Status& why);
   void FinishPipeline(std::shared_ptr<PipelineState> st);
 
-  // Shared phase-2 logic once every node holds a PreparedImage.
-  void CommitAll(std::vector<ControlPlane::PreparedImage> prepared, int hook,
-                 UpdateBarrier* barrier, sim::SimTime t0,
-                 sim::SimTime prepare_done,
-                 std::function<void(StatusOr<BroadcastResult>)> done);
+  // Shared body of Broadcast/BroadcastWasm: phase 1 runs `prepare(i, cb)`
+  // on every node; once all hold a PreparedImage, phase 2 commits them in
+  // parallel and waits until every sandbox serves the new version.
+  using PrepareDone =
+      std::function<void(StatusOr<ControlPlane::PreparedImage>)>;
+  void PrepareAndCommit(
+      std::function<void(std::size_t, PrepareDone)> prepare, int hook,
+      UpdateBarrier* barrier, sim::SimTime t0,
+      std::function<void(StatusOr<BroadcastResult>)> done);
+
+  // Records a span on the control plane's own pid, one lane per hook.
+  void CpSpan(const char* name, int hook, sim::SimTime start,
+              sim::Duration dur, const char* args = "");
 
   ControlPlane& cp_;
   std::vector<CodeFlow*> group_;

@@ -11,9 +11,37 @@ namespace rdx::core {
 namespace {
 constexpr std::uint64_t kLocalArenaBytes = 16u << 20;
 constexpr std::uint64_t kAllocAlign = 64;
+// Selective-signaling period of every CodeFlow QP: within a doorbell-batched
+// chain only every 4th WRITE (and always the tail) writes a CQE; PostChain
+// reconstructs the implied completions from RC ordering.
+constexpr std::uint32_t kSignalingPeriod = 4;
 
 std::uint64_t AlignUp(std::uint64_t n, std::uint64_t a) {
   return (n + a - 1) & ~(a - 1);
+}
+
+std::uint64_t SlotAddr(const CodeFlow& flow, int hook) {
+  return flow.remote_view().hook_table_addr +
+         static_cast<std::uint64_t>(hook) * 8;
+}
+
+// Fills the ImageDesc at `desc` for `image` landed at `image_addr`.
+void StoreDesc(std::uint8_t* desc, std::uint64_t image_addr,
+               const Bytes& image, std::uint64_t version,
+               std::uint64_t signing_key) {
+  StoreLE(desc + kDescImageAddr, image_addr);
+  StoreLE(desc + kDescImageLen, static_cast<std::uint64_t>(image.size()));
+  StoreLE(desc + kDescVersion, version);
+  StoreLE(desc + kDescRefcount, 1ull);
+  if (signing_key != 0) {
+    StoreLE(desc + kDescSignature, SignImage(image, signing_key));
+  }
+}
+
+// Versions count update generations of a hook (comparable across nodes,
+// which is what mixed-version detection needs).
+std::uint64_t NextVersionFor(CodeFlow& flow, int hook) {
+  return flow.HookVersion(hook) + 1;
 }
 }  // namespace
 
@@ -42,71 +70,68 @@ std::uint64_t WasmFingerprint(const wasm::FilterModule& module) {
   return Fnv1a64(bytes);
 }
 
-const bool* ArtifactCache::FindEbpfVerdict(std::uint64_t fp) {
-  auto it = ebpf_verdicts_.find(fp);
-  if (it == ebpf_verdicts_.end()) {
-    ++misses_;
-    return nullptr;
+Status ExtensionKind<bpf::Program>::Link(const CodeFlow& flow, Image& image) {
+  for (const bpf::Relocation& reloc : image.relocs) {
+    if (reloc.kind == bpf::RelocKind::kHelperCall) {
+      if (!flow.Symbol(SymbolHash("helper:",
+                                  static_cast<std::uint64_t>(reloc.symbol)))
+               .ok()) {
+        return FailedPrecondition("target node does not export helper " +
+                                  std::to_string(reloc.symbol));
+      }
+      continue;
+    }
+    // Map relocation: patch the placeholder with the node-local XState
+    // address deployed for this map.
+    if (reloc.symbol < 0 ||
+        static_cast<std::size_t>(reloc.symbol) >= image.maps.size()) {
+      return Internal("relocation references unknown map slot");
+    }
+    const std::string& name = image.maps[reloc.symbol].name;
+    auto it = flow.xstates().find(name);
+    if (it == flow.xstates().end()) {
+      return FailedPrecondition("XState '" + name + "' not deployed on target");
+    }
+    image.code[reloc.index].imm64 = it->second;
   }
-  ++hits_;
-  return &it->second;
+  return OkStatus();
 }
 
-const bool* ArtifactCache::FindWasmVerdict(std::uint64_t fp) {
-  auto it = wasm_verdicts_.find(fp);
-  if (it == wasm_verdicts_.end()) {
-    ++misses_;
-    return nullptr;
+Status ExtensionKind<wasm::FilterModule>::Link(const CodeFlow& flow,
+                                               Image& image) {
+  for (wasm::WasmReloc& reloc : image.relocs) {
+    auto symbol =
+        flow.Symbol(SymbolHashName("host:", reloc.import_name.c_str()));
+    if (!symbol.ok()) {
+      return FailedPrecondition("target node does not export host fn '" +
+                                reloc.import_name + "'");
+    }
+    reloc.resolved_host_fn = static_cast<std::int32_t>(symbol.value());
+    image.code[reloc.insn_index].imm =
+        static_cast<std::int64_t>(symbol.value());
   }
-  ++hits_;
-  return &it->second;
+  return OkStatus();
 }
 
-const bpf::JitImage* ArtifactCache::FindEbpf(std::uint64_t fp) {
-  auto it = ebpf_.find(fp);
-  if (it == ebpf_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  ++hits_;
-  return &it->second;
-}
-
-const wasm::WasmImage* ArtifactCache::FindWasm(std::uint64_t fp) {
-  auto it = wasm_.find(fp);
-  if (it == wasm_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  ++hits_;
-  return &it->second;
-}
-
-void ArtifactCache::PutEbpfVerdict(std::uint64_t fp, bool ok) {
-  ebpf_verdicts_[fp] = ok;
-}
-
-void ArtifactCache::PutWasmVerdict(std::uint64_t fp, bool ok) {
-  wasm_verdicts_[fp] = ok;
-}
-
-const bpf::JitImage* ArtifactCache::PutEbpf(std::uint64_t fp,
-                                            bpf::JitImage image) {
-  return &(ebpf_.insert_or_assign(fp, std::move(image)).first->second);
-}
-
-const wasm::WasmImage* ArtifactCache::PutWasm(std::uint64_t fp,
-                                              wasm::WasmImage image) {
-  return &(wasm_.insert_or_assign(fp, std::move(image)).first->second);
+bool ArtifactCache::HasImage(Kind kind, std::uint64_t fp) const {
+  auto it = entries_.find({kind, fp});
+  return it != entries_.end() &&
+         !std::holds_alternative<std::monostate>(it->second.image);
 }
 
 void ArtifactCache::Invalidate(std::uint64_t fp) {
-  std::size_t evicted = 0;
-  evicted += ebpf_verdicts_.erase(fp);
-  evicted += wasm_verdicts_.erase(fp);
-  evicted += ebpf_.erase(fp);
-  evicted += wasm_.erase(fp);
+  const std::size_t evicted =
+      entries_.erase({Kind::kEbpf, fp}) + entries_.erase({Kind::kWasm, fp});
   if (evicted != 0) ++invalidations_;
+}
+
+std::size_t ArtifactCache::entries() const {
+  std::size_t n = 0;
+  for (const auto& [key, entry] : entries_) {
+    n += entry.verdict.has_value() +
+         !std::holds_alternative<std::monostate>(entry.image);
+  }
+  return n;
 }
 
 StatusOr<std::uint64_t> CodeFlow::Symbol(std::uint64_t hash) const {
@@ -139,45 +164,80 @@ ControlPlane::ControlPlane(sim::EventQueue& events, rdma::Fabric& fabric,
   local_mr_ = mr.value();
 }
 
-StatusOr<std::uint64_t> ControlPlane::LocalScratch(std::uint64_t bytes) {
-  // Ring allocation inside the arena. The fabric copies WRITE payloads at
-  // post time and scatters READ results at completion time, so reuse
-  // after wrap cannot corrupt in-flight operations.
-  bytes = AlignUp(bytes, kAllocAlign);
-  if (bytes > kLocalArenaBytes) return ResourceExhausted("payload too large");
-  if (arena_cursor_ + bytes > kLocalArenaBytes) arena_cursor_ = 0;
-  const std::uint64_t addr = local_mr_.addr + arena_cursor_;
-  arena_cursor_ += bytes;
-  return addr;
-}
+// ---- the post path -----------------------------------------------------
 
 void ControlPlane::Post(
     CodeFlow& flow, rdma::SendWr wr,
     std::function<void(const rdma::WorkCompletion&)> done) {
-  wr.wr_id = next_wr_id_++;
   wr.signaled = true;
-  // Small control writes (commit qwords, cc events, ring cursors, XState
-  // values) ride the WQE itself: no payload DMA fetch, no source MR.
-  if (config_.use_inline && wr.opcode == rdma::Opcode::kWrite &&
-      wr.local.length <= fabric_.link().max_inline_data) {
-    wr.send_inline = true;
-  }
-  // Every successful completion renews the target node's health lease.
-  const rdma::NodeId target = flow.node_;
-  auto recording = [this, target, done = std::move(done)](
-                       const rdma::WorkCompletion& wc) {
-    if (wc.status == rdma::WcStatus::kSuccess) {
-      last_success_[target] = events_.Now();
-    }
-    done(wc);
+  PostChain(flow, {wr}, std::move(done));
+}
+
+void ControlPlane::PostChain(
+    CodeFlow& flow, std::vector<rdma::SendWr> wrs,
+    std::function<void(const rdma::WorkCompletion&)> per_wr_done) {
+  if (wrs.empty()) return;
+  // Selective signaling (qp.h) means only every Kth WRITE in a chain
+  // writes a CQE, yet every WR here has a pending_ entry expecting one.
+  // RC ordering closes the gap: when a completion for chain index i
+  // arrives — signaled success, NAK, or flush — every WR before i must
+  // have *succeeded* (the first failure errors the QP at its own index,
+  // and flushes follow it), so their completions are implied. The state
+  // below reconstructs them, in order, before delivering entry i.
+  struct ChainState {
+    rdma::NodeId target;
+    std::function<void(const rdma::WorkCompletion&)> done;
+    std::uint64_t first_id = 0;
+    std::size_t cursor = 0;  // chain index of the next undelivered WR
   };
-  pending_.emplace(wr.wr_id, PendingOp{std::move(recording)});
-  const Status posted = flow.qp->PostSend(wr);
+  auto chain = std::make_shared<ChainState>(
+      ChainState{flow.node_, std::move(per_wr_done), next_wr_id_});
+  auto deliver = [this, chain](const rdma::WorkCompletion& wc) {
+    // Every successful completion renews the target node's health lease.
+    auto complete = [&](const rdma::WorkCompletion& c) {
+      if (c.status == rdma::WcStatus::kSuccess) {
+        last_success_[chain->target] = events_.Now();
+      }
+      chain->done(c);
+    };
+    const std::size_t idx =
+        static_cast<std::size_t>(wc.wr_id - chain->first_id);
+    for (; chain->cursor < idx; ++chain->cursor) {
+      auto it = pending_.find(chain->first_id + chain->cursor);
+      if (it == pending_.end()) continue;
+      rdma::WorkCompletion implied;
+      implied.wr_id = it->first;
+      implied.status = rdma::WcStatus::kSuccess;
+      implied.opcode = it->second.opcode;
+      implied.byte_len = it->second.byte_len;
+      implied.qp_num = wc.qp_num;
+      implied.completed_at = wc.completed_at;
+      pending_.erase(it);
+      complete(implied);
+    }
+    chain->cursor = idx + 1;
+    complete(wc);
+  };
+  for (rdma::SendWr& wr : wrs) {
+    wr.wr_id = next_wr_id_++;
+    // Small control writes (commit qwords, cc events, ring cursors, XState
+    // values) ride the WQE itself: no payload DMA fetch, no source MR.
+    if (wr.opcode == rdma::Opcode::kWrite &&
+        wr.local.length <= fabric_.link().max_inline_data) {
+      wr.send_inline = true;
+    }
+    pending_.emplace(wr.wr_id,
+                     PendingOp{deliver, wr.opcode, wr.local.length});
+  }
+  // A single WR is an ordinary post: no chain, no signaling rewrite.
+  const Status posted = wrs.size() == 1 ? flow.qp->PostSend(wrs.front())
+                                        : flow.qp->PostSendChain(wrs);
   if (!posted.ok()) {
-    // The QP pushed a flush completion (or rejected the post); surface an
-    // error completion to the callback if the CQ did not already.
-    auto it = pending_.find(wr.wr_id);
-    if (it != pending_.end()) {
+    // Error-state flushes were already delivered through the CQ; surface
+    // completions for any WR the QP rejected without flushing.
+    for (const rdma::SendWr& wr : wrs) {
+      auto it = pending_.find(wr.wr_id);
+      if (it == pending_.end()) continue;
       auto handler = std::move(it->second.on_complete);
       pending_.erase(it);
       rdma::WorkCompletion wc;
@@ -189,86 +249,66 @@ void ControlPlane::Post(
   }
 }
 
-void ControlPlane::PostChain(
-    CodeFlow& flow, std::vector<rdma::SendWr> wrs,
-    std::function<void(const rdma::WorkCompletion&)> per_wr_done) {
-  if (wrs.empty()) return;
-  const rdma::NodeId target = flow.node_;
-  auto handler = std::make_shared<
-      std::function<void(const rdma::WorkCompletion&)>>(
-      [this, target, done = std::move(per_wr_done)](
-          const rdma::WorkCompletion& wc) {
-        if (wc.status == rdma::WcStatus::kSuccess) {
-          last_success_[target] = events_.Now();
-        }
-        done(wc);
-      });
-  // Selective signaling (qp.h) means only every Kth WRITE in the chain
-  // writes a CQE, yet every WR here has a pending_ entry expecting one.
-  // RC ordering closes the gap: when a completion for chain index i
-  // arrives — signaled success, NAK, or flush — every WR before i must
-  // have *succeeded* (the first failure errors the QP at its own index,
-  // and flushes follow it), so their completions are implied. The state
-  // below reconstructs them, in order, before delivering entry i.
-  struct ChainState {
-    std::uint64_t first_id = 0;
-    std::size_t cursor = 0;  // chain index of the next undelivered WR
-    std::vector<std::pair<rdma::Opcode, std::uint32_t>> ops;
-  };
-  auto chain = std::make_shared<ChainState>();
-  chain->first_id = next_wr_id_;
-  chain->ops.reserve(wrs.size());
-  auto deliver = [this, handler, chain](const rdma::WorkCompletion& wc) {
-    const std::size_t idx =
-        static_cast<std::size_t>(wc.wr_id - chain->first_id);
-    while (chain->cursor < idx) {
-      const std::uint64_t id = chain->first_id + chain->cursor;
-      auto it = pending_.find(id);
-      if (it != pending_.end()) {
-        pending_.erase(it);
-        rdma::WorkCompletion implied;
-        implied.wr_id = id;
-        implied.status = rdma::WcStatus::kSuccess;
-        implied.opcode = chain->ops[chain->cursor].first;
-        implied.byte_len = chain->ops[chain->cursor].second;
-        implied.qp_num = wc.qp_num;
-        implied.completed_at = wc.completed_at;
-        (*handler)(implied);
-      }
-      ++chain->cursor;
-    }
-    chain->cursor = idx + 1;
-    (*handler)(wc);
-  };
-  for (rdma::SendWr& wr : wrs) {
-    wr.wr_id = next_wr_id_++;
-    // The caller's signaled flag is preserved (the QP's signaling period
-    // may still rewrite WRITEs); unsignaled successes are reconstructed
-    // by `deliver` above, so every WR's callback fires exactly once.
-    if (config_.use_inline && wr.opcode == rdma::Opcode::kWrite &&
-        wr.local.length <= fabric_.link().max_inline_data) {
-      wr.send_inline = true;
-    }
-    chain->ops.emplace_back(wr.opcode, wr.local.length);
-    pending_.emplace(wr.wr_id, PendingOp{deliver});
-  }
-  const Status posted = flow.qp->PostSendChain(wrs);
-  if (!posted.ok()) {
-    // Error-state flushes were already delivered through the CQ; surface
-    // completions for any WR the QP rejected without flushing.
-    for (const rdma::SendWr& wr : wrs) {
-      auto it = pending_.find(wr.wr_id);
-      if (it == pending_.end()) continue;
-      auto h = std::move(it->second.on_complete);
-      pending_.erase(it);
-      rdma::WorkCompletion wc;
-      wc.wr_id = wr.wr_id;
-      wc.status = rdma::WcStatus::kWorkRequestFlushed;
-      wc.opcode = wr.opcode;
-      h(wc);
-    }
-  }
+StatusOr<rdma::SendWr> ControlPlane::ScratchWr(CodeFlow& flow,
+                                               rdma::Opcode op,
+                                               std::uint64_t remote_addr,
+                                               std::uint64_t len) {
+  // Ring allocation inside the local arena. The fabric copies WRITE
+  // payloads at post time and scatters READ results at completion time, so
+  // reuse after wrap cannot corrupt in-flight operations.
+  const std::uint64_t bytes = AlignUp(std::max<std::uint64_t>(len, 1),
+                                      kAllocAlign);
+  if (bytes > kLocalArenaBytes) return ResourceExhausted("payload too large");
+  if (arena_cursor_ + bytes > kLocalArenaBytes) arena_cursor_ = 0;
+  rdma::SendWr wr;
+  wr.opcode = op;
+  wr.local = {local_mr_.addr + arena_cursor_, static_cast<std::uint32_t>(len),
+              local_mr_.lkey};
+  arena_cursor_ += bytes;
+  wr.remote_addr = remote_addr;
+  wr.rkey = flow.rkey;
+  return wr;
 }
+
+void ControlPlane::RemoteRead(CodeFlow& flow, std::uint64_t remote_addr,
+                              std::uint64_t len, const char* failure,
+                              Done fail, std::function<void(Bytes)> next) {
+  auto wr = ScratchWr(flow, rdma::Opcode::kRead, remote_addr, len);
+  if (!wr.ok()) {
+    fail(wr.status());
+    return;
+  }
+  Post(flow, *wr, [this, buf = wr->local.addr, len, failure, fail,
+                   next = std::move(next)](const rdma::WorkCompletion& wc) {
+    if (wc.status != rdma::WcStatus::kSuccess) {
+      fail(Unavailable(failure));
+      return;
+    }
+    Bytes raw(len);
+    (void)fabric_.node(self_).memory().Read(buf, raw);
+    next(std::move(raw));
+  });
+}
+
+void ControlPlane::RemoteAtomic(
+    CodeFlow& flow, rdma::Opcode op, std::uint64_t remote_addr,
+    std::uint64_t compare_add, std::uint64_t swap, const char* failure,
+    std::function<void(StatusOr<std::uint64_t>)> done) {
+  // An 8-byte landing buffer always fits the staging arena.
+  rdma::SendWr wr = ScratchWr(flow, op, remote_addr).value();
+  wr.compare_add = compare_add;
+  wr.swap = swap;
+  Post(flow, wr,
+       [failure, done = std::move(done)](const rdma::WorkCompletion& wc) {
+         if (wc.status != rdma::WcStatus::kSuccess) {
+           done(Unavailable(failure));
+           return;
+         }
+         done(wc.atomic_original);
+       });
+}
+
+// ---- CodeFlow lifecycle ------------------------------------------------
 
 void ControlPlane::CreateCodeFlow(
     Sandbox& sandbox, const Sandbox::Registration& reg,
@@ -280,46 +320,36 @@ void ControlPlane::CreateCodeFlow(
   flow->sandbox = &sandbox;
   flow->rkey = reg.rkey;
   flow->remote_view_.cb_addr = reg.cb_addr;
+  ReconnectCodeFlow(*flow, [flow, done = std::move(done)](Status s) {
+    done(s.ok() ? StatusOr<CodeFlow*>(flow) : StatusOr<CodeFlow*>(s));
+  });
+}
 
-  // QP plumbing (the CM exchange).
+void ControlPlane::ReconnectCodeFlow(CodeFlow& flow, Done done) {
+  // QP plumbing (the CM exchange). On reconnect the old QP is unusable
+  // once errored (real verbs would destroy it); bring up a fresh pair on
+  // both ends and re-run the handshake over it.
   rdma::QueuePair& local_qp = fabric_.CreateQp(self_, *cq_, *cq_);
-  rdma::CompletionQueue& remote_cq = fabric_.CreateCq(flow->node_);
+  rdma::CompletionQueue& remote_cq = fabric_.CreateCq(flow.node_);
   rdma::QueuePair& remote_qp =
-      fabric_.CreateQp(flow->node_, remote_cq, remote_cq);
+      fabric_.CreateQp(flow.node_, remote_cq, remote_cq);
   Status connected = fabric_.Connect(local_qp, remote_qp);
   if (!connected.ok()) {
     done(connected);
     return;
   }
-  local_qp.SetSignalingPeriod(config_.signaling_period);
-  flow->qp = &local_qp;
-  flow->cq = cq_;
-
-  Handshake(flow, std::move(done));
+  local_qp.SetSignalingPeriod(kSignalingPeriod);
+  flow.qp = &local_qp;
+  Handshake(&flow, std::move(done));
 }
 
-void ControlPlane::Handshake(CodeFlow* flow,
-                             std::function<void(StatusOr<CodeFlow*>)> done) {
+void ControlPlane::Handshake(CodeFlow* flow, Done done) {
   // Step 1: read the control block.
-  auto cb_buf = LocalScratch(kControlBlockBytes);
-  if (!cb_buf.ok()) {
-    done(cb_buf.status());
-    return;
-  }
-  rdma::SendWr read_cb;
-  read_cb.opcode = rdma::Opcode::kRead;
-  read_cb.local = {cb_buf.value(), kControlBlockBytes, local_mr_.lkey};
-  read_cb.remote_addr = flow->remote_view_.cb_addr;
-  read_cb.rkey = flow->rkey;
-  Post(*flow, read_cb, [this, flow, cb_buf = cb_buf.value(),
-                        done](const rdma::WorkCompletion& wc) {
-    if (wc.status != rdma::WcStatus::kSuccess) {
-      done(Unavailable("control block read failed"));
-      return;
-    }
-    auto& mem = fabric_.node(self_).memory();
+  RemoteRead(*flow, flow->remote_view_.cb_addr, kControlBlockBytes,
+             "control block read failed", done,
+             [this, flow, done](Bytes cb) {
     auto word = [&](std::uint64_t off) {
-      return mem.ReadU64(cb_buf + off).value();
+      return LoadLE<std::uint64_t>(cb.data() + off);
     };
     if (word(kCbMagic) != kControlBlockMagic) {
       done(FailedPrecondition("remote control block has bad magic"));
@@ -353,115 +383,40 @@ void ControlPlane::Handshake(CodeFlow* flow,
     }
 
     // Step 2: read the symbol table (the exposed global context / GOT).
-    auto sym_buf = LocalScratch(view.symtab_len);
-    if (!sym_buf.ok()) {
-      done(sym_buf.status());
-      return;
-    }
-    rdma::SendWr read_sym;
-    read_sym.opcode = rdma::Opcode::kRead;
-    read_sym.local = {sym_buf.value(),
-                      static_cast<std::uint32_t>(view.symtab_len),
-                      local_mr_.lkey};
-    read_sym.remote_addr = view.symtab_addr;
-    read_sym.rkey = flow->rkey;
-    Post(*flow, read_sym, [this, flow, sym_buf = sym_buf.value(),
-                           done](const rdma::WorkCompletion& wc2) {
-      if (wc2.status != rdma::WcStatus::kSuccess) {
-        done(Unavailable("symbol table read failed"));
-        return;
-      }
-      auto& mem = fabric_.node(self_).memory();
-      Bytes raw(flow->remote_view_.symtab_len);
-      (void)mem.Read(sym_buf, raw);
-      if (raw.size() < 4) {
-        done(FailedPrecondition("truncated symbol table"));
-        return;
-      }
-      const std::uint32_t count = LoadLE<std::uint32_t>(raw.data());
-      if (4 + count * 16ull > raw.size()) {
+    RemoteRead(*flow, view.symtab_addr, view.symtab_len,
+               "symbol table read failed", done, [flow, done](Bytes raw) {
+      const std::uint32_t count =
+          raw.size() < 4 ? 0 : LoadLE<std::uint32_t>(raw.data());
+      if (raw.size() < 4 || 4 + count * 16ull > raw.size()) {
         done(FailedPrecondition("truncated symbol table"));
         return;
       }
       flow->symbols_.clear();
       for (std::uint32_t i = 0; i < count; ++i) {
-        const std::uint64_t hash =
-            LoadLE<std::uint64_t>(raw.data() + 4 + i * 16);
-        const std::uint64_t value =
-            LoadLE<std::uint64_t>(raw.data() + 4 + i * 16 + 8);
-        flow->symbols_.emplace(hash, value);
+        const std::uint8_t* entry = raw.data() + 4 + i * 16;
+        flow->symbols_.emplace(LoadLE<std::uint64_t>(entry),
+                               LoadLE<std::uint64_t>(entry + 8));
       }
-      done(flow);
+      done(OkStatus());
     });
-  });
-}
-
-void ControlPlane::ReconnectCodeFlow(CodeFlow& flow, Done done) {
-  // The old QP is unusable once errored (real verbs would destroy it);
-  // bring up a fresh pair on both ends and re-run the handshake over it.
-  rdma::QueuePair& local_qp = fabric_.CreateQp(self_, *cq_, *cq_);
-  rdma::CompletionQueue& remote_cq = fabric_.CreateCq(flow.node_);
-  rdma::QueuePair& remote_qp =
-      fabric_.CreateQp(flow.node_, remote_cq, remote_cq);
-  Status connected = fabric_.Connect(local_qp, remote_qp);
-  if (!connected.ok()) {
-    done(connected);
-    return;
-  }
-  local_qp.SetSignalingPeriod(config_.signaling_period);
-  flow.qp = &local_qp;
-  Handshake(&flow, [done = std::move(done)](StatusOr<CodeFlow*> f) {
-    done(f.ok() ? OkStatus() : f.status());
   });
 }
 
 void ControlPlane::ProbeHook(
     CodeFlow& flow, int hook,
     std::function<void(StatusOr<HookProbe>)> done) {
-  auto slot_buf = LocalScratch(8);
-  if (!slot_buf.ok()) {
-    done(slot_buf.status());
-    return;
-  }
-  rdma::SendWr read_slot;
-  read_slot.opcode = rdma::Opcode::kRead;
-  read_slot.local = {slot_buf.value(), 8, local_mr_.lkey};
-  read_slot.remote_addr = flow.remote_view_.hook_table_addr +
-                          static_cast<std::uint64_t>(hook) * 8;
-  read_slot.rkey = flow.rkey;
-  Post(flow, read_slot, [this, &flow, slot_buf = slot_buf.value(),
-                         done = std::move(done)](
-                            const rdma::WorkCompletion& wc) mutable {
-    if (wc.status != rdma::WcStatus::kSuccess) {
-      done(Unavailable("hook slot read failed"));
-      return;
-    }
-    auto& mem = fabric_.node(self_).memory();
-    const std::uint64_t desc_addr = mem.ReadU64(slot_buf).value();
+  RemoteRead(flow, SlotAddr(flow, hook), 8, "hook slot read failed", done,
+             [this, &flow, done](Bytes slot) {
+    const std::uint64_t desc_addr = LoadLE<std::uint64_t>(slot.data());
     if (desc_addr == 0) {
       done(HookProbe{});
       return;
     }
-    auto ver_buf = LocalScratch(8);
-    if (!ver_buf.ok()) {
-      done(ver_buf.status());
-      return;
-    }
-    rdma::SendWr read_ver;
-    read_ver.opcode = rdma::Opcode::kRead;
-    read_ver.local = {ver_buf.value(), 8, local_mr_.lkey};
-    read_ver.remote_addr = desc_addr + kDescVersion;
-    read_ver.rkey = flow.rkey;
-    Post(flow, read_ver, [this, desc_addr, ver_buf = ver_buf.value(),
-                          done = std::move(done)](
-                             const rdma::WorkCompletion& wc2) mutable {
-      if (wc2.status != rdma::WcStatus::kSuccess) {
-        done(Unavailable("desc version read failed"));
-        return;
-      }
-      auto& mem = fabric_.node(self_).memory();
-      done(HookProbe{desc_addr, mem.ReadU64(ver_buf).value()});
-    });
+    RemoteRead(flow, desc_addr + kDescVersion, 8, "desc version read failed",
+               done, [desc_addr, done](Bytes version) {
+                 done(HookProbe{desc_addr,
+                                LoadLE<std::uint64_t>(version.data())});
+               });
   });
 }
 
@@ -478,140 +433,95 @@ bool ControlPlane::NodeHealthy(rdma::NodeId node,
 
 // ---- compile pipeline -------------------------------------------------
 
-void ControlPlane::ValidateCode(const bpf::Program& prog, Done done) {
-  const std::uint64_t fp = ProgramFingerprint(prog);
+template <class Source>
+void ControlPlane::ValidateCode(const Source& src, Done done) {
+  ValidateCode(src, ExtensionKind<Source>::Fingerprint(src), std::move(done));
+}
+
+template <class Source>
+void ControlPlane::ValidateCode(const Source& src, std::uint64_t fp,
+                                Done done) {
+  using K = ExtensionKind<Source>;
   // Blacklist check comes before the verify cache: a quarantined program
   // is refused even though it verified fine before (verification is
   // necessary but not sufficient, §5).
   if (IsBlacklisted(fp)) {
-    done(PermissionDenied("program fingerprint is quarantined"));
+    done(PermissionDenied(K::kQuarantined));
     return;
   }
-  if (const bool* verdict = artifacts_.FindEbpfVerdict(fp)) {
-    done(*verdict ? OkStatus()
-                  : InvalidArgument("program known to fail verification"));
+  if (const bool* verdict = artifacts_.Find<bool>(K::kKind, fp)) {
+    done(*verdict ? OkStatus() : InvalidArgument(K::kKnownBad));
     return;
   }
   // Real verification work happens now; virtual time is charged to the
   // control plane's CPU (not any data-plane node).
-  bpf::VerifierStats stats;
-  const Status verdict = bpf::Verifier().Verify(prog, &stats);
-  artifacts_.PutEbpfVerdict(fp, verdict.ok());
-  cpu_.Submit(config_.cost.VerifyCycles(prog.size()),
+  const Status verdict = K::Validate(src);
+  artifacts_.Put(K::kKind, fp, verdict.ok());
+  cpu_.Submit((config_.cost.*K::kValidateCycles)(src.size()),
               [done = std::move(done), verdict] { done(verdict); });
 }
 
+template <class Source>
 void ControlPlane::JitCompileCode(
-    const bpf::Program& prog,
-    std::function<void(StatusOr<const bpf::JitImage*>)> done) {
-  const std::uint64_t fp = ProgramFingerprint(prog);
-  if (const bpf::JitImage* hit = artifacts_.FindEbpf(fp)) {
+    const Source& src,
+    std::function<void(StatusOr<const ImageOf<Source>*>)> done) {
+  JitCompileCode(src, ExtensionKind<Source>::Fingerprint(src),
+                 std::move(done));
+}
+
+template <class Source>
+void ControlPlane::JitCompileCode(
+    const Source& src, std::uint64_t fp,
+    std::function<void(StatusOr<const ImageOf<Source>*>)> done) {
+  using K = ExtensionKind<Source>;
+  if (const auto* hit = artifacts_.Find<ImageOf<Source>>(K::kKind, fp)) {
     done(hit);
     return;
   }
-  auto image = bpf::JitCompiler().Compile(prog);
-  cpu_.Submit(config_.cost.JitCycles(prog.size()),
+  auto image = K::Compile(src);
+  cpu_.Submit((config_.cost.*K::kCompileCycles)(src.size()),
               [this, fp, image = std::move(image), done = std::move(done)] {
                 if (!image.ok()) {
                   done(image.status());
                   return;
                 }
-                done(artifacts_.PutEbpf(fp, image.value()));
+                done(artifacts_.Put(K::kKind, fp, image.value()));
               });
 }
 
-void ControlPlane::ValidateWasm(const wasm::FilterModule& module, Done done) {
-  const std::uint64_t fp = WasmFingerprint(module);
-  if (IsBlacklisted(fp)) {
-    done(PermissionDenied("filter fingerprint is quarantined"));
-    return;
-  }
-  if (const bool* verdict = artifacts_.FindWasmVerdict(fp)) {
-    done(*verdict ? OkStatus()
-                  : InvalidArgument("filter known to fail validation"));
-    return;
-  }
-  const Status verdict = wasm::ValidateFilter(module);
-  artifacts_.PutWasmVerdict(fp, verdict.ok());
-  cpu_.Submit(config_.cost.WasmValidateCycles(module.size()),
-              [done = std::move(done), verdict] { done(verdict); });
-}
-
-void ControlPlane::CompileWasm(
-    const wasm::FilterModule& module,
-    std::function<void(StatusOr<const wasm::WasmImage*>)> done) {
-  const std::uint64_t fp = WasmFingerprint(module);
-  if (const wasm::WasmImage* hit = artifacts_.FindWasm(fp)) {
-    done(hit);
-    return;
-  }
-  auto image = wasm::CompileFilter(module);
-  cpu_.Submit(config_.cost.WasmCompileCycles(module.size()),
-              [this, fp, image = std::move(image), done = std::move(done)] {
-                if (!image.ok()) {
-                  done(image.status());
-                  return;
-                }
-                done(artifacts_.PutWasm(fp, image.value()));
-              });
+template <class Source>
+void ControlPlane::Build(
+    const Source& src,
+    std::function<void(StatusOr<const ImageOf<Source>*>)> done,
+    InjectTrace* trace) {
+  const sim::SimTime t0 = events_.Now();
+  const std::uint64_t fp = ExtensionKind<Source>::Fingerprint(src);
+  ValidateCode(src, fp, [this, &src, fp, trace, t0,
+                         done = std::move(done)](Status s) mutable {
+    if (!s.ok()) {
+      done(s);
+      return;
+    }
+    const sim::SimTime t1 = events_.Now();
+    if (trace != nullptr) trace->validate = t1 - t0;
+    JitCompileCode(src, fp, [this, trace, t1, done = std::move(done)](
+                                StatusOr<const ImageOf<Source>*> image) {
+      if (image.ok() && trace != nullptr) trace->jit = events_.Now() - t1;
+      done(image);
+    });
+  });
 }
 
 // ---- link -------------------------------------------------------------
 
+template <class Image>
 void ControlPlane::LinkCode(
-    CodeFlow& flow, const bpf::JitImage& image,
-    std::function<void(StatusOr<bpf::JitImage>)> done) {
-  bpf::JitImage linked = image;
-  for (const bpf::Relocation& reloc : linked.relocs) {
-    if (reloc.kind == bpf::RelocKind::kHelperCall) {
-      auto symbol = flow.Symbol(
-          SymbolHash("helper:", static_cast<std::uint64_t>(reloc.symbol)));
-      if (!symbol.ok()) {
-        done(FailedPrecondition("target node does not export helper " +
-                                std::to_string(reloc.symbol)));
-        return;
-      }
-      continue;
-    }
-    // Map relocation: patch the placeholder with the node-local XState
-    // address deployed for this map.
-    if (reloc.symbol < 0 ||
-        static_cast<std::size_t>(reloc.symbol) >= linked.maps.size()) {
-      done(Internal("relocation references unknown map slot"));
-      return;
-    }
-    const std::string& name = linked.maps[reloc.symbol].name;
-    auto it = flow.xstate_addrs_.find(name);
-    if (it == flow.xstate_addrs_.end()) {
-      done(FailedPrecondition("XState '" + name +
-                              "' not deployed on target"));
-      return;
-    }
-    linked.code[reloc.index].imm64 = it->second;
-  }
-  cpu_.Submit(
-      config_.cost.link_cycles_per_reloc *
-          std::max<std::uint64_t>(linked.relocs.size(), 1),
-      [done = std::move(done), linked = std::move(linked)]() mutable {
-        done(std::move(linked));
-      });
-}
-
-void ControlPlane::LinkWasm(
-    CodeFlow& flow, const wasm::WasmImage& image,
-    std::function<void(StatusOr<wasm::WasmImage>)> done) {
-  wasm::WasmImage linked = image;
-  for (wasm::WasmReloc& reloc : linked.relocs) {
-    auto symbol =
-        flow.Symbol(SymbolHashName("host:", reloc.import_name.c_str()));
-    if (!symbol.ok()) {
-      done(FailedPrecondition("target node does not export host fn '" +
-                              reloc.import_name + "'"));
-      return;
-    }
-    reloc.resolved_host_fn = static_cast<std::int32_t>(symbol.value());
-    linked.code[reloc.insn_index].imm =
-        static_cast<std::int64_t>(symbol.value());
+    CodeFlow& flow, const Image& image,
+    std::function<void(StatusOr<std::type_identity_t<Image>>)> done) {
+  Image linked = image;
+  if (Status s = ExtensionKind<Image>::Link(flow, linked); !s.ok()) {
+    done(s);
+    return;
   }
   cpu_.Submit(
       config_.cost.link_cycles_per_reloc *
@@ -627,32 +537,21 @@ void ControlPlane::RemoteAlloc(
     CodeFlow& flow, std::uint64_t bytes,
     std::function<void(StatusOr<std::uint64_t>)> done) {
   bytes = AlignUp(bytes, kAllocAlign);
-  auto landing = LocalScratch(8);
-  if (!landing.ok()) {
-    done(landing.status());
-    return;
-  }
-  rdma::SendWr faa;
-  faa.opcode = rdma::Opcode::kFetchAdd;
-  faa.local = {landing.value(), 8, local_mr_.lkey};
-  faa.remote_addr = flow.remote_view_.cb_addr + kCbScratchBrk;
-  faa.rkey = flow.rkey;
-  faa.compare_add = bytes;
-  Post(flow, faa, [&flow, bytes, done](const rdma::WorkCompletion& wc) {
-    if (wc.status != rdma::WcStatus::kSuccess) {
-      done(Unavailable("scratchpad FETCH_ADD failed"));
-      return;
-    }
-    const std::uint64_t addr = wc.atomic_original;
-    const ControlBlockView& view = flow.remote_view();
-    if (addr + bytes > view.scratch_addr + view.scratch_size) {
-      // Deterministic for a given sandbox state — non-retryable (the
-      // recovery layer aborts instead of backing off).
-      done(ScratchExhausted("remote scratchpad exhausted"));
-      return;
-    }
-    done(addr);
-  });
+  RemoteAtomic(flow, rdma::Opcode::kFetchAdd,
+               flow.remote_view_.cb_addr + kCbScratchBrk, bytes, 0,
+               "scratchpad FETCH_ADD failed",
+               [&flow, bytes, done](StatusOr<std::uint64_t> addr) {
+                 const ControlBlockView& view = flow.remote_view();
+                 if (addr.ok() &&
+                     *addr + bytes > view.scratch_addr + view.scratch_size) {
+                   // Deterministic for a given sandbox state —
+                   // non-retryable (the recovery layer aborts instead of
+                   // backing off).
+                   done(ScratchExhausted("remote scratchpad exhausted"));
+                   return;
+                 }
+                 done(addr);
+               });
 }
 
 void ControlPlane::WriteChunked(CodeFlow& flow, Bytes payload,
@@ -682,216 +581,147 @@ void ControlPlane::WriteChunked(CodeFlow& flow, Bytes payload,
   for (std::size_t c = 0; c < nchunks; ++c) {
     const std::size_t len =
         std::min<std::size_t>(config_.chunk_bytes, total - off);
-    auto src = LocalScratch(std::max<std::size_t>(len, 1));
-    if (!src.ok()) {
-      done(src.status());
+    auto write =
+        ScratchWr(flow, rdma::Opcode::kWrite, remote_addr + off, len);
+    if (!write.ok()) {
+      done(write.status());
       return;
     }
     if (len > 0) {
-      (void)mem.Write(src.value(), ByteSpan(payload.data() + off, len));
+      (void)mem.Write(write->local.addr, ByteSpan(payload.data() + off, len));
     }
-    rdma::SendWr write;
-    write.opcode = rdma::Opcode::kWrite;
-    write.local = {src.value(), static_cast<std::uint32_t>(len),
-                   local_mr_.lkey};
-    write.remote_addr = remote_addr + off;
-    write.rkey = flow.rkey;
     if (batch) {
-      chain.push_back(write);
+      chain.push_back(*write);
     } else {
-      Post(flow, write, on_wc);
+      Post(flow, *write, on_wc);
     }
     off += len;
   }
   if (batch) PostChain(flow, std::move(chain), on_wc);
 }
 
+void ControlPlane::WriteQword(CodeFlow& flow, std::uint64_t remote_addr,
+                              std::uint64_t value, Done done) {
+  Bytes qword(8);
+  StoreLE(qword.data(), value);
+  WriteChunked(flow, std::move(qword), remote_addr, std::move(done));
+}
+
+// ---- commit ------------------------------------------------------------
+
 void ControlPlane::CommitHook(CodeFlow& flow, int hook,
                               std::uint64_t desc_addr, Done done) {
-  if (config_.use_lock) {
-    // rdx_mutual_excl around the commit: take the sandbox lock via RDMA
-    // CAS, commit, release. Contention retries after a short backoff.
-    const std::uint64_t owner = 0x4350u;  // "CP"
-    Lock(flow, owner, [this, &flow, hook, desc_addr,
-                       done = std::move(done), owner](Status s) mutable {
-      if (!s.ok() && s.code() == StatusCode::kAborted) {
-        events_.ScheduleAfter(sim::Micros(5), [this, &flow, hook, desc_addr,
-                                               done = std::move(done)]() mutable {
-          CommitHook(flow, hook, desc_addr, std::move(done));
-        });
-        return;
-      }
-      if (!s.ok()) {
-        done(s);
-        return;
-      }
-      ControlPlaneConfig saved = config_;
-      config_.use_lock = false;  // avoid recursing into the lock path
-      CommitHook(flow, hook, desc_addr,
-                 [this, &flow, owner, done = std::move(done)](Status s2) mutable {
-                   Unlock(flow, owner, [done = std::move(done), s2](Status) {
-                     done(s2);
-                   });
-                 });
-      config_ = saved;
-    });
+  if (!config_.use_lock) {
+    CommitTail(flow, hook, desc_addr, /*may_chain=*/true, std::move(done));
     return;
   }
-  // The commit is a single 8-byte write of the hook slot — atomic with
-  // respect to the data-plane CPU, which is the crux of rdx_tx.
-  const std::uint64_t slot_addr =
-      flow.remote_view_.hook_table_addr + static_cast<std::uint64_t>(hook) * 8;
-
-  if (config_.use_doorbell_batching && config_.use_cc_event) {
-    // Small-op fast path: commit qword + epoch bump + cc_event flush as
-    // ONE doorbell-batched chain. The three ops are ordered by RC anyway,
-    // so splitting them into separate posts only added doorbells and a
-    // full round trip between commit and visibility. The epoch FAA needs
-    // no completion of its own (unsignaled; implied by the tail).
-    auto& mem = fabric_.node(self_).memory();
-    auto slot_src = LocalScratch(8);
-    auto flush_src = LocalScratch(8);
-    auto epoch_landing = LocalScratch(8);
-    if (!slot_src.ok() || !flush_src.ok() || !epoch_landing.ok()) {
-      done(slot_src.ok() ? (flush_src.ok() ? epoch_landing.status()
-                                           : flush_src.status())
-                         : slot_src.status());
+  // rdx_mutual_excl around the commit: take the sandbox lock via RDMA
+  // CAS, commit, release. Contention retries after a short backoff.
+  constexpr std::uint64_t kOwner = 0x4350u;  // "CP"
+  Lock(flow, kOwner, [this, &flow, hook, desc_addr,
+                      done = std::move(done)](Status s) mutable {
+    if (s.code() == StatusCode::kAborted) {
+      events_.ScheduleAfter(sim::Micros(5), [this, &flow, hook, desc_addr,
+                                             done = std::move(done)]() mutable {
+        CommitHook(flow, hook, desc_addr, std::move(done));
+      });
       return;
     }
-    (void)mem.WriteU64(slot_src.value(), desc_addr);
-
-    rdma::SendWr commit;
-    commit.opcode = rdma::Opcode::kWrite;
-    commit.local = {slot_src.value(), 8, local_mr_.lkey};
-    commit.remote_addr = slot_addr;
-    commit.rkey = flow.rkey;
-
-    rdma::SendWr faa;
-    faa.opcode = rdma::Opcode::kFetchAdd;
-    faa.local = {epoch_landing.value(), 8, local_mr_.lkey};
-    faa.remote_addr = flow.remote_view_.cb_addr + kCbEpoch;
-    faa.rkey = flow.rkey;
-    faa.compare_add = 1;
-    faa.signaled = false;
-
-    rdma::SendWr flush;
-    flush.opcode = rdma::Opcode::kWrite;
-    flush.local = {flush_src.value(), 8, local_mr_.lkey};
-    flush.remote_addr = flow.remote_view_.cb_addr + kCbDoorbell;
-    flush.rkey = flow.rkey;
-
-    ++flow.epoch_;
-    auto remaining = std::make_shared<int>(3);
-    auto failed = std::make_shared<bool>(false);
-    PostChain(flow, {commit, faa, flush},
-              [&flow, hook, remaining, failed,
-               done = std::move(done)](const rdma::WorkCompletion& wc) {
-                if (wc.status != rdma::WcStatus::kSuccess) *failed = true;
-                if (--*remaining != 0) return;
-                if (*failed) {
-                  done(Unavailable("commit chain failed"));
-                  return;
-                }
-                flow.sandbox->ScheduleHookRefresh(
-                    hook, flow.sandbox->VisibilityDelay(
-                              /*coherent_flush=*/true));
-                done(OkStatus());
-              });
-    return;
-  }
-
-  Bytes qword(8);
-  StoreLE(qword.data(), desc_addr);
-  auto after_commit = [this, &flow, hook, done = std::move(done)](Status s) {
     if (!s.ok()) {
       done(s);
       return;
     }
-    CommitVisibility(flow, hook, std::move(done));
-  };
-
-  WriteChunked(flow, std::move(qword), slot_addr, std::move(after_commit));
+    CommitTail(flow, hook, desc_addr, /*may_chain=*/true,
+               [this, &flow, done = std::move(done)](Status s2) mutable {
+                 Unlock(flow, kOwner, [done = std::move(done), s2](Status) {
+                   done(s2);
+                 });
+               });
+  });
 }
 
-void ControlPlane::CommitVisibility(CodeFlow& flow, int hook, Done done) {
+void ControlPlane::CommitTail(CodeFlow& flow, int hook,
+                              std::optional<std::uint64_t> slot_desc,
+                              bool may_chain, Done done) {
+  const std::uint64_t cb = flow.remote_view_.cb_addr;
+  const bool chained =
+      may_chain && config_.use_doorbell_batching && config_.use_cc_event;
+  if (slot_desc && !chained) {
+    // Separate posts: the slot write completes before the epoch bump.
+    WriteQword(flow, SlotAddr(flow, hook), *slot_desc,
+               [this, &flow, hook, done = std::move(done)](Status s) mutable {
+                 if (!s.ok()) {
+                   done(s);
+                   return;
+                 }
+                 CommitTail(flow, hook, std::nullopt, /*may_chain=*/false,
+                            std::move(done));
+               });
+    return;
+  }
   ++flow.epoch_;
-  auto landing = LocalScratch(8);
-  if (config_.use_cc_event && config_.use_doorbell_batching &&
-      landing.ok()) {
-    // Fast path: epoch bump + cc_event flush share one doorbell. The FAA
-    // is unsignaled (fire and forget, implied by the flush completion).
-    auto flush_src = LocalScratch(8);
-    if (flush_src.ok()) {
-      rdma::SendWr faa;
-      faa.opcode = rdma::Opcode::kFetchAdd;
-      faa.local = {landing.value(), 8, local_mr_.lkey};
-      faa.remote_addr = flow.remote_view_.cb_addr + kCbEpoch;
-      faa.rkey = flow.rkey;
-      faa.compare_add = 1;
-      faa.signaled = false;
-
-      rdma::SendWr flush;
-      flush.opcode = rdma::Opcode::kWrite;
-      flush.local = {flush_src.value(), 8, local_mr_.lkey};
-      flush.remote_addr = flow.remote_view_.cb_addr + kCbDoorbell;
-      flush.rkey = flow.rkey;
-
-      auto remaining = std::make_shared<int>(2);
-      auto failed = std::make_shared<bool>(false);
-      PostChain(flow, {faa, flush},
-                [&flow, hook, remaining, failed,
-                 done = std::move(done)](const rdma::WorkCompletion& wc) {
-                  if (wc.status != rdma::WcStatus::kSuccess) *failed = true;
-                  if (--*remaining != 0) return;
-                  if (*failed) {
-                    done(Unavailable("cc_event write failed"));
-                    return;
-                  }
-                  flow.sandbox->ScheduleHookRefresh(
-                      hook, flow.sandbox->VisibilityDelay(
-                                /*coherent_flush=*/true));
-                  done(OkStatus());
-                });
+  if (!chained) {
+    // Remote epoch bump, fire and forget. Visibility: with rdx_cc_event
+    // the control plane injects a flush (constant ~2 us); without it the
+    // CPU discovers the new slot only when cache pressure evicts the
+    // stale line.
+    RemoteAtomic(flow, rdma::Opcode::kFetchAdd, cb + kCbEpoch, 1, 0, "",
+                 [](StatusOr<std::uint64_t>) {});
+    if (config_.use_cc_event) {
+      CcEvent(flow, hook, std::move(done));
       return;
     }
-  }
-  // Bump the remote epoch (fire and forget for timing purposes).
-  if (landing.ok()) {
-    rdma::SendWr faa;
-    faa.opcode = rdma::Opcode::kFetchAdd;
-    faa.local = {landing.value(), 8, local_mr_.lkey};
-    faa.remote_addr = flow.remote_view_.cb_addr + kCbEpoch;
-    faa.rkey = flow.rkey;
-    faa.compare_add = 1;
-    Post(flow, faa, [](const rdma::WorkCompletion&) {});
-  }
-  // Visibility: with rdx_cc_event the control plane injects a flush
-  // (constant ~2 us); without it the CPU discovers the new slot only
-  // when cache pressure evicts the stale line.
-  if (config_.use_cc_event) {
-    CcEvent(flow, hook, std::move(done));
-  } else {
     flow.sandbox->ScheduleHookRefresh(
         hook, flow.sandbox->VisibilityDelay(/*coherent_flush=*/false));
     done(OkStatus());
+    return;
   }
+  // One doorbell for [commit write] + epoch FAA + cc_event flush. RC
+  // orders them anyway, so separate posts would only add doorbells and a
+  // round trip between commit and visibility. The FAA needs no completion
+  // of its own (unsignaled; implied by the tail). 8-byte staging buffers
+  // always fit the arena.
+  std::vector<rdma::SendWr> chain;
+  if (slot_desc) {
+    chain.push_back(
+        ScratchWr(flow, rdma::Opcode::kWrite, SlotAddr(flow, hook)).value());
+    (void)fabric_.node(self_).memory().WriteU64(chain.back().local.addr,
+                                                *slot_desc);
+  }
+  chain.push_back(
+      ScratchWr(flow, rdma::Opcode::kFetchAdd, cb + kCbEpoch).value());
+  chain.back().compare_add = 1;
+  chain.back().signaled = false;
+  chain.push_back(
+      ScratchWr(flow, rdma::Opcode::kWrite, cb + kCbDoorbell).value());
+  auto remaining = std::make_shared<std::size_t>(chain.size());
+  auto failed = std::make_shared<bool>(false);
+  const char* failure =
+      slot_desc ? "commit chain failed" : "cc_event write failed";
+  PostChain(flow, std::move(chain),
+            [&flow, hook, remaining, failed, failure,
+             done = std::move(done)](const rdma::WorkCompletion& wc) {
+              if (wc.status != rdma::WcStatus::kSuccess) *failed = true;
+              if (--*remaining != 0) return;
+              if (*failed) {
+                done(Unavailable(failure));
+                return;
+              }
+              flow.sandbox->ScheduleHookRefresh(
+                  hook,
+                  flow.sandbox->VisibilityDelay(/*coherent_flush=*/true));
+              done(OkStatus());
+            });
 }
 
 void ControlPlane::CcEvent(CodeFlow& flow, int hook, Done done) {
   // Models injecting a tiny cache-coherent flush binary at the event
-  // hook: one header-sized verb plus the flush execution latency.
-  auto src = LocalScratch(8);
-  if (!src.ok()) {
-    done(src.status());
-    return;
-  }
-  rdma::SendWr write;
-  write.opcode = rdma::Opcode::kWrite;
-  write.local = {src.value(), 8, local_mr_.lkey};
-  // The "event hook" doorbell word of the control block.
-  write.remote_addr = flow.remote_view_.cb_addr + kCbDoorbell;
-  write.rkey = flow.rkey;
-  Post(flow, write,
+  // hook: one header-sized verb (at the control block's "event hook"
+  // doorbell word) plus the flush execution latency.
+  Post(flow,
+       ScratchWr(flow, rdma::Opcode::kWrite,
+                 flow.remote_view_.cb_addr + kCbDoorbell)
+           .value(),
        [&flow, hook, done = std::move(done)](const rdma::WorkCompletion& wc) {
          if (wc.status != rdma::WcStatus::kSuccess) {
            done(Unavailable("cc_event write failed"));
@@ -904,55 +734,40 @@ void ControlPlane::CcEvent(CodeFlow& flow, int hook, Done done) {
 }
 
 void ControlPlane::Lock(CodeFlow& flow, std::uint64_t owner, Done done) {
-  auto landing = LocalScratch(8);
-  if (!landing.ok()) {
-    done(landing.status());
-    return;
-  }
-  rdma::SendWr cas;
-  cas.opcode = rdma::Opcode::kCompareSwap;
-  cas.local = {landing.value(), 8, local_mr_.lkey};
-  cas.remote_addr = flow.remote_view_.cb_addr + kCbLock;
-  cas.rkey = flow.rkey;
-  cas.compare_add = 0;  // expect unlocked
-  cas.swap = owner;
-  Post(flow, cas, [done = std::move(done)](const rdma::WorkCompletion& wc) {
-    if (wc.status != rdma::WcStatus::kSuccess) {
-      done(Unavailable("lock CAS failed"));
-      return;
-    }
-    done(wc.atomic_original == 0
-             ? OkStatus()
-             : Aborted("sandbox lock held by another owner"));
-  });
+  RemoteAtomic(flow, rdma::Opcode::kCompareSwap,
+               flow.remote_view_.cb_addr + kCbLock, /*expect unlocked*/ 0,
+               owner, "lock CAS failed",
+               [done = std::move(done)](StatusOr<std::uint64_t> original) {
+                 if (!original.ok()) {
+                   done(original.status());
+                   return;
+                 }
+                 done(*original == 0
+                          ? OkStatus()
+                          : Aborted("sandbox lock held by another owner"));
+               });
 }
 
 void ControlPlane::Unlock(CodeFlow& flow, std::uint64_t owner, Done done) {
-  auto landing = LocalScratch(8);
-  if (!landing.ok()) {
-    done(landing.status());
-    return;
-  }
-  rdma::SendWr cas;
-  cas.opcode = rdma::Opcode::kCompareSwap;
-  cas.local = {landing.value(), 8, local_mr_.lkey};
-  cas.remote_addr = flow.remote_view_.cb_addr + kCbLock;
-  cas.rkey = flow.rkey;
-  cas.compare_add = owner;
-  cas.swap = 0;
-  Post(flow, cas, [done = std::move(done)](const rdma::WorkCompletion& wc) {
-    if (wc.status != rdma::WcStatus::kSuccess) {
-      done(Unavailable("unlock CAS failed"));
-      return;
-    }
-    done(wc.atomic_original == 0 ? Aborted("lock was not held") : OkStatus());
-  });
+  RemoteAtomic(flow, rdma::Opcode::kCompareSwap,
+               flow.remote_view_.cb_addr + kCbLock, owner, 0,
+               "unlock CAS failed",
+               [done = std::move(done)](StatusOr<std::uint64_t> original) {
+                 if (!original.ok()) {
+                   done(original.status());
+                   return;
+                 }
+                 done(*original == 0 ? Aborted("lock was not held")
+                                     : OkStatus());
+               });
 }
 
 void ControlPlane::Tx(CodeFlow& flow, Bytes payload, std::uint64_t qword_addr,
-                      std::uint64_t qword_value,
+                      std::optional<std::uint64_t> qword_value,
                       std::function<void(StatusOr<std::uint64_t>)> done) {
-  RemoteAlloc(flow, payload.size(),
+  // Size the allocation before the payload moves into the continuation.
+  const std::uint64_t bytes = payload.size();
+  RemoteAlloc(flow, bytes,
               [this, &flow, payload = std::move(payload), qword_addr,
                qword_value, done = std::move(done)](
                   StatusOr<std::uint64_t> addr) mutable {
@@ -969,17 +784,15 @@ void ControlPlane::Tx(CodeFlow& flow, Bytes payload, std::uint64_t qword_addr,
                         done(s);
                         return;
                       }
-                      Bytes qword(8);
-                      StoreLE(qword.data(), qword_value);
-                      WriteChunked(flow, std::move(qword), qword_addr,
-                                   [payload_addr, done = std::move(done)](
-                                       Status s2) {
-                                     if (!s2.ok()) {
-                                       done(s2);
-                                       return;
-                                     }
-                                     done(payload_addr);
-                                   });
+                      WriteQword(flow, qword_addr,
+                                 qword_value.value_or(payload_addr),
+                                 [payload_addr, done](Status s2) {
+                                   if (!s2.ok()) {
+                                     done(s2);
+                                     return;
+                                   }
+                                   done(payload_addr);
+                                 });
                     });
               });
 }
@@ -991,7 +804,8 @@ void ControlPlane::DeployXState(
     std::function<void(StatusOr<std::uint64_t>)> done) {
   const std::uint64_t bytes = bpf::MapRequiredBytes(spec);
   // Format the XState locally (header + zeroed body), then land it with a
-  // remote transaction whose qword swap is the Meta-XState entry.
+  // remote transaction whose qword swap publishes its address in the
+  // Meta-XState directory.
   Bytes storage(bytes, 0);
   bpf::MapView view(storage);
   Status init = view.Init(spec);
@@ -1004,40 +818,59 @@ void ControlPlane::DeployXState(
     return;
   }
   const std::uint32_t meta_slot = flow.next_meta_slot_++;
-  const std::uint64_t meta_entry_addr =
-      flow.remote_view_.meta_xstate_addr + meta_slot * 8ull;
+  Tx(flow, std::move(storage),
+     flow.remote_view_.meta_xstate_addr + meta_slot * 8ull, std::nullopt,
+     [&flow, name = spec.name,
+      done = std::move(done)](StatusOr<std::uint64_t> xstate_addr) {
+       if (xstate_addr.ok()) flow.xstate_addrs_[name] = *xstate_addr;
+       done(xstate_addr);
+     });
+}
 
-  RemoteAlloc(flow, bytes,
-              [this, &flow, storage = std::move(storage), meta_entry_addr,
-               name = spec.name, done = std::move(done)](
-                  StatusOr<std::uint64_t> addr) mutable {
-                if (!addr.ok()) {
-                  done(addr.status());
-                  return;
-                }
-                const std::uint64_t xstate_addr = addr.value();
-                WriteChunked(
-                    flow, std::move(storage), xstate_addr,
-                    [this, &flow, xstate_addr, meta_entry_addr, name,
-                     done = std::move(done)](Status s) mutable {
-                      if (!s.ok()) {
-                        done(s);
-                        return;
-                      }
-                      Bytes entry(8);
-                      StoreLE(entry.data(), xstate_addr);
-                      WriteChunked(flow, std::move(entry), meta_entry_addr,
-                                   [&flow, xstate_addr, name,
-                                    done = std::move(done)](Status s2) {
-                                     if (!s2.ok()) {
-                                       done(s2);
-                                       return;
-                                     }
-                                     flow.xstate_addrs_[name] = xstate_addr;
-                                     done(xstate_addr);
-                                   });
-                    });
-              });
+void ControlPlane::DeployXStates(
+    CodeFlow& flow, std::shared_ptr<const std::vector<bpf::MapSpec>> maps,
+    std::size_t i, Done done) {
+  while (i < maps->size() && flow.xstate_addrs_.count((*maps)[i].name) != 0) {
+    ++i;
+  }
+  if (i == maps->size()) {
+    done(OkStatus());
+    return;
+  }
+  DeployXState(flow, (*maps)[i],
+               [this, &flow, maps, i, done = std::move(done)](
+                   StatusOr<std::uint64_t> addr) mutable {
+                 if (!addr.ok()) {
+                   done(addr.status());
+                   return;
+                 }
+                 DeployXStates(flow, std::move(maps), i + 1, std::move(done));
+               });
+}
+
+void ControlPlane::ReadXState(CodeFlow& flow, std::uint64_t xstate_addr,
+                              bool ring, Done fail,
+                              std::function<void(Bytes)> next) {
+  RemoteRead(
+      flow, xstate_addr, bpf::kMapHeaderBytes,
+      ring ? "ring header read failed" : "XState header read failed", fail,
+      [this, &flow, xstate_addr, ring, fail,
+       next = std::move(next)](Bytes header_bytes) mutable {
+        auto header = bpf::MapView(header_bytes).Header();
+        if (!header.ok()) {
+          fail(header.status());
+          return;
+        }
+        if (ring && header->type != bpf::MapType::kRingBuf) {
+          fail(FailedPrecondition("XState is not a ring buffer"));
+          return;
+        }
+        const bpf::MapSpec spec{"", header->type, header->key_size,
+                                header->value_size, header->max_entries};
+        RemoteRead(flow, xstate_addr, bpf::MapRequiredBytes(spec),
+                   ring ? "ring body read failed" : "XState body read failed",
+                   fail, std::move(next));
+      });
 }
 
 void ControlPlane::XStateLookup(CodeFlow& flow, std::uint64_t xstate_addr,
@@ -1046,358 +879,87 @@ void ControlPlane::XStateLookup(CodeFlow& flow, std::uint64_t xstate_addr,
   // Read the full XState storage, then resolve the key locally. (An
   // array-map fast path could read just the value; the general path keeps
   // hash maps correct.)
-  auto header_buf = LocalScratch(bpf::kMapHeaderBytes);
-  if (!header_buf.ok()) {
-    done(header_buf.status());
-    return;
-  }
-  rdma::SendWr read_header;
-  read_header.opcode = rdma::Opcode::kRead;
-  read_header.local = {header_buf.value(), bpf::kMapHeaderBytes,
-                       local_mr_.lkey};
-  read_header.remote_addr = xstate_addr;
-  read_header.rkey = flow.rkey;
-  Post(flow, read_header, [this, &flow, xstate_addr, key = std::move(key),
-                           header_buf = header_buf.value(),
-                           done = std::move(done)](
-                              const rdma::WorkCompletion& wc) mutable {
-    if (wc.status != rdma::WcStatus::kSuccess) {
-      done(Unavailable("XState header read failed"));
-      return;
-    }
-    auto& mem = fabric_.node(self_).memory();
-    Bytes header_bytes(bpf::kMapHeaderBytes);
-    (void)mem.Read(header_buf, header_bytes);
-    bpf::MapView probe(header_bytes);
-    auto header = probe.Header();
-    if (!header.ok()) {
-      done(header.status());
-      return;
-    }
-    bpf::MapSpec spec{"", header->type, header->key_size,
-                      header->value_size, header->max_entries};
-    const std::uint64_t total = bpf::MapRequiredBytes(spec);
-    auto body_buf = LocalScratch(total);
-    if (!body_buf.ok()) {
-      done(body_buf.status());
-      return;
-    }
-    rdma::SendWr read_all;
-    read_all.opcode = rdma::Opcode::kRead;
-    read_all.local = {body_buf.value(), static_cast<std::uint32_t>(total),
-                      local_mr_.lkey};
-    read_all.remote_addr = xstate_addr;
-    read_all.rkey = flow.rkey;
-    Post(flow, read_all,
-         [this, total, spec, key = std::move(key), body_buf = body_buf.value(),
-          done = std::move(done)](const rdma::WorkCompletion& wc2) mutable {
-           if (wc2.status != rdma::WcStatus::kSuccess) {
-             done(Unavailable("XState body read failed"));
-             return;
-           }
-           auto& mem = fabric_.node(self_).memory();
-           Bytes body(total);
-           (void)mem.Read(body_buf, body);
-           bpf::MapView view(body);
-           Bytes value(spec.value_size);
-           Status s = view.Lookup(key, value);
-           if (!s.ok()) {
-             done(s);
-             return;
-           }
-           done(std::move(value));
-         });
-  });
+  ReadXState(flow, xstate_addr, /*ring=*/false, done,
+             [key = std::move(key), done](Bytes body) {
+               bpf::MapView view(body);
+               auto header = view.Header();
+               if (!header.ok()) {
+                 done(header.status());
+                 return;
+               }
+               Bytes value(header->value_size);
+               Status s = view.Lookup(key, value);
+               if (!s.ok()) {
+                 done(s);
+                 return;
+               }
+               done(std::move(value));
+             });
 }
 
 void ControlPlane::XStateUpdate(CodeFlow& flow, std::uint64_t xstate_addr,
                                 Bytes key, Bytes value, Done done) {
-  // Same pattern: fetch storage, apply the update locally to compute the
-  // dirty range, write back just the touched entry plus the header word.
-  auto header_buf = LocalScratch(bpf::kMapHeaderBytes);
-  if (!header_buf.ok()) {
-    done(header_buf.status());
-    return;
-  }
-  rdma::SendWr read_header;
-  read_header.opcode = rdma::Opcode::kRead;
-  read_header.local = {header_buf.value(), bpf::kMapHeaderBytes,
-                       local_mr_.lkey};
-  read_header.remote_addr = xstate_addr;
-  read_header.rkey = flow.rkey;
-  Post(flow, read_header, [this, &flow, xstate_addr, key = std::move(key),
-                           value = std::move(value),
-                           header_buf = header_buf.value(),
-                           done = std::move(done)](
-                              const rdma::WorkCompletion& wc) mutable {
-    if (wc.status != rdma::WcStatus::kSuccess) {
-      done(Unavailable("XState header read failed"));
-      return;
-    }
-    auto& mem = fabric_.node(self_).memory();
-    Bytes header_bytes(bpf::kMapHeaderBytes);
-    (void)mem.Read(header_buf, header_bytes);
-    bpf::MapView probe(header_bytes);
-    auto header = probe.Header();
-    if (!header.ok()) {
-      done(header.status());
-      return;
-    }
-    bpf::MapSpec spec{"", header->type, header->key_size,
-                      header->value_size, header->max_entries};
-    const std::uint64_t total = bpf::MapRequiredBytes(spec);
-    auto body_buf = LocalScratch(total);
-    if (!body_buf.ok()) {
-      done(body_buf.status());
-      return;
-    }
-    rdma::SendWr read_all;
-    read_all.opcode = rdma::Opcode::kRead;
-    read_all.local = {body_buf.value(), static_cast<std::uint32_t>(total),
-                      local_mr_.lkey};
-    read_all.remote_addr = xstate_addr;
-    read_all.rkey = flow.rkey;
-    Post(flow, read_all, [this, &flow, xstate_addr, total, spec,
-                          key = std::move(key), value = std::move(value),
-                          body_buf = body_buf.value(),
-                          done = std::move(done)](
-                             const rdma::WorkCompletion& wc2) mutable {
-      if (wc2.status != rdma::WcStatus::kSuccess) {
-        done(Unavailable("XState body read failed"));
-        return;
-      }
-      auto& mem = fabric_.node(self_).memory();
-      Bytes body(total);
-      (void)mem.Read(body_buf, body);
-      bpf::MapView view(body);
-      Status s = view.Update(key, value);
-      if (!s.ok()) {
-        done(s);
-        return;
-      }
-      // Write back the whole storage (conservative dirty range).
-      WriteChunked(flow, std::move(body), xstate_addr, std::move(done));
-    });
-  });
+  // Same pattern: fetch storage, apply the update locally, write back the
+  // whole storage (conservative dirty range).
+  ReadXState(flow, xstate_addr, /*ring=*/false, done,
+             [this, &flow, xstate_addr, key = std::move(key),
+              value = std::move(value), done](Bytes body) {
+               Status s = bpf::MapView(body).Update(key, value);
+               if (!s.ok()) {
+                 done(s);
+                 return;
+               }
+               WriteChunked(flow, std::move(body), xstate_addr, done);
+             });
 }
 
 void ControlPlane::CopyXState(CodeFlow& src, std::uint64_t src_addr,
                               CodeFlow& dst, std::uint64_t dst_addr,
                               Done done) {
-  // Read the source header to learn the geometry, then move the whole
-  // storage in one read + one chunked write.
-  auto header_buf = LocalScratch(bpf::kMapHeaderBytes);
-  if (!header_buf.ok()) {
-    done(header_buf.status());
-    return;
-  }
-  rdma::SendWr read_header;
-  read_header.opcode = rdma::Opcode::kRead;
-  read_header.local = {header_buf.value(), bpf::kMapHeaderBytes,
-                       local_mr_.lkey};
-  read_header.remote_addr = src_addr;
-  read_header.rkey = src.rkey;
-  Post(src, read_header, [this, &src, &dst, src_addr, dst_addr,
-                          header_buf = header_buf.value(),
-                          done = std::move(done)](
-                             const rdma::WorkCompletion& wc) mutable {
-    if (wc.status != rdma::WcStatus::kSuccess) {
-      done(Unavailable("XState header read failed"));
-      return;
-    }
-    auto& mem = fabric_.node(self_).memory();
-    Bytes header_bytes(bpf::kMapHeaderBytes);
-    (void)mem.Read(header_buf, header_bytes);
-    bpf::MapView probe(header_bytes);
-    auto header = probe.Header();
-    if (!header.ok()) {
-      done(header.status());
-      return;
-    }
-    bpf::MapSpec spec{"", header->type, header->key_size,
-                      header->value_size, header->max_entries};
-    const std::uint64_t total = bpf::MapRequiredBytes(spec);
-    auto body_buf = LocalScratch(total);
-    if (!body_buf.ok()) {
-      done(body_buf.status());
-      return;
-    }
-    rdma::SendWr read_all;
-    read_all.opcode = rdma::Opcode::kRead;
-    read_all.local = {body_buf.value(), static_cast<std::uint32_t>(total),
-                      local_mr_.lkey};
-    read_all.remote_addr = src_addr;
-    read_all.rkey = src.rkey;
-    Post(src, read_all, [this, &dst, dst_addr, total,
-                         body_buf = body_buf.value(),
-                         done = std::move(done)](
-                            const rdma::WorkCompletion& wc2) mutable {
-      if (wc2.status != rdma::WcStatus::kSuccess) {
-        done(Unavailable("XState body read failed"));
-        return;
-      }
-      auto& mem = fabric_.node(self_).memory();
-      Bytes body(total);
-      (void)mem.Read(body_buf, body);
-      WriteChunked(dst, std::move(body), dst_addr, std::move(done));
-    });
-  });
+  // Read the source storage, then move it in one chunked write.
+  ReadXState(src, src_addr, /*ring=*/false, done,
+             [this, &dst, dst_addr, done](Bytes body) {
+               WriteChunked(dst, std::move(body), dst_addr, done);
+             });
 }
 
 void ControlPlane::XStateDump(
     CodeFlow& flow, std::uint64_t xstate_addr,
     std::function<void(StatusOr<std::vector<std::pair<Bytes, Bytes>>>)>
         done) {
-  auto header_buf = LocalScratch(bpf::kMapHeaderBytes);
-  if (!header_buf.ok()) {
-    done(header_buf.status());
-    return;
-  }
-  rdma::SendWr read_header;
-  read_header.opcode = rdma::Opcode::kRead;
-  read_header.local = {header_buf.value(), bpf::kMapHeaderBytes,
-                       local_mr_.lkey};
-  read_header.remote_addr = xstate_addr;
-  read_header.rkey = flow.rkey;
-  Post(flow, read_header, [this, &flow, xstate_addr,
-                           header_buf = header_buf.value(),
-                           done = std::move(done)](
-                              const rdma::WorkCompletion& wc) mutable {
-    if (wc.status != rdma::WcStatus::kSuccess) {
-      done(Unavailable("XState header read failed"));
-      return;
-    }
-    auto& mem = fabric_.node(self_).memory();
-    Bytes header_bytes(bpf::kMapHeaderBytes);
-    (void)mem.Read(header_buf, header_bytes);
-    bpf::MapView probe(header_bytes);
-    auto header = probe.Header();
-    if (!header.ok()) {
-      done(header.status());
-      return;
-    }
-    bpf::MapSpec spec{"", header->type, header->key_size,
-                      header->value_size, header->max_entries};
-    const std::uint64_t total = bpf::MapRequiredBytes(spec);
-    auto body_buf = LocalScratch(total);
-    if (!body_buf.ok()) {
-      done(body_buf.status());
-      return;
-    }
-    rdma::SendWr read_all;
-    read_all.opcode = rdma::Opcode::kRead;
-    read_all.local = {body_buf.value(), static_cast<std::uint32_t>(total),
-                      local_mr_.lkey};
-    read_all.remote_addr = xstate_addr;
-    read_all.rkey = flow.rkey;
-    Post(flow, read_all, [this, total, body_buf = body_buf.value(),
-                          done = std::move(done)](
-                             const rdma::WorkCompletion& wc2) mutable {
-      if (wc2.status != rdma::WcStatus::kSuccess) {
-        done(Unavailable("XState body read failed"));
-        return;
-      }
-      auto& mem = fabric_.node(self_).memory();
-      Bytes body(total);
-      (void)mem.Read(body_buf, body);
-      bpf::MapView view(body);
-      done(view.Dump());
-    });
+  ReadXState(flow, xstate_addr, /*ring=*/false, done, [done](Bytes body) {
+    done(bpf::MapView(body).Dump());
   });
 }
 
 void ControlPlane::XStateRingConsume(
     CodeFlow& flow, std::uint64_t xstate_addr,
     std::function<void(StatusOr<std::vector<Bytes>>)> done) {
-  // Read the header to learn the geometry, read the whole ring, decode
-  // records locally, then advance the remote tail word. Records produced
-  // after our snapshot are simply picked up by the next consume; the
-  // tail only moves past records we fully decoded, so the producer/
-  // consumer protocol stays correct with one-sided access.
-  auto header_buf = LocalScratch(bpf::kMapHeaderBytes);
-  if (!header_buf.ok()) {
-    done(header_buf.status());
-    return;
-  }
-  rdma::SendWr read_header;
-  read_header.opcode = rdma::Opcode::kRead;
-  read_header.local = {header_buf.value(), bpf::kMapHeaderBytes,
-                       local_mr_.lkey};
-  read_header.remote_addr = xstate_addr;
-  read_header.rkey = flow.rkey;
-  Post(flow, read_header, [this, &flow, xstate_addr,
-                           header_buf = header_buf.value(),
-                           done = std::move(done)](
-                              const rdma::WorkCompletion& wc) mutable {
-    if (wc.status != rdma::WcStatus::kSuccess) {
-      done(Unavailable("ring header read failed"));
-      return;
-    }
-    auto& mem = fabric_.node(self_).memory();
-    Bytes header_bytes(bpf::kMapHeaderBytes);
-    (void)mem.Read(header_buf, header_bytes);
-    bpf::MapView probe(header_bytes);
-    auto header = probe.Header();
-    if (!header.ok()) {
-      done(header.status());
-      return;
-    }
-    if (header->type != bpf::MapType::kRingBuf) {
-      done(FailedPrecondition("XState is not a ring buffer"));
-      return;
-    }
-    bpf::MapSpec spec{"", header->type, header->key_size,
-                      header->value_size, header->max_entries};
-    const std::uint64_t total = bpf::MapRequiredBytes(spec);
-    auto body_buf = LocalScratch(total);
-    if (!body_buf.ok()) {
-      done(body_buf.status());
-      return;
-    }
-    rdma::SendWr read_all;
-    read_all.opcode = rdma::Opcode::kRead;
-    read_all.local = {body_buf.value(), static_cast<std::uint32_t>(total),
-                      local_mr_.lkey};
-    read_all.remote_addr = xstate_addr;
-    read_all.rkey = flow.rkey;
-    Post(flow, read_all, [this, &flow, xstate_addr, total,
-                          body_buf = body_buf.value(),
-                          done = std::move(done)](
-                             const rdma::WorkCompletion& wc2) mutable {
-      if (wc2.status != rdma::WcStatus::kSuccess) {
-        done(Unavailable("ring body read failed"));
-        return;
-      }
-      auto& mem = fabric_.node(self_).memory();
-      Bytes body(total);
-      (void)mem.Read(body_buf, body);
-      bpf::MapView view(body);
-      auto records = view.RingConsume();
-      if (!records.ok()) {
-        done(records.status());
-        return;
-      }
-      if (records->empty()) {
-        done(std::vector<Bytes>{});
-        return;
-      }
-      // RingConsume advanced the tail in our local copy; publish it.
-      const std::uint64_t new_tail =
-          LoadLE<std::uint64_t>(body.data() + bpf::kRingTailOffset);
-      Bytes tail(8);
-      StoreLE(tail.data(), new_tail);
-      WriteChunked(flow, std::move(tail),
-                   xstate_addr + bpf::kRingTailOffset,
+  // Read the whole ring, decode records locally, then advance the remote
+  // tail word. Records produced after our snapshot are simply picked up
+  // by the next consume; the tail only moves past records we fully
+  // decoded, so the producer/consumer protocol stays correct with
+  // one-sided access.
+  ReadXState(
+      flow, xstate_addr, /*ring=*/true, done,
+      [this, &flow, xstate_addr, done](Bytes body) {
+        auto records = bpf::MapView(body).RingConsume();
+        if (!records.ok() || records->empty()) {
+          done(std::move(records));
+          return;
+        }
+        // RingConsume advanced the tail in our local copy; publish it.
+        WriteQword(flow, xstate_addr + bpf::kRingTailOffset,
+                   LoadLE<std::uint64_t>(body.data() + bpf::kRingTailOffset),
                    [records = std::move(records).value(),
-                    done = std::move(done)](Status s) mutable {
+                    done](Status s) mutable {
                      if (!s.ok()) {
                        done(s);
                        return;
                      }
                      done(std::move(records));
                    });
-    });
-  });
+      });
 }
 
 // ---- deploy ------------------------------------------------------------
@@ -1406,16 +968,10 @@ void ControlPlane::DeployImageBytes(CodeFlow& flow, Bytes image_bytes,
                                     int hook, std::uint64_t version,
                                     Done done, InjectTrace* trace,
                                     std::uint64_t fingerprint) {
-  const sim::SimTime dispatch_start = events_.Now();
-  events_.ScheduleAfter(config_.cost.rdx_dispatch_overhead, [this, &flow,
-                                                             image_bytes =
-                                                                 std::move(
-                                                                     image_bytes),
-                                                             hook, version,
-                                                             done = std::move(
-                                                                 done),
-                                                             trace, fingerprint,
-                                                             dispatch_start]() mutable {
+  events_.ScheduleAfter(config_.cost.rdx_dispatch_overhead,
+                        [this, &flow, image_bytes = std::move(image_bytes),
+                         hook, version, done = std::move(done), trace,
+                         fingerprint]() mutable {
     auto& deployment = flow.hooks_[hook];
     const sim::SimTime transfer_start = events_.Now();
 
@@ -1427,16 +983,9 @@ void ControlPlane::DeployImageBytes(CodeFlow& flow, Bytes image_bytes,
     if (!config_.use_tx && deployment.desc_addr != 0 &&
         image_bytes.size() <= deployment.region_capacity) {
       const std::uint64_t image_addr = deployment.image_addr;
-      const std::uint64_t image_len = image_bytes.size();
       Bytes desc(kImageDescBytes);
-      StoreLE(desc.data() + kDescImageAddr, image_addr);
-      StoreLE(desc.data() + kDescImageLen, image_len);
-      StoreLE(desc.data() + kDescVersion, version);
-      StoreLE(desc.data() + kDescRefcount, 1ull);
-      if (config_.signing_key != 0) {
-        StoreLE(desc.data() + kDescSignature,
-                SignImage(image_bytes, config_.signing_key));
-      }
+      StoreDesc(desc.data(), image_addr, image_bytes, version,
+                config_.signing_key);
       WriteChunked(
           flow, std::move(desc), deployment.desc_addr,
           [this, &flow, hook, image_addr, version, fingerprint,
@@ -1473,36 +1022,30 @@ void ControlPlane::DeployImageBytes(CodeFlow& flow, Bytes image_bytes,
 
     // Transactional path: prepare (image + desc in a fresh region), then
     // an atomic qword commit.
-    PrepareImage(flow, std::move(image_bytes), version,
-                 [this, &flow, hook, done = std::move(done), trace,
-                  transfer_start](StatusOr<PreparedImage> prepared) mutable {
-                   if (!prepared.ok()) {
-                     done(prepared.status());
-                     return;
-                   }
-                   if (trace != nullptr) {
-                     trace->transfer = events_.Now() - transfer_start;
-                   }
-                   const sim::SimTime commit_start = events_.Now();
-                   CommitPrepared(flow, hook, prepared.value(),
-                                  [done = std::move(done), trace,
-                                   commit_start, prepared = prepared.value(),
-                                   this](Status s2) mutable {
-                                    if (!s2.ok()) {
-                                      done(s2);
-                                      return;
-                                    }
-                                    if (trace != nullptr) {
-                                      trace->commit =
-                                          events_.Now() - commit_start;
-                                      trace->version = prepared.version;
-                                    }
-                                    done(OkStatus());
-                                  });
-                 },
-                 fingerprint);
+    PrepareImage(
+        flow, std::move(image_bytes), version,
+        [this, &flow, hook, done = std::move(done), trace,
+         transfer_start](StatusOr<PreparedImage> prepared) mutable {
+          if (!prepared.ok()) {
+            done(prepared.status());
+            return;
+          }
+          if (trace != nullptr) {
+            trace->transfer = events_.Now() - transfer_start;
+          }
+          const sim::SimTime commit_start = events_.Now();
+          CommitPrepared(flow, hook, prepared.value(),
+                         [this, done = std::move(done), trace, commit_start,
+                          version = prepared->version](Status s) {
+                           if (s.ok() && trace != nullptr) {
+                             trace->commit = events_.Now() - commit_start;
+                             trace->version = version;
+                           }
+                           done(s);
+                         });
+        },
+        fingerprint);
   });
-  (void)dispatch_start;
 }
 
 void ControlPlane::PrepareImage(
@@ -1529,14 +1072,8 @@ void ControlPlane::PrepareImage(
     // writes and the desc write go out back-to-back (doorbell batch).
     Bytes combined(desc_off + kImageDescBytes, 0);
     std::copy(image_bytes.begin(), image_bytes.end(), combined.begin());
-    StoreLE(combined.data() + desc_off + kDescImageAddr, image_addr);
-    StoreLE(combined.data() + desc_off + kDescImageLen, image_len);
-    StoreLE(combined.data() + desc_off + kDescVersion, version);
-    StoreLE(combined.data() + desc_off + kDescRefcount, 1ull);
-    if (config_.signing_key != 0) {
-      StoreLE(combined.data() + desc_off + kDescSignature,
-              SignImage(image_bytes, config_.signing_key));
-    }
+    StoreDesc(combined.data() + desc_off, image_addr, image_bytes, version,
+              config_.signing_key);
 
     WriteChunked(flow, std::move(combined), image_addr,
                  [image_addr, image_len, region, desc_addr, version,
@@ -1552,263 +1089,200 @@ void ControlPlane::PrepareImage(
   });
 }
 
-void ControlPlane::RecordCommit(CodeFlow& flow, int hook,
-                                const PreparedImage& prepared) {
-  auto& deployment = flow.hooks_[hook];
-  if (deployment.desc_addr != 0) {
-    deployment.desc_history.push_back(CodeFlow::PastImage{
-        deployment.desc_addr, deployment.region_capacity + kImageDescBytes,
-        deployment.fingerprint});
-  }
-  deployment.desc_addr = prepared.desc_addr;
-  deployment.image_addr = prepared.image_addr;
-  deployment.region_capacity = prepared.region_capacity;
-  deployment.version = prepared.version;
-  deployment.fingerprint = prepared.fingerprint;
-  ReclaimSupersededImages(flow, hook);
+ControlPlane::Done ControlPlane::RecordCommit(CodeFlow& flow, int hook,
+                                              const PreparedImage& prepared,
+                                              Done done) {
+  return [this, &flow, hook, prepared, done = std::move(done)](Status s) {
+    if (!s.ok()) {
+      done(s);
+      return;
+    }
+    auto& deployment = flow.hooks_[hook];
+    if (deployment.desc_addr != 0) {
+      deployment.desc_history.push_back(CodeFlow::PastImage{
+          deployment.desc_addr, deployment.region_capacity + kImageDescBytes,
+          deployment.fingerprint});
+    }
+    deployment.desc_addr = prepared.desc_addr;
+    deployment.image_addr = prepared.image_addr;
+    deployment.region_capacity = prepared.region_capacity;
+    deployment.version = prepared.version;
+    deployment.fingerprint = prepared.fingerprint;
+    // Reclaim history beyond hook_history_depth: drop each superseded
+    // desc's refcount over RDMA; its region is dead scratchpad from here
+    // on. Accounting lands on the sandbox's stats once the write
+    // completes (simulation-side backref).
+    auto& history = deployment.desc_history;
+    while (history.size() > config_.hook_history_depth) {
+      const CodeFlow::PastImage past = history.front();
+      history.erase(history.begin());
+      WriteQword(flow, past.desc_addr + kDescRefcount, 0,
+                 [&flow, past](Status reclaimed) {
+                   if (reclaimed.ok() && flow.sandbox != nullptr) {
+                     flow.sandbox->AccountReclaim(past.region_bytes);
+                   }
+                 });
+    }
+    done(OkStatus());
+  };
 }
 
 void ControlPlane::CommitPrepared(CodeFlow& flow, int hook,
                                   const PreparedImage& prepared, Done done) {
   CommitHook(flow, hook, prepared.desc_addr,
-             [this, &flow, hook, prepared, done = std::move(done)](Status s) {
-               if (!s.ok()) {
-                 done(s);
-                 return;
-               }
-               RecordCommit(flow, hook, prepared);
-               done(OkStatus());
-             });
+             RecordCommit(flow, hook, prepared, std::move(done)));
 }
 
 void ControlPlane::CommitPreparedCas(CodeFlow& flow, int hook,
                                      const PreparedImage& prepared,
                                      std::uint64_t expected_desc, Done done) {
-  auto landing = LocalScratch(8);
-  if (!landing.ok()) {
-    done(landing.status());
-    return;
-  }
   // CAS, not a blind write: wave commits race quarantines and other
   // writers, and a lost race must surface instead of clobbering the slot.
-  rdma::SendWr cas;
-  cas.opcode = rdma::Opcode::kCompareSwap;
-  cas.local = {landing.value(), 8, local_mr_.lkey};
-  cas.remote_addr = flow.remote_view_.hook_table_addr +
-                    static_cast<std::uint64_t>(hook) * 8;
-  cas.rkey = flow.rkey;
-  cas.compare_add = expected_desc;
-  cas.swap = prepared.desc_addr;
-  Post(flow, cas, [this, &flow, hook, prepared, expected_desc,
-                   done = std::move(done)](
-                      const rdma::WorkCompletion& wc) mutable {
-    if (wc.status != rdma::WcStatus::kSuccess) {
-      done(Unavailable("commit CAS failed"));
+  RemoteAtomic(
+      flow, rdma::Opcode::kCompareSwap, SlotAddr(flow, hook), expected_desc,
+      prepared.desc_addr, "commit CAS failed",
+      [this, &flow, hook, prepared, expected_desc,
+       done = std::move(done)](StatusOr<std::uint64_t> original) mutable {
+        if (!original.ok()) {
+          done(original.status());
+          return;
+        }
+        if (*original != expected_desc) {
+          done(Aborted("hook slot moved under commit CAS"));
+          return;
+        }
+        CommitTail(flow, hook, std::nullopt, /*may_chain=*/true,
+                   RecordCommit(flow, hook, prepared, std::move(done)));
+      });
+}
+
+template <class Image>
+void ControlPlane::DeployProg(CodeFlow& flow, const Image& linked, int hook,
+                              Done done) {
+  if (!linked.IsLinked()) {
+    done(FailedPrecondition(ExtensionKind<Image>::kNotLinked));
+    return;
+  }
+  DeployImageBytes(flow, linked.Serialize(), hook, NextVersionFor(flow, hook),
+                   std::move(done), nullptr);
+}
+
+template <class Source>
+void ControlPlane::EnsureAndLink(
+    CodeFlow& flow, const Source& src, const ImageOf<Source>& image,
+    std::function<void(StatusOr<ImageOf<Source>>)> done, InjectTrace* trace) {
+  const sim::SimTime t0 = events_.Now();
+  auto maps = std::make_shared<const std::vector<bpf::MapSpec>>(
+      ExtensionKind<Source>::XStates(src));
+  DeployXStates(flow, std::move(maps), 0,
+                [this, &flow, &image, trace, t0,
+                 done = std::move(done)](Status s) mutable {
+    if (!s.ok()) {
+      done(s);
       return;
     }
-    if (wc.atomic_original != expected_desc) {
-      done(Aborted("hook slot moved under commit CAS"));
-      return;
-    }
-    CommitVisibility(flow, hook,
-                     [this, &flow, hook, prepared,
-                      done = std::move(done)](Status s) mutable {
-                       if (!s.ok()) {
-                         done(s);
-                         return;
-                       }
-                       RecordCommit(flow, hook, prepared);
-                       done(OkStatus());
-                     });
+    const sim::SimTime t1 = events_.Now();
+    if (trace != nullptr) trace->xstate = t1 - t0;
+    LinkCode(flow, image,
+             [this, trace, t1, done = std::move(done)](
+                 StatusOr<ImageOf<Source>> linked) mutable {
+               if (linked.ok() && trace != nullptr) {
+                 trace->link = events_.Now() - t1;
+               }
+               done(std::move(linked));
+             });
   });
 }
 
-void ControlPlane::ReclaimSupersededImages(CodeFlow& flow, int hook) {
-  auto it = flow.hooks_.find(hook);
-  if (it == flow.hooks_.end()) return;
-  auto& history = it->second.desc_history;
-  while (history.size() > config_.hook_history_depth) {
-    const CodeFlow::PastImage past = history.front();
-    history.erase(history.begin());
-    // Drop the superseded desc's refcount over RDMA; the region is dead
-    // scratchpad from here on. Accounting lands on the sandbox's stats
-    // once the write completes (simulation-side backref).
-    Bytes zero(8, 0);
-    WriteChunked(flow, std::move(zero), past.desc_addr + kDescRefcount,
-                 [&flow, past](Status s) {
-                   if (s.ok() && flow.sandbox != nullptr) {
-                     flow.sandbox->AccountReclaim(past.region_bytes);
-                   }
-                 });
-  }
-}
-
-namespace {
-// Versions count update generations of a hook (comparable across nodes,
-// which is what mixed-version detection needs).
-std::uint64_t NextVersionFor(CodeFlow& flow, int hook) {
-  return flow.HookVersion(hook) + 1;
-}
-}  // namespace
-
-void ControlPlane::DeployProg(CodeFlow& flow, const bpf::JitImage& linked,
-                              int hook, Done done) {
-  if (!linked.IsLinked()) {
-    done(FailedPrecondition("image not linked; call rdx_link_code first"));
-    return;
-  }
-  DeployImageBytes(flow, linked.Serialize(), hook, NextVersionFor(flow, hook),
-                   std::move(done), nullptr);
-}
-
-void ControlPlane::DeployWasm(CodeFlow& flow, const wasm::WasmImage& linked,
-                              int hook, Done done) {
-  if (!linked.IsLinked()) {
-    done(FailedPrecondition("wasm image not linked"));
-    return;
-  }
-  DeployImageBytes(flow, linked.Serialize(), hook, NextVersionFor(flow, hook),
-                   std::move(done), nullptr);
+template <class Source>
+void ControlPlane::LinkAndPrepare(
+    CodeFlow& flow, const Source& src, const ImageOf<Source>& image, int hook,
+    std::uint64_t fp, std::function<void(StatusOr<PreparedImage>)> done) {
+  EnsureAndLink(
+      flow, src, image,
+      [this, &flow, hook, fp, done = std::move(done)](
+          StatusOr<ImageOf<Source>> linked) mutable {
+        if (!linked.ok()) {
+          done(linked.status());
+          return;
+        }
+        PrepareImage(flow, linked->Serialize(), NextVersionFor(flow, hook),
+                     std::move(done), fp);
+      },
+      nullptr);
 }
 
 // ---- composed pipelines --------------------------------------------------
 
-void ControlPlane::InjectExtension(
-    CodeFlow& flow, const bpf::Program& prog, int hook,
-    std::function<void(StatusOr<InjectTrace>)> done) {
+template <class Source>
+void ControlPlane::Inject(CodeFlow& flow, const Source& src, int hook,
+                          std::function<void(StatusOr<InjectTrace>)> done) {
+  using K = ExtensionKind<Source>;
   auto trace = std::make_shared<InjectTrace>();
   const sim::SimTime t0 = events_.Now();
-  const bool cached = artifacts_.ContainsEbpf(ProgramFingerprint(prog));
-  trace->compile_cache_hit = cached;
-
-  ValidateCode(prog, [this, &flow, prog, hook, done = std::move(done), trace,
-                      t0](Status s) mutable {
+  const std::uint64_t fp = K::Fingerprint(src);
+  trace->compile_cache_hit = artifacts_.HasImage(K::kKind, fp);
+  auto owned = std::make_shared<const Source>(src);
+  // Deploy completion: record the spans and hand back the trace.
+  Done finish = [this, &flow, hook, trace, t0,
+                 done = std::move(done)](Status s) {
     if (!s.ok()) {
       done(s);
       return;
     }
-    trace->validate = events_.Now() - t0;
-    const sim::SimTime t1 = events_.Now();
-    JitCompileCode(prog, [this, &flow, prog, hook, done = std::move(done),
-                          trace, t0, t1](
-                             StatusOr<const bpf::JitImage*> image) mutable {
-      if (!image.ok()) {
-        done(image.status());
-        return;
-      }
-      trace->jit = events_.Now() - t1;
-      // Deploy any XStates the program declares but the node lacks.
-      auto deploy_next = std::make_shared<std::function<void(std::size_t)>>();
-      std::weak_ptr<std::function<void(std::size_t)>> weak = deploy_next;
-      const bpf::JitImage* img = image.value();
-      *deploy_next = [this, &flow, img, prog, hook, done = std::move(done),
-                      trace, t0, weak](std::size_t i) mutable {
-        auto self = weak.lock();
-        if (!self) return;
-        const sim::SimTime tx0 = events_.Now();
-        while (i < prog.maps.size() &&
-               flow.xstate_addrs_.count(prog.maps[i].name) != 0) {
-          ++i;
-        }
-        if (i < prog.maps.size()) {
-          DeployXState(flow, prog.maps[i],
-                       [self, i, done, trace, tx0,
-                        this](StatusOr<std::uint64_t> addr) mutable {
-                         if (!addr.ok()) {
-                           done(addr.status());
-                           return;
-                         }
-                         trace->xstate += events_.Now() - tx0;
-                         (*self)(i + 1);
-                       });
+    trace->total = events_.Now() - t0;
+    EmitInjectSpans(flow, hook, K::kName, *trace);
+    done(*trace);
+  };
+  Build(
+      *owned,
+      [this, &flow, owned, hook, fp, trace, finish = std::move(finish)](
+          StatusOr<const ImageOf<Source>*> image) mutable {
+        if (!image.ok()) {
+          finish(image.status());
           return;
         }
-        // Link, then deploy.
-        const sim::SimTime t2 = events_.Now();
-        const std::uint64_t fp = ProgramFingerprint(prog);
-        LinkCode(flow, *img, [this, &flow, hook, fp, done = std::move(done),
-                              trace, t0, t2](
-                                 StatusOr<bpf::JitImage> linked) mutable {
-          if (!linked.ok()) {
-            done(linked.status());
-            return;
-          }
-          trace->link = events_.Now() - t2;
-          const std::uint64_t version = NextVersionFor(flow, hook);
-          Bytes wire = linked->Serialize();
-          trace->image_bytes = wire.size();
-          DeployImageBytes(flow, std::move(wire), hook, version,
-                           [done = std::move(done), trace, t0, &flow, hook,
-                            this](Status s2) mutable {
-                             if (!s2.ok()) {
-                               done(s2);
-                               return;
-                             }
-                             trace->total = events_.Now() - t0;
-                             EmitInjectSpans(flow, hook, "ebpf", *trace);
-                             done(*trace);
-                           },
-                           trace.get(), fp);
-        });
-      };
-      (*deploy_next)(0);
-    });
-  });
+        EnsureAndLink(
+            flow, *owned, **image,
+            [this, &flow, owned, hook, fp, trace, finish = std::move(finish)](
+                StatusOr<ImageOf<Source>> linked) mutable {
+              if (!linked.ok()) {
+                finish(linked.status());
+                return;
+              }
+              Bytes wire = linked->Serialize();
+              trace->image_bytes = wire.size();
+              DeployImageBytes(flow, std::move(wire), hook,
+                               NextVersionFor(flow, hook), std::move(finish),
+                               trace.get(), fp);
+            },
+            trace.get());
+      },
+      trace.get());
 }
 
-void ControlPlane::InjectWasmFilter(
-    CodeFlow& flow, const wasm::FilterModule& module, int hook,
-    std::function<void(StatusOr<InjectTrace>)> done) {
-  auto trace = std::make_shared<InjectTrace>();
-  const sim::SimTime t0 = events_.Now();
-  const std::uint64_t fp = WasmFingerprint(module);
-  trace->compile_cache_hit = artifacts_.ContainsWasm(fp);
-
-  ValidateWasm(module, [this, &flow, module, hook, fp,
-                        done = std::move(done), trace, t0](Status s) mutable {
-    if (!s.ok()) {
-      done(s);
-      return;
-    }
-    trace->validate = events_.Now() - t0;
-    const sim::SimTime t1 = events_.Now();
-    CompileWasm(module, [this, &flow, hook, fp, done = std::move(done), trace,
-                         t0,
-                         t1](StatusOr<const wasm::WasmImage*> image) mutable {
-      if (!image.ok()) {
-        done(image.status());
-        return;
-      }
-      trace->jit = events_.Now() - t1;
-      const sim::SimTime t2 = events_.Now();
-      LinkWasm(flow, *image.value(),
-               [this, &flow, hook, fp, done = std::move(done), trace, t0,
-                t2](StatusOr<wasm::WasmImage> linked) mutable {
-                 if (!linked.ok()) {
-                   done(linked.status());
-                   return;
-                 }
-                 trace->link = events_.Now() - t2;
-                 Bytes wire = linked->Serialize();
-                 trace->image_bytes = wire.size();
-                 DeployImageBytes(flow, std::move(wire), hook,
-                                  NextVersionFor(flow, hook),
-                                  [done = std::move(done), trace, t0, &flow,
-                                   hook, this](Status s2) mutable {
-                                    if (!s2.ok()) {
-                                      done(s2);
-                                      return;
-                                    }
-                                    trace->total = events_.Now() - t0;
-                                    EmitInjectSpans(flow, hook, "wasm",
-                                                    *trace);
-                                    done(*trace);
-                                  },
-                                  trace.get(), fp);
-               });
-    });
-  });
-}
+// The pipeline steps callers outside this file use, for both kinds.
+#define RDX_INSTANTIATE_PIPELINE(Source)                                    \
+  template void ControlPlane::ValidateCode(const Source&, Done);             \
+  template void ControlPlane::JitCompileCode(                                \
+      const Source&, std::function<void(StatusOr<const ImageOf<Source>*>)>); \
+  template void ControlPlane::Build(                                         \
+      const Source&, std::function<void(StatusOr<const ImageOf<Source>*>)>,  \
+      InjectTrace*);                                                         \
+  template void ControlPlane::LinkCode(                                      \
+      CodeFlow&, const ImageOf<Source>&,                                     \
+      std::function<void(StatusOr<ImageOf<Source>>)>);                      \
+  template void ControlPlane::DeployProg(CodeFlow&, const ImageOf<Source>&,  \
+                                         int, Done);                         \
+  template void ControlPlane::LinkAndPrepare(                                \
+      CodeFlow&, const Source&, const ImageOf<Source>&, int, std::uint64_t,  \
+      std::function<void(StatusOr<PreparedImage>)>);                         \
+  template void ControlPlane::Inject(                                        \
+      CodeFlow&, const Source&, int,                                         \
+      std::function<void(StatusOr<InjectTrace>)>);
+RDX_INSTANTIATE_PIPELINE(bpf::Program)
+RDX_INSTANTIATE_PIPELINE(wasm::FilterModule)
+#undef RDX_INSTANTIATE_PIPELINE
 
 // ---- telemetry -----------------------------------------------------------
 
@@ -1852,48 +1326,12 @@ telemetry::RingOps ControlPlane::RingOpsFor(CodeFlow& flow) {
   CodeFlow* f = &flow;
   ops.read = [this, f](std::uint64_t addr, std::uint32_t len,
                        std::function<void(StatusOr<Bytes>)> cb) {
-    auto buf = LocalScratch(len);
-    if (!buf.ok()) {
-      cb(buf.status());
-      return;
-    }
-    rdma::SendWr read;
-    read.opcode = rdma::Opcode::kRead;
-    read.local = {buf.value(), len, local_mr_.lkey};
-    read.remote_addr = addr;
-    read.rkey = f->rkey;
-    Post(*f, read, [this, buf = buf.value(), len, cb = std::move(cb)](
-                       const rdma::WorkCompletion& wc) mutable {
-      if (wc.status != rdma::WcStatus::kSuccess) {
-        cb(Unavailable("trace ring read failed"));
-        return;
-      }
-      Bytes raw(len);
-      (void)fabric_.node(self_).memory().Read(buf, raw);
-      cb(std::move(raw));
-    });
+    RemoteRead(*f, addr, len, "trace ring read failed", cb, cb);
   };
   ops.fetch_add = [this, f](std::uint64_t addr, std::uint64_t delta,
                             std::function<void(StatusOr<std::uint64_t>)> cb) {
-    auto landing = LocalScratch(8);
-    if (!landing.ok()) {
-      cb(landing.status());
-      return;
-    }
-    rdma::SendWr faa;
-    faa.opcode = rdma::Opcode::kFetchAdd;
-    faa.local = {landing.value(), 8, local_mr_.lkey};
-    faa.remote_addr = addr;
-    faa.rkey = f->rkey;
-    faa.compare_add = delta;
-    Post(*f, faa,
-         [cb = std::move(cb)](const rdma::WorkCompletion& wc) mutable {
-           if (wc.status != rdma::WcStatus::kSuccess) {
-             cb(Unavailable("trace ring cursor FETCH_ADD failed"));
-             return;
-           }
-           cb(wc.atomic_original);
-         });
+    RemoteAtomic(*f, rdma::Opcode::kFetchAdd, addr, delta, 0,
+                 "trace ring cursor FETCH_ADD failed", std::move(cb));
   };
   return ops;
 }
@@ -1928,8 +1366,7 @@ void ControlPlane::Rollback(CodeFlow& flow, int hook, Done done) {
   const CodeFlow::PastImage prev = it->second.desc_history.back();
   it->second.desc_history.pop_back();
   CommitHook(flow, hook, prev.desc_addr, [&flow, hook, prev,
-                                          done = std::move(done),
-                                          this](Status s) mutable {
+                                          done = std::move(done)](Status s) {
     if (!s.ok()) {
       done(s);
       return;
@@ -1984,110 +1421,66 @@ HealthView ParseHealthBlock(const Bytes& raw, std::size_t off) {
 void ControlPlane::ReadHealth(
     CodeFlow& flow, int hook,
     std::function<void(StatusOr<HealthView>)> done) {
-  if (flow.remote_view_.health_addr == 0) {
-    done(FailedPrecondition("remote sandbox publishes no health blocks"));
-    return;
-  }
-  auto buf = LocalScratch(kHealthBlockBytes);
-  if (!buf.ok()) {
-    done(buf.status());
-    return;
-  }
-  rdma::SendWr read;
-  read.opcode = rdma::Opcode::kRead;
-  read.local = {buf.value(), static_cast<std::uint32_t>(kHealthBlockBytes),
-                local_mr_.lkey};
-  read.remote_addr = flow.remote_view_.health_addr +
-                     static_cast<std::uint64_t>(hook) * kHealthBlockBytes;
-  read.rkey = flow.rkey;
-  Post(flow, read, [this, buf = buf.value(), done = std::move(done)](
-                       const rdma::WorkCompletion& wc) mutable {
-    if (wc.status != rdma::WcStatus::kSuccess) {
-      done(Unavailable("health block read failed"));
-      return;
-    }
-    Bytes raw(kHealthBlockBytes);
-    (void)fabric_.node(self_).memory().Read(buf, raw);
-    done(ParseHealthBlock(raw, 0));
-  });
+  ReadHealthBlocks(flow, hook, 1, "health block read failed", done,
+                   [done](std::vector<HealthView> views) {
+                     done(views.front());
+                   });
 }
 
 void ControlPlane::ReadHealthAll(
     CodeFlow& flow,
     std::function<void(StatusOr<std::vector<HealthView>>)> done) {
+  ReadHealthBlocks(flow, 0, flow.remote_view_.hook_count,
+                   "health array read failed", done, done);
+}
+
+void ControlPlane::ReadHealthBlocks(
+    CodeFlow& flow, int first_hook, std::uint64_t count, const char* failure,
+    Done fail, std::function<void(std::vector<HealthView>)> next) {
   if (flow.remote_view_.health_addr == 0) {
-    done(FailedPrecondition("remote sandbox publishes no health blocks"));
+    fail(FailedPrecondition("remote sandbox publishes no health blocks"));
     return;
   }
-  const std::uint64_t count = flow.remote_view_.hook_count;
-  const std::uint64_t total = count * kHealthBlockBytes;
-  auto buf = LocalScratch(total);
-  if (!buf.ok()) {
-    done(buf.status());
-    return;
-  }
-  rdma::SendWr read;
-  read.opcode = rdma::Opcode::kRead;
-  read.local = {buf.value(), static_cast<std::uint32_t>(total),
-                local_mr_.lkey};
-  read.remote_addr = flow.remote_view_.health_addr;
-  read.rkey = flow.rkey;
-  Post(flow, read, [this, buf = buf.value(), count, total,
-                    done = std::move(done)](
-                       const rdma::WorkCompletion& wc) mutable {
-    if (wc.status != rdma::WcStatus::kSuccess) {
-      done(Unavailable("health array read failed"));
-      return;
-    }
-    Bytes raw(total);
-    (void)fabric_.node(self_).memory().Read(buf, raw);
-    std::vector<HealthView> views;
-    views.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      views.push_back(ParseHealthBlock(raw, i * kHealthBlockBytes));
-    }
-    done(std::move(views));
-  });
+  RemoteRead(flow,
+             flow.remote_view_.health_addr +
+                 static_cast<std::uint64_t>(first_hook) * kHealthBlockBytes,
+             count * kHealthBlockBytes, failure, fail,
+             [count, next = std::move(next)](Bytes raw) {
+               std::vector<HealthView> views;
+               views.reserve(count);
+               for (std::uint64_t i = 0; i < count; ++i) {
+                 views.push_back(ParseHealthBlock(raw, i * kHealthBlockBytes));
+               }
+               next(std::move(views));
+             });
 }
 
 void ControlPlane::QuarantineHook(CodeFlow& flow, int hook,
                                   std::uint64_t bad_desc,
                                   std::uint64_t good_desc, Done done) {
-  auto landing = LocalScratch(8);
-  if (!landing.ok()) {
-    done(landing.status());
-    return;
-  }
   // CAS, not a blind write: if the data-plane fail-safe (or another
   // controller) already swung the slot, we must not clobber its choice.
-  rdma::SendWr cas;
-  cas.opcode = rdma::Opcode::kCompareSwap;
-  cas.local = {landing.value(), 8, local_mr_.lkey};
-  cas.remote_addr = flow.remote_view_.hook_table_addr +
-                    static_cast<std::uint64_t>(hook) * 8;
-  cas.rkey = flow.rkey;
-  cas.compare_add = bad_desc;
-  cas.swap = good_desc;
   const sim::SimTime started = events_.Now();
-  Post(flow, cas, [this, &flow, hook, bad_desc, good_desc, started,
-                   done = std::move(done)](
-                      const rdma::WorkCompletion& wc) mutable {
-    if (wc.status != rdma::WcStatus::kSuccess) {
-      done(Unavailable("quarantine CAS failed"));
-      return;
-    }
-    const std::uint64_t original = wc.atomic_original;
-    const bool swung = original == bad_desc;
-    // original == good_desc or 0: the local fail-safe beat us to the
-    // revert — the bad image is already off the execution path, so carry
-    // on with the epoch bump + blacklist.
-    if (!swung && original != good_desc && original != 0) {
-      done(Aborted("hook slot changed under quarantine CAS"));
-      return;
-    }
-    FinishQuarantine(flow, hook, bad_desc, good_desc, std::move(done),
-                     started);
-  });
+  RemoteAtomic(
+      flow, rdma::Opcode::kCompareSwap, SlotAddr(flow, hook), bad_desc,
+      good_desc, "quarantine CAS failed",
+      [this, &flow, hook, bad_desc, good_desc, started,
+       done = std::move(done)](StatusOr<std::uint64_t> original) mutable {
+        if (!original.ok()) {
+          done(original.status());
+          return;
+        }
+        // original == good_desc or 0: the local fail-safe beat us to the
+        // revert — the bad image is already off the execution path, so
+        // carry on with the epoch bump + blacklist.
+        if (*original != bad_desc && *original != good_desc &&
+            *original != 0) {
+          done(Aborted("hook slot changed under quarantine CAS"));
+          return;
+        }
+        FinishQuarantine(flow, hook, bad_desc, good_desc, std::move(done),
+                         started);
+      });
 }
 
 void ControlPlane::FinishQuarantine(CodeFlow& flow, int hook,
@@ -2115,52 +1508,36 @@ void ControlPlane::FinishQuarantine(CodeFlow& flow, int hook,
     }
     if (good_desc == 0) it->second.fingerprint = 0;
   }
-  ++flow.epoch_;
   // Protection change: a quarantine invalidates the NIC's cached
   // translations for the flow's control region (MTT shootdown, the
   // IBV_REREG_MR analog), so the next verb re-walks the host MTT.
   fabric_.InvalidateMtt(flow.node_, flow.rkey);
-  // Remote epoch bump (fire and forget, like CommitHook's).
-  auto landing = LocalScratch(8);
-  if (landing.ok()) {
-    rdma::SendWr faa;
-    faa.opcode = rdma::Opcode::kFetchAdd;
-    faa.local = {landing.value(), 8, local_mr_.lkey};
-    faa.remote_addr = flow.remote_view_.cb_addr + kCbEpoch;
-    faa.rkey = flow.rkey;
-    faa.compare_add = 1;
-    Post(flow, faa, [](const rdma::WorkCompletion&) {});
-  }
-  auto finish = [this, &flow, hook, bad_desc, good_desc, started,
-                 done = std::move(done)](Status s) mutable {
-    if (!s.ok()) {
-      done(s);
-      return;
-    }
-    auto it2 = flow.hooks_.find(hook);
-    if (it2 != flow.hooks_.end()) {
-      it2->second.version = flow.sandbox->CommittedVersion(hook);
-    }
-    if (tracer_ != nullptr) {
-      char args[96];
-      std::snprintf(args, sizeof(args),
-                    "\"bad_desc\": %llu, \"good_desc\": %llu",
-                    static_cast<unsigned long long>(bad_desc),
-                    static_cast<unsigned long long>(good_desc));
-      tracer_->AddComplete("quarantine",
-                           static_cast<std::uint32_t>(flow.node_),
-                           static_cast<std::uint32_t>(hook), started,
-                           events_.Now() - started, args);
-    }
-    done(OkStatus());
-  };
-  if (config_.use_cc_event) {
-    CcEvent(flow, hook, std::move(finish));
-  } else {
-    flow.sandbox->ScheduleHookRefresh(
-        hook, flow.sandbox->VisibilityDelay(/*coherent_flush=*/false));
-    finish(OkStatus());
-  }
+  // The slot already moved (CAS); the tail is the epoch bump + flush,
+  // posted separately.
+  CommitTail(flow, hook, std::nullopt, /*may_chain=*/false,
+             [this, &flow, hook, bad_desc, good_desc, started,
+              done = std::move(done)](Status s) {
+               if (!s.ok()) {
+                 done(s);
+                 return;
+               }
+               auto it2 = flow.hooks_.find(hook);
+               if (it2 != flow.hooks_.end()) {
+                 it2->second.version = flow.sandbox->CommittedVersion(hook);
+               }
+               if (tracer_ != nullptr) {
+                 char args[96];
+                 std::snprintf(args, sizeof(args),
+                               "\"bad_desc\": %llu, \"good_desc\": %llu",
+                               static_cast<unsigned long long>(bad_desc),
+                               static_cast<unsigned long long>(good_desc));
+                 tracer_->AddComplete("quarantine",
+                                      static_cast<std::uint32_t>(flow.node_),
+                                      static_cast<std::uint32_t>(hook),
+                                      started, events_.Now() - started, args);
+               }
+               done(OkStatus());
+             });
 }
 
 }  // namespace rdx::core

@@ -28,9 +28,14 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
+#include <optional>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "bpf/jit.h"
@@ -56,20 +61,10 @@ struct ControlPlaneConfig {
   bool use_lock = false;
   // Max payload per RDMA WRITE work request.
   std::uint32_t chunk_bytes = 256 * 1024;
-  // Post multi-WR transfers as one doorbell-batched chain (an
-  // ibv_post_send linked list) instead of ringing the doorbell per WR.
+  // Post multi-WR transfers and the commit tail as doorbell-batched chains
+  // (an ibv_post_send linked list) instead of ringing the doorbell per WR.
   // Disable to reproduce the serial per-WR posting cost.
   bool use_doorbell_batching = true;
-  // Small-op fast path: post control-plane WRITEs at or below the link's
-  // max_inline_data as inline WQE payloads (IBV_SEND_INLINE analog), so
-  // the NIC skips the payload DMA fetch and the source-MR lookup.
-  // Disable to reproduce the pre-fast-path posting cost.
-  bool use_inline = true;
-  // Selective-signaling period applied to the flow's QP: within a
-  // doorbell-batched chain, only every Kth WRITE (and always the chain
-  // tail) writes a CQE; the control plane reconstructs the implied
-  // completions from RC ordering. 0/1 signals every WR.
-  std::uint32_t signaling_period = 4;
   // Keyed MAC written into each ImageDesc (integrity, §5). 0 disables.
   std::uint64_t signing_key = 0;
   // How many superseded ImageDescs to keep per hook as rollback targets.
@@ -93,44 +88,145 @@ struct InjectTrace {
 };
 
 // Content-addressed JIT artifact cache: verification verdicts and
-// compiled images keyed by source-program fingerprint, shared by every
-// CodeFlow the control plane manages. A fleet deploy validates and
-// compiles once and reuses the artifact for all N targets; a redeploy of
-// an identical program skips both phases entirely. Invalidation is tied
-// to quarantine — blacklisting a fingerprint evicts its artifacts so a
-// quarantined program can never be served from cache again.
+// compiled images keyed by (extension kind, source-program fingerprint),
+// shared by every CodeFlow the control plane manages. A fleet deploy
+// validates and compiles once and reuses the artifact for all N targets; a
+// redeploy of an identical program skips both phases entirely.
+// Invalidation is tied to quarantine — blacklisting a fingerprint evicts
+// its artifacts so a quarantined program can never be served from cache
+// again.
 class ArtifactCache {
  public:
-  // Find* lookups count one hit or miss each; Contains* probes are free.
-  const bool* FindEbpfVerdict(std::uint64_t fp);
-  const bool* FindWasmVerdict(std::uint64_t fp);
-  const bpf::JitImage* FindEbpf(std::uint64_t fp);
-  const wasm::WasmImage* FindWasm(std::uint64_t fp);
-  void PutEbpfVerdict(std::uint64_t fp, bool ok);
-  void PutWasmVerdict(std::uint64_t fp, bool ok);
-  const bpf::JitImage* PutEbpf(std::uint64_t fp, bpf::JitImage image);
-  const wasm::WasmImage* PutWasm(std::uint64_t fp, wasm::WasmImage image);
-  bool ContainsEbpf(std::uint64_t fp) const { return ebpf_.count(fp) != 0; }
-  bool ContainsWasm(std::uint64_t fp) const { return wasm_.count(fp) != 0; }
+  enum class Kind : std::uint8_t { kEbpf, kWasm };
+
+  // `T` is `bool` for a verification verdict, else the kind's image type.
+  // Find counts one hit or miss per lookup; HasImage probes are free.
+  template <class T>
+  const T* Find(Kind kind, std::uint64_t fp) {
+    auto it = entries_.find({kind, fp});
+    const T* found = it == entries_.end() ? nullptr : Get<T>(it->second);
+    ++(found != nullptr ? hits_ : misses_);
+    return found;
+  }
+  template <class T>
+  const T* Put(Kind kind, std::uint64_t fp, T artifact) {
+    Entry& entry = entries_[{kind, fp}];
+    if constexpr (std::is_same_v<T, bool>) {
+      entry.verdict = artifact;
+    } else {
+      entry.image = std::move(artifact);
+    }
+    return Get<T>(entry);
+  }
+  bool HasImage(Kind kind, std::uint64_t fp) const;
   // Evicts every artifact derived from `fp` (verdicts + images).
   void Invalidate(std::uint64_t fp);
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   std::uint64_t invalidations() const { return invalidations_; }
-  std::size_t entries() const {
-    return ebpf_verdicts_.size() + wasm_verdicts_.size() + ebpf_.size() +
-           wasm_.size();
-  }
+  std::size_t entries() const;  // verdicts + images
 
  private:
-  std::unordered_map<std::uint64_t, bool> ebpf_verdicts_;
-  std::unordered_map<std::uint64_t, bool> wasm_verdicts_;
-  std::unordered_map<std::uint64_t, bpf::JitImage> ebpf_;
-  std::unordered_map<std::uint64_t, wasm::WasmImage> wasm_;
+  struct Entry {
+    std::optional<bool> verdict;
+    std::variant<std::monostate, bpf::JitImage, wasm::WasmImage> image;
+  };
+  template <class T>
+  static const T* Get(const Entry& entry) {
+    if constexpr (std::is_same_v<T, bool>) {
+      return entry.verdict ? &*entry.verdict : nullptr;
+    } else {
+      return std::get_if<T>(&entry.image);
+    }
+  }
+
+  std::map<std::pair<Kind, std::uint64_t>, Entry> entries_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t invalidations_ = 0;
 };
+
+class CodeFlow;
+
+// Fingerprint of a source program (pre-JIT), used for the verify/compile
+// caches.
+std::uint64_t ProgramFingerprint(const bpf::Program& prog);
+std::uint64_t WasmFingerprint(const wasm::FilterModule& module);
+
+// The extension kinds the control plane deploys. The pipeline (validate ->
+// compile -> XStates -> link -> deploy -> commit) is written once in
+// codeflow.cc; ExtensionKind<Source> supplies only what differs between an
+// eBPF program and a Wasm filter. Each kind is also reachable through its
+// image type, so link/deploy can be called with a compiled image alone.
+template <class T>
+struct ExtensionKind;
+
+template <>
+struct ExtensionKind<bpf::Program> {
+  using Image = bpf::JitImage;
+  static constexpr ArtifactCache::Kind kKind = ArtifactCache::Kind::kEbpf;
+  static constexpr const char* kName = "ebpf";
+  static constexpr const char* kQuarantined =
+      "program fingerprint is quarantined";
+  static constexpr const char* kKnownBad =
+      "program known to fail verification";
+  static constexpr const char* kNotLinked =
+      "image not linked; call rdx_link_code first";
+  static constexpr auto kValidateCycles = &sim::CostModel::VerifyCycles;
+  static constexpr auto kCompileCycles = &sim::CostModel::JitCycles;
+  static std::uint64_t Fingerprint(const bpf::Program& prog) {
+    return ProgramFingerprint(prog);
+  }
+  static Status Validate(const bpf::Program& prog) {
+    return bpf::Verifier().Verify(prog);
+  }
+  static StatusOr<Image> Compile(const bpf::Program& prog) {
+    return bpf::JitCompiler().Compile(prog);
+  }
+  // XStates the extension declares; deployed on demand before linking.
+  static const std::vector<bpf::MapSpec>& XStates(const bpf::Program& prog) {
+    return prog.maps;
+  }
+  // Checks helper symbols and patches map relocations with the node-local
+  // XState addresses.
+  static Status Link(const CodeFlow& flow, Image& image);
+};
+
+template <>
+struct ExtensionKind<wasm::FilterModule> {
+  using Image = wasm::WasmImage;
+  static constexpr ArtifactCache::Kind kKind = ArtifactCache::Kind::kWasm;
+  static constexpr const char* kName = "wasm";
+  static constexpr const char* kQuarantined =
+      "filter fingerprint is quarantined";
+  static constexpr const char* kKnownBad = "filter known to fail validation";
+  static constexpr const char* kNotLinked = "wasm image not linked";
+  static constexpr auto kValidateCycles = &sim::CostModel::WasmValidateCycles;
+  static constexpr auto kCompileCycles = &sim::CostModel::WasmCompileCycles;
+  static std::uint64_t Fingerprint(const wasm::FilterModule& module) {
+    return WasmFingerprint(module);
+  }
+  static Status Validate(const wasm::FilterModule& module) {
+    return wasm::ValidateFilter(module);
+  }
+  static StatusOr<Image> Compile(const wasm::FilterModule& module) {
+    return wasm::CompileFilter(module);
+  }
+  static const std::vector<bpf::MapSpec>& XStates(const wasm::FilterModule&) {
+    static const std::vector<bpf::MapSpec> kNone;
+    return kNone;
+  }
+  // Resolves host-function imports against the node's symbol table.
+  static Status Link(const CodeFlow& flow, Image& image);
+};
+
+template <>
+struct ExtensionKind<bpf::JitImage> : ExtensionKind<bpf::Program> {};
+template <>
+struct ExtensionKind<wasm::WasmImage> : ExtensionKind<wasm::FilterModule> {};
+
+template <class Source>
+using ImageOf = typename ExtensionKind<Source>::Image;
 
 // A CodeFlow: the control plane's handle onto one remote sandbox.
 class CodeFlow {
@@ -160,7 +256,6 @@ class CodeFlow {
   rdma::NodeId node_ = rdma::kInvalidNode;
   Sandbox* sandbox = nullptr;  // simulation-side backref for visibility
   rdma::QueuePair* qp = nullptr;
-  rdma::CompletionQueue* cq = nullptr;
   rdma::MemoryKey rkey = 0;
   ControlBlockView remote_view_;
   std::unordered_map<std::uint64_t, std::uint64_t> symbols_;
@@ -228,29 +323,34 @@ class ControlPlane {
   bool NodeHealthy(rdma::NodeId node, sim::Duration lease) const;
 
   // ---- compile pipeline (control-plane CPU) ----
-  // Verifies `prog`, charging the control plane's CPU. Results cached.
-  void ValidateCode(const bpf::Program& prog, Done done);
-  // JIT-compiles (or returns the cached image for) `prog`.
-  void JitCompileCode(const bpf::Program& prog,
-                      std::function<void(StatusOr<const bpf::JitImage*>)> done);
-  // Wasm pipeline equivalents.
-  void ValidateWasm(const wasm::FilterModule& module, Done done);
-  void CompileWasm(const wasm::FilterModule& module,
-                   std::function<void(StatusOr<const wasm::WasmImage*>)> done);
+  // One body per step for both extension kinds: `Source` is bpf::Program
+  // or wasm::FilterModule, `Image` its compiled form (ExtensionKind).
+  // Verifies `src`, charging the control plane's CPU. Verdicts cached; a
+  // blacklisted fingerprint is refused before the cache is consulted.
+  template <class Source>
+  void ValidateCode(const Source& src, Done done);
+  // Compiles (or returns the cached image for) `src`.
+  template <class Source>
+  void JitCompileCode(
+      const Source& src,
+      std::function<void(StatusOr<const ImageOf<Source>*>)> done);
+  // ValidateCode then JitCompileCode; with `trace`, records both phase
+  // durations. `src` must outlive the call.
+  template <class Source>
+  void Build(const Source& src,
+             std::function<void(StatusOr<const ImageOf<Source>*>)> done,
+             InjectTrace* trace = nullptr);
 
   // ---- link + deploy ----
   // Resolves the image's relocations against `flow`'s symbol table and
-  // XState registry (maps are deployed on demand). Returns a linked copy.
-  void LinkCode(CodeFlow& flow, const bpf::JitImage& image,
-                std::function<void(StatusOr<bpf::JitImage>)> done);
-  void LinkWasm(CodeFlow& flow, const wasm::WasmImage& image,
-                std::function<void(StatusOr<wasm::WasmImage>)> done);
-
+  // XState registry. Returns a linked copy.
+  template <class Image>
+  void LinkCode(CodeFlow& flow, const Image& image,
+                std::function<void(StatusOr<std::type_identity_t<Image>>)>
+                    done);
   // Deploys a *linked* image to `hook` and commits it.
-  void DeployProg(CodeFlow& flow, const bpf::JitImage& linked, int hook,
-                  Done done);
-  void DeployWasm(CodeFlow& flow, const wasm::WasmImage& linked, int hook,
-                  Done done);
+  template <class Image>
+  void DeployProg(CodeFlow& flow, const Image& linked, int hook, Done done);
   // Allocates + formats an XState instance on the remote node (§3.4).
   void DeployXState(CodeFlow& flow, const bpf::MapSpec& spec,
                     std::function<void(StatusOr<std::uint64_t>)> done);
@@ -287,9 +387,10 @@ class ControlPlane {
 
   // ---- sync primitives (§3.5) ----
   // Remote transaction: land `payload` at a fresh scratchpad address,
-  // then swap the 8-byte word at `qword_addr` to `qword_value`.
+  // then swap the 8-byte word at `qword_addr` to `qword_value` (nullopt:
+  // to the payload's own address). Reports the payload address.
   void Tx(CodeFlow& flow, Bytes payload, std::uint64_t qword_addr,
-          std::uint64_t qword_value,
+          std::optional<std::uint64_t> qword_value,
           std::function<void(StatusOr<std::uint64_t>)> done);
   // Cache-coherence event: flush the data-plane CPU's view of `hook`.
   void CcEvent(CodeFlow& flow, int hook, Done done);
@@ -322,14 +423,29 @@ class ControlPlane {
                          const PreparedImage& prepared,
                          std::uint64_t expected_desc, Done done);
 
+  // The per-node step of rdx_broadcast and the pipelined deploy: deploy
+  // the XStates `src` declares but the node lacks, link `image` (compiled
+  // from `src`, whose fingerprint is `fp`) and PrepareImage it for `hook`.
+  template <class Source>
+  void LinkAndPrepare(CodeFlow& flow, const Source& src,
+                      const ImageOf<Source>& image, int hook, std::uint64_t fp,
+                      std::function<void(StatusOr<PreparedImage>)> done);
+
   // ---- composed pipelines ----
   // Full injection: validate -> JIT (cached) -> deploy XState -> link ->
   // deploy -> commit (+flush). The paper's rdx_* calls in one flow.
+  template <class Source>
+  void Inject(CodeFlow& flow, const Source& src, int hook,
+              std::function<void(StatusOr<InjectTrace>)> done);
   void InjectExtension(CodeFlow& flow, const bpf::Program& prog, int hook,
-                       std::function<void(StatusOr<InjectTrace>)> done);
+                       std::function<void(StatusOr<InjectTrace>)> done) {
+    Inject(flow, prog, hook, std::move(done));
+  }
   void InjectWasmFilter(CodeFlow& flow, const wasm::FilterModule& module,
                         int hook,
-                        std::function<void(StatusOr<InjectTrace>)> done);
+                        std::function<void(StatusOr<InjectTrace>)> done) {
+    Inject(flow, module, hook, std::move(done));
+  }
   // Reverts `hook` to its previous committed version in microseconds
   // (desc re-commit; no re-transfer). §4 "rollback and hot-patching".
   void Rollback(CodeFlow& flow, int hook, Done done);
@@ -372,10 +488,8 @@ class ControlPlane {
 
   // ---- accessors ----
   sim::EventQueue& events() { return events_; }
-  rdma::Fabric& fabric() { return fabric_; }
   rdma::NodeId self() const { return self_; }
   const ControlPlaneConfig& config() const { return config_; }
-  ControlPlaneConfig& mutable_config() { return config_; }
   sim::CpuScheduler& cpu() { return cpu_; }
   const ArtifactCache& artifact_cache() const { return artifacts_; }
   std::uint64_t compile_cache_hits() const { return artifacts_.hits(); }
@@ -386,44 +500,97 @@ class ControlPlane {
   friend class RecoveryManager;
   struct PendingOp {
     std::function<void(const rdma::WorkCompletion&)> on_complete;
+    // What an implied completion of this WR reports.
+    rdma::Opcode opcode;
+    std::uint32_t byte_len;
   };
 
-  // Posts a WR on the flow's QP; `done` fires with the completion.
-  void Post(CodeFlow& flow, rdma::SendWr wr,
-            std::function<void(const rdma::WorkCompletion&)> done);
-  // Posts a doorbell-batched chain on the flow's QP; `per_wr_done` fires
-  // once per WR completion (RC order).
+  // The one post path: registers a pending completion per WR, inlines
+  // WRITEs that fit the WQE, renews the target's health lease on success,
+  // and surfaces an error completion for any WR the QP rejected. Several
+  // WRs go out as one doorbell-batched chain; `per_wr_done` fires once per
+  // WR in RC order (unsignaled successes are implied by later CQEs).
   void PostChain(CodeFlow& flow, std::vector<rdma::SendWr> wrs,
                  std::function<void(const rdma::WorkCompletion&)> per_wr_done);
+  // A one-WR, always-signaled PostChain.
+  void Post(CodeFlow& flow, rdma::SendWr wr,
+            std::function<void(const rdma::WorkCompletion&)> done);
+  // A WR on the flow's rkey whose local side is fresh scratch in local
+  // DRAM: the WRITE source or the READ/atomic landing buffer.
+  StatusOr<rdma::SendWr> ScratchWr(CodeFlow& flow, rdma::Opcode op,
+                                   std::uint64_t remote_addr,
+                                   std::uint64_t len = 8);
+  // Single-WR one-sided verbs. A failed completion reports
+  // Unavailable(`failure`). A READ hands the bytes to `next` and any
+  // failure to `fail`.
+  void RemoteRead(CodeFlow& flow, std::uint64_t remote_addr,
+                  std::uint64_t len, const char* failure, Done fail,
+                  std::function<void(Bytes)> next);
+  // CAS (`compare_add` expected, `swap` new) or FETCH_ADD (`compare_add`
+  // delta); `done` gets the original remote word.
+  void RemoteAtomic(CodeFlow& flow, rdma::Opcode op, std::uint64_t remote_addr,
+                    std::uint64_t compare_add, std::uint64_t swap,
+                    const char* failure,
+                    std::function<void(StatusOr<std::uint64_t>)> done);
+  // Reads an XState's header to learn its geometry, then hands its whole
+  // storage to `next`; any failure goes to `fail`. `ring` additionally
+  // requires a ring buffer.
+  void ReadXState(CodeFlow& flow, std::uint64_t xstate_addr, bool ring,
+                  Done fail, std::function<void(Bytes)> next);
   // Shared tail of CreateCodeFlow/ReconnectCodeFlow: RDMA-read the
   // control block, then the symbol table, and populate the flow.
-  void Handshake(CodeFlow* flow,
-                 std::function<void(StatusOr<CodeFlow*>)> done);
+  void Handshake(CodeFlow* flow, Done done);
   // Allocates `bytes` in the remote scratchpad via FETCH_ADD on brk.
   void RemoteAlloc(CodeFlow& flow, std::uint64_t bytes,
                    std::function<void(StatusOr<std::uint64_t>)> done);
   // Writes `payload` to `remote_addr` in chunks; done after the last WR.
   void WriteChunked(CodeFlow& flow, Bytes payload, std::uint64_t remote_addr,
                     Done done);
-  // Commits desc_addr into the hook slot and schedules CPU visibility.
+  void WriteQword(CodeFlow& flow, std::uint64_t remote_addr,
+                  std::uint64_t value, Done done);
+  // Commits desc_addr into the hook slot (under the sandbox lock with
+  // use_lock) and makes it visible.
   void CommitHook(CodeFlow& flow, int hook, std::uint64_t desc_addr,
                   Done done);
-  // Post-commit tail shared by the write and CAS commit paths: local +
-  // remote epoch bump, then the cc_event flush (or eviction-delay
-  // refresh) that makes the new slot visible to the data-plane CPU.
-  void CommitVisibility(CodeFlow& flow, int hook, Done done);
-  // Updates the flow's per-hook bookkeeping after a successful commit of
-  // `prepared` (history push, reclaim of superseded regions).
-  void RecordCommit(CodeFlow& flow, int hook, const PreparedImage& prepared);
-  // Allocates an 8-byte landing buffer in local DRAM for READ/atomics.
-  StatusOr<std::uint64_t> LocalScratch(std::uint64_t bytes);
+  // The one commit tail: the optional hook-slot write of `slot_desc`, the
+  // epoch FAA, then the cc_event flush (or, without use_cc_event, the
+  // eviction-delay refresh). With use_doorbell_batching && use_cc_event
+  // and `may_chain`, all of it is one doorbell-batched chain; otherwise
+  // each WR is its own post.
+  void CommitTail(CodeFlow& flow, int hook,
+                  std::optional<std::uint64_t> slot_desc, bool may_chain,
+                  Done done);
+  // Wraps `done` so that a successful commit of `prepared` first updates
+  // the flow's per-hook bookkeeping: history push, then reclaim of the
+  // regions beyond hook_history_depth.
+  Done RecordCommit(CodeFlow& flow, int hook, const PreparedImage& prepared,
+                    Done done);
+  // One READ of `count` HealthBlocks starting at `first_hook`.
+  void ReadHealthBlocks(CodeFlow& flow, int first_hook, std::uint64_t count,
+                        const char* failure, Done fail,
+                        std::function<void(std::vector<HealthView>)> next);
 
+  // ValidateCode / JitCompileCode with the source's fingerprint `fp`
+  // already computed.
+  template <class Source>
+  void ValidateCode(const Source& src, std::uint64_t fp, Done done);
+  template <class Source>
+  void JitCompileCode(
+      const Source& src, std::uint64_t fp,
+      std::function<void(StatusOr<const ImageOf<Source>*>)> done);
+  // Deploys the XStates in `maps[i..]` the node lacks, one at a time.
+  void DeployXStates(CodeFlow& flow,
+                     std::shared_ptr<const std::vector<bpf::MapSpec>> maps,
+                     std::size_t i, Done done);
+  // DeployXStates, then LinkCode; with `trace`, records both phases.
+  template <class Source>
+  void EnsureAndLink(CodeFlow& flow, const Source& src,
+                     const ImageOf<Source>& image,
+                     std::function<void(StatusOr<ImageOf<Source>>)> done,
+                     InjectTrace* trace);
   void DeployImageBytes(CodeFlow& flow, Bytes image_bytes, int hook,
                         std::uint64_t version, Done done,
                         InjectTrace* trace, std::uint64_t fingerprint = 0);
-  // Drops superseded history entries beyond hook_history_depth: zeroes
-  // the old desc's refcount over RDMA and accounts the freed bytes.
-  void ReclaimSupersededImages(CodeFlow& flow, int hook);
   // Tail of QuarantineHook once the slot is known contained: epoch bump,
   // flush, blacklist + bookkeeping repair. `started` is when the CAS was
   // posted, so the recorded quarantine span covers the whole window.
@@ -460,10 +627,5 @@ class ControlPlane {
 
   telemetry::Tracer* tracer_ = nullptr;  // not owned; optional
 };
-
-// Fingerprint of a source program (pre-JIT), used for the verify/compile
-// caches.
-std::uint64_t ProgramFingerprint(const bpf::Program& prog);
-std::uint64_t WasmFingerprint(const wasm::FilterModule& module);
 
 }  // namespace rdx::core

@@ -15,27 +15,12 @@ void Inspector::Inspect(CodeFlow& flow, int hook,
   }
 
   // Step 1: read the hook slot.
-  auto slot_buf = cp_.LocalScratch(8);
-  if (!slot_buf.ok()) {
-    done(slot_buf.status());
-    return;
-  }
-  rdma::SendWr read_slot;
-  read_slot.opcode = rdma::Opcode::kRead;
-  read_slot.local = {slot_buf.value(), 8, cp_.local_mr_.lkey};
-  read_slot.remote_addr =
-      flow.remote_view_.hook_table_addr + static_cast<std::uint64_t>(hook) * 8;
-  read_slot.rkey = flow.rkey;
-  cp_.Post(flow, read_slot, [this, &flow, hook, expected_desc,
-                             expected_version, slot_buf = slot_buf.value(),
-                             done = std::move(done)](
-                                const rdma::WorkCompletion& wc) mutable {
-    if (wc.status != rdma::WcStatus::kSuccess) {
-      done(Unavailable("hook slot read failed"));
-      return;
-    }
-    auto& mem = cp_.fabric_.node(cp_.self_).memory();
-    const std::uint64_t desc_addr = mem.ReadU64(slot_buf).value();
+  cp_.RemoteRead(flow, flow.remote_view_.hook_table_addr +
+                           static_cast<std::uint64_t>(hook) * 8,
+                 8, "hook slot read failed", done,
+                 [this, &flow, hook, expected_desc, expected_version,
+                  done](Bytes slot) {
+    const std::uint64_t desc_addr = LoadLE<std::uint64_t>(slot.data());
     InspectReport report;
     report.hook = hook;
     report.deployed = desc_addr != 0;
@@ -46,65 +31,26 @@ void Inspector::Inspect(CodeFlow& flow, int hook,
     }
 
     // Step 2: read the ImageDesc.
-    auto desc_buf = cp_.LocalScratch(kImageDescBytes);
-    if (!desc_buf.ok()) {
-      done(desc_buf.status());
-      return;
-    }
-    rdma::SendWr read_desc;
-    read_desc.opcode = rdma::Opcode::kRead;
-    read_desc.local = {desc_buf.value(), kImageDescBytes, cp_.local_mr_.lkey};
-    read_desc.remote_addr = desc_addr;
-    read_desc.rkey = flow.rkey;
-    cp_.Post(flow, read_desc, [this, &flow, report, expected_version,
-                               desc_buf = desc_buf.value(),
-                               done = std::move(done)](
-                                  const rdma::WorkCompletion& wc2) mutable {
-      if (wc2.status != rdma::WcStatus::kSuccess) {
-        done(Unavailable("ImageDesc read failed"));
-        return;
-      }
-      auto& mem = cp_.fabric_.node(cp_.self_).memory();
-      const std::uint64_t image_addr =
-          mem.ReadU64(desc_buf + kDescImageAddr).value();
-      const std::uint64_t image_len =
-          mem.ReadU64(desc_buf + kDescImageLen).value();
-      const std::uint64_t version =
-          mem.ReadU64(desc_buf + kDescVersion).value();
-      const std::uint64_t signature =
-          mem.ReadU64(desc_buf + kDescSignature).value();
-      report.observed_version = version;
+    cp_.RemoteRead(flow, desc_addr, kImageDescBytes, "ImageDesc read failed",
+                   done, [this, &flow, report, expected_version,
+                          done](Bytes desc) mutable {
+      auto word = [&](std::uint64_t off) {
+        return LoadLE<std::uint64_t>(desc.data() + off);
+      };
+      const std::uint64_t image_addr = word(kDescImageAddr);
+      const std::uint64_t image_len = word(kDescImageLen);
+      const std::uint64_t signature = word(kDescSignature);
+      report.observed_version = word(kDescVersion);
       report.observed_image_len = image_len;
-      report.version_matches = version == expected_version;
+      report.version_matches = report.observed_version == expected_version;
       if (image_len == 0 || image_len > (64u << 20)) {
         done(report);  // implausible length: checksum_ok stays false
         return;
       }
 
       // Step 3: read the image bytes and verify.
-      auto image_buf = cp_.LocalScratch(image_len);
-      if (!image_buf.ok()) {
-        done(image_buf.status());
-        return;
-      }
-      rdma::SendWr read_image;
-      read_image.opcode = rdma::Opcode::kRead;
-      read_image.local = {image_buf.value(),
-                          static_cast<std::uint32_t>(image_len),
-                          cp_.local_mr_.lkey};
-      read_image.remote_addr = image_addr;
-      read_image.rkey = flow.rkey;
-      cp_.Post(flow, read_image, [this, report, image_len, signature,
-                                  image_buf = image_buf.value(),
-                                  done = std::move(done)](
-                                     const rdma::WorkCompletion& wc3) mutable {
-        if (wc3.status != rdma::WcStatus::kSuccess) {
-          done(Unavailable("image read failed"));
-          return;
-        }
-        auto& mem = cp_.fabric_.node(cp_.self_).memory();
-        Bytes image(image_len);
-        (void)mem.Read(image_buf, image);
+      cp_.RemoteRead(flow, image_addr, image_len, "image read failed", done,
+                     [this, report, signature, done](Bytes image) mutable {
         if (image.size() >= 4) {
           const std::uint32_t magic = LoadLE<std::uint32_t>(image.data());
           if (magic == 0x4a584452u) {

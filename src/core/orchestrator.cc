@@ -424,28 +424,22 @@ void Orchestrator::RunAction(
 void Orchestrator::DeployOne(const ExtensionDecl& decl, const Action& action,
                              CodeFlow* flow,
                              std::function<void(Status)> done) {
-  if (recovery_ != nullptr && action.max_retries > 0) {
-    auto adapt = [done = std::move(done)](StatusOr<RecoveryOutcome> r) {
-      done(r.ok() ? OkStatus() : r.status());
-    };
-    if (decl.is_wasm) {
-      recovery_->DeployWasmReliably(*flow, filters_.at(decl.name), decl.hook,
-                                    std::move(adapt), action.max_retries);
+  auto deploy = [&](const auto& src) {
+    // The recovery layer engages when the action asks for retries.
+    if (recovery_ != nullptr && action.max_retries > 0) {
+      recovery_->DeployReliably(
+          *flow, src, decl.hook,
+          [done](StatusOr<RecoveryOutcome> r) { done(r.status()); },
+          action.max_retries);
     } else {
-      recovery_->DeployReliably(*flow, programs_.at(decl.name), decl.hook,
-                                std::move(adapt), action.max_retries);
+      cp_.Inject(*flow, src, decl.hook,
+                 [done](StatusOr<InjectTrace> r) { done(r.status()); });
     }
-    return;
-  }
-  auto adapt = [done = std::move(done)](StatusOr<InjectTrace> r) {
-    done(r.ok() ? OkStatus() : r.status());
   };
   if (decl.is_wasm) {
-    cp_.InjectWasmFilter(*flow, filters_.at(decl.name), decl.hook,
-                         std::move(adapt));
+    deploy(filters_.at(decl.name));
   } else {
-    cp_.InjectExtension(*flow, programs_.at(decl.name), decl.hook,
-                        std::move(adapt));
+    deploy(programs_.at(decl.name));
   }
 }
 

@@ -33,38 +33,27 @@ struct RecoveryManager::AttemptState {
   sim::EventQueue::EventId deadline_id = 0;
 };
 
-void RecoveryManager::DeployReliably(CodeFlow& flow, const bpf::Program& prog,
+template <class Source>
+void RecoveryManager::DeployReliably(CodeFlow& flow, const Source& src,
                                      int hook, DeployDone done,
                                      int max_retries) {
   CodeFlow* f = &flow;
   ControlPlane& cp = cp_;
   Start(
       flow, hook,
-      [f, &cp, prog, hook](std::function<void(Status)> verdict) {
-        cp.InjectExtension(*f, prog, hook,
-                           [verdict = std::move(verdict)](
-                               StatusOr<InjectTrace> r) { verdict(r.status()); });
+      [f, &cp, src, hook](std::function<void(Status)> verdict) {
+        cp.Inject(*f, src, hook,
+                  [verdict = std::move(verdict)](StatusOr<InjectTrace> r) {
+                    verdict(r.status());
+                  });
       },
       std::move(done), max_retries);
 }
-
-void RecoveryManager::DeployWasmReliably(CodeFlow& flow,
-                                         const wasm::FilterModule& module,
-                                         int hook, DeployDone done,
-                                         int max_retries) {
-  CodeFlow* f = &flow;
-  ControlPlane& cp = cp_;
-  Start(
-      flow, hook,
-      [f, &cp, module, hook](std::function<void(Status)> verdict) {
-        cp.InjectWasmFilter(
-            *f, module, hook,
-            [verdict = std::move(verdict)](StatusOr<InjectTrace> r) {
-              verdict(r.status());
-            });
-      },
-      std::move(done), max_retries);
-}
+template void RecoveryManager::DeployReliably(CodeFlow&, const bpf::Program&,
+                                              int, DeployDone, int);
+template void RecoveryManager::DeployReliably(CodeFlow&,
+                                              const wasm::FilterModule&, int,
+                                              DeployDone, int);
 
 void RecoveryManager::Start(
     CodeFlow& flow, int hook,

@@ -61,12 +61,11 @@ class RecoveryManager {
   RecoveryManager(const RecoveryManager&) = delete;
   RecoveryManager& operator=(const RecoveryManager&) = delete;
 
-  // InjectExtension / InjectWasmFilter with the full recovery treatment.
-  // `max_retries` < 0 uses the policy default.
-  void DeployReliably(CodeFlow& flow, const bpf::Program& prog, int hook,
+  // ControlPlane::Inject (an eBPF program or a Wasm filter) with the full
+  // recovery treatment. `max_retries` < 0 uses the policy default.
+  template <class Source>
+  void DeployReliably(CodeFlow& flow, const Source& src, int hook,
                       DeployDone done, int max_retries = -1);
-  void DeployWasmReliably(CodeFlow& flow, const wasm::FilterModule& module,
-                          int hook, DeployDone done, int max_retries = -1);
 
   bool Healthy(const CodeFlow& flow) const {
     return cp_.NodeHealthy(flow.node(), policy_.lease);

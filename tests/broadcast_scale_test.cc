@@ -307,12 +307,14 @@ TEST(ArtifactCache, BlacklistEvictsCachedArtifact) {
   const std::uint64_t fp = core::ProgramFingerprint(prog);
 
   ASSERT_TRUE(cluster.Inject(0, prog, /*hook=*/1).ok());
-  EXPECT_TRUE(cluster.cp->artifact_cache().ContainsEbpf(fp));
+  EXPECT_TRUE(cluster.cp->artifact_cache().HasImage(
+      core::ArtifactCache::Kind::kEbpf, fp));
 
   // Quarantining the fingerprint must also evict the cached artifact so
   // a cache hit can never resurrect a quarantined program.
   cluster.cp->BlacklistFingerprint(fp);
-  EXPECT_FALSE(cluster.cp->artifact_cache().ContainsEbpf(fp));
+  EXPECT_FALSE(cluster.cp->artifact_cache().HasImage(
+      core::ArtifactCache::Kind::kEbpf, fp));
   EXPECT_GE(cluster.cp->artifact_cache().invalidations(), 1u);
 
   auto redeploy = cluster.Inject(1, prog, /*hook=*/1);

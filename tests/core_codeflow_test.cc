@@ -3,10 +3,14 @@
 // fabric, XState, sync primitives, rollback, and collective broadcast.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <tuple>
+
 #include "bpf/assembler.h"
 #include "bpf/proggen.h"
 #include "core/broadcast.h"
 #include "core/codeflow.h"
+#include "wasm/filter.h"
 
 namespace rdx::core {
 namespace {
@@ -324,6 +328,156 @@ TEST(Broadcast, DeploysToAllNodesWithTightCommitWindow) {
     EXPECT_EQ(r->r0, 9u);
   }
 }
+
+// The desc address committed in `hook`'s slot, read from the node itself.
+std::uint64_t SlotDesc(Cluster& cluster, int node, int hook) {
+  return cluster.sandboxes[node]
+      ->node()
+      .memory()
+      .ReadU64(cluster.flows[node]->remote_view().hook_table_addr +
+               static_cast<std::uint64_t>(hook) * 8)
+      .value();
+}
+
+// Quarantines whatever node 0 runs at `hook` (revert target: detach).
+void QuarantineNode0(Cluster& cluster, int hook) {
+  bool done = false;
+  cluster.cp->QuarantineHook(*cluster.flows[0], hook,
+                             SlotDesc(cluster, 0, hook), /*good_desc=*/0,
+                             [&](Status s) {
+                               ASSERT_TRUE(s.ok()) << s.ToString();
+                               done = true;
+                             });
+  cluster.events.Run();
+  ASSERT_TRUE(done);
+}
+
+TEST(Broadcast, QuarantineAfterBroadcastBlacklistsProgram) {
+  Cluster cluster(2);
+  CollectiveCodeFlow group(*cluster.cp, cluster.flows);
+  bpf::Program prog = CounterProgram();
+  bool done = false;
+  group.Broadcast(prog, 0, nullptr, [&](StatusOr<BroadcastResult> r) {
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    done = true;
+  });
+  cluster.events.Run();
+  ASSERT_TRUE(done);
+
+  QuarantineNode0(cluster, 0);
+  EXPECT_TRUE(cluster.cp->IsBlacklisted(ProgramFingerprint(prog)));
+  Status redeploy;
+  cluster.cp->ValidateCode(prog, [&](Status s) { redeploy = s; });
+  cluster.events.Run();
+  EXPECT_EQ(redeploy.code(), StatusCode::kPermissionDenied);
+}
+
+TEST(Broadcast, QuarantineAfterBroadcastWasmBlacklistsFilter) {
+  Cluster cluster(2);
+  CollectiveCodeFlow group(*cluster.cp, cluster.flows);
+  const wasm::FilterModule filter = wasm::GenerateFilter(200, 4);
+  bool done = false;
+  group.BroadcastWasm({&filter, &filter}, 1, nullptr,
+                      [&](StatusOr<BroadcastResult> r) {
+                        ASSERT_TRUE(r.ok()) << r.status().ToString();
+                        done = true;
+                      });
+  cluster.events.Run();
+  ASSERT_TRUE(done);
+
+  QuarantineNode0(cluster, 1);
+  EXPECT_TRUE(cluster.cp->IsBlacklisted(WasmFingerprint(filter)));
+  Status redeploy;
+  cluster.cp->ValidateCode(filter, [&](Status s) { redeploy = s; });
+  cluster.events.Run();
+  EXPECT_EQ(redeploy.code(), StatusCode::kPermissionDenied);
+}
+
+// Every (use_doorbell_batching, use_cc_event) baseline commits through the
+// one commit tail: the epoch FAA and the cc_event flush share the commit's
+// doorbell only when both are on, and are separate posts otherwise.
+class CommitTailTest
+    : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
+
+TEST_P(CommitTailTest, CasAndWriteCommitsBecomeVisible) {
+  const auto [batching, cc_event] = GetParam();
+  const bool chained = batching && cc_event;
+  ControlPlaneConfig config;
+  config.use_doorbell_batching = batching;
+  config.use_cc_event = cc_event;
+  Cluster cluster(1, config);
+  CodeFlow& flow = *cluster.flows[0];
+  Sandbox& sandbox = *cluster.sandboxes[0];
+
+  bool injected = false;
+  cluster.cp->InjectExtension(flow, CounterProgram(), 0,
+                              [&](StatusOr<InjectTrace> r) {
+                                ASSERT_TRUE(r.ok())
+                                    << r.status().ToString();
+                                injected = true;
+                              });
+  cluster.events.Run();
+  ASSERT_TRUE(injected);
+  const std::uint64_t v1_desc = SlotDesc(cluster, 0, 0);
+
+  // Prepare v2 and CAS-commit it over v1.
+  const bpf::Program prog2 =
+      bpf::GenerateProgram({.target_insns = 200, .seed = 5});
+  const bpf::JitImage* image = nullptr;
+  cluster.cp->Build(prog2, [&](StatusOr<const bpf::JitImage*> r) {
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    image = r.value();
+  });
+  cluster.events.Run();
+  ASSERT_NE(image, nullptr);
+  std::optional<ControlPlane::PreparedImage> prepared;
+  cluster.cp->LinkAndPrepare(
+      flow, prog2, *image, 0, ProgramFingerprint(prog2),
+      [&](StatusOr<ControlPlane::PreparedImage> p) {
+        ASSERT_TRUE(p.ok()) << p.status().ToString();
+        prepared = p.value();
+      });
+  cluster.events.Run();
+  ASSERT_TRUE(prepared.has_value());
+
+  std::uint64_t doorbells = cluster.fabric.doorbells_rung();
+  std::uint64_t chained_wrs = cluster.fabric.chained_wrs();
+  bool committed = false;
+  cluster.cp->CommitPreparedCas(flow, 0, *prepared, v1_desc, [&](Status s) {
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    committed = true;
+  });
+  cluster.events.Run();
+  ASSERT_TRUE(committed);
+  EXPECT_EQ(flow.HookVersion(0), 2u);
+  EXPECT_EQ(sandbox.CommittedVersion(0), 2u);
+  EXPECT_EQ(sandbox.VisibleVersion(0), sandbox.CommittedVersion(0));
+  // The CAS, then the FAA + flush: one chain, or one post each.
+  EXPECT_EQ(cluster.fabric.doorbells_rung() - doorbells,
+            chained ? 2u : (cc_event ? 3u : 2u));
+  EXPECT_EQ(cluster.fabric.chained_wrs() - chained_wrs, chained ? 2u : 0u);
+
+  // Rollback commits by slot write: write + FAA + flush.
+  doorbells = cluster.fabric.doorbells_rung();
+  chained_wrs = cluster.fabric.chained_wrs();
+  bool rolled_back = false;
+  cluster.cp->Rollback(flow, 0, [&](Status s) {
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    rolled_back = true;
+  });
+  cluster.events.Run();
+  ASSERT_TRUE(rolled_back);
+  EXPECT_EQ(SlotDesc(cluster, 0, 0), v1_desc);
+  EXPECT_EQ(sandbox.CommittedVersion(0), 1u);
+  EXPECT_EQ(sandbox.VisibleVersion(0), sandbox.CommittedVersion(0));
+  EXPECT_EQ(cluster.fabric.doorbells_rung() - doorbells,
+            chained ? 1u : (cc_event ? 3u : 2u));
+  EXPECT_EQ(cluster.fabric.chained_wrs() - chained_wrs, chained ? 3u : 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(BatchingCcEvent, CommitTailTest,
+                         ::testing::Combine(::testing::Bool(),
+                                            ::testing::Bool()));
 
 TEST(VanillaMode, InPlaceRewriteCanTearImages) {
   ControlPlaneConfig vanilla;
