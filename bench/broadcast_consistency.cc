@@ -77,13 +77,13 @@ Outcome RunUpdate(Mode mode, const mesh::AppSpec& app, std::uint64_t seed) {
   core::CollectiveCodeFlow group(cp, flows);
   switch (mode) {
     case Mode::kAgent: {
-      controller.RolloutWasm(v2, 0, app.DependencyWaves(),
-                             [&](StatusOr<agent::RolloutResult> r) {
-                               if (!r.ok()) std::abort();
-                               outcome.window_ms =
-                                   sim::ToMillis(r->inconsistency_window);
-                               done = true;
-                             });
+      controller.Rollout(v2, 0, app.DependencyWaves(),
+                         [&](StatusOr<agent::RolloutResult> r) {
+                           if (!r.ok()) std::abort();
+                           outcome.window_ms =
+                               sim::ToMillis(r->inconsistency_window);
+                           done = true;
+                         });
       break;
     }
     case Mode::kRdx:

@@ -28,7 +28,7 @@ int main() {
           {.target_insns = size, .seed = static_cast<std::uint64_t>(rep + 1)});
       bool done = false;
       agent::AgentTrace trace;
-      cluster.nodes[0].agent->LoadExtension(
+      cluster.nodes[0].agent->Load(
           prog, /*hook=*/0, [&](StatusOr<agent::AgentTrace> r) {
             if (!r.ok()) std::abort();
             trace = r.value();

@@ -43,13 +43,13 @@ int main() {
       wasm::FilterModule filter = wasm::GenerateFilter(
           600, static_cast<std::uint64_t>(rep + 1));
       done = false;
-      cluster.controller->RolloutWasm(filter, 1, waves,
-                                      [&](StatusOr<agent::RolloutResult> r) {
-                                        if (!r.ok()) std::abort();
-                                        wasm_ms.Add(sim::ToMillis(
-                                            r->inconsistency_window));
-                                        done = true;
-                                      });
+      cluster.controller->Rollout(filter, 1, waves,
+                                  [&](StatusOr<agent::RolloutResult> r) {
+                                    if (!r.ok()) std::abort();
+                                    wasm_ms.Add(sim::ToMillis(
+                                        r->inconsistency_window));
+                                    done = true;
+                                  });
       cluster.RunUntilFlag(done);
     }
     bench::PrintRow({app.name, bench::FmtInt(app.size()),

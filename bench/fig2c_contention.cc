@@ -72,8 +72,8 @@ Point RunWindow(bool agent_path, int updates_per_10s, std::uint64_t seed) {
           5000, static_cast<std::uint64_t>(u + 1));
       for (std::size_t svc = 0; svc < sim.size(); ++svc) {
         if (agent_path) {
-          agents[svc]->LoadWasmFilter(filter, 0,
-                                      [](StatusOr<agent::AgentTrace>) {});
+          agents[svc]->Load(filter, 0,
+                            [](StatusOr<agent::AgentTrace>) {});
         } else {
           cp.InjectWasmFilter(*flows[svc], filter, 0,
                               [](StatusOr<core::InjectTrace>) {});

@@ -26,7 +26,7 @@ int main() {
           {.target_insns = size, .seed = static_cast<std::uint64_t>(rep + 1)});
 
       bool agent_done = false;
-      cluster.nodes[0].agent->LoadExtension(
+      cluster.nodes[0].agent->Load(
           prog, 0, [&](StatusOr<agent::AgentTrace> r) {
             if (!r.ok()) std::abort();
             agent_ms.Add(sim::ToMillis(r->total));

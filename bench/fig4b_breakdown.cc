@@ -19,7 +19,7 @@ int main() {
   Summary queue_ms, verify_ms, jit_ms, attach_ms, agent_total_ms;
   for (int rep = 0; rep < kReps; ++rep) {
     bool done = false;
-    cluster.nodes[0].agent->LoadExtension(
+    cluster.nodes[0].agent->Load(
         prog, 0, [&](StatusOr<agent::AgentTrace> r) {
           if (!r.ok()) std::abort();
           queue_ms.Add(sim::ToMillis(r->queue));

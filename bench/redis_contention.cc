@@ -39,7 +39,7 @@ double RunStore(bool agent_path, std::uint64_t seed) {
   bpf::Program prog = bpf::GenerateProgram({.target_insns = 800, .seed = 5});
   bool attached = false;
   if (agent_path) {
-    node_agent.LoadExtension(prog, 0, [&](StatusOr<agent::AgentTrace> r) {
+    node_agent.Load(prog, 0, [&](StatusOr<agent::AgentTrace> r) {
       if (!r.ok()) std::abort();
       attached = true;
     });
@@ -62,8 +62,8 @@ double RunStore(bool agent_path, std::uint64_t seed) {
       bpf::Program update = bpf::GenerateProgram(
           {.target_insns = 800, .seed = static_cast<std::uint64_t>(n + 10)});
       if (agent_path) {
-        node_agent.LoadExtension(update, 0,
-                                 [](StatusOr<agent::AgentTrace>) {});
+        node_agent.Load(update, 0,
+                        [](StatusOr<agent::AgentTrace>) {});
       } else {
         cp.InjectExtension(*flow, update, 0,
                            [](StatusOr<core::InjectTrace>) {});

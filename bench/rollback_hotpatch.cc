@@ -41,7 +41,7 @@ Recovery MeasureRecovery(double load_fraction) {
   // Install stable then buggy on both paths.
   for (const bpf::Program* prog : {&stable, &buggy}) {
     bool agent_done = false, rdx_done = false;
-    cluster.nodes[0].agent->LoadExtension(
+    cluster.nodes[0].agent->Load(
         *prog, 0, [&](StatusOr<agent::AgentTrace> r) {
           if (!r.ok()) std::abort();
           agent_done = true;
@@ -63,7 +63,7 @@ Recovery MeasureRecovery(double load_fraction) {
     bool done = false;
     // The agent must re-run the full local pipeline for the stable
     // version (its caches don't survive the faulty state).
-    cluster.nodes[0].agent->LoadExtension(
+    cluster.nodes[0].agent->Load(
         stable, 0, [&](StatusOr<agent::AgentTrace> r) {
           if (!r.ok()) std::abort();
           done = true;

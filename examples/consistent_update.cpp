@@ -75,13 +75,13 @@ int main() {
     (void)dep.mesh->TakeMetrics();
     bool done = false;
     double window_ms = 0;
-    dep.controller->RolloutWasm(v2, 0, dep.mesh->app().DependencyWaves(),
-                                [&](StatusOr<agent::RolloutResult> r) {
-                                  if (!r.ok()) std::abort();
-                                  window_ms =
-                                      sim::ToMillis(r->inconsistency_window);
-                                  done = true;
-                                });
+    dep.controller->Rollout(v2, 0, dep.mesh->app().DependencyWaves(),
+                            [&](StatusOr<agent::RolloutResult> r) {
+                              if (!r.ok()) std::abort();
+                              window_ms =
+                                  sim::ToMillis(r->inconsistency_window);
+                              done = true;
+                            });
     while (!done && !dep.events.Empty()) dep.events.Step();
     dep.events.RunUntil(dep.events.Now() + sim::Millis(100));
     mesh::MeshMetrics metrics = dep.mesh->TakeMetrics();

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Repository gate: tier-1 verification (full build + every test), a
-# strict -Wall -Wextra -Werror compile of all src/ libraries, a
-# doc-drift guard (docs/wire-contracts.md vs core/layout.h + markdown
-# link check), a golden smoke gate (bench stdout vs bench/golden/), and
-# an ASan+UBSan build + test pass (catches the lifetime/aliasing bugs the
-# guardrail and fault paths are most prone to).
+# strict -Wall -Wextra -Werror compile of all src/ libraries (default and
+# Release builds), a doc-drift guard (docs/wire-contracts.md vs
+# core/layout.h + markdown link check), a golden smoke gate (bench stdout
+# vs bench/golden/), and an ASan+UBSan build + test pass (catches the
+# lifetime/aliasing bugs the guardrail and fault paths are most prone to).
 #
 # Usage: scripts/check.sh            # from anywhere inside the repo
 #        RDX_SKIP_SANITIZERS=1 scripts/check.sh   # quick gate only
@@ -73,13 +73,22 @@ if [[ "$drift" != "0" ]]; then
 fi
 echo "doc guard OK"
 
+src_libs=(rdx_common rdx_sim rdx_rdma rdx_bpf rdx_wasm rdx_telemetry
+          rdx_agent rdx_core rdx_fault rdx_mesh rdx_kvstore)
+
 echo
 echo "== strict: -Wall -Wextra -Werror build of src/ libraries =="
 cmake -B build-werror -S . \
   -DCMAKE_CXX_FLAGS="-Wall -Wextra -Werror" >/dev/null
-cmake --build build-werror -j"$(nproc)" --target \
-  rdx_common rdx_sim rdx_rdma rdx_bpf rdx_wasm rdx_telemetry \
-  rdx_agent rdx_core rdx_fault rdx_mesh rdx_kvstore
+cmake --build build-werror -j"$(nproc)" --target "${src_libs[@]}"
+
+echo
+echo "== strict release: -O3 -Wall -Wextra -Werror build of src/ libraries =="
+# rdxbench builds src/ as Release; -O3 inlining surfaces flow warnings
+# (-Wmaybe-uninitialized) that the default RelWithDebInfo build misses.
+cmake -B build-werror-release -S . -DCMAKE_BUILD_TYPE=Release \
+  -DCMAKE_CXX_FLAGS="-Wall -Wextra -Werror" >/dev/null
+cmake --build build-werror-release -j"$(nproc)" --target "${src_libs[@]}"
 
 echo
 echo "== perf-smoke gate: small_op_fastpath vs checked-in budget =="

@@ -1,6 +1,8 @@
 #include "agent/agent.h"
 
-#include "bpf/jit.h"
+#include <algorithm>
+
+#include "core/for_all.h"
 #include "core/layout.h"
 
 namespace rdx::agent {
@@ -12,274 +14,146 @@ NodeAgent::NodeAgent(sim::EventQueue& events, core::Sandbox& sandbox,
   tracer_ = &*owned_tracer_;
 }
 
-Status NodeAgent::AttachImage(Bytes image_bytes, int hook) {
+Status NodeAgent::AttachImage(const Bytes& image_bytes, int hook) {
   // Local (CPU-side) attach: allocate from this node's scratchpad brk,
-  // write image + desc, swing the hook slot. The local CPU is coherent,
-  // so the new version is visible immediately.
+  // write image + desc, swing the hook slot. Versions count update
+  // *generations* of a hook, so they stay comparable across nodes (needed
+  // for mixed-version detection).
   auto& mem = sandbox_.node().memory();
   const core::ControlBlockView& view = sandbox_.view();
-  RDX_ASSIGN_OR_RETURN(std::uint64_t brk,
+  RDX_ASSIGN_OR_RETURN(const std::uint64_t brk,
                        mem.ReadU64(view.cb_addr + core::kCbScratchBrk));
-  const std::uint64_t image_len = image_bytes.size();
-  const std::uint64_t aligned = (image_len + 63) & ~63ull;
-  const std::uint64_t region = aligned + core::kImageDescBytes;
-  if (brk + region > view.scratch_addr + view.scratch_size) {
+  const Bytes region = core::ComposeImageRegion(
+      image_bytes, brk, sandbox_.CommittedVersion(hook) + 1,
+      /*signing_key=*/0);
+  if (brk + region.size() > view.scratch_addr + view.scratch_size) {
     return ResourceExhausted("sandbox scratchpad exhausted");
   }
   RDX_RETURN_IF_ERROR(
-      mem.WriteU64(view.cb_addr + core::kCbScratchBrk, brk + region));
-
-  const std::uint64_t image_addr = brk;
-  const std::uint64_t desc_addr = brk + aligned;
-  RDX_RETURN_IF_ERROR(mem.Write(image_addr, image_bytes));
-  RDX_RETURN_IF_ERROR(
-      mem.WriteU64(desc_addr + core::kDescImageAddr, image_addr));
-  RDX_RETURN_IF_ERROR(mem.WriteU64(desc_addr + core::kDescImageLen,
-                                   image_len));
-  // Versions count update *generations* of a hook, so they stay
-  // comparable across nodes (needed for mixed-version detection).
-  RDX_RETURN_IF_ERROR(mem.WriteU64(desc_addr + core::kDescVersion,
-                                   sandbox_.CommittedVersion(hook) + 1));
-  RDX_RETURN_IF_ERROR(mem.WriteU64(desc_addr + core::kDescRefcount, 1));
+      mem.WriteU64(view.cb_addr + core::kCbScratchBrk, brk + region.size()));
+  RDX_RETURN_IF_ERROR(mem.Write(brk, region));
   RDX_RETURN_IF_ERROR(mem.WriteU64(
       view.hook_table_addr + static_cast<std::uint64_t>(hook) * 8,
-      desc_addr));
+      brk + region.size() - core::kImageDescBytes));
   // The local CPU is coherent with its own stores: immediate visibility.
   sandbox_.RefreshHookNow(hook);
   return OkStatus();
 }
 
-void NodeAgent::LoadExtension(
-    const bpf::Program& prog, int hook,
-    std::function<void(StatusOr<AgentTrace>)> done) {
-  auto trace = std::make_shared<AgentTrace>();
-  const std::uint32_t pid = static_cast<std::uint32_t>(sandbox_.node().id());
-  const std::uint32_t tid = static_cast<std::uint32_t>(hook);
-  const auto load_id = tracer_->BeginSpan("agent:load", pid, tid);
-  const auto queue_id = tracer_->BeginSpan("agent:queue", pid, tid);
+struct NodeAgent::LoadJob {
+  std::uint32_t pid;
+  std::uint32_t tid;
+  telemetry::Tracer::SpanId load_span;
+  AgentTrace trace;
+  std::function<void(StatusOr<AgentTrace>)> done;
+};
 
-  // Daemon wakeup + config parse.
-  cpu_.Submit(config_.cost.agent_dispatch_cycles, [this, prog, hook, trace,
-                                                   pid, tid, load_id, queue_id,
-                                                   done = std::move(done)]() mutable {
-    tracer_->EndSpan(queue_id);
-    trace->queue = tracer_->SpanDuration(queue_id);
-    const auto verify_id = tracer_->BeginSpan("agent:verify", pid, tid);
-    // Verification: real work, charged to this node's CPU.
-    const Status verdict = bpf::Verifier().Verify(prog);
-    cpu_.Submit(config_.cost.VerifyCycles(prog.size()), [this, prog, hook,
-                                                         trace, pid, tid,
-                                                         load_id, verify_id,
-                                                         verdict,
-                                                         done = std::move(
-                                                             done)]() mutable {
-      tracer_->EndSpan(verify_id);
-      trace->verify = tracer_->SpanDuration(verify_id);
-      if (!verdict.ok()) {
-        tracer_->EndSpan(load_id);
-        done(verdict);
+void NodeAgent::Stage(std::shared_ptr<LoadJob> job, const char* name,
+                      std::uint64_t cycles, sim::Duration AgentTrace::*field,
+                      std::function<void()> next) {
+  const auto span = tracer_->BeginSpan(name, job->pid, job->tid);
+  cpu_.Submit(cycles, [this, job = std::move(job), span, field,
+                       next = std::move(next)] {
+    tracer_->EndSpan(span);
+    job->trace.*field = tracer_->SpanDuration(span);
+    next();
+  });
+}
+
+void NodeAgent::Finish(LoadJob& job, const Status& outcome) {
+  tracer_->EndSpan(job.load_span);
+  if (!outcome.ok()) {
+    job.done(outcome);
+    return;
+  }
+  job.trace.total = tracer_->SpanDuration(job.load_span);
+  ++loads_completed_;
+  job.done(job.trace);
+}
+
+template <class Source>
+void NodeAgent::Load(const Source& src, int hook,
+                     std::function<void(StatusOr<AgentTrace>)> done) {
+  using K = core::ExtensionKind<Source>;
+  const auto pid = static_cast<std::uint32_t>(sandbox_.node().id());
+  const auto tid = static_cast<std::uint32_t>(hook);
+  auto job = std::make_shared<LoadJob>(
+      LoadJob{pid, tid, tracer_->BeginSpan("agent:load", pid, tid), {},
+              std::move(done)});
+  auto source = std::make_shared<const Source>(src);
+  // Daemon wakeup + config parse, then the real verifier, compiler and
+  // linker, each stage charged to this node's CPU.
+  Stage(job, "agent:queue", config_.cost.agent_dispatch_cycles,
+        &AgentTrace::queue, [this, job, source, hook] {
+    Stage(job, "agent:verify",
+          (config_.cost.*K::kValidateCycles)(source->size()),
+          &AgentTrace::verify, [this, job, source, hook] {
+      if (Status verdict = K::Validate(*source); !verdict.ok()) {
+        Finish(*job, verdict);
         return;
       }
-      const auto jit_id = tracer_->BeginSpan("agent:jit", pid, tid);
-      auto image = bpf::JitCompiler().Compile(prog);
-      cpu_.Submit(config_.cost.JitCycles(prog.size()), [this, prog, hook,
-                                                        trace, pid, tid,
-                                                        load_id, jit_id,
-                                                        image = std::move(
-                                                            image),
-                                                        done = std::move(
-                                                            done)]() mutable {
-        tracer_->EndSpan(jit_id);
-        trace->jit = tracer_->SpanDuration(jit_id);
+      Stage(job, "agent:jit",
+            (config_.cost.*K::kCompileCycles)(source->size()),
+            &AgentTrace::jit, [this, job, source, hook] {
+        auto image = K::Compile(*source);
         if (!image.ok()) {
-          tracer_->EndSpan(load_id);
-          done(image.status());
+          Finish(*job, image.status());
           return;
         }
-        const auto attach_id = tracer_->BeginSpan("agent:attach", pid, tid);
-        cpu_.Submit(config_.cost.attach_fixed_cycles, [this, prog, hook,
-                                                       trace, load_id,
-                                                       attach_id,
-                                                       image = std::move(
-                                                           image),
-                                                       done = std::move(
-                                                           done)]() mutable {
-          // Link locally: the agent has full local context, so it deploys
-          // each map in its own sandbox and patches addresses directly.
-          bpf::JitImage linked = std::move(image).value();
-          auto& mem = sandbox_.node().memory();
-          for (const bpf::Relocation& reloc : linked.relocs) {
-            if (reloc.kind != bpf::RelocKind::kMapAddress) continue;
-            const bpf::MapSpec& spec = linked.maps[reloc.symbol];
-            // Reuse an already-deployed XState of the same name if the
-            // sandbox has one registered.
-            std::uint64_t addr = 0;
-            for (const auto& [a, s] : sandbox_.runtime().maps) {
-              if (s.name == spec.name) {
-                addr = a;
-                break;
-              }
-            }
-            if (addr == 0) {
-              const std::uint64_t bytes = bpf::MapRequiredBytes(spec);
-              auto alloc = mem.Allocate(bytes, 64);
-              if (!alloc.ok()) {
-                tracer_->EndSpan(attach_id);
-                tracer_->EndSpan(load_id);
-                done(alloc.status());
-                return;
-              }
-              addr = alloc.value();
-              bpf::MapView map_view(mem.SpanForCpu(addr, bytes));
-              Status init = map_view.Init(spec);
-              if (!init.ok()) {
-                tracer_->EndSpan(attach_id);
-                tracer_->EndSpan(load_id);
-                done(init);
-                return;
-              }
-              bpf::MapSpec registered = spec;
-              sandbox_.runtime().maps.emplace(addr, registered);
-            }
-            linked.code[reloc.index].imm64 = addr;
-          }
-          Status attached = AttachImage(linked.Serialize(), hook);
-          if (!attached.ok()) {
-            tracer_->EndSpan(attach_id);
-            tracer_->EndSpan(load_id);
-            done(attached);
-            return;
-          }
-          tracer_->EndSpan(attach_id);
-          tracer_->EndSpan(load_id);
-          trace->attach = tracer_->SpanDuration(attach_id);
-          trace->total = tracer_->SpanDuration(load_id);
-          ++loads_completed_;
-          done(*trace);
-        });
+        Stage(job, "agent:attach", config_.cost.attach_fixed_cycles,
+              &AgentTrace::attach,
+              [this, job, source, hook,
+               image = std::move(image).value()]() mutable {
+                Finish(*job, LinkAndAttach(*source, std::move(image), hook));
+              });
       });
     });
   });
 }
 
-void NodeAgent::LoadWasmFilter(
-    const wasm::FilterModule& module, int hook,
-    std::function<void(StatusOr<AgentTrace>)> done) {
-  auto trace = std::make_shared<AgentTrace>();
-  const std::uint32_t pid = static_cast<std::uint32_t>(sandbox_.node().id());
-  const std::uint32_t tid = static_cast<std::uint32_t>(hook);
-  const auto load_id = tracer_->BeginSpan("agent:load", pid, tid);
-  const auto queue_id = tracer_->BeginSpan("agent:queue", pid, tid);
-  cpu_.Submit(config_.cost.agent_dispatch_cycles, [this, module, hook, trace,
-                                                   pid, tid, load_id, queue_id,
-                                                   done = std::move(done)]() mutable {
-    tracer_->EndSpan(queue_id);
-    trace->queue = tracer_->SpanDuration(queue_id);
-    const auto verify_id = tracer_->BeginSpan("agent:verify", pid, tid);
-    const Status verdict = wasm::ValidateFilter(module);
-    cpu_.Submit(config_.cost.WasmValidateCycles(module.size()), [this,
-                                                                 module, hook,
-                                                                 trace, pid,
-                                                                 tid, load_id,
-                                                                 verify_id,
-                                                                 verdict,
-                                                                 done = std::move(
-                                                                     done)]() mutable {
-      tracer_->EndSpan(verify_id);
-      trace->verify = tracer_->SpanDuration(verify_id);
-      if (!verdict.ok()) {
-        tracer_->EndSpan(load_id);
-        done(verdict);
-        return;
-      }
-      const auto jit_id = tracer_->BeginSpan("agent:jit", pid, tid);
-      auto image = wasm::CompileFilter(module);
-      cpu_.Submit(config_.cost.WasmCompileCycles(module.size()), [this,
-                                                                  hook, trace,
-                                                                  pid, tid,
-                                                                  load_id,
-                                                                  jit_id,
-                                                                  image = std::move(
-                                                                      image),
-                                                                  done = std::move(
-                                                                      done)]() mutable {
-        tracer_->EndSpan(jit_id);
-        trace->jit = tracer_->SpanDuration(jit_id);
-        if (!image.ok()) {
-          tracer_->EndSpan(load_id);
-          done(image.status());
-          return;
-        }
-        const auto attach_id = tracer_->BeginSpan("agent:attach", pid, tid);
-        cpu_.Submit(config_.cost.attach_fixed_cycles, [this, hook, trace,
-                                                       load_id, attach_id,
-                                                       image = std::move(
-                                                           image),
-                                                       done = std::move(
-                                                           done)]() mutable {
-          // Link imports against the local host-function table.
-          wasm::WasmImage linked = std::move(image).value();
-          for (wasm::WasmReloc& reloc : linked.relocs) {
-            auto symbol = core::SymbolHashName("host:",
-                                               reloc.import_name.c_str());
-            // The agent resolves against its own sandbox's symbols via
-            // the same exported table RDX reads remotely.
-            bool found = false;
-            // Host table order mirrors SandboxConfig::wasm_host_fns.
-            const auto& fns =
-                std::vector<std::string>{"get_header", "set_header",
-                                         "counter_incr", "log_event"};
-            for (std::size_t i = 0; i < fns.size(); ++i) {
-              if (fns[i] == reloc.import_name) {
-                reloc.resolved_host_fn = static_cast<std::int32_t>(i);
-                linked.code[reloc.insn_index].imm =
-                    static_cast<std::int64_t>(i);
-                found = true;
-                break;
-              }
-            }
-            (void)symbol;
-            if (!found) {
-              tracer_->EndSpan(attach_id);
-              tracer_->EndSpan(load_id);
-              done(FailedPrecondition("unknown wasm import: " +
-                                      reloc.import_name));
-              return;
-            }
-          }
-          Status attached = AttachImage(linked.Serialize(), hook);
-          if (!attached.ok()) {
-            tracer_->EndSpan(attach_id);
-            tracer_->EndSpan(load_id);
-            done(attached);
-            return;
-          }
-          tracer_->EndSpan(attach_id);
-          tracer_->EndSpan(load_id);
-          trace->attach = tracer_->SpanDuration(attach_id);
-          trace->total = tracer_->SpanDuration(load_id);
-          ++loads_completed_;
-          done(*trace);
-        });
-      });
-    });
-  });
+template <class Source>
+Status NodeAgent::LinkAndAttach(const Source& src, core::ImageOf<Source> image,
+                                int hook) {
+  using K = core::ExtensionKind<Source>;
+  // The agent has full local context: it deploys XStates in its own
+  // sandbox and links against the symbols that sandbox exports — the same
+  // table RDX reads remotely.
+  core::XStateMap xstates;
+  for (const bpf::MapSpec& spec : K::XStates(src)) {
+    RDX_ASSIGN_OR_RETURN(xstates[spec.name], EnsureXState(spec));
+  }
+  const auto exported = sandbox_.ExportedSymbols();
+  const core::SymbolMap symbols(exported.begin(), exported.end());
+  RDX_RETURN_IF_ERROR(K::Link({symbols, xstates}, image));
+  return AttachImage(image.Serialize(), hook);
+}
+
+StatusOr<std::uint64_t> NodeAgent::EnsureXState(const bpf::MapSpec& spec) {
+  // Reuse an already-deployed XState of the same name if the sandbox has
+  // one registered.
+  for (const auto& [addr, registered] : sandbox_.runtime().maps) {
+    if (registered.name == spec.name) return addr;
+  }
+  auto& mem = sandbox_.node().memory();
+  const std::uint64_t bytes = bpf::MapRequiredBytes(spec);
+  RDX_ASSIGN_OR_RETURN(const std::uint64_t addr, mem.Allocate(bytes, 64));
+  RDX_RETURN_IF_ERROR(bpf::MapView(mem.SpanForCpu(addr, bytes)).Init(spec));
+  sandbox_.runtime().maps.emplace(addr, spec);
+  return addr;
 }
 
 void NodeAgent::StartStatePolling() {
   if (polling_ || config_.state_poll_interval <= 0) return;
   polling_ = true;
-  // Weak self-reference: the pending event holds the strong ref, so the
-  // poll loop frees itself once polling stops (no shared_ptr cycle).
-  auto tick = std::make_shared<std::function<void()>>();
-  std::weak_ptr<std::function<void()>> weak = tick;
-  *tick = [this, weak] {
-    auto self = weak.lock();
-    if (!polling_ || !self) return;
+  SchedulePoll();
+}
+
+void NodeAgent::SchedulePoll() {
+  events_.ScheduleAfter(config_.state_poll_interval, [this] {
+    if (!polling_) return;
     cpu_.Submit(config_.cost.agent_state_poll_cycles, [] {});
-    events_.ScheduleAfter(config_.state_poll_interval, [self] { (*self)(); });
-  };
-  events_.ScheduleAfter(config_.state_poll_interval, [tick] { (*tick)(); });
+    SchedulePoll();
+  });
 }
 
 void NodeAgent::StopStatePolling() { polling_ = false; }
@@ -297,114 +171,95 @@ sim::Duration AgentController::SamplePushDelay(std::size_t config_bytes) {
   return config_.push_base_delay + wire + jitter;
 }
 
-void AgentController::PushExtension(
-    std::size_t agent_index, const bpf::Program& prog, int hook,
-    std::function<void(StatusOr<AgentTrace>)> done) {
+namespace {
+// Marshalled config size per source instruction.
+template <class Source>
+constexpr std::size_t kConfigBytesPerInsn = 8;
+template <>
+constexpr std::size_t kConfigBytesPerInsn<wasm::FilterModule> = 9;
+}  // namespace
+
+template <class Source>
+void AgentController::Push(std::size_t agent_index, const Source& src,
+                           int hook,
+                           std::function<void(StatusOr<AgentTrace>)> done) {
   NodeAgent* node_agent = agents_.at(agent_index);
-  const sim::Duration delay = SamplePushDelay(prog.size() * 8 + 256);
-  events_.ScheduleAfter(delay, [node_agent, prog, hook,
+  const sim::Duration delay =
+      SamplePushDelay(src.size() * kConfigBytesPerInsn<Source> + 256);
+  events_.ScheduleAfter(delay, [node_agent, src, hook,
                                 done = std::move(done)]() mutable {
-    node_agent->LoadExtension(prog, hook, std::move(done));
+    node_agent->Load(src, hook, std::move(done));
   });
 }
 
-void AgentController::PushWasmFilter(
-    std::size_t agent_index, const wasm::FilterModule& module, int hook,
-    std::function<void(StatusOr<AgentTrace>)> done) {
-  NodeAgent* node_agent = agents_.at(agent_index);
-  const sim::Duration delay = SamplePushDelay(module.size() * 9 + 256);
-  events_.ScheduleAfter(delay, [node_agent, module, hook,
-                                done = std::move(done)]() mutable {
-    node_agent->LoadWasmFilter(module, hook, std::move(done));
-  });
+struct AgentController::RolloutState {
+  sim::SimTime t0;
+  sim::SimTime last_commit = 0;
+  std::size_t nodes = 0;
+  std::vector<std::vector<std::size_t>> waves;
+  // Push of the rolled-out extension to one agent.
+  std::function<void(std::size_t, std::function<void(StatusOr<AgentTrace>)>)>
+      push;
+  std::function<void(StatusOr<RolloutResult>)> done;
+};
+
+void AgentController::RunWave(std::shared_ptr<RolloutState> st,
+                              std::size_t w) {
+  if (w == st->waves.size()) {
+    st->done(RolloutResult{st->last_commit - st->t0, events_.Now() - st->t0,
+                           st->nodes});
+    return;
+  }
+  const std::vector<std::size_t>& wave = st->waves[w];
+  core::ForAll(
+      wave.size(),
+      [&](std::size_t i, std::function<void(Status)> node_done) {
+        st->push(wave[i], [this, st, node_done](StatusOr<AgentTrace> r) {
+          if (r.ok()) {
+            st->last_commit = std::max(st->last_commit, events_.Now());
+            ++st->nodes;
+          }
+          node_done(r.status());
+        });
+      },
+      [this, st, w](Status wave_status) {
+        if (!wave_status.ok()) {
+          st->done(wave_status);
+        } else {
+          RunWave(st, w + 1);
+        }
+      });
 }
 
-template <typename Spec, typename PushFn>
-void AgentController::RolloutImpl(
-    const Spec& spec, int hook, std::vector<std::vector<std::size_t>> waves,
-    PushFn push, std::function<void(StatusOr<RolloutResult>)> done) {
+template <class Source>
+void AgentController::Rollout(
+    const Source& src, int hook, std::vector<std::vector<std::size_t>> waves,
+    std::function<void(StatusOr<RolloutResult>)> done) {
   if (waves.empty()) {
     waves.emplace_back();
     for (std::size_t i = 0; i < agents_.size(); ++i) waves[0].push_back(i);
   }
-  struct State {
-    sim::SimTime t0;
-    sim::SimTime first_commit = 0;
-    sim::SimTime last_commit = 0;
-    std::size_t nodes = 0;
-    Status error;
-  };
-  auto state = std::make_shared<State>();
-  state->t0 = events_.Now();
-
-  auto run_wave = std::make_shared<std::function<void(std::size_t)>>();
-  auto waves_shared =
-      std::make_shared<std::vector<std::vector<std::size_t>>>(
-          std::move(waves));
-  std::weak_ptr<std::function<void(std::size_t)>> weak = run_wave;
-  *run_wave = [this, state, weak, waves_shared, spec, hook, push,
-               done = std::move(done)](std::size_t w) mutable {
-    auto self = weak.lock();
-    if (!self) return;
-    if (w >= waves_shared->size() || !state->error.ok()) {
-      RolloutResult result;
-      result.inconsistency_window = state->last_commit - state->t0;
-      result.total = events_.Now() - state->t0;
-      result.nodes = state->nodes;
-      if (!state->error.ok()) {
-        done(state->error);
-      } else {
-        done(result);
-      }
-      return;
-    }
-    const std::vector<std::size_t>& wave = (*waves_shared)[w];
-    auto remaining = std::make_shared<std::size_t>(wave.size());
-    if (wave.empty()) {
-      (*self)(w + 1);
-      return;
-    }
-    for (std::size_t idx : wave) {
-      push(idx, spec, hook,
-           [this, state, remaining, self, w](StatusOr<AgentTrace> r) {
-             if (!r.ok() && state->error.ok()) state->error = r.status();
-             if (r.ok()) {
-               const sim::SimTime now = events_.Now();
-               if (state->first_commit == 0) state->first_commit = now;
-               state->last_commit = std::max(state->last_commit, now);
-               ++state->nodes;
-             }
-             if (--*remaining == 0) (*self)(w + 1);
-           });
-    }
-  };
-  (*run_wave)(0);
+  RunWave(std::make_shared<RolloutState>(RolloutState{
+              events_.Now(), 0, 0, std::move(waves),
+              [this, src, hook](std::size_t agent_index,
+                                std::function<void(StatusOr<AgentTrace>)> cb) {
+                Push(agent_index, src, hook, std::move(cb));
+              },
+              std::move(done)}),
+          0);
 }
 
-void AgentController::Rollout(
-    const bpf::Program& prog, int hook,
-    std::vector<std::vector<std::size_t>> waves,
-    std::function<void(StatusOr<RolloutResult>)> done) {
-  RolloutImpl(
-      prog, hook, std::move(waves),
-      [this](std::size_t idx, const bpf::Program& p, int h,
-             std::function<void(StatusOr<AgentTrace>)> cb) {
-        PushExtension(idx, p, h, std::move(cb));
-      },
-      std::move(done));
-}
-
-void AgentController::RolloutWasm(
-    const wasm::FilterModule& module, int hook,
-    std::vector<std::vector<std::size_t>> waves,
-    std::function<void(StatusOr<RolloutResult>)> done) {
-  RolloutImpl(
-      module, hook, std::move(waves),
-      [this](std::size_t idx, const wasm::FilterModule& m, int h,
-             std::function<void(StatusOr<AgentTrace>)> cb) {
-        PushWasmFilter(idx, m, h, std::move(cb));
-      },
-      std::move(done));
-}
+#define RDX_INSTANTIATE_AGENT(Source)                                      \
+  template void NodeAgent::Load(const Source&, int,                        \
+                                std::function<void(StatusOr<AgentTrace>)>); \
+  template void AgentController::Push(                                     \
+      std::size_t, const Source&, int,                                     \
+      std::function<void(StatusOr<AgentTrace>)>);                          \
+  template void AgentController::Rollout(                                  \
+      const Source&, int, std::vector<std::vector<std::size_t>>,           \
+      std::function<void(StatusOr<RolloutResult>)>);
+RDX_INSTANTIATE_AGENT(bpf::Program)
+RDX_INSTANTIATE_AGENT(wasm::FilterModule)
+#undef RDX_INSTANTIATE_AGENT
 
 }  // namespace rdx::agent

@@ -8,10 +8,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
-#include "bpf/verifier.h"
+#include "core/extension.h"
 #include "core/sandbox.h"
 #include "sim/cost_model.h"
 #include "sim/cpu.h"
@@ -28,10 +29,9 @@ struct AgentConfig {
   sim::Duration state_poll_interval = 0;
 };
 
-// Phase timings of one agent-side load, for the Fig 4b breakdown. The
-// fields are populated from telemetry spans ("agent:queue" etc.) so the
-// legacy callback shape keeps working while the merged timeline gets the
-// same phases.
+// Phase timings of one agent-side load, for the Fig 4b breakdown. Each
+// field is the duration of the telemetry span of the same stage
+// ("agent:queue" etc.), so the callback and the merged timeline agree.
 struct AgentTrace {
   sim::Duration queue = 0;   // daemon wakeup + config parse
   sim::Duration verify = 0;
@@ -49,13 +49,14 @@ class NodeAgent {
   NodeAgent(const NodeAgent&) = delete;
   NodeAgent& operator=(const NodeAgent&) = delete;
 
-  // Local injection pipeline: verify -> JIT -> attach. The real verifier
-  // and JIT run (functional correctness); their virtual-time cost is
-  // charged to this node's CPU.
-  void LoadExtension(const bpf::Program& prog, int hook,
-                     std::function<void(StatusOr<AgentTrace>)> done);
-  void LoadWasmFilter(const wasm::FilterModule& module, int hook,
-                      std::function<void(StatusOr<AgentTrace>)> done);
+  // Local injection pipeline: queue -> verify -> JIT -> attach, one body
+  // for both extension kinds (`Source` is bpf::Program or
+  // wasm::FilterModule). The same verifier, compiler and linker as the
+  // RDX control plane run (core::ExtensionKind); their virtual-time cost
+  // is charged to this node's CPU.
+  template <class Source>
+  void Load(const Source& src, int hook,
+            std::function<void(StatusOr<AgentTrace>)> done);
 
   // Begins periodic XState polling (the steady-state agent "tax").
   void StartStatePolling();
@@ -72,9 +73,28 @@ class NodeAgent {
   telemetry::Tracer& tracer() { return *tracer_; }
 
  private:
+  // Arms the next periodic XState poll; the loop ends once polling stops.
+  void SchedulePoll();
+  struct LoadJob;
+  // One pipeline stage: opens span `name`, charges `cycles` to the node
+  // CPU, then closes the span, stores its duration in `job->trace.*field`
+  // and continues with `next`.
+  void Stage(std::shared_ptr<LoadJob> job, const char* name,
+             std::uint64_t cycles, sim::Duration AgentTrace::*field,
+             std::function<void()> next);
+  // Closes the load span and reports `outcome` (the trace on success).
+  void Finish(LoadJob& job, const Status& outcome);
+  // Deploys the XStates `src` declares that this sandbox lacks, links
+  // `image` against the sandbox's exported symbols and attaches it.
+  template <class Source>
+  Status LinkAndAttach(const Source& src, core::ImageOf<Source> image,
+                       int hook);
+  // Node-local address of the XState named `spec.name`, allocated and
+  // initialized in node memory on first use.
+  StatusOr<std::uint64_t> EnsureXState(const bpf::MapSpec& spec);
   // Writes the image + desc into node memory with the local CPU and
   // swings the hook slot (coherent: visible immediately).
-  Status AttachImage(Bytes image_bytes, int hook);
+  Status AttachImage(const Bytes& image_bytes, int hook);
 
   sim::EventQueue& events_;
   core::Sandbox& sandbox_;
@@ -114,32 +134,26 @@ class AgentController {
   void RegisterAgent(NodeAgent* agent) { agents_.push_back(agent); }
   std::size_t agent_count() const { return agents_.size(); }
 
-  // Pushes one extension to one agent (config marshal + network + agent
-  // pipeline).
-  void PushExtension(std::size_t agent_index, const bpf::Program& prog,
-                     int hook,
-                     std::function<void(StatusOr<AgentTrace>)> done);
-  void PushWasmFilter(std::size_t agent_index,
-                      const wasm::FilterModule& module, int hook,
-                      std::function<void(StatusOr<AgentTrace>)> done);
+  // Pushes one extension (bpf::Program or wasm::FilterModule) to one
+  // agent: config marshal + network + agent pipeline.
+  template <class Source>
+  void Push(std::size_t agent_index, const Source& src, int hook,
+            std::function<void(StatusOr<AgentTrace>)> done);
 
   // Eventual-consistency rollout to every agent at once (no ordering
   // guarantees — the Fig 2b baseline). `waves` optionally groups agents
   // into dependency waves rolled out sequentially (inter-service DAG
   // constraints); empty = one unordered wave.
-  void Rollout(const bpf::Program& prog, int hook,
+  template <class Source>
+  void Rollout(const Source& src, int hook,
                std::vector<std::vector<std::size_t>> waves,
                std::function<void(StatusOr<RolloutResult>)> done);
-  void RolloutWasm(const wasm::FilterModule& module, int hook,
-                   std::vector<std::vector<std::size_t>> waves,
-                   std::function<void(StatusOr<RolloutResult>)> done);
 
  private:
+  struct RolloutState;
   sim::Duration SamplePushDelay(std::size_t config_bytes);
-  template <typename Spec, typename PushFn>
-  void RolloutImpl(const Spec& spec, int hook,
-                   std::vector<std::vector<std::size_t>> waves, PushFn push,
-                   std::function<void(StatusOr<RolloutResult>)> done);
+  // Rolls out wave `w`, then the next once every agent in it reported.
+  void RunWave(std::shared_ptr<RolloutState> st, std::size_t w);
 
   sim::EventQueue& events_;
   ControllerConfig config_;

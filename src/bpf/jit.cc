@@ -17,7 +17,6 @@ bool JitImage::IsLinked() const {
 }
 
 namespace {
-constexpr std::uint32_t kImageMagic = 0x4a584452;  // "RDXJ"
 constexpr std::uint32_t kImageVersion = 4;
 
 bool KindHasTarget(OpKind kind) {
@@ -45,7 +44,7 @@ StatusOr<std::string> ReadString(ByteSpan bytes, std::size_t& off) {
 
 Bytes JitImage::Serialize() const {
   Bytes out;
-  AppendLE<std::uint32_t>(out, kImageMagic);
+  AppendLE<std::uint32_t>(out, kMagic);
   AppendLE<std::uint32_t>(out, kImageVersion);
   out.push_back(static_cast<std::uint8_t>(type));
   out.push_back(0);
@@ -101,7 +100,7 @@ StatusOr<JitImage> JitImage::Deserialize(ByteSpan bytes) {
     return FailedPrecondition("image checksum mismatch");
   }
   std::size_t off = 0;
-  if (LoadLE<std::uint32_t>(bytes.data()) != kImageMagic) {
+  if (LoadLE<std::uint32_t>(bytes.data()) != kMagic) {
     return InvalidArgument("bad image magic");
   }
   off += 4;

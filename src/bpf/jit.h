@@ -60,6 +60,8 @@ struct Relocation {
 constexpr std::uint64_t kUnlinkedPlaceholder = 0xdeadbeefdeadbeefULL;
 
 struct JitImage {
+  static constexpr std::uint32_t kMagic = 0x4a584452;  // "RDXJ"
+
   std::string program_name;
   ProgramType type = ProgramType::kSocketFilter;
   std::vector<MicroOp> code;

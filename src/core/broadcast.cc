@@ -3,39 +3,10 @@
 #include <cstdio>
 #include <optional>
 
+#include "core/for_all.h"
 #include "core/reliability.h"
 
 namespace rdx::core {
-
-namespace {
-
-// Fan-out helper: runs `launch(i, done_i)` for each index and calls
-// `done` once all have reported, with the first error winning.
-void ForAll(std::size_t n,
-            const std::function<void(std::size_t,
-                                     std::function<void(Status)>)>& launch,
-            std::function<void(Status)> done) {
-  if (n == 0) {
-    done(OkStatus());
-    return;
-  }
-  struct State {
-    std::size_t remaining;
-    Status first_error;
-    std::function<void(Status)> done;
-  };
-  auto state = std::make_shared<State>();
-  state->remaining = n;
-  state->done = std::move(done);
-  for (std::size_t i = 0; i < n; ++i) {
-    launch(i, [state](Status s) {
-      if (!s.ok() && state->first_error.ok()) state->first_error = s;
-      if (--state->remaining == 0) state->done(state->first_error);
-    });
-  }
-}
-
-}  // namespace
 
 void CollectiveCodeFlow::CpSpan(const char* name, int hook,
                                 sim::SimTime start, sim::Duration dur,
@@ -60,6 +31,7 @@ void CollectiveCodeFlow::Broadcast(
                          done = std::move(done)](
                             StatusOr<const bpf::JitImage*> image) mutable {
     if (!image.ok()) {
+      if (barrier != nullptr) barrier->ReleaseBuffered();
       done(image.status());
       return;
     }

@@ -25,93 +25,12 @@ std::uint64_t SlotAddr(const CodeFlow& flow, int hook) {
          static_cast<std::uint64_t>(hook) * 8;
 }
 
-// Fills the ImageDesc at `desc` for `image` landed at `image_addr`.
-void StoreDesc(std::uint8_t* desc, std::uint64_t image_addr,
-               const Bytes& image, std::uint64_t version,
-               std::uint64_t signing_key) {
-  StoreLE(desc + kDescImageAddr, image_addr);
-  StoreLE(desc + kDescImageLen, static_cast<std::uint64_t>(image.size()));
-  StoreLE(desc + kDescVersion, version);
-  StoreLE(desc + kDescRefcount, 1ull);
-  if (signing_key != 0) {
-    StoreLE(desc + kDescSignature, SignImage(image, signing_key));
-  }
-}
-
 // Versions count update generations of a hook (comparable across nodes,
 // which is what mixed-version detection needs).
 std::uint64_t NextVersionFor(CodeFlow& flow, int hook) {
   return flow.HookVersion(hook) + 1;
 }
 }  // namespace
-
-std::uint64_t ProgramFingerprint(const bpf::Program& prog) {
-  Bytes bytes = prog.Encode();
-  for (const bpf::MapSpec& map : prog.maps) {
-    bytes.insert(bytes.end(), map.name.begin(), map.name.end());
-    AppendLE<std::uint32_t>(bytes, static_cast<std::uint32_t>(map.type));
-    AppendLE<std::uint32_t>(bytes, map.key_size);
-    AppendLE<std::uint32_t>(bytes, map.value_size);
-    AppendLE<std::uint32_t>(bytes, map.max_entries);
-  }
-  return Fnv1a64(bytes);
-}
-
-std::uint64_t WasmFingerprint(const wasm::FilterModule& module) {
-  Bytes bytes;
-  for (const wasm::WasmInsn& insn : module.code) {
-    bytes.push_back(static_cast<std::uint8_t>(insn.op));
-    AppendLE<std::int64_t>(bytes, insn.imm);
-  }
-  for (const wasm::ImportDecl& import : module.imports) {
-    bytes.insert(bytes.end(), import.name.begin(), import.name.end());
-    bytes.push_back(0);
-  }
-  return Fnv1a64(bytes);
-}
-
-Status ExtensionKind<bpf::Program>::Link(const CodeFlow& flow, Image& image) {
-  for (const bpf::Relocation& reloc : image.relocs) {
-    if (reloc.kind == bpf::RelocKind::kHelperCall) {
-      if (!flow.Symbol(SymbolHash("helper:",
-                                  static_cast<std::uint64_t>(reloc.symbol)))
-               .ok()) {
-        return FailedPrecondition("target node does not export helper " +
-                                  std::to_string(reloc.symbol));
-      }
-      continue;
-    }
-    // Map relocation: patch the placeholder with the node-local XState
-    // address deployed for this map.
-    if (reloc.symbol < 0 ||
-        static_cast<std::size_t>(reloc.symbol) >= image.maps.size()) {
-      return Internal("relocation references unknown map slot");
-    }
-    const std::string& name = image.maps[reloc.symbol].name;
-    auto it = flow.xstates().find(name);
-    if (it == flow.xstates().end()) {
-      return FailedPrecondition("XState '" + name + "' not deployed on target");
-    }
-    image.code[reloc.index].imm64 = it->second;
-  }
-  return OkStatus();
-}
-
-Status ExtensionKind<wasm::FilterModule>::Link(const CodeFlow& flow,
-                                               Image& image) {
-  for (wasm::WasmReloc& reloc : image.relocs) {
-    auto symbol =
-        flow.Symbol(SymbolHashName("host:", reloc.import_name.c_str()));
-    if (!symbol.ok()) {
-      return FailedPrecondition("target node does not export host fn '" +
-                                reloc.import_name + "'");
-    }
-    reloc.resolved_host_fn = static_cast<std::int32_t>(symbol.value());
-    image.code[reloc.insn_index].imm =
-        static_cast<std::int64_t>(symbol.value());
-  }
-  return OkStatus();
-}
 
 bool ArtifactCache::HasImage(Kind kind, std::uint64_t fp) const {
   auto it = entries_.find({kind, fp});
@@ -229,10 +148,7 @@ void ControlPlane::PostChain(
     pending_.emplace(wr.wr_id,
                      PendingOp{deliver, wr.opcode, wr.local.length});
   }
-  // A single WR is an ordinary post: no chain, no signaling rewrite.
-  const Status posted = wrs.size() == 1 ? flow.qp->PostSend(wrs.front())
-                                        : flow.qp->PostSendChain(wrs);
-  if (!posted.ok()) {
+  if (!flow.qp->PostSendChain(wrs).ok()) {
     // Error-state flushes were already delivered through the CQ; surface
     // completions for any WR the QP rejected without flushing.
     for (const rdma::SendWr& wr : wrs) {
@@ -519,7 +435,8 @@ void ControlPlane::LinkCode(
     CodeFlow& flow, const Image& image,
     std::function<void(StatusOr<std::type_identity_t<Image>>)> done) {
   Image linked = image;
-  if (Status s = ExtensionKind<Image>::Link(flow, linked); !s.ok()) {
+  if (Status s = ExtensionKind<Image>::Link(flow.link_target(), linked);
+      !s.ok()) {
     done(s);
     return;
   }
@@ -1053,8 +970,7 @@ void ControlPlane::PrepareImage(
     std::function<void(StatusOr<PreparedImage>)> done,
     std::uint64_t fingerprint) {
   const std::uint64_t image_len = image_bytes.size();
-  const std::uint64_t region =
-      AlignUp(image_len, kAllocAlign) + kImageDescBytes;
+  const std::uint64_t region = ImageRegionBytes(image_len);
   RemoteAlloc(flow, region, [this, &flow, version, image_len, region,
                              fingerprint,
                              image_bytes = std::move(image_bytes),
@@ -1065,17 +981,13 @@ void ControlPlane::PrepareImage(
       return;
     }
     const std::uint64_t image_addr = addr.value();
-    const std::uint64_t desc_off = AlignUp(image_len, kAllocAlign);
-    const std::uint64_t desc_addr = image_addr + desc_off;
-
-    // Compose image + desc into one buffer; RC ordering lets the payload
-    // writes and the desc write go out back-to-back (doorbell batch).
-    Bytes combined(desc_off + kImageDescBytes, 0);
-    std::copy(image_bytes.begin(), image_bytes.end(), combined.begin());
-    StoreDesc(combined.data() + desc_off, image_addr, image_bytes, version,
-              config_.signing_key);
-
-    WriteChunked(flow, std::move(combined), image_addr,
+    const std::uint64_t desc_addr = image_addr + region - kImageDescBytes;
+    // Image + desc in one buffer; RC ordering lets the payload writes and
+    // the desc write go out back-to-back (doorbell batch).
+    WriteChunked(flow,
+                 ComposeImageRegion(image_bytes, image_addr, version,
+                                    config_.signing_key),
+                 image_addr,
                  [image_addr, image_len, region, desc_addr, version,
                   fingerprint, done = std::move(done)](Status s) mutable {
                    if (!s.ok()) {

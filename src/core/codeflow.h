@@ -40,6 +40,7 @@
 
 #include "bpf/jit.h"
 #include "bpf/verifier.h"
+#include "core/extension.h"
 #include "core/sandbox.h"
 #include "rdma/fabric.h"
 #include "sim/cost_model.h"
@@ -97,7 +98,7 @@ struct InjectTrace {
 // again.
 class ArtifactCache {
  public:
-  enum class Kind : std::uint8_t { kEbpf, kWasm };
+  using Kind = ImageKind;
 
   // `T` is `bool` for a verification verdict, else the kind's image type.
   // Find counts one hit or miss per lookup; HasImage probes are free.
@@ -146,88 +147,6 @@ class ArtifactCache {
   std::uint64_t invalidations_ = 0;
 };
 
-class CodeFlow;
-
-// Fingerprint of a source program (pre-JIT), used for the verify/compile
-// caches.
-std::uint64_t ProgramFingerprint(const bpf::Program& prog);
-std::uint64_t WasmFingerprint(const wasm::FilterModule& module);
-
-// The extension kinds the control plane deploys. The pipeline (validate ->
-// compile -> XStates -> link -> deploy -> commit) is written once in
-// codeflow.cc; ExtensionKind<Source> supplies only what differs between an
-// eBPF program and a Wasm filter. Each kind is also reachable through its
-// image type, so link/deploy can be called with a compiled image alone.
-template <class T>
-struct ExtensionKind;
-
-template <>
-struct ExtensionKind<bpf::Program> {
-  using Image = bpf::JitImage;
-  static constexpr ArtifactCache::Kind kKind = ArtifactCache::Kind::kEbpf;
-  static constexpr const char* kName = "ebpf";
-  static constexpr const char* kQuarantined =
-      "program fingerprint is quarantined";
-  static constexpr const char* kKnownBad =
-      "program known to fail verification";
-  static constexpr const char* kNotLinked =
-      "image not linked; call rdx_link_code first";
-  static constexpr auto kValidateCycles = &sim::CostModel::VerifyCycles;
-  static constexpr auto kCompileCycles = &sim::CostModel::JitCycles;
-  static std::uint64_t Fingerprint(const bpf::Program& prog) {
-    return ProgramFingerprint(prog);
-  }
-  static Status Validate(const bpf::Program& prog) {
-    return bpf::Verifier().Verify(prog);
-  }
-  static StatusOr<Image> Compile(const bpf::Program& prog) {
-    return bpf::JitCompiler().Compile(prog);
-  }
-  // XStates the extension declares; deployed on demand before linking.
-  static const std::vector<bpf::MapSpec>& XStates(const bpf::Program& prog) {
-    return prog.maps;
-  }
-  // Checks helper symbols and patches map relocations with the node-local
-  // XState addresses.
-  static Status Link(const CodeFlow& flow, Image& image);
-};
-
-template <>
-struct ExtensionKind<wasm::FilterModule> {
-  using Image = wasm::WasmImage;
-  static constexpr ArtifactCache::Kind kKind = ArtifactCache::Kind::kWasm;
-  static constexpr const char* kName = "wasm";
-  static constexpr const char* kQuarantined =
-      "filter fingerprint is quarantined";
-  static constexpr const char* kKnownBad = "filter known to fail validation";
-  static constexpr const char* kNotLinked = "wasm image not linked";
-  static constexpr auto kValidateCycles = &sim::CostModel::WasmValidateCycles;
-  static constexpr auto kCompileCycles = &sim::CostModel::WasmCompileCycles;
-  static std::uint64_t Fingerprint(const wasm::FilterModule& module) {
-    return WasmFingerprint(module);
-  }
-  static Status Validate(const wasm::FilterModule& module) {
-    return wasm::ValidateFilter(module);
-  }
-  static StatusOr<Image> Compile(const wasm::FilterModule& module) {
-    return wasm::CompileFilter(module);
-  }
-  static const std::vector<bpf::MapSpec>& XStates(const wasm::FilterModule&) {
-    static const std::vector<bpf::MapSpec> kNone;
-    return kNone;
-  }
-  // Resolves host-function imports against the node's symbol table.
-  static Status Link(const CodeFlow& flow, Image& image);
-};
-
-template <>
-struct ExtensionKind<bpf::JitImage> : ExtensionKind<bpf::Program> {};
-template <>
-struct ExtensionKind<wasm::WasmImage> : ExtensionKind<wasm::FilterModule> {};
-
-template <class Source>
-using ImageOf = typename ExtensionKind<Source>::Image;
-
 // A CodeFlow: the control plane's handle onto one remote sandbox.
 class CodeFlow {
  public:
@@ -237,9 +156,10 @@ class CodeFlow {
   StatusOr<std::uint64_t> Symbol(std::uint64_t hash) const;
   // Node-local address of the XState deployed for `map_slot` of the most
   // recent LinkCode target (slot -> address registry).
-  const std::unordered_map<std::string, std::uint64_t>& xstates() const {
-    return xstate_addrs_;
-  }
+  const XStateMap& xstates() const { return xstate_addrs_; }
+  // What LinkCode resolves against: the symbol table read at handshake and
+  // the XStates deployed so far.
+  LinkTarget link_target() const { return {symbols_, xstate_addrs_}; }
   std::uint64_t epoch() const { return epoch_; }
   // Last committed update generation of a hook (0 = never deployed).
   std::uint64_t HookVersion(int hook) const {
@@ -258,8 +178,8 @@ class CodeFlow {
   rdma::QueuePair* qp = nullptr;
   rdma::MemoryKey rkey = 0;
   ControlBlockView remote_view_;
-  std::unordered_map<std::uint64_t, std::uint64_t> symbols_;
-  std::unordered_map<std::string, std::uint64_t> xstate_addrs_;
+  SymbolMap symbols_;
+  XStateMap xstate_addrs_;
   // Per-hook deployment bookkeeping.
   struct PastImage {
     std::uint64_t desc_addr = 0;

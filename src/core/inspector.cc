@@ -1,5 +1,6 @@
 #include "core/inspector.h"
 
+#include "core/for_all.h"
 #include "core/gatekeeper.h"
 
 namespace rdx::core {
@@ -51,14 +52,7 @@ void Inspector::Inspect(CodeFlow& flow, int hook,
       // Step 3: read the image bytes and verify.
       cp_.RemoteRead(flow, image_addr, image_len, "image read failed", done,
                      [this, report, signature, done](Bytes image) mutable {
-        if (image.size() >= 4) {
-          const std::uint32_t magic = LoadLE<std::uint32_t>(image.data());
-          if (magic == 0x4a584452u) {
-            report.checksum_ok = bpf::JitImage::Deserialize(image).ok();
-          } else if (magic == 0x46574452u) {
-            report.checksum_ok = wasm::WasmImage::Deserialize(image).ok();
-          }
-        }
+        report.checksum_ok = DecodeImage(image).ok();
         if (cp_.config().signing_key != 0) {
           report.signature_ok = VerifyImageSignature(
               image, cp_.config().signing_key, signature);
@@ -77,31 +71,25 @@ void Inspector::Sweep(
     if (deployment.desc_addr != 0) hooks.push_back(hook);
   }
   auto unhealthy = std::make_shared<std::vector<InspectReport>>();
-  auto remaining = std::make_shared<std::size_t>(hooks.size());
-  auto first_error = std::make_shared<Status>();
-  if (hooks.empty()) {
-    done(std::vector<InspectReport>{});
-    return;
-  }
   const bool signing = cp_.config().signing_key != 0;
-  for (int hook : hooks) {
-    Inspect(flow, hook,
-            [unhealthy, remaining, first_error, signing,
-             done](StatusOr<InspectReport> report) {
-              if (!report.ok()) {
-                if (first_error->ok()) *first_error = report.status();
-              } else if (!report->Healthy(signing)) {
-                unhealthy->push_back(report.value());
-              }
-              if (--*remaining == 0) {
-                if (!first_error->ok()) {
-                  done(*first_error);
-                } else {
-                  done(std::move(*unhealthy));
-                }
-              }
-            });
-  }
+  ForAll(
+      hooks.size(),
+      [&](std::size_t i, std::function<void(Status)> hook_done) {
+        Inspect(flow, hooks[i],
+                [unhealthy, signing, hook_done](StatusOr<InspectReport> r) {
+                  if (r.ok() && !r->Healthy(signing)) {
+                    unhealthy->push_back(r.value());
+                  }
+                  hook_done(r.status());
+                });
+      },
+      [unhealthy, done = std::move(done)](Status all) {
+        if (!all.ok()) {
+          done(all);
+        } else {
+          done(std::move(*unhealthy));
+        }
+      });
 }
 
 }  // namespace rdx::core

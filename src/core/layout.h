@@ -69,6 +69,8 @@
 
 #include <cstdint>
 
+#include "common/bytes.h"
+
 namespace rdx::core {
 
 constexpr std::uint64_t kControlBlockMagic = 0x0100424358445221ULL;
@@ -138,6 +140,17 @@ constexpr std::uint64_t kDescRefcount = 0x18;
 // core/gatekeeper.h.
 constexpr std::uint64_t kDescSignature = 0x20;
 constexpr std::uint64_t kImageDescBytes = 0x28;
+
+// Fills the ImageDesc at `desc` for `image` landed at `image_addr`; the
+// signature word only when `signing_key` != 0.
+void StoreDesc(std::uint8_t* desc, std::uint64_t image_addr, ByteSpan image,
+               std::uint64_t version, std::uint64_t signing_key);
+// Size of the scratchpad region one image occupies: the image padded to
+// 64 bytes, then its ImageDesc.
+std::uint64_t ImageRegionBytes(std::uint64_t image_len);
+// That region's bytes for `image` placed at `image_addr`.
+Bytes ComposeImageRegion(ByteSpan image, std::uint64_t image_addr,
+                         std::uint64_t version, std::uint64_t signing_key);
 
 // Parsed (CPU-side) view of a ControlBlock; the control plane rebuilds
 // the same view from an RDMA read.

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "core/for_all.h"
 #include "core/reliability.h"
 
 namespace rdx::core {
@@ -349,21 +350,21 @@ void Orchestrator::RunAction(
       };
 
       if (action.strategy == RolloutStrategy::kParallel) {
-        auto remaining = std::make_shared<std::size_t>(targets.size());
-        auto first_error = std::make_shared<Status>();
-        for (CodeFlow* flow : targets) {
-          DeployOne(decl, action, flow,
-                    [flow, remaining, first_error, succeeded, failed,
-                     settle](Status s) mutable {
-                      if (s.ok()) {
-                        succeeded->push_back(flow);
-                      } else {
-                        ++*failed;
-                        if (first_error->ok()) *first_error = s;
-                      }
-                      if (--*remaining == 0) settle(*first_error);
-                    });
-        }
+        ForAll(
+            targets.size(),
+            [&](std::size_t i, std::function<void(Status)> node_done) {
+              CodeFlow* flow = targets[i];
+              DeployOne(decl, action, flow,
+                        [flow, succeeded, failed, node_done](Status s) {
+                          if (s.ok()) {
+                            succeeded->push_back(flow);
+                          } else {
+                            ++*failed;
+                          }
+                          node_done(s);
+                        });
+            },
+            settle);
         return;
       }
       // Rolling: strictly one node at a time. abort stops the wave at the
@@ -403,19 +404,17 @@ void Orchestrator::RunAction(
       const bool rollback = action.kind == ActionKind::kRollback;
       const std::string what = std::string(rollback ? "rollback " : "detach ") +
                                decl.name + " @ " + group.name;
-      auto remaining = std::make_shared<std::size_t>(group.nodes.size());
-      auto first_error = std::make_shared<Status>();
-      for (std::size_t node : group.nodes) {
-        auto on_node = [remaining, first_error, next, what](Status s) mutable {
-          if (!s.ok() && first_error->ok()) *first_error = s;
-          if (--*remaining == 0) next(what, *first_error);
-        };
-        if (rollback) {
-          cp_.Rollback(*flows_[node], decl.hook, on_node);
-        } else {
-          cp_.Detach(*flows_[node], decl.hook, on_node);
-        }
-      }
+      ForAll(
+          group.nodes.size(),
+          [&](std::size_t i, std::function<void(Status)> node_done) {
+            CodeFlow& flow = *flows_[group.nodes[i]];
+            if (rollback) {
+              cp_.Rollback(flow, decl.hook, std::move(node_done));
+            } else {
+              cp_.Detach(flow, decl.hook, std::move(node_done));
+            }
+          },
+          [next, what](Status s) mutable { next(what, s); });
       return;
     }
   }
@@ -445,29 +444,27 @@ void Orchestrator::DeployOne(const ExtensionDecl& decl, const Action& action,
 
 void Orchestrator::RollbackWave(std::vector<CodeFlow*> nodes, int hook,
                                 std::function<void(std::size_t)> done) {
-  if (nodes.empty()) {
-    done(0);
-    return;
-  }
-  auto remaining = std::make_shared<std::size_t>(nodes.size());
   auto reverted = std::make_shared<std::size_t>(0);
-  auto finish = std::make_shared<std::function<void(std::size_t)>>(
-      std::move(done));
-  for (CodeFlow* flow : nodes) {
-    auto on_node = [remaining, reverted, finish](Status s) {
-      if (s.ok()) ++*reverted;
-      if (--*remaining == 0) (*finish)(*reverted);
-    };
-    cp_.Rollback(*flow, hook, [this, flow, hook, on_node](Status s) mutable {
-      if (s.ok()) {
-        on_node(OkStatus());
-        return;
-      }
-      // First-ever deploy on this hook: no previous version exists, so
-      // "revert" means detach.
-      cp_.Detach(*flow, hook, on_node);
-    });
-  }
+  ForAll(
+      nodes.size(),
+      [&](std::size_t i, std::function<void(Status)> node_done) {
+        CodeFlow* flow = nodes[i];
+        auto on_node = [reverted, node_done](Status s) {
+          if (s.ok()) ++*reverted;
+          node_done(OkStatus());
+        };
+        cp_.Rollback(*flow, hook,
+                     [this, flow, hook, on_node](Status s) mutable {
+                       if (s.ok()) {
+                         on_node(OkStatus());
+                         return;
+                       }
+                       // First-ever deploy on this hook: no previous
+                       // version exists, so "revert" means detach.
+                       cp_.Detach(*flow, hook, on_node);
+                     });
+      },
+      [reverted, done = std::move(done)](Status) { done(*reverted); });
 }
 
 }  // namespace rdx::core

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/log.h"
+#include "core/for_all.h"
 #include "rdma/qp.h"
 
 namespace rdx::core {
@@ -243,18 +244,14 @@ void HealthMonitor::Stop() {
 
 void HealthMonitor::PollNow(std::function<void()> done) {
   ++polls_;
-  auto finish = std::make_shared<std::function<void()>>(
-      done ? std::move(done) : std::function<void()>([] {}));
-  if (watched_.empty()) {
-    (*finish)();
-    return;
-  }
-  auto remaining = std::make_shared<std::size_t>(watched_.size());
-  for (WatchedFlow& wf : watched_) {
-    PollFlow(wf, [remaining, finish] {
-      if (--*remaining == 0) (*finish)();
-    });
-  }
+  ForAll(
+      watched_.size(),
+      [this](std::size_t i, std::function<void(Status)> flow_done) {
+        PollFlow(watched_[i], [flow_done] { flow_done(OkStatus()); });
+      },
+      [done = std::move(done)](Status) {
+        if (done) done();
+      });
 }
 
 void HealthMonitor::PollFlow(WatchedFlow& wf, std::function<void()> done) {
@@ -271,17 +268,13 @@ void HealthMonitor::PollFlow(WatchedFlow& wf, std::function<void()> done) {
         if (wf.snapshots.size() < views->size()) {
           wf.snapshots.resize(views->size());
         }
-        if (views->empty()) {
-          done();
-          return;
-        }
-        auto remaining = std::make_shared<std::size_t>(views->size());
-        auto finish = std::make_shared<std::function<void()>>(std::move(done));
-        for (std::size_t i = 0; i < views->size(); ++i) {
-          Inspect(wf, static_cast<int>(i), (*views)[i], [remaining, finish] {
-            if (--*remaining == 0) (*finish)();
-          });
-        }
+        ForAll(
+            views->size(),
+            [&](std::size_t i, std::function<void(Status)> hook_done) {
+              Inspect(wf, static_cast<int>(i), (*views)[i],
+                      [hook_done] { hook_done(OkStatus()); });
+            },
+            [done = std::move(done)](Status) { done(); });
       });
 }
 

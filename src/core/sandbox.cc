@@ -19,6 +19,30 @@ std::uint64_t SymbolHashName(const char* prefix, const char* name) {
   return Fnv1a64(key);
 }
 
+void StoreDesc(std::uint8_t* desc, std::uint64_t image_addr, ByteSpan image,
+               std::uint64_t version, std::uint64_t signing_key) {
+  StoreLE(desc + kDescImageAddr, image_addr);
+  StoreLE(desc + kDescImageLen, static_cast<std::uint64_t>(image.size()));
+  StoreLE(desc + kDescVersion, version);
+  StoreLE(desc + kDescRefcount, 1ull);
+  if (signing_key != 0) {
+    StoreLE(desc + kDescSignature, SignImage(image, signing_key));
+  }
+}
+
+std::uint64_t ImageRegionBytes(std::uint64_t image_len) {
+  return ((image_len + 63) & ~63ull) + kImageDescBytes;
+}
+
+Bytes ComposeImageRegion(ByteSpan image, std::uint64_t image_addr,
+                         std::uint64_t version, std::uint64_t signing_key) {
+  Bytes region(ImageRegionBytes(image.size()), 0);
+  std::copy(image.begin(), image.end(), region.begin());
+  StoreDesc(region.data() + region.size() - kImageDescBytes, image_addr,
+            image, version, signing_key);
+  return region;
+}
+
 Sandbox::Sandbox(sim::EventQueue& events, rdma::Node& node,
                  SandboxConfig config)
     : events_(events),
@@ -42,12 +66,9 @@ Status Sandbox::WriteWord(std::uint64_t addr, std::uint64_t value) {
   return node_.memory().WriteU64(addr, value);
 }
 
-void Sandbox::BuildSymbolTable(Bytes& out) const {
-  struct Entry {
-    std::uint64_t hash;
-    std::uint64_t value;
-  };
-  std::vector<Entry> entries;
+std::vector<std::pair<std::uint64_t, std::uint64_t>> Sandbox::ExportedSymbols()
+    const {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> symbols;
   // eBPF helpers available in this sandbox.
   static constexpr std::int32_t kExported[] = {
       bpf::kHelperMapLookupElem, bpf::kHelperMapUpdateElem,
@@ -55,19 +76,27 @@ void Sandbox::BuildSymbolTable(Bytes& out) const {
       bpf::kHelperTracePrintk,   bpf::kHelperGetPrandomU32,
       bpf::kHelperGetSmpProcessorId, bpf::kHelperRingbufOutput};
   for (std::int32_t id : kExported) {
-    entries.push_back({SymbolHash("helper:", static_cast<std::uint64_t>(id)),
-                       static_cast<std::uint64_t>(id)});
+    symbols.emplace_back(SymbolHash("helper:", static_cast<std::uint64_t>(id)),
+                         static_cast<std::uint64_t>(id));
   }
   // Wasm host functions, value = index in this sandbox's host table.
   for (std::size_t i = 0; i < config_.wasm_host_fns.size(); ++i) {
-    entries.push_back({SymbolHashName("host:", config_.wasm_host_fns[i].c_str()),
-                       static_cast<std::uint64_t>(i)});
+    symbols.emplace_back(
+        SymbolHashName("host:", config_.wasm_host_fns[i].c_str()),
+        static_cast<std::uint64_t>(i));
   }
-  AppendLE<std::uint32_t>(out, static_cast<std::uint32_t>(entries.size()));
-  for (const Entry& e : entries) {
-    AppendLE<std::uint64_t>(out, e.hash);
-    AppendLE<std::uint64_t>(out, e.value);
+  return symbols;
+}
+
+Bytes Sandbox::SymbolTable() const {
+  const auto symbols = ExportedSymbols();
+  Bytes out;
+  AppendLE<std::uint32_t>(out, static_cast<std::uint32_t>(symbols.size()));
+  for (const auto& [hash, value] : symbols) {
+    AppendLE<std::uint64_t>(out, hash);
+    AppendLE<std::uint64_t>(out, value);
   }
+  return out;
 }
 
 Status Sandbox::CtxInit() {
@@ -82,11 +111,8 @@ Status Sandbox::CtxInit() {
                        mem.Allocate(config_.meta_capacity * 8ull, 64));
   view_.meta_capacity = config_.meta_capacity;
 
-  Bytes symtab;
-  BuildSymbolTable(symtab);
-  RDX_ASSIGN_OR_RETURN(view_.symtab_addr, mem.Allocate(symtab.size(), 64));
-  view_.symtab_len = symtab.size();
-  RDX_RETURN_IF_ERROR(mem.Write(view_.symtab_addr, symtab));
+  view_.symtab_len = SymbolTable().size();
+  RDX_ASSIGN_OR_RETURN(view_.symtab_addr, mem.Allocate(view_.symtab_len, 64));
 
   RDX_ASSIGN_OR_RETURN(ctx_buf_addr_, mem.Allocate(256, 64));
   RDX_ASSIGN_OR_RETURN(stack_addr_, mem.Allocate(bpf::kStackSize, 64));
@@ -112,14 +138,11 @@ Status Sandbox::CtxInit() {
                        mem.Allocate(config_.scratch_bytes, 4096));
   view_.scratch_size = config_.scratch_bytes;
 
-  RDX_RETURN_IF_ERROR(PublishControlBlock());
-
-  hooks_.assign(config_.hook_count, HookState{});
-  booted_ = true;
-  return OkStatus();
+  return Boot();
 }
 
-Status Sandbox::PublishControlBlock() {
+Status Sandbox::Boot() {
+  RDX_RETURN_IF_ERROR(node_.memory().Write(view_.symtab_addr, SymbolTable()));
   RDX_RETURN_IF_ERROR(WriteWord(view_.cb_addr + kCbMagic, kControlBlockMagic));
   RDX_RETURN_IF_ERROR(WriteWord(view_.cb_addr + kCbEpoch, 0));
   RDX_RETURN_IF_ERROR(WriteWord(view_.cb_addr + kCbLock, 0));
@@ -157,6 +180,8 @@ Status Sandbox::PublishControlBlock() {
                    config_.trace_ring_slots);
     pending_trace_emits_ = 0;
   }
+  hooks_.assign(config_.hook_count, HookState{});
+  booted_ = true;
   return OkStatus();
 }
 
@@ -319,13 +344,7 @@ Status Sandbox::Reboot() {
   // The boot sequence is deterministic and the layout addresses are
   // fixed, so the node comes back at the same {cb_addr, rkey} with a
   // fresh scratch allocator and epoch 0.
-  Bytes symtab;
-  BuildSymbolTable(symtab);
-  RDX_RETURN_IF_ERROR(node_.memory().Write(view_.symtab_addr, symtab));
-  RDX_RETURN_IF_ERROR(PublishControlBlock());
-  hooks_.assign(config_.hook_count, HookState{});
-  booted_ = true;
-  return OkStatus();
+  return Boot();
 }
 
 StatusOr<Sandbox::Registration> Sandbox::CtxRegister() {
@@ -377,8 +396,7 @@ void Sandbox::RefreshHookNow(int hook) {
   HookState& state = hooks_[hook];
   if (state.visible_desc_addr != slot.value()) {
     state.visible_desc_addr = slot.value();
-    state.ebpf_image.reset();
-    state.wasm_image.reset();
+    state.image.reset();
     state.visible_version = 0;
     if (slot.value() != 0) {
       const auto version = ReadWord(slot.value() + kDescVersion);
@@ -392,8 +410,7 @@ void Sandbox::RefreshHookNow(int hook) {
     const auto version = ReadWord(slot.value() + kDescVersion);
     if (version.ok() && version.value() != state.visible_version) {
       state.visible_version = version.value();
-      state.ebpf_image.reset();
-      state.wasm_image.reset();
+      state.image.reset();
       EmitTrace(telemetry::RingEventKind::kHookRefresh, hook, 0,
                 state.visible_version);
     }
@@ -439,8 +456,6 @@ std::uint64_t Sandbox::VisibleVersion(int hook) const {
   return hooks_[hook].visible_version;
 }
 
-ImageKind Sandbox::VisibleKind(int hook) const { return hooks_[hook].kind; }
-
 std::uint64_t Sandbox::CommittedVersion(int hook) const {
   const auto slot = ReadWord(view_.hook_table_addr + hook * 8ull);
   if (!slot.ok() || slot.value() == 0) return 0;
@@ -466,35 +481,19 @@ Status Sandbox::LoadHookImage(int hook) {
       return PermissionDenied("image signature verification failed");
     }
   }
-  // Try eBPF first, then Wasm, by magic; a checksum mismatch means this
-  // CPU raced a non-transactional remote write (torn image).
-  if (bytes.size() >= 4 && LoadLE<std::uint32_t>(bytes.data()) == 0x4a584452u) {
-    auto image = bpf::JitImage::Deserialize(bytes);
-    if (!image.ok()) {
-      ++stats_.torn_image_failures;
-      return Aborted("torn or corrupt eBPF image: " +
-                     image.status().ToString());
-    }
-    state.kind = ImageKind::kEbpf;
-    state.ebpf_image = std::move(image).value();
-    return OkStatus();
+  // A decode failure means this CPU raced a non-transactional remote write
+  // (torn image).
+  auto image = DecodeImage(bytes);
+  if (!image.ok()) {
+    ++stats_.torn_image_failures;
+    return image.status();
   }
-  if (bytes.size() >= 4 && LoadLE<std::uint32_t>(bytes.data()) == 0x46574452u) {
-    auto image = wasm::WasmImage::Deserialize(bytes);
-    if (!image.ok()) {
-      ++stats_.torn_image_failures;
-      return Aborted("torn or corrupt wasm image: " +
-                     image.status().ToString());
-    }
-    state.kind = ImageKind::kWasm;
-    state.wasm_image = std::move(image).value();
-    return OkStatus();
-  }
-  ++stats_.torn_image_failures;
-  return Aborted("image with unknown magic (torn write?)");
+  state.image = std::move(image).value();
+  return OkStatus();
 }
 
-StatusOr<bpf::ExecResult> Sandbox::ExecuteHook(int hook, ByteSpan packet) {
+template <class Image>
+StatusOr<const Image*> Sandbox::BeginExecution(int hook) {
   if (hook < 0 || hook >= static_cast<int>(hooks_.size())) {
     return InvalidArgument("hook out of range");
   }
@@ -502,14 +501,29 @@ StatusOr<bpf::ExecResult> Sandbox::ExecuteHook(int hook, ByteSpan packet) {
   HookState& state = hooks_[hook];
   if (state.visible_desc_addr == 0) {
     ++stats_.empty_hook_executions;
-    return bpf::ExecResult{1, 0};  // accept-by-default
+    return nullptr;
   }
-  if (!state.ebpf_image.has_value()) {
-    RDX_RETURN_IF_ERROR(LoadHookImage(hook));
-    if (state.kind != ImageKind::kEbpf) {
-      return FailedPrecondition("hook holds a wasm filter");
-    }
+  if (!state.image.has_value()) RDX_RETURN_IF_ERROR(LoadHookImage(hook));
+  const Image* image = std::get_if<Image>(&*state.image);
+  if (image == nullptr) {
+    return FailedPrecondition(std::string("hook holds no ") +
+                              ExtensionKind<Image>::kName + " image");
   }
+  return image;
+}
+
+template <class Result>
+StatusOr<Result> Sandbox::EndExecution(int hook, telemetry::RingEventKind kind,
+                                       StatusOr<Result> result) {
+  if (result.ok()) EmitTrace(kind, hook, 0, result->insns_executed);
+  RecordHookOutcome(hook, result.ok() ? OkStatus() : result.status());
+  return result;
+}
+
+StatusOr<bpf::ExecResult> Sandbox::ExecuteHook(int hook, ByteSpan packet) {
+  RDX_ASSIGN_OR_RETURN(const bpf::JitImage* image,
+                       BeginExecution<bpf::JitImage>(hook));
+  if (image == nullptr) return bpf::ExecResult{1, 0};  // accept-by-default
   // Stage the packet into the ctx buffer (zero-padded to 256 bytes).
   Bytes ctx(256, 0);
   std::memcpy(ctx.data(), packet.data(), std::min<std::size_t>(packet.size(), 256));
@@ -520,40 +534,17 @@ StatusOr<bpf::ExecResult> Sandbox::ExecuteHook(int hook, ByteSpan packet) {
   opts.ctx_len = 256;
   opts.stack_addr = stack_addr_;
   opts.insn_limit = config_.fuel_budget;
-  auto result = bpf::RunJit(*state.ebpf_image, rt_, opts);
-  if (result.ok()) {
-    EmitTrace(telemetry::RingEventKind::kHookExecEbpf, hook, 0,
-              result->insns_executed);
-  }
-  RecordHookOutcome(hook, result.ok() ? OkStatus() : result.status());
-  return result;
+  return EndExecution(hook, telemetry::RingEventKind::kHookExecEbpf,
+                      bpf::RunJit(*image, rt_, opts));
 }
 
 StatusOr<wasm::WasmResult> Sandbox::ExecuteWasmHook(int hook,
                                                     wasm::WasmHost& host) {
-  if (hook < 0 || hook >= static_cast<int>(hooks_.size())) {
-    return InvalidArgument("hook out of range");
-  }
-  ++stats_.executions;
-  HookState& state = hooks_[hook];
-  if (state.visible_desc_addr == 0) {
-    ++stats_.empty_hook_executions;
-    return wasm::WasmResult{1, 0};
-  }
-  if (!state.wasm_image.has_value()) {
-    RDX_RETURN_IF_ERROR(LoadHookImage(hook));
-    if (state.kind != ImageKind::kWasm) {
-      return FailedPrecondition("hook holds an eBPF program");
-    }
-  }
-  auto result =
-      wasm::RunFilter(*state.wasm_image, host, config_.wasm_fuel_budget);
-  if (result.ok()) {
-    EmitTrace(telemetry::RingEventKind::kHookExecWasm, hook, 0,
-              result->insns_executed);
-  }
-  RecordHookOutcome(hook, result.ok() ? OkStatus() : result.status());
-  return result;
+  RDX_ASSIGN_OR_RETURN(const wasm::WasmImage* image,
+                       BeginExecution<wasm::WasmImage>(hook));
+  if (image == nullptr) return wasm::WasmResult{1, 0};  // accept-by-default
+  return EndExecution(hook, telemetry::RingEventKind::kHookExecWasm,
+                      wasm::RunFilter(*image, host, config_.wasm_fuel_budget));
 }
 
 bool Sandbox::TryLockLocal(std::uint64_t owner) {

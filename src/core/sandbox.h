@@ -22,11 +22,13 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "bpf/exec.h"
 #include "bpf/jit.h"
 #include "common/rng.h"
+#include "core/extension.h"
 #include "core/layout.h"
 #include "core/memspace.h"
 #include "rdma/fabric.h"
@@ -73,9 +75,6 @@ struct SandboxConfig {
   bool telemetry = true;
   std::uint64_t trace_ring_slots = 1024;  // power of two
 };
-
-// Image type stored in an ImageDesc's flags word.
-enum class ImageKind : std::uint64_t { kEbpf = 0, kWasm = 1 };
 
 struct SandboxStats {
   std::uint64_t executions = 0;
@@ -157,7 +156,9 @@ class Sandbox {
   // Version currently committed in memory (what RDMA wrote), which the
   // CPU may not see yet.
   std::uint64_t CommittedVersion(int hook) const;
-  ImageKind VisibleKind(int hook) const;
+  // The symbols this sandbox exports (symbol hash -> helper id or Wasm
+  // host-table index), in the order the published symbol table lists them.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> ExportedSymbols() const;
 
   const ControlBlockView& view() const { return view_; }
   const SandboxStats& stats() const { return stats_; }
@@ -194,10 +195,8 @@ class Sandbox {
   struct HookState {
     std::uint64_t visible_desc_addr = 0;  // what this CPU executes
     std::uint64_t visible_version = 0;
-    ImageKind kind = ImageKind::kEbpf;
-    // Decoded-image caches keyed by (desc_addr, version).
-    std::optional<bpf::JitImage> ebpf_image;
-    std::optional<wasm::WasmImage> wasm_image;
+    // Decoded image of (visible_desc_addr, visible_version), either kind.
+    std::optional<AnyImage> image;
     std::uint64_t refcount = 0;
   };
 
@@ -215,11 +214,22 @@ class Sandbox {
   // Wait-free trace-ring emit (no-op when telemetry is off).
   void EmitTrace(telemetry::RingEventKind kind, int hook, std::uint16_t code,
                  std::uint64_t arg);
-  // Writes the control block words + symbol table (boot and reboot).
-  Status PublishControlBlock();
+  // Writes the symbol table + control block words and resets the hooks
+  // (boot and reboot).
+  Status Boot();
   // Loads + decodes the image behind hook's visible desc into the cache.
   Status LoadHookImage(int hook);
-  void BuildSymbolTable(Bytes& out) const;
+  // Shared prologue of ExecuteHook/ExecuteWasmHook: range check, execution
+  // count, then the hook's image, decoded on first use. nullptr = empty
+  // hook (accept by default); the other kind is kFailedPrecondition.
+  template <class Image>
+  StatusOr<const Image*> BeginExecution(int hook);
+  // Shared epilogue: trace-ring emit on success, then health accounting.
+  template <class Result>
+  StatusOr<Result> EndExecution(int hook, telemetry::RingEventKind kind,
+                                StatusOr<Result> result);
+  // ExportedSymbols serialized in the symbol-table wire format.
+  Bytes SymbolTable() const;
 
   sim::EventQueue& events_;
   rdma::Node& node_;

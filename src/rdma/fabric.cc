@@ -19,30 +19,12 @@ const char* WcStatusName(WcStatus status) {
 }
 
 Status QueuePair::PostSend(const SendWr& wr) {
-  if (state_ == QpState::kError) {
-    // Flushed immediately, as a real RC QP would.
-    WorkCompletion wc;
-    wc.wr_id = wr.wr_id;
-    wc.status = WcStatus::kWorkRequestFlushed;
-    wc.opcode = wr.opcode;
-    wc.qp_num = num_;
-    send_cq_.Push(wc);
-    return FailedPrecondition("QP in error state");
-  }
-  if (state_ != QpState::kRts) {
-    return FailedPrecondition("QP not ready to send");
-  }
-  if (wr.send_inline &&
-      (wr.opcode == Opcode::kWrite || wr.opcode == Opcode::kSend) &&
-      wr.local.length > fabric_.link().max_inline_data) {
-    return InvalidArgument("inline payload exceeds max_inline_data");
-  }
-  fabric_.Execute(*this, wr);
-  return OkStatus();
+  return PostSendChain(std::span<const SendWr>(&wr, 1));
 }
 
-Status QueuePair::PostSendChain(const std::vector<SendWr>& wrs) {
+Status QueuePair::PostSendChain(std::span<const SendWr> wrs) {
   if (state_ == QpState::kError) {
+    // Flushed immediately, as a real RC QP would.
     for (const SendWr& wr : wrs) {
       WorkCompletion wc;
       wc.wr_id = wr.wr_id;
@@ -64,7 +46,7 @@ Status QueuePair::PostSendChain(const std::vector<SendWr>& wrs) {
       return InvalidArgument("inline payload exceeds max_inline_data");
     }
   }
-  if (signal_period_ <= 1) {
+  if (signal_period_ <= 1 || wrs.size() == 1) {
     fabric_.ExecuteChain(*this, wrs);
     return OkStatus();
   }
@@ -73,19 +55,19 @@ Status QueuePair::PostSendChain(const std::vector<SendWr>& wrs) {
   // keep their caller-set flag — their consumers need the completion.
   // The tail is always signaled so the poster can learn the chain
   // retired; failed WRs signal regardless of the flag (see Complete).
-  std::vector<SendWr> rewritten = wrs;
+  std::vector<SendWr> rewritten(wrs.begin(), wrs.end());
+  std::uint32_t unsignaled_run = 0;
   for (std::size_t i = 0; i + 1 < rewritten.size(); ++i) {
     SendWr& wr = rewritten[i];
     if (wr.opcode != Opcode::kWrite) continue;
-    if (++unsignaled_run_ >= signal_period_) {
+    if (++unsignaled_run >= signal_period_) {
       wr.signaled = true;
-      unsignaled_run_ = 0;
+      unsignaled_run = 0;
     } else {
       wr.signaled = false;
     }
   }
   rewritten.back().signaled = true;
-  unsignaled_run_ = 0;
   fabric_.ExecuteChain(*this, rewritten);
   return OkStatus();
 }
@@ -214,20 +196,9 @@ std::size_t ResponseBytes(const SendWr& wr) {
 constexpr sim::Duration kRetryExceededDelay = sim::Micros(30);
 }  // namespace
 
-void Fabric::Execute(QueuePair& qp, const SendWr& wr) {
+void Fabric::ExecuteChain(QueuePair& qp, std::span<const SendWr> wrs) {
   ++doorbells_rung_;
-  QpTiming& timing = qp_timing_[qp.num()];
-  const sim::SimTime ready =
-      std::max(events_.Now(), timing.nic_free) + link_.doorbell_latency +
-      link_.wqe_fetch_latency;
-  // ExecuteOne advances timing.nic_free past `ready` by the per-WQE
-  // processing costs (MTT lookup, payload DMA fetch).
-  ExecuteOne(qp, wr, ready);
-}
-
-void Fabric::ExecuteChain(QueuePair& qp, const std::vector<SendWr>& wrs) {
-  ++doorbells_rung_;
-  chained_wrs_ += wrs.size();
+  if (wrs.size() > 1) chained_wrs_ += wrs.size();
   QpTiming& timing = qp_timing_[qp.num()];
   // One doorbell for the whole chain, then the NIC walks the linked
   // list: a descriptor fetch per WQE before it can be serialized, and

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -64,15 +65,12 @@ class Fabric {
   // Wires two QPs into a reliable connection (both transition to Rts).
   Status Connect(QueuePair& a, QueuePair& b);
 
-  // Fabric-internal: executes a posted WR. Called by QueuePair::PostSend.
-  void Execute(QueuePair& qp, const SendWr& wr);
-
   // Fabric-internal: executes a doorbell-batched chain of WRs posted by
-  // QueuePair::PostSendChain. One doorbell ring covers the whole chain;
-  // WQE i becomes NIC-visible after the doorbell plus i+1 descriptor
-  // fetches, then the usual per-QP wire serialization and RC ordering
-  // apply.
-  void ExecuteChain(QueuePair& qp, const std::vector<SendWr>& wrs);
+  // QueuePair::PostSendChain (a single PostSend is a one-WR chain). One
+  // doorbell ring covers the whole chain; WQE i becomes NIC-visible after
+  // the doorbell plus i+1 descriptor fetches, then the usual per-QP wire
+  // serialization and RC ordering apply.
+  void ExecuteChain(QueuePair& qp, std::span<const SendWr> wrs);
 
   sim::EventQueue& events() { return events_; }
   const sim::LinkModel& link() const { return link_; }

@@ -107,7 +107,7 @@ Status HostMemory::Write(std::uint64_t addr, ByteSpan data) {
 }
 
 StatusOr<std::uint64_t> HostMemory::ReadU64(std::uint64_t addr) const {
-  std::uint8_t buf[8];
+  std::uint8_t buf[8] = {};
   RDX_RETURN_IF_ERROR(Read(addr, buf));
   return LoadLE<std::uint64_t>(buf);
 }

@@ -5,7 +5,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <vector>
+#include <span>
 
 #include "common/status.h"
 #include "rdma/cq.h"
@@ -37,26 +37,26 @@ class QueuePair {
   CompletionQueue& send_cq() { return send_cq_; }
   CompletionQueue& recv_cq() { return recv_cq_; }
 
-  // Posts a work request to the send queue. In Rts the fabric picks it up
-  // immediately (simulated asynchronously); in Error it is flushed.
-  Status PostSend(const SendWr& wr);
-
   // Posts a linked list of work requests with a single doorbell ring
-  // (ibv_post_send with wr.next chaining). The chain shares one MMIO
-  // doorbell; each WQE still pays its descriptor fetch, and RC ordering
-  // across the chain is identical to posting the WRs one by one.
-  Status PostSendChain(const std::vector<SendWr>& wrs);
+  // (ibv_post_send with wr.next chaining). In Rts the fabric picks the
+  // chain up immediately (simulated asynchronously); in Error every WR is
+  // flushed. The chain shares one MMIO doorbell; each WQE still pays its
+  // descriptor fetch, and RC ordering across the chain is identical to
+  // posting the WRs one by one.
+  Status PostSendChain(std::span<const SendWr> wrs);
+  // A one-WR chain: one doorbell, one descriptor fetch.
+  Status PostSend(const SendWr& wr);
 
   // Posts a receive buffer for incoming SENDs.
   Status PostRecv(const RecvWr& wr);
 
-  // Selective-signaling period for chained posts: within PostSendChain,
-  // non-tail WRITE WRs are signaled only every `period`-th WR; the chain
-  // tail is ALWAYS signaled so a poller is never stranded waiting on a
-  // fully-unsignaled chain (the run counter resets at each tail).
-  // 0 or 1 disables the rewrite and honors each WR's own flag.
-  // Non-WRITE WRs (READ/atomics/SEND) keep their caller-set flag — their
-  // consumers need the returned data. Singleton PostSend is untouched.
+  // Selective-signaling period for chains of two or more WRs: non-tail
+  // WRITE WRs are signaled only every `period`-th WR, counted from the
+  // chain head; the chain tail is ALWAYS signaled so a poller is never
+  // stranded waiting on a fully-unsignaled chain. 0 or 1 disables the
+  // rewrite and honors each WR's own flag. Non-WRITE WRs (READ/atomics/
+  // SEND) keep their caller-set flag — their consumers need the returned
+  // data. A one-WR post has nothing to coalesce and keeps its own flag.
   void SetSignalingPeriod(std::uint32_t period) { signal_period_ = period; }
   std::uint32_t signaling_period() const { return signal_period_; }
 
@@ -86,7 +86,6 @@ class QueuePair {
   QpNum remote_qp_ = 0;
   std::deque<RecvWr> recv_queue_;
   std::uint32_t signal_period_ = 0;
-  std::uint32_t unsignaled_run_ = 0;
 };
 
 }  // namespace rdx::rdma

@@ -142,7 +142,7 @@ bool WasmImage::IsLinked() const {
 
 Bytes WasmImage::Serialize() const {
   Bytes out;
-  AppendLE<std::uint32_t>(out, 0x46574452u);  // "RDWF"
+  AppendLE<std::uint32_t>(out, kMagic);
   AppendLE<std::uint32_t>(out, 1);            // version
   AppendLE<std::uint32_t>(out,
                           static_cast<std::uint32_t>(filter_name.size()));
@@ -174,7 +174,7 @@ StatusOr<WasmImage> WasmImage::Deserialize(ByteSpan bytes) {
     return FailedPrecondition("wasm image checksum mismatch");
   }
   std::size_t off = 0;
-  if (LoadLE<std::uint32_t>(bytes.data()) != 0x46574452u) {
+  if (LoadLE<std::uint32_t>(bytes.data()) != kMagic) {
     return InvalidArgument("bad wasm image magic");
   }
   off += 8;  // magic + version

@@ -70,6 +70,8 @@ struct WasmReloc {
 };
 
 struct WasmImage {
+  static constexpr std::uint32_t kMagic = 0x46574452;  // "RDWF"
+
   std::string filter_name;
   std::uint32_t num_locals = 0;
   std::vector<WasmInsn> code;

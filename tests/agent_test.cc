@@ -3,6 +3,10 @@
 // and the steady-state polling tax.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <string>
+
 #include "agent/agent.h"
 #include "bpf/assembler.h"
 #include "bpf/proggen.h"
@@ -18,11 +22,12 @@ struct Node {
   std::unique_ptr<core::Sandbox> sandbox;
   std::unique_ptr<NodeAgent> agent;
 
-  explicit Node(AgentConfig config = {}) {
+  explicit Node(AgentConfig config = {},
+                core::SandboxConfig sandbox_config = {}) {
     node = &fabric.AddNode("n", 64u << 20);
     cpu = std::make_unique<sim::CpuScheduler>(events, 24, 3.4e9);
     sandbox = std::make_unique<core::Sandbox>(events, *node,
-                                              core::SandboxConfig{});
+                                              std::move(sandbox_config));
     EXPECT_TRUE(sandbox->CtxInit().ok());
     agent = std::make_unique<NodeAgent>(events, *sandbox, *cpu, config);
   }
@@ -30,7 +35,7 @@ struct Node {
   AgentTrace Load(const bpf::Program& prog, int hook = 0) {
     AgentTrace trace;
     bool done = false;
-    agent->LoadExtension(prog, hook, [&](StatusOr<AgentTrace> r) {
+    agent->Load(prog, hook, [&](StatusOr<AgentTrace> r) {
       EXPECT_TRUE(r.ok()) << r.status().ToString();
       if (r.ok()) trace = r.value();
       done = true;
@@ -114,7 +119,7 @@ TEST(NodeAgentPipeline, RejectsUnverifiableProgram) {
   bad.name = "bad";
   bad.insns = bpf::Assemble("r0 = r9\nexit\n").value();  // uninit read
   bool done = false;
-  n.agent->LoadExtension(bad, 0, [&](StatusOr<AgentTrace> r) {
+  n.agent->Load(bad, 0, [&](StatusOr<AgentTrace> r) {
     EXPECT_FALSE(r.ok());
     done = true;
   });
@@ -193,7 +198,7 @@ TEST(NodeAgentPipeline, WasmFilterLoadsAndRuns) {
   Node n;
   wasm::FilterModule filter = wasm::GenerateFilter(200, 4);
   bool done = false;
-  n.agent->LoadWasmFilter(filter, 2, [&](StatusOr<AgentTrace> r) {
+  n.agent->Load(filter, 2, [&](StatusOr<AgentTrace> r) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     done = true;
   });
@@ -266,7 +271,7 @@ TEST(Controller, PushAddsNetworkDelay) {
   bpf::Program prog = TinyProgram(1);
   sim::SimTime pushed_done = 0;
   bool done = false;
-  h.controller.PushExtension(0, prog, 0, [&](StatusOr<AgentTrace> r) {
+  h.controller.Push(0, prog, 0, [&](StatusOr<AgentTrace> r) {
     ASSERT_TRUE(r.ok());
     pushed_done = h.events.Now();
     done = true;
@@ -350,6 +355,204 @@ TEST(Controller, RolloutPropagatesAgentFailure) {
   });
   while (!done && !h.events.Empty()) h.events.Step();
   EXPECT_TRUE(done);
+}
+
+// ---- one load path for both extension kinds ----
+
+// Runs one agent load to completion and returns its outcome.
+template <class Source>
+StatusOr<AgentTrace> RunLoad(Node& n, const Source& src, int hook = 0) {
+  std::optional<StatusOr<AgentTrace>> out;
+  n.agent->Load(src, hook, [&](StatusOr<AgentTrace> r) { out = r; });
+  while (!out && !n.events.Empty()) n.events.Step();
+  if (!out) return Internal("load never completed");
+  return *out;
+}
+
+// Span name -> duration of everything the agent recorded.
+std::map<std::string, sim::Duration> SpanDurations(NodeAgent& agent) {
+  std::map<std::string, sim::Duration> spans;
+  for (const auto& ev : agent.tracer().events()) spans[ev.name] = ev.dur;
+  return spans;
+}
+
+class NullHost final : public wasm::WasmHost {
+ public:
+  StatusOr<std::uint64_t> CallHost(std::int32_t, std::uint64_t,
+                                   std::uint64_t) override {
+    return 0ull;
+  }
+};
+
+// A valid and an unverifiable source of each kind.
+template <class Source>
+struct KindSources;
+template <>
+struct KindSources<bpf::Program> {
+  static bpf::Program Good() {
+    return bpf::GenerateProgram({.target_insns = 1300, .seed = 1});
+  }
+  static bpf::Program Bad() {
+    bpf::Program bad;
+    bad.name = "bad";
+    bad.insns = bpf::Assemble("r0 = r9\nexit\n").value();  // uninit read
+    return bad;
+  }
+};
+template <>
+struct KindSources<wasm::FilterModule> {
+  static wasm::FilterModule Good() { return wasm::GenerateFilter(1300, 1); }
+  static wasm::FilterModule Bad() {
+    wasm::FilterModule bad;
+    bad.name = "bad";
+    bad.code = {{wasm::WOp::kAdd, 0}, {wasm::WOp::kReturn, 0}};  // underflow
+    return bad;
+  }
+};
+
+template <class Source>
+class AgentLoadTest : public ::testing::Test {};
+using ExtensionKinds = ::testing::Types<bpf::Program, wasm::FilterModule>;
+TYPED_TEST_SUITE(AgentLoadTest, ExtensionKinds);
+
+TYPED_TEST(AgentLoadTest, StageSpansMatchTraceAndChargeNodeCpu) {
+  Node n;
+  const double before = n.cpu->Utilization();
+  auto trace = RunLoad(n, KindSources<TypeParam>::Good(), 3);
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
+  for (const auto& ev : n.agent->tracer().events()) {
+    EXPECT_EQ(ev.pid, static_cast<std::uint32_t>(n.node->id()));
+    EXPECT_EQ(ev.tid, 3u);
+  }
+  const auto spans = SpanDurations(*n.agent);
+  EXPECT_EQ(spans.size(), 5u);
+  EXPECT_EQ(spans.at("agent:queue"), trace->queue);
+  EXPECT_EQ(spans.at("agent:verify"), trace->verify);
+  EXPECT_EQ(spans.at("agent:jit"), trace->jit);
+  EXPECT_EQ(spans.at("agent:attach"), trace->attach);
+  EXPECT_EQ(spans.at("agent:load"), trace->total);
+  // The stages run back to back inside the load span.
+  EXPECT_EQ(trace->total,
+            trace->queue + trace->verify + trace->jit + trace->attach);
+  EXPECT_GT(trace->verify, 0);
+  EXPECT_GT(trace->jit, 0);
+  EXPECT_GT(n.cpu->Utilization(), before);
+  EXPECT_EQ(n.agent->loads_completed(), 1u);
+  EXPECT_EQ(n.sandbox->VisibleVersion(3), 1u);
+}
+
+TYPED_TEST(AgentLoadTest, RejectedSourceReturnsErrorWithLoadSpanClosed) {
+  Node n;
+  auto trace = RunLoad(n, KindSources<TypeParam>::Bad());
+  EXPECT_FALSE(trace.ok());
+  const auto spans = SpanDurations(*n.agent);
+  EXPECT_EQ(spans.count("agent:jit"), 0u);
+  EXPECT_EQ(spans.count("agent:attach"), 0u);
+  // The load span is closed where verification ended.
+  EXPECT_GT(spans.at("agent:verify"), 0);
+  EXPECT_EQ(spans.at("agent:load"),
+            spans.at("agent:queue") + spans.at("agent:verify"));
+  EXPECT_EQ(n.agent->loads_completed(), 0u);
+  EXPECT_EQ(n.sandbox->VisibleVersion(0), 0u);
+}
+
+TYPED_TEST(AgentLoadTest, PushAndRolloutReachEveryAgent) {
+  ControllerHarness h(3);
+  const TypeParam src = KindSources<TypeParam>::Good();
+  bool pushed = false;
+  h.controller.Push(0, src, 1, [&](StatusOr<AgentTrace> r) {
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    pushed = true;
+  });
+  while (!pushed && !h.events.Empty()) h.events.Step();
+  ASSERT_TRUE(pushed);
+  EXPECT_GT(h.events.Now(), sim::Millis(5));  // push delay dominates
+
+  std::optional<StatusOr<RolloutResult>> rolled;
+  h.controller.Rollout(src, 1, {{0}, {1, 2}},
+                       [&](StatusOr<RolloutResult> r) { rolled = r; });
+  while (!rolled && !h.events.Empty()) h.events.Step();
+  ASSERT_TRUE(rolled.has_value());
+  ASSERT_TRUE(rolled->ok()) << rolled->status().ToString();
+  EXPECT_EQ((*rolled)->nodes, 3u);
+  EXPECT_EQ(h.sandboxes[0]->VisibleVersion(1), 2u);
+  EXPECT_EQ(h.sandboxes[1]->VisibleVersion(1), 1u);
+  EXPECT_EQ(h.sandboxes[2]->VisibleVersion(1), 1u);
+}
+
+// ---- one linker ----
+
+// Records the host-table index each host call lands on.
+class RecordingHost final : public wasm::WasmHost {
+ public:
+  StatusOr<std::uint64_t> CallHost(std::int32_t host_fn, std::uint64_t,
+                                   std::uint64_t) override {
+    calls.push_back(host_fn);
+    return 0ull;
+  }
+  std::vector<std::int32_t> calls;
+};
+
+wasm::FilterModule CallsImport(const std::string& import) {
+  wasm::FilterModule filter;
+  filter.name = "calls_" + import;
+  filter.imports = {{import}};
+  filter.code = {{wasm::WOp::kConst, 0},
+                 {wasm::WOp::kConst, 0},
+                 {wasm::WOp::kCallHost, 0},
+                 {wasm::WOp::kReturn, 0}};
+  return filter;
+}
+
+TEST(NodeAgentLink, WasmImportsResolveAgainstSandboxHostTable) {
+  core::SandboxConfig config;
+  config.wasm_host_fns = {"set_header", "get_header", "counter_incr",
+                          "log_event"};
+  Node n({}, config);
+  ASSERT_TRUE(RunLoad(n, CallsImport("get_header")).ok());
+  RecordingHost host;
+  ASSERT_TRUE(n.sandbox->ExecuteWasmHook(0, host).ok());
+  // This sandbox exports get_header at index 1, which is also the index
+  // an RDX deploy resolves it to.
+  EXPECT_EQ(host.calls, std::vector<std::int32_t>{1});
+}
+
+TEST(NodeAgentLink, UnexportedImportIsRejected) {
+  Node n;
+  auto trace = RunLoad(n, CallsImport("open_socket"));
+  EXPECT_EQ(trace.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_GT(SpanDurations(*n.agent).at("agent:load"), 0);
+  EXPECT_EQ(n.sandbox->VisibleVersion(0), 0u);
+}
+
+// ---- one hook runtime ----
+
+TEST(SandboxHookKinds, WrongKindFailsWithoutHealthOutcome) {
+  Node n;
+  ASSERT_TRUE(RunLoad(n, TinyProgram(7), 0).ok());
+  ASSERT_TRUE(RunLoad(n, wasm::GenerateFilter(50, 2), 1).ok());
+  ASSERT_TRUE(RunLoad(n, TinyProgram(8), 2).ok());
+  NullHost host;
+  Bytes packet(4, 0);
+  // Hooks 0 and 1 run once with their own kind (decoding the image);
+  // hook 2 is first executed as the wrong kind, before any decode.
+  ASSERT_TRUE(n.sandbox->ExecuteHook(0, packet).ok());
+  ASSERT_TRUE(n.sandbox->ExecuteWasmHook(1, host).ok());
+  EXPECT_EQ(n.sandbox->ExecuteWasmHook(0, host).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(n.sandbox->ExecuteHook(1, packet).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(n.sandbox->ExecuteWasmHook(2, host).status().code(),
+            StatusCode::kFailedPrecondition);
+  for (int hook : {0, 1, 2}) {
+    const core::HealthView hv = n.sandbox->ReadLocalHealth(hook);
+    EXPECT_EQ(hv.executions, hook == 2 ? 0u : 1u) << "hook " << hook;
+    EXPECT_EQ(hv.traps, 0u);
+    EXPECT_EQ(hv.consecutive_failures, 0u);
+  }
+  // The right kind still runs.
+  EXPECT_EQ(n.sandbox->ExecuteHook(0, packet)->r0, 7u);
+  EXPECT_EQ(n.sandbox->ExecuteHook(2, packet)->r0, 8u);
 }
 
 }  // namespace

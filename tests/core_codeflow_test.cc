@@ -302,6 +302,43 @@ TEST(SyncPrimitives, TxLandsPayloadThenSwingsQword) {
   EXPECT_EQ(sandbox.node().memory().ReadU64(qword_addr).value(), 0x1234u);
 }
 
+// Tracks whether a BBU barrier is still holding requests.
+class RecordingBarrier final : public UpdateBarrier {
+ public:
+  void BeginBuffering() override {
+    buffering = true;
+    ++begins;
+  }
+  void ReleaseBuffered() override {
+    buffering = false;
+    ++releases;
+  }
+  std::size_t BufferedCount() const override { return 0; }
+  bool buffering = false;
+  int begins = 0;
+  int releases = 0;
+};
+
+TEST(Broadcast, FailedBuildReleasesBarrier) {
+  Cluster cluster(2);
+  CollectiveCodeFlow group(*cluster.cp, cluster.flows);
+  bpf::Program bad;
+  bad.name = "bad";
+  bad.insns = bpf::Assemble("r0 = r5\nexit\n").value();  // uninit read
+  RecordingBarrier barrier;
+  bool done = false;
+  group.Broadcast(bad, 0, &barrier, [&](StatusOr<BroadcastResult> r) {
+    EXPECT_FALSE(r.ok());
+    EXPECT_FALSE(barrier.buffering) << "barrier still buffering at done";
+    done = true;
+  });
+  cluster.events.Run();
+  ASSERT_TRUE(done);
+  EXPECT_EQ(barrier.begins, 1);
+  EXPECT_EQ(barrier.releases, 1);
+  EXPECT_FALSE(barrier.buffering);
+}
+
 TEST(Broadcast, DeploysToAllNodesWithTightCommitWindow) {
   Cluster cluster(4);
   CollectiveCodeFlow group(*cluster.cp, cluster.flows);

@@ -107,11 +107,11 @@ TEST(Integration, AgentAndRdxManageDifferentHooks) {
   World world;
   // Agent owns hook 0, RDX owns hook 1 — both on the same sandbox.
   bool agent_done = false;
-  world.agents[0]->LoadExtension(ReturnN(1), 0,
-                                 [&](StatusOr<agent::AgentTrace> r) {
-                                   ASSERT_TRUE(r.ok());
-                                   agent_done = true;
-                                 });
+  world.agents[0]->Load(ReturnN(1), 0,
+                        [&](StatusOr<agent::AgentTrace> r) {
+                          ASSERT_TRUE(r.ok());
+                          agent_done = true;
+                        });
   while (!agent_done && !world.events.Empty()) world.events.Step();
   world.Inject(*world.flows[0], ReturnN(2), 1);
 
