@@ -5,6 +5,8 @@
 // the whole lowering pipeline).
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "bpf/assembler.h"
 #include "bpf/interpreter.h"
 #include "bpf/jit.h"
@@ -125,6 +127,14 @@ struct CondCase {
   std::int64_t rhs;
   bool taken;
 };
+
+// Names each case by its values. Without this gtest prints the raw bytes
+// of the struct, which hold the address of `cond` and uninitialised
+// padding, so the ctest names change from one build or run to the next.
+void PrintTo(const CondCase& c, std::ostream* os) {
+  *os << c.lhs << ' ' << c.cond << ' ' << c.rhs
+      << (c.taken ? " taken" : " not taken");
+}
 
 class BranchSemantics : public ::testing::TestWithParam<CondCase> {};
 
