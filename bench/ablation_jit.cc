@@ -54,6 +54,7 @@ struct Env {
         image.code[reloc.index].imm64 = map_addr;
       }
     }
+    if (!image.MakeRunnable().ok()) std::abort();
   }
 };
 

@@ -2,8 +2,9 @@
 # Repository gate: tier-1 verification (full build + every test), a
 # strict -Wall -Wextra -Werror compile of all src/ libraries (default and
 # Release builds), a doc-drift guard (docs/wire-contracts.md vs
-# core/layout.h + markdown link check), a golden smoke gate (bench stdout
-# vs bench/golden/), and an ASan+UBSan build + test pass (catches the
+# core/layout.h + markdown link check), a JIT-vs-interpreter speed ratio
+# gate (ablation_jit), a golden smoke gate (bench stdout vs
+# bench/golden/), and an ASan+UBSan build + test pass (catches the
 # lifetime/aliasing bugs the guardrail and fault paths are most prone to).
 #
 # Usage: scripts/check.sh            # from anywhere inside the repo
@@ -125,6 +126,31 @@ awk -v b="$base" -v f="$fast" -v wb="$want_base" -v wf="$want_fast" \
   printf "perf gate OK: %.1f -> %.1f ns/op (%.2fx, budget %.1f +/-20%%)\n",
          b, f, b / f, wf
 }'
+
+echo
+echo "== jit ratio gate: ablation_jit JIT vs interpreter at 1000 insns =="
+# Both engines run the same program in one process, repetitions
+# interleaved, so the ratio of their insn/s medians is robust to host
+# speed. The fused-dispatch JIT must stay >= 1.5x the interpreter.
+jit_json="$(./build/bench/ablation_jit \
+  --benchmark_filter='^BM_(Interpreter|JitThreadedCode)/1000$' \
+  --benchmark_min_time=0.1 --benchmark_repetitions=5 \
+  --benchmark_enable_random_interleaving=true \
+  --benchmark_report_aggregates_only=true --benchmark_format=json)"
+awk '
+  /"name":/ { name = $2 }
+  /"items_per_second":/ {
+    v = $2; sub(/,$/, "", v)
+    if (name ~ /"BM_Interpreter\/1000_median"/) interp = v
+    if (name ~ /"BM_JitThreadedCode\/1000_median"/) jit = v
+  }
+  END {
+    if (interp == "" || jit == "") { print "jit gate: no medians"; exit 1 }
+    ratio = jit / interp
+    printf "jit gate: %.1f vs %.1f M insn/s (%.2fx, need >= 1.5x)\n",
+           jit / 1e6, interp / 1e6, ratio
+    if (ratio < 1.5) exit 1
+  }' <<<"$jit_json"
 
 echo
 echo "== golden smoke gate: bench stdout vs bench/golden/ =="

@@ -33,7 +33,9 @@ Status MemSpace::StoreInt(std::uint64_t addr, int size, std::uint64_t value) {
 }
 
 VectorMemory::VectorMemory(std::uint64_t capacity, std::uint64_t base)
-    : base_(base), next_(base), bytes_(capacity, 0) {}
+    : base_(base), next_(base), bytes_(capacity, 0) {
+  set_window({bytes_.data(), base_, capacity});
+}
 
 StatusOr<MutableByteSpan> VectorMemory::SpanAt(std::uint64_t addr,
                                                std::uint64_t len) {
@@ -79,16 +81,17 @@ const HelperSpec* FindHelper(std::int32_t id) {
 
 namespace {
 
+// The map registered at `map_addr` and a view over its storage.
 StatusOr<MapView> ViewForMap(RuntimeContext& rt, std::uint64_t map_addr,
-                             MapSpec& spec_out) {
+                             const MapSpec*& spec_out) {
   auto it = rt.maps.find(map_addr);
   if (it == rt.maps.end()) {
     return FailedPrecondition("helper called with unregistered map");
   }
-  spec_out = it->second;
+  spec_out = &it->second;
   RDX_ASSIGN_OR_RETURN(
       MutableByteSpan storage,
-      rt.mem->SpanAt(map_addr, MapRequiredBytes(it->second)));
+      rt.mem->FastSpanAt(map_addr, MapRequiredBytes(it->second)));
   return MapView(storage);
 }
 
@@ -100,30 +103,30 @@ StatusOr<std::uint64_t> CallHelperFn(
   if (rt.mem == nullptr) return Internal("RuntimeContext without MemSpace");
   switch (id) {
     case kHelperMapLookupElem: {
-      MapSpec spec;
+      const MapSpec* spec = nullptr;
       RDX_ASSIGN_OR_RETURN(MapView view, ViewForMap(rt, args[0], spec));
       RDX_ASSIGN_OR_RETURN(MutableByteSpan key,
-                           rt.mem->SpanAt(args[1], spec.key_size));
+                           rt.mem->FastSpanAt(args[1], spec->key_size));
       auto off = view.LookupOffset(ByteSpan(key.data(), key.size()));
       if (!off.ok()) return 0ull;  // NULL: not found
       return args[0] + off.value();
     }
     case kHelperMapUpdateElem: {
-      MapSpec spec;
+      const MapSpec* spec = nullptr;
       RDX_ASSIGN_OR_RETURN(MapView view, ViewForMap(rt, args[0], spec));
       RDX_ASSIGN_OR_RETURN(MutableByteSpan key,
-                           rt.mem->SpanAt(args[1], spec.key_size));
+                           rt.mem->FastSpanAt(args[1], spec->key_size));
       RDX_ASSIGN_OR_RETURN(MutableByteSpan value,
-                           rt.mem->SpanAt(args[2], spec.value_size));
+                           rt.mem->FastSpanAt(args[2], spec->value_size));
       Status s = view.Update(ByteSpan(key.data(), key.size()),
                              ByteSpan(value.data(), value.size()));
       return s.ok() ? 0ull : static_cast<std::uint64_t>(-1);
     }
     case kHelperMapDeleteElem: {
-      MapSpec spec;
+      const MapSpec* spec = nullptr;
       RDX_ASSIGN_OR_RETURN(MapView view, ViewForMap(rt, args[0], spec));
       RDX_ASSIGN_OR_RETURN(MutableByteSpan key,
-                           rt.mem->SpanAt(args[1], spec.key_size));
+                           rt.mem->FastSpanAt(args[1], spec->key_size));
       Status s = view.Delete(ByteSpan(key.data(), key.size()));
       return s.ok() ? 0ull : static_cast<std::uint64_t>(-1);
     }
@@ -139,10 +142,11 @@ StatusOr<std::uint64_t> CallHelperFn(
     case kHelperGetSmpProcessorId:
       return rt.processor_id;
     case kHelperRingbufOutput: {
-      MapSpec spec;
+      const MapSpec* spec = nullptr;
       RDX_ASSIGN_OR_RETURN(MapView view, ViewForMap(rt, args[0], spec));
       const std::uint64_t len = args[2];
-      RDX_ASSIGN_OR_RETURN(MutableByteSpan data, rt.mem->SpanAt(args[1], len));
+      RDX_ASSIGN_OR_RETURN(MutableByteSpan data,
+                           rt.mem->FastSpanAt(args[1], len));
       Status s = view.RingOutput(ByteSpan(data.data(), data.size()));
       return s.ok() ? 0ull : static_cast<std::uint64_t>(-1);
     }

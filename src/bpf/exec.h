@@ -18,22 +18,60 @@
 
 namespace rdx::bpf {
 
+// The part of a MemSpace that is one flat host buffer: guest addresses
+// [base, base + size) live at host + (addr - base).
+struct MemWindow {
+  std::uint8_t* host = nullptr;
+  std::uint64_t base = 0;
+  std::uint64_t size = 0;
+
+  // Host pointer for [addr, addr + len), or nullptr unless the whole
+  // range lies inside the window.
+  std::uint8_t* Find(std::uint64_t addr, std::uint64_t len) const {
+    const std::uint64_t off = addr - base;
+    return off < size && len <= size - off ? host + off : nullptr;
+  }
+};
+
 class MemSpace {
  public:
   virtual ~MemSpace() = default;
+  MemSpace(const MemSpace&) = delete;
+  MemSpace& operator=(const MemSpace&) = delete;
 
   // Returns a writable window over [addr, addr+len), or an error if the
   // range is invalid in this space.
   virtual StatusOr<MutableByteSpan> SpanAt(std::uint64_t addr,
                                            std::uint64_t len) = 0;
 
+  // The flat part of this space (empty by default). SpanAt must return
+  // the same bytes for every range inside it.
+  const MemWindow& window() const { return window_; }
+
+  // SpanAt with the window checked inline first: same spans and errors,
+  // but no virtual call for ranges inside the window.
+  StatusOr<MutableByteSpan> FastSpanAt(std::uint64_t addr,
+                                       std::uint64_t len) {
+    if (std::uint8_t* p = window_.Find(addr, len)) {
+      return MutableByteSpan(p, len);
+    }
+    return SpanAt(addr, len);
+  }
+
   // Convenience integer accessors built on SpanAt. `size` is 1/2/4/8.
   Status LoadInt(std::uint64_t addr, int size, std::uint64_t& out);
   Status StoreInt(std::uint64_t addr, int size, std::uint64_t value);
+
+ protected:
+  MemSpace() = default;
+  void set_window(const MemWindow& window) { window_ = window; }
+
+ private:
+  MemWindow window_;
 };
 
-// Process-local MemSpace with a bump allocator. The nonzero base address
-// keeps null pointers invalid.
+// Process-local MemSpace with a bump allocator, flat over its whole
+// capacity. The nonzero base address keeps null pointers invalid.
 class VectorMemory : public MemSpace {
  public:
   explicit VectorMemory(std::uint64_t capacity,

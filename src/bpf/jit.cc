@@ -1,6 +1,6 @@
 #include "bpf/jit.h"
 
-#include <unordered_map>
+#include <array>
 
 #include "bpf/eval_inl.h"
 
@@ -176,6 +176,8 @@ StatusOr<JitImage> JitImage::Deserialize(ByteSpan bytes) {
     image.maps.push_back(std::move(map));
     off += 16;
   }
+  RDX_RETURN_IF_ERROR(image.FuseCode());
+  image.runnable_ = image.IsLinked();
   return image;
 }
 
@@ -334,127 +336,298 @@ StatusOr<JitImage> JitCompiler::Compile(const Program& prog) const {
   return image;
 }
 
+namespace {
+
+// ---- Fused opcodes ----
+// ALU operations and branch conditions are 4-bit fields (op >> 4); each
+// gets four consecutive fused codes, one per (width, operand form).
+constexpr std::uint8_t Form(bool is64, bool reg) {
+  return static_cast<std::uint8_t>((is64 ? 0 : 2) | (reg ? 1 : 0));
+}
+constexpr std::uint8_t AluCode(std::uint8_t op, bool is64, bool reg) {
+  return static_cast<std::uint8_t>(4 * (op >> 4) + Form(is64, reg));
+}
+constexpr std::uint8_t kJmpCodeBase = 4 * 16;
+constexpr std::uint8_t JmpCode(std::uint8_t cond, bool is64, bool reg) {
+  return static_cast<std::uint8_t>(kJmpCodeBase + 4 * (cond >> 4) +
+                                   Form(is64, reg));
+}
+// The rest: loads and stores come in runs of four, one per access size
+// 1/2/4/8, then the six (direction, width) byte swaps.
+enum FusedCode : std::uint8_t {
+  kJa = kJmpCodeBase + 4 * 16,
+  kCall,
+  kExit,
+  kLdImm64,
+  kLdx = kLdImm64 + 1,
+  kSt = kLdx + 4,
+  kStx = kSt + 4,
+  kLe16 = kStx + 4,
+  kLe32,
+  kLe64,
+  kBe16,
+  kBe32,
+  kBe64,
+};
+
+bool IsAluOp(std::uint8_t op) { return (op & 0x0f) == 0 && op <= kAluArsh; }
+bool IsCond(std::uint8_t op) {
+  return (op & 0x0f) == 0 && op != kJmpJa && op != kJmpCall &&
+         op != kJmpExit && op <= kJmpJsle;
+}
+int SizeIndex(std::uint8_t bytes) {
+  switch (bytes) {
+    case 1: return 0;
+    case 2: return 1;
+    case 4: return 2;
+    case 8: return 3;
+  }
+  return -1;
+}
+
+// Checks `op` against everything the executor would otherwise index or
+// dispatch on unchecked and sets its fused opcode. Returns what is wrong
+// with the op, or nullptr.
+const char* Fuse(MicroOp& op, std::size_t code_size) {
+  const bool dst_ok = op.dst < kNumRegs;
+  const bool src_ok = op.src < kNumRegs;
+  const bool target_ok = op.target <= code_size;
+  switch (op.kind) {
+    case OpKind::kAlu64K:
+    case OpKind::kAlu64X:
+    case OpKind::kAlu32K:
+    case OpKind::kAlu32X: {
+      if (!IsAluOp(op.aux)) return "unknown ALU op";
+      const bool is64 =
+          op.kind == OpKind::kAlu64K || op.kind == OpKind::kAlu64X;
+      // NEG has no source operand; its K form reads no register.
+      const bool reg = op.aux != kAluNeg && (op.kind == OpKind::kAlu64X ||
+                                             op.kind == OpKind::kAlu32X);
+      if (!dst_ok || (reg && !src_ok)) return "register index out of range";
+      op.fused = AluCode(op.aux, is64, reg);
+      return nullptr;
+    }
+    case OpKind::kCondJmpK:
+    case OpKind::kCondJmpX:
+    case OpKind::kCondJmp32K:
+    case OpKind::kCondJmp32X: {
+      if (!IsCond(op.aux)) return "unknown JMP op";
+      const bool is64 =
+          op.kind == OpKind::kCondJmpK || op.kind == OpKind::kCondJmpX;
+      const bool reg =
+          op.kind == OpKind::kCondJmpX || op.kind == OpKind::kCondJmp32X;
+      if (!dst_ok || (reg && !src_ok)) return "register index out of range";
+      if (!target_ok) return "branch target out of range";
+      op.fused = JmpCode(op.aux, is64, reg);
+      return nullptr;
+    }
+    case OpKind::kJumpAbs:
+      if (!target_ok) return "branch target out of range";
+      op.fused = kJa;
+      return nullptr;
+    case OpKind::kCall:
+      op.fused = kCall;
+      return nullptr;
+    case OpKind::kExit:
+      op.fused = kExit;
+      return nullptr;
+    case OpKind::kLoadImm64:
+      if (!dst_ok) return "register index out of range";
+      op.fused = kLdImm64;
+      return nullptr;
+    case OpKind::kLoad:
+    case OpKind::kStoreImm:
+    case OpKind::kStoreReg: {
+      const int size = SizeIndex(op.aux);
+      if (size < 0) return "bad access size";
+      const bool reg = op.kind != OpKind::kStoreImm;
+      if (!dst_ok || (reg && !src_ok)) return "register index out of range";
+      const std::uint8_t base = op.kind == OpKind::kLoad       ? kLdx
+                                : op.kind == OpKind::kStoreImm ? kSt
+                                                               : kStx;
+      op.fused = static_cast<std::uint8_t>(base + size);
+      return nullptr;
+    }
+    case OpKind::kEndian: {
+      if (!dst_ok) return "register index out of range";
+      const int width = op.aux == 16   ? 0
+                        : op.aux == 32 ? 1
+                        : op.aux == 64 ? 2
+                                       : -1;
+      if (width < 0) return "bad byte-swap width";
+      const std::uint8_t base = op.src != 0 ? kBe16 : kLe16;
+      op.fused = static_cast<std::uint8_t>(base + width);
+      return nullptr;
+    }
+  }
+  return "unknown micro-op kind";
+}
+
+std::uint64_t Imm(const MicroOp& op) {
+  return static_cast<std::uint64_t>(static_cast<std::int64_t>(op.imm));
+}
+
+// Flat-window fast paths for loads and stores: false when the access
+// leaves the window and must take MemSpace's general path.
+template <typename T>
+bool LoadFlat(const MemWindow& window, std::uint64_t addr,
+              std::uint64_t& out) {
+  const std::uint8_t* p = window.Find(addr, sizeof(T));
+  if (p == nullptr) return false;
+  out = LoadLE<T>(p);
+  return true;
+}
+
+template <typename T>
+bool StoreFlat(const MemWindow& window, std::uint64_t addr,
+               std::uint64_t value) {
+  std::uint8_t* p = window.Find(addr, sizeof(T));
+  if (p == nullptr) return false;
+  StoreLE(p, static_cast<T>(value));
+  return true;
+}
+
+}  // namespace
+
+Status JitImage::FuseCode() {
+  for (MicroOp& op : code) {
+    if (const char* error = Fuse(op, code.size())) {
+      return InvalidArgument(std::string("jit image: ") + error);
+    }
+  }
+  return OkStatus();
+}
+
+Status JitImage::MakeRunnable() {
+  runnable_ = false;
+  RDX_RETURN_IF_ERROR(FuseCode());
+  if (!IsLinked()) return FailedPrecondition("image has unlinked map slots");
+  runnable_ = true;
+  return OkStatus();
+}
+
 StatusOr<ExecResult> RunJit(const JitImage& image, RuntimeContext& rt,
                             const ExecOptions& opts) {
   if (rt.mem == nullptr) return Internal("RuntimeContext without MemSpace");
-  if (!image.IsLinked()) {
+  if (!image.runnable()) {
     return FailedPrecondition("executing unlinked image");
   }
+  MemSpace& mem = *rt.mem;
+  const MemWindow window = mem.window();
   std::uint64_t regs[kNumRegs] = {};
   regs[1] = opts.ctx_addr;
   regs[kFrameReg] = opts.stack_addr + kStackSize;
 
-  ExecResult result;
-  std::uint32_t pc = 0;
+  const MicroOp* const code = image.code.data();
   const std::size_t n = image.code.size();
+  const std::uint64_t limit = opts.insn_limit;
+  std::uint64_t executed = 0;
+  std::uint32_t pc = 0;
   while (true) {
     if (pc >= n) return Aborted("jit pc ran off the end");
-    if (++result.insns_executed > opts.insn_limit) {
+    if (++executed > limit) {
       return ResourceExhausted("instruction limit exceeded");
     }
-    const MicroOp& op = image.code[pc];
-    switch (op.kind) {
-      case OpKind::kAlu64K:
-      case OpKind::kAlu64X:
-      case OpKind::kAlu32K:
-      case OpKind::kAlu32X: {
-        const bool is64 =
-            op.kind == OpKind::kAlu64K || op.kind == OpKind::kAlu64X;
-        const bool reg_src =
-            op.kind == OpKind::kAlu64X || op.kind == OpKind::kAlu32X;
-        const std::uint64_t src =
-            op.aux == kAluNeg
-                ? 0
-                : (reg_src ? regs[op.src]
-                           : static_cast<std::uint64_t>(
-                                 static_cast<std::int64_t>(op.imm)));
-        bool ok = false;
-        regs[op.dst] = internal::AluEval(op.aux, regs[op.dst], src, is64, ok);
-        if (!ok) return Internal("jit image with bad ALU op");
-        ++pc;
-        break;
-      }
-      case OpKind::kJumpAbs:
+    const MicroOp& op = code[pc++];
+    switch (op.fused) {
+// One handler per (op, width, operand form), each instantiating the
+// shared rule from eval_inl.h for its constant op.
+#define RDX_JIT_ALU(OP)                                                     \
+  case AluCode(OP, true, false):                                            \
+    regs[op.dst] = internal::Alu<OP, true>(regs[op.dst], Imm(op));          \
+    break;                                                                  \
+  case AluCode(OP, true, true):                                             \
+    regs[op.dst] = internal::Alu<OP, true>(regs[op.dst], regs[op.src]);     \
+    break;                                                                  \
+  case AluCode(OP, false, false):                                           \
+    regs[op.dst] = internal::Alu<OP, false>(regs[op.dst], Imm(op));         \
+    break;                                                                  \
+  case AluCode(OP, false, true):                                            \
+    regs[op.dst] = internal::Alu<OP, false>(regs[op.dst], regs[op.src]);    \
+    break;
+      RDX_BPF_ALU_OPS(RDX_JIT_ALU)
+#undef RDX_JIT_ALU
+#define RDX_JIT_JMP(OP)                                                     \
+  case JmpCode(OP, true, false):                                            \
+    if (internal::Jmp<OP>(regs[op.dst], Imm(op))) pc = op.target;           \
+    break;                                                                  \
+  case JmpCode(OP, true, true):                                             \
+    if (internal::Jmp<OP>(regs[op.dst], regs[op.src])) pc = op.target;      \
+    break;                                                                  \
+  case JmpCode(OP, false, false):                                           \
+    if (internal::Jmp<OP>(internal::SignExtend32(regs[op.dst]),             \
+                          internal::SignExtend32(Imm(op)))) {               \
+      pc = op.target;                                                       \
+    }                                                                       \
+    break;                                                                  \
+  case JmpCode(OP, false, true):                                            \
+    if (internal::Jmp<OP>(internal::SignExtend32(regs[op.dst]),             \
+                          internal::SignExtend32(regs[op.src]))) {          \
+      pc = op.target;                                                       \
+    }                                                                       \
+    break;
+      RDX_BPF_JMP_CONDS(RDX_JIT_JMP)
+#undef RDX_JIT_JMP
+// Loads and stores: a bounds check plus memcpy inside the window; the
+// general path outside it reports the same errors as before.
+#define RDX_JIT_MEM(SIZE, T)                                                \
+  case kLdx + SIZE: {                                                       \
+    const std::uint64_t addr = regs[op.src] + Imm(op);                      \
+    if (!LoadFlat<T>(window, addr, regs[op.dst])) {                         \
+      RDX_RETURN_IF_ERROR(mem.LoadInt(addr, sizeof(T), regs[op.dst]));      \
+    }                                                                       \
+    break;                                                                  \
+  }                                                                         \
+  case kSt + SIZE: {                                                        \
+    const std::uint64_t addr =                                              \
+        regs[op.dst] +                                                      \
+        static_cast<std::int64_t>(static_cast<std::int32_t>(op.target));    \
+    if (!StoreFlat<T>(window, addr, Imm(op))) {                             \
+      RDX_RETURN_IF_ERROR(mem.StoreInt(addr, sizeof(T), Imm(op)));          \
+    }                                                                       \
+    break;                                                                  \
+  }                                                                         \
+  case kStx + SIZE: {                                                       \
+    const std::uint64_t addr = regs[op.dst] + Imm(op);                      \
+    if (!StoreFlat<T>(window, addr, regs[op.src])) {                        \
+      RDX_RETURN_IF_ERROR(mem.StoreInt(addr, sizeof(T), regs[op.src]));     \
+    }                                                                       \
+    break;                                                                  \
+  }
+      RDX_JIT_MEM(0, std::uint8_t)
+      RDX_JIT_MEM(1, std::uint16_t)
+      RDX_JIT_MEM(2, std::uint32_t)
+      RDX_JIT_MEM(3, std::uint64_t)
+#undef RDX_JIT_MEM
+      case kJa:
         pc = op.target;
         break;
-      case OpKind::kCondJmpK:
-      case OpKind::kCondJmpX: {
-        const std::uint64_t src =
-            op.kind == OpKind::kCondJmpX
-                ? regs[op.src]
-                : static_cast<std::uint64_t>(
-                      static_cast<std::int64_t>(op.imm));
-        bool ok = false;
-        const bool taken = internal::JmpEval(op.aux, regs[op.dst], src, ok);
-        if (!ok) return Internal("jit image with bad JMP op");
-        pc = taken ? op.target : pc + 1;
-        break;
-      }
-      case OpKind::kCall: {
-        std::array<std::uint64_t, kMaxHelperArgs> args = {
+      case kCall: {
+        const std::array<std::uint64_t, kMaxHelperArgs> args = {
             regs[1], regs[2], regs[3], regs[4], regs[5]};
         RDX_ASSIGN_OR_RETURN(regs[0], CallHelperFn(rt, op.imm, args));
+        // r1-r5 are caller-saved and clobbered by the call.
         for (int r = 1; r <= 5; ++r) regs[r] = 0;
-        ++pc;
         break;
       }
-      case OpKind::kExit:
-        result.r0 = regs[0];
-        return result;
-      case OpKind::kLoad: {
-        const std::uint64_t addr =
-            regs[op.src] + static_cast<std::int64_t>(op.imm);
-        std::uint64_t value = 0;
-        RDX_RETURN_IF_ERROR(rt.mem->LoadInt(addr, op.aux, value));
-        regs[op.dst] = value;
-        ++pc;
-        break;
-      }
-      case OpKind::kStoreImm: {
-        const std::uint64_t addr =
-            regs[op.dst] +
-            static_cast<std::int64_t>(static_cast<std::int32_t>(op.target));
-        RDX_RETURN_IF_ERROR(rt.mem->StoreInt(
-            addr, op.aux,
-            static_cast<std::uint64_t>(static_cast<std::int64_t>(op.imm))));
-        ++pc;
-        break;
-      }
-      case OpKind::kStoreReg: {
-        const std::uint64_t addr =
-            regs[op.dst] + static_cast<std::int64_t>(op.imm);
-        RDX_RETURN_IF_ERROR(rt.mem->StoreInt(addr, op.aux, regs[op.src]));
-        ++pc;
-        break;
-      }
-      case OpKind::kLoadImm64:
+      case kExit:
+        return ExecResult{regs[0], executed};
+      case kLdImm64:
         regs[op.dst] = op.imm64;
-        ++pc;
         break;
-      case OpKind::kCondJmp32K:
-      case OpKind::kCondJmp32X: {
-        const std::uint64_t dst_val = internal::SignExtend32(regs[op.dst]);
-        const std::uint64_t src_val = internal::SignExtend32(
-            op.kind == OpKind::kCondJmp32X
-                ? regs[op.src]
-                : static_cast<std::uint64_t>(
-                      static_cast<std::int64_t>(op.imm)));
-        bool ok = false;
-        const bool taken = internal::JmpEval(op.aux, dst_val, src_val, ok);
-        if (!ok) return Internal("jit image with bad JMP32 op");
-        pc = taken ? op.target : pc + 1;
-        break;
-      }
-      case OpKind::kEndian: {
-        bool swap_ok = false;
-        regs[op.dst] = internal::EndianEval(regs[op.dst], op.aux,
-                                            op.src != 0, swap_ok);
-        if (!swap_ok) return Internal("jit image with bad swap width");
-        ++pc;
-        break;
-      }
+#define RDX_JIT_ENDIAN(CODE, WIDTH, TO_BE)                                  \
+  case CODE:                                                                \
+    regs[op.dst] = internal::Endian<WIDTH, TO_BE>(regs[op.dst]);            \
+    break;
+      RDX_JIT_ENDIAN(kLe16, 16, false)
+      RDX_JIT_ENDIAN(kLe32, 32, false)
+      RDX_JIT_ENDIAN(kLe64, 64, false)
+      RDX_JIT_ENDIAN(kBe16, 16, true)
+      RDX_JIT_ENDIAN(kBe32, 32, true)
+      RDX_JIT_ENDIAN(kBe64, 64, true)
+#undef RDX_JIT_ENDIAN
       default:
-        return Internal("jit image with unknown micro-op");
+        return Internal("jit image with unknown fused op");
     }
   }
 }

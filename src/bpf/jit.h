@@ -11,6 +11,12 @@
 //   - a serialized wire format (the binary that is RDMA-written);
 //   - a content checksum used by the control plane's compile cache
 //     ("validate and compile once, deploy anywhere").
+//
+// When an image becomes runnable (decoded, or linked in memory) every
+// micro-op is checked once and gets one fused opcode for its (kind,
+// ALU/JMP op, width, K/X form). RunJit then pays one dispatch per op and
+// checks per op only what depends on run-time values: the pc, the fuel
+// and the memory bounds.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +47,9 @@ struct MicroOp {
   std::uint8_t src = 0;
   std::int32_t imm = 0;
   std::uint32_t target = 0;
+  // Executor dispatch code, derived from the fields above when the image
+  // is made runnable; not part of the wire format.
+  std::uint8_t fused = 0;
   std::uint64_t imm64 = 0;
 };
 
@@ -71,13 +80,30 @@ struct JitImage {
   // True once every kMapAddress relocation has been patched.
   bool IsLinked() const;
 
-  // Wire format (the bytes RDMA-deployed to a sandbox).
+  // Makes the image runnable by RunJit: checks every micro-op as
+  // Deserialize does (InvalidArgument), gives each its fused opcode, and
+  // checks that the image is linked (FailedPrecondition). A deserialized
+  // image that is linked is already runnable; code that links an image in
+  // memory calls this after patching the map slots.
+  Status MakeRunnable();
+  bool runnable() const { return runnable_; }
+
+  // Wire format (the bytes RDMA-deployed to a sandbox). Deserialize
+  // rejects any image the executor would have to defend against at run
+  // time: register indices >= kNumRegs, branch targets past the end,
+  // unknown ALU/JMP ops, access sizes other than 1/2/4/8 and swap widths
+  // other than 16/32/64.
   Bytes Serialize() const;
   static StatusOr<JitImage> Deserialize(ByteSpan bytes);
 
   // Content fingerprint over the *unlinked* semantic content (code with
   // map placeholders + maps), so one compile is reusable across nodes.
   std::uint64_t Fingerprint() const;
+
+ private:
+  Status FuseCode();
+
+  bool runnable_ = false;
 };
 
 class JitCompiler {
@@ -87,8 +113,9 @@ class JitCompiler {
   StatusOr<JitImage> Compile(const Program& prog) const;
 };
 
-// Executes a linked image. `opts.stack_addr` and map registration in `rt`
-// must match how the image was linked.
+// Executes a runnable image (see JitImage::MakeRunnable); any other image
+// is refused with FailedPrecondition. `opts.stack_addr` and map
+// registration in `rt` must match how the image was linked.
 StatusOr<ExecResult> RunJit(const JitImage& image, RuntimeContext& rt,
                             const ExecOptions& opts);
 

@@ -97,6 +97,11 @@ Status MapView::CheckKey(const MapHeader& h, ByteSpan key) const {
 StatusOr<std::uint64_t> MapView::LookupOffset(ByteSpan key) const {
   RDX_ASSIGN_OR_RETURN(const MapHeader h, Header());
   RDX_RETURN_IF_ERROR(CheckKey(h, key));
+  return OffsetOf(h, key);
+}
+
+StatusOr<std::uint64_t> MapView::OffsetOf(const MapHeader& h,
+                                          ByteSpan key) const {
   switch (h.type) {
     case MapType::kArray: {
       const std::uint32_t idx = LoadLE<std::uint32_t>(key.data());
@@ -145,7 +150,7 @@ Status MapView::Update(ByteSpan key, ByteSpan value) {
   }
   switch (h.type) {
     case MapType::kArray: {
-      RDX_ASSIGN_OR_RETURN(const std::uint64_t off, LookupOffset(key));
+      RDX_ASSIGN_OR_RETURN(const std::uint64_t off, OffsetOf(h, key));
       std::memcpy(storage_.data() + off, value.data(), h.value_size);
       return OkStatus();
     }
@@ -194,13 +199,13 @@ Status MapView::Delete(ByteSpan key) {
   RDX_RETURN_IF_ERROR(CheckKey(h, key));
   switch (h.type) {
     case MapType::kArray: {
-      RDX_ASSIGN_OR_RETURN(const std::uint64_t off, LookupOffset(key));
+      RDX_ASSIGN_OR_RETURN(const std::uint64_t off, OffsetOf(h, key));
       std::memset(storage_.data() + off, 0, h.value_size);
       return OkStatus();
     }
     case MapType::kHash: {
       const auto g = GeometryFor(h.key_size, h.value_size, h.max_entries);
-      RDX_ASSIGN_OR_RETURN(const std::uint64_t value_off, LookupOffset(key));
+      RDX_ASSIGN_OR_RETURN(const std::uint64_t value_off, OffsetOf(h, key));
       const std::uint64_t entry_off = value_off - 8 - g.key_pad;
       StoreLE<std::uint64_t>(storage_.data() + entry_off, kHashStateTomb);
       StoreLE<std::uint32_t>(storage_.data() + kOffUsed, h.used - 1);

@@ -104,6 +104,8 @@ class MapView {
 
  private:
   Status CheckKey(const MapHeader& h, ByteSpan key) const;
+  // LookupOffset over a header already parsed and a key already checked.
+  StatusOr<std::uint64_t> OffsetOf(const MapHeader& h, ByteSpan key) const;
 
   MutableByteSpan storage_;
 };

@@ -1,7 +1,8 @@
 // Adapter exposing a node's simulated DRAM (rdma::HostMemory) as the
 // MemSpace an eBPF extension executes against. This closes the loop that
 // makes RDX work: the extension's loads and stores hit the same bytes the
-// remote control plane reaches with one-sided verbs.
+// remote control plane reaches with one-sided verbs. DRAM is one flat
+// buffer, so the whole of it is the MemSpace window.
 #pragma once
 
 #include "bpf/exec.h"
@@ -11,7 +12,10 @@ namespace rdx::core {
 
 class HostMemSpace final : public bpf::MemSpace {
  public:
-  explicit HostMemSpace(rdma::HostMemory& memory) : memory_(memory) {}
+  explicit HostMemSpace(rdma::HostMemory& memory) : memory_(memory) {
+    set_window({memory.SpanForCpu(memory.base(), memory.capacity()).data(),
+                memory.base(), memory.capacity()});
+  }
 
   StatusOr<MutableByteSpan> SpanAt(std::uint64_t addr,
                                    std::uint64_t len) override {

@@ -114,7 +114,7 @@ Status Sandbox::CtxInit() {
   view_.symtab_len = SymbolTable().size();
   RDX_ASSIGN_OR_RETURN(view_.symtab_addr, mem.Allocate(view_.symtab_len, 64));
 
-  RDX_ASSIGN_OR_RETURN(ctx_buf_addr_, mem.Allocate(256, 64));
+  RDX_ASSIGN_OR_RETURN(ctx_buf_addr_, mem.Allocate(kCtxBytes, 64));
   RDX_ASSIGN_OR_RETURN(stack_addr_, mem.Allocate(bpf::kStackSize, 64));
 
   // HealthBlock array sits before the scratchpad so it lands inside the
@@ -524,14 +524,16 @@ StatusOr<bpf::ExecResult> Sandbox::ExecuteHook(int hook, ByteSpan packet) {
   RDX_ASSIGN_OR_RETURN(const bpf::JitImage* image,
                        BeginExecution<bpf::JitImage>(hook));
   if (image == nullptr) return bpf::ExecResult{1, 0};  // accept-by-default
-  // Stage the packet into the ctx buffer (zero-padded to 256 bytes).
-  Bytes ctx(256, 0);
-  std::memcpy(ctx.data(), packet.data(), std::min<std::size_t>(packet.size(), 256));
-  RDX_RETURN_IF_ERROR(node_.memory().Write(ctx_buf_addr_, ctx));
+  // Stage the packet into the ctx buffer in place. The buffer was
+  // allocated from this DRAM at boot, so it is in bounds.
+  const std::size_t len = std::min<std::size_t>(packet.size(), kCtxBytes);
+  MutableByteSpan ctx = node_.memory().SpanForCpu(ctx_buf_addr_, kCtxBytes);
+  std::memcpy(ctx.data(), packet.data(), len);
+  std::memset(ctx.data() + len, 0, ctx.size() - len);
 
   bpf::ExecOptions opts;
   opts.ctx_addr = ctx_buf_addr_;
-  opts.ctx_len = 256;
+  opts.ctx_len = kCtxBytes;
   opts.stack_addr = stack_addr_;
   opts.insn_limit = config_.fuel_budget;
   return EndExecution(hook, telemetry::RingEventKind::kHookExecEbpf,

@@ -242,6 +242,8 @@ class Sandbox {
   bool booted_ = false;
   bool registered_ = false;
   ControlBlockView view_;
+  // The eBPF ctx buffer: each execution's packet, zero-padded.
+  static constexpr std::uint64_t kCtxBytes = 256;
   std::uint64_t ctx_buf_addr_ = 0;
   std::uint64_t stack_addr_ = 0;
   std::vector<HookState> hooks_;

@@ -63,6 +63,30 @@ TEST(Alu, UnsignedDivision) {
             0xffffffffffffffffull / 2);
 }
 
+// A 32-bit divisor is its low 32 bits, so a register holding only high
+// bits divides (and takes the modulus) by zero: the result is 0 on both
+// engines instead of a host divide fault.
+TEST(Alu, Alu32DivisorWithOnlyHighBitsYieldsZero) {
+  for (const char* op : {"/=", "%="}) {
+    auto insns = Assemble(std::string("r0 = 7\nr2 = imm64 0x100000000\nw0 ") +
+                          op + " w2\nexit\n");
+    ASSERT_TRUE(insns.ok()) << insns.status().ToString();
+    Harness interp;
+    auto want = Interpret(*insns, interp.rt, interp.opts);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    EXPECT_EQ(want->r0, 0u) << op;
+
+    Program prog;
+    prog.insns = *insns;
+    auto image = JitCompiler().Compile(prog);
+    ASSERT_TRUE(image.ok() && image->MakeRunnable().ok());
+    Harness jit;
+    auto got = RunJit(*image, jit.rt, jit.opts);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->r0, 0u) << op;
+  }
+}
+
 TEST(Alu, Alu32TruncatesAndZeroExtends) {
   Harness h;
   // w-register add wraps at 32 bits and clears the upper half.
@@ -504,6 +528,7 @@ TEST_P(InterpreterJitDivergence, IdenticalResults) {
         image->code[reloc.index].imm64 = map_addr;
       }
     }
+    EXPECT_TRUE(image->MakeRunnable().ok());
     return RunJit(*image, h.rt, h.opts);
   };
 

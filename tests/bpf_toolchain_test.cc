@@ -250,6 +250,7 @@ TEST(Jit, MatchesInterpreterOnGeneratedPrograms) {
         image->code[reloc.index].imm64 = map_addr2;
       }
     }
+    ASSERT_TRUE(image->MakeRunnable().ok());
     auto jit_result = RunJit(*image, h2.rt, h2.opts);
     ASSERT_TRUE(jit_result.ok()) << jit_result.status().ToString();
     EXPECT_EQ(jit_result->r0, interp->r0) << "seed " << seed;
@@ -281,7 +282,106 @@ TEST(Jit, RefusesToRunUnlinkedImage) {
   ASSERT_TRUE(has_map_reloc);
   Harness h;
   auto result = RunJit(*image, h.rt, h.opts);
-  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+  // Linking happens in memory; making it runnable re-checks the slots.
+  EXPECT_EQ(image->MakeRunnable().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(RunJit(*image, h.rt, h.opts).status().code(),
+            StatusCode::kFailedPrecondition);
+  // A decoded unlinked image is refused the same way.
+  auto decoded = JitImage::Deserialize(image->Serialize());
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_FALSE(decoded->runnable());
+  EXPECT_EQ(RunJit(*decoded, h.rt, h.opts).status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
+// Images whose checksum is valid but whose micro-ops the executor would
+// have to defend against at run time are rejected when decoded; the same
+// checks refuse such an image built in memory.
+TEST(Jit, DecodeRejectsMicroOpsTheExecutorWouldHaveToCheck) {
+  auto base = Assemble(R"(
+    r0 = 1
+    r2 = r0
+    if r0 > 5 goto out
+    r0 = *(u32*)(r1 + 0)
+    *(u64*)(r10 - 8) = 3
+    *(u32*)(r10 - 16) = r0
+    r0 = be16 r0
+    goto out
+  out:
+    exit
+  )");
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  Program prog;
+  prog.name = "crafted";
+  prog.insns = *base;
+  auto compiled = JitCompiler().Compile(prog);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  // Micro-op indices of the program above.
+  constexpr std::size_t kAluK = 0, kAluX = 1, kCond = 2, kLoad = 3,
+                        kStoreImm = 4, kStoreReg = 5, kEndian = 6, kJump = 7;
+  const std::uint32_t past_end =
+      static_cast<std::uint32_t>(compiled->code.size()) + 1;
+
+  struct Case {
+    const char* what;
+    std::size_t index;
+    void (*mutate)(MicroOp&, std::uint32_t past_end);
+  };
+  const Case cases[] = {
+      {"alu dst", kAluK, [](MicroOp& op, std::uint32_t) { op.dst = 11; }},
+      {"alu src", kAluX, [](MicroOp& op, std::uint32_t) { op.src = 15; }},
+      {"cond dst", kCond, [](MicroOp& op, std::uint32_t) { op.dst = 12; }},
+      {"load src", kLoad, [](MicroOp& op, std::uint32_t) { op.src = 11; }},
+      {"store dst", kStoreImm,
+       [](MicroOp& op, std::uint32_t) { op.dst = 13; }},
+      {"store src", kStoreReg,
+       [](MicroOp& op, std::uint32_t) { op.src = 14; }},
+      {"swap dst", kEndian, [](MicroOp& op, std::uint32_t) { op.dst = 11; }},
+      {"jump target", kJump,
+       [](MicroOp& op, std::uint32_t end) { op.target = end; }},
+      {"cond target", kCond,
+       [](MicroOp& op, std::uint32_t end) { op.target = end; }},
+      {"alu op BPF_END", kAluK,
+       [](MicroOp& op, std::uint32_t) { op.aux = kAluEnd; }},
+      {"alu op low bits", kAluK,
+       [](MicroOp& op, std::uint32_t) { op.aux = kAluAdd | 0x01; }},
+      {"jmp op call", kCond,
+       [](MicroOp& op, std::uint32_t) { op.aux = kJmpCall; }},
+      {"jmp op ja", kCond, [](MicroOp& op, std::uint32_t) { op.aux = kJmpJa; }},
+      {"jmp op 0xe0", kCond, [](MicroOp& op, std::uint32_t) { op.aux = 0xe0; }},
+      {"load size 3", kLoad, [](MicroOp& op, std::uint32_t) { op.aux = 3; }},
+      {"store size 16", kStoreImm,
+       [](MicroOp& op, std::uint32_t) { op.aux = 16; }},
+      {"store size 0", kStoreReg,
+       [](MicroOp& op, std::uint32_t) { op.aux = 0; }},
+      {"swap width 8", kEndian, [](MicroOp& op, std::uint32_t) { op.aux = 8; }},
+      {"swap width 128", kEndian,
+       [](MicroOp& op, std::uint32_t) { op.aux = 128; }},
+  };
+
+  // The unmodified image decodes, is runnable, and runs.
+  auto good = JitImage::Deserialize(compiled->Serialize());
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_TRUE(good->runnable());
+  Harness h;
+  EXPECT_TRUE(RunJit(*good, h.rt, h.opts).ok());
+
+  for (const Case& c : cases) {
+    JitImage crafted = *compiled;
+    c.mutate(crafted.code.at(c.index), past_end);
+    // Serialize recomputes the checksum, so only the decoder's own checks
+    // stand between this image and the executor.
+    auto decoded = JitImage::Deserialize(crafted.Serialize());
+    ASSERT_FALSE(decoded.ok()) << c.what;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+        << c.what << ": " << decoded.status().ToString();
+    const Status made = crafted.MakeRunnable();
+    EXPECT_EQ(made.code(), StatusCode::kInvalidArgument) << c.what;
+    EXPECT_EQ(RunJit(crafted, h.rt, h.opts).status().code(),
+              StatusCode::kFailedPrecondition)
+        << c.what;
+  }
 }
 
 TEST(Jit, CorruptedImageRejectedByChecksum) {
