@@ -124,7 +124,7 @@ Status NodeAgent::LinkAndAttach(const Source& src, core::ImageOf<Source> image,
   }
   const auto exported = sandbox_.ExportedSymbols();
   const core::SymbolMap symbols(exported.begin(), exported.end());
-  RDX_RETURN_IF_ERROR(K::Link({symbols, xstates}, image));
+  RDX_RETURN_IF_ERROR(core::LinkImage({symbols, xstates}, image));
   return AttachImage(image.Serialize(), hook);
 }
 

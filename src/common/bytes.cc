@@ -2,8 +2,7 @@
 
 namespace rdx {
 
-std::uint64_t Fnv1a64(ByteSpan data) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+std::uint64_t Fnv1a64(ByteSpan data, std::uint64_t h) {
   for (std::uint8_t b : data) {
     h ^= b;
     h *= 0x100000001b3ULL;

@@ -40,8 +40,10 @@ inline void AppendLE(Bytes& out, T v) {
 }
 
 // 64-bit FNV-1a. Used to fingerprint extension binaries for the control
-// plane's compile cache and integrity checks.
-std::uint64_t Fnv1a64(ByteSpan data);
+// plane's compile cache and integrity checks. Passing the hash of a prefix
+// as `h` continues it: Fnv1a64(b, Fnv1a64(a)) hashes a then b.
+inline constexpr std::uint64_t kFnv1a64Offset = 0xcbf29ce484222325ULL;
+std::uint64_t Fnv1a64(ByteSpan data, std::uint64_t h = kFnv1a64Offset);
 
 // Lowercase hex rendering, e.g. {0xde, 0xad} -> "dead".
 std::string ToHex(ByteSpan data);

@@ -431,21 +431,36 @@ void ControlPlane::Build(
 // ---- link -------------------------------------------------------------
 
 template <class Image>
-void ControlPlane::LinkCode(
-    CodeFlow& flow, const Image& image,
-    std::function<void(StatusOr<std::type_identity_t<Image>>)> done) {
-  Image linked = image;
-  if (Status s = ExtensionKind<Image>::Link(flow.link_target(), linked);
-      !s.ok()) {
-    done(s);
+void ControlPlane::LinkCode(CodeFlow& flow, const Image& image,
+                            std::uint64_t fp,
+                            std::function<void(StatusOr<Bytes>)> done) {
+  using K = ExtensionKind<Image>;
+  if (!linked_wire_ || linked_wire_->kind != K::kKind ||
+      linked_wire_->fp != fp) {
+    linked_wire_ = LinkedWire{K::kKind, fp, K::Plan(image), {}, {}};
+  }
+  LinkedWire& memo = *linked_wire_;
+  auto values = ResolveLink(memo.plan, flow.link_target());
+  if (!values.ok()) {
+    done(values.status());
     return;
   }
-  cpu_.Submit(
-      config_.cost.link_cycles_per_reloc *
-          std::max<std::uint64_t>(linked.relocs.size(), 1),
-      [done = std::move(done), linked = std::move(linked)]() mutable {
-        done(std::move(linked));
-      });
+  if (memo.wire.empty() || *values != memo.values) {
+    Image linked = image;
+    K::Apply(memo.plan, *values, linked);
+    memo.values = std::move(values).value();
+    memo.wire = linked.Serialize();
+    ++wires_built_;
+  } else {
+    ++wires_shared_;
+  }
+  // One relocation's worth whatever the image's count: what the model has
+  // always charged. Charging per relocation is a model change (ROADMAP
+  // item 1).
+  const std::uint64_t cycles = config_.cost.link_cycles_per_reloc;
+  cpu_.Submit(cycles, [done = std::move(done), wire = memo.wire]() mutable {
+    done(std::move(wire));
+  });
 }
 
 // ---- RDMA building blocks ----------------------------------------------
@@ -1068,26 +1083,17 @@ void ControlPlane::CommitPreparedCas(CodeFlow& flow, int hook,
       });
 }
 
-template <class Image>
-void ControlPlane::DeployProg(CodeFlow& flow, const Image& linked, int hook,
-                              Done done) {
-  if (!linked.IsLinked()) {
-    done(FailedPrecondition(ExtensionKind<Image>::kNotLinked));
-    return;
-  }
-  DeployImageBytes(flow, linked.Serialize(), hook, NextVersionFor(flow, hook),
-                   std::move(done), nullptr);
-}
-
 template <class Source>
-void ControlPlane::EnsureAndLink(
-    CodeFlow& flow, const Source& src, const ImageOf<Source>& image,
-    std::function<void(StatusOr<ImageOf<Source>>)> done, InjectTrace* trace) {
+void ControlPlane::EnsureAndLink(CodeFlow& flow, const Source& src,
+                                 const ImageOf<Source>& image,
+                                 std::uint64_t fp,
+                                 std::function<void(StatusOr<Bytes>)> done,
+                                 InjectTrace* trace) {
   const sim::SimTime t0 = events_.Now();
   auto maps = std::make_shared<const std::vector<bpf::MapSpec>>(
       ExtensionKind<Source>::XStates(src));
   DeployXStates(flow, std::move(maps), 0,
-                [this, &flow, &image, trace, t0,
+                [this, &flow, &image, fp, trace, t0,
                  done = std::move(done)](Status s) mutable {
     if (!s.ok()) {
       done(s);
@@ -1095,13 +1101,13 @@ void ControlPlane::EnsureAndLink(
     }
     const sim::SimTime t1 = events_.Now();
     if (trace != nullptr) trace->xstate = t1 - t0;
-    LinkCode(flow, image,
+    LinkCode(flow, image, fp,
              [this, trace, t1, done = std::move(done)](
-                 StatusOr<ImageOf<Source>> linked) mutable {
-               if (linked.ok() && trace != nullptr) {
+                 StatusOr<Bytes> wire) mutable {
+               if (wire.ok() && trace != nullptr) {
                  trace->link = events_.Now() - t1;
                }
-               done(std::move(linked));
+               done(std::move(wire));
              });
   });
 }
@@ -1111,15 +1117,15 @@ void ControlPlane::LinkAndPrepare(
     CodeFlow& flow, const Source& src, const ImageOf<Source>& image, int hook,
     std::uint64_t fp, std::function<void(StatusOr<PreparedImage>)> done) {
   EnsureAndLink(
-      flow, src, image,
+      flow, src, image, fp,
       [this, &flow, hook, fp, done = std::move(done)](
-          StatusOr<ImageOf<Source>> linked) mutable {
-        if (!linked.ok()) {
-          done(linked.status());
+          StatusOr<Bytes> wire) mutable {
+        if (!wire.ok()) {
+          done(wire.status());
           return;
         }
-        PrepareImage(flow, linked->Serialize(), NextVersionFor(flow, hook),
-                     std::move(done), fp);
+        PrepareImage(flow, std::move(wire).value(),
+                     NextVersionFor(flow, hook), std::move(done), fp);
       },
       nullptr);
 }
@@ -1155,16 +1161,15 @@ void ControlPlane::Inject(CodeFlow& flow, const Source& src, int hook,
           return;
         }
         EnsureAndLink(
-            flow, *owned, **image,
+            flow, *owned, **image, fp,
             [this, &flow, owned, hook, fp, trace, finish = std::move(finish)](
-                StatusOr<ImageOf<Source>> linked) mutable {
-              if (!linked.ok()) {
-                finish(linked.status());
+                StatusOr<Bytes> wire) mutable {
+              if (!wire.ok()) {
+                finish(wire.status());
                 return;
               }
-              Bytes wire = linked->Serialize();
-              trace->image_bytes = wire.size();
-              DeployImageBytes(flow, std::move(wire), hook,
+              trace->image_bytes = wire->size();
+              DeployImageBytes(flow, std::move(wire).value(), hook,
                                NextVersionFor(flow, hook), std::move(finish),
                                trace.get(), fp);
             },
@@ -1182,10 +1187,8 @@ void ControlPlane::Inject(CodeFlow& flow, const Source& src, int hook,
       const Source&, std::function<void(StatusOr<const ImageOf<Source>*>)>,  \
       InjectTrace*);                                                         \
   template void ControlPlane::LinkCode(                                      \
-      CodeFlow&, const ImageOf<Source>&,                                     \
-      std::function<void(StatusOr<ImageOf<Source>>)>);                      \
-  template void ControlPlane::DeployProg(CodeFlow&, const ImageOf<Source>&,  \
-                                         int, Done);                         \
+      CodeFlow&, const ImageOf<Source>&, std::uint64_t,                      \
+      std::function<void(StatusOr<Bytes>)>);                                 \
   template void ControlPlane::LinkAndPrepare(                                \
       CodeFlow&, const Source&, const ImageOf<Source>&, int, std::uint64_t,  \
       std::function<void(StatusOr<PreparedImage>)>);                         \
@@ -1267,6 +1270,8 @@ void ControlPlane::ExportMetrics(telemetry::MetricsRegistry& reg) const {
                  artifacts_.invalidations());
   reg.SetCounter("cp.blacklisted_fingerprints", blacklist_.size());
   reg.SetCounter("cp.codeflows", flows_.size());
+  reg.SetCounter("cp.link.wires_built", wires_built_);
+  reg.SetCounter("cp.link.wires_shared", wires_shared_);
 }
 
 void ControlPlane::Rollback(CodeFlow& flow, int hook, Done done) {

@@ -10,9 +10,10 @@
 //                                            cache keyed by fingerprint
 //   rdx_link_code         LinkCode()         patch map relocations with
 //                                            node-local XState addresses,
-//                                            check helper/host symbols
-//   rdx_deploy_prog       DeployProg()       scratchpad FETCH_ADD alloc,
-//                                            chunked RDMA WRITEs, ImageDesc,
+//                                            check helper/host symbols;
+//                                            yields the wire bytes
+//   rdx_deploy_prog       DeployImageBytes() scratchpad FETCH_ADD alloc,
+//                         / PrepareImage()   chunked RDMA WRITEs, ImageDesc,
 //                                            atomic qword commit (rdx_tx)
 //   rdx_deploy_xstate     DeployXState()     Meta-XState allocation (§3.4)
 //   rdx_tx                Tx()               shadow write + qword swap
@@ -263,14 +264,15 @@ class ControlPlane {
 
   // ---- link + deploy ----
   // Resolves the image's relocations against `flow`'s symbol table and
-  // XState registry. Returns a linked copy.
+  // XState registry and returns the linked image's wire bytes. `image` must
+  // be the artifact compiled from the source whose fingerprint is `fp`.
+  // Nodes that resolve to the same values get the same bytes, so the wire
+  // is built (copy, patch, Serialize) only when (kind, fp, values) differs
+  // from the last one built; otherwise that wire is reused. Either way the
+  // link is charged to the control plane's CPU.
   template <class Image>
-  void LinkCode(CodeFlow& flow, const Image& image,
-                std::function<void(StatusOr<std::type_identity_t<Image>>)>
-                    done);
-  // Deploys a *linked* image to `hook` and commits it.
-  template <class Image>
-  void DeployProg(CodeFlow& flow, const Image& linked, int hook, Done done);
+  void LinkCode(CodeFlow& flow, const Image& image, std::uint64_t fp,
+                std::function<void(StatusOr<Bytes>)> done);
   // Allocates + formats an XState instance on the remote node (§3.4).
   void DeployXState(CodeFlow& flow, const bpf::MapSpec& spec,
                     std::function<void(StatusOr<std::uint64_t>)> done);
@@ -403,7 +405,8 @@ class ControlPlane {
   // Convenience: harvest the flow's sandbox TraceRing into `collector`.
   void HarvestTrace(CodeFlow& flow, telemetry::Collector& collector,
                     Done done);
-  // Control-plane counters (quarantines, compile caches, flow count).
+  // Control-plane counters (quarantines, compile caches, flow count,
+  // link wires built and shared).
   void ExportMetrics(telemetry::MetricsRegistry& reg) const;
 
   // ---- accessors ----
@@ -505,8 +508,8 @@ class ControlPlane {
   // DeployXStates, then LinkCode; with `trace`, records both phases.
   template <class Source>
   void EnsureAndLink(CodeFlow& flow, const Source& src,
-                     const ImageOf<Source>& image,
-                     std::function<void(StatusOr<ImageOf<Source>>)> done,
+                     const ImageOf<Source>& image, std::uint64_t fp,
+                     std::function<void(StatusOr<Bytes>)> done,
                      InjectTrace* trace);
   void DeployImageBytes(CodeFlow& flow, Bytes image_bytes, int hook,
                         std::uint64_t version, Done done,
@@ -539,6 +542,21 @@ class ControlPlane {
 
   // Content-addressed artifact store: fingerprint -> verdicts + images.
   ArtifactCache artifacts_;
+
+  // The last wire LinkCode built, keyed by everything its bytes depend
+  // on: (kind, source fingerprint, resolved link values). One entry, since
+  // a fan-out links one artifact to many nodes in a row; the plan is the
+  // artifact's, kept while (kind, fp) stays the same.
+  struct LinkedWire {
+    ImageKind kind;
+    std::uint64_t fp;
+    LinkPlan plan;
+    LinkValues values;
+    Bytes wire;  // empty until built for `values`
+  };
+  std::optional<LinkedWire> linked_wire_;
+  std::uint64_t wires_built_ = 0;
+  std::uint64_t wires_shared_ = 0;
 
   // Quarantined source-program fingerprints; checked before the verify
   // cache so a blacklisted program is refused even if it verified before.

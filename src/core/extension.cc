@@ -1,5 +1,7 @@
 #include "core/extension.h"
 
+#include <string_view>
+
 #include "core/layout.h"
 
 namespace rdx::core {
@@ -29,46 +31,105 @@ std::uint64_t WasmFingerprint(const wasm::FilterModule& module) {
   return Fnv1a64(bytes);
 }
 
-Status ExtensionKind<bpf::Program>::Link(const LinkTarget& target,
-                                         Image& image) {
-  for (const bpf::Relocation& reloc : image.relocs) {
-    if (reloc.kind == bpf::RelocKind::kHelperCall) {
-      if (target.symbols.count(SymbolHash(
-              "helper:", static_cast<std::uint64_t>(reloc.symbol))) == 0) {
-        return FailedPrecondition("target node does not export helper " +
-                                  std::to_string(reloc.symbol));
-      }
-      continue;
+namespace {
+// Index of the (kind, name) need in `plan`; a new one is appended, with
+// the symbol hash `hash()` computes.
+template <class HashFn>
+std::uint32_t NeedIndex(LinkPlan& plan, LinkPlan::NeedKind kind,
+                        std::string_view name, HashFn hash) {
+  for (std::size_t i = 0; i < plan.needs.size(); ++i) {
+    if (plan.needs[i].kind == kind && plan.needs[i].name == name) {
+      return static_cast<std::uint32_t>(i);
     }
-    // Map relocation: patch the placeholder with the node-local XState
-    // address deployed for this map.
-    if (reloc.symbol < 0 ||
-        static_cast<std::size_t>(reloc.symbol) >= image.maps.size()) {
+  }
+  plan.needs.push_back({kind, hash(), std::string(name)});
+  return static_cast<std::uint32_t>(plan.needs.size() - 1);
+}
+constexpr auto kNoHash = [] { return std::uint64_t{0}; };
+}  // namespace
+
+StatusOr<LinkValues> ResolveLink(const LinkPlan& plan,
+                                 const LinkTarget& target) {
+  using Kind = LinkPlan::NeedKind;
+  LinkValues values;
+  values.reserve(plan.needs.size());
+  for (const LinkPlan::Need& need : plan.needs) {
+    if (need.kind == Kind::kBadSlot) {
       return Internal("relocation references unknown map slot");
     }
-    const std::string& name = image.maps[reloc.symbol].name;
-    auto it = target.xstates.find(name);
-    if (it == target.xstates.end()) {
-      return FailedPrecondition("XState '" + name + "' not deployed on target");
+    if (need.kind == Kind::kXState) {
+      auto it = target.xstates.find(need.name);
+      if (it == target.xstates.end()) {
+        return FailedPrecondition("XState '" + need.name +
+                                  "' not deployed on target");
+      }
+      values.push_back(it->second);
+      continue;
     }
-    image.code[reloc.index].imm64 = it->second;
+    auto it = target.symbols.find(need.hash);
+    if (it == target.symbols.end()) {
+      return FailedPrecondition(
+          need.kind == Kind::kHelper
+              ? "target node does not export helper " + need.name
+              : "target node does not export host fn '" + need.name + "'");
+    }
+    values.push_back(it->second);
   }
-  return OkStatus();
+  return values;
 }
 
-Status ExtensionKind<wasm::FilterModule>::Link(const LinkTarget& target,
-                                               Image& image) {
-  for (wasm::WasmReloc& reloc : image.relocs) {
-    auto it = target.symbols.find(
-        SymbolHashName("host:", reloc.import_name.c_str()));
-    if (it == target.symbols.end()) {
-      return FailedPrecondition("target node does not export host fn '" +
-                                reloc.import_name + "'");
+LinkPlan ExtensionKind<bpf::Program>::Plan(const Image& image) {
+  using Kind = LinkPlan::NeedKind;
+  LinkPlan plan;
+  for (const bpf::Relocation& reloc : image.relocs) {
+    std::uint32_t need;
+    if (reloc.kind == bpf::RelocKind::kHelperCall) {
+      need = NeedIndex(plan, Kind::kHelper, std::to_string(reloc.symbol), [&] {
+        return SymbolHash("helper:", static_cast<std::uint64_t>(reloc.symbol));
+      });
+    } else if (reloc.symbol >= 0 &&
+               static_cast<std::size_t>(reloc.symbol) < image.maps.size()) {
+      need = NeedIndex(plan, Kind::kXState, image.maps[reloc.symbol].name,
+                       kNoHash);
+    } else {
+      need = NeedIndex(plan, Kind::kBadSlot, "", kNoHash);
     }
-    reloc.resolved_host_fn = static_cast<std::int32_t>(it->second);
-    image.code[reloc.insn_index].imm = static_cast<std::int64_t>(it->second);
+    plan.need_of_reloc.push_back(need);
   }
-  return OkStatus();
+  return plan;
+}
+
+void ExtensionKind<bpf::Program>::Apply(const LinkPlan& plan,
+                                        const LinkValues& values,
+                                        Image& image) {
+  for (std::size_t r = 0; r < image.relocs.size(); ++r) {
+    const bpf::Relocation& reloc = image.relocs[r];
+    if (reloc.kind == bpf::RelocKind::kMapAddress) {
+      image.code[reloc.index].imm64 = values[plan.need_of_reloc[r]];
+    }
+  }
+}
+
+LinkPlan ExtensionKind<wasm::FilterModule>::Plan(const Image& image) {
+  LinkPlan plan;
+  for (const wasm::WasmReloc& reloc : image.relocs) {
+    plan.need_of_reloc.push_back(
+        NeedIndex(plan, LinkPlan::NeedKind::kHostFn, reloc.import_name, [&] {
+          return SymbolHashName("host:", reloc.import_name.c_str());
+        }));
+  }
+  return plan;
+}
+
+void ExtensionKind<wasm::FilterModule>::Apply(const LinkPlan& plan,
+                                              const LinkValues& values,
+                                              Image& image) {
+  for (std::size_t r = 0; r < image.relocs.size(); ++r) {
+    wasm::WasmReloc& reloc = image.relocs[r];
+    const std::uint64_t value = values[plan.need_of_reloc[r]];
+    reloc.resolved_host_fn = static_cast<std::int32_t>(value);
+    image.code[reloc.insn_index].imm = static_cast<std::int64_t>(value);
+  }
 }
 
 namespace {

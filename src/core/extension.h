@@ -2,9 +2,13 @@
 // trait. Every pipeline over them — the remote control plane's CodeFlow
 // (codeflow.h) and the per-node agent baseline (agent/agent.h) — is
 // written once over ExtensionKind<Source>, which supplies only what
-// differs between the kinds: fingerprint, validate, compile, link, cycle
-// costs and messages. Each kind is also reachable through its image
-// type, so link/deploy can be called with a compiled image alone.
+// differs between the kinds: fingerprint, validate, compile, link plan and
+// apply, cycle costs and messages. Each kind is also reachable through its
+// image type, so a link can be called with a compiled image alone.
+//
+// Linking is split so both kinds share one path: a kind derives an image's
+// LinkPlan (what it needs from a target) and applies resolved LinkValues;
+// ResolveLink, shared, turns a plan into values against one target.
 #pragma once
 
 #include <cstdint>
@@ -39,6 +43,29 @@ struct LinkTarget {
   const XStateMap& xstates;
 };
 
+// What an image needs from a link target: each distinct helper, host
+// import or map slot its relocations reference is one Need, in the order
+// the relocations first use it, so resolution fails where a
+// relocation-by-relocation link would. Symbol hashes are computed once,
+// when the plan is made.
+struct LinkPlan {
+  enum class NeedKind : std::uint8_t { kHelper, kHostFn, kXState, kBadSlot };
+  struct Need {
+    NeedKind kind;
+    std::uint64_t hash = 0;  // kHelper / kHostFn: the exported symbol's hash
+    std::string name;        // helper id, import name or XState name
+  };
+  std::vector<Need> needs;
+  std::vector<std::uint32_t> need_of_reloc;  // relocation -> index in needs
+};
+
+// One value per Need on one target: the exported symbol's value (helper id
+// or host-table index) or the XState's node-local address. An image linked
+// with equal values is byte-identical, whichever node they came from.
+using LinkValues = std::vector<std::uint64_t>;
+StatusOr<LinkValues> ResolveLink(const LinkPlan& plan,
+                                 const LinkTarget& target);
+
 template <class T>
 struct ExtensionKind;
 
@@ -51,8 +78,6 @@ struct ExtensionKind<bpf::Program> {
       "program fingerprint is quarantined";
   static constexpr const char* kKnownBad =
       "program known to fail verification";
-  static constexpr const char* kNotLinked =
-      "image not linked; call rdx_link_code first";
   static constexpr auto kValidateCycles = &sim::CostModel::VerifyCycles;
   static constexpr auto kCompileCycles = &sim::CostModel::JitCycles;
   static std::uint64_t Fingerprint(const bpf::Program& prog) {
@@ -68,9 +93,11 @@ struct ExtensionKind<bpf::Program> {
   static const std::vector<bpf::MapSpec>& XStates(const bpf::Program& prog) {
     return prog.maps;
   }
-  // Checks helper symbols and patches map relocations with the node-local
-  // XState addresses.
-  static Status Link(const LinkTarget& target, Image& image);
+  // Helper calls need their symbol; map relocations their XState, whose
+  // address Apply patches in.
+  static LinkPlan Plan(const Image& image);
+  static void Apply(const LinkPlan& plan, const LinkValues& values,
+                    Image& image);
 };
 
 template <>
@@ -81,7 +108,6 @@ struct ExtensionKind<wasm::FilterModule> {
   static constexpr const char* kQuarantined =
       "filter fingerprint is quarantined";
   static constexpr const char* kKnownBad = "filter known to fail validation";
-  static constexpr const char* kNotLinked = "wasm image not linked";
   static constexpr auto kValidateCycles = &sim::CostModel::WasmValidateCycles;
   static constexpr auto kCompileCycles = &sim::CostModel::WasmCompileCycles;
   static std::uint64_t Fingerprint(const wasm::FilterModule& module) {
@@ -97,8 +123,11 @@ struct ExtensionKind<wasm::FilterModule> {
     static const std::vector<bpf::MapSpec> kNone;
     return kNone;
   }
-  // Resolves host-function imports against the target's symbol table.
-  static Status Link(const LinkTarget& target, Image& image);
+  // Host-function imports need their symbol, whose host-table index Apply
+  // patches in.
+  static LinkPlan Plan(const Image& image);
+  static void Apply(const LinkPlan& plan, const LinkValues& values,
+                    Image& image);
 };
 
 template <>
@@ -108,6 +137,16 @@ struct ExtensionKind<wasm::WasmImage> : ExtensionKind<wasm::FilterModule> {};
 
 template <class Source>
 using ImageOf = typename ExtensionKind<Source>::Image;
+
+// Links `image` in place against `target`: plan, resolve, apply.
+template <class Image>
+Status LinkImage(const LinkTarget& target, Image& image) {
+  using K = ExtensionKind<Image>;
+  const LinkPlan plan = K::Plan(image);
+  RDX_ASSIGN_OR_RETURN(const LinkValues values, ResolveLink(plan, target));
+  K::Apply(plan, values, image);
+  return OkStatus();
+}
 
 // Decodes deployed image bytes by their magic. Any failure (unknown
 // magic, checksum mismatch) is kAborted: on a live hook it means the

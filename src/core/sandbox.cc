@@ -5,18 +5,21 @@
 
 namespace rdx::core {
 
+namespace {
+std::uint64_t HashCString(const char* s, std::uint64_t h = kFnv1a64Offset) {
+  return Fnv1a64({reinterpret_cast<const std::uint8_t*>(s), std::strlen(s)},
+                 h);
+}
+}  // namespace
+
 std::uint64_t SymbolHash(const char* prefix, std::uint64_t id) {
-  Bytes key;
-  for (const char* p = prefix; *p; ++p) key.push_back(*p);
-  AppendLE<std::uint64_t>(key, id);
-  return Fnv1a64(key);
+  std::uint8_t le[8];
+  StoreLE(le, id);
+  return Fnv1a64(le, HashCString(prefix));
 }
 
 std::uint64_t SymbolHashName(const char* prefix, const char* name) {
-  Bytes key;
-  for (const char* p = prefix; *p; ++p) key.push_back(*p);
-  for (const char* p = name; *p; ++p) key.push_back(*p);
-  return Fnv1a64(key);
+  return HashCString(name, HashCString(prefix));
 }
 
 void StoreDesc(std::uint8_t* desc, std::uint64_t image_addr, ByteSpan image,

@@ -2,19 +2,23 @@
 // PostSendChain ordering/flush/amortization semantics, the
 // content-addressed JIT artifact cache (hit/miss counters, blacklist
 // eviction), and DeployPipelined straggler isolation under injected
-// per-node drop faults.
+// per-node drop faults; and the shared link wire (nodes that resolve to
+// the same link values receive one wire image, every node its own bytes).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
 #include "bpf/assembler.h"
+#include "bpf/proggen.h"
 #include "core/broadcast.h"
 #include "core/codeflow.h"
 #include "core/reliability.h"
 #include "fault/injector.h"
 #include "telemetry/metrics.h"
 #include "telemetry/span.h"
+#include "wasm/filter.h"
 
 namespace rdx {
 namespace {
@@ -193,14 +197,17 @@ struct Cluster {
   std::vector<std::unique_ptr<Sandbox>> sandboxes;
   std::vector<CodeFlow*> flows;
 
-  explicit Cluster(int nodes, ControlPlaneConfig config = {}) {
+  // Node i boots with `sandbox_configs[i]` when given, else the default.
+  explicit Cluster(int nodes, ControlPlaneConfig config = {},
+                   const std::vector<SandboxConfig>& sandbox_configs = {}) {
     const rdma::NodeId cp_id = fabric.AddNode("cp", 128u << 20).id();
     cp = std::make_unique<ControlPlane>(events, fabric, cp_id, config);
     injector = std::make_unique<FaultInjector>(events, fabric);
     for (int i = 0; i < nodes; ++i) {
       rdma::Node& node = fabric.AddNode("n" + std::to_string(i));
-      sandboxes.push_back(
-          std::make_unique<Sandbox>(events, node, SandboxConfig{}));
+      sandboxes.push_back(std::make_unique<Sandbox>(
+          events, node,
+          sandbox_configs.empty() ? SandboxConfig{} : sandbox_configs[i]));
       EXPECT_TRUE(sandboxes.back()->CtxInit().ok());
       auto reg = sandboxes.back()->CtxRegister();
       EXPECT_TRUE(reg.ok());
@@ -237,6 +244,32 @@ struct Cluster {
                         });
     RunUntil([&] { return done; });
     return out;
+  }
+
+  template <class Source>
+  StatusOr<core::BroadcastResult> Broadcast(const Source& src, int hook) {
+    CollectiveCodeFlow collective(*cp, flows);
+    StatusOr<core::BroadcastResult> out = Internal("broadcast never finished");
+    bool done = false;
+    auto finish = [&](StatusOr<core::BroadcastResult> r) {
+      out = std::move(r);
+      done = true;
+    };
+    if constexpr (std::is_same_v<Source, bpf::Program>) {
+      collective.Broadcast(src, hook, nullptr, finish);
+    } else {
+      collective.BroadcastWasm(
+          std::vector<const wasm::FilterModule*>(flows.size(), &src), hook,
+          nullptr, finish);
+    }
+    RunUntil([&] { return done; });
+    return out;
+  }
+
+  std::uint64_t Counter(const char* name) const {
+    telemetry::MetricsRegistry reg;
+    cp->ExportMetrics(reg);
+    return reg.counter(name);
   }
 
   StatusOr<PipelineResult> Deploy(const std::vector<DeploySpec>& specs,
@@ -479,6 +512,361 @@ TEST(PipelinedDeploy, PipeliningBeatsSerialSchedule) {
   // Wave k+1's compile overlaps wave k's transfer+commit.
   EXPECT_LT(pipelined, serial);
 }
+
+// ---- Shared link wires ----
+
+// One link charge is one relocation's worth of CP CPU, whatever the
+// image's relocation count (the charge the model has always made; charging
+// per relocation is a separate model change).
+TEST(LinkCode, ChargesOneRelocationOfCpCpu) {
+  Cluster cluster(1);
+  CodeFlow& flow = *cluster.flows[0];
+  const bpf::Program prog = bpf::GenerateProgram({.target_insns = 400});
+  bool ready = false;
+  cluster.cp->DeployXState(flow, prog.maps[0],
+                           [&](StatusOr<std::uint64_t> addr) {
+                             ASSERT_TRUE(addr.ok()) << addr.status().ToString();
+                             ready = true;
+                           });
+  cluster.RunUntil([&] { return ready; });
+  const bpf::JitImage image = bpf::JitCompiler().Compile(prog).value();
+  ASSERT_GT(image.relocs.size(), 1u);
+
+  sim::CpuScheduler& cpu = cluster.cp->cpu();
+  auto busy_ns = [&] {
+    return cpu.Utilization() * static_cast<double>(cluster.events.Now()) *
+           cpu.cores();
+  };
+  const double busy_before = busy_ns();
+  const sim::SimTime start = cluster.events.Now();
+  sim::SimTime linked_at = -1;
+  cluster.cp->LinkCode(flow, image, core::ProgramFingerprint(prog),
+                       [&](StatusOr<Bytes> wire) {
+                         ASSERT_TRUE(wire.ok()) << wire.status().ToString();
+                         linked_at = cluster.events.Now();
+                       });
+  cluster.RunUntil([&] { return linked_at >= 0; });
+  // link_cycles_per_reloc (500) at the CP's 3.4 GHz, completed on the
+  // next whole ns.
+  EXPECT_EQ(linked_at - start, 148);
+  EXPECT_NEAR(busy_ns() - busy_before, 148.0, 1e-6);
+}
+
+TEST(LinkCode, PipelinedWaveBuildsOneWireForThirtyTwoNodes) {
+  Cluster cluster(32);
+  const bpf::Program prog = bpf::GenerateProgram({.target_insns = 400});
+  auto result = cluster.Deploy({{&prog, 0}}, PipelineOptions{});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.value().waves[0].committed, 32u);
+  EXPECT_EQ(cluster.Counter("cp.link.wires_built"), 1u);
+  EXPECT_EQ(cluster.Counter("cp.link.wires_shared"), 31u);
+}
+
+// Differential link test: over three kinds of group, every node's
+// deployed bytes equal its own link + serialize and decode to its own
+// addresses, and only a node that cannot link fails.
+enum class LinkGroup { kShared, kOddValues, kOddLacksSymbol };
+
+const char* LinkGroupName(LinkGroup group) {
+  switch (group) {
+    case LinkGroup::kShared:
+      return "AllNodesShareValues";
+    case LinkGroup::kOddValues:
+      return "OneNodeResolvesDifferently";
+    case LinkGroup::kOddLacksSymbol:
+      return "OneNodeLacksSymbol";
+  }
+  return "";
+}
+
+void PrintTo(LinkGroup group, std::ostream* os) {
+  *os << LinkGroupName(group);
+}
+std::string LinkGroupParamName(
+    const ::testing::TestParamInfo<LinkGroup>& info) {
+  return LinkGroupName(info.param);
+}
+
+constexpr int kGroupNodes = 4;
+constexpr int kOddNode = 2;  // the node a group sets apart
+
+// The image bytes committed at `hook`, read from the node's own memory.
+Bytes CommittedImage(Sandbox& sandbox, int hook) {
+  const rdma::HostMemory& mem = sandbox.node().memory();
+  const std::uint64_t desc =
+      mem.ReadU64(sandbox.view().hook_table_addr +
+                  static_cast<std::uint64_t>(hook) * 8)
+          .value();
+  Bytes image(mem.ReadU64(desc + core::kDescImageLen).value());
+  EXPECT_TRUE(
+      mem.Read(mem.ReadU64(desc + core::kDescImageAddr).value(), image).ok());
+  return image;
+}
+
+// What `flow` alone should receive: `image` linked against its target.
+template <class Image>
+Bytes OwnWire(const CodeFlow& flow, Image image) {
+  const Status linked = core::LinkImage(flow.link_target(), image);
+  EXPECT_TRUE(linked.ok()) << linked.ToString();
+  return image.Serialize();
+}
+
+// Checks the wire counters once `linked` nodes have linked: one wire when
+// every node resolves alike, at least two when one node differs.
+void ExpectWireCounts(const Cluster& cluster, LinkGroup group,
+                      std::uint64_t linked) {
+  const std::uint64_t built = cluster.Counter("cp.link.wires_built");
+  EXPECT_EQ(built + cluster.Counter("cp.link.wires_shared"), linked);
+  if (group == LinkGroup::kOddValues) {
+    EXPECT_GE(built, 2u);
+  } else {
+    EXPECT_EQ(built, 1u);
+  }
+}
+
+class EbpfLinkGroup : public ::testing::TestWithParam<LinkGroup> {
+ protected:
+  static constexpr int kHook = 0;
+
+  // Sets the odd node apart: an XState deployed there first moves its map
+  // address; a symbol table without the program's first helper (re-read by
+  // a reconnect) leaves it unable to link.
+  static void SetApart(Cluster& cluster, LinkGroup group,
+                       const bpf::JitImage& image) {
+    CodeFlow& flow = *cluster.flows[kOddNode];
+    bool done = false;
+    if (group == LinkGroup::kOddValues) {
+      cluster.cp->DeployXState(
+          flow, {"extra", bpf::MapType::kArray, 4, 8, 16},
+          [&](StatusOr<std::uint64_t> addr) {
+            ASSERT_TRUE(addr.ok()) << addr.status().ToString();
+            done = true;
+          });
+    } else if (group == LinkGroup::kOddLacksSymbol) {
+      std::int32_t helper = -1;
+      for (const bpf::Relocation& reloc : image.relocs) {
+        if (reloc.kind == bpf::RelocKind::kHelperCall) {
+          helper = reloc.symbol;
+          break;
+        }
+      }
+      ASSERT_GE(helper, 0);
+      const std::uint64_t hash =
+          core::SymbolHash("helper:", static_cast<std::uint64_t>(helper));
+      Sandbox& sandbox = *cluster.sandboxes[kOddNode];
+      rdma::HostMemory& mem = sandbox.node().memory();
+      const std::uint64_t table = sandbox.view().symtab_addr;
+      std::uint8_t count[4];
+      ASSERT_TRUE(mem.Read(table, count).ok());
+      int renamed = 0;
+      for (std::uint32_t i = 0; i < LoadLE<std::uint32_t>(count); ++i) {
+        const std::uint64_t entry = table + 4 + 16ull * i;
+        if (mem.ReadU64(entry).value() == hash) {
+          ASSERT_TRUE(mem.WriteU64(entry, hash ^ 1).ok());
+          ++renamed;
+        }
+      }
+      ASSERT_EQ(renamed, 1);
+      cluster.cp->ReconnectCodeFlow(flow, [&](Status s) {
+        ASSERT_TRUE(s.ok()) << s.ToString();
+        done = true;
+      });
+    } else {
+      return;
+    }
+    cluster.RunUntil([&] { return done; });
+    ASSERT_TRUE(done);
+  }
+
+  // The committed wire of `node` is its own and patches its own addresses.
+  static void ExpectOwnWire(Cluster& cluster, int node,
+                            const bpf::JitImage& image) {
+    SCOPED_TRACE("node " + std::to_string(node));
+    const CodeFlow& flow = *cluster.flows[node];
+    const Bytes wire = CommittedImage(*cluster.sandboxes[node], kHook);
+    EXPECT_EQ(wire, OwnWire(flow, image));
+    auto decoded = bpf::JitImage::Deserialize(wire);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    for (const bpf::Relocation& reloc : decoded->relocs) {
+      if (reloc.kind != bpf::RelocKind::kMapAddress) continue;
+      EXPECT_EQ(decoded->code[reloc.index].imm64,
+                flow.xstates().at(decoded->maps[reloc.symbol].name));
+    }
+  }
+
+  static void ExpectOddAddressMoved(const Cluster& cluster, LinkGroup group) {
+    if (group != LinkGroup::kOddValues) return;
+    EXPECT_NE(cluster.flows[kOddNode]->xstates().at("gen_map"),
+              cluster.flows[0]->xstates().at("gen_map"));
+  }
+};
+
+TEST_P(EbpfLinkGroup, PipelinedDeployGivesEachNodeItsOwnWire) {
+  const LinkGroup group = GetParam();
+  const bool odd_fails = group == LinkGroup::kOddLacksSymbol;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const bpf::Program prog =
+        bpf::GenerateProgram({.target_insns = 400, .seed = seed});
+    const bpf::JitImage image = bpf::JitCompiler().Compile(prog).value();
+    Cluster cluster(kGroupNodes);
+    SetApart(cluster, group, image);
+    auto result = cluster.Deploy({{&prog, kHook}}, PipelineOptions{});
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result.value().stragglers, odd_fails ? 1u : 0u);
+    for (int i = 0; i < kGroupNodes; ++i) {
+      if (odd_fails && i == kOddNode) {
+        EXPECT_EQ(result.value().nodes[i].status.code(),
+                  StatusCode::kFailedPrecondition);
+        EXPECT_EQ(cluster.flows[i]->HookVersion(kHook), 0u);
+        continue;
+      }
+      EXPECT_TRUE(result.value().nodes[i].status.ok());
+      ExpectOwnWire(cluster, i, image);
+    }
+    ExpectOddAddressMoved(cluster, group);
+    ExpectWireCounts(cluster, group, kGroupNodes - (odd_fails ? 1 : 0));
+  }
+}
+
+TEST_P(EbpfLinkGroup, BroadcastGivesEachNodeItsOwnWire) {
+  const LinkGroup group = GetParam();
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const bpf::Program prog =
+        bpf::GenerateProgram({.target_insns = 400, .seed = seed});
+    const bpf::JitImage image = bpf::JitCompiler().Compile(prog).value();
+    Cluster cluster(kGroupNodes);
+    SetApart(cluster, group, image);
+    auto result = cluster.Broadcast(prog, kHook);
+    if (group == LinkGroup::kOddLacksSymbol) {
+      EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+      EXPECT_NE(result.status().message().find("does not export helper"),
+                std::string::npos)
+          << result.status().ToString();
+      for (CodeFlow* flow : cluster.flows) {
+        EXPECT_EQ(flow->HookVersion(kHook), 0u);
+      }
+      continue;
+    }
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    for (int i = 0; i < kGroupNodes; ++i) ExpectOwnWire(cluster, i, image);
+    ExpectOddAddressMoved(cluster, group);
+    ExpectWireCounts(cluster, group, kGroupNodes);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Groups, EbpfLinkGroup,
+                         ::testing::Values(LinkGroup::kShared,
+                                           LinkGroup::kOddValues,
+                                           LinkGroup::kOddLacksSymbol),
+                         LinkGroupParamName);
+
+class WasmLinkGroup : public ::testing::TestWithParam<LinkGroup> {
+ protected:
+  static constexpr int kHook = 1;
+
+  // A seeded GenerateFilter filter (which calls only its first import)
+  // that also folds a call to each other import into its verdict, so its
+  // link resolves one value per host function.
+  static wasm::FilterModule CallingEveryImport(std::uint64_t seed) {
+    using wasm::WOp;
+    wasm::FilterModule filter = wasm::GenerateFilter(400, seed);
+    std::vector<wasm::WasmInsn> calls;
+    for (std::size_t i = 1; i < filter.imports.size(); ++i) {
+      calls.insert(calls.end(), {{WOp::kGetLocal, 0},
+                                 {WOp::kConst, 7},
+                                 {WOp::kConst, 0},
+                                 {WOp::kCallHost, static_cast<std::int64_t>(i)},
+                                 {WOp::kXor, 0},
+                                 {WOp::kSetLocal, 0}});
+    }
+    // Before the 4-insn verdict epilogue; no branch targets past it.
+    filter.code.insert(filter.code.end() - 4, calls.begin(), calls.end());
+    return filter;
+  }
+
+  // The odd node's host table moves import `moved` to a new index, so
+  // exactly that one link value differs, or lacks the last import.
+  static std::vector<SandboxConfig> Configs(LinkGroup group,
+                                            std::size_t moved) {
+    std::vector<SandboxConfig> configs(kGroupNodes);
+    std::vector<std::string>& odd = configs[kOddNode].wasm_host_fns;
+    if (group == LinkGroup::kOddValues) {
+      odd.push_back("spare");
+      std::swap(odd[moved], odd.back());
+    } else if (group == LinkGroup::kOddLacksSymbol) {
+      odd.pop_back();
+    }
+    return configs;
+  }
+
+  static void ExpectOwnWire(Cluster& cluster, int node,
+                            const wasm::WasmImage& image,
+                            const SandboxConfig& config) {
+    SCOPED_TRACE("node " + std::to_string(node));
+    const Bytes wire = CommittedImage(*cluster.sandboxes[node], kHook);
+    EXPECT_EQ(wire, OwnWire(*cluster.flows[node], image));
+    auto decoded = wasm::WasmImage::Deserialize(wire);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    const std::vector<std::string>& table = config.wasm_host_fns;
+    for (const wasm::WasmReloc& reloc : decoded->relocs) {
+      const auto index = std::find(table.begin(), table.end(),
+                                   reloc.import_name) - table.begin();
+      EXPECT_EQ(reloc.resolved_host_fn, index) << reloc.import_name;
+      EXPECT_EQ(decoded->code[reloc.insn_index].imm, index);
+    }
+  }
+};
+
+TEST_P(WasmLinkGroup, BroadcastGivesEachNodeItsOwnWire) {
+  const LinkGroup group = GetParam();
+  const std::size_t imports = SandboxConfig{}.wasm_host_fns.size();
+  // One run per seed; with kOddValues, one per seed and moved import, so a
+  // shared-wire check that skipped any one value would be caught.
+  const std::size_t runs = 3 * (group == LinkGroup::kOddValues ? imports : 1);
+  for (std::size_t run = 0; run < runs; ++run) {
+    const std::uint64_t seed = 1 + run % 3;
+    const std::size_t moved = run / 3;
+    SCOPED_TRACE("seed " + std::to_string(seed) + ", moved import " +
+                 std::to_string(moved));
+    const std::vector<SandboxConfig> configs = Configs(group, moved);
+    const wasm::FilterModule filter = CallingEveryImport(seed);
+    ASSERT_TRUE(wasm::ValidateFilter(filter).ok());
+    const wasm::WasmImage image = wasm::CompileFilter(filter).value();
+    // Every host function, the moved and dropped ones included, is
+    // imported, so a node set apart really resolves differently.
+    for (const std::string& fn : SandboxConfig{}.wasm_host_fns) {
+      EXPECT_TRUE(std::any_of(
+          image.relocs.begin(), image.relocs.end(),
+          [&](const wasm::WasmReloc& r) { return r.import_name == fn; }))
+          << fn;
+    }
+    Cluster cluster(kGroupNodes, ControlPlaneConfig{}, configs);
+    auto result = cluster.Broadcast(filter, kHook);
+    if (group == LinkGroup::kOddLacksSymbol) {
+      EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+      EXPECT_NE(result.status().message().find("does not export host fn"),
+                std::string::npos)
+          << result.status().ToString();
+      for (CodeFlow* flow : cluster.flows) {
+        EXPECT_EQ(flow->HookVersion(kHook), 0u);
+      }
+      continue;
+    }
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    for (int i = 0; i < kGroupNodes; ++i) {
+      ExpectOwnWire(cluster, i, image, configs[i]);
+    }
+    ExpectWireCounts(cluster, group, kGroupNodes);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Groups, WasmLinkGroup,
+                         ::testing::Values(LinkGroup::kShared,
+                                           LinkGroup::kOddValues,
+                                           LinkGroup::kOddLacksSymbol),
+                         LinkGroupParamName);
 
 }  // namespace
 }  // namespace rdx

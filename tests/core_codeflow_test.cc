@@ -93,6 +93,15 @@ TEST(CodeFlowCreate, ReadsControlBlockAndSymbols) {
   EXPECT_FALSE(flow.Symbol(SymbolHashName("host:", "nonexistent")).ok());
 }
 
+// The symbol hashes are a wire contract: the sandbox publishes them in its
+// symbol table and the control plane looks them up by value.
+TEST(SymbolHash, MatchesPublishedValues) {
+  // FNV-1a 64 of "helper:" + u64le(1) and of "host:get_header".
+  EXPECT_EQ(SymbolHash("helper:", bpf::kHelperMapLookupElem),
+            0x45633cbe70733394ull);
+  EXPECT_EQ(SymbolHashName("host:", "get_header"), 0xa61a726a2eeafadbull);
+}
+
 TEST(Inject, EndToEndDeployAndExecute) {
   Cluster cluster;
   CodeFlow& flow = *cluster.flows[0];
