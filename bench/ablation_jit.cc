@@ -1,5 +1,6 @@
 // Ablation (DESIGN.md): threaded-code JIT vs reference interpreter —
-// real wall-clock dispatch cost, measured with google-benchmark. Also
+// real wall-clock dispatch cost, measured with google-benchmark — for
+// eBPF programs and for Wasm filters lowered onto the same executor. Also
 // covers the image wire codec, whose cost sits on the control-plane path.
 #include <benchmark/benchmark.h>
 
@@ -11,6 +12,7 @@
 #include "bpf/jit.h"
 #include "bpf/proggen.h"
 #include "bpf/verifier.h"
+#include "wasm/filter.h"
 
 namespace rdx::bpf {
 namespace {
@@ -126,6 +128,66 @@ BENCHMARK(BM_Verifier)->Arg(1300)->Arg(11000)->Arg(95000);
 }  // namespace
 }  // namespace rdx::bpf
 
+namespace rdx::wasm {
+namespace {
+
+// A sidecar-like host: a header table behind get/set, a counter, a log.
+class BenchHost final : public WasmHost {
+ public:
+  StatusOr<std::uint64_t> CallHost(std::int32_t host_fn, std::uint64_t arg0,
+                                   std::uint64_t arg1) override {
+    switch (host_fn) {
+      case 0: return headers_[arg0 & 15];
+      case 1: headers_[arg0 & 15] = arg1; return 0ull;
+      case 2: return counter_ += arg0;
+      default: return 0ull;
+    }
+  }
+
+ private:
+  std::uint64_t headers_[16] = {};
+  std::uint64_t counter_ = 0;
+};
+
+// A generated filter, linked to BenchHost's table and made runnable.
+WasmImage LinkedFilter(std::size_t insns) {
+  const FilterModule module = GenerateFilter(insns, 3);
+  auto image = CompileFilter(module);
+  if (!image.ok()) std::abort();
+  for (WasmReloc& reloc : image->relocs) {
+    for (std::size_t i = 0; i < module.imports.size(); ++i) {
+      if (module.imports[i].name == reloc.import_name) {
+        reloc.resolved_host_fn = static_cast<std::int32_t>(i);
+      }
+    }
+  }
+  if (!image->MakeRunnable().ok()) std::abort();
+  return std::move(image).value();
+}
+
+template <auto kRun>
+void BM_Wasm(benchmark::State& state) {
+  const WasmImage image = LinkedFilter(static_cast<std::size_t>(state.range(0)));
+  BenchHost host;
+  std::uint64_t insns = 0;
+  for (auto _ : state) {
+    auto result = kRun(image, host, 1u << 20);
+    if (!result.ok()) state.SkipWithError("wasm run failed");
+    insns += result->insns_executed;
+    benchmark::DoNotOptimize(result->verdict);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(insns));
+}
+
+void BM_WasmOracle(benchmark::State& state) { BM_Wasm<RunFilter>(state); }
+BENCHMARK(BM_WasmOracle)->Arg(1000);
+
+void BM_WasmLowered(benchmark::State& state) { BM_Wasm<RunLowered>(state); }
+BENCHMARK(BM_WasmLowered)->Arg(1000);
+
+}  // namespace
+}  // namespace rdx::wasm
+
 // Hand-rolled main so RDX_BENCH_SMOKE=1 (scripts/check.sh) shrinks every
 // measurement to a token run, matching the other benches' smoke mode.
 int main(int argc, char** argv) {
@@ -138,6 +200,7 @@ int main(int argc, char** argv) {
   }
   int arg_count = static_cast<int>(args.size());
   benchmark::Initialize(&arg_count, args.data());
+  benchmark::AddCustomContext("rdx_build_type", RDX_BUILD_TYPE);
   if (benchmark::ReportUnrecognizedArguments(arg_count, args.data())) {
     return 1;
   }

@@ -2,8 +2,9 @@
 # Repository gate: tier-1 verification (full build + every test), a
 # strict -Wall -Wextra -Werror compile of all src/ libraries (default and
 # Release builds), a doc-drift guard (docs/wire-contracts.md vs
-# core/layout.h + markdown link check), a JIT-vs-interpreter speed ratio
-# gate (ablation_jit), a golden smoke gate (bench stdout vs
+# core/layout.h + markdown link check), JIT-vs-interpreter speed ratio
+# gates for eBPF and for lowered Wasm (ablation_jit), a golden smoke gate
+# (bench stdout vs
 # bench/golden/), and an ASan+UBSan build + test pass (catches the
 # lifetime/aliasing bugs the guardrail and fault paths are most prone to).
 #
@@ -151,6 +152,30 @@ awk '
            jit / 1e6, interp / 1e6, ratio
     if (ratio < 1.5) exit 1
   }' <<<"$jit_json"
+
+echo
+echo "== wasm ratio gate: ablation_jit lowered Wasm vs oracle at 1000 insns =="
+# Same method as the jit gate: Wasm filters lowered onto the fused
+# executor must stay >= 1.5x the RunFilter stack interpreter.
+wasm_json="$(./build/bench/ablation_jit \
+  --benchmark_filter='^BM_Wasm(Oracle|Lowered)/1000$' \
+  --benchmark_min_time=0.1 --benchmark_repetitions=5 \
+  --benchmark_enable_random_interleaving=true \
+  --benchmark_report_aggregates_only=true --benchmark_format=json)"
+awk '
+  /"name":/ { name = $2 }
+  /"items_per_second":/ {
+    v = $2; sub(/,$/, "", v)
+    if (name ~ /"BM_WasmOracle\/1000_median"/) oracle = v
+    if (name ~ /"BM_WasmLowered\/1000_median"/) lowered = v
+  }
+  END {
+    if (oracle == "" || lowered == "") { print "wasm gate: no medians"; exit 1 }
+    ratio = lowered / oracle
+    printf "wasm gate: %.1f vs %.1f M insn/s (%.2fx, need >= 1.5x)\n",
+           lowered / 1e6, oracle / 1e6, ratio
+    if (ratio < 1.5) exit 1
+  }' <<<"$wasm_json"
 
 echo
 echo "== golden smoke gate: bench stdout vs bench/golden/ =="

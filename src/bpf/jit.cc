@@ -1,5 +1,6 @@
 #include "bpf/jit.h"
 
+#include <algorithm>
 #include <array>
 
 #include "bpf/eval_inl.h"
@@ -59,8 +60,8 @@ Bytes JitImage::Serialize() const {
   for (const MicroOp& op : code) {
     out.push_back(static_cast<std::uint8_t>(op.kind));
     out.push_back(op.aux);
-    out.push_back(op.dst);
-    out.push_back(op.src);
+    out.push_back(static_cast<std::uint8_t>(op.dst));
+    out.push_back(static_cast<std::uint8_t>(op.src));
     AppendLE<std::int32_t>(out, op.imm);
     if (KindHasTarget(op.kind)) AppendLE<std::uint32_t>(out, op.target);
     if (KindHasImm64(op.kind)) AppendLE<std::uint64_t>(out, op.imm64);
@@ -353,7 +354,8 @@ constexpr std::uint8_t JmpCode(std::uint8_t cond, bool is64, bool reg) {
                                    Form(is64, reg));
 }
 // The rest: loads and stores come in runs of four, one per access size
-// 1/2/4/8, then the six (direction, width) byte swaps.
+// 1/2/4/8, then the six (direction, width) byte swaps, then FrameCode's
+// set-on-condition pairs (K, X) per condition, host call and returns.
 enum FusedCode : std::uint8_t {
   kJa = kJmpCodeBase + 4 * 16,
   kCall,
@@ -368,7 +370,14 @@ enum FusedCode : std::uint8_t {
   kBe16,
   kBe32,
   kBe64,
+  kSetCond,
+  kHostCall = kSetCond + 2 * 16,
+  kRet,
+  kRetK,
 };
+constexpr std::uint8_t SetCode(std::uint8_t cond, bool reg) {
+  return static_cast<std::uint8_t>(kSetCond + 2 * (cond >> 4) + (reg ? 1 : 0));
+}
 
 bool IsAluOp(std::uint8_t op) { return (op & 0x0f) == 0 && op <= kAluArsh; }
 bool IsCond(std::uint8_t op) {
@@ -386,11 +395,12 @@ int SizeIndex(std::uint8_t bytes) {
 }
 
 // Checks `op` against everything the executor would otherwise index or
-// dispatch on unchecked and sets its fused opcode. Returns what is wrong
-// with the op, or nullptr.
-const char* Fuse(MicroOp& op, std::size_t code_size) {
-  const bool dst_ok = op.dst < kNumRegs;
-  const bool src_ok = op.src < kNumRegs;
+// dispatch on unchecked, for code of `code_size` ops over `num_regs`
+// registers, and sets its fused opcode. Returns what is wrong with the
+// op, or nullptr.
+const char* Fuse(MicroOp& op, std::size_t code_size, std::size_t num_regs) {
+  const bool dst_ok = op.dst < num_regs;
+  const bool src_ok = op.src < num_regs;
   const bool target_ok = op.target <= code_size;
   switch (op.kind) {
     case OpKind::kAlu64K:
@@ -459,8 +469,51 @@ const char* Fuse(MicroOp& op, std::size_t code_size) {
       op.fused = static_cast<std::uint8_t>(base + width);
       return nullptr;
     }
+    case OpKind::kSetCondK:
+    case OpKind::kSetCondX: {
+      if (!IsCond(op.aux)) return "unknown JMP op";
+      const bool reg = op.kind == OpKind::kSetCondX;
+      if (!dst_ok || (reg && !src_ok)) return "register index out of range";
+      op.fused = SetCode(op.aux, reg);
+      return nullptr;
+    }
+    case OpKind::kHostCall: {
+      if ((op.aux & ~(kHostArg0Imm | kHostArg1Imm)) != 0) {
+        return "bad host call operand form";
+      }
+      const bool arg0_ok = (op.aux & kHostArg0Imm) != 0 || src_ok;
+      const bool arg1_ok =
+          (op.aux & kHostArg1Imm) != 0 ||
+          (op.imm >= 0 && static_cast<std::size_t>(op.imm) < num_regs);
+      if (!dst_ok || !arg0_ok || !arg1_ok) {
+        return "register index out of range";
+      }
+      op.fused = kHostCall;
+      return nullptr;
+    }
+    case OpKind::kReturn:
+      if (op.aux == 0 && !src_ok) return "register index out of range";
+      op.fused = op.aux == 0 ? kRet : kRetK;
+      return nullptr;
   }
   return "unknown micro-op kind";
+}
+
+// The kinds that may appear on the eBPF wire, and the ones FrameCode may
+// use: everything that touches only registers, plus host calls and
+// returns (no memory, no helpers, no eBPF exit).
+bool IsWireKind(OpKind kind) { return kind <= OpKind::kEndian; }
+bool IsFrameKind(OpKind kind) {
+  switch (kind) {
+    case OpKind::kCall:
+    case OpKind::kExit:
+    case OpKind::kLoad:
+    case OpKind::kStoreImm:
+    case OpKind::kStoreReg:
+      return false;
+    default:
+      return kind <= OpKind::kReturn;
+  }
 }
 
 std::uint64_t Imm(const MicroOp& op) {
@@ -491,9 +544,13 @@ bool StoreFlat(const MemWindow& window, std::uint64_t addr,
 
 Status JitImage::FuseCode() {
   for (MicroOp& op : code) {
-    if (const char* error = Fuse(op, code.size())) {
+    const char* error = IsWireKind(op.kind)
+                            ? Fuse(op, code.size(), kNumRegs)
+                            : "unknown micro-op kind";
+    if (error != nullptr) {
       return InvalidArgument(std::string("jit image: ") + error);
     }
+    op.retire = 1;
   }
   return OkStatus();
 }
@@ -506,29 +563,47 @@ Status JitImage::MakeRunnable() {
   return OkStatus();
 }
 
-StatusOr<ExecResult> RunJit(const JitImage& image, RuntimeContext& rt,
-                            const ExecOptions& opts) {
-  if (rt.mem == nullptr) return Internal("RuntimeContext without MemSpace");
-  if (!image.runnable()) {
-    return FailedPrecondition("executing unlinked image");
+StatusOr<FrameCode> FrameCode::Make(std::vector<MicroOp> code,
+                                    std::uint32_t num_regs) {
+  if (code.empty()) return InvalidArgument("frame code: empty");
+  if (num_regs == 0 || num_regs > kMaxFrameRegs) {
+    return InvalidArgument("frame code: bad frame size");
   }
-  MemSpace& mem = *rt.mem;
-  const MemWindow window = mem.window();
-  std::uint64_t regs[kNumRegs] = {};
-  regs[1] = opts.ctx_addr;
-  regs[kFrameReg] = opts.stack_addr + kStackSize;
+  for (MicroOp& op : code) {
+    const char* error = IsFrameKind(op.kind)
+                            ? Fuse(op, code.size(), num_regs)
+                            : "micro-op kind not allowed in frame code";
+    if (error != nullptr) {
+      return InvalidArgument(std::string("frame code: ") + error);
+    }
+  }
+  FrameCode made;
+  made.code_ = std::move(code);
+  made.num_regs_ = num_regs;
+  return made;
+}
 
-  const MicroOp* const code = image.code.data();
-  const std::size_t n = image.code.size();
-  const std::uint64_t limit = opts.insn_limit;
+namespace {
+
+// The one dispatch loop behind both RunJit overloads. An eBPF image runs
+// with `rt` and no `host`, FrameCode with `host` and no `rt`; the checks
+// that made the code runnable keep each to the ops its environment
+// supports.
+StatusOr<ExecResult> Execute(const MicroOp* const code, const std::size_t n,
+                             std::uint64_t* const regs,
+                             const std::uint64_t limit, RuntimeContext* rt,
+                             HostFunctions* host) {
+  MemSpace* const mem = rt != nullptr ? rt->mem : nullptr;
+  const MemWindow window = mem != nullptr ? mem->window() : MemWindow{};
   std::uint64_t executed = 0;
   std::uint32_t pc = 0;
   while (true) {
     if (pc >= n) return Aborted("jit pc ran off the end");
-    if (++executed > limit) {
+    const MicroOp& op = code[pc++];
+    executed += op.retire;
+    if (executed > limit) {
       return ResourceExhausted("instruction limit exceeded");
     }
-    const MicroOp& op = code[pc++];
     switch (op.fused) {
 // One handler per (op, width, operand form), each instantiating the
 // shared rule from eval_inl.h for its constant op.
@@ -574,7 +649,7 @@ StatusOr<ExecResult> RunJit(const JitImage& image, RuntimeContext& rt,
   case kLdx + SIZE: {                                                       \
     const std::uint64_t addr = regs[op.src] + Imm(op);                      \
     if (!LoadFlat<T>(window, addr, regs[op.dst])) {                         \
-      RDX_RETURN_IF_ERROR(mem.LoadInt(addr, sizeof(T), regs[op.dst]));      \
+      RDX_RETURN_IF_ERROR(mem->LoadInt(addr, sizeof(T), regs[op.dst]));     \
     }                                                                       \
     break;                                                                  \
   }                                                                         \
@@ -583,14 +658,14 @@ StatusOr<ExecResult> RunJit(const JitImage& image, RuntimeContext& rt,
         regs[op.dst] +                                                      \
         static_cast<std::int64_t>(static_cast<std::int32_t>(op.target));    \
     if (!StoreFlat<T>(window, addr, Imm(op))) {                             \
-      RDX_RETURN_IF_ERROR(mem.StoreInt(addr, sizeof(T), Imm(op)));          \
+      RDX_RETURN_IF_ERROR(mem->StoreInt(addr, sizeof(T), Imm(op)));         \
     }                                                                       \
     break;                                                                  \
   }                                                                         \
   case kStx + SIZE: {                                                       \
     const std::uint64_t addr = regs[op.dst] + Imm(op);                      \
     if (!StoreFlat<T>(window, addr, regs[op.src])) {                        \
-      RDX_RETURN_IF_ERROR(mem.StoreInt(addr, sizeof(T), regs[op.src]));     \
+      RDX_RETURN_IF_ERROR(mem->StoreInt(addr, sizeof(T), regs[op.src]));    \
     }                                                                       \
     break;                                                                  \
   }
@@ -605,7 +680,7 @@ StatusOr<ExecResult> RunJit(const JitImage& image, RuntimeContext& rt,
       case kCall: {
         const std::array<std::uint64_t, kMaxHelperArgs> args = {
             regs[1], regs[2], regs[3], regs[4], regs[5]};
-        RDX_ASSIGN_OR_RETURN(regs[0], CallHelperFn(rt, op.imm, args));
+        RDX_ASSIGN_OR_RETURN(regs[0], CallHelperFn(*rt, op.imm, args));
         // r1-r5 are caller-saved and clobbered by the call.
         for (int r = 1; r <= 5; ++r) regs[r] = 0;
         break;
@@ -626,10 +701,57 @@ StatusOr<ExecResult> RunJit(const JitImage& image, RuntimeContext& rt,
       RDX_JIT_ENDIAN(kBe32, 32, true)
       RDX_JIT_ENDIAN(kBe64, 64, true)
 #undef RDX_JIT_ENDIAN
+#define RDX_JIT_SET(OP)                                                     \
+  case SetCode(OP, false):                                                  \
+    regs[op.dst] = internal::Jmp<OP>(regs[op.dst], Imm(op));                \
+    break;                                                                  \
+  case SetCode(OP, true):                                                   \
+    regs[op.dst] = internal::Jmp<OP>(regs[op.dst], regs[op.src]);           \
+    break;
+      RDX_BPF_JMP_CONDS(RDX_JIT_SET)
+#undef RDX_JIT_SET
+      case kHostCall: {
+        const std::uint64_t arg0 =
+            (op.aux & kHostArg0Imm) != 0 ? op.imm64 : regs[op.src];
+        const std::uint64_t arg1 =
+            (op.aux & kHostArg1Imm) != 0 ? Imm(op) : regs[op.imm];
+        RDX_ASSIGN_OR_RETURN(
+            regs[op.dst],
+            host->CallHost(static_cast<std::int32_t>(op.target), arg0, arg1));
+        break;
+      }
+      case kRet:
+        return ExecResult{regs[op.src], executed};
+      case kRetK:
+        return ExecResult{op.imm64, executed};
       default:
         return Internal("jit image with unknown fused op");
     }
   }
+}
+
+}  // namespace
+
+StatusOr<ExecResult> RunJit(const JitImage& image, RuntimeContext& rt,
+                            const ExecOptions& opts) {
+  if (rt.mem == nullptr) return Internal("RuntimeContext without MemSpace");
+  if (!image.runnable()) {
+    return FailedPrecondition("executing unlinked image");
+  }
+  std::uint64_t regs[kNumRegs] = {};
+  regs[1] = opts.ctx_addr;
+  regs[kFrameReg] = opts.stack_addr + kStackSize;
+  return Execute(image.code.data(), image.code.size(), regs, opts.insn_limit,
+                 &rt, nullptr);
+}
+
+StatusOr<ExecResult> RunJit(const FrameCode& code, HostFunctions& host,
+                            std::uint64_t insn_limit) {
+  if (code.code().empty()) return FailedPrecondition("empty frame code");
+  std::uint64_t regs[kMaxFrameRegs];
+  std::fill_n(regs, code.num_regs(), 0);
+  return Execute(code.code().data(), code.code().size(), regs, insn_limit,
+                 nullptr, &host);
 }
 
 }  // namespace rdx::bpf

@@ -17,6 +17,11 @@
 // ALU/JMP op, width, K/X form). RunJit then pays one dispatch per op and
 // checks per op only what depends on run-time values: the pc, the fuel
 // and the memory bounds.
+//
+// The same executor runs Wasm filters: wasm::WasmImage lowers its stack
+// code to micro-ops over a register frame (FrameCode), and each micro-op
+// carries the number of source instructions it retires, so fuel and
+// virtual time count source instructions for both kinds.
 #pragma once
 
 #include <cstdint>
@@ -38,18 +43,33 @@ enum class OpKind : std::uint8_t {
   kLoadImm64,                          // imm64 = constant or patched addr
   kCondJmp32K, kCondJmp32X,            // 32-bit compares; aux = condition
   kEndian,                             // aux = width; src = to_be flag
+  // Kinds only FrameCode uses (never on the eBPF wire); all 64-bit.
+  kSetCondK, kSetCondX,  // dst = (dst aux-cond imm/src) ? 1 : 0
+  kHostCall,             // dst = host fn `target`(arg0, arg1); see below
+  kReturn,               // verdict = src, or imm64 if aux != 0
 };
+
+// kHostCall operand forms (aux bits): arg0 is register `src` or, with
+// kHostArg0Imm, imm64; arg1 is register number `imm` or, with
+// kHostArg1Imm, the sign-extended imm itself.
+constexpr std::uint8_t kHostArg0Imm = 1;
+constexpr std::uint8_t kHostArg1Imm = 2;
 
 struct MicroOp {
   OpKind kind = OpKind::kExit;
   std::uint8_t aux = 0;
-  std::uint8_t dst = 0;
-  std::uint8_t src = 0;
-  std::int32_t imm = 0;
-  std::uint32_t target = 0;
-  // Executor dispatch code, derived from the fields above when the image
+  // Register indices: below kNumRegs in a JitImage, below the frame size
+  // in FrameCode. The eBPF wire carries them as one byte each.
+  std::uint16_t dst = 0;
+  std::uint16_t src = 0;
+  // Executor dispatch code, derived from the fields above when the code
   // is made runnable; not part of the wire format.
   std::uint8_t fused = 0;
+  // Source instructions this op retires (fuel and virtual time): 1 for
+  // every eBPF op, the lowered run for FrameCode; not on the wire.
+  std::uint8_t retire = 1;
+  std::int32_t imm = 0;
+  std::uint32_t target = 0;
   std::uint64_t imm64 = 0;
 };
 
@@ -118,5 +138,45 @@ class JitCompiler {
 // registration in `rt` must match how the image was linked.
 StatusOr<ExecResult> RunJit(const JitImage& image, RuntimeContext& rt,
                             const ExecOptions& opts);
+
+// The functions FrameCode calls out to (kHostCall): a resolved host-table
+// index and two argument words in, the result word out. An error aborts
+// the run with that status.
+class HostFunctions {
+ public:
+  virtual ~HostFunctions() = default;
+  virtual StatusOr<std::uint64_t> CallHost(std::int32_t host_fn,
+                                           std::uint64_t arg0,
+                                           std::uint64_t arg1) = 0;
+};
+
+// Largest FrameCode register frame. RunJit keeps the frame on the host
+// stack and zeroes only the registers the code uses.
+constexpr std::uint32_t kMaxFrameRegs = 2048;
+
+// Micro-ops lowered from another extension kind (a Wasm filter: see
+// wasm::WasmImage). They run over a frame of num_regs() registers, all
+// zero at entry, touch no memory and call out only through HostFunctions.
+class FrameCode {
+ public:
+  // Checks every op as JitImage::MakeRunnable does, but against the frame:
+  // register indices below `num_regs` (at most kMaxFrameRegs), and only
+  // register, branch, host-call and return kinds (InvalidArgument).
+  static StatusOr<FrameCode> Make(std::vector<MicroOp> code,
+                                  std::uint32_t num_regs);
+
+  const std::vector<MicroOp>& code() const { return code_; }
+  std::uint32_t num_regs() const { return num_regs_; }
+
+ private:
+  std::vector<MicroOp> code_;
+  std::uint32_t num_regs_ = 0;
+};
+
+// Executes code made by FrameCode::Make; an empty FrameCode is refused
+// with FailedPrecondition. Fuel and the result count retired source
+// instructions; running out is ResourceExhausted, as for RunJit above.
+StatusOr<ExecResult> RunJit(const FrameCode& code, HostFunctions& host,
+                            std::uint64_t insn_limit);
 
 }  // namespace rdx::bpf

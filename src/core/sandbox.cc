@@ -549,7 +549,7 @@ StatusOr<wasm::WasmResult> Sandbox::ExecuteWasmHook(int hook,
                        BeginExecution<wasm::WasmImage>(hook));
   if (image == nullptr) return wasm::WasmResult{1, 0};  // accept-by-default
   return EndExecution(hook, telemetry::RingEventKind::kHookExecWasm,
-                      wasm::RunFilter(*image, host, config_.wasm_fuel_budget));
+                      wasm::RunLowered(*image, host, config_.wasm_fuel_budget));
 }
 
 bool Sandbox::TryLockLocal(std::uint64_t owner) {

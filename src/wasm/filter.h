@@ -4,12 +4,18 @@
 // the paper's *second* extension type: its metadata shape (import table
 // instead of map relocations, per-filter shared queue) exercises the
 // parts of CodeFlow that eBPF alone would not.
+//
+// A filter has no executor of its own: when an image becomes runnable it
+// is lowered to the eBPF JIT's micro-ops (bpf::FrameCode) and runs on
+// bpf::RunJit. RunFilter, a plain stack interpreter, is kept only as the
+// reference that tests and benches compare the lowered code against.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "bpf/jit.h"
 #include "common/bytes.h"
 #include "common/status.h"
 
@@ -55,8 +61,9 @@ struct WasmValidatorStats {
 };
 
 // Validates types/stack discipline: depth never negative, binary ops have
-// two operands, branches are forward with consistent depth at each
-// target, locals in range, imports in range, all paths return.
+// two operands, branches are forward, land inside the code and see one
+// stack depth at each target, locals in range, imports in range, all
+// paths return.
 Status ValidateFilter(const FilterModule& module,
                       WasmValidatorStats* stats = nullptr);
 
@@ -78,9 +85,29 @@ struct WasmImage {
   std::vector<WasmReloc> relocs;
 
   bool IsLinked() const;
+
+  // Makes the image runnable by RunLowered: re-checks the code as
+  // Deserialize does (InvalidArgument), lowers it, and checks that every
+  // host call is linked (FailedPrecondition). A deserialized image that is
+  // linked is already runnable; code that links an image in memory calls
+  // this after patching the relocations.
+  Status MakeRunnable();
+  bool runnable() const { return runnable_; }
+  const bpf::FrameCode& lowered() const { return lowered_; }
+
+  // Wire format. Deserialize rejects (InvalidArgument) any image whose
+  // code breaks a ValidateFilter rule, and any image whose relocations are
+  // not one-to-one with its host calls: each reloc must sit on a
+  // kCallHost, and each kCallHost must carry exactly one reloc.
   Bytes Serialize() const;
   static StatusOr<WasmImage> Deserialize(ByteSpan bytes);
   std::uint64_t Fingerprint() const;
+
+ private:
+  Status Lower();
+
+  bpf::FrameCode lowered_;
+  bool runnable_ = false;
 };
 
 // Compiles a validated module.
@@ -89,19 +116,21 @@ StatusOr<WasmImage> CompileFilter(const FilterModule& module);
 // ---- Execution ----
 // Host-call dispatcher: receives the resolved host-function index and two
 // argument words, returns the result word.
-class WasmHost {
- public:
-  virtual ~WasmHost() = default;
-  virtual StatusOr<std::uint64_t> CallHost(std::int32_t host_fn,
-                                           std::uint64_t arg0,
-                                           std::uint64_t arg1) = 0;
-};
+using WasmHost = bpf::HostFunctions;
 
 struct WasmResult {
   std::uint64_t verdict = 0;
   std::uint64_t insns_executed = 0;
 };
 
+// Runs a runnable image's lowered code (see WasmImage::MakeRunnable); any
+// other image is refused with FailedPrecondition. `insns_executed` and
+// running out of `step_limit` count Wasm instructions.
+StatusOr<WasmResult> RunLowered(const WasmImage& image, WasmHost& host,
+                                std::uint64_t step_limit = 1u << 20);
+
+// Reference interpreter over a runnable image's stack code: the oracle
+// RunLowered is tested against. Same results, host calls and errors.
 StatusOr<WasmResult> RunFilter(const WasmImage& image, WasmHost& host,
                                std::uint64_t step_limit = 1u << 20);
 

@@ -1,11 +1,14 @@
 // §5 security layer tests: role-based gatekeeper + audit log, image
-// signing end-to-end (sandbox refuses unsigned/forged images), and the
-// remote Inspector detecting in-memory tampering.
+// signing end-to-end (sandbox refuses unsigned/forged images), forged Wasm
+// images refused at decode even unsigned, and the remote Inspector
+// detecting in-memory tampering.
 #include <gtest/gtest.h>
 
 #include "bpf/assembler.h"
 #include "core/gatekeeper.h"
 #include "core/inspector.h"
+#include "core/layout.h"
+#include "wasm/filter.h"
 
 namespace rdx::core {
 namespace {
@@ -303,6 +306,108 @@ TEST(Inspector, SweepFlagsOnlyUnhealthyHooks) {
   });
   rig.events.Run();
   EXPECT_TRUE(done);
+}
+
+// ---- forged Wasm images ----
+
+class CountingHost final : public wasm::WasmHost {
+ public:
+  StatusOr<std::uint64_t> CallHost(std::int32_t, std::uint64_t,
+                                   std::uint64_t) override {
+    ++calls;
+    return 1ull;
+  }
+  int calls = 0;
+};
+
+// A linked image with a host call, locals and a branch.
+wasm::WasmImage ForgeBase() {
+  using wasm::WOp;
+  wasm::FilterModule module;
+  module.name = "base";
+  module.imports = {{"get_header"}};
+  module.code = {{WOp::kConst, 1},    {WOp::kSetLocal, 0},
+                 {WOp::kGetLocal, 0}, {WOp::kConst, 2},
+                 {WOp::kCallHost, 0}, {WOp::kBrIf, 8},
+                 {WOp::kConst, 0},    {WOp::kReturn, 0},
+                 {WOp::kGetLocal, 0}, {WOp::kReturn, 0}};
+  auto image = wasm::CompileFilter(module);
+  EXPECT_TRUE(image.ok()) << image.status().ToString();
+  for (wasm::WasmReloc& reloc : image->relocs) {
+    reloc.resolved_host_fn = 0;
+    image->code[reloc.insn_index].imm = 0;
+  }
+  return std::move(image).value();
+}
+
+TEST(ForgedWasmImage, DecodeAndSandboxRejectCodeTheExecutorWouldHaveToCheck) {
+  using wasm::WOp;
+  struct Case {
+    const char* what;
+    void (*forge)(wasm::WasmImage&);
+  };
+  const Case cases[] = {
+      {"local out of range",
+       [](wasm::WasmImage& i) { i.code[1].imm = 1000; }},
+      {"stack underflow",
+       [](wasm::WasmImage& i) { i.code[0] = {WOp::kAdd, 0}; }},
+      {"unknown opcode",
+       [](wasm::WasmImage& i) { i.code[6].op = static_cast<WOp>(0x7f); }},
+      {"backward branch", [](wasm::WasmImage& i) { i.code[5].imm = 2; }},
+      {"branch to the end", [](wasm::WasmImage& i) { i.code[5].imm = 10; }},
+      {"branch past the end", [](wasm::WasmImage& i) { i.code[5].imm = 99; }},
+      {"reloc on a non-call",
+       [](wasm::WasmImage& i) { i.relocs[0].insn_index = 3; }},
+      {"call with no reloc", [](wasm::WasmImage& i) { i.relocs.clear(); }},
+      {"two relocs on one call",
+       [](wasm::WasmImage& i) { i.relocs.push_back(i.relocs[0]); }},
+  };
+
+  // The unmodified image decodes runnable and runs.
+  const wasm::WasmImage base = ForgeBase();
+  auto good = wasm::WasmImage::Deserialize(base.Serialize());
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_TRUE(good->runnable());
+
+  for (const Case& c : cases) {
+    wasm::WasmImage forged = base;
+    c.forge(forged);
+    // Serialize recomputes the checksum, so only the decoder's own checks
+    // stand between these bytes and the executor.
+    const Bytes wire = forged.Serialize();
+    auto decoded = wasm::WasmImage::Deserialize(wire);
+    ASSERT_FALSE(decoded.ok()) << c.what;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+        << c.what << ": " << decoded.status().ToString();
+
+    // The same bytes, RDMA-written over a deployed filter of an unsigned
+    // sandbox, are refused when the hook loads them: no host call runs.
+    SecureRig rig(/*cp_key=*/0, /*sandbox_key=*/0);
+    bool injected = false;
+    rig.cp->InjectWasmFilter(*rig.flow, wasm::GenerateFilter(300, 1), 0,
+                             [&](StatusOr<InjectTrace> r) {
+                               ASSERT_TRUE(r.ok()) << r.status().ToString();
+                               injected = true;
+                             });
+    rig.events.Run();
+    ASSERT_TRUE(injected) << c.what;
+    auto& mem = rig.sandbox->node().memory();
+    const std::uint64_t desc =
+        mem.ReadU64(rig.flow->remote_view().hook_table_addr).value();
+    const std::uint64_t image_addr =
+        mem.ReadU64(desc + kDescImageAddr).value();
+    ASSERT_LE(wire.size(), mem.ReadU64(desc + kDescImageLen).value());
+    ASSERT_TRUE(mem.Write(image_addr, wire).ok());
+    ASSERT_TRUE(mem.WriteU64(desc + kDescImageLen, wire.size()).ok());
+    rig.sandbox->RefreshHookNow(0);
+    CountingHost host;
+    auto run = rig.sandbox->ExecuteWasmHook(0, host);
+    ASSERT_FALSE(run.ok()) << c.what;
+    EXPECT_EQ(run.status().code(), StatusCode::kAborted)
+        << c.what << ": " << run.status().ToString();
+    EXPECT_EQ(rig.sandbox->stats().torn_image_failures, 1u) << c.what;
+    EXPECT_EQ(host.calls, 0) << c.what;
+  }
 }
 
 }  // namespace

@@ -32,13 +32,24 @@ FilterModule Module(std::vector<WasmInsn> code,
   return module;
 }
 
-// Links every reloc to host fn 0 and runs.
+// Links every reloc to host fn 0 and runs the lowered code, checking
+// that the reference interpreter gives the same result.
 StatusOr<WasmResult> CompileAndRun(const FilterModule& module,
-                                   WasmHost& host) {
+                                   RecordingHost& host) {
   auto image = CompileFilter(module);
   if (!image.ok()) return image.status();
   for (WasmReloc& reloc : image->relocs) reloc.resolved_host_fn = 0;
-  return RunFilter(*image, host);
+  RDX_RETURN_IF_ERROR(image->MakeRunnable());
+  RecordingHost oracle_host;
+  auto want = RunFilter(*image, oracle_host);
+  auto got = RunLowered(*image, host);
+  EXPECT_EQ(want.ok(), got.ok());
+  if (want.ok() && got.ok()) {
+    EXPECT_EQ(want->verdict, got->verdict);
+    EXPECT_EQ(want->insns_executed, got->insns_executed);
+  }
+  EXPECT_EQ(oracle_host.calls.size(), host.calls.size());
+  return got;
 }
 
 // ---- validator ----
@@ -73,6 +84,16 @@ TEST(WasmValidator, BranchPastEndRejected) {
   EXPECT_FALSE(ValidateFilter(
       Module({{WOp::kConst, 1}, {WOp::kBrIf, 99},
               {WOp::kConst, 0}, {WOp::kReturn, 0}})).ok());
+}
+
+TEST(WasmValidator, BranchToEndRejected) {
+  // A branch to code.size() lands past the last instruction: every path
+  // must end in a return.
+  EXPECT_FALSE(ValidateFilter(
+      Module({{WOp::kConst, 1}, {WOp::kBrIf, 4},
+              {WOp::kConst, 0}, {WOp::kReturn, 0}})).ok());
+  EXPECT_FALSE(ValidateFilter(
+      Module({{WOp::kBr, 1}})).ok());
 }
 
 TEST(WasmValidator, FallOffEndRejected) {
@@ -203,9 +224,12 @@ TEST(WasmRun, StepLimitAborts) {
   module.code.push_back({WOp::kReturn, 0});
   auto image = CompileFilter(module);
   ASSERT_TRUE(image.ok());
+  ASSERT_TRUE(image->MakeRunnable().ok());
   RecordingHost host;
-  auto result = RunFilter(*image, host, /*step_limit=*/10);
-  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(RunFilter(*image, host, /*step_limit=*/10).status().code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(RunLowered(*image, host, /*step_limit=*/10).status().code(),
+            StatusCode::kResourceExhausted);
 }
 
 TEST(WasmRun, UnlinkedImageRefused) {
@@ -217,8 +241,11 @@ TEST(WasmRun, UnlinkedImageRefused) {
   }));
   ASSERT_TRUE(image.ok());
   EXPECT_FALSE(image->IsLinked());
+  EXPECT_EQ(image->MakeRunnable().code(), StatusCode::kFailedPrecondition);
   RecordingHost host;
   EXPECT_FALSE(RunFilter(*image, host).ok());
+  EXPECT_EQ(RunLowered(*image, host).status().code(),
+            StatusCode::kFailedPrecondition);
 }
 
 // ---- image wire format ----
@@ -276,8 +303,9 @@ TEST_P(GeneratedFilters, ValidateCompileAndRun) {
     auto image = CompileFilter(module);
     ASSERT_TRUE(image.ok());
     for (WasmReloc& reloc : image->relocs) reloc.resolved_host_fn = 0;
+    ASSERT_TRUE(image->MakeRunnable().ok());
     RecordingHost host;
-    auto result = RunFilter(*image, host);
+    auto result = RunLowered(*image, host);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_LE(result->verdict, 1u);  // verdict is masked to a bit
   }
