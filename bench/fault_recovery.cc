@@ -47,17 +47,18 @@ int main() {
              .seed = static_cast<std::uint64_t>(total + 1)});
         ++total;
         bool settled = false;
-        recovery.DeployReliably(
-            *cluster.nodes[node].flow, prog, hook,
-            [&](StatusOr<core::RecoveryOutcome> r) {
-              if (r.ok()) {
-                ++ok;
-                latency_ns.Add(static_cast<std::uint64_t>(r->elapsed));
-                if (r->attempts > max_attempts) max_attempts = r->attempts;
-              }
-              settled = true;
-            },
-            kMaxRetries);
+        sim::Start(recovery.DeployReliably(*cluster.nodes[node].flow, prog,
+                                           hook, kMaxRetries),
+                   [&](StatusOr<core::RecoveryOutcome> r) {
+                     if (r.ok()) {
+                       ++ok;
+                       latency_ns.Add(static_cast<std::uint64_t>(r->elapsed));
+                       if (r->attempts > max_attempts) {
+                         max_attempts = r->attempts;
+                       }
+                     }
+                     settled = true;
+                   });
         cluster.RunUntilFlag(settled);
       }
     }

@@ -74,7 +74,7 @@ Recovery MeasureRecovery(double load_fraction) {
   {
     const sim::SimTime t0 = cluster.events.Now();
     bool done = false;
-    cluster.cp->Rollback(*cluster.nodes[1].flow, 0, [&](Status s) {
+    sim::Start(cluster.cp->Rollback(*cluster.nodes[1].flow, 0), [&](Status s) {
       if (!s.ok()) std::abort();
       done = true;
     });

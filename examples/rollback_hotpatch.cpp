@@ -88,7 +88,7 @@ int main() {
   // Emergency rollback: microseconds, no pipeline re-run.
   const sim::SimTime t0 = events.Now();
   bool rolled_back = false;
-  cp.Rollback(*flow, 0, [&](Status s) {
+  sim::Start(cp.Rollback(*flow, 0), [&](Status s) {
     if (!s.ok()) std::abort();
     rolled_back = true;
   });

@@ -18,11 +18,7 @@ enum class ProgramType : std::uint8_t {
   kTracepoint,    // ctx = event record
 };
 
-const char* ProgramTypeName(ProgramType type);
-
 enum class MapType : std::uint8_t { kArray, kHash, kRingBuf };
-
-const char* MapTypeName(MapType type);
 
 // Declaration of a map the program references via LoadMapFd(slot). The
 // actual map instance is created at deploy time (as XState, when deployed

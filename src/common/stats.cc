@@ -103,18 +103,6 @@ std::uint64_t Histogram::Percentile(double q) const {
   return max_;
 }
 
-std::string Histogram::DebugString() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "count=%llu mean=%.1f p50=%llu p90=%llu p99=%llu max=%llu",
-                static_cast<unsigned long long>(count_), mean(),
-                static_cast<unsigned long long>(Percentile(0.50)),
-                static_cast<unsigned long long>(Percentile(0.90)),
-                static_cast<unsigned long long>(Percentile(0.99)),
-                static_cast<unsigned long long>(max_));
-  return buf;
-}
-
 std::string Histogram::ToJson() const {
   char buf[256];
   std::snprintf(

@@ -52,9 +52,6 @@ class Histogram {
   // the q-quantile sample.
   std::uint64_t Percentile(double q) const;
 
-  // "count=… mean=… p50=… p99=… max=…" for harness output.
-  std::string DebugString() const;
-
   // JSON object with count/mean/min/p50/p90/p99/max — consumed by the
   // metrics registry snapshot.
   std::string ToJson() const;

@@ -17,439 +17,327 @@ void CollectiveCodeFlow::CpSpan(const char* name, int hook,
                             args);
 }
 
+template <class Prepare>
+sim::Task<StatusOr<BroadcastResult>> CollectiveCodeFlow::PrepareAndCommit(
+    Prepare& prepare, int hook, UpdateBarrier* barrier, sim::SimTime t0) {
+  auto fail = [barrier](const Status& why) {
+    if (barrier != nullptr) barrier->ReleaseBuffered();
+    return why;
+  };
+  // Phase 1: prepare every node.
+  std::vector<ControlPlane::PreparedImage> prepared(group_.size());
+  auto prepare_one = [&](std::size_t i) -> sim::Task<Status> {
+    RDX_CO_ASSIGN_OR_RETURN(prepared[i], co_await prepare(i));
+    co_return OkStatus();
+  };
+  const Status all_prepared = co_await ForAll(group_.size(), prepare_one);
+  if (!all_prepared.ok()) co_return fail(all_prepared);
+  const sim::SimTime prepare_done = cp_.events().Now();
+
+  // Phase 2: fire every qword commit in parallel.
+  sim::SimTime first_commit = 0;
+  auto commit_one = [&](std::size_t i) -> sim::Task<Status> {
+    const Status s = co_await cp_.CommitPrepared(*group_[i], hook, prepared[i]);
+    if (first_commit == 0) first_commit = cp_.events().Now();
+    co_return s;
+  };
+  const Status all_committed = co_await ForAll(group_.size(), commit_one);
+  if (!all_committed.ok()) co_return fail(all_committed);
+
+  // Visibility barrier: the commits have landed in DRAM, but each
+  // data-plane CPU sees its new hook only after the injected flush
+  // executes. Poll the group (1 us cadence) until every sandbox serves the
+  // new version, then release buffered requests — this is what guarantees
+  // no request observes mixed logic.
+  auto all_visible = [&] {
+    for (std::size_t i = 0; i < group_.size(); ++i) {
+      if (group_[i]->sandbox->VisibleVersion(hook) != prepared[i].version) {
+        return false;
+      }
+    }
+    return true;
+  };
+  while (!all_visible()) co_await sim::Sleep(cp_.events(), sim::Micros(1));
+
+  BroadcastResult result;
+  result.nodes = group_.size();
+  result.prepare_time = prepare_done - t0;
+  result.commit_window = cp_.events().Now() - first_commit;
+  result.total = cp_.events().Now() - t0;
+  if (barrier != nullptr) {
+    result.buffered_requests = barrier->BufferedCount();
+    barrier->ReleaseBuffered();
+  }
+  if (cp_.tracer() != nullptr) {
+    // Waves render on the control plane's own pid, one lane per hook: the
+    // prepare fan-out, then the commit window that BBU buffering covers.
+    char args[96];
+    std::snprintf(args, sizeof(args), "\"nodes\": %zu, \"buffered\": %zu",
+                  result.nodes, result.buffered_requests);
+    CpSpan("broadcast", hook, t0, result.total, args);
+    CpSpan("broadcast:prepare", hook, t0, result.prepare_time);
+    CpSpan("broadcast:commit_window", hook, first_commit,
+           result.commit_window);
+  }
+  co_return result;
+}
+
 void CollectiveCodeFlow::Broadcast(
     const bpf::Program& prog, int hook, UpdateBarrier* barrier,
     std::function<void(StatusOr<BroadcastResult>)> done) {
+  sim::Start(BroadcastProgram(prog, hook, barrier), std::move(done));
+}
+
+sim::Task<StatusOr<BroadcastResult>> CollectiveCodeFlow::BroadcastProgram(
+    bpf::Program prog, int hook, UpdateBarrier* barrier) {
   const sim::SimTime t0 = cp_.events().Now();
   if (barrier != nullptr) barrier->BeginBuffering();
-  // Own a copy: the caller's program need not outlive the async phases.
-  auto prog_copy = std::make_shared<bpf::Program>(prog);
-
   // Validate + compile once (the artifact cache makes this amortized),
   // then per node: deploy XStates, link, prepare.
-  cp_.Build(*prog_copy, [this, prog_copy, hook, barrier, t0,
-                         done = std::move(done)](
-                            StatusOr<const bpf::JitImage*> image) mutable {
-    if (!image.ok()) {
-      if (barrier != nullptr) barrier->ReleaseBuffered();
-      done(image.status());
-      return;
-    }
-    const std::uint64_t fp = ProgramFingerprint(*prog_copy);
-    PrepareAndCommit(
-        [this, prog_copy, image = *image, hook, fp](std::size_t i,
-                                                     PrepareDone done_i) {
-          cp_.LinkAndPrepare(*group_[i], *prog_copy, *image, hook, fp,
-                             std::move(done_i));
-        },
-        hook, barrier, t0, std::move(done));
-  });
+  const std::uint64_t fp = ProgramFingerprint(prog);
+  const StatusOr<const bpf::JitImage*> image = co_await cp_.Build(prog, fp);
+  if (!image.ok()) {
+    if (barrier != nullptr) barrier->ReleaseBuffered();
+    co_return image.status();
+  }
+  auto prepare = [&](std::size_t i) {
+    return cp_.LinkAndPrepare(*group_[i], prog, **image, hook, fp);
+  };
+  co_return co_await PrepareAndCommit(prepare, hook, barrier, t0);
 }
 
 void CollectiveCodeFlow::BroadcastWasm(
     const std::vector<const wasm::FilterModule*>& filters, int hook,
     UpdateBarrier* barrier,
     std::function<void(StatusOr<BroadcastResult>)> done) {
+  sim::Start(BroadcastFilters(filters, hook, barrier), std::move(done));
+}
+
+sim::Task<StatusOr<BroadcastResult>> CollectiveCodeFlow::BroadcastFilters(
+    std::vector<const wasm::FilterModule*> filters, int hook,
+    UpdateBarrier* barrier) {
   if (filters.size() != group_.size()) {
-    done(InvalidArgument("one filter per group member required"));
-    return;
+    co_return InvalidArgument("one filter per group member required");
   }
   const sim::SimTime t0 = cp_.events().Now();
   if (barrier != nullptr) barrier->BeginBuffering();
+  // Own copies, made before the first suspension: the caller's filters
+  // need not outlive the async phases.
+  std::vector<wasm::FilterModule> owned;
+  owned.reserve(filters.size());
+  for (const wasm::FilterModule* filter : filters) owned.push_back(*filter);
 
-  // Own copies: the caller's filters need not outlive the async phases.
-  auto owned = std::make_shared<std::vector<wasm::FilterModule>>();
-  owned->reserve(filters.size());
-  for (const wasm::FilterModule* filter : filters) owned->push_back(*filter);
-
-  PrepareAndCommit(
-      [this, owned, hook](std::size_t i, PrepareDone done_i) {
-        const wasm::FilterModule& module = (*owned)[i];
-        cp_.Build(module, [this, owned, &module, i, hook,
-                           done_i = std::move(done_i)](
-                              StatusOr<const wasm::WasmImage*> image) mutable {
-          if (!image.ok()) {
-            done_i(image.status());
-            return;
-          }
-          cp_.LinkAndPrepare(*group_[i], module, **image, hook,
-                             WasmFingerprint(module), std::move(done_i));
-        });
-      },
-      hook, barrier, t0, std::move(done));
-}
-
-void CollectiveCodeFlow::PrepareAndCommit(
-    std::function<void(std::size_t, PrepareDone)> prepare, int hook,
-    UpdateBarrier* barrier, sim::SimTime t0,
-    std::function<void(StatusOr<BroadcastResult>)> done) {
-  auto prepared = std::make_shared<std::vector<ControlPlane::PreparedImage>>(
-      group_.size());
-  auto first_commit = std::make_shared<sim::SimTime>(0);
-  auto fail = [barrier](const Status& why,
-                        std::function<void(StatusOr<BroadcastResult>)>& cb) {
-    if (barrier != nullptr) barrier->ReleaseBuffered();
-    cb(why);
+  // Each node builds its own filter, then links and prepares it.
+  auto prepare = [&](std::size_t i)
+      -> sim::Task<StatusOr<ControlPlane::PreparedImage>> {
+    const wasm::FilterModule& module = owned[i];
+    const std::uint64_t fp = WasmFingerprint(module);
+    RDX_CO_ASSIGN_OR_RETURN(const wasm::WasmImage* image,
+                            co_await cp_.Build(module, fp));
+    co_return co_await cp_.LinkAndPrepare(*group_[i], module, *image, hook,
+                                          fp);
   };
-  // Phase 1: prepare every node.
-  ForAll(
-      group_.size(),
-      [prepare = std::move(prepare), prepared](
-          std::size_t i, std::function<void(Status)> done_i) {
-        prepare(i, [prepared, i, done_i](
-                       StatusOr<ControlPlane::PreparedImage> p) {
-          if (p.ok()) (*prepared)[i] = p.value();
-          done_i(p.status());
-        });
-      },
-      [this, prepared, first_commit, fail, hook, barrier, t0,
-       done = std::move(done)](Status all) mutable {
-        if (!all.ok()) {
-          fail(all, done);
-          return;
-        }
-        const sim::SimTime prepare_done = cp_.events().Now();
-        // Phase 2: fire every qword commit in parallel.
-        ForAll(
-            group_.size(),
-            [this, prepared, hook, first_commit](
-                std::size_t i, std::function<void(Status)> done_i) {
-              cp_.CommitPrepared(*group_[i], hook, (*prepared)[i],
-                                 [this, first_commit, done_i](Status s) {
-                                   if (*first_commit == 0) {
-                                     *first_commit = cp_.events().Now();
-                                   }
-                                   done_i(s);
-                                 });
-            },
-            [this, barrier, hook, t0, prepare_done, first_commit, prepared,
-             fail, done = std::move(done)](Status all2) mutable {
-              if (!all2.ok()) {
-                fail(all2, done);
-                return;
-              }
-              // Visibility barrier: the commits have landed in DRAM, but
-              // each data-plane CPU sees its new hook only after the
-              // injected flush executes. Poll the group (1 us cadence)
-              // until every sandbox serves the new version, then release
-              // buffered requests — this is what guarantees no request
-              // observes mixed logic.
-              auto wait_visible = std::make_shared<std::function<void()>>();
-              std::weak_ptr<std::function<void()>> weak = wait_visible;
-              *wait_visible = [this, barrier, hook, t0, prepare_done,
-                               first_commit, prepared, done, weak] {
-                auto self = weak.lock();
-                if (!self) return;
-                for (std::size_t i = 0; i < group_.size(); ++i) {
-                  if (group_[i]->sandbox->VisibleVersion(hook) !=
-                      (*prepared)[i].version) {
-                    cp_.events().ScheduleAfter(sim::Micros(1),
-                                               [self] { (*self)(); });
-                    return;
-                  }
-                }
-                BroadcastResult result;
-                result.nodes = group_.size();
-                result.prepare_time = prepare_done - t0;
-                result.commit_window = cp_.events().Now() - *first_commit;
-                result.total = cp_.events().Now() - t0;
-                if (barrier != nullptr) {
-                  result.buffered_requests = barrier->BufferedCount();
-                  barrier->ReleaseBuffered();
-                }
-                if (cp_.tracer() != nullptr) {
-                  // Waves render on the control plane's own pid, one lane
-                  // per hook: the prepare fan-out, then the commit window
-                  // that BBU buffering covers.
-                  char args[96];
-                  std::snprintf(args, sizeof(args),
-                                "\"nodes\": %zu, \"buffered\": %zu",
-                                result.nodes, result.buffered_requests);
-                  CpSpan("broadcast", hook, t0, result.total, args);
-                  CpSpan("broadcast:prepare", hook, t0, result.prepare_time);
-                  CpSpan("broadcast:commit_window", hook, *first_commit,
-                         result.commit_window);
-                }
-                done(result);
-              };
-              (*wait_visible)();
-            });
-      });
+  co_return co_await PrepareAndCommit(prepare, hook, barrier, t0);
 }
 
 // ---- pipelined fleet deploy ----------------------------------------------
 
-struct CollectiveCodeFlow::PipelineState {
-  // Owned copies: callers' specs need not outlive the async pipeline.
-  std::vector<bpf::Program> progs;
-  std::vector<int> hooks;
-  PipelineOptions opts;
-  sim::SimTime t0 = 0;
-  std::function<void(StatusOr<PipelineResult>)> done;
-  bool failed = false;  // terminal failure already reported
-
-  // Per-node completion tracking.
-  std::vector<NodeOutcome> nodes;
-  std::vector<bool> alive;
-  std::size_t stragglers = 0;
-
-  // Compile-stage -> deploy-stage handoff (the pipeline registers); an
-  // image is non-null once its wave compiled.
-  std::vector<const bpf::JitImage*> images;
-  std::vector<WaveResult> waves;
-  std::size_t next_deploy = 0;
-  bool deploying = false;
-};
-
 void CollectiveCodeFlow::DeployPipelined(
     const std::vector<DeploySpec>& specs, const PipelineOptions& opts,
     std::function<void(StatusOr<PipelineResult>)> done) {
-  auto st = std::make_shared<PipelineState>();
-  st->opts = opts;
-  st->t0 = cp_.events().Now();
-  st->done = std::move(done);
-  st->progs.reserve(specs.size());
-  st->hooks.reserve(specs.size());
+  sim::Start(RunPipeline(specs, opts, std::move(done)), [] {});
+}
+
+sim::Task<void> CollectiveCodeFlow::RunPipeline(
+    std::vector<DeploySpec> specs, PipelineOptions opts,
+    std::function<void(StatusOr<PipelineResult>)> done) {
+  const sim::SimTime t0 = cp_.events().Now();
+  const std::size_t n = specs.size();
+  // Own copies, made before the first suspension: the caller's programs
+  // need not outlive the pipeline.
+  std::vector<bpf::Program> progs;
+  std::vector<std::uint64_t> fps;
+  progs.reserve(n);
+  fps.reserve(n);
   for (const DeploySpec& spec : specs) {
     if (spec.prog == nullptr) {
-      st->done(InvalidArgument("null program in deploy spec"));
-      return;
+      done(InvalidArgument("null program in deploy spec"));
+      co_return;
     }
-    st->progs.push_back(*spec.prog);
-    st->hooks.push_back(spec.hook);
+    progs.push_back(*spec.prog);
+    fps.push_back(ProgramFingerprint(progs.back()));
   }
-  st->waves.resize(specs.size());
-  for (std::size_t k = 0; k < specs.size(); ++k) {
-    st->waves[k].hook = st->hooks[k];
-  }
-  st->images.resize(specs.size(), nullptr);
-  st->nodes.resize(group_.size());
-  st->alive.assign(group_.size(), true);
+  PipelineResult result;
+  result.waves.resize(n);
+  for (std::size_t k = 0; k < n; ++k) result.waves[k].hook = specs[k].hook;
+  // Per-node completion tracking.
+  result.nodes.resize(group_.size());
   for (std::size_t i = 0; i < group_.size(); ++i) {
-    st->nodes[i].node = group_[i]->node();
+    result.nodes[i].node = group_[i]->node();
   }
-  if (specs.empty()) {
-    FinishPipeline(st);
-    return;
-  }
-  CompileWave(st, 0);
-}
+  std::vector<bool> alive(group_.size(), true);
+  // Compile-stage -> deploy-stage handoff (the pipeline registers); an
+  // image is non-null once its wave compiled.
+  std::vector<const bpf::JitImage*> images(n, nullptr);
+  bool failed = false;  // terminal failure already reported
+  auto fail = [&](const Status& why) {
+    if (failed) return;
+    failed = true;
+    done(why);
+  };
 
-void CollectiveCodeFlow::CompileWave(std::shared_ptr<PipelineState> st,
-                                     std::size_t k) {
-  if (st->failed) return;
-  const sim::SimTime start = cp_.events().Now();
-  st->waves[k].compile_cache_hit = cp_.artifact_cache().HasImage(
-      ArtifactCache::Kind::kEbpf, ProgramFingerprint(st->progs[k]));
-  cp_.Build(st->progs[k], [this, st, k, start](
-                              StatusOr<const bpf::JitImage*> img) {
-    if (!img.ok()) {
-      AbortPipeline(st, img.status());
-      return;
+  // A straggler or faulted node is quarantined from the remaining waves.
+  auto straggle = [&](std::size_t i, std::size_t wave, const Status& why) {
+    if (!alive[i]) return;
+    alive[i] = false;
+    ++result.stragglers;
+    NodeOutcome& out = result.nodes[i];
+    out.status = why;
+    out.failed_wave = static_cast<int>(wave);
+    if (cp_.tracer() != nullptr) {
+      char args[96];
+      std::snprintf(args, sizeof(args), "\"node\": %u, \"wave\": %zu",
+                    static_cast<unsigned>(out.node), wave);
+      cp_.tracer()->AddInstant("pipeline:straggler",
+                               static_cast<std::uint32_t>(cp_.self()),
+                               static_cast<std::uint32_t>(specs[wave].hook),
+                               args);
     }
-    st->images[k] = img.value();
-    st->waves[k].compile = cp_.events().Now() - start;
-    if (st->waves[k].compile > 0) {
-      CpSpan("pipeline:compile", st->hooks[k], start, st->waves[k].compile);
-    }
-    // The pipeline's overlap: start compiling the next wave while this
-    // one's transfer + commit are still in flight.
-    if (st->opts.pipelined && k + 1 < st->progs.size()) {
-      CompileWave(st, k + 1);
-    }
-    TryDeployWave(st);
-  });
-}
-
-void CollectiveCodeFlow::TryDeployWave(std::shared_ptr<PipelineState> st) {
-  if (st->failed || st->deploying) return;
-  if (st->next_deploy >= st->progs.size()) {
-    FinishPipeline(st);
-    return;
-  }
-  if (st->images[st->next_deploy] == nullptr) return;
-  st->deploying = true;
-  const std::size_t k = st->next_deploy;
-  DeployWave(st, k, [this, st, k] {
-    st->deploying = false;
-    ++st->next_deploy;
-    if (st->failed) return;
-    // Serial schedule: the next wave's compile starts only now.
-    if (!st->opts.pipelined && k + 1 < st->progs.size() &&
-        st->images[k + 1] == nullptr) {
-      CompileWave(st, k + 1);
-      return;
-    }
-    TryDeployWave(st);
-  });
-}
-
-void CollectiveCodeFlow::DeployWave(std::shared_ptr<PipelineState> st,
-                                    std::size_t k,
-                                    std::function<void()> wave_done) {
-  const int hook = st->hooks[k];
-  const std::uint64_t fp = ProgramFingerprint(st->progs[k]);
-  const bpf::JitImage* image = st->images[k];
-  const sim::SimTime wave_start = cp_.events().Now();
-  // Per node: the prepared image, once its XStates, link and prepare
-  // succeeded.
-  auto prepared = std::make_shared<
-      std::vector<std::optional<ControlPlane::PreparedImage>>>(group_.size());
-  auto wave_done_shared =
-      std::make_shared<std::function<void()>>(std::move(wave_done));
-  // A node-level failure either quarantines the node (straggler
-  // isolation) or, when isolation is off, fails the wave.
-  auto node_failed = [this, st, k](std::size_t i, const Status& why,
-                                   const std::function<void(Status)>& done_i) {
-    if (st->opts.isolate_stragglers) {
-      MarkStraggler(st, i, k, why);
-      done_i(OkStatus());
-    } else {
-      done_i(why);
+    // Hand the failed deploy to the recovery layer in the background; the
+    // pipeline result does not wait for the retry to settle.
+    if (opts.recovery != nullptr) {
+      out.retried_in_background = true;
+      sim::Start(opts.recovery->DeployReliably(*group_[i], progs[wave],
+                                               specs[wave].hook),
+                 [](StatusOr<RecoveryOutcome>) {});
     }
   };
 
-  // One dispatch charge per wave: the control plane assembles every
-  // node's WR chains in a single pass, instead of paying the rdx
-  // dispatch overhead once per node as the serial path does.
-  cp_.events().ScheduleAfter(
-      cp_.config().cost.rdx_dispatch_overhead,
-      [this, st, k, hook, fp, image, wave_start, prepared, node_failed,
-       wave_done_shared] {
-        ForAll(
-            group_.size(),
-            [this, st, k, hook, fp, image, prepared, node_failed](
-                std::size_t i, std::function<void(Status)> done_i) {
-              if (!st->alive[i]) {
-                done_i(OkStatus());
-                return;
-              }
-              // The image chunks ride one doorbell-batched chain per node.
-              cp_.LinkAndPrepare(
-                  *group_[i], st->progs[k], *image, hook, fp,
-                  [prepared, i, done_i, node_failed](
-                      StatusOr<ControlPlane::PreparedImage> p) {
-                    if (!p.ok()) {
-                      node_failed(i, p.status(), done_i);
-                      return;
-                    }
-                    (*prepared)[i] = p.value();
-                    done_i(OkStatus());
-                  });
-            },
-            [this, st, k, hook, wave_start, prepared, node_failed,
-             wave_done_shared](Status all) {
-              if (st->failed) {
-                (*wave_done_shared)();
-                return;
-              }
-              if (!all.ok()) {
-                AbortPipeline(st, all);
-                (*wave_done_shared)();
-                return;
-              }
-              st->waves[k].transfer = cp_.events().Now() - wave_start;
-              CpSpan("pipeline:transfer", hook, wave_start,
-                     st->waves[k].transfer);
-              // Commit wave: CAS every prepared node concurrently, one
-              // fan-out across the per-node QPs.
-              const sim::SimTime commit_start = cp_.events().Now();
-              ForAll(
-                  group_.size(),
-                  [this, st, k, hook, prepared, node_failed](
-                      std::size_t i, std::function<void(Status)> done_i) {
-                    if (!st->alive[i] || !(*prepared)[i]) {
-                      done_i(OkStatus());
-                      return;
-                    }
-                    CodeFlow& flow = *group_[i];
-                    auto it = flow.hooks_.find(hook);
-                    const std::uint64_t expected =
-                        it == flow.hooks_.end() ? 0 : it->second.desc_addr;
-                    cp_.CommitPreparedCas(
-                        flow, hook, *(*prepared)[i], expected,
-                        [this, st, k, i, done_i,
-                         node_failed](Status s) {
-                          if (!s.ok()) {
-                            node_failed(i, s, done_i);
-                            return;
-                          }
-                          ++st->nodes[i].waves_committed;
-                          ++st->waves[k].committed;
-                          done_i(OkStatus());
-                        });
-                  },
-                  [this, st, k, hook, commit_start,
-                   wave_done_shared](Status all2) {
-                    if (st->failed) {
-                      (*wave_done_shared)();
-                      return;
-                    }
-                    if (!all2.ok()) {
-                      AbortPipeline(st, all2);
-                      (*wave_done_shared)();
-                      return;
-                    }
-                    st->waves[k].commit = cp_.events().Now() - commit_start;
-                    CpSpan("pipeline:commit", hook, commit_start,
-                           st->waves[k].commit);
-                    (*wave_done_shared)();
-                  });
-            });
-      });
-}
+  // Compile stage: validate + JIT wave k (one artifact per fingerprint,
+  // shared by all N targets), then, when pipelining, start on wave k+1 at
+  // once. The compile in flight owns the slot through which the deploy
+  // stage waits for it, so a torn-down compile frees the waiting pipeline.
+  std::function<void()>* compile_waiter = nullptr;
+  std::function<void(std::size_t)> start_compile;
+  auto compile = [&](std::size_t k) -> sim::Task<void> {
+    std::function<void()> waiter;
+    compile_waiter = &waiter;
+    const sim::SimTime start = cp_.events().Now();
+    WaveResult& wave = result.waves[k];
+    wave.compile_cache_hit =
+        cp_.artifact_cache().HasImage(ArtifactCache::Kind::kEbpf, fps[k]);
+    const StatusOr<const bpf::JitImage*> image =
+        co_await cp_.Build(progs[k], fps[k]);
+    compile_waiter = nullptr;
+    if (!image.ok()) {
+      fail(image.status());
+    } else {
+      images[k] = *image;
+      wave.compile = cp_.events().Now() - start;
+      if (wave.compile > 0) {
+        CpSpan("pipeline:compile", wave.hook, start, wave.compile);
+      }
+      // The pipeline's overlap: start compiling the next wave while this
+      // one's transfer + commit are still in flight.
+      if (opts.pipelined && k + 1 < n) start_compile(k + 1);
+    }
+    // Last: the deploy stage may run on to the end of the pipeline.
+    if (waiter) waiter();
+  };
+  start_compile = [&](std::size_t k) {
+    if (!failed) sim::Start(compile(k), [] {});
+  };
+  // Suspends the deploy stage until the compile in flight finished.
+  auto compiled = [&] {
+    return sim::Await<void>(
+        [&](auto resume) { *compile_waiter = std::move(resume); });
+  };
 
-void CollectiveCodeFlow::MarkStraggler(std::shared_ptr<PipelineState> st,
-                                       std::size_t i, std::size_t wave,
-                                       const Status& why) {
-  if (!st->alive[i]) return;
-  st->alive[i] = false;
-  ++st->stragglers;
-  NodeOutcome& out = st->nodes[i];
-  out.status = why;
-  out.failed_wave = static_cast<int>(wave);
-  if (cp_.tracer() != nullptr) {
-    char args[96];
-    std::snprintf(args, sizeof(args), "\"node\": %u, \"wave\": %zu",
-                  static_cast<unsigned>(out.node), wave);
-    cp_.tracer()->AddInstant("pipeline:straggler",
-                             static_cast<std::uint32_t>(cp_.self()),
-                             static_cast<std::uint32_t>(st->hooks[wave]),
-                             args);
-  }
-  // Hand the failed deploy to the recovery layer in the background; the
-  // pipeline result does not wait for the retry to settle.
-  if (st->opts.recovery != nullptr) {
-    out.retried_in_background = true;
-    st->opts.recovery->DeployReliably(
-        *group_[i], st->progs[wave], st->hooks[wave],
-        [st](StatusOr<RecoveryOutcome> r) { (void)r; });
-  }
-}
+  // Deploy stage: one wave at a time as artifacts appear.
+  if (n > 0) start_compile(0);
+  for (std::size_t k = 0; k < n && !failed; ++k) {
+    if (images[k] == nullptr) {
+      co_await compiled();
+      if (failed) break;
+    }
+    const int hook = specs[k].hook;
+    WaveResult& wave = result.waves[k];
+    const sim::SimTime wave_start = cp_.events().Now();
+    // A node-level failure either quarantines the node (straggler
+    // isolation) or, when isolation is off, fails the wave.
+    auto node_failed = [&](std::size_t i, const Status& why) {
+      if (!opts.isolate_stragglers) return why;
+      straggle(i, k, why);
+      return OkStatus();
+    };
+    // One dispatch charge per wave: the control plane assembles every
+    // node's WR chains in a single pass, instead of paying the rdx
+    // dispatch overhead once per node as the serial path does.
+    co_await sim::Sleep(cp_.events(), cp_.config().cost.rdx_dispatch_overhead);
+    // Per node: the prepared image, once its XStates, link and prepare
+    // succeeded. The image chunks ride one doorbell-batched chain per node.
+    std::vector<std::optional<ControlPlane::PreparedImage>> prepared(
+        group_.size());
+    auto prepare = [&](std::size_t i) -> sim::Task<Status> {
+      if (!alive[i]) co_return OkStatus();
+      StatusOr<ControlPlane::PreparedImage> p = co_await cp_.LinkAndPrepare(
+          *group_[i], progs[k], *images[k], hook, fps[k]);
+      if (!p.ok()) co_return node_failed(i, p.status());
+      prepared[i] = *p;
+      co_return OkStatus();
+    };
+    const Status all_prepared = co_await ForAll(group_.size(), prepare);
+    if (failed) break;
+    if (!all_prepared.ok()) {
+      fail(all_prepared);
+      break;
+    }
+    wave.transfer = cp_.events().Now() - wave_start;
+    CpSpan("pipeline:transfer", hook, wave_start, wave.transfer);
 
-void CollectiveCodeFlow::AbortPipeline(std::shared_ptr<PipelineState> st,
-                                       const Status& why) {
-  if (st->failed) return;
-  st->failed = true;
-  st->done(why);
-}
-
-void CollectiveCodeFlow::FinishPipeline(std::shared_ptr<PipelineState> st) {
-  if (st->failed) return;
-  PipelineResult result;
-  result.waves = std::move(st->waves);
-  result.nodes = std::move(st->nodes);
-  result.total = cp_.events().Now() - st->t0;
-  result.stragglers = st->stragglers;
-  if (cp_.tracer() != nullptr) {
-    char args[96];
-    std::snprintf(args, sizeof(args),
-                  "\"nodes\": %zu, \"waves\": %zu, \"stragglers\": %zu",
-                  result.nodes.size(), result.waves.size(),
-                  result.stragglers);
-    CpSpan("pipeline", 0, st->t0, result.total, args);
+    // Commit wave: CAS every prepared node concurrently, one fan-out
+    // across the per-node QPs.
+    const sim::SimTime commit_start = cp_.events().Now();
+    auto commit = [&](std::size_t i) -> sim::Task<Status> {
+      if (!alive[i] || !prepared[i]) co_return OkStatus();
+      CodeFlow& flow = *group_[i];
+      auto it = flow.hooks_.find(hook);
+      const std::uint64_t expected =
+          it == flow.hooks_.end() ? 0 : it->second.desc_addr;
+      const Status s =
+          co_await cp_.CommitPreparedCas(flow, hook, *prepared[i], expected);
+      if (!s.ok()) co_return node_failed(i, s);
+      ++result.nodes[i].waves_committed;
+      ++wave.committed;
+      co_return OkStatus();
+    };
+    const Status all_committed = co_await ForAll(group_.size(), commit);
+    if (failed) break;
+    if (!all_committed.ok()) {
+      fail(all_committed);
+      break;
+    }
+    wave.commit = cp_.events().Now() - commit_start;
+    CpSpan("pipeline:commit", hook, commit_start, wave.commit);
+    // Serial schedule: the next wave's compile starts only now.
+    if (!opts.pipelined && k + 1 < n && images[k + 1] == nullptr) {
+      start_compile(k + 1);
+    }
   }
-  st->done(std::move(result));
+  if (!failed) {
+    result.total = cp_.events().Now() - t0;
+    if (cp_.tracer() != nullptr) {
+      char args[96];
+      std::snprintf(args, sizeof(args),
+                    "\"nodes\": %zu, \"waves\": %zu, \"stragglers\": %zu",
+                    result.nodes.size(), result.waves.size(),
+                    result.stragglers);
+      CpSpan("pipeline", 0, t0, result.total, args);
+    }
+    done(std::move(result));
+  }
+  // A failure can leave a compile in flight; it refers to this frame.
+  while (compile_waiter != nullptr) co_await compiled();
 }
 
 }  // namespace rdx::core

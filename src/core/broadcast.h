@@ -93,6 +93,7 @@ class CollectiveCodeFlow {
                  std::function<void(StatusOr<BroadcastResult>)> done);
 
   // Wasm-filter variant: per-node filters (size must equal the group's).
+  // The filters are copied before the call returns.
   void BroadcastWasm(const std::vector<const wasm::FilterModule*>& filters,
                      int hook, UpdateBarrier* barrier,
                      std::function<void(StatusOr<BroadcastResult>)> done);
@@ -114,28 +115,27 @@ class CollectiveCodeFlow {
                        std::function<void(StatusOr<PipelineResult>)> done);
 
  private:
-  struct PipelineState;
-  // Compile stage: validate + JIT wave k, then hand the artifact to the
-  // deploy stage (and, when pipelining, start on wave k+1 immediately).
-  void CompileWave(std::shared_ptr<PipelineState> st, std::size_t k);
-  // Deploy stage driver: runs one wave at a time as artifacts appear.
-  void TryDeployWave(std::shared_ptr<PipelineState> st);
-  void DeployWave(std::shared_ptr<PipelineState> st, std::size_t k,
-                  std::function<void()> wave_done);
-  void MarkStraggler(std::shared_ptr<PipelineState> st, std::size_t i,
-                     std::size_t wave, const Status& why);
-  void AbortPipeline(std::shared_ptr<PipelineState> st, const Status& why);
-  void FinishPipeline(std::shared_ptr<PipelineState> st);
-
-  // Shared body of Broadcast/BroadcastWasm: phase 1 runs `prepare(i, cb)`
-  // on every node; once all hold a PreparedImage, phase 2 commits them in
-  // parallel and waits until every sandbox serves the new version.
-  using PrepareDone =
-      std::function<void(StatusOr<ControlPlane::PreparedImage>)>;
-  void PrepareAndCommit(
-      std::function<void(std::size_t, PrepareDone)> prepare, int hook,
-      UpdateBarrier* barrier, sim::SimTime t0,
-      std::function<void(StatusOr<BroadcastResult>)> done);
+  // Body of Broadcast.
+  sim::Task<StatusOr<BroadcastResult>> BroadcastProgram(bpf::Program prog,
+                                                        int hook,
+                                                        UpdateBarrier* barrier);
+  // Body of BroadcastWasm; copies the filters before it first suspends.
+  sim::Task<StatusOr<BroadcastResult>> BroadcastFilters(
+      std::vector<const wasm::FilterModule*> filters, int hook,
+      UpdateBarrier* barrier);
+  // Shared tail of both broadcasts: phase 1 awaits `prepare(i)`, a
+  // StatusOr<PreparedImage> task, on every node; once all hold a
+  // PreparedImage, phase 2 commits them in parallel and waits until every
+  // sandbox serves the new version. Releases the barrier either way.
+  template <class Prepare>
+  sim::Task<StatusOr<BroadcastResult>> PrepareAndCommit(
+      Prepare& prepare, int hook, UpdateBarrier* barrier, sim::SimTime t0);
+  // Body of DeployPipelined. It reports through `done` itself, exactly
+  // once: a failure reports at once, and the stage still in flight drains
+  // before the pipeline's state goes away.
+  sim::Task<void> RunPipeline(
+      std::vector<DeploySpec> specs, PipelineOptions opts,
+      std::function<void(StatusOr<PipelineResult>)> done);
 
   // Records a span on the control plane's own pid, one lane per hook.
   void CpSpan(const char* name, int hook, sim::SimTime start,

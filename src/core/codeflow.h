@@ -12,8 +12,8 @@
 //                                            node-local XState addresses,
 //                                            check helper/host symbols;
 //                                            yields the wire bytes
-//   rdx_deploy_prog       DeployImageBytes() scratchpad FETCH_ADD alloc,
-//                         / PrepareImage()   chunked RDMA WRITEs, ImageDesc,
+//   rdx_deploy_prog       PrepareImage()     scratchpad FETCH_ADD alloc,
+//                         + CommitPrepared() chunked RDMA WRITEs, ImageDesc,
 //                                            atomic qword commit (rdx_tx)
 //   rdx_deploy_xstate     DeployXState()     Meta-XState allocation (§3.4)
 //   rdx_tx                Tx()               shadow write + qword swap
@@ -21,8 +21,10 @@
 //   rdx_mutual_excl       Lock()/Unlock()    RDMA CAS sandbox lock
 //   rdx_broadcast         (core/broadcast.h) collective CodeFlow + BBU
 //
-// All operations are asynchronous over the event queue and report through
-// completion callbacks; the fabric, not wall-clock threads, provides
+// All operations are asynchronous over the event queue. Each step is a
+// coroutine (sim::Task) that the composed flows await in a straight line;
+// the entry points that callers outside src/core drive report through
+// completion callbacks. The fabric, not wall-clock threads, provides
 // concurrency.
 #pragma once
 
@@ -46,6 +48,7 @@
 #include "rdma/fabric.h"
 #include "sim/cost_model.h"
 #include "sim/cpu.h"
+#include "sim/task.h"
 #include "telemetry/collector.h"
 #include "wasm/filter.h"
 
@@ -224,7 +227,7 @@ class ControlPlane {
   // and symbol table. If the remote sandbox lost its state since the last
   // handshake (epoch regressed, i.e. the node crashed and rebooted), the
   // flow's XState/hook bookkeeping is reset so deploys start clean.
-  void ReconnectCodeFlow(CodeFlow& flow, Done done);
+  sim::Task<Status> ReconnectCodeFlow(CodeFlow& flow);
 
   // Agentless probe of the committed state of `hook`: reads the hook slot
   // and, when bound, the descriptor's version word. Used to make retried
@@ -233,8 +236,7 @@ class ControlPlane {
     std::uint64_t desc_addr = 0;
     std::uint64_t version = 0;
   };
-  void ProbeHook(CodeFlow& flow, int hook,
-                 std::function<void(StatusOr<HookProbe>)> done);
+  sim::Task<StatusOr<HookProbe>> ProbeHook(CodeFlow& flow, int hook);
 
   // ---- health view ----
   // Lease-style liveness from the data path: a node is healthy if some
@@ -245,22 +247,25 @@ class ControlPlane {
 
   // ---- compile pipeline (control-plane CPU) ----
   // One body per step for both extension kinds: `Source` is bpf::Program
-  // or wasm::FilterModule, `Image` its compiled form (ExtensionKind).
+  // or wasm::FilterModule, `Image` its compiled form (ExtensionKind), `fp`
+  // its fingerprint (computed from `src` when not given). `src` must
+  // outlive the returned task.
   // Verifies `src`, charging the control plane's CPU. Verdicts cached; a
   // blacklisted fingerprint is refused before the cache is consulted.
   template <class Source>
-  void ValidateCode(const Source& src, Done done);
-  // Compiles (or returns the cached image for) `src`.
+  sim::Task<Status> ValidateCode(const Source& src, std::uint64_t fp);
   template <class Source>
-  void JitCompileCode(
-      const Source& src,
-      std::function<void(StatusOr<const ImageOf<Source>*>)> done);
-  // ValidateCode then JitCompileCode; with `trace`, records both phase
-  // durations. `src` must outlive the call.
+  sim::Task<Status> ValidateCode(const Source& src) {
+    return ValidateCode(src, ExtensionKind<Source>::Fingerprint(src));
+  }
+  // ValidateCode, then compile (or take the cached image for) `src`.
   template <class Source>
-  void Build(const Source& src,
-             std::function<void(StatusOr<const ImageOf<Source>*>)> done,
-             InjectTrace* trace = nullptr);
+  sim::Task<StatusOr<const ImageOf<Source>*>> Build(const Source& src,
+                                                    std::uint64_t fp);
+  template <class Source>
+  sim::Task<StatusOr<const ImageOf<Source>*>> Build(const Source& src) {
+    return Build(src, ExtensionKind<Source>::Fingerprint(src));
+  }
 
   // ---- link + deploy ----
   // Resolves the image's relocations against `flow`'s symbol table and
@@ -271,11 +276,11 @@ class ControlPlane {
   // from the last one built; otherwise that wire is reused. Either way the
   // link is charged to the control plane's CPU.
   template <class Image>
-  void LinkCode(CodeFlow& flow, const Image& image, std::uint64_t fp,
-                std::function<void(StatusOr<Bytes>)> done);
+  sim::Task<StatusOr<Bytes>> LinkCode(CodeFlow& flow, const Image& image,
+                                      std::uint64_t fp);
   // Allocates + formats an XState instance on the remote node (§3.4).
-  void DeployXState(CodeFlow& flow, const bpf::MapSpec& spec,
-                    std::function<void(StatusOr<std::uint64_t>)> done);
+  sim::Task<StatusOr<std::uint64_t>> DeployXState(CodeFlow& flow,
+                                                  bpf::MapSpec spec);
 
   // ---- remote XState access (control-plane side) ----
   void XStateLookup(CodeFlow& flow, std::uint64_t xstate_addr, Bytes key,
@@ -311,14 +316,14 @@ class ControlPlane {
   // Remote transaction: land `payload` at a fresh scratchpad address,
   // then swap the 8-byte word at `qword_addr` to `qword_value` (nullopt:
   // to the payload's own address). Reports the payload address.
-  void Tx(CodeFlow& flow, Bytes payload, std::uint64_t qword_addr,
-          std::optional<std::uint64_t> qword_value,
-          std::function<void(StatusOr<std::uint64_t>)> done);
+  sim::Task<StatusOr<std::uint64_t>> Tx(
+      CodeFlow& flow, Bytes payload, std::uint64_t qword_addr,
+      std::optional<std::uint64_t> qword_value);
   // Cache-coherence event: flush the data-plane CPU's view of `hook`.
-  void CcEvent(CodeFlow& flow, int hook, Done done);
+  sim::Task<Status> CcEvent(CodeFlow& flow, int hook);
   // Sandbox-level mutual exclusion via RDMA CAS on the lock word.
-  void Lock(CodeFlow& flow, std::uint64_t owner, Done done);
-  void Unlock(CodeFlow& flow, std::uint64_t owner, Done done);
+  sim::Task<Status> Lock(CodeFlow& flow, std::uint64_t owner);
+  sim::Task<Status> Unlock(CodeFlow& flow, std::uint64_t owner);
 
   // ---- two-phase deploy (used by rdx_broadcast) ----
   // Phase 1: land image + ImageDesc in the remote scratchpad, no commit.
@@ -331,65 +336,67 @@ class ControlPlane {
     // Source-program fingerprint (0 when deployed from raw image bytes).
     std::uint64_t fingerprint = 0;
   };
-  void PrepareImage(CodeFlow& flow, Bytes image_bytes, std::uint64_t version,
-                    std::function<void(StatusOr<PreparedImage>)> done,
-                    std::uint64_t fingerprint = 0);
+  sim::Task<StatusOr<PreparedImage>> PrepareImage(
+      CodeFlow& flow, Bytes image_bytes, std::uint64_t version,
+      std::uint64_t fingerprint = 0);
   // Phase 2: atomically swing the hook slot to the prepared desc.
-  void CommitPrepared(CodeFlow& flow, int hook, const PreparedImage& prepared,
-                      Done done);
+  sim::Task<Status> CommitPrepared(CodeFlow& flow, int hook,
+                                   PreparedImage prepared);
   // Phase 2 by CAS instead of a blind write: swings the slot from
   // `expected_desc` to the prepared desc and fails with Aborted if the
   // slot moved (another writer — e.g. a quarantine — won the race). Used
   // by the pipelined broadcast's fanned-out commit waves.
-  void CommitPreparedCas(CodeFlow& flow, int hook,
-                         const PreparedImage& prepared,
-                         std::uint64_t expected_desc, Done done);
+  sim::Task<Status> CommitPreparedCas(CodeFlow& flow, int hook,
+                                      PreparedImage prepared,
+                                      std::uint64_t expected_desc);
 
   // The per-node step of rdx_broadcast and the pipelined deploy: deploy
   // the XStates `src` declares but the node lacks, link `image` (compiled
   // from `src`, whose fingerprint is `fp`) and PrepareImage it for `hook`.
   template <class Source>
-  void LinkAndPrepare(CodeFlow& flow, const Source& src,
-                      const ImageOf<Source>& image, int hook, std::uint64_t fp,
-                      std::function<void(StatusOr<PreparedImage>)> done);
+  sim::Task<StatusOr<PreparedImage>> LinkAndPrepare(
+      CodeFlow& flow, const Source& src, const ImageOf<Source>& image,
+      int hook, std::uint64_t fp);
 
   // ---- composed pipelines ----
   // Full injection: validate -> JIT (cached) -> deploy XState -> link ->
-  // deploy -> commit (+flush). The paper's rdx_* calls in one flow.
+  // deploy -> commit (+flush). The paper's rdx_* calls in one flow; the
+  // trace times each phase.
   template <class Source>
-  void Inject(CodeFlow& flow, const Source& src, int hook,
-              std::function<void(StatusOr<InjectTrace>)> done);
+  sim::Task<StatusOr<InjectTrace>> Inject(CodeFlow& flow, Source src,
+                                          int hook);
   void InjectExtension(CodeFlow& flow, const bpf::Program& prog, int hook,
                        std::function<void(StatusOr<InjectTrace>)> done) {
-    Inject(flow, prog, hook, std::move(done));
+    sim::Start(Inject(flow, prog, hook), std::move(done));
   }
   void InjectWasmFilter(CodeFlow& flow, const wasm::FilterModule& module,
                         int hook,
                         std::function<void(StatusOr<InjectTrace>)> done) {
-    Inject(flow, module, hook, std::move(done));
+    sim::Start(Inject(flow, module, hook), std::move(done));
   }
   // Reverts `hook` to its previous committed version in microseconds
   // (desc re-commit; no re-transfer). §4 "rollback and hot-patching".
-  void Rollback(CodeFlow& flow, int hook, Done done);
+  sim::Task<Status> Rollback(CodeFlow& flow, int hook);
   // Detach: commit 0 into the hook slot.
-  void Detach(CodeFlow& flow, int hook, Done done);
+  sim::Task<Status> Detach(CodeFlow& flow, int hook);
 
   // ---- runtime guardrails (agentless health + quarantine) ----
   // One-sided READ of one hook's HealthBlock — zero data-plane cycles.
-  void ReadHealth(CodeFlow& flow, int hook,
-                  std::function<void(StatusOr<HealthView>)> done);
+  sim::Task<StatusOr<HealthView>> ReadHealth(CodeFlow& flow, int hook);
   // One READ covering every hook's HealthBlock on the node.
-  void ReadHealthAll(CodeFlow& flow,
-                     std::function<void(StatusOr<std::vector<HealthView>>)>
-                         done);
+  sim::Task<StatusOr<std::vector<HealthView>>> ReadHealthAll(CodeFlow& flow) {
+    return ReadHealthBlocks(flow, 0, flow.remote_view_.hook_count,
+                            "health array read failed");
+  }
   // Remote quarantine of a misbehaving extension: CAS the hook slot from
   // `bad_desc` back to `good_desc` (the last-good image, 0 = detach),
   // bump the epoch, flush the data-plane CPU's view, and blacklist the
   // bad image's source fingerprint so redeploys are refused at
   // ValidateCode time. If the slot already moved off `bad_desc` (the
   // local fail-safe won the race) the quarantine is treated as contained.
-  void QuarantineHook(CodeFlow& flow, int hook, std::uint64_t bad_desc,
-                      std::uint64_t good_desc, Done done);
+  sim::Task<Status> QuarantineHook(CodeFlow& flow, int hook,
+                                   std::uint64_t bad_desc,
+                                   std::uint64_t good_desc);
   void BlacklistFingerprint(std::uint64_t fingerprint);
   bool IsBlacklisted(std::uint64_t fingerprint) const;
   std::uint64_t quarantines() const { return quarantines_; }
@@ -420,7 +427,6 @@ class ControlPlane {
 
  private:
   friend class Inspector;
-  friend class RecoveryManager;
   struct PendingOp {
     std::function<void(const rdma::WorkCompletion&)> on_complete;
     // What an implied completion of this WR reports.
@@ -435,95 +441,85 @@ class ControlPlane {
   // WR in RC order (unsignaled successes are implied by later CQEs).
   void PostChain(CodeFlow& flow, std::vector<rdma::SendWr> wrs,
                  std::function<void(const rdma::WorkCompletion&)> per_wr_done);
-  // A one-WR, always-signaled PostChain.
-  void Post(CodeFlow& flow, rdma::SendWr wr,
-            std::function<void(const rdma::WorkCompletion&)> done);
+  // Awaitable one-WR PostChain; yields the WR's completion. (Defined in
+  // codeflow.cc, its only user.)
+  auto Post(CodeFlow& flow, rdma::SendWr wr);
   // A WR on the flow's rkey whose local side is fresh scratch in local
   // DRAM: the WRITE source or the READ/atomic landing buffer.
   StatusOr<rdma::SendWr> ScratchWr(CodeFlow& flow, rdma::Opcode op,
                                    std::uint64_t remote_addr,
                                    std::uint64_t len = 8);
   // Single-WR one-sided verbs. A failed completion reports
-  // Unavailable(`failure`). A READ hands the bytes to `next` and any
-  // failure to `fail`.
-  void RemoteRead(CodeFlow& flow, std::uint64_t remote_addr,
-                  std::uint64_t len, const char* failure, Done fail,
-                  std::function<void(Bytes)> next);
+  // Unavailable(`failure`).
+  sim::Task<StatusOr<Bytes>> RemoteRead(CodeFlow& flow,
+                                        std::uint64_t remote_addr,
+                                        std::uint64_t len,
+                                        const char* failure);
   // CAS (`compare_add` expected, `swap` new) or FETCH_ADD (`compare_add`
-  // delta); `done` gets the original remote word.
-  void RemoteAtomic(CodeFlow& flow, rdma::Opcode op, std::uint64_t remote_addr,
-                    std::uint64_t compare_add, std::uint64_t swap,
-                    const char* failure,
-                    std::function<void(StatusOr<std::uint64_t>)> done);
-  // Reads an XState's header to learn its geometry, then hands its whole
-  // storage to `next`; any failure goes to `fail`. `ring` additionally
-  // requires a ring buffer.
-  void ReadXState(CodeFlow& flow, std::uint64_t xstate_addr, bool ring,
-                  Done fail, std::function<void(Bytes)> next);
-  // Shared tail of CreateCodeFlow/ReconnectCodeFlow: RDMA-read the
-  // control block, then the symbol table, and populate the flow.
-  void Handshake(CodeFlow* flow, Done done);
+  // delta); yields the original remote word.
+  sim::Task<StatusOr<std::uint64_t>> RemoteAtomic(
+      CodeFlow& flow, rdma::Opcode op, std::uint64_t remote_addr,
+      std::uint64_t compare_add, std::uint64_t swap, const char* failure);
+  // Reads an XState's header to learn its geometry, then its whole
+  // storage. `ring` additionally requires a ring buffer.
+  sim::Task<StatusOr<Bytes>> ReadXState(CodeFlow& flow,
+                                        std::uint64_t xstate_addr, bool ring);
   // Allocates `bytes` in the remote scratchpad via FETCH_ADD on brk.
-  void RemoteAlloc(CodeFlow& flow, std::uint64_t bytes,
-                   std::function<void(StatusOr<std::uint64_t>)> done);
+  sim::Task<StatusOr<std::uint64_t>> RemoteAlloc(CodeFlow& flow,
+                                                 std::uint64_t bytes);
   // Writes `payload` to `remote_addr` in chunks; done after the last WR.
-  void WriteChunked(CodeFlow& flow, Bytes payload, std::uint64_t remote_addr,
-                    Done done);
-  void WriteQword(CodeFlow& flow, std::uint64_t remote_addr,
-                  std::uint64_t value, Done done);
+  // The payload is freed once its WRs are posted.
+  sim::Task<Status> WriteChunked(CodeFlow& flow, Bytes payload,
+                                 std::uint64_t remote_addr);
+  sim::Task<Status> WriteQword(CodeFlow& flow, std::uint64_t remote_addr,
+                               std::uint64_t value);
   // Commits desc_addr into the hook slot (under the sandbox lock with
   // use_lock) and makes it visible.
-  void CommitHook(CodeFlow& flow, int hook, std::uint64_t desc_addr,
-                  Done done);
+  sim::Task<Status> CommitHook(CodeFlow& flow, int hook,
+                               std::uint64_t desc_addr);
   // The one commit tail: the optional hook-slot write of `slot_desc`, the
   // epoch FAA, then the cc_event flush (or, without use_cc_event, the
   // eviction-delay refresh). With use_doorbell_batching && use_cc_event
   // and `may_chain`, all of it is one doorbell-batched chain; otherwise
   // each WR is its own post.
-  void CommitTail(CodeFlow& flow, int hook,
-                  std::optional<std::uint64_t> slot_desc, bool may_chain,
-                  Done done);
-  // Wraps `done` so that a successful commit of `prepared` first updates
-  // the flow's per-hook bookkeeping: history push, then reclaim of the
-  // regions beyond hook_history_depth.
-  Done RecordCommit(CodeFlow& flow, int hook, const PreparedImage& prepared,
-                    Done done);
+  sim::Task<Status> CommitTail(CodeFlow& flow, int hook,
+                               std::optional<std::uint64_t> slot_desc,
+                               bool may_chain);
+  // After a successful commit of `prepared`, updates the flow's per-hook
+  // bookkeeping: history push, then reclaim of the regions beyond
+  // hook_history_depth.
+  void RecordCommit(CodeFlow& flow, int hook, const PreparedImage& prepared);
   // One READ of `count` HealthBlocks starting at `first_hook`.
-  void ReadHealthBlocks(CodeFlow& flow, int first_hook, std::uint64_t count,
-                        const char* failure, Done fail,
-                        std::function<void(std::vector<HealthView>)> next);
+  sim::Task<StatusOr<std::vector<HealthView>>> ReadHealthBlocks(
+      CodeFlow& flow, int first_hook, std::uint64_t count,
+      const char* failure);
 
-  // ValidateCode / JitCompileCode with the source's fingerprint `fp`
-  // already computed.
+  // Compiles (or returns the cached image for) `src`.
   template <class Source>
-  void ValidateCode(const Source& src, std::uint64_t fp, Done done);
+  sim::Task<StatusOr<const ImageOf<Source>*>> JitCompileCode(
+      const Source& src, std::uint64_t fp);
+  // Deploys the XStates `src` declares that the node lacks, one at a time.
   template <class Source>
-  void JitCompileCode(
-      const Source& src, std::uint64_t fp,
-      std::function<void(StatusOr<const ImageOf<Source>*>)> done);
-  // Deploys the XStates in `maps[i..]` the node lacks, one at a time.
-  void DeployXStates(CodeFlow& flow,
-                     std::shared_ptr<const std::vector<bpf::MapSpec>> maps,
-                     std::size_t i, Done done);
-  // DeployXStates, then LinkCode; with `trace`, records both phases.
-  template <class Source>
-  void EnsureAndLink(CodeFlow& flow, const Source& src,
-                     const ImageOf<Source>& image, std::uint64_t fp,
-                     std::function<void(StatusOr<Bytes>)> done,
-                     InjectTrace* trace);
-  void DeployImageBytes(CodeFlow& flow, Bytes image_bytes, int hook,
-                        std::uint64_t version, Done done,
-                        InjectTrace* trace, std::uint64_t fingerprint = 0);
-  // Tail of QuarantineHook once the slot is known contained: epoch bump,
-  // flush, blacklist + bookkeeping repair. `started` is when the CAS was
-  // posted, so the recorded quarantine span covers the whole window.
-  void FinishQuarantine(CodeFlow& flow, int hook, std::uint64_t bad_desc,
-                        std::uint64_t good_desc, Done done,
-                        sim::SimTime started);
+  sim::Task<Status> DeployXStates(CodeFlow& flow, const Source& src);
   // Retroactively records the per-phase spans of one completed injection
   // from its InjectTrace deltas (walking back from the end time).
   void EmitInjectSpans(const CodeFlow& flow, int hook, const char* kind,
                        const InjectTrace& trace);
+
+  // Bodies of the callback entry points of the same purpose above.
+  sim::Task<StatusOr<CodeFlow*>> NewCodeFlow(Sandbox& sandbox,
+                                             Sandbox::Registration reg);
+  sim::Task<StatusOr<Bytes>> LookupXState(CodeFlow& flow,
+                                          std::uint64_t xstate_addr,
+                                          Bytes key);
+  sim::Task<Status> UpdateXState(CodeFlow& flow, std::uint64_t xstate_addr,
+                                 Bytes key, Bytes value);
+  sim::Task<Status> MoveXState(CodeFlow& src, std::uint64_t src_addr,
+                               CodeFlow& dst, std::uint64_t dst_addr);
+  sim::Task<StatusOr<std::vector<std::pair<Bytes, Bytes>>>> DumpXState(
+      CodeFlow& flow, std::uint64_t xstate_addr);
+  sim::Task<StatusOr<std::vector<Bytes>>> ConsumeRing(
+      CodeFlow& flow, std::uint64_t xstate_addr);
 
   sim::EventQueue& events_;
   rdma::Fabric& fabric_;

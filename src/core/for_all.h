@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "common/status.h"
+#include "sim/task.h"
 
 namespace rdx::core {
 
@@ -36,6 +37,23 @@ inline void ForAll(
       if (--state->remaining == 0) state->done(state->first_error);
     });
   }
+}
+
+// ForAll for coroutines: `co_await ForAll(n, task)` starts `task(i)` for
+// each index, in order and each up to its first suspension, and resumes
+// with the first error once all finished. `task` is taken by reference
+// because the tasks it makes may refer to it: keep it in the awaiting
+// coroutine's frame.
+template <class MakeTask>
+auto ForAll(std::size_t n, MakeTask& task) {
+  return sim::Await<Status>([n, &task](auto done) {
+    ForAll(
+        n,
+        [&task](std::size_t i, std::function<void(Status)> done_i) {
+          sim::Start(task(i), std::move(done_i));
+        },
+        std::move(done));
+  });
 }
 
 }  // namespace rdx::core

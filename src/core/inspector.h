@@ -35,8 +35,7 @@ class Inspector {
   explicit Inspector(ControlPlane& cp) : cp_(cp) {}
 
   // Reads back hook state from the node and cross-checks it.
-  void Inspect(CodeFlow& flow, int hook,
-               std::function<void(StatusOr<InspectReport>)> done);
+  sim::Task<StatusOr<InspectReport>> Inspect(CodeFlow& flow, int hook);
 
   // Sweeps every hook the control plane has deployed on `flow`; reports
   // the unhealthy ones (empty = all good).
@@ -44,6 +43,9 @@ class Inspector {
              std::function<void(StatusOr<std::vector<InspectReport>>)> done);
 
  private:
+  // Body of Sweep.
+  sim::Task<StatusOr<std::vector<InspectReport>>> SweepHooks(CodeFlow& flow);
+
   ControlPlane& cp_;
 };
 

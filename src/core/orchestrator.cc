@@ -178,12 +178,12 @@ StatusOr<OrchestrationPlan> ParseOrchestration(std::string_view text) {
 }
 
 void Orchestrator::RegisterProgram(std::string name, bpf::Program prog) {
-  programs_.emplace(std::move(name), std::move(prog));
+  artifacts_.emplace(std::move(name), std::move(prog));
 }
 
 void Orchestrator::RegisterFilter(std::string name,
                                   wasm::FilterModule module) {
-  filters_.emplace(std::move(name), std::move(module));
+  artifacts_.emplace(std::move(name), std::move(module));
 }
 
 Status Orchestrator::ValidatePlan(const OrchestrationPlan& plan) const {
@@ -208,14 +208,15 @@ Status Orchestrator::ValidatePlan(const OrchestrationPlan& plan) const {
                              action.group + "'");
     }
     if (action.kind == ActionKind::kDeploy) {
+      // The registered artifact must be of the declared kind.
       const ExtensionDecl& decl = ext->second;
-      if (!decl.is_wasm && programs_.count(decl.name) == 0) {
-        return FailedPrecondition("no program registered for '" +
-                                  decl.name + "'");
-      }
-      if (decl.is_wasm && filters_.count(decl.name) == 0) {
-        return FailedPrecondition("no filter registered for '" + decl.name +
-                                  "'");
+      auto artifact = artifacts_.find(decl.name);
+      if (artifact == artifacts_.end() ||
+          std::holds_alternative<wasm::FilterModule>(artifact->second) !=
+              decl.is_wasm) {
+        return FailedPrecondition(std::string("no ") +
+                                  (decl.is_wasm ? "filter" : "program") +
+                                  " registered for '" + decl.name + "'");
       }
     }
     // Hook range checks against each target node.
@@ -234,237 +235,164 @@ Status Orchestrator::ValidatePlan(const OrchestrationPlan& plan) const {
 void Orchestrator::Execute(
     const OrchestrationPlan& plan, UpdateBarrier* barrier,
     std::function<void(StatusOr<OrchestrationReport>)> done) {
-  Status valid = ValidatePlan(plan);
-  if (!valid.ok()) {
-    done(valid);
-    return;
-  }
-  auto report = std::make_shared<OrchestrationReport>();
-  // Own a copy: the caller's plan need not outlive the async execution.
-  auto plan_copy = std::make_shared<const OrchestrationPlan>(plan);
-  auto wrapped = [plan_copy, done = std::move(done)](
-                     StatusOr<OrchestrationReport> r) { done(std::move(r)); };
-  RunAction(*plan_copy, 0, barrier, report, std::move(wrapped),
-            cp_.events().Now());
+  sim::Start(RunPlan(plan, barrier), std::move(done));
 }
 
-void Orchestrator::RunAction(
-    const OrchestrationPlan& plan, std::size_t index, UpdateBarrier* barrier,
-    std::shared_ptr<OrchestrationReport> report,
-    std::function<void(StatusOr<OrchestrationReport>)> done,
-    sim::SimTime t0) {
-  if (index >= plan.actions.size()) {
-    report->total = cp_.events().Now() - t0;
-    done(*report);
-    return;
-  }
-  const Action& action = plan.actions[index];
-  const ExtensionDecl& decl = plan.extensions.at(action.extension);
-  const GroupDecl& group = plan.groups.at(action.group);
-  const sim::SimTime action_start = cp_.events().Now();
-
-  auto next = [this, &plan, index, barrier, report, done, t0,
-               action_start](const std::string& what, Status s) mutable {
-    if (!s.ok()) {
-      done(s);
-      return;
-    }
+sim::Task<StatusOr<OrchestrationReport>> Orchestrator::RunPlan(
+    OrchestrationPlan plan, UpdateBarrier* barrier) {
+  RDX_CO_RETURN_IF_ERROR(ValidatePlan(plan));
+  OrchestrationReport report;
+  const sim::SimTime t0 = cp_.events().Now();
+  for (const Action& action : plan.actions) {
+    const sim::SimTime action_start = cp_.events().Now();
+    RDX_CO_ASSIGN_OR_RETURN(
+        const std::string what,
+        co_await RunAction(plan, action, barrier, report));
     char line[192];
     std::snprintf(line, sizeof(line), "%s (%.1f us)", what.c_str(),
                   sim::ToMicros(cp_.events().Now() - action_start));
-    report->log.emplace_back(line);
-    ++report->actions_executed;
-    RunAction(plan, index + 1, barrier, report, std::move(done), t0);
-  };
+    report.log.emplace_back(line);
+    ++report.actions_executed;
+  }
+  report.total = cp_.events().Now() - t0;
+  co_return std::move(report);
+}
 
-  switch (action.kind) {
-    case ActionKind::kDeploy: {
-      std::vector<CodeFlow*> targets;
-      for (std::size_t node : group.nodes) targets.push_back(flows_[node]);
-      const std::string what = "deploy " + decl.name + " -> " + group.name;
+sim::Task<StatusOr<std::string>> Orchestrator::RunAction(
+    const OrchestrationPlan& plan, const Action& action,
+    UpdateBarrier* barrier, OrchestrationReport& report) {
+  const ExtensionDecl& decl = plan.extensions.at(action.extension);
+  const GroupDecl& group = plan.groups.at(action.group);
 
-      if (action.strategy == RolloutStrategy::kBroadcast) {
-        auto collective =
-            std::make_shared<CollectiveCodeFlow>(cp_, targets);
-        UpdateBarrier* use_barrier =
-            action.consistency == ConsistencyLevel::kBbu ? barrier : nullptr;
-        auto on_done = [collective, next,
-                        what](StatusOr<BroadcastResult> r) mutable {
-          next(what + " [broadcast]", r.ok() ? OkStatus() : r.status());
-        };
-        if (decl.is_wasm) {
-          const wasm::FilterModule& module = filters_.at(decl.name);
-          std::vector<const wasm::FilterModule*> per_node(targets.size(),
-                                                          &module);
-          collective->BroadcastWasm(per_node, decl.hook, use_barrier,
-                                    std::move(on_done));
-        } else {
-          collective->Broadcast(programs_.at(decl.name), decl.hook,
-                                use_barrier, std::move(on_done));
-        }
-        return;
-      }
+  if (action.kind != ActionKind::kDeploy) {
+    const bool rollback = action.kind == ActionKind::kRollback;
+    auto revert = [&](std::size_t i) {
+      CodeFlow& flow = *flows_[group.nodes[i]];
+      return rollback ? cp_.Rollback(flow, decl.hook)
+                      : cp_.Detach(flow, decl.hook);
+    };
+    RDX_CO_RETURN_IF_ERROR(co_await ForAll(group.nodes.size(), revert));
+    co_return std::string(rollback ? "rollback " : "detach ") + decl.name +
+        " @ " + group.name;
+  }
 
-      // rolling / parallel: per-node injections through DeployOne (which
-      // engages the recovery layer when the action asks for retries).
-      auto succeeded = std::make_shared<std::vector<CodeFlow*>>();
-      auto failed = std::make_shared<std::size_t>(0);
-      const char* tag = action.strategy == RolloutStrategy::kRolling
-                            ? " [rolling]"
-                            : " [parallel]";
-      // Completes the action once its nodes are settled, applying the
-      // failure policy to whatever `failed`/`succeeded` accumulated.
-      auto settle = [this, next, what, tag, report, succeeded, failed, &decl,
-                     &action](Status abort_status) mutable {
-        if (*failed == 0) {
-          next(what + tag, OkStatus());
-          return;
-        }
-        report->nodes_failed += *failed;
-        ++report->actions_degraded;
-        switch (action.on_failure) {
-          case OnFailure::kAbort:
-            next(what + tag, abort_status);
-            return;
-          case OnFailure::kSkip: {
-            char buf[64];
-            std::snprintf(buf, sizeof(buf), " skipped %zu failed node(s)",
-                          *failed);
-            next(what + tag + buf, OkStatus());
-            return;
+  std::vector<CodeFlow*> targets;
+  for (std::size_t node : group.nodes) targets.push_back(flows_[node]);
+  const Artifact& artifact = artifacts_.at(decl.name);
+  const std::string what = "deploy " + decl.name + " -> " + group.name;
+
+  if (action.strategy == RolloutStrategy::kBroadcast) {
+    CollectiveCodeFlow collective(cp_, targets);
+    UpdateBarrier* use_barrier =
+        action.consistency == ConsistencyLevel::kBbu ? barrier : nullptr;
+    const StatusOr<BroadcastResult> r =
+        co_await sim::Await<StatusOr<BroadcastResult>>([&](auto done) {
+          if (const auto* module = std::get_if<wasm::FilterModule>(&artifact)) {
+            collective.BroadcastWasm(
+                std::vector<const wasm::FilterModule*>(targets.size(), module),
+                decl.hook, use_barrier, std::move(done));
+          } else {
+            collective.Broadcast(std::get<bpf::Program>(artifact), decl.hook,
+                                 use_barrier, std::move(done));
           }
-          case OnFailure::kRollback:
-            RollbackWave(*succeeded, decl.hook,
-                         [next, what, tag, report,
-                          failed](std::size_t reverted) mutable {
-                           report->nodes_rolled_back += reverted;
-                           char buf[96];
-                           std::snprintf(buf, sizeof(buf),
-                                         " %zu node(s) failed; rolled back "
-                                         "%zu",
-                                         *failed, reverted);
-                           next(what + tag + buf, OkStatus());
-                         });
-            return;
-        }
-      };
-
-      if (action.strategy == RolloutStrategy::kParallel) {
-        ForAll(
-            targets.size(),
-            [&](std::size_t i, std::function<void(Status)> node_done) {
-              CodeFlow* flow = targets[i];
-              DeployOne(decl, action, flow,
-                        [flow, succeeded, failed, node_done](Status s) {
-                          if (s.ok()) {
-                            succeeded->push_back(flow);
-                          } else {
-                            ++*failed;
-                          }
-                          node_done(s);
-                        });
-            },
-            settle);
-        return;
-      }
-      // Rolling: strictly one node at a time. abort stops the wave at the
-      // first failure; skip/rollback walk the whole group so the policy
-      // sees the full picture.
-      auto roll = std::make_shared<std::function<void(std::size_t)>>();
-      std::weak_ptr<std::function<void(std::size_t)>> weak = roll;
-      *roll = [this, targets, &decl, &action, succeeded, failed, settle,
-               weak](std::size_t i) mutable {
-        auto self = weak.lock();
-        if (!self) return;
-        if (i >= targets.size()) {
-          settle(OkStatus());
-          return;
-        }
-        DeployOne(decl, action, targets[i],
-                  [i, targets, succeeded, failed, settle, self,
-                   &action](Status s) mutable {
-                    if (s.ok()) {
-                      succeeded->push_back(targets[i]);
-                      (*self)(i + 1);
-                      return;
-                    }
-                    ++*failed;
-                    if (action.on_failure == OnFailure::kAbort) {
-                      settle(s);
-                      return;
-                    }
-                    (*self)(i + 1);
-                  });
-      };
-      (*roll)(0);
-      return;
-    }
-    case ActionKind::kRollback:
-    case ActionKind::kDetach: {
-      const bool rollback = action.kind == ActionKind::kRollback;
-      const std::string what = std::string(rollback ? "rollback " : "detach ") +
-                               decl.name + " @ " + group.name;
-      ForAll(
-          group.nodes.size(),
-          [&](std::size_t i, std::function<void(Status)> node_done) {
-            CodeFlow& flow = *flows_[group.nodes[i]];
-            if (rollback) {
-              cp_.Rollback(flow, decl.hook, std::move(node_done));
-            } else {
-              cp_.Detach(flow, decl.hook, std::move(node_done));
-            }
-          },
-          [next, what](Status s) mutable { next(what, s); });
-      return;
-    }
+        });
+    RDX_CO_RETURN_IF_ERROR(r.status());
+    co_return what + " [broadcast]";
   }
-}
 
-void Orchestrator::DeployOne(const ExtensionDecl& decl, const Action& action,
-                             CodeFlow* flow,
-                             std::function<void(Status)> done) {
-  auto deploy = [&](const auto& src) {
-    // The recovery layer engages when the action asks for retries.
-    if (recovery_ != nullptr && action.max_retries > 0) {
-      recovery_->DeployReliably(
-          *flow, src, decl.hook,
-          [done](StatusOr<RecoveryOutcome> r) { done(r.status()); },
-          action.max_retries);
-    } else {
-      cp_.Inject(*flow, src, decl.hook,
-                 [done](StatusOr<InjectTrace> r) { done(r.status()); });
-    }
+  // rolling / parallel: per-node injections through DeployOne (which
+  // engages the recovery layer when the action asks for retries).
+  auto deploy = [&](CodeFlow& flow) {
+    return std::visit(
+        [&](const auto& src) {
+          return DeployOne(src, decl.hook, action, flow);
+        },
+        artifact);
   };
-  if (decl.is_wasm) {
-    deploy(filters_.at(decl.name));
+  std::vector<CodeFlow*> succeeded;
+  std::size_t failed = 0;
+  Status abort_status;
+  const char* tag;
+  if (action.strategy == RolloutStrategy::kParallel) {
+    tag = " [parallel]";
+    auto deploy_one = [&](std::size_t i) -> sim::Task<Status> {
+      const Status s = co_await deploy(*targets[i]);
+      if (s.ok()) {
+        succeeded.push_back(targets[i]);
+      } else {
+        ++failed;
+      }
+      co_return s;
+    };
+    abort_status = co_await ForAll(targets.size(), deploy_one);
   } else {
-    deploy(programs_.at(decl.name));
+    // Rolling: strictly one node at a time. abort stops the wave at the
+    // first failure; skip/rollback walk the whole group so the policy
+    // sees the full picture.
+    tag = " [rolling]";
+    for (CodeFlow* flow : targets) {
+      const Status s = co_await deploy(*flow);
+      if (s.ok()) {
+        succeeded.push_back(flow);
+        continue;
+      }
+      ++failed;
+      if (action.on_failure == OnFailure::kAbort) {
+        abort_status = s;
+        break;
+      }
+    }
   }
+
+  // The failure policy, applied to whatever the wave accumulated.
+  if (failed == 0) co_return what + tag;
+  report.nodes_failed += failed;
+  ++report.actions_degraded;
+  char buf[96];
+  switch (action.on_failure) {
+    case OnFailure::kAbort:
+      co_return abort_status;
+    case OnFailure::kSkip:
+      std::snprintf(buf, sizeof(buf), " skipped %zu failed node(s)", failed);
+      break;
+    case OnFailure::kRollback: {
+      const std::size_t reverted = co_await RollbackWave(succeeded, decl.hook);
+      report.nodes_rolled_back += reverted;
+      std::snprintf(buf, sizeof(buf),
+                    " %zu node(s) failed; rolled back %zu", failed, reverted);
+      break;
+    }
+  }
+  co_return what + tag + buf;
 }
 
-void Orchestrator::RollbackWave(std::vector<CodeFlow*> nodes, int hook,
-                                std::function<void(std::size_t)> done) {
-  auto reverted = std::make_shared<std::size_t>(0);
-  ForAll(
-      nodes.size(),
-      [&](std::size_t i, std::function<void(Status)> node_done) {
-        CodeFlow* flow = nodes[i];
-        auto on_node = [reverted, node_done](Status s) {
-          if (s.ok()) ++*reverted;
-          node_done(OkStatus());
-        };
-        cp_.Rollback(*flow, hook,
-                     [this, flow, hook, on_node](Status s) mutable {
-                       if (s.ok()) {
-                         on_node(OkStatus());
-                         return;
-                       }
-                       // First-ever deploy on this hook: no previous
-                       // version exists, so "revert" means detach.
-                       cp_.Detach(*flow, hook, on_node);
-                     });
-      },
-      [reverted, done = std::move(done)](Status) { done(*reverted); });
+template <class Source>
+sim::Task<Status> Orchestrator::DeployOne(const Source& src, int hook,
+                                          const Action& action,
+                                          CodeFlow& flow) {
+  // The recovery layer engages when the action asks for retries.
+  if (recovery_ != nullptr && action.max_retries > 0) {
+    const StatusOr<RecoveryOutcome> r = co_await recovery_->DeployReliably(
+        flow, src, hook, action.max_retries);
+    co_return r.status();
+  }
+  const StatusOr<InjectTrace> r = co_await cp_.Inject(flow, src, hook);
+  co_return r.status();
+}
+
+sim::Task<std::size_t> Orchestrator::RollbackWave(
+    const std::vector<CodeFlow*>& nodes, int hook) {
+  std::size_t reverted = 0;
+  auto revert = [&](std::size_t i) -> sim::Task<Status> {
+    Status s = co_await cp_.Rollback(*nodes[i], hook);
+    // First-ever deploy on this hook: no previous version exists, so
+    // "revert" means detach.
+    if (!s.ok()) s = co_await cp_.Detach(*nodes[i], hook);
+    if (s.ok()) ++reverted;
+    co_return OkStatus();
+  };
+  (void)co_await ForAll(nodes.size(), revert);
+  co_return reverted;
 }
 
 }  // namespace rdx::core

@@ -24,6 +24,7 @@
 #include <functional>
 #include <string>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "core/broadcast.h"
@@ -112,25 +113,31 @@ class Orchestrator {
                std::function<void(StatusOr<OrchestrationReport>)> done);
 
  private:
-  void RunAction(const OrchestrationPlan& plan, std::size_t index,
-                 UpdateBarrier* barrier,
-                 std::shared_ptr<OrchestrationReport> report,
-                 std::function<void(StatusOr<OrchestrationReport>)> done,
-                 sim::SimTime t0);
+  using Artifact = std::variant<bpf::Program, wasm::FilterModule>;
+
+  // Body of Execute.
+  sim::Task<StatusOr<OrchestrationReport>> RunPlan(OrchestrationPlan plan,
+                                                   UpdateBarrier* barrier);
+  // Runs one action; yields its log line.
+  sim::Task<StatusOr<std::string>> RunAction(const OrchestrationPlan& plan,
+                                             const Action& action,
+                                             UpdateBarrier* barrier,
+                                             OrchestrationReport& report);
   // One per-node injection, via the recovery layer when the action asks
   // for retries and SetRecovery() was called.
-  void DeployOne(const ExtensionDecl& decl, const Action& action,
-                 CodeFlow* flow, std::function<void(Status)> done);
+  template <class Source>
+  sim::Task<Status> DeployOne(const Source& src, int hook,
+                              const Action& action, CodeFlow& flow);
   // Reverts `hook` on every flow in `nodes` (Rollback, falling back to
-  // Detach for nodes with no prior version); reports how many reverted.
-  void RollbackWave(std::vector<CodeFlow*> nodes, int hook,
-                    std::function<void(std::size_t)> done);
+  // Detach for nodes with no prior version); yields how many reverted.
+  sim::Task<std::size_t> RollbackWave(const std::vector<CodeFlow*>& nodes,
+                                      int hook);
 
   ControlPlane& cp_;
   RecoveryManager* recovery_ = nullptr;
   std::vector<CodeFlow*> flows_;
-  std::unordered_map<std::string, bpf::Program> programs_;
-  std::unordered_map<std::string, wasm::FilterModule> filters_;
+  // The artifact registry: each name is a program or a filter.
+  std::unordered_map<std::string, Artifact> artifacts_;
 };
 
 }  // namespace rdx::core

@@ -11,193 +11,101 @@
 
 namespace rdx::core {
 
-// One in-flight reliable deploy. Attempts are numbered; the deadline
-// timer and late completions of a superseded attempt are filtered by
-// comparing their sequence number against `attempt_seq`.
-struct RecoveryManager::AttemptState {
-  CodeFlow* flow = nullptr;
-  int hook = 0;
-  // Runs one injection; calls back with its verdict.
-  std::function<void(std::function<void(Status)>)> attempt;
-  DeployDone done;
-  int max_retries = 0;
-  // Generation this deploy is responsible for committing. Captured
-  // before the first attempt so retry probes can tell "my commit
-  // landed, only the acknowledgement was lost" from "not deployed".
-  std::uint64_t target_version = 0;
-  int attempts = 0;
-  int reconnects = 0;
-  bool adopted = false;
-  bool finished = false;
-  sim::SimTime t0 = 0;
-  int attempt_seq = 0;
-  sim::EventQueue::EventId deadline_id = 0;
-};
-
 template <class Source>
-void RecoveryManager::DeployReliably(CodeFlow& flow, const Source& src,
-                                     int hook, DeployDone done,
-                                     int max_retries) {
-  CodeFlow* f = &flow;
-  ControlPlane& cp = cp_;
-  Start(
-      flow, hook,
-      [f, &cp, src, hook](std::function<void(Status)> verdict) {
-        cp.Inject(*f, src, hook,
-                  [verdict = std::move(verdict)](StatusOr<InjectTrace> r) {
-                    verdict(r.status());
-                  });
-      },
-      std::move(done), max_retries);
-}
-template void RecoveryManager::DeployReliably(CodeFlow&, const bpf::Program&,
-                                              int, DeployDone, int);
-template void RecoveryManager::DeployReliably(CodeFlow&,
-                                              const wasm::FilterModule&, int,
-                                              DeployDone, int);
-
-void RecoveryManager::Start(
-    CodeFlow& flow, int hook,
-    std::function<void(std::function<void(Status)>)> attempt, DeployDone done,
-    int max_retries) {
-  auto st = std::make_shared<AttemptState>();
-  st->flow = &flow;
-  st->hook = hook;
-  st->attempt = std::move(attempt);
-  st->done = std::move(done);
-  st->max_retries = max_retries >= 0 ? max_retries : policy_.max_retries;
-  st->target_version = flow.HookVersion(hook) + 1;
-  st->t0 = cp_.events().Now();
-  RunAttempt(std::move(st));
-}
-
-void RecoveryManager::RunAttempt(std::shared_ptr<AttemptState> st) {
-  if (st->finished) return;
-  ++st->attempts;
-  const int seq = ++st->attempt_seq;
-  st->deadline_id =
-      cp_.events().ScheduleAfter(policy_.attempt_deadline, [this, st, seq] {
-        if (st->finished || seq != st->attempt_seq) return;
-        // Invalidate the in-flight attempt: its completion, if it ever
-        // arrives, must not race the retry.
-        ++st->attempt_seq;
-        HandleFailure(st, Unavailable("deploy attempt timed out"));
-      });
-  st->attempt([this, st, seq](Status s) {
-    if (st->finished || seq != st->attempt_seq) return;
-    cp_.events().Cancel(st->deadline_id);
-    if (s.ok()) {
-      FinishOk(st);
-    } else {
-      HandleFailure(st, std::move(s));
-    }
+sim::Task<Status> RecoveryManager::Attempt(CodeFlow& flow, const Source& src,
+                                           int hook) {
+  co_return co_await sim::Await<Status>([&](auto verdict) {
+    const sim::EventQueue::EventId deadline = cp_.events().ScheduleAfter(
+        policy_.attempt_deadline,
+        [verdict] { verdict(Unavailable("deploy attempt timed out")); });
+    sim::Start(cp_.Inject(flow, src, hook),
+               [this, deadline, verdict](StatusOr<InjectTrace> r) {
+                 cp_.events().Cancel(deadline);
+                 verdict(r.status());
+               });
   });
 }
 
-void RecoveryManager::HandleFailure(std::shared_ptr<AttemptState> st,
-                                    Status s) {
-  if (st->finished) return;
-  // Deterministic failures do not heal with time: a quarantined program
-  // (kPermissionDenied), a malformed one (kInvalidArgument), or an
-  // exhausted remote scratchpad (kScratchExhausted) would fail forever.
-  // Abort immediately instead of burning the backoff schedule.
-  if (s.code() == StatusCode::kScratchExhausted ||
-      s.code() == StatusCode::kPermissionDenied ||
-      s.code() == StatusCode::kInvalidArgument) {
-    st->finished = true;
-    RDX_DEBUG("recovery: hook %d on node %u non-retryable failure: %s",
-              st->hook, st->flow->node(), s.message().c_str());
-    st->done(std::move(s));
-    return;
-  }
-  if (st->attempts > st->max_retries) {
-    st->finished = true;
-    RDX_DEBUG("recovery: hook %d on node %u gave up after %d attempts: %s",
-              st->hook, st->flow->node(), st->attempts, s.message().c_str());
-    st->done(std::move(s));
-    return;
-  }
-  RDX_DEBUG("recovery: hook %d on node %u attempt %d failed (%s), recovering",
-            st->hook, st->flow->node(), st->attempts, s.message().c_str());
+template <class Source>
+sim::Task<StatusOr<RecoveryOutcome>> RecoveryManager::DeployReliably(
+    CodeFlow& flow, Source src, int hook, int max_retries) {
+  if (max_retries < 0) max_retries = policy_.max_retries;
+  // Generation this deploy is responsible for committing. Captured before
+  // the first attempt so retry probes can tell "my commit landed, only the
+  // acknowledgement was lost" from "not deployed".
+  const std::uint64_t target_version = flow.HookVersion(hook) + 1;
+  const sim::SimTime t0 = cp_.events().Now();
+  RecoveryOutcome out;
+  for (out.attempts = 1;; ++out.attempts) {
+    const Status s = co_await Attempt(flow, src, hook);
+    if (s.ok()) break;
+    // Deterministic failures do not heal with time: a quarantined program
+    // (kPermissionDenied), a malformed one (kInvalidArgument), or an
+    // exhausted remote scratchpad (kScratchExhausted) would fail forever.
+    // Abort immediately instead of burning the backoff schedule.
+    if (s.code() == StatusCode::kScratchExhausted ||
+        s.code() == StatusCode::kPermissionDenied ||
+        s.code() == StatusCode::kInvalidArgument) {
+      RDX_DEBUG("recovery: hook %d on node %u non-retryable failure: %s",
+                hook, flow.node(), s.message().c_str());
+      co_return s;
+    }
+    if (out.attempts > max_retries) {
+      RDX_DEBUG("recovery: hook %d on node %u gave up after %d attempts: %s",
+                hook, flow.node(), out.attempts, s.message().c_str());
+      co_return s;
+    }
+    RDX_DEBUG("recovery: hook %d on node %u attempt %d failed (%s), recovering",
+              hook, flow.node(), out.attempts, s.message().c_str());
 
-  auto probe_then_backoff = [this, st] {
-    if (st->finished) return;
-    // Idempotency probe: did the failed attempt actually commit? If the
-    // remote hook slot already carries our target generation, adopt it
-    // rather than deploying the same version twice.
-    cp_.ProbeHook(*st->flow, st->hook, [this,
-                                       st](StatusOr<ControlPlane::HookProbe>
-                                               probe) {
-      if (st->finished) return;
-      if (probe.ok() && probe.value().desc_addr != 0 &&
-          probe.value().version == st->target_version) {
-        auto& dep = st->flow->hooks_[st->hook];
-        if (dep.desc_addr != 0 && dep.desc_addr != probe.value().desc_addr) {
+    rdma::QueuePair* qp = flow.qp;
+    bool reachable = true;
+    if (qp == nullptr || qp->state() != rdma::QpState::kRts) {
+      ++out.reconnects;
+      // A node still unreachable keeps backing off; the next failure
+      // reconnects again.
+      const Status reconnected = co_await cp_.ReconnectCodeFlow(flow);
+      reachable = reconnected.ok();
+    }
+    if (reachable) {
+      // Idempotency probe: did the failed attempt actually commit? If the
+      // remote hook slot already carries our target generation, adopt it
+      // rather than deploying the same version twice.
+      const StatusOr<ControlPlane::HookProbe> probe =
+          co_await cp_.ProbeHook(flow, hook);
+      if (probe.ok() && probe->desc_addr != 0 &&
+          probe->version == target_version) {
+        auto& dep = flow.hooks_[hook];
+        if (dep.desc_addr != 0 && dep.desc_addr != probe->desc_addr) {
           dep.desc_history.push_back(CodeFlow::PastImage{
               dep.desc_addr, dep.region_capacity + kImageDescBytes,
               dep.fingerprint});
         }
-        dep.desc_addr = probe.value().desc_addr;
+        dep.desc_addr = probe->desc_addr;
         // The image region behind the adopted desc is unknown; force the
         // next update onto a fresh transactional allocation.
         dep.image_addr = 0;
         dep.region_capacity = 0;
-        dep.version = probe.value().version;
-        st->adopted = true;
+        dep.version = probe->version;
+        out.adopted = true;
         RDX_DEBUG("recovery: hook %d on node %u adopted committed v%llu",
-                  st->hook, st->flow->node(),
-                  (unsigned long long)probe.value().version);
+                  hook, flow.node(), (unsigned long long)probe->version);
         // Data-plane visibility for the adopted commit (the original
         // attempt may have died before its flush).
-        cp_.CcEvent(*st->flow, st->hook, [this, st](Status) {
-          if (!st->finished) FinishOk(st);
-        });
-        return;
+        (void)co_await cp_.CcEvent(flow, hook);
+        break;
       }
-      Backoff(st);
-    });
-  };
-
-  rdma::QueuePair* qp = st->flow->qp;
-  if (qp == nullptr || qp->state() != rdma::QpState::kRts) {
-    ++st->reconnects;
-    cp_.ReconnectCodeFlow(*st->flow,
-                          [st, probe_then_backoff, this](Status rs) {
-                            if (st->finished) return;
-                            if (!rs.ok()) {
-                              // Node still unreachable; keep backing off —
-                              // the next failure reconnects again.
-                              Backoff(st);
-                              return;
-                            }
-                            probe_then_backoff();
-                          });
-    return;
+    }
+    co_await sim::Sleep(cp_.events(), BackoffDelay(out.attempts));
   }
-  probe_then_backoff();
+  out.version = flow.HookVersion(hook);
+  out.elapsed = cp_.events().Now() - t0;
+  co_return out;
 }
-
-void RecoveryManager::Backoff(std::shared_ptr<AttemptState> st) {
-  if (st->finished) return;
-  if (st->attempts > st->max_retries) {
-    st->finished = true;
-    st->done(Unavailable("deploy retries exhausted"));
-    return;
-  }
-  cp_.events().ScheduleAfter(BackoffDelay(st->attempts),
-                             [this, st] { RunAttempt(st); });
-}
-
-void RecoveryManager::FinishOk(std::shared_ptr<AttemptState> st) {
-  st->finished = true;
-  RecoveryOutcome out;
-  out.attempts = st->attempts;
-  out.reconnects = st->reconnects;
-  out.adopted = st->adopted;
-  out.version = st->flow->HookVersion(st->hook);
-  out.elapsed = cp_.events().Now() - st->t0;
-  st->done(std::move(out));
-}
+template sim::Task<StatusOr<RecoveryOutcome>> RecoveryManager::DeployReliably(
+    CodeFlow&, bpf::Program, int, int);
+template sim::Task<StatusOr<RecoveryOutcome>> RecoveryManager::DeployReliably(
+    CodeFlow&, wasm::FilterModule, int, int);
 
 sim::Duration RecoveryManager::BackoffDelay(int attempt) {
   double delay = static_cast<double>(policy_.base_backoff) *
@@ -219,21 +127,19 @@ void HealthMonitor::Watch(CodeFlow& flow) {
 void HealthMonitor::Start() {
   if (running_) return;
   running_ = true;
-  // The closure self-references through a weak_ptr; pending events and
-  // continuations hold the strong ref, so the loop frees itself on Stop.
-  auto tick = std::make_shared<std::function<void()>>();
-  std::weak_ptr<std::function<void()>> weak = tick;
-  *tick = [this, weak] {
-    auto self = weak.lock();
-    if (!running_ || !self) return;
-    PollNow([this, self] {
-      if (!running_) return;
+  sim::Start(Tick(), [] {});
+}
+
+sim::Task<void> HealthMonitor::Tick() {
+  while (running_) {
+    // Stop cancels this event, and with it the loop.
+    co_await sim::Await<void>([this](auto tick) {
       next_tick_ =
-          cp_.events().ScheduleAfter(policy_.poll_period, [self] { (*self)(); });
+          cp_.events().ScheduleAfter(policy_.poll_period, std::move(tick));
     });
-  };
-  next_tick_ =
-      cp_.events().ScheduleAfter(policy_.poll_period, [tick] { (*tick)(); });
+    if (!running_) break;
+    co_await Poll();
+  }
 }
 
 void HealthMonitor::Stop() {
@@ -242,44 +148,29 @@ void HealthMonitor::Stop() {
   cp_.events().Cancel(next_tick_);
 }
 
-void HealthMonitor::PollNow(std::function<void()> done) {
+sim::Task<void> HealthMonitor::Poll() {
   ++polls_;
-  ForAll(
-      watched_.size(),
-      [this](std::size_t i, std::function<void(Status)> flow_done) {
-        PollFlow(watched_[i], [flow_done] { flow_done(OkStatus()); });
-      },
-      [done = std::move(done)](Status) {
-        if (done) done();
-      });
+  auto poll = [&](std::size_t i) { return PollFlow(watched_[i]); };
+  (void)co_await ForAll(watched_.size(), poll);
 }
 
-void HealthMonitor::PollFlow(WatchedFlow& wf, std::function<void()> done) {
-  cp_.ReadHealthAll(
-      *wf.flow,
-      [this, &wf, done = std::move(done)](
-          StatusOr<std::vector<HealthView>> views) mutable {
-        if (!views.ok()) {
-          // Unreachable node — liveness is the lease layer's problem,
-          // not the guardrail monitor's.
-          done();
-          return;
-        }
-        if (wf.snapshots.size() < views->size()) {
-          wf.snapshots.resize(views->size());
-        }
-        ForAll(
-            views->size(),
-            [&](std::size_t i, std::function<void(Status)> hook_done) {
-              Inspect(wf, static_cast<int>(i), (*views)[i],
-                      [hook_done] { hook_done(OkStatus()); });
-            },
-            [done = std::move(done)](Status) { done(); });
-      });
+sim::Task<Status> HealthMonitor::PollFlow(WatchedFlow& wf) {
+  const StatusOr<std::vector<HealthView>> views =
+      co_await cp_.ReadHealthAll(*wf.flow);
+  // Unreachable node — liveness is the lease layer's problem, not the
+  // guardrail monitor's.
+  if (!views.ok()) co_return OkStatus();
+  if (wf.snapshots.size() < views->size()) {
+    wf.snapshots.resize(views->size());
+  }
+  auto inspect = [&](std::size_t i) {
+    return Inspect(wf, static_cast<int>(i), (*views)[i]);
+  };
+  co_return co_await ForAll(views->size(), inspect);
 }
 
-void HealthMonitor::Inspect(WatchedFlow& wf, int hook, const HealthView& now,
-                            std::function<void()> done) {
+sim::Task<Status> HealthMonitor::Inspect(WatchedFlow& wf, int hook,
+                                         const HealthView& now) {
   HookSnapshot& snap = wf.snapshots[hook];
   const HealthView last = snap.last;
   snap.last = now;
@@ -303,10 +194,7 @@ void HealthMonitor::Inspect(WatchedFlow& wf, int hook, const HealthView& now,
   } else if (d_fuel >= policy_.fuel_delta_threshold) {
     reason = "fuel exhaustion storm";
   }
-  if (reason.empty() || snap.quarantine_inflight) {
-    done();
-    return;
-  }
+  if (reason.empty() || snap.quarantine_inflight) co_return OkStatus();
 
   auto it = wf.flow->hooks_.find(hook);
   const std::uint64_t bad_desc =
@@ -315,8 +203,7 @@ void HealthMonitor::Inspect(WatchedFlow& wf, int hook, const HealthView& now,
     // Nothing this control plane deployed there — record only.
     records_.push_back(QuarantineRecord{wf.flow->node(), hook, reason, 0, 0,
                                         false, cp_.events().Now()});
-    done();
-    return;
+    co_return OkStatus();
   }
   // Revert target: the last image that ever completed on this hook. If
   // the misbehaving image IS that image, detach outright.
@@ -327,22 +214,18 @@ void HealthMonitor::Inspect(WatchedFlow& wf, int hook, const HealthView& now,
                        good_desc,       false, cp_.events().Now()};
   if (!policy_.auto_quarantine) {
     records_.push_back(std::move(rec));
-    done();
-    return;
+    co_return OkStatus();
   }
   snap.quarantine_inflight = true;
   RDX_DEBUG("guardrail: node %u hook %d %s -> quarantine (bad=%llx good=%llx)",
             wf.flow->node(), hook, reason.c_str(),
             (unsigned long long)bad_desc, (unsigned long long)good_desc);
-  cp_.QuarantineHook(
-      *wf.flow, hook, bad_desc, good_desc,
-      [this, &wf, hook, rec = std::move(rec),
-       done = std::move(done)](Status s) mutable {
-        wf.snapshots[hook].quarantine_inflight = false;
-        rec.quarantined = s.ok();
-        records_.push_back(std::move(rec));
-        done();
-      });
+  const Status s = co_await cp_.QuarantineHook(*wf.flow, hook, bad_desc,
+                                               good_desc);
+  wf.snapshots[hook].quarantine_inflight = false;
+  rec.quarantined = s.ok();
+  records_.push_back(std::move(rec));
+  co_return OkStatus();
 }
 
 void HealthMonitor::ExportMetrics(telemetry::MetricsRegistry& reg) const {

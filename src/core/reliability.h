@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -53,8 +52,6 @@ struct RecoveryOutcome {
 
 class RecoveryManager {
  public:
-  using DeployDone = std::function<void(StatusOr<RecoveryOutcome>)>;
-
   explicit RecoveryManager(ControlPlane& cp, RetryPolicy policy = {},
                            std::uint64_t seed = 1)
       : cp_(cp), policy_(policy), rng_(seed) {}
@@ -64,8 +61,9 @@ class RecoveryManager {
   // ControlPlane::Inject (an eBPF program or a Wasm filter) with the full
   // recovery treatment. `max_retries` < 0 uses the policy default.
   template <class Source>
-  void DeployReliably(CodeFlow& flow, const Source& src, int hook,
-                      DeployDone done, int max_retries = -1);
+  sim::Task<StatusOr<RecoveryOutcome>> DeployReliably(CodeFlow& flow,
+                                                      Source src, int hook,
+                                                      int max_retries = -1);
 
   bool Healthy(const CodeFlow& flow) const {
     return cp_.NodeHealthy(flow.node(), policy_.lease);
@@ -73,14 +71,10 @@ class RecoveryManager {
   const RetryPolicy& policy() const { return policy_; }
 
  private:
-  struct AttemptState;
-  void Start(CodeFlow& flow, int hook,
-             std::function<void(std::function<void(Status)>)> attempt,
-             DeployDone done, int max_retries);
-  void RunAttempt(std::shared_ptr<AttemptState> st);
-  void HandleFailure(std::shared_ptr<AttemptState> st, Status s);
-  void Backoff(std::shared_ptr<AttemptState> st);
-  void FinishOk(std::shared_ptr<AttemptState> st);
+  // One Inject against the attempt deadline: the first verdict wins, and
+  // a late completion of a timed-out attempt is dropped.
+  template <class Source>
+  sim::Task<Status> Attempt(CodeFlow& flow, const Source& src, int hook);
   sim::Duration BackoffDelay(int attempt);
 
   ControlPlane& cp_;
@@ -133,7 +127,9 @@ class HealthMonitor {
   // One synchronous-ish sweep over every watched flow; `done` fires when
   // all health reads (and any resulting quarantines) completed. Gives
   // tests a deterministic poll point.
-  void PollNow(std::function<void()> done = {});
+  void PollNow(std::function<void()> done = [] {}) {
+    sim::Start(Poll(), std::move(done));
+  }
 
   const std::vector<QuarantineRecord>& records() const { return records_; }
   std::uint64_t polls() const { return polls_; }
@@ -152,9 +148,13 @@ class HealthMonitor {
     CodeFlow* flow = nullptr;
     std::vector<HookSnapshot> snapshots;
   };
-  void PollFlow(WatchedFlow& wf, std::function<void()> done);
-  void Inspect(WatchedFlow& wf, int hook, const HealthView& now,
-               std::function<void()> done);
+  // The polling loop Start runs: a tick every poll period, then a poll.
+  sim::Task<void> Tick();
+  sim::Task<void> Poll();
+  // Both always report OK: an unreachable node is the lease layer's
+  // problem, and a failed quarantine is recorded, not raised.
+  sim::Task<Status> PollFlow(WatchedFlow& wf);
+  sim::Task<Status> Inspect(WatchedFlow& wf, int hook, const HealthView& now);
 
   ControlPlane& cp_;
   GuardrailPolicy policy_;

@@ -56,7 +56,6 @@ class Fabric {
   Node& AddNode(std::string name, std::uint64_t memory_bytes = 64 << 20);
   Node& node(NodeId id) { return *nodes_.at(id); }
   const Node& node(NodeId id) const { return *nodes_.at(id); }
-  std::size_t NodeCount() const { return nodes_.size(); }
 
   CompletionQueue& CreateCq(NodeId node, std::uint32_t capacity = 4096);
   QueuePair& CreateQp(NodeId node, CompletionQueue& send_cq,

@@ -53,13 +53,9 @@ class HostMemory {
   }
 
   // Direct CPU window over DRAM (no MR checks — the local CPU is not
-  // subject to RNIC protection). Caller must keep addr/len in bounds;
-  // use InBoundsForCpu to pre-check.
+  // subject to RNIC protection). Caller must keep addr/len in bounds.
   MutableByteSpan SpanForCpu(std::uint64_t addr, std::uint64_t len) {
     return MutableByteSpan(Translate(addr), len);
-  }
-  bool InBoundsForCpu(std::uint64_t addr, std::uint64_t len) const {
-    return InBounds(addr, len);
   }
 
   // Raw CPU-side access (no key checks — this is the node's own CPU).

@@ -73,7 +73,6 @@ class QueuePair {
     recv_queue_.pop_front();
     return true;
   }
-  std::size_t RecvDepth() const { return recv_queue_.size(); }
 
  private:
   Fabric& fabric_;

@@ -42,11 +42,6 @@ class CpuScheduler {
   // Time-averaged fraction of core capacity in use since construction.
   double Utilization() const;
 
-  // Converts a cycle demand into the uncontended service time.
-  Duration UncontendedTime(std::uint64_t cycles) const {
-    return static_cast<Duration>(static_cast<double>(cycles) / hz_ * 1e9);
-  }
-
  private:
   struct Task {
     double remaining_cycles;
@@ -75,5 +70,12 @@ class CpuScheduler {
   double busy_core_ns_ = 0.0;
   SimTime created_at_ = 0;
 };
+
+// Awaitable CPU charge: resumes the awaiting coroutine once `cycles` of
+// service on `cpu` completed.
+inline auto Charge(CpuScheduler& cpu, std::uint64_t cycles) {
+  return Await<void>(
+      [&cpu, cycles](auto done) { cpu.Submit(cycles, std::move(done)); });
+}
 
 }  // namespace rdx::sim

@@ -2,12 +2,23 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 namespace rdx::sim {
 
 EventQueue::EventId EventQueue::ScheduleAt(SimTime at, Handler fn) {
-  const EventId id = next_id_++;
-  queue_.push(Event{std::max(at, now_), next_seq_++, id, std::move(fn)});
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  const std::uint64_t seq = next_seq_++;
+  const EventId id = (seq + 1) << 32 | slot;
+  slots_[slot] = Slot{id, std::move(fn)};
+  queue_.push(Event{std::max(at, now_), seq, id});
   ++live_events_;
   return id;
 }
@@ -16,21 +27,29 @@ EventQueue::EventId EventQueue::ScheduleAfter(Duration delay, Handler fn) {
   return ScheduleAt(now_ + std::max<Duration>(delay, 0), std::move(fn));
 }
 
-void EventQueue::Cancel(EventId id) {
-  // Tombstone: the event stays in the heap but is skipped when popped.
-  cancelled_.push_back(id);
-  if (live_events_ > 0) --live_events_;
+EventQueue::Slot* EventQueue::PendingSlot(EventId id) {
+  const std::uint64_t slot = id & 0xffffffffu;
+  if (id == 0 || slot >= slots_.size() || slots_[slot].id != id) {
+    return nullptr;
+  }
+  return &slots_[slot];
 }
 
-// Pops tombstoned events off the top of the heap so that queue_.top() is
+void EventQueue::Cancel(EventId id) {
+  Slot* slot = PendingSlot(id);
+  if (slot == nullptr) return;
+  // Free the slot before the handler dies: destroying it may run
+  // destructors that schedule or cancel events.
+  Handler dead = std::move(slot->fn);
+  slot->id = 0;
+  free_slots_.push_back(static_cast<std::uint32_t>(id & 0xffffffffu));
+  --live_events_;
+}
+
+// Pops cancelled entries off the top of the heap so that queue_.top() is
 // always a live event (or the heap is empty).
 void EventQueue::DiscardCancelledTop() {
-  while (!queue_.empty()) {
-    const auto it =
-        std::find(cancelled_.begin(), cancelled_.end(), queue_.top().id);
-    if (it == cancelled_.end()) return;
-    *it = cancelled_.back();
-    cancelled_.pop_back();
+  while (!queue_.empty() && PendingSlot(queue_.top().id) == nullptr) {
     queue_.pop();
   }
 }
@@ -38,12 +57,16 @@ void EventQueue::DiscardCancelledTop() {
 bool EventQueue::PopAndRun() {
   DiscardCancelledTop();
   if (queue_.empty()) return false;
-  Event ev = queue_.top();
+  const Event ev = queue_.top();
   queue_.pop();
   assert(ev.at >= now_ && "event scheduled in the past");
   now_ = ev.at;
+  Slot& slot = slots_[ev.id & 0xffffffffu];
+  Handler fn = std::move(slot.fn);
+  slot.id = 0;
+  free_slots_.push_back(static_cast<std::uint32_t>(ev.id & 0xffffffffu));
   --live_events_;
-  ev.fn();
+  fn();
   return true;
 }
 

@@ -9,6 +9,7 @@
 #include <queue>
 #include <vector>
 
+#include "sim/task.h"
 #include "sim/time.h"
 
 namespace rdx::sim {
@@ -31,8 +32,8 @@ class EventQueue {
   // Schedules `fn` to run `delay` ns from now.
   EventId ScheduleAfter(Duration delay, Handler fn);
 
-  // Cancels a pending event. Cancelling an already-fired or unknown id is
-  // a no-op. O(1): the event is tombstoned, not removed.
+  // Cancels a pending event and destroys its handler. Cancelling an
+  // already-fired or unknown id is a no-op. O(1).
   void Cancel(EventId id);
 
   // Runs events until the queue drains. Returns the number of events run.
@@ -46,29 +47,44 @@ class EventQueue {
   bool Step();
 
   bool Empty() const { return live_events_ == 0; }
-  std::size_t PendingEvents() const { return live_events_; }
 
  private:
+  // Heap entries are small and ordered by (time, seq); handlers live in
+  // `slots_`. An id names its slot in the low 32 bits and its issue order
+  // in the high ones, so an id is pending exactly while its slot still
+  // holds it; a heap entry whose slot moved on was cancelled.
   struct Event {
     SimTime at;
     std::uint64_t seq;
     EventId id;
-    Handler fn;
     bool operator>(const Event& other) const {
       if (at != other.at) return at > other.at;
       return seq > other.seq;
     }
   };
+  struct Slot {
+    EventId id = 0;  // 0: free
+    Handler fn;
+  };
 
+  // The slot that holds `id`, or nullptr if `id` is not pending.
+  Slot* PendingSlot(EventId id);
   bool PopAndRun();
   void DiscardCancelledTop();
 
   std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
-  std::vector<EventId> cancelled_;  // sorted insertion not needed; small
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
-  EventId next_id_ = 1;
   std::size_t live_events_ = 0;
 };
+
+// Awaitable timer: resumes the awaiting coroutine `delay` ns from now.
+inline auto Sleep(EventQueue& events, Duration delay) {
+  return Await<void>([&events, delay](auto done) {
+    events.ScheduleAfter(delay, std::move(done));
+  });
+}
 
 }  // namespace rdx::sim

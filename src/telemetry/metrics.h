@@ -45,10 +45,6 @@ class MetricsRegistry {
   void SetHist(const std::string& name, const Histogram& h) {
     hists_[name] = h;
   }
-  const Histogram* FindHist(const std::string& name) const {
-    auto it = hists_.find(name);
-    return it == hists_.end() ? nullptr : &it->second;
-  }
 
   std::size_t counter_count() const { return counters_.size(); }
 

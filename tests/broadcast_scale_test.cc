@@ -523,11 +523,11 @@ TEST(LinkCode, ChargesOneRelocationOfCpCpu) {
   CodeFlow& flow = *cluster.flows[0];
   const bpf::Program prog = bpf::GenerateProgram({.target_insns = 400});
   bool ready = false;
-  cluster.cp->DeployXState(flow, prog.maps[0],
-                           [&](StatusOr<std::uint64_t> addr) {
-                             ASSERT_TRUE(addr.ok()) << addr.status().ToString();
-                             ready = true;
-                           });
+  sim::Start(cluster.cp->DeployXState(flow, prog.maps[0]),
+             [&](StatusOr<std::uint64_t> addr) {
+               ASSERT_TRUE(addr.ok()) << addr.status().ToString();
+               ready = true;
+             });
   cluster.RunUntil([&] { return ready; });
   const bpf::JitImage image = bpf::JitCompiler().Compile(prog).value();
   ASSERT_GT(image.relocs.size(), 1u);
@@ -540,11 +540,11 @@ TEST(LinkCode, ChargesOneRelocationOfCpCpu) {
   const double busy_before = busy_ns();
   const sim::SimTime start = cluster.events.Now();
   sim::SimTime linked_at = -1;
-  cluster.cp->LinkCode(flow, image, core::ProgramFingerprint(prog),
-                       [&](StatusOr<Bytes> wire) {
-                         ASSERT_TRUE(wire.ok()) << wire.status().ToString();
-                         linked_at = cluster.events.Now();
-                       });
+  sim::Start(cluster.cp->LinkCode(flow, image, core::ProgramFingerprint(prog)),
+             [&](StatusOr<Bytes> wire) {
+               ASSERT_TRUE(wire.ok()) << wire.status().ToString();
+               linked_at = cluster.events.Now();
+             });
   cluster.RunUntil([&] { return linked_at >= 0; });
   // link_cycles_per_reloc (500) at the CP's 3.4 GHz, completed on the
   // next whole ns.
@@ -636,12 +636,12 @@ class EbpfLinkGroup : public ::testing::TestWithParam<LinkGroup> {
     CodeFlow& flow = *cluster.flows[kOddNode];
     bool done = false;
     if (group == LinkGroup::kOddValues) {
-      cluster.cp->DeployXState(
-          flow, {"extra", bpf::MapType::kArray, 4, 8, 16},
-          [&](StatusOr<std::uint64_t> addr) {
-            ASSERT_TRUE(addr.ok()) << addr.status().ToString();
-            done = true;
-          });
+      sim::Start(cluster.cp->DeployXState(
+                     flow, {"extra", bpf::MapType::kArray, 4, 8, 16}),
+                 [&](StatusOr<std::uint64_t> addr) {
+                   ASSERT_TRUE(addr.ok()) << addr.status().ToString();
+                   done = true;
+                 });
     } else if (group == LinkGroup::kOddLacksSymbol) {
       std::int32_t helper = -1;
       for (const bpf::Relocation& reloc : image.relocs) {
@@ -667,7 +667,7 @@ class EbpfLinkGroup : public ::testing::TestWithParam<LinkGroup> {
         }
       }
       ASSERT_EQ(renamed, 1);
-      cluster.cp->ReconnectCodeFlow(flow, [&](Status s) {
+      sim::Start(cluster.cp->ReconnectCodeFlow(flow), [&](Status s) {
         ASSERT_TRUE(s.ok()) << s.ToString();
         done = true;
       });

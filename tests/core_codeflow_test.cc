@@ -10,6 +10,7 @@
 #include "bpf/proggen.h"
 #include "core/broadcast.h"
 #include "core/codeflow.h"
+#include "core/reliability.h"
 #include "wasm/filter.h"
 
 namespace rdx::core {
@@ -245,7 +246,7 @@ TEST(Rollback, RevertsToPreviousVersion) {
 
   // Microsecond rollback: no re-transfer, just a desc re-commit.
   const sim::SimTime before = cluster.events.Now();
-  cluster.cp->Rollback(flow, 0, [&](Status s) {
+  sim::Start(cluster.cp->Rollback(flow, 0), [&](Status s) {
     ASSERT_TRUE(s.ok()) << s.ToString();
     step = 3;
   });
@@ -261,7 +262,7 @@ TEST(SyncPrimitives, LockExcludesSecondOwner) {
   CodeFlow& flow = *cluster.flows[0];
 
   bool locked = false;
-  cluster.cp->Lock(flow, 7, [&](Status s) {
+  sim::Start(cluster.cp->Lock(flow, 7), [&](Status s) {
     ASSERT_TRUE(s.ok()) << s.ToString();
     locked = true;
   });
@@ -270,7 +271,7 @@ TEST(SyncPrimitives, LockExcludesSecondOwner) {
 
   // Second acquisition must be refused.
   bool refused = false;
-  cluster.cp->Lock(flow, 8, [&](Status s) {
+  sim::Start(cluster.cp->Lock(flow, 8), [&](Status s) {
     EXPECT_EQ(s.code(), StatusCode::kAborted);
     refused = true;
   });
@@ -280,7 +281,7 @@ TEST(SyncPrimitives, LockExcludesSecondOwner) {
   EXPECT_FALSE(cluster.sandboxes[0]->TryLockLocal(9));
 
   bool unlocked = false;
-  cluster.cp->Unlock(flow, 7, [&](Status s) {
+  sim::Start(cluster.cp->Unlock(flow, 7), [&](Status s) {
     ASSERT_TRUE(s.ok());
     unlocked = true;
   });
@@ -298,11 +299,11 @@ TEST(SyncPrimitives, TxLandsPayloadThenSwingsQword) {
   Bytes payload = {1, 2, 3, 4, 5, 6, 7, 8, 9};
   const std::uint64_t qword_addr = flow.remote_view().hook_table_addr + 8;
   std::uint64_t payload_addr = 0;
-  cluster.cp->Tx(flow, payload, qword_addr, 0x1234,
-                 [&](StatusOr<std::uint64_t> addr) {
-                   ASSERT_TRUE(addr.ok()) << addr.status().ToString();
-                   payload_addr = addr.value();
-                 });
+  sim::Start(cluster.cp->Tx(flow, payload, qword_addr, 0x1234),
+             [&](StatusOr<std::uint64_t> addr) {
+               ASSERT_TRUE(addr.ok()) << addr.status().ToString();
+               payload_addr = addr.value();
+             });
   cluster.events.Run();
   ASSERT_NE(payload_addr, 0u);
   Bytes landed(payload.size());
@@ -375,6 +376,34 @@ TEST(Broadcast, DeploysToAllNodesWithTightCommitWindow) {
   }
 }
 
+// Tearing the simulation down mid-flight frees every suspended flow: the
+// pending callback that would resume a chain owns it, and the chain owns
+// its caller's callback, so none leaks and none fires.
+TEST(Teardown, InFlightFlowsDieWithTheSimulation) {
+  auto token = std::make_shared<int>(0);
+  int fired = 0;
+  {
+    Cluster cluster(2);
+    CollectiveCodeFlow group(*cluster.cp, cluster.flows);
+    RecoveryManager recovery(*cluster.cp);
+    const bpf::Program prog = CounterProgram();
+    cluster.cp->InjectExtension(
+        *cluster.flows[0], prog, 0,
+        [token, &fired](StatusOr<InjectTrace>) { ++fired; });
+    group.Broadcast(prog, 1, nullptr,
+                    [token, &fired](StatusOr<BroadcastResult>) { ++fired; });
+    group.DeployPipelined(
+        {DeploySpec{&prog, 2}}, PipelineOptions{},
+        [token, &fired](StatusOr<PipelineResult>) { ++fired; });
+    sim::Start(recovery.DeployReliably(*cluster.flows[1], prog, 3),
+               [token, &fired](StatusOr<RecoveryOutcome>) { ++fired; });
+    cluster.events.RunUntil(cluster.events.Now() + sim::Micros(5));
+    EXPECT_EQ(token.use_count(), 5);
+  }
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
 // The desc address committed in `hook`'s slot, read from the node itself.
 std::uint64_t SlotDesc(Cluster& cluster, int node, int hook) {
   return cluster.sandboxes[node]
@@ -388,12 +417,13 @@ std::uint64_t SlotDesc(Cluster& cluster, int node, int hook) {
 // Quarantines whatever node 0 runs at `hook` (revert target: detach).
 void QuarantineNode0(Cluster& cluster, int hook) {
   bool done = false;
-  cluster.cp->QuarantineHook(*cluster.flows[0], hook,
-                             SlotDesc(cluster, 0, hook), /*good_desc=*/0,
-                             [&](Status s) {
-                               ASSERT_TRUE(s.ok()) << s.ToString();
-                               done = true;
-                             });
+  sim::Start(cluster.cp->QuarantineHook(*cluster.flows[0], hook,
+                                        SlotDesc(cluster, 0, hook),
+                                        /*good_desc=*/0),
+             [&](Status s) {
+               ASSERT_TRUE(s.ok()) << s.ToString();
+               done = true;
+             });
   cluster.events.Run();
   ASSERT_TRUE(done);
 }
@@ -413,7 +443,7 @@ TEST(Broadcast, QuarantineAfterBroadcastBlacklistsProgram) {
   QuarantineNode0(cluster, 0);
   EXPECT_TRUE(cluster.cp->IsBlacklisted(ProgramFingerprint(prog)));
   Status redeploy;
-  cluster.cp->ValidateCode(prog, [&](Status s) { redeploy = s; });
+  sim::Start(cluster.cp->ValidateCode(prog), [&](Status s) { redeploy = s; });
   cluster.events.Run();
   EXPECT_EQ(redeploy.code(), StatusCode::kPermissionDenied);
 }
@@ -434,7 +464,7 @@ TEST(Broadcast, QuarantineAfterBroadcastWasmBlacklistsFilter) {
   QuarantineNode0(cluster, 1);
   EXPECT_TRUE(cluster.cp->IsBlacklisted(WasmFingerprint(filter)));
   Status redeploy;
-  cluster.cp->ValidateCode(filter, [&](Status s) { redeploy = s; });
+  sim::Start(cluster.cp->ValidateCode(filter), [&](Status s) { redeploy = s; });
   cluster.events.Run();
   EXPECT_EQ(redeploy.code(), StatusCode::kPermissionDenied);
 }
@@ -470,29 +500,30 @@ TEST_P(CommitTailTest, CasAndWriteCommitsBecomeVisible) {
   const bpf::Program prog2 =
       bpf::GenerateProgram({.target_insns = 200, .seed = 5});
   const bpf::JitImage* image = nullptr;
-  cluster.cp->Build(prog2, [&](StatusOr<const bpf::JitImage*> r) {
+  sim::Start(cluster.cp->Build(prog2), [&](StatusOr<const bpf::JitImage*> r) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     image = r.value();
   });
   cluster.events.Run();
   ASSERT_NE(image, nullptr);
   std::optional<ControlPlane::PreparedImage> prepared;
-  cluster.cp->LinkAndPrepare(
-      flow, prog2, *image, 0, ProgramFingerprint(prog2),
-      [&](StatusOr<ControlPlane::PreparedImage> p) {
-        ASSERT_TRUE(p.ok()) << p.status().ToString();
-        prepared = p.value();
-      });
+  sim::Start(cluster.cp->LinkAndPrepare(flow, prog2, *image, 0,
+                                        ProgramFingerprint(prog2)),
+             [&](StatusOr<ControlPlane::PreparedImage> p) {
+               ASSERT_TRUE(p.ok()) << p.status().ToString();
+               prepared = p.value();
+             });
   cluster.events.Run();
   ASSERT_TRUE(prepared.has_value());
 
   std::uint64_t doorbells = cluster.fabric.doorbells_rung();
   std::uint64_t chained_wrs = cluster.fabric.chained_wrs();
   bool committed = false;
-  cluster.cp->CommitPreparedCas(flow, 0, *prepared, v1_desc, [&](Status s) {
-    ASSERT_TRUE(s.ok()) << s.ToString();
-    committed = true;
-  });
+  sim::Start(cluster.cp->CommitPreparedCas(flow, 0, *prepared, v1_desc),
+             [&](Status s) {
+               ASSERT_TRUE(s.ok()) << s.ToString();
+               committed = true;
+             });
   cluster.events.Run();
   ASSERT_TRUE(committed);
   EXPECT_EQ(flow.HookVersion(0), 2u);
@@ -507,7 +538,7 @@ TEST_P(CommitTailTest, CasAndWriteCommitsBecomeVisible) {
   doorbells = cluster.fabric.doorbells_rung();
   chained_wrs = cluster.fabric.chained_wrs();
   bool rolled_back = false;
-  cluster.cp->Rollback(flow, 0, [&](Status s) {
+  sim::Start(cluster.cp->Rollback(flow, 0), [&](Status s) {
     ASSERT_TRUE(s.ok()) << s.ToString();
     rolled_back = true;
   });

@@ -197,16 +197,17 @@ TEST(Inspector, HealthyDeploymentPasses) {
   rig.Inject(7);
   Inspector inspector(*rig.cp);
   bool done = false;
-  inspector.Inspect(*rig.flow, 0, [&](StatusOr<InspectReport> report) {
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    EXPECT_TRUE(report->deployed);
-    EXPECT_TRUE(report->desc_matches);
-    EXPECT_TRUE(report->version_matches);
-    EXPECT_TRUE(report->checksum_ok);
-    EXPECT_TRUE(report->signature_ok);
-    EXPECT_TRUE(report->Healthy(/*signing_enabled=*/true));
-    done = true;
-  });
+  sim::Start(inspector.Inspect(*rig.flow, 0),
+             [&](StatusOr<InspectReport> report) {
+               ASSERT_TRUE(report.ok()) << report.status().ToString();
+               EXPECT_TRUE(report->deployed);
+               EXPECT_TRUE(report->desc_matches);
+               EXPECT_TRUE(report->version_matches);
+               EXPECT_TRUE(report->checksum_ok);
+               EXPECT_TRUE(report->signature_ok);
+               EXPECT_TRUE(report->Healthy(/*signing_enabled=*/true));
+               done = true;
+             });
   rig.events.Run();
   EXPECT_TRUE(done);
 }
@@ -215,11 +216,12 @@ TEST(Inspector, EmptyHookReportsNotDeployed) {
   SecureRig rig;
   Inspector inspector(*rig.cp);
   bool done = false;
-  inspector.Inspect(*rig.flow, 3, [&](StatusOr<InspectReport> report) {
-    ASSERT_TRUE(report.ok());
-    EXPECT_FALSE(report->deployed);
-    done = true;
-  });
+  sim::Start(inspector.Inspect(*rig.flow, 3),
+             [&](StatusOr<InspectReport> report) {
+               ASSERT_TRUE(report.ok());
+               EXPECT_FALSE(report->deployed);
+               done = true;
+             });
   rig.events.Run();
   EXPECT_TRUE(done);
 }
@@ -239,14 +241,15 @@ TEST(Inspector, DetectsImageTampering) {
 
   Inspector inspector(*rig.cp);
   bool done = false;
-  inspector.Inspect(*rig.flow, 0, [&](StatusOr<InspectReport> report) {
-    ASSERT_TRUE(report.ok());
-    EXPECT_TRUE(report->deployed);
-    EXPECT_FALSE(report->checksum_ok);
-    EXPECT_FALSE(report->signature_ok);
-    EXPECT_FALSE(report->Healthy(true));
-    done = true;
-  });
+  sim::Start(inspector.Inspect(*rig.flow, 0),
+             [&](StatusOr<InspectReport> report) {
+               ASSERT_TRUE(report.ok());
+               EXPECT_TRUE(report->deployed);
+               EXPECT_FALSE(report->checksum_ok);
+               EXPECT_FALSE(report->signature_ok);
+               EXPECT_FALSE(report->Healthy(true));
+               done = true;
+             });
   rig.events.Run();
   EXPECT_TRUE(done);
 }
@@ -268,14 +271,15 @@ TEST(Inspector, DetectsHookHijack) {
 
   Inspector inspector(*rig.cp);
   bool done = false;
-  inspector.Inspect(*rig.flow, 0, [&](StatusOr<InspectReport> report) {
-    ASSERT_TRUE(report.ok());
-    EXPECT_TRUE(report->deployed);
-    EXPECT_FALSE(report->desc_matches);
-    EXPECT_FALSE(report->version_matches);
-    EXPECT_FALSE(report->Healthy(true));
-    done = true;
-  });
+  sim::Start(inspector.Inspect(*rig.flow, 0),
+             [&](StatusOr<InspectReport> report) {
+               ASSERT_TRUE(report.ok());
+               EXPECT_TRUE(report->deployed);
+               EXPECT_FALSE(report->desc_matches);
+               EXPECT_FALSE(report->version_matches);
+               EXPECT_FALSE(report->Healthy(true));
+               done = true;
+             });
   rig.events.Run();
   EXPECT_TRUE(done);
 }

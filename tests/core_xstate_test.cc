@@ -38,7 +38,7 @@ struct Rig {
 
   std::uint64_t Deploy(CodeFlow& flow, const bpf::MapSpec& spec) {
     std::uint64_t addr = 0;
-    cp->DeployXState(flow, spec, [&](StatusOr<std::uint64_t> a) {
+    sim::Start(cp->DeployXState(flow, spec), [&](StatusOr<std::uint64_t> a) {
       EXPECT_TRUE(a.ok()) << a.status().ToString();
       if (a.ok()) addr = a.value();
     });
@@ -241,12 +241,12 @@ TEST(XStateLimits, MetaDirectoryCapacityEnforced) {
   bool rejected = false;
   bpf::MapSpec overflow = spec;
   overflow.name = "overflow";
-  rig.cp->DeployXState(*rig.flows[0], overflow,
-                       [&](StatusOr<std::uint64_t> a) {
-                         EXPECT_EQ(a.status().code(),
-                                   StatusCode::kResourceExhausted);
-                         rejected = true;
-                       });
+  sim::Start(rig.cp->DeployXState(*rig.flows[0], overflow),
+             [&](StatusOr<std::uint64_t> a) {
+               EXPECT_EQ(a.status().code(),
+                         StatusCode::kResourceExhausted);
+               rejected = true;
+             });
   rig.events.Run();
   EXPECT_TRUE(rejected);
 }
@@ -265,10 +265,11 @@ TEST(XStateLimits, ScratchpadExhaustionSurfaces) {
   bool rejected = false;
   bpf::MapSpec big2 = big;
   big2.name = "b2";
-  rig.cp->DeployXState(*rig.flows[0], big2, [&](StatusOr<std::uint64_t> a) {
-    EXPECT_EQ(a.status().code(), StatusCode::kScratchExhausted);
-    rejected = true;
-  });
+  sim::Start(rig.cp->DeployXState(*rig.flows[0], big2),
+             [&](StatusOr<std::uint64_t> a) {
+               EXPECT_EQ(a.status().code(), StatusCode::kScratchExhausted);
+               rejected = true;
+             });
   rig.events.Run();
   EXPECT_TRUE(rejected);
 }

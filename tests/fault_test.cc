@@ -120,13 +120,11 @@ struct FaultRig {
                                            int hook, int max_retries = -1) {
     StatusOr<RecoveryOutcome> result = InvalidArgument("never completed");
     bool settled = false;
-    rm.DeployReliably(
-        *flows[node], prog, hook,
-        [&](StatusOr<RecoveryOutcome> r) {
-          result = std::move(r);
-          settled = true;
-        },
-        max_retries);
+    sim::Start(rm.DeployReliably(*flows[node], prog, hook, max_retries),
+               [&](StatusOr<RecoveryOutcome> r) {
+                 result = std::move(r);
+                 settled = true;
+               });
     while (!settled && !events.Empty()) events.Step();
     EXPECT_TRUE(settled);
     return result;

@@ -114,10 +114,11 @@ struct GuardrailRig {
   // Committed desc address of `hook` as the control plane sees it.
   std::uint64_t DescAddr(int hook) {
     std::uint64_t addr = 0;
-    cp->ProbeHook(*flow, hook, [&](StatusOr<ControlPlane::HookProbe> p) {
-      ASSERT_TRUE(p.ok()) << p.status().ToString();
-      addr = p->desc_addr;
-    });
+    sim::Start(cp->ProbeHook(*flow, hook),
+               [&](StatusOr<ControlPlane::HookProbe> p) {
+                 ASSERT_TRUE(p.ok()) << p.status().ToString();
+                 addr = p->desc_addr;
+               });
     events.Run();
     return addr;
   }
@@ -206,11 +207,12 @@ TEST(Guardrail, HealthBlockWireContractMatchesLocalView) {
   // A one-sided READ decodes to the same view the local CPU has.
   core::HealthView remote;
   bool read = false;
-  rig.cp->ReadHealth(*rig.flow, 2, [&](StatusOr<core::HealthView> h) {
-    ASSERT_TRUE(h.ok()) << h.status().ToString();
-    remote = h.value();
-    read = true;
-  });
+  sim::Start(rig.cp->ReadHealth(*rig.flow, 2),
+             [&](StatusOr<core::HealthView> h) {
+               ASSERT_TRUE(h.ok()) << h.status().ToString();
+               remote = h.value();
+               read = true;
+             });
   rig.events.Run();
   ASSERT_TRUE(read);
   const core::HealthView local = rig.sandbox->ReadLocalHealth(2);
@@ -426,7 +428,7 @@ TEST(Guardrail, SupersededImagesReclaimedOnCommit) {
 
   // Rollback within the retained depth still works: v3 -> v2.
   bool rolled = false;
-  rig.cp->Rollback(*rig.flow, 0, [&](Status s) {
+  sim::Start(rig.cp->Rollback(*rig.flow, 0), [&](Status s) {
     ASSERT_TRUE(s.ok()) << s.ToString();
     rolled = true;
   });
@@ -473,11 +475,11 @@ TEST(Guardrail, ScratchExhaustionIsCleanStatusAndNotRetried) {
   Status through_recovery = InvalidArgument("never completed");
   bool settled = false;
   gen.seed = 999;
-  rm.DeployReliably(*rig.flow, bpf::GenerateProgram(gen), 0,
-                    [&](StatusOr<core::RecoveryOutcome> r) {
-                      through_recovery = r.status();
-                      settled = true;
-                    });
+  sim::Start(rm.DeployReliably(*rig.flow, bpf::GenerateProgram(gen), 0),
+             [&](StatusOr<core::RecoveryOutcome> r) {
+               through_recovery = r.status();
+               settled = true;
+             });
   rig.events.Run();
   ASSERT_TRUE(settled);
   EXPECT_EQ(through_recovery.code(), StatusCode::kScratchExhausted);

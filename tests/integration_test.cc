@@ -127,7 +127,7 @@ TEST(Integration, DetachEmptiesHook) {
   EXPECT_EQ(world.sandboxes[0]->ExecuteHook(0, packet)->r0, 9u);
 
   bool detached = false;
-  world.cp->Detach(*world.flows[0], 0, [&](Status s) {
+  sim::Start(world.cp->Detach(*world.flows[0], 0), [&](Status s) {
     ASSERT_TRUE(s.ok()) << s.ToString();
     detached = true;
   });
@@ -176,7 +176,7 @@ TEST(Integration, RollbackChainRestoresEachVersion) {
   EXPECT_EQ(world.sandboxes[0]->ExecuteHook(0, packet)->r0, 40u);
   for (std::uint64_t expect : {30u, 20u, 10u}) {
     bool done = false;
-    world.cp->Rollback(flow, 0, [&](Status s) {
+    sim::Start(world.cp->Rollback(flow, 0), [&](Status s) {
       ASSERT_TRUE(s.ok());
       done = true;
     });
@@ -186,7 +186,7 @@ TEST(Integration, RollbackChainRestoresEachVersion) {
   }
   // Nothing left to roll back to.
   bool failed = false;
-  world.cp->Rollback(flow, 0, [&](Status s) {
+  sim::Start(world.cp->Rollback(flow, 0), [&](Status s) {
     EXPECT_FALSE(s.ok());
     failed = true;
   });

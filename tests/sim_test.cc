@@ -2,11 +2,16 @@
 // processor-sharing CPU model, cache-coherence model, link model.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "sim/cache.h"
 #include "sim/cost_model.h"
 #include "sim/cpu.h"
 #include "sim/event_queue.h"
 #include "sim/network.h"
+#include "sim/task.h"
 
 namespace rdx::sim {
 namespace {
@@ -97,6 +102,20 @@ TEST(EventQueue, RunUntilSkipsCancelledHead) {
   EXPECT_EQ(q.Now(), 10);
 }
 
+TEST(EventQueue, CancelAfterFireIsNoOp) {
+  EventQueue q;
+  bool b_ran = false;
+  const auto a = q.ScheduleAt(1, [] {});
+  q.ScheduleAt(10, [&] { b_ran = true; });
+  ASSERT_TRUE(q.Step());
+  q.Cancel(a);       // already fired
+  q.Cancel(a + 99);  // never issued
+  EXPECT_FALSE(q.Empty());
+  EXPECT_EQ(q.Run(), 1u);
+  EXPECT_TRUE(b_ran);
+  EXPECT_TRUE(q.Empty());
+}
+
 TEST(EventQueue, PastSchedulingClampsToNow) {
   EventQueue q;
   q.ScheduleAt(100, [] {});
@@ -105,6 +124,103 @@ TEST(EventQueue, PastSchedulingClampsToNow) {
   q.ScheduleAt(5, [&] { fired_at = static_cast<int>(q.Now()); });
   q.Run();
   EXPECT_EQ(fired_at, 100);
+}
+
+// ---- Task ----
+
+// Bumps a counter when destroyed: marks a coroutine frame's end.
+struct Counted {
+  int* destroyed;
+  ~Counted() { ++*destroyed; }
+};
+
+Task<int> Immediate(int v) { co_return v; }
+
+Task<int> Leaf(EventQueue& q, int* destroyed) {
+  Counted local{destroyed};
+  co_await Sleep(q, 5);
+  co_return 1;
+}
+
+Task<int> Parent(EventQueue& q, int* destroyed) {
+  Counted local{destroyed};
+  const int a = co_await Leaf(q, destroyed);
+  const int b = co_await Immediate(10);
+  const int c = co_await Leaf(q, destroyed);
+  co_return a + b + c;
+}
+
+Task<int> AwaitCallee(std::vector<std::string>* log) {
+  const int v = co_await Await<int>([log](auto done) {
+    log->push_back("callee calls back");
+    done(7);
+    done(8);  // a second call is ignored
+    log->push_back("callee returns");
+  });
+  log->push_back("resumed");
+  co_return v;
+}
+
+TEST(Task, SyncCallbackResumesBeforeCalleeReturns) {
+  std::vector<std::string> log;
+  Start(AwaitCallee(&log), [&](int v) {
+    log.push_back("done " + std::to_string(v));
+  });
+  EXPECT_EQ(log, (std::vector<std::string>{"callee calls back", "resumed",
+                                           "done 7", "callee returns"}));
+}
+
+TEST(Task, AwaitingAChildAddsNoEvent) {
+  EventQueue q;
+  int destroyed = 0;
+  int result = 0;
+  q.ScheduleAt(3, [&] {
+    Start(Parent(q, &destroyed), [&](int v) { result = v; });
+  });
+  // The start event and the two sleeps: the awaits themselves add none.
+  EXPECT_EQ(q.Run(), 3u);
+  EXPECT_EQ(result, 12);
+  EXPECT_EQ(q.Now(), 13);
+  EXPECT_EQ(destroyed, 3);  // both leaves and the parent
+}
+
+TEST(Task, DroppedCallbackDestroysTheWholeChain) {
+  int destroyed = 0;
+  bool finished = false;
+  std::shared_ptr<Counted> guard(new Counted{&destroyed});
+  {
+    EventQueue q;
+    Start(Parent(q, &destroyed), [&finished, guard](int) { finished = true; });
+    guard.reset();
+    EXPECT_EQ(destroyed, 0);
+    // `q` dies holding the first leaf's sleep: the only claim on the chain.
+  }
+  EXPECT_FALSE(finished);
+  // The leaf, the parent, and the Start callback (through its capture).
+  EXPECT_EQ(destroyed, 3);
+}
+
+TEST(Task, StartHandsTheResultOverExactlyOnce) {
+  EventQueue q;
+  int destroyed = 0;
+  int calls = 0;
+  int result = 0;
+  Start(Parent(q, &destroyed), [&](int v) {
+    ++calls;
+    result = v;
+  });
+  EXPECT_EQ(calls, 0);
+  q.Run();
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(result, 12);
+
+  // A task that never suspends reports before Start returns.
+  Start(Immediate(5), [&](int v) {
+    ++calls;
+    result = v;
+  });
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(result, 5);
 }
 
 // ---- CpuScheduler ----

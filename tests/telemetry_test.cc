@@ -512,7 +512,7 @@ TEST(TelemetryE2E, HarvestUnderReadFaultsAccountsLossThenRecovers) {
   rig.events.ScheduleAfter(sim::Micros(100), [] {});
   rig.events.Run();
   bool reconnected = false;
-  rig.cp->ReconnectCodeFlow(*rig.flow, [&](Status s) {
+  sim::Start(rig.cp->ReconnectCodeFlow(*rig.flow), [&](Status s) {
     ASSERT_TRUE(s.ok()) << s.ToString();
     reconnected = true;
   });
