@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
+#include <memory>
 #include <vector>
 
 #include "bpf/exec.h"
@@ -25,14 +26,14 @@ struct Env {
   std::vector<Insn> resolved;
   JitImage image;
 
-  explicit Env(std::size_t insns) {
+  explicit Env(std::size_t insns, std::uint64_t seed = 3) {
     rt.mem = &mem;
     rt.rng = &rng;
     opts.ctx_addr = mem.Allocate(256).value();
     opts.ctx_len = 256;
     opts.stack_addr = mem.Allocate(kStackSize).value();
 
-    Program prog = GenerateProgram({.target_insns = insns, .seed = 3});
+    Program prog = GenerateProgram({.target_insns = insns, .seed = seed});
     const MapSpec& spec = prog.maps[0];
     const std::uint64_t map_addr =
         mem.Allocate(MapRequiredBytes(spec), 8).value();
@@ -85,6 +86,29 @@ void BM_JitThreadedCode(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(insns));
 }
 BENCHMARK(BM_JitThreadedCode)->Arg(1000)->Arg(10000);
+
+// Sixteen distinct programs run round-robin: the branch-predictor pressure
+// a sandbox sees across redeploys, where no single op sequence repeats
+// long enough to be learned.
+void BM_JitRotating(benchmark::State& state) {
+  std::vector<std::unique_ptr<Env>> envs;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    envs.push_back(
+        std::make_unique<Env>(static_cast<std::size_t>(state.range(0)), seed));
+  }
+  std::uint64_t insns = 0;
+  std::size_t next = 0;
+  for (auto _ : state) {
+    Env& env = *envs[next];
+    next = (next + 1) % envs.size();
+    auto result = RunJit(env.image, env.rt, env.opts);
+    if (!result.ok()) state.SkipWithError("jit failed");
+    insns += result->insns_executed;
+    benchmark::DoNotOptimize(result->r0);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(insns));
+}
+BENCHMARK(BM_JitRotating)->Arg(800);
 
 void BM_ImageSerialize(benchmark::State& state) {
   Env env(static_cast<std::size_t>(state.range(0)));

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
+#include <iterator>
 
 #include "bpf/eval_inl.h"
 
@@ -340,25 +342,56 @@ StatusOr<JitImage> JitCompiler::Compile(const Program& prog) const {
 namespace {
 
 // ---- Fused opcodes ----
-// ALU operations and branch conditions are 4-bit fields (op >> 4); each
-// gets four consecutive fused codes, one per (width, operand form).
+// Numbered densely, in the order of Execute's dispatch table. Each ALU
+// operation and branch condition, in X-list order, gets four consecutive
+// codes, one per (width, operand form).
+#define RDX_JIT_LIST(OP) OP,
+constexpr std::uint8_t kAluOps[] = {RDX_BPF_ALU_OPS(RDX_JIT_LIST)};
+constexpr std::uint8_t kConds[] = {RDX_BPF_JMP_CONDS(RDX_JIT_LIST)};
+#undef RDX_JIT_LIST
+constexpr std::uint8_t kNumAluOps = std::size(kAluOps);
+constexpr std::uint8_t kNumConds = std::size(kConds);
+
+// Each list position by the op's 4-bit field (op >> 4); N where absent.
+template <std::size_t N>
+constexpr std::array<std::uint8_t, 16> IndexByField(
+    const std::uint8_t (&list)[N]) {
+  std::array<std::uint8_t, 16> index{};
+  index.fill(N);
+  for (std::uint8_t i = 0; i < N; ++i) index[list[i] >> 4] = i;
+  return index;
+}
+constexpr auto kAluIndex = IndexByField(kAluOps);
+constexpr auto kCondIndex = IndexByField(kConds);
+// Position of ALU operation / branch condition `op` in its X-list, or the
+// list's length when `op` is not one.
+constexpr std::uint8_t AluIndex(std::uint8_t op) {
+  return (op & 0x0f) == 0 ? kAluIndex[op >> 4] : kNumAluOps;
+}
+constexpr std::uint8_t CondIndex(std::uint8_t op) {
+  return (op & 0x0f) == 0 ? kCondIndex[op >> 4] : kNumConds;
+}
+
 constexpr std::uint8_t Form(bool is64, bool reg) {
   return static_cast<std::uint8_t>((is64 ? 0 : 2) | (reg ? 1 : 0));
 }
 constexpr std::uint8_t AluCode(std::uint8_t op, bool is64, bool reg) {
-  return static_cast<std::uint8_t>(4 * (op >> 4) + Form(is64, reg));
+  return static_cast<std::uint8_t>(4 * AluIndex(op) + Form(is64, reg));
 }
-constexpr std::uint8_t kJmpCodeBase = 4 * 16;
+constexpr std::uint8_t kJmpCodeBase = 4 * kNumAluOps;
 constexpr std::uint8_t JmpCode(std::uint8_t cond, bool is64, bool reg) {
-  return static_cast<std::uint8_t>(kJmpCodeBase + 4 * (cond >> 4) +
+  return static_cast<std::uint8_t>(kJmpCodeBase + 4 * CondIndex(cond) +
                                    Form(is64, reg));
 }
-// The rest: loads and stores come in runs of four, one per access size
-// 1/2/4/8, then the six (direction, width) byte swaps, then FrameCode's
-// set-on-condition pairs (K, X) per condition, host call and returns.
+// The rest: the generic helper call and the two array-map helpers, loads
+// and stores in runs of four, one per access size 1/2/4/8, the six
+// (direction, width) byte swaps, then FrameCode's set-on-condition pairs
+// (K, X) per condition, host call and returns.
 enum FusedCode : std::uint8_t {
-  kJa = kJmpCodeBase + 4 * 16,
+  kJa = kJmpCodeBase + 4 * kNumConds,
   kCall,
+  kMapLookup,
+  kMapUpdate,
   kExit,
   kLdImm64,
   kLdx = kLdImm64 + 1,
@@ -371,19 +404,18 @@ enum FusedCode : std::uint8_t {
   kBe32,
   kBe64,
   kSetCond,
-  kHostCall = kSetCond + 2 * 16,
+  kHostCall = kSetCond + 2 * kNumConds,
   kRet,
   kRetK,
+  kNumFused,
 };
 constexpr std::uint8_t SetCode(std::uint8_t cond, bool reg) {
-  return static_cast<std::uint8_t>(kSetCond + 2 * (cond >> 4) + (reg ? 1 : 0));
+  return static_cast<std::uint8_t>(kSetCond + 2 * CondIndex(cond) +
+                                   (reg ? 1 : 0));
 }
 
-bool IsAluOp(std::uint8_t op) { return (op & 0x0f) == 0 && op <= kAluArsh; }
-bool IsCond(std::uint8_t op) {
-  return (op & 0x0f) == 0 && op != kJmpJa && op != kJmpCall &&
-         op != kJmpExit && op <= kJmpJsle;
-}
+bool IsAluOp(std::uint8_t op) { return AluIndex(op) < kNumAluOps; }
+bool IsCond(std::uint8_t op) { return CondIndex(op) < kNumConds; }
 int SizeIndex(std::uint8_t bytes) {
   switch (bytes) {
     case 1: return 0;
@@ -436,7 +468,9 @@ const char* Fuse(MicroOp& op, std::size_t code_size, std::size_t num_regs) {
       op.fused = kJa;
       return nullptr;
     case OpKind::kCall:
-      op.fused = kCall;
+      op.fused = op.imm == kHelperMapLookupElem   ? kMapLookup
+                 : op.imm == kHelperMapUpdateElem ? kMapUpdate
+                                                  : kCall;
       return nullptr;
     case OpKind::kExit:
       op.fused = kExit;
@@ -540,6 +574,67 @@ bool StoreFlat(const MemWindow& window, std::uint64_t addr,
   return true;
 }
 
+// The array slot a map_lookup_elem / map_update_elem call selects, found
+// as CallHelperFn finds it: the map registered at `map_addr`, its storage
+// and the key sized by that spec, and the header re-read from memory and
+// passed through ArraySlotOffset. `value` is null, and the caller must
+// take CallHelperFn, for any other map type, any range outside the window
+// and any header the rule refuses; so an inline result is always the
+// helper's result.
+struct ArraySlot {
+  std::uint8_t* value = nullptr;
+  std::uint64_t offset = 0;      // from the map's address
+  std::uint32_t value_size = 0;  // per the header
+  const MapSpec* spec = nullptr;
+};
+
+// The registration a run's helper calls last resolved. Helpers never
+// register maps, so rt.maps, and the entry this points to, cannot change
+// while a program runs.
+struct LastMap {
+  std::uint64_t addr = 0;
+  const MapSpec* spec = nullptr;
+};
+
+inline ArraySlot FindArraySlot(const RuntimeContext& rt,
+                               const MemWindow& window, LastMap& last,
+                               std::uint64_t map_addr,
+                               std::uint64_t key_addr) {
+  if (last.spec == nullptr || last.addr != map_addr) {
+    const auto it = rt.maps.find(map_addr);
+    if (it == rt.maps.end()) return {};
+    last = {map_addr, &it->second};
+  }
+  const MapSpec& spec = *last.spec;
+  if (spec.type != MapType::kArray) return {};
+  const std::uint64_t bytes = MapRequiredBytes(spec);
+  std::uint8_t* storage = window.Find(map_addr, bytes);
+  const std::uint8_t* key = window.Find(key_addr, spec.key_size);
+  MapHeader h{};
+  if (storage == nullptr || key == nullptr || !ReadMapHeader(storage, h)) {
+    return {};
+  }
+  const std::uint64_t off = ArraySlotOffset(h, key, spec.key_size, bytes);
+  if (off == 0) return {};
+  return {storage + off, off, h.value_size, &spec};
+}
+
+// Execute's dispatch table: handler addresses by fused code, and the
+// `unknown` handler for every code Fuse never sets.
+struct DispatchTable {
+  const void* at[256];
+};
+
+template <std::size_t N>
+DispatchTable MakeDispatchTable(const void* const (&handlers)[N],
+                                const void* unknown) {
+  static_assert(N == kNumFused, "one handler per fused code");
+  DispatchTable table;
+  std::fill(std::begin(table.at), std::end(table.at), unknown);
+  std::copy(std::begin(handlers), std::end(handlers), table.at);
+  return table;
+}
+
 }  // namespace
 
 Status JitImage::FuseCode() {
@@ -589,145 +684,224 @@ namespace {
 // with `rt` and no `host`, FrameCode with `host` and no `rt`; the checks
 // that made the code runnable keep each to the ops its environment
 // supports.
+//
+// Dispatch is replicated: every handler ends in RDX_JIT_NEXT, its own
+// indirect jump through the table of handler addresses (GCC/Clang labels
+// as values), so the branch predictor learns each handler's successors
+// separately instead of funnelling every op through one jump.
 StatusOr<ExecResult> Execute(const MicroOp* const code, const std::size_t n,
                              std::uint64_t* const regs,
                              const std::uint64_t limit, RuntimeContext* rt,
                              HostFunctions* host) {
+  // Indexed by fused code: ALU and branch handlers in X-list order, four
+  // forms each in Form() order, then the rest in FusedCode order.
+#define RDX_JIT_ALU_LABELS(OP) \
+  &&alu64k_##OP, &&alu64x_##OP, &&alu32k_##OP, &&alu32x_##OP,
+#define RDX_JIT_JMP_LABELS(OP) \
+  &&jmp64k_##OP, &&jmp64x_##OP, &&jmp32k_##OP, &&jmp32x_##OP,
+#define RDX_JIT_SET_LABELS(OP) &&setk_##OP, &&setx_##OP,
+  static const DispatchTable kTable = MakeDispatchTable(
+      {RDX_BPF_ALU_OPS(RDX_JIT_ALU_LABELS)
+       RDX_BPF_JMP_CONDS(RDX_JIT_JMP_LABELS)
+       &&ja, &&call, &&map_lookup, &&map_update, &&exit, &&ld_imm64,
+       &&ldx_0, &&ldx_1, &&ldx_2, &&ldx_3, &&st_0, &&st_1, &&st_2, &&st_3,
+       &&stx_0, &&stx_1, &&stx_2, &&stx_3,
+       &&le16, &&le32, &&le64, &&be16, &&be32, &&be64,
+       RDX_BPF_JMP_CONDS(RDX_JIT_SET_LABELS)
+       &&host_call, &&ret, &&ret_k},
+      &&unknown);
+#undef RDX_JIT_ALU_LABELS
+#undef RDX_JIT_JMP_LABELS
+#undef RDX_JIT_SET_LABELS
+
   MemSpace* const mem = rt != nullptr ? rt->mem : nullptr;
   const MemWindow window = mem != nullptr ? mem->window() : MemWindow{};
   std::uint64_t executed = 0;
-  std::uint32_t pc = 0;
-  while (true) {
-    if (pc >= n) return Aborted("jit pc ran off the end");
-    const MicroOp& op = code[pc++];
-    executed += op.retire;
-    if (executed > limit) {
-      return ResourceExhausted("instruction limit exceeded");
-    }
-    switch (op.fused) {
+  const MicroOp* const end = code + n;
+  const MicroOp* next = code;  // branch targets are at most n: never past end
+  const MicroOp* op = nullptr;
+  LastMap last_map;
+#define RDX_JIT_NEXT                                                        \
+  do {                                                                      \
+    if (next == end) return Aborted("jit pc ran off the end");              \
+    op = next++;                                                            \
+    executed += op->retire;                                                 \
+    if (executed > limit) {                                                 \
+      return ResourceExhausted("instruction limit exceeded");               \
+    }                                                                       \
+    goto* kTable.at[op->fused];                                             \
+  } while (false)
+
+  RDX_JIT_NEXT;
+
 // One handler per (op, width, operand form), each instantiating the
 // shared rule from eval_inl.h for its constant op.
 #define RDX_JIT_ALU(OP)                                                     \
-  case AluCode(OP, true, false):                                            \
-    regs[op.dst] = internal::Alu<OP, true>(regs[op.dst], Imm(op));          \
-    break;                                                                  \
-  case AluCode(OP, true, true):                                             \
-    regs[op.dst] = internal::Alu<OP, true>(regs[op.dst], regs[op.src]);     \
-    break;                                                                  \
-  case AluCode(OP, false, false):                                           \
-    regs[op.dst] = internal::Alu<OP, false>(regs[op.dst], Imm(op));         \
-    break;                                                                  \
-  case AluCode(OP, false, true):                                            \
-    regs[op.dst] = internal::Alu<OP, false>(regs[op.dst], regs[op.src]);    \
-    break;
-      RDX_BPF_ALU_OPS(RDX_JIT_ALU)
+  alu64k_##OP:                                                              \
+    regs[op->dst] = internal::Alu<OP, true>(regs[op->dst], Imm(*op));       \
+    RDX_JIT_NEXT;                                                           \
+  alu64x_##OP:                                                              \
+    regs[op->dst] = internal::Alu<OP, true>(regs[op->dst], regs[op->src]);  \
+    RDX_JIT_NEXT;                                                           \
+  alu32k_##OP:                                                              \
+    regs[op->dst] = internal::Alu<OP, false>(regs[op->dst], Imm(*op));      \
+    RDX_JIT_NEXT;                                                           \
+  alu32x_##OP:                                                              \
+    regs[op->dst] = internal::Alu<OP, false>(regs[op->dst], regs[op->src]); \
+    RDX_JIT_NEXT;
+  RDX_BPF_ALU_OPS(RDX_JIT_ALU)
 #undef RDX_JIT_ALU
 #define RDX_JIT_JMP(OP)                                                     \
-  case JmpCode(OP, true, false):                                            \
-    if (internal::Jmp<OP>(regs[op.dst], Imm(op))) pc = op.target;           \
-    break;                                                                  \
-  case JmpCode(OP, true, true):                                             \
-    if (internal::Jmp<OP>(regs[op.dst], regs[op.src])) pc = op.target;      \
-    break;                                                                  \
-  case JmpCode(OP, false, false):                                           \
-    if (internal::Jmp<OP>(internal::SignExtend32(regs[op.dst]),             \
-                          internal::SignExtend32(Imm(op)))) {               \
-      pc = op.target;                                                       \
+  jmp64k_##OP:                                                              \
+    if (internal::Jmp<OP>(regs[op->dst], Imm(*op))) {                       \
+      next = code + op->target;                                             \
     }                                                                       \
-    break;                                                                  \
-  case JmpCode(OP, false, true):                                            \
-    if (internal::Jmp<OP>(internal::SignExtend32(regs[op.dst]),             \
-                          internal::SignExtend32(regs[op.src]))) {          \
-      pc = op.target;                                                       \
+    RDX_JIT_NEXT;                                                           \
+  jmp64x_##OP:                                                              \
+    if (internal::Jmp<OP>(regs[op->dst], regs[op->src])) {                  \
+      next = code + op->target;                                             \
     }                                                                       \
-    break;
-      RDX_BPF_JMP_CONDS(RDX_JIT_JMP)
+    RDX_JIT_NEXT;                                                           \
+  jmp32k_##OP:                                                              \
+    if (internal::Jmp<OP>(internal::SignExtend32(regs[op->dst]),            \
+                          internal::SignExtend32(Imm(*op)))) {              \
+      next = code + op->target;                                             \
+    }                                                                       \
+    RDX_JIT_NEXT;                                                           \
+  jmp32x_##OP:                                                              \
+    if (internal::Jmp<OP>(internal::SignExtend32(regs[op->dst]),            \
+                          internal::SignExtend32(regs[op->src]))) {         \
+      next = code + op->target;                                             \
+    }                                                                       \
+    RDX_JIT_NEXT;
+  RDX_BPF_JMP_CONDS(RDX_JIT_JMP)
 #undef RDX_JIT_JMP
 // Loads and stores: a bounds check plus memcpy inside the window; the
 // general path outside it reports the same errors as before.
 #define RDX_JIT_MEM(SIZE, T)                                                \
-  case kLdx + SIZE: {                                                       \
-    const std::uint64_t addr = regs[op.src] + Imm(op);                      \
-    if (!LoadFlat<T>(window, addr, regs[op.dst])) {                         \
-      RDX_RETURN_IF_ERROR(mem->LoadInt(addr, sizeof(T), regs[op.dst]));     \
+  ldx_##SIZE: {                                                             \
+    const std::uint64_t addr = regs[op->src] + Imm(*op);                    \
+    if (!LoadFlat<T>(window, addr, regs[op->dst])) {                        \
+      RDX_RETURN_IF_ERROR(mem->LoadInt(addr, sizeof(T), regs[op->dst]));    \
     }                                                                       \
-    break;                                                                  \
+    RDX_JIT_NEXT;                                                           \
   }                                                                         \
-  case kSt + SIZE: {                                                        \
+  st_##SIZE: {                                                              \
     const std::uint64_t addr =                                              \
-        regs[op.dst] +                                                      \
-        static_cast<std::int64_t>(static_cast<std::int32_t>(op.target));    \
-    if (!StoreFlat<T>(window, addr, Imm(op))) {                             \
-      RDX_RETURN_IF_ERROR(mem->StoreInt(addr, sizeof(T), Imm(op)));         \
+        regs[op->dst] +                                                     \
+        static_cast<std::int64_t>(static_cast<std::int32_t>(op->target));   \
+    if (!StoreFlat<T>(window, addr, Imm(*op))) {                            \
+      RDX_RETURN_IF_ERROR(mem->StoreInt(addr, sizeof(T), Imm(*op)));        \
     }                                                                       \
-    break;                                                                  \
+    RDX_JIT_NEXT;                                                           \
   }                                                                         \
-  case kStx + SIZE: {                                                       \
-    const std::uint64_t addr = regs[op.dst] + Imm(op);                      \
-    if (!StoreFlat<T>(window, addr, regs[op.src])) {                        \
-      RDX_RETURN_IF_ERROR(mem->StoreInt(addr, sizeof(T), regs[op.src]));    \
+  stx_##SIZE: {                                                             \
+    const std::uint64_t addr = regs[op->dst] + Imm(*op);                    \
+    if (!StoreFlat<T>(window, addr, regs[op->src])) {                       \
+      RDX_RETURN_IF_ERROR(mem->StoreInt(addr, sizeof(T), regs[op->src]));   \
     }                                                                       \
-    break;                                                                  \
+    RDX_JIT_NEXT;                                                           \
   }
-      RDX_JIT_MEM(0, std::uint8_t)
-      RDX_JIT_MEM(1, std::uint16_t)
-      RDX_JIT_MEM(2, std::uint32_t)
-      RDX_JIT_MEM(3, std::uint64_t)
+  RDX_JIT_MEM(0, std::uint8_t)
+  RDX_JIT_MEM(1, std::uint16_t)
+  RDX_JIT_MEM(2, std::uint32_t)
+  RDX_JIT_MEM(3, std::uint64_t)
 #undef RDX_JIT_MEM
-      case kJa:
-        pc = op.target;
-        break;
-      case kCall: {
-        const std::array<std::uint64_t, kMaxHelperArgs> args = {
-            regs[1], regs[2], regs[3], regs[4], regs[5]};
-        RDX_ASSIGN_OR_RETURN(regs[0], CallHelperFn(*rt, op.imm, args));
-        // r1-r5 are caller-saved and clobbered by the call.
-        for (int r = 1; r <= 5; ++r) regs[r] = 0;
-        break;
-      }
-      case kExit:
-        return ExecResult{regs[0], executed};
-      case kLdImm64:
-        regs[op.dst] = op.imm64;
-        break;
-#define RDX_JIT_ENDIAN(CODE, WIDTH, TO_BE)                                  \
-  case CODE:                                                                \
-    regs[op.dst] = internal::Endian<WIDTH, TO_BE>(regs[op.dst]);            \
-    break;
-      RDX_JIT_ENDIAN(kLe16, 16, false)
-      RDX_JIT_ENDIAN(kLe32, 32, false)
-      RDX_JIT_ENDIAN(kLe64, 64, false)
-      RDX_JIT_ENDIAN(kBe16, 16, true)
-      RDX_JIT_ENDIAN(kBe32, 32, true)
-      RDX_JIT_ENDIAN(kBe64, 64, true)
+ja:
+  next = code + op->target;
+  RDX_JIT_NEXT;
+// Helper calls; r1-r5 are caller-saved and clobbered by every call. The
+// array-map helpers run inline when FindArraySlot finds the slot, and
+// everything else goes to CallHelperFn.
+//
+// A handler's locals live in its own block: a computed goto must never
+// jump past the initialization of a variable still in scope.
+#define RDX_JIT_HELPER_CALL                                                 \
+  do {                                                                      \
+    RDX_ASSIGN_OR_RETURN(                                                   \
+        regs[0], CallHelperFn(*rt, op->imm, {regs[1], regs[2], regs[3],     \
+                                             regs[4], regs[5]}));           \
+  } while (false)
+#define RDX_JIT_CLOBBER_ARGS                                                \
+  regs[1] = regs[2] = regs[3] = regs[4] = regs[5] = 0
+call:
+  RDX_JIT_HELPER_CALL;
+  RDX_JIT_CLOBBER_ARGS;
+  RDX_JIT_NEXT;
+map_lookup: {
+  const ArraySlot slot =
+      FindArraySlot(*rt, window, last_map, regs[1], regs[2]);
+  if (slot.value != nullptr) {
+    regs[0] = regs[1] + slot.offset;
+  } else {
+    RDX_JIT_HELPER_CALL;
+  }
+  RDX_JIT_CLOBBER_ARGS;
+  RDX_JIT_NEXT;
+}
+map_update: {
+  const ArraySlot slot =
+      FindArraySlot(*rt, window, last_map, regs[1], regs[2]);
+  // The helper reads value_size bytes as the registered spec sizes them
+  // and refuses a header that disagrees.
+  const std::uint8_t* value =
+      slot.value != nullptr && slot.value_size == slot.spec->value_size
+          ? window.Find(regs[3], slot.value_size)
+          : nullptr;
+  if (value != nullptr) {
+    // `value` may lie inside the map itself.
+    std::memmove(slot.value, value, slot.value_size);
+    regs[0] = 0;
+  } else {
+    RDX_JIT_HELPER_CALL;
+  }
+  RDX_JIT_CLOBBER_ARGS;
+  RDX_JIT_NEXT;
+}
+#undef RDX_JIT_HELPER_CALL
+#undef RDX_JIT_CLOBBER_ARGS
+exit:
+  return ExecResult{regs[0], executed};
+ld_imm64:
+  regs[op->dst] = op->imm64;
+  RDX_JIT_NEXT;
+#define RDX_JIT_ENDIAN(LABEL, WIDTH, TO_BE)                                 \
+  LABEL:                                                                    \
+    regs[op->dst] = internal::Endian<WIDTH, TO_BE>(regs[op->dst]);          \
+    RDX_JIT_NEXT;
+  RDX_JIT_ENDIAN(le16, 16, false)
+  RDX_JIT_ENDIAN(le32, 32, false)
+  RDX_JIT_ENDIAN(le64, 64, false)
+  RDX_JIT_ENDIAN(be16, 16, true)
+  RDX_JIT_ENDIAN(be32, 32, true)
+  RDX_JIT_ENDIAN(be64, 64, true)
 #undef RDX_JIT_ENDIAN
 #define RDX_JIT_SET(OP)                                                     \
-  case SetCode(OP, false):                                                  \
-    regs[op.dst] = internal::Jmp<OP>(regs[op.dst], Imm(op));                \
-    break;                                                                  \
-  case SetCode(OP, true):                                                   \
-    regs[op.dst] = internal::Jmp<OP>(regs[op.dst], regs[op.src]);           \
-    break;
-      RDX_BPF_JMP_CONDS(RDX_JIT_SET)
+  setk_##OP:                                                                \
+    regs[op->dst] = internal::Jmp<OP>(regs[op->dst], Imm(*op));             \
+    RDX_JIT_NEXT;                                                           \
+  setx_##OP:                                                                \
+    regs[op->dst] = internal::Jmp<OP>(regs[op->dst], regs[op->src]);        \
+    RDX_JIT_NEXT;
+  RDX_BPF_JMP_CONDS(RDX_JIT_SET)
 #undef RDX_JIT_SET
-      case kHostCall: {
-        const std::uint64_t arg0 =
-            (op.aux & kHostArg0Imm) != 0 ? op.imm64 : regs[op.src];
-        const std::uint64_t arg1 =
-            (op.aux & kHostArg1Imm) != 0 ? Imm(op) : regs[op.imm];
-        RDX_ASSIGN_OR_RETURN(
-            regs[op.dst],
-            host->CallHost(static_cast<std::int32_t>(op.target), arg0, arg1));
-        break;
-      }
-      case kRet:
-        return ExecResult{regs[op.src], executed};
-      case kRetK:
-        return ExecResult{op.imm64, executed};
-      default:
-        return Internal("jit image with unknown fused op");
-    }
-  }
+host_call: {
+  const std::uint64_t arg0 =
+      (op->aux & kHostArg0Imm) != 0 ? op->imm64 : regs[op->src];
+  const std::uint64_t arg1 =
+      (op->aux & kHostArg1Imm) != 0 ? Imm(*op) : regs[op->imm];
+  RDX_ASSIGN_OR_RETURN(
+      regs[op->dst],
+      host->CallHost(static_cast<std::int32_t>(op->target), arg0, arg1));
+  RDX_JIT_NEXT;
+}
+ret:
+  return ExecResult{regs[op->src], executed};
+ret_k:
+  return ExecResult{op->imm64, executed};
+unknown:
+  return Internal("jit image with unknown fused op");
+#undef RDX_JIT_NEXT
 }
 
 }  // namespace

@@ -14,9 +14,13 @@
 //
 // When an image becomes runnable (decoded, or linked in memory) every
 // micro-op is checked once and gets one fused opcode for its (kind,
-// ALU/JMP op, width, K/X form). RunJit then pays one dispatch per op and
-// checks per op only what depends on run-time values: the pc, the fuel
-// and the memory bounds.
+// ALU/JMP op, width, K/X form); map_lookup_elem and map_update_elem call
+// sites get opcodes of their own. RunJit then pays one dispatch per op,
+// replicated at the end of every handler, and checks per op only what
+// depends on run-time values: the pc, the fuel and the memory bounds. The
+// two map helpers serve array maps inline, re-reading the map header and
+// bounds-checking key, value and slot on every call exactly as
+// CallHelperFn does, and leave every other case to CallHelperFn.
 //
 // The same executor runs Wasm filters: wasm::WasmImage lowers its stack
 // code to micro-ops over a register frame (FrameCode), and each micro-op

@@ -6,13 +6,6 @@
 namespace rdx::bpf {
 
 namespace {
-// Header field offsets.
-constexpr std::uint64_t kOffMagic = 0;
-constexpr std::uint64_t kOffType = 4;
-constexpr std::uint64_t kOffKeySize = 8;
-constexpr std::uint64_t kOffValueSize = 12;
-constexpr std::uint64_t kOffMaxEntries = 16;
-constexpr std::uint64_t kOffUsed = 20;
 // Ring buffer head/tail aliases (public offsets live in maps.h).
 constexpr std::uint64_t kOffRingHead = kRingHeadOffset;
 constexpr std::uint64_t kOffRingTail = kRingTailOffset;
@@ -23,6 +16,14 @@ constexpr std::uint64_t kRingSkipBit = 1ull << 63;
 constexpr std::uint64_t kHashStateEmpty = 0;
 constexpr std::uint64_t kHashStateUsed = 1;
 constexpr std::uint64_t kHashStateTomb = 2;
+
+// Cursors that RingOutput and RingConsume can have left in a ring of
+// `data_bytes`: 8-aligned, tail not past head, at most data_bytes apart.
+bool RingCursorsValid(std::uint64_t head, std::uint64_t tail,
+                      std::uint64_t data_bytes) {
+  return head % 8 == 0 && tail % 8 == 0 && tail <= head &&
+         head - tail <= data_bytes;
+}
 }  // namespace
 
 MapView::HashGeometry MapView::GeometryFor(std::uint32_t key_size,
@@ -33,7 +34,7 @@ MapView::HashGeometry MapView::GeometryFor(std::uint32_t key_size,
   g.value_pad = PadTo8(value_size);
   g.entry_bytes = 8 + g.key_pad + g.value_pad;
   g.capacity = std::bit_ceil<std::uint64_t>(
-      std::max<std::uint64_t>(max_entries * 2, 8));
+      std::max<std::uint64_t>(std::uint64_t{max_entries} * 2, 8));
   return g;
 }
 
@@ -61,13 +62,16 @@ Status MapView::Init(const MapSpec& spec) {
   if (storage_.size() < need) {
     return InvalidArgument("map storage too small");
   }
+  if (spec.type == MapType::kArray && spec.key_size != 4) {
+    return InvalidArgument("array map keys must be 4-byte indices");
+  }
   std::memset(storage_.data(), 0, need);
-  StoreLE<std::uint32_t>(storage_.data() + kOffMagic, kMapMagic);
-  storage_[kOffType] = static_cast<std::uint8_t>(spec.type);
-  StoreLE<std::uint32_t>(storage_.data() + kOffKeySize, spec.key_size);
-  StoreLE<std::uint32_t>(storage_.data() + kOffValueSize, spec.value_size);
-  StoreLE<std::uint32_t>(storage_.data() + kOffMaxEntries, spec.max_entries);
-  StoreLE<std::uint32_t>(storage_.data() + kOffUsed, 0);
+  StoreLE<std::uint32_t>(storage_.data() + kMapOffMagic, kMapMagic);
+  storage_[kMapOffType] = static_cast<std::uint8_t>(spec.type);
+  StoreLE<std::uint32_t>(storage_.data() + kMapOffKeySize, spec.key_size);
+  StoreLE<std::uint32_t>(storage_.data() + kMapOffValueSize, spec.value_size);
+  StoreLE<std::uint32_t>(storage_.data() + kMapOffMaxEntries, spec.max_entries);
+  StoreLE<std::uint32_t>(storage_.data() + kMapOffUsed, 0);
   return OkStatus();
 }
 
@@ -75,15 +79,37 @@ StatusOr<MapHeader> MapView::Header() const {
   if (storage_.size() < kMapHeaderBytes) {
     return InvalidArgument("storage smaller than map header");
   }
-  if (LoadLE<std::uint32_t>(storage_.data() + kOffMagic) != kMapMagic) {
+  MapHeader h{};
+  if (!ReadMapHeader(storage_.data(), h)) {
     return FailedPrecondition("bad map magic (storage not formatted)");
   }
-  MapHeader h;
-  h.type = static_cast<MapType>(storage_[kOffType]);
-  h.key_size = LoadLE<std::uint32_t>(storage_.data() + kOffKeySize);
-  h.value_size = LoadLE<std::uint32_t>(storage_.data() + kOffValueSize);
-  h.max_entries = LoadLE<std::uint32_t>(storage_.data() + kOffMaxEntries);
-  h.used = LoadLE<std::uint32_t>(storage_.data() + kOffUsed);
+  return h;
+}
+
+StatusOr<MapHeader> MapView::FittedHeader() const {
+  RDX_ASSIGN_OR_RETURN(const MapHeader h, Header());
+  const std::uint64_t avail = storage_.size() - kMapHeaderBytes;
+  bool fits = true;
+  switch (h.type) {
+    case MapType::kArray:
+      if (h.key_size != 4) {
+        return InvalidArgument("array map keys must be 4-byte indices");
+      }
+      // ArraySlotOffset checks each slot; this bounds one value.
+      fits = h.value_size <= avail;
+      break;
+    case MapType::kHash: {
+      const auto g = GeometryFor(h.key_size, h.value_size, h.max_entries);
+      fits = g.capacity <= avail / g.entry_bytes;
+      break;
+    }
+    case MapType::kRingBuf:
+      fits = avail >= kRingDataStart - kMapHeaderBytes &&
+             h.max_entries <= (avail - (kRingDataStart - kMapHeaderBytes)) /
+                                  (PadTo8(h.value_size) + 8);
+      break;
+  }
+  if (!fits) return FailedPrecondition("map header exceeds its storage");
   return h;
 }
 
@@ -95,7 +121,7 @@ Status MapView::CheckKey(const MapHeader& h, ByteSpan key) const {
 }
 
 StatusOr<std::uint64_t> MapView::LookupOffset(ByteSpan key) const {
-  RDX_ASSIGN_OR_RETURN(const MapHeader h, Header());
+  RDX_ASSIGN_OR_RETURN(const MapHeader h, FittedHeader());
   RDX_RETURN_IF_ERROR(CheckKey(h, key));
   return OffsetOf(h, key);
 }
@@ -104,10 +130,10 @@ StatusOr<std::uint64_t> MapView::OffsetOf(const MapHeader& h,
                                           ByteSpan key) const {
   switch (h.type) {
     case MapType::kArray: {
-      const std::uint32_t idx = LoadLE<std::uint32_t>(key.data());
-      if (idx >= h.max_entries) return OutOfRange("array index");
-      return kMapHeaderBytes +
-             static_cast<std::uint64_t>(idx) * h.value_size;
+      const std::uint64_t off =
+          ArraySlotOffset(h, key.data(), key.size(), storage_.size());
+      if (off == 0) return OutOfRange("array index outside the map");
+      return off;
     }
     case MapType::kHash: {
       const auto g = GeometryFor(h.key_size, h.value_size, h.max_entries);
@@ -133,7 +159,7 @@ StatusOr<std::uint64_t> MapView::OffsetOf(const MapHeader& h,
 }
 
 Status MapView::Lookup(ByteSpan key, MutableByteSpan out) const {
-  RDX_ASSIGN_OR_RETURN(const MapHeader h, Header());
+  RDX_ASSIGN_OR_RETURN(const MapHeader h, FittedHeader());
   if (out.size() != h.value_size) {
     return InvalidArgument("value buffer size mismatch");
   }
@@ -142,8 +168,10 @@ Status MapView::Lookup(ByteSpan key, MutableByteSpan out) const {
   return OkStatus();
 }
 
+// Keys, values and records may lie inside the very storage they are copied
+// into (a program can pass a pointer into its own map), hence memmove.
 Status MapView::Update(ByteSpan key, ByteSpan value) {
-  RDX_ASSIGN_OR_RETURN(const MapHeader h, Header());
+  RDX_ASSIGN_OR_RETURN(const MapHeader h, FittedHeader());
   RDX_RETURN_IF_ERROR(CheckKey(h, key));
   if (value.size() != h.value_size) {
     return InvalidArgument("value size mismatch");
@@ -151,7 +179,7 @@ Status MapView::Update(ByteSpan key, ByteSpan value) {
   switch (h.type) {
     case MapType::kArray: {
       RDX_ASSIGN_OR_RETURN(const std::uint64_t off, OffsetOf(h, key));
-      std::memcpy(storage_.data() + off, value.data(), h.value_size);
+      std::memmove(storage_.data() + off, value.data(), h.value_size);
       return OkStatus();
     }
     case MapType::kHash: {
@@ -166,8 +194,8 @@ Status MapView::Update(ByteSpan key, ByteSpan value) {
         if (state == kHashStateUsed &&
             std::memcmp(storage_.data() + off + 8, key.data(),
                         h.key_size) == 0) {
-          std::memcpy(storage_.data() + off + 8 + g.key_pad, value.data(),
-                      h.value_size);
+          std::memmove(storage_.data() + off + 8 + g.key_pad, value.data(),
+                       h.value_size);
           return OkStatus();
         }
         if (state != kHashStateUsed && !have_insert) {
@@ -182,10 +210,10 @@ Status MapView::Update(ByteSpan key, ByteSpan value) {
         return ResourceExhausted("hash map at max_entries");
       }
       StoreLE<std::uint64_t>(storage_.data() + insert_off, kHashStateUsed);
-      std::memcpy(storage_.data() + insert_off + 8, key.data(), h.key_size);
-      std::memcpy(storage_.data() + insert_off + 8 + g.key_pad, value.data(),
-                  h.value_size);
-      StoreLE<std::uint32_t>(storage_.data() + kOffUsed, h.used + 1);
+      std::memmove(storage_.data() + insert_off + 8, key.data(), h.key_size);
+      std::memmove(storage_.data() + insert_off + 8 + g.key_pad, value.data(),
+                   h.value_size);
+      StoreLE<std::uint32_t>(storage_.data() + kMapOffUsed, h.used + 1);
       return OkStatus();
     }
     case MapType::kRingBuf:
@@ -195,7 +223,7 @@ Status MapView::Update(ByteSpan key, ByteSpan value) {
 }
 
 Status MapView::Delete(ByteSpan key) {
-  RDX_ASSIGN_OR_RETURN(const MapHeader h, Header());
+  RDX_ASSIGN_OR_RETURN(const MapHeader h, FittedHeader());
   RDX_RETURN_IF_ERROR(CheckKey(h, key));
   switch (h.type) {
     case MapType::kArray: {
@@ -208,7 +236,7 @@ Status MapView::Delete(ByteSpan key) {
       RDX_ASSIGN_OR_RETURN(const std::uint64_t value_off, OffsetOf(h, key));
       const std::uint64_t entry_off = value_off - 8 - g.key_pad;
       StoreLE<std::uint64_t>(storage_.data() + entry_off, kHashStateTomb);
-      StoreLE<std::uint32_t>(storage_.data() + kOffUsed, h.used - 1);
+      StoreLE<std::uint32_t>(storage_.data() + kMapOffUsed, h.used - 1);
       return OkStatus();
     }
     case MapType::kRingBuf:
@@ -218,7 +246,7 @@ Status MapView::Delete(ByteSpan key) {
 }
 
 Status MapView::RingOutput(ByteSpan record) {
-  RDX_ASSIGN_OR_RETURN(const MapHeader h, Header());
+  RDX_ASSIGN_OR_RETURN(const MapHeader h, FittedHeader());
   if (h.type != MapType::kRingBuf) {
     return FailedPrecondition("RingOutput on non-ring map");
   }
@@ -230,6 +258,9 @@ Status MapView::RingOutput(ByteSpan record) {
   std::uint64_t head = LoadLE<std::uint64_t>(storage_.data() + kOffRingHead);
   const std::uint64_t tail =
       LoadLE<std::uint64_t>(storage_.data() + kOffRingTail);
+  if (!RingCursorsValid(head, tail, data_bytes)) {
+    return FailedPrecondition("corrupt ring cursors");
+  }
   // `head`/`tail` are monotonically increasing byte counters; physical
   // position is counter % data_bytes.
   std::uint64_t pos = head % data_bytes;
@@ -248,15 +279,15 @@ Status MapView::RingOutput(ByteSpan record) {
   if (rec_bytes > avail) return ResourceExhausted("ring buffer full");
   StoreLE<std::uint64_t>(storage_.data() + kRingDataStart + pos,
                          record.size());
-  std::memcpy(storage_.data() + kRingDataStart + pos + 8, record.data(),
-              record.size());
+  std::memmove(storage_.data() + kRingDataStart + pos + 8, record.data(),
+               record.size());
   StoreLE<std::uint64_t>(storage_.data() + kOffRingHead, head + rec_bytes);
-  StoreLE<std::uint32_t>(storage_.data() + kOffUsed, h.used + 1);
+  StoreLE<std::uint32_t>(storage_.data() + kMapOffUsed, h.used + 1);
   return OkStatus();
 }
 
 StatusOr<std::vector<Bytes>> MapView::RingConsume() {
-  RDX_ASSIGN_OR_RETURN(const MapHeader h, Header());
+  RDX_ASSIGN_OR_RETURN(const MapHeader h, FittedHeader());
   if (h.type != MapType::kRingBuf) {
     return FailedPrecondition("RingConsume on non-ring map");
   }
@@ -265,6 +296,9 @@ StatusOr<std::vector<Bytes>> MapView::RingConsume() {
   const std::uint64_t head =
       LoadLE<std::uint64_t>(storage_.data() + kOffRingHead);
   std::uint64_t tail = LoadLE<std::uint64_t>(storage_.data() + kOffRingTail);
+  if (!RingCursorsValid(head, tail, data_bytes)) {
+    return FailedPrecondition("corrupt ring cursors");
+  }
 
   std::vector<Bytes> out;
   while (tail < head) {
@@ -272,8 +306,16 @@ StatusOr<std::vector<Bytes>> MapView::RingConsume() {
     const std::uint64_t len_word =
         LoadLE<std::uint64_t>(storage_.data() + kRingDataStart + pos);
     if (len_word & kRingSkipBit) {
+      // RingOutput skips exactly to the end of the data region.
+      if ((len_word & ~kRingSkipBit) != data_bytes - pos) {
+        return FailedPrecondition("corrupt ring skip marker");
+      }
       tail += len_word & ~kRingSkipBit;
       continue;
+    }
+    if (len_word > data_bytes - pos - 8 ||
+        8 + PadTo8(len_word) > head - tail) {
+      return FailedPrecondition("corrupt ring record length");
     }
     Bytes rec(len_word);
     std::memcpy(rec.data(), storage_.data() + kRingDataStart + pos + 8,
@@ -282,7 +324,7 @@ StatusOr<std::vector<Bytes>> MapView::RingConsume() {
     tail += 8 + PadTo8(len_word);
   }
   StoreLE<std::uint64_t>(storage_.data() + kOffRingTail, tail);
-  StoreLE<std::uint32_t>(storage_.data() + kOffUsed, 0);
+  StoreLE<std::uint32_t>(storage_.data() + kMapOffUsed, 0);
   return out;
 }
 
@@ -292,7 +334,7 @@ StatusOr<std::uint32_t> MapView::Used() const {
 }
 
 Status MapView::NextKey(ByteSpan prev_key, MutableByteSpan out_key) const {
-  RDX_ASSIGN_OR_RETURN(const MapHeader h, Header());
+  RDX_ASSIGN_OR_RETURN(const MapHeader h, FittedHeader());
   if (out_key.size() != h.key_size) {
     return InvalidArgument("key buffer size mismatch");
   }
@@ -347,7 +389,10 @@ Status MapView::NextKey(ByteSpan prev_key, MutableByteSpan out_key) const {
 }
 
 StatusOr<std::vector<std::pair<Bytes, Bytes>>> MapView::Dump() const {
-  RDX_ASSIGN_OR_RETURN(const MapHeader h, Header());
+  RDX_ASSIGN_OR_RETURN(const MapHeader h, FittedHeader());
+  if (h.type == MapType::kRingBuf) {
+    return Unimplemented("iteration on ring buffer");
+  }
   std::vector<std::pair<Bytes, Bytes>> out;
   Bytes key(h.key_size);
   Bytes prev;

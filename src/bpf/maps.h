@@ -28,6 +28,13 @@ namespace rdx::bpf {
 
 constexpr std::uint32_t kMapMagic = 0x50414d58;  // "XMAP"
 constexpr std::uint64_t kMapHeaderBytes = 32;
+// Header field offsets.
+constexpr std::uint64_t kMapOffMagic = 0;
+constexpr std::uint64_t kMapOffType = 4;
+constexpr std::uint64_t kMapOffKeySize = 8;
+constexpr std::uint64_t kMapOffValueSize = 12;
+constexpr std::uint64_t kMapOffMaxEntries = 16;
+constexpr std::uint64_t kMapOffUsed = 20;
 // Ring-buffer cursor words live right after the header; the tail is the
 // consumer-owned word (advanced remotely by XStateRingConsume).
 constexpr std::uint64_t kRingHeadOffset = kMapHeaderBytes;
@@ -44,6 +51,40 @@ struct MapHeader {
 // Total storage a map of this spec needs, header included.
 std::uint64_t MapRequiredBytes(const MapSpec& spec);
 
+// Reads the header at `storage`, which holds at least kMapHeaderBytes,
+// and returns whether its magic marks the storage as formatted.
+inline bool ReadMapHeader(const std::uint8_t* storage, MapHeader& h) {
+  h.type = static_cast<MapType>(storage[kMapOffType]);
+  h.key_size = LoadLE<std::uint32_t>(storage + kMapOffKeySize);
+  h.value_size = LoadLE<std::uint32_t>(storage + kMapOffValueSize);
+  h.max_entries = LoadLE<std::uint32_t>(storage + kMapOffMaxEntries);
+  h.used = LoadLE<std::uint32_t>(storage + kMapOffUsed);
+  return LoadLE<std::uint32_t>(storage + kMapOffMagic) == kMapMagic;
+}
+
+// The array-slot rule, the one place an array index becomes a value
+// address; MapView and the JIT's inline map helpers both use it. Returns
+// the offset of the value that `key` (key_size bytes) selects in storage
+// of `storage_bytes` bytes starting with header `h`, or 0 when `h` is not
+// an array map with 4-byte keys of key_size, the index is at or past
+// max_entries, or the slot does not end inside the storage. Nothing is
+// taken on trust: the header may have been rewritten since the storage
+// was sized.
+inline std::uint64_t ArraySlotOffset(const MapHeader& h,
+                                     const std::uint8_t* key,
+                                     std::uint64_t key_size,
+                                     std::uint64_t storage_bytes) {
+  if (h.type != MapType::kArray || h.key_size != 4 || key_size != 4) {
+    return 0;
+  }
+  const std::uint32_t idx = LoadLE<std::uint32_t>(key);
+  if (idx >= h.max_entries) return 0;
+  const std::uint64_t off =
+      kMapHeaderBytes + static_cast<std::uint64_t>(idx) * h.value_size;
+  return off <= storage_bytes && h.value_size <= storage_bytes - off ? off
+                                                                      : 0;
+}
+
 // Accessor over a map's storage bytes. Holds no state of its own: it can
 // be constructed on the fly over any span that contains a formatted map
 // (including bytes just fetched via RDMA READ).
@@ -51,10 +92,13 @@ class MapView {
  public:
   explicit MapView(MutableByteSpan storage) : storage_(storage) {}
 
-  // Formats the storage for `spec`. Fails if the span is too small.
+  // Formats the storage for `spec`. Fails if the span is too small, or
+  // for an array map whose keys are not 4-byte indices.
   Status Init(const MapSpec& spec);
 
-  // Parses and validates the header.
+  // Parses and validates the header. Every other operation also checks
+  // each offset and length the header implies against the span, so a
+  // header that claims more than the span holds is refused, not trusted.
   StatusOr<MapHeader> Header() const;
 
   // Returns the offset of the value for `key` within the storage, or
@@ -104,6 +148,10 @@ class MapView {
 
  private:
   Status CheckKey(const MapHeader& h, ByteSpan key) const;
+  // Header() plus a check that what the header describes fits the span:
+  // the whole table of a hash or ring map, one value and 4-byte keys of
+  // an array (whose slots ArraySlotOffset checks one by one).
+  StatusOr<MapHeader> FittedHeader() const;
   // LookupOffset over a header already parsed and a key already checked.
   StatusOr<std::uint64_t> OffsetOf(const MapHeader& h, ByteSpan key) const;
 

@@ -4,10 +4,12 @@
 // over the whole supported ISA — all 13 ALU ops and all 11 branch
 // conditions in 64/32-bit and K/X forms, 1/2/4/8-byte loads and stores,
 // both byte-swap directions, operands with high bits set, helper calls and
-// the odd wild access — plus the generated stress programs and rogue
-// programs run at the exact fuel boundary.
+// the odd wild access — plus map-helper programs run against rewritten map
+// headers, the generated stress programs and rogue programs run at the
+// exact fuel boundary.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 
 #include "bpf/interpreter.h"
@@ -61,9 +63,13 @@ struct Machine {
 };
 
 // Runs `prog` on both engines from identical machines and checks that
-// every observable outcome agrees.
-void ExpectEnginesAgree(const Program& prog, std::uint64_t ctx_seed,
-                        std::uint64_t limit, const std::string& what) {
+// every observable outcome agrees. With `rounds` > 1 it runs again on the
+// same machines, and before each later run `between(machine, round)`
+// changes both machines alike.
+void ExpectEnginesAgree(
+    const Program& prog, std::uint64_t ctx_seed, std::uint64_t limit,
+    const std::string& what, int rounds = 1,
+    const std::function<void(Machine&, int)>& between = nullptr) {
   Machine interp_m(prog, ctx_seed, limit);
   std::vector<Insn> resolved = prog.insns;
   for (std::size_t i = 0; i < resolved.size(); ++i) {
@@ -74,7 +80,6 @@ void ExpectEnginesAgree(const Program& prog, std::uint64_t ctx_seed,
       resolved[i + 1].imm = static_cast<std::int32_t>(addr >> 32);
     }
   }
-  auto want = Interpret(resolved, interp_m.rt, interp_m.opts);
 
   Machine jit_m(prog, ctx_seed, limit);
   auto image = JitCompiler().Compile(prog);
@@ -85,20 +90,28 @@ void ExpectEnginesAgree(const Program& prog, std::uint64_t ctx_seed,
     }
   }
   ASSERT_TRUE(image->MakeRunnable().ok()) << what;
-  auto got = RunJit(*image, jit_m.rt, jit_m.opts);
 
-  ASSERT_EQ(want.ok(), got.ok())
-      << what << ": interpreter " << want.status().ToString() << ", jit "
-      << got.status().ToString();
-  if (want.ok()) {
-    EXPECT_EQ(want->r0, got->r0) << what;
-    EXPECT_EQ(want->insns_executed, got->insns_executed) << what;
-  } else {
-    EXPECT_EQ(want.status(), got.status()) << what;
+  for (int round = 0; round < rounds; ++round) {
+    const std::string run = what + " round " + std::to_string(round);
+    if (round > 0) {
+      between(interp_m, round);
+      between(jit_m, round);
+    }
+    auto want = Interpret(resolved, interp_m.rt, interp_m.opts);
+    auto got = RunJit(*image, jit_m.rt, jit_m.opts);
+    ASSERT_EQ(want.ok(), got.ok())
+        << run << ": interpreter " << want.status().ToString() << ", jit "
+        << got.status().ToString();
+    if (want.ok()) {
+      EXPECT_EQ(want->r0, got->r0) << run;
+      EXPECT_EQ(want->insns_executed, got->insns_executed) << run;
+    } else {
+      EXPECT_EQ(want.status(), got.status()) << run;
+    }
+    EXPECT_EQ(interp_m.rt.trace_count, jit_m.rt.trace_count) << run;
+    ASSERT_TRUE(interp_m.Snapshot() == jit_m.Snapshot())
+        << run << ": memory differs";
   }
-  EXPECT_EQ(interp_m.rt.trace_count, jit_m.rt.trace_count) << what;
-  EXPECT_TRUE(interp_m.Snapshot() == jit_m.Snapshot())
-      << what << ": memory differs";
 }
 
 // ---- random programs over the whole ISA ----
@@ -154,7 +167,163 @@ MemOperand PickMem(Rng& rng, int bytes) {
                                            kStackSize / bytes))))};
 }
 
-Program RandomProgram(std::uint64_t seed, std::size_t body) {
+// ---- map helper calls ----
+
+// Two array maps and a hash map. Their handles are stored at the bottom of
+// the stack in the prologue (handle k at kHandleSlot + 8k), so the body
+// needs no two-slot LD_IMM64 a random forward jump could land inside.
+const std::vector<MapSpec> kFuzzMaps = {
+    {"arr8", MapType::kArray, 4, 8, 16},
+    {"arr16", MapType::kArray, 4, 16, 4},
+    {"hash", MapType::kHash, 8, 8, 8},
+};
+constexpr std::int16_t kHandleSlot = -kStackSize;
+constexpr std::int16_t kKeySlot = -8;
+constexpr std::int16_t kValueSlot = -32;  // 16 bytes
+constexpr std::int16_t kResultSlot = -40;  // xor of every call's r0
+
+constexpr std::int32_t kHelperOf[] = {kHelperMapLookupElem,
+                                      kHelperMapUpdateElem,
+                                      kHelperMapDeleteElem};
+
+// A header word and a value for it: the spec's own value, off by one
+// either way, zero, values far past the storage, and for an array's
+// value size the whole data region and one byte more, so that one slot
+// ends exactly at, or one byte past, the storage.
+std::pair<std::int16_t, std::uint32_t> HeaderRewrite(Rng& rng,
+                                                     const MapSpec& spec) {
+  const auto data = static_cast<std::uint32_t>(MapRequiredBytes(spec) -
+                                               kMapHeaderBytes);
+  switch (rng.NextBounded(5)) {
+    case 0: {
+      static constexpr std::uint32_t kMagics[] = {kMapMagic, kMapMagic ^ 1, 0};
+      return {kMapOffMagic, kMagics[rng.NextBounded(3)]};
+    }
+    case 1:
+      return {kMapOffType, static_cast<std::uint32_t>(rng.NextBounded(4))};
+    case 2: {
+      static constexpr std::uint32_t kKeySizes[] = {4, 8, 2, 0, 5};
+      return {kMapOffKeySize, kKeySizes[rng.NextBounded(5)]};
+    }
+    case 3: {
+      const std::uint32_t sizes[] = {data, data + 1, spec.value_size,
+                                     spec.value_size - 1, spec.value_size + 1,
+                                     0};
+      return {kMapOffValueSize, sizes[rng.NextBool(0.5) ? rng.NextBounded(2)
+                                                        : rng.NextBounded(6)]};
+    }
+    default: {
+      const std::uint32_t entries[] = {spec.max_entries, spec.max_entries - 1,
+                                       spec.max_entries + 1, 0, 1000,
+                                       0xffffffffu};
+      return {kMapOffMaxEntries, entries[rng.NextBounded(6)]};
+    }
+  }
+}
+
+// A key for `spec`: array indices in range, the first and last, at and
+// past the end, and far out; hash keys from a small space, so lookups hit
+// and updates fill it. Index 0 is the slot a value size rewritten to the
+// whole data region (plus one) puts right at the storage's end.
+std::int32_t RandomKey(Rng& rng, const MapSpec& spec) {
+  if (spec.type == MapType::kHash) {
+    return static_cast<std::int32_t>(rng.NextBounded(12));
+  }
+  const auto n = static_cast<std::int32_t>(spec.max_entries);
+  const std::int32_t keys[] = {0, 0, n - 1, n, n + 1, -1, 1000};
+  return rng.NextBool(0.5)
+             ? static_cast<std::int32_t>(rng.NextBounded(spec.max_entries))
+             : keys[rng.NextBounded(std::size(keys))];
+}
+
+// r<reg> = a pointer for a helper's key or value: mostly a stack slot
+// freshly written; else into ctx, into the map's own storage (r1), or
+// outside memory altogether.
+void PointerArg(Rng& rng, std::vector<Insn>& out, int reg,
+                std::int16_t slot, std::uint64_t map_bytes,
+                const std::function<void()>& fill_slot) {
+  const std::uint64_t roll = rng.NextBounded(40);
+  if (roll < 4) {
+    out.push_back(MovReg(reg, kCtxBase));
+    out.push_back(AluImm(kAluAdd, reg, static_cast<std::int32_t>(
+                                           rng.NextBounded(kCtxBytes))));
+  } else if (roll < 8) {
+    out.push_back(MovReg(reg, 1));
+    out.push_back(AluImm(kAluAdd, reg, static_cast<std::int32_t>(
+                                           rng.NextBounded(map_bytes + 16))));
+  } else if (roll < 9) {
+    out.push_back(MovImm(reg, rng.NextBool(0.5) ? 16 : -8));
+  } else {
+    fill_slot();
+    out.push_back(MovReg(reg, kFrameReg));
+    out.push_back(AluImm(kAluAdd, reg, slot));
+  }
+}
+
+// One map helper call (lookup, update or delete) on a random map, or a
+// rewrite of one of its header words in the middle of the run.
+void EmitMapCall(Rng& rng, std::vector<Insn>& out) {
+  const std::size_t slot = rng.NextBounded(kFuzzMaps.size());
+  const MapSpec& spec = kFuzzMaps[slot];
+  const std::uint64_t map_bytes = MapRequiredBytes(spec);
+  out.push_back(LoadMem(kSizeDw, 1, kFrameReg,
+                        static_cast<std::int16_t>(kHandleSlot + 8 * slot)));
+  // Now and then a handle that names no registered map.
+  switch (rng.NextBounded(100)) {
+    case 0: out.push_back(AluImm(kAluAdd, 1, 8)); break;
+    case 1: out.push_back(MovReg(1, kCtxBase)); break;
+    case 2: out.push_back(MovReg(1, Scalar(rng))); break;
+  }
+  if (rng.NextBounded(30) == 0) {
+    const auto [word, value] = HeaderRewrite(rng, spec);
+    out.push_back(StoreMemImm(kSizeW, 1, word,
+                              static_cast<std::int32_t>(value)));
+    return;
+  }
+  const std::uint64_t roll = rng.NextBounded(100);
+  const std::int32_t helper = kHelperOf[roll < 45 ? 0 : roll < 85 ? 1 : 2];
+  PointerArg(rng, out, 2, kKeySlot, map_bytes, [&] {
+    out.push_back(StoreMemImm(spec.key_size == 8 ? kSizeDw : kSizeW,
+                              kFrameReg, kKeySlot, RandomKey(rng, spec)));
+  });
+  if (helper == kHelperMapUpdateElem) {
+    PointerArg(rng, out, 3, kValueSlot, map_bytes, [&] {
+      for (std::int16_t off : {0, 8}) {
+        out.push_back(StoreMemImm(kSizeDw, kFrameReg, kValueSlot + off,
+                                  static_cast<std::int32_t>(EdgeValue(rng))));
+      }
+    });
+  }
+  out.push_back(Call(helper));
+  // Fold r0 into memory, so every call's result is compared, not just the
+  // last one's.
+  out.push_back(LoadMem(kSizeDw, 7, kFrameReg, kResultSlot));
+  out.push_back(AluReg(kAluXor, 7, 0));
+  out.push_back(StoreMemReg(kSizeDw, kFrameReg, 7, kResultSlot));
+  if (helper == kHelperMapLookupElem && rng.NextBool(0.5)) {
+    // Use the value: read it, then write part of it.
+    out.push_back(JmpImm(kJmpJeq, 0, 0, 2));
+    out.push_back(LoadMem(kSizeDw, 7, 0, 0));
+    out.push_back(StoreMemImm(kSizeW, 0, 4,
+                              static_cast<std::int32_t>(EdgeValue(rng))));
+  }
+}
+
+// Header rewrites between runs: one or two words of random maps in `m`,
+// the same ones for the same seed.
+void RewriteHeaders(Machine& m, std::uint64_t seed) {
+  Rng rng(seed);
+  for (std::uint64_t i = 0, n = 1 + rng.NextBounded(2); i < n; ++i) {
+    const std::size_t slot = rng.NextBounded(kFuzzMaps.size());
+    const auto [word, value] = HeaderRewrite(rng, kFuzzMaps[slot]);
+    StoreLE(m.mem.SpanAt(m.map_addrs[slot] + word, 4).value().data(), value);
+  }
+}
+
+// A random program over the whole ISA; with `map_calls`, about a third of
+// its body is map helper calls on kFuzzMaps.
+Program RandomProgram(std::uint64_t seed, std::size_t body,
+                      bool map_calls = false) {
   Rng rng(seed);
   Program prog;
   prog.name = "fuzz_" + std::to_string(seed);
@@ -165,8 +334,27 @@ Program RandomProgram(std::uint64_t seed, std::size_t body) {
     out.push_back(lo);
     out.push_back(hi);
   }
+  if (map_calls) {
+    prog.maps = kFuzzMaps;
+    for (std::size_t k = 0; k < kFuzzMaps.size(); ++k) {
+      auto [lo, hi] = LoadMapFd(1, static_cast<std::int32_t>(k));
+      out.push_back(lo);
+      out.push_back(hi);
+      const auto slot = static_cast<std::int16_t>(kHandleSlot + 8 * k);
+      out.push_back(StoreMemReg(kSizeDw, kFrameReg, 1, slot));
+    }
+  }
+  // Jumps skip whole units, one instruction or one map call, so none lands
+  // inside a call's setup; their offsets are fixed once the layout is known.
+  std::vector<std::size_t> unit_start;
+  std::vector<std::pair<std::size_t, std::size_t>> jumps;  // insn, unit
   const std::size_t exit_at = out.size() + body;
   while (out.size() < exit_at) {
+    unit_start.push_back(out.size());
+    if (map_calls && rng.NextBounded(3) == 0) {
+      EmitMapCall(rng, out);
+      continue;
+    }
     const std::size_t left = exit_at - out.size() - 1;
     const std::uint64_t roll = rng.NextBounded(100);
     const auto imm = static_cast<std::int32_t>(EdgeValue(rng));
@@ -182,6 +370,7 @@ Program RandomProgram(std::uint64_t seed, std::size_t body) {
           rng.NextBounded(std::min<std::size_t>(left, 8) + 1));
       const int dst = Scalar(rng);
       const int src = Scalar(rng);
+      jumps.emplace_back(out.size(), unit_start.size() - 1);
       switch (rng.NextBounded(4)) {
         case 0: out.push_back(JmpImm(cond, dst, imm, off)); break;
         case 1: out.push_back(JmpReg(cond, dst, src, off)); break;
@@ -189,6 +378,7 @@ Program RandomProgram(std::uint64_t seed, std::size_t body) {
         default: out.push_back(Jmp32Reg(cond, dst, src, off)); break;
       }
     } else if (roll < 63) {
+      jumps.emplace_back(out.size(), unit_start.size() - 1);
       out.push_back(Jump(static_cast<std::int16_t>(
           rng.NextBounded(std::min<std::size_t>(left, 4) + 1))));
     } else if (roll < 70) {
@@ -209,6 +399,13 @@ Program RandomProgram(std::uint64_t seed, std::size_t body) {
       out.push_back(Call(kHelpers[rng.NextBounded(std::size(kHelpers))]));
     }
   }
+  unit_start.push_back(out.size());  // the exit
+  for (const auto& [insn, unit] : jumps) {
+    const std::size_t target = unit_start[std::min(
+        unit + 1 + static_cast<std::size_t>(out[insn].off),
+        unit_start.size() - 1)];
+    out[insn].off = static_cast<std::int16_t>(target - insn - 1);
+  }
   out.push_back(Exit());
   return prog;
 }
@@ -217,6 +414,20 @@ TEST(DifferentialFuzz, RandomProgramsOverTheWholeIsa) {
   for (std::uint64_t seed = 1; seed <= 400; ++seed) {
     const Program prog = RandomProgram(seed, 16 + seed % 97);
     ExpectEnginesAgree(prog, seed, 1u << 20, "seed " + std::to_string(seed));
+  }
+}
+
+TEST(DifferentialFuzz, MapHelpersAgainstRewrittenHeaders) {
+  // The JIT serves array lookups and updates inline; the interpreter
+  // always goes through CallHelperFn. Three runs per program on the same
+  // machines, with header words rewritten before the second and third.
+  for (std::uint64_t seed = 1; seed <= 500; ++seed) {
+    const Program prog = RandomProgram(seed, 24 + seed % 80, true);
+    ExpectEnginesAgree(prog, seed, 1u << 20,
+                       "maps seed " + std::to_string(seed), 3,
+                       [seed](Machine& m, int round) {
+                         RewriteHeaders(m, seed * 8 + round);
+                       });
   }
 }
 

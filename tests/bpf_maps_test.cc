@@ -3,6 +3,8 @@
 // double as XState, so correctness here underpins remote state access).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "bpf/maps.h"
 #include "common/rng.h"
 
@@ -109,6 +111,115 @@ TEST(ArrayMap, ValueSizeMismatchRejected) {
   Bytes bad_value(4, 0);
   EXPECT_FALSE(map.view().Update(Key32(0), bad_value).ok());
   EXPECT_FALSE(map.view().Lookup(Key32(0), bad_value).ok());
+}
+
+// ---- headers that claim more than the storage holds ----
+// A map's storage is sized from the spec first seen (or the header first
+// read), but its header lives in shared memory and can be rewritten
+// afterwards. The view must refuse such a header, never read or write
+// past its span on its word.
+
+// A formatted map at the front of a larger buffer: an access past the
+// map's span lands in the buffer's tail, where the test can see it.
+struct EmbeddedMap {
+  explicit EmbeddedMap(const MapSpec& spec)
+      : span_bytes(MapRequiredBytes(spec)), buffer(span_bytes + 8192, 0) {
+    EXPECT_TRUE(view().Init(spec).ok());
+  }
+  MapView view() { return MapView(MutableByteSpan(buffer.data(), span_bytes)); }
+  void SetHeaderWord(std::uint64_t off, std::uint32_t v) {
+    StoreLE(buffer.data() + off, v);
+  }
+  bool TailUntouched() const {
+    return std::all_of(buffer.begin() + span_bytes, buffer.end(),
+                       [](std::uint8_t b) { return b == 0; });
+  }
+  std::uint64_t span_bytes;
+  Bytes buffer;
+};
+
+TEST(MapHeaderTrust, ArrayGrownPastItsSpanIsRefused) {
+  EmbeddedMap map(MapSpec{"a", MapType::kArray, 4, 8, 4});
+  map.SetHeaderWord(kMapOffMaxEntries, 1000);
+  Bytes out(8);
+  EXPECT_FALSE(map.view().Lookup(Key32(500), out).ok());
+  EXPECT_FALSE(map.view().LookupOffset(Key32(500)).ok());
+  EXPECT_FALSE(map.view().Update(Key32(500), Value64(~0ull)).ok());
+  EXPECT_FALSE(map.view().Delete(Key32(500)).ok());
+  EXPECT_TRUE(map.TailUntouched());
+  // Slots inside the span still work under the rewritten header.
+  EXPECT_TRUE(map.view().Update(Key32(3), Value64(9)).ok());
+  ASSERT_TRUE(map.view().Lookup(Key32(3), out).ok());
+  EXPECT_EQ(LoadLE<std::uint64_t>(out.data()), 9u);
+}
+
+TEST(MapHeaderTrust, ArrayShrunkBelowItsSpanIsBoundedByTheHeader) {
+  EmbeddedMap map(MapSpec{"a", MapType::kArray, 4, 8, 4});
+  map.SetHeaderWord(kMapOffMaxEntries, 2);
+  Bytes out(8);
+  EXPECT_TRUE(map.view().Lookup(Key32(1), out).ok());
+  EXPECT_FALSE(map.view().Lookup(Key32(2), out).ok());
+  EXPECT_FALSE(map.view().Update(Key32(2), Value64(1)).ok());
+}
+
+TEST(MapHeaderTrust, ArrayValueWidenedPastItsSpanIsRefused) {
+  EmbeddedMap map(MapSpec{"a", MapType::kArray, 4, 8, 4});
+  map.SetHeaderWord(kMapOffValueSize, 64);
+  Bytes value(64, 0xee);
+  Bytes out(64);
+  EXPECT_FALSE(map.view().Update(Key32(3), value).ok());
+  EXPECT_FALSE(map.view().Lookup(Key32(3), out).ok());
+  EXPECT_FALSE(map.view().Dump().ok());
+  EXPECT_TRUE(map.TailUntouched());
+}
+
+TEST(MapHeaderTrust, ArrayKeysAreFourByteIndices) {
+  Bytes raw(256, 0);
+  EXPECT_FALSE(MapView(raw).Init(MapSpec{"a", MapType::kArray, 2, 8, 4}).ok());
+  EXPECT_FALSE(MapView(raw).Init(MapSpec{"a", MapType::kArray, 8, 8, 4}).ok());
+  // A header rewritten to 2-byte keys: a 2-byte key is never read as 4.
+  EmbeddedMap map(MapSpec{"a", MapType::kArray, 4, 8, 4});
+  map.SetHeaderWord(kMapOffKeySize, 2);
+  const Bytes short_key(2, 0);
+  Bytes out(8);
+  EXPECT_FALSE(map.view().Lookup(short_key, out).ok());
+  EXPECT_FALSE(map.view().Update(short_key, Value64(1)).ok());
+  Bytes next(2);
+  EXPECT_FALSE(map.view().NextKey({}, next).ok());
+}
+
+TEST(MapHeaderTrust, HashGrownPastItsSpanIsRefused) {
+  EmbeddedMap map(MapSpec{"h", MapType::kHash, 4, 8, 4});
+  ASSERT_TRUE(map.view().Update(Key32(1), Value64(1)).ok());
+  map.SetHeaderWord(kMapOffMaxEntries, 1000);
+  Bytes out(8);
+  for (std::uint32_t k = 0; k < 64; ++k) {
+    EXPECT_FALSE(map.view().Lookup(Key32(k), out).ok()) << k;
+    EXPECT_FALSE(map.view().Update(Key32(k), Value64(~0ull)).ok()) << k;
+  }
+  EXPECT_FALSE(map.view().Dump().ok());
+  EXPECT_TRUE(map.TailUntouched());
+}
+
+TEST(MapHeaderTrust, RingGrownPastItsSpanIsRefused) {
+  EmbeddedMap map(MapSpec{"r", MapType::kRingBuf, 0, 8, 4});
+  map.SetHeaderWord(kMapOffMaxEntries, 1000);
+  EXPECT_FALSE(map.view().RingOutput(Bytes(200, 0xee)).ok());
+  EXPECT_FALSE(map.view().RingConsume().ok());
+  EXPECT_TRUE(map.TailUntouched());
+}
+
+TEST(MapHeaderTrust, RingCursorsAndRecordsAreChecked) {
+  EmbeddedMap map(MapSpec{"r", MapType::kRingBuf, 0, 8, 4});
+  ASSERT_TRUE(map.view().RingOutput(Bytes(8, 1)).ok());
+  // A record length running past the data region.
+  StoreLE<std::uint64_t>(map.buffer.data() + kMapHeaderBytes + 16, 4096);
+  EXPECT_FALSE(map.view().RingConsume().ok());
+  // A head further ahead of the tail than the data region holds.
+  StoreLE<std::uint64_t>(map.buffer.data() + kRingHeadOffset, 1 << 20);
+  EXPECT_FALSE(map.view().RingOutput(Bytes(8, 2)).ok());
+  EXPECT_FALSE(map.view().RingConsume().ok());
+  EXPECT_TRUE(map.TailUntouched());
 }
 
 // ---- hash maps ----
