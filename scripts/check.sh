@@ -4,7 +4,7 @@
 # Release builds), a doc-drift guard (docs/wire-contracts.md vs
 # core/layout.h + markdown link check), JIT-vs-interpreter speed ratio
 # gates for eBPF and for lowered Wasm (ablation_jit), a golden smoke gate
-# (bench stdout vs bench/golden/), an rdxbench virtual gate (each
+# (bench stdout and the chrome://tracing file vs bench/golden/), an rdxbench virtual gate (each
 # workload's virtual-clock results vs bench/golden/rdxbench/), and an
 # ASan+UBSan build + test pass (catches the lifetime/aliasing bugs the
 # guardrail and fault paths and the coroutine frames are most prone to).
@@ -183,7 +183,8 @@ echo
 echo "== golden smoke gate: bench stdout vs bench/golden/ =="
 # Virtual time is deterministic, so a bench's full RDX_BENCH_SMOKE=1
 # stdout (git_sha stamp stripped) must match bench/golden/<bench>.txt byte
-# for byte: the proof that a refactor changed no behaviour. Three benches
+# for byte: the proof that a refactor changed no behaviour; so must the
+# chrome://tracing file telemetry_overhead writes. Three benches
 # have no golden because they print host wall-clock timings, which differ
 # from run to run: ablation_jit (interpreter vs JIT insn/s),
 # ablation_xstate (host-timed XState ops) and guardrail_overhead
@@ -209,6 +210,13 @@ for bench in build/bench/*; do
     golden_fail=1
   fi
 done
+# telemetry_overhead also writes a chrome://tracing file into the working
+# directory (the repo root here). Its spans are on the virtual clock too,
+# so the file must equal bench/golden/telemetry_trace.json byte for byte.
+if ! diff -u bench/golden/telemetry_trace.json telemetry_trace.json; then
+  echo "golden gate: telemetry_trace.json differs from bench/golden/telemetry_trace.json"
+  golden_fail=1
+fi
 if [[ "$golden_fail" != "0" ]]; then
   echo "golden smoke gate FAILED (see above)"
   exit 1

@@ -40,75 +40,47 @@ Status NodeAgent::AttachImage(const Bytes& image_bytes, int hook) {
   return OkStatus();
 }
 
-struct NodeAgent::LoadJob {
-  std::uint32_t pid;
-  std::uint32_t tid;
-  telemetry::Tracer::SpanId load_span;
-  AgentTrace trace;
-  std::function<void(StatusOr<AgentTrace>)> done;
-};
-
-void NodeAgent::Stage(std::shared_ptr<LoadJob> job, const char* name,
-                      std::uint64_t cycles, sim::Duration AgentTrace::*field,
-                      std::function<void()> next) {
-  const auto span = tracer_->BeginSpan(name, job->pid, job->tid);
-  cpu_.Submit(cycles, [this, job = std::move(job), span, field,
-                       next = std::move(next)] {
-    tracer_->EndSpan(span);
-    job->trace.*field = tracer_->SpanDuration(span);
-    next();
-  });
-}
-
-void NodeAgent::Finish(LoadJob& job, const Status& outcome) {
-  tracer_->EndSpan(job.load_span);
-  if (!outcome.ok()) {
-    job.done(outcome);
-    return;
-  }
-  job.trace.total = tracer_->SpanDuration(job.load_span);
-  ++loads_completed_;
-  job.done(job.trace);
-}
-
 template <class Source>
-void NodeAgent::Load(const Source& src, int hook,
-                     std::function<void(StatusOr<AgentTrace>)> done) {
+sim::Task<StatusOr<AgentTrace>> NodeAgent::Load(Source src, int hook) {
   using K = core::ExtensionKind<Source>;
   const auto pid = static_cast<std::uint32_t>(sandbox_.node().id());
   const auto tid = static_cast<std::uint32_t>(hook);
-  auto job = std::make_shared<LoadJob>(
-      LoadJob{pid, tid, tracer_->BeginSpan("agent:load", pid, tid), {},
-              std::move(done)});
-  auto source = std::make_shared<const Source>(src);
+  const auto load = tracer_->BeginSpan("agent:load", pid, tid);
+  // One stage: a span around `cycles` charged to this node's CPU.
+  auto stage = [&](const char* name,
+                   std::uint64_t cycles) -> sim::Task<sim::Duration> {
+    const auto span = tracer_->BeginSpan(name, pid, tid);
+    co_await sim::Charge(cpu_, cycles);
+    tracer_->EndSpan(span);
+    co_return tracer_->SpanDuration(span);
+  };
+  // Closes the load span on the way out.
+  auto finish = [&](Status outcome) {
+    tracer_->EndSpan(load);
+    return outcome;
+  };
+
   // Daemon wakeup + config parse, then the real verifier, compiler and
-  // linker, each stage charged to this node's CPU.
-  Stage(job, "agent:queue", config_.cost.agent_dispatch_cycles,
-        &AgentTrace::queue, [this, job, source, hook] {
-    Stage(job, "agent:verify",
-          (config_.cost.*K::kValidateCycles)(source->size()),
-          &AgentTrace::verify, [this, job, source, hook] {
-      if (Status verdict = K::Validate(*source); !verdict.ok()) {
-        Finish(*job, verdict);
-        return;
-      }
-      Stage(job, "agent:jit",
-            (config_.cost.*K::kCompileCycles)(source->size()),
-            &AgentTrace::jit, [this, job, source, hook] {
-        auto image = K::Compile(*source);
-        if (!image.ok()) {
-          Finish(*job, image.status());
-          return;
-        }
-        Stage(job, "agent:attach", config_.cost.attach_fixed_cycles,
-              &AgentTrace::attach,
-              [this, job, source, hook,
-               image = std::move(image).value()]() mutable {
-                Finish(*job, LinkAndAttach(*source, std::move(image), hook));
-              });
-      });
-    });
-  });
+  // linker.
+  AgentTrace trace;
+  trace.queue =
+      co_await stage("agent:queue", config_.cost.agent_dispatch_cycles);
+  trace.verify = co_await stage(
+      "agent:verify", (config_.cost.*K::kValidateCycles)(src.size()));
+  if (Status verdict = K::Validate(src); !verdict.ok()) {
+    co_return finish(verdict);
+  }
+  trace.jit = co_await stage("agent:jit",
+                             (config_.cost.*K::kCompileCycles)(src.size()));
+  auto image = K::Compile(src);
+  if (!image.ok()) co_return finish(image.status());
+  trace.attach =
+      co_await stage("agent:attach", config_.cost.attach_fixed_cycles);
+  RDX_CO_RETURN_IF_ERROR(
+      finish(LinkAndAttach(src, std::move(image).value(), hook)));
+  trace.total = tracer_->SpanDuration(load);
+  ++loads_completed_;
+  co_return trace;
 }
 
 template <class Source>
@@ -145,18 +117,25 @@ StatusOr<std::uint64_t> NodeAgent::EnsureXState(const bpf::MapSpec& spec) {
 void NodeAgent::StartStatePolling() {
   if (polling_ || config_.state_poll_interval <= 0) return;
   polling_ = true;
-  SchedulePoll();
+  sim::Start(Poll(), [] {});
 }
 
-void NodeAgent::SchedulePoll() {
-  events_.ScheduleAfter(config_.state_poll_interval, [this] {
-    if (!polling_) return;
+sim::Task<void> NodeAgent::Poll() {
+  while (polling_) {
+    // StopStatePolling cancels this event, and with it the loop.
+    co_await sim::Await<void>([this](auto tick) {
+      next_poll_ =
+          events_.ScheduleAfter(config_.state_poll_interval, std::move(tick));
+    });
     cpu_.Submit(config_.cost.agent_state_poll_cycles, [] {});
-    SchedulePoll();
-  });
+  }
 }
 
-void NodeAgent::StopStatePolling() { polling_ = false; }
+void NodeAgent::StopStatePolling() {
+  if (!polling_) return;
+  polling_ = false;
+  events_.Cancel(next_poll_);
+}
 
 AgentController::AgentController(sim::EventQueue& events,
                                  ControllerConfig config)
@@ -180,84 +159,45 @@ constexpr std::size_t kConfigBytesPerInsn<wasm::FilterModule> = 9;
 }  // namespace
 
 template <class Source>
-void AgentController::Push(std::size_t agent_index, const Source& src,
-                           int hook,
-                           std::function<void(StatusOr<AgentTrace>)> done) {
+sim::Task<StatusOr<AgentTrace>> AgentController::Push(std::size_t agent_index,
+                                                      Source src, int hook) {
   NodeAgent* node_agent = agents_.at(agent_index);
-  const sim::Duration delay =
-      SamplePushDelay(src.size() * kConfigBytesPerInsn<Source> + 256);
-  events_.ScheduleAfter(delay, [node_agent, src, hook,
-                                done = std::move(done)]() mutable {
-    node_agent->Load(src, hook, std::move(done));
-  });
-}
-
-struct AgentController::RolloutState {
-  sim::SimTime t0;
-  sim::SimTime last_commit = 0;
-  std::size_t nodes = 0;
-  std::vector<std::vector<std::size_t>> waves;
-  // Push of the rolled-out extension to one agent.
-  std::function<void(std::size_t, std::function<void(StatusOr<AgentTrace>)>)>
-      push;
-  std::function<void(StatusOr<RolloutResult>)> done;
-};
-
-void AgentController::RunWave(std::shared_ptr<RolloutState> st,
-                              std::size_t w) {
-  if (w == st->waves.size()) {
-    st->done(RolloutResult{st->last_commit - st->t0, events_.Now() - st->t0,
-                           st->nodes});
-    return;
-  }
-  const std::vector<std::size_t>& wave = st->waves[w];
-  core::ForAll(
-      wave.size(),
-      [&](std::size_t i, std::function<void(Status)> node_done) {
-        st->push(wave[i], [this, st, node_done](StatusOr<AgentTrace> r) {
-          if (r.ok()) {
-            st->last_commit = std::max(st->last_commit, events_.Now());
-            ++st->nodes;
-          }
-          node_done(r.status());
-        });
-      },
-      [this, st, w](Status wave_status) {
-        if (!wave_status.ok()) {
-          st->done(wave_status);
-        } else {
-          RunWave(st, w + 1);
-        }
-      });
+  co_await sim::Sleep(
+      events_, SamplePushDelay(src.size() * kConfigBytesPerInsn<Source> + 256));
+  co_return co_await node_agent->Load(std::move(src), hook);
 }
 
 template <class Source>
-void AgentController::Rollout(
-    const Source& src, int hook, std::vector<std::vector<std::size_t>> waves,
-    std::function<void(StatusOr<RolloutResult>)> done) {
+sim::Task<StatusOr<RolloutResult>> AgentController::Rollout(
+    Source src, int hook, std::vector<std::vector<std::size_t>> waves) {
   if (waves.empty()) {
     waves.emplace_back();
     for (std::size_t i = 0; i < agents_.size(); ++i) waves[0].push_back(i);
   }
-  RunWave(std::make_shared<RolloutState>(RolloutState{
-              events_.Now(), 0, 0, std::move(waves),
-              [this, src, hook](std::size_t agent_index,
-                                std::function<void(StatusOr<AgentTrace>)> cb) {
-                Push(agent_index, src, hook, std::move(cb));
-              },
-              std::move(done)}),
-          0);
+  const sim::SimTime t0 = events_.Now();
+  sim::SimTime last_commit = 0;
+  std::size_t nodes = 0;
+  // Each wave starts once every agent in the one before it reported.
+  for (const std::vector<std::size_t>& wave : waves) {
+    auto push = [&](std::size_t i) -> sim::Task<Status> {
+      const StatusOr<AgentTrace> loaded = co_await Push(wave[i], src, hook);
+      if (loaded.ok()) {
+        last_commit = std::max(last_commit, events_.Now());
+        ++nodes;
+      }
+      co_return loaded.status();
+    };
+    RDX_CO_RETURN_IF_ERROR(co_await core::ForAll(wave.size(), push));
+  }
+  co_return RolloutResult{last_commit - t0, events_.Now() - t0, nodes};
 }
 
-#define RDX_INSTANTIATE_AGENT(Source)                                      \
-  template void NodeAgent::Load(const Source&, int,                        \
-                                std::function<void(StatusOr<AgentTrace>)>); \
-  template void AgentController::Push(                                     \
-      std::size_t, const Source&, int,                                     \
-      std::function<void(StatusOr<AgentTrace>)>);                          \
-  template void AgentController::Rollout(                                  \
-      const Source&, int, std::vector<std::vector<std::size_t>>,           \
-      std::function<void(StatusOr<RolloutResult>)>);
+#define RDX_INSTANTIATE_AGENT(Source)                                       \
+  template sim::Task<StatusOr<AgentTrace>> NodeAgent::Load(Source, int);     \
+  template sim::Task<StatusOr<AgentTrace>> AgentController::Push(            \
+      std::size_t, Source, int);                                              \
+  template sim::Task<StatusOr<RolloutResult>> AgentController::Rollout(      \
+      Source, int, std::vector<std::vector<std::size_t>>);
 RDX_INSTANTIATE_AGENT(bpf::Program)
 RDX_INSTANTIATE_AGENT(wasm::FilterModule)
 #undef RDX_INSTANTIATE_AGENT

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -17,6 +16,7 @@
 #include "sim/cost_model.h"
 #include "sim/cpu.h"
 #include "sim/network.h"
+#include "sim/task.h"
 #include "telemetry/span.h"
 
 namespace rdx::agent {
@@ -55,10 +55,15 @@ class NodeAgent {
   // RDX control plane run (core::ExtensionKind); their virtual-time cost
   // is charged to this node's CPU.
   template <class Source>
+  sim::Task<StatusOr<AgentTrace>> Load(Source src, int hook);
+  template <class Source>
   void Load(const Source& src, int hook,
-            std::function<void(StatusOr<AgentTrace>)> done);
+            std::function<void(StatusOr<AgentTrace>)> done) {
+    sim::Start(Load(src, hook), std::move(done));
+  }
 
-  // Begins periodic XState polling (the steady-state agent "tax").
+  // Begins periodic XState polling (the steady-state agent "tax"); Stop
+  // cancels the next poll.
   void StartStatePolling();
   void StopStatePolling();
 
@@ -73,17 +78,8 @@ class NodeAgent {
   telemetry::Tracer& tracer() { return *tracer_; }
 
  private:
-  // Arms the next periodic XState poll; the loop ends once polling stops.
-  void SchedulePoll();
-  struct LoadJob;
-  // One pipeline stage: opens span `name`, charges `cycles` to the node
-  // CPU, then closes the span, stores its duration in `job->trace.*field`
-  // and continues with `next`.
-  void Stage(std::shared_ptr<LoadJob> job, const char* name,
-             std::uint64_t cycles, sim::Duration AgentTrace::*field,
-             std::function<void()> next);
-  // Closes the load span and reports `outcome` (the trace on success).
-  void Finish(LoadJob& job, const Status& outcome);
+  // The polling loop StartStatePolling runs: a poll every interval.
+  sim::Task<void> Poll();
   // Deploys the XStates `src` declares that this sandbox lacks, links
   // `image` against the sandbox's exported symbols and attaches it.
   template <class Source>
@@ -103,6 +99,7 @@ class NodeAgent {
   std::optional<telemetry::Tracer> owned_tracer_;
   telemetry::Tracer* tracer_ = nullptr;
   bool polling_ = false;
+  sim::EventQueue::EventId next_poll_ = 0;
   std::uint64_t loads_completed_ = 0;
 };
 
@@ -137,23 +134,30 @@ class AgentController {
   // Pushes one extension (bpf::Program or wasm::FilterModule) to one
   // agent: config marshal + network + agent pipeline.
   template <class Source>
+  sim::Task<StatusOr<AgentTrace>> Push(std::size_t agent_index, Source src,
+                                       int hook);
+  template <class Source>
   void Push(std::size_t agent_index, const Source& src, int hook,
-            std::function<void(StatusOr<AgentTrace>)> done);
+            std::function<void(StatusOr<AgentTrace>)> done) {
+    sim::Start(Push(agent_index, src, hook), std::move(done));
+  }
 
   // Eventual-consistency rollout to every agent at once (no ordering
   // guarantees — the Fig 2b baseline). `waves` optionally groups agents
   // into dependency waves rolled out sequentially (inter-service DAG
   // constraints); empty = one unordered wave.
   template <class Source>
+  sim::Task<StatusOr<RolloutResult>> Rollout(
+      Source src, int hook, std::vector<std::vector<std::size_t>> waves);
+  template <class Source>
   void Rollout(const Source& src, int hook,
                std::vector<std::vector<std::size_t>> waves,
-               std::function<void(StatusOr<RolloutResult>)> done);
+               std::function<void(StatusOr<RolloutResult>)> done) {
+    sim::Start(Rollout(src, hook, std::move(waves)), std::move(done));
+  }
 
  private:
-  struct RolloutState;
   sim::Duration SamplePushDelay(std::size_t config_bytes);
-  // Rolls out wave `w`, then the next once every agent in it reported.
-  void RunWave(std::shared_ptr<RolloutState> st, std::size_t w);
 
   sim::EventQueue& events_;
   ControllerConfig config_;

@@ -1,7 +1,7 @@
 // Reference interpreter. Executes raw (decoded) instructions against a
-// RuntimeContext. Used by the agent baseline when JIT is disabled, by the
-// divergence property tests (interpreter vs JIT must agree), and as the
-// semantic ground truth for the ISA subset.
+// RuntimeContext. It is the reference the differential tests hold the
+// executor to (interpreter vs JIT must agree) and the semantic ground
+// truth for the ISA subset; no deploy path runs it.
 #pragma once
 
 #include <cstdint>

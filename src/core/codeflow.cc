@@ -956,50 +956,39 @@ void ControlPlane::EmitInjectSpans(const CodeFlow& flow, int hook,
                 static_cast<unsigned long long>(trace.image_bytes),
                 trace.compile_cache_hit ? "true" : "false");
   tracer_->AddComplete("inject", pid, tid, start, trace.total, args);
-  // The pipeline runs its phases back to back; lay them out sequentially
-  // from the start (the remainder up to `end` is dispatch overhead).
-  struct Phase {
-    const char* name;
-    sim::Duration dur;
-  };
-  const Phase phases[] = {
-      {"inject:validate", trace.validate}, {"inject:jit", trace.jit},
-      {"inject:xstate", trace.xstate},     {"inject:link", trace.link},
-      {"inject:transfer", trace.transfer}, {"inject:commit", trace.commit},
-  };
+  // The pipeline runs its phases back to back, with the dispatch charge
+  // between link and transfer: lay the build phases forward from the
+  // start and the deploy phases backward from the end.
   sim::SimTime t = start;
-  for (const Phase& phase : phases) {
-    if (phase.dur <= 0) continue;
-    tracer_->AddComplete(phase.name, pid, tid, t, phase.dur);
-    t += phase.dur;
-  }
+  auto lay = [&](const char* name, sim::Duration dur) {
+    if (dur > 0) tracer_->AddComplete(name, pid, tid, t, dur);
+    t += dur;
+  };
+  lay("inject:validate", trace.validate);
+  lay("inject:jit", trace.jit);
+  lay("inject:xstate", trace.xstate);
+  lay("inject:link", trace.link);
+  t = end - trace.transfer - trace.commit;
+  lay("inject:transfer", trace.transfer);
+  lay("inject:commit", trace.commit);
 }
 
 telemetry::RingOps ControlPlane::RingOpsFor(CodeFlow& flow) {
-  telemetry::RingOps ops;
-  CodeFlow* f = &flow;
-  ops.read = [this, f](std::uint64_t addr, std::uint32_t len,
-                       std::function<void(StatusOr<Bytes>)> cb) {
-    sim::Start(RemoteRead(*f, addr, len, "trace ring read failed"),
-               std::move(cb));
-  };
-  ops.fetch_add = [this, f](std::uint64_t addr, std::uint64_t delta,
-                            std::function<void(StatusOr<std::uint64_t>)> cb) {
-    sim::Start(RemoteAtomic(*f, rdma::Opcode::kFetchAdd, addr, delta, 0,
-                            "trace ring cursor FETCH_ADD failed"),
-               std::move(cb));
-  };
-  return ops;
+  return {
+      [this, &flow](std::uint64_t addr, std::uint32_t len) {
+        return RemoteRead(flow, addr, len, "trace ring read failed");
+      },
+      [this, &flow](std::uint64_t addr, std::uint64_t delta) {
+        return RemoteAtomic(flow, rdma::Opcode::kFetchAdd, addr, delta, 0,
+                            "trace ring cursor FETCH_ADD failed");
+      }};
 }
 
 void ControlPlane::HarvestTrace(CodeFlow& flow,
                                 telemetry::Collector& collector, Done done) {
-  if (flow.remote_view_.trace_addr == 0) {
-    done(FailedPrecondition("remote sandbox publishes no trace ring"));
-    return;
-  }
-  collector.Harvest(RingOpsFor(flow), flow.remote_view_.trace_addr,
-                    static_cast<std::uint32_t>(flow.node_), std::move(done));
+  sim::Start(collector.Harvest(RingOpsFor(flow), flow.remote_view_.trace_addr,
+                               static_cast<std::uint32_t>(flow.node_)),
+             std::move(done));
 }
 
 void ControlPlane::ExportMetrics(telemetry::MetricsRegistry& reg) const {

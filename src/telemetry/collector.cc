@@ -2,28 +2,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "common/bytes.h"
 #include "core/layout.h"
 
 namespace rdx::telemetry {
-
-struct Collector::HarvestPass {
-  RingOps ops;
-  std::uint64_t trace_addr = 0;
-  std::uint32_t pid = 0;
-  std::function<void(Status)> done;
-
-  std::uint64_t capacity = 0;
-  std::uint64_t head = 0;
-  std::uint64_t tail = 0;
-  std::uint64_t lost = 0;
-  std::uint64_t start = 0;  // first absolute slot index still recoverable
-  Bytes first_chunk;
-  Bytes second_chunk;
-};
 
 namespace {
 
@@ -40,107 +24,68 @@ RingEvent DecodeSlot(const std::uint8_t* p) {
 
 }  // namespace
 
-void Collector::Harvest(const RingOps& ops, std::uint64_t trace_addr,
-                        std::uint32_t pid,
-                        std::function<void(Status)> done) {
-  auto pass = std::make_shared<HarvestPass>();
-  pass->ops = ops;
-  pass->trace_addr = trace_addr;
-  pass->pid = pid;
-  pass->done = std::move(done);
+sim::Task<Status> Collector::Harvest(RingOps ops, std::uint64_t trace_addr,
+                                     std::uint32_t pid) {
+  if (trace_addr == 0) {
+    co_return FailedPrecondition("remote sandbox publishes no trace ring");
+  }
+  // A failed verb aborts the pass: it is counted, nothing else is touched.
+  auto fail = [this](const Status& failure) {
+    ++stats_.failed_reads;
+    return failure;
+  };
 
-  ops.read(trace_addr, core::kTraceRingHeaderBytes,
-           [this, pass](StatusOr<Bytes> header) {
-    if (!header.ok()) {
-      ++stats_.failed_reads;
-      pass->done(header.status());
-      return;
-    }
-    const std::uint8_t* h = header.value().data();
-    if (LoadLE<std::uint64_t>(h + core::kTrMagic) != core::kTraceRingMagic) {
-      pass->done(FailedPrecondition("trace ring magic mismatch"));
-      return;
-    }
-    pass->capacity = LoadLE<std::uint64_t>(h + core::kTrCapacity);
-    pass->head = LoadLE<std::uint64_t>(h + core::kTrHead);
-    pass->tail = LoadLE<std::uint64_t>(h + core::kTrTail);
-    if (pass->capacity == 0 ||
-        (pass->capacity & (pass->capacity - 1)) != 0) {
-      pass->done(FailedPrecondition("trace ring capacity corrupt"));
-      return;
-    }
-    const std::uint64_t avail = pass->head - pass->tail;
-    if (avail == 0) {
-      ++stats_.harvests;
-      pass->done(OkStatus());
-      return;
-    }
-    // Producer overrun: everything in [tail, head - capacity) has been
-    // overwritten. Recoverable slots start at head - capacity.
-    pass->start = pass->tail;
-    if (avail > pass->capacity) {
-      pass->lost = avail - pass->capacity;
-      pass->start = pass->head - pass->capacity;
-    }
+  const StatusOr<Bytes> header =
+      co_await ops.read(trace_addr, core::kTraceRingHeaderBytes);
+  if (!header.ok()) co_return fail(header.status());
+  const std::uint8_t* h = header->data();
+  if (LoadLE<std::uint64_t>(h + core::kTrMagic) != core::kTraceRingMagic) {
+    co_return FailedPrecondition("trace ring magic mismatch");
+  }
+  const std::uint64_t capacity = LoadLE<std::uint64_t>(h + core::kTrCapacity);
+  const std::uint64_t head = LoadLE<std::uint64_t>(h + core::kTrHead);
+  const std::uint64_t tail = LoadLE<std::uint64_t>(h + core::kTrTail);
+  if (capacity == 0 || (capacity & (capacity - 1)) != 0) {
+    co_return FailedPrecondition("trace ring capacity corrupt");
+  }
+  if (head == tail) {
+    ++stats_.harvests;
+    co_return OkStatus();
+  }
+  // Producer overrun: everything in [tail, head - capacity) has been
+  // overwritten. Recoverable slots start at head - capacity.
+  const std::uint64_t avail = head - tail;
+  const std::uint64_t lost = avail > capacity ? avail - capacity : 0;
+  const std::uint64_t start = tail + lost;
 
-    const std::uint64_t mask = pass->capacity - 1;
-    const std::uint64_t count = pass->head - pass->start;
-    const std::uint64_t first_idx = pass->start & mask;
-    const std::uint64_t first_len =
-        std::min(count, pass->capacity - first_idx);
-    const std::uint64_t second_len = count - first_len;
-    const std::uint64_t slots = pass->trace_addr + core::kTraceRingHeaderBytes;
+  // The occupied region is at most two contiguous chunks of the slot
+  // array; read them back-to-back.
+  const std::uint64_t count = head - start;
+  const std::uint64_t first_idx = start & (capacity - 1);
+  const std::uint64_t first_len = std::min(count, capacity - first_idx);
+  const std::uint64_t wrap_len = count - first_len;
+  const std::uint64_t slots = trace_addr + core::kTraceRingHeaderBytes;
+  StatusOr<Bytes> chunk = co_await ops.read(
+      slots + first_idx * core::kTraceSlotBytes,
+      static_cast<std::uint32_t>(first_len * core::kTraceSlotBytes));
+  if (!chunk.ok()) co_return fail(chunk.status());
+  Bytes occupied = std::move(chunk).value();
+  if (wrap_len > 0) {
+    StatusOr<Bytes> wrap = co_await ops.read(
+        slots, static_cast<std::uint32_t>(wrap_len * core::kTraceSlotBytes));
+    if (!wrap.ok()) co_return fail(wrap.status());
+    occupied.insert(occupied.end(), wrap->begin(), wrap->end());
+  }
 
-    // The occupied region is at most two contiguous chunks of the slot
-    // array; read them back-to-back, then commit.
-    pass->ops.read(
-        slots + first_idx * core::kTraceSlotBytes,
-        static_cast<std::uint32_t>(first_len * core::kTraceSlotBytes),
-        [this, pass, slots, second_len](StatusOr<Bytes> chunk) {
-      if (!chunk.ok()) {
-        ++stats_.failed_reads;
-        pass->done(chunk.status());
-        return;
-      }
-      pass->first_chunk = std::move(chunk).value();
-      if (second_len == 0) {
-        Commit(pass);
-        return;
-      }
-      pass->ops.read(
-          slots,
-          static_cast<std::uint32_t>(second_len * core::kTraceSlotBytes),
-          [this, pass](StatusOr<Bytes> wrap) {
-        if (!wrap.ok()) {
-          ++stats_.failed_reads;
-          pass->done(wrap.status());
-          return;
-        }
-        pass->second_chunk = std::move(wrap).value();
-        Commit(pass);
-      });
-    });
-  });
-}
-
-void Collector::Commit(const std::shared_ptr<HarvestPass>& pass) {
   // Decode and validate before touching the cursor. A slot whose seq is
   // not the expected absolute index was being overwritten while the READ
   // was in flight: skip it, count it, never merge it.
   std::vector<RingEvent> decoded;
-  const std::uint64_t count = pass->head - pass->start;
   decoded.reserve(count);
   std::uint64_t torn = 0;
-  const std::uint64_t first_slots =
-      pass->first_chunk.size() / core::kTraceSlotBytes;
   for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint8_t* p =
-        i < first_slots
-            ? pass->first_chunk.data() + i * core::kTraceSlotBytes
-            : pass->second_chunk.data() +
-                  (i - first_slots) * core::kTraceSlotBytes;
-    RingEvent ev = DecodeSlot(p);
-    if (ev.seq != pass->start + i) {
+    RingEvent ev = DecodeSlot(occupied.data() + i * core::kTraceSlotBytes);
+    if (ev.seq != start + i) {
       ++torn;
       continue;
     }
@@ -150,34 +95,24 @@ void Collector::Commit(const std::shared_ptr<HarvestPass>& pass) {
   // One FETCH_ADD retires everything observed (including the overwritten
   // span). Events merge only after it succeeds: an aborted pass leaves
   // head - tail intact so the next harvest re-reads the same slots.
-  const std::uint64_t delta = pass->head - pass->tail;
-  pass->ops.fetch_add(
-      pass->trace_addr + core::kTrTail, delta,
-      [this, pass, decoded = std::move(decoded),
-       torn](StatusOr<std::uint64_t> prior) {
-    if (!prior.ok()) {
-      ++stats_.failed_reads;
-      pass->done(prior.status());
-      return;
-    }
-    ++stats_.harvests;
-    stats_.torn += torn;
-    stats_.overwritten += pass->lost;
-    stats_.events += decoded.size();
-    if (pass->lost > 0) {
-      char args[48];
-      std::snprintf(args, sizeof(args), "\"lost\": %llu",
-                    static_cast<unsigned long long>(pass->lost));
-      tracer_.AddInstantAt("ring_overwrite", pass->pid, 0,
-                           decoded.empty() ? tracer_.events_queue().Now()
-                                           : decoded.front().ts,
-                           args);
-    }
-    for (const RingEvent& ev : decoded) {
-      AppendEvent(pass->pid, ev);
-    }
-    pass->done(OkStatus());
-  });
+  const StatusOr<std::uint64_t> prior =
+      co_await ops.fetch_add(trace_addr + core::kTrTail, avail);
+  if (!prior.ok()) co_return fail(prior.status());
+  ++stats_.harvests;
+  stats_.torn += torn;
+  stats_.overwritten += lost;
+  stats_.events += decoded.size();
+  if (lost > 0) {
+    char args[48];
+    std::snprintf(args, sizeof(args), "\"lost\": %llu",
+                  static_cast<unsigned long long>(lost));
+    tracer_.AddInstantAt("ring_overwrite", pid, 0,
+                         decoded.empty() ? tracer_.events_queue().Now()
+                                         : decoded.front().ts,
+                         args);
+  }
+  for (const RingEvent& ev : decoded) AppendEvent(pid, ev);
+  co_return OkStatus();
 }
 
 void Collector::AppendEvent(std::uint32_t pid, const RingEvent& ev) {

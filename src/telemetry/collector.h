@@ -16,28 +16,28 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 
 #include "common/status.h"
 #include "sim/cost_model.h"
+#include "sim/task.h"
 #include "telemetry/metrics.h"
 #include "telemetry/span.h"
 
 namespace rdx::telemetry {
 
-// One-sided verb surface the collector needs, as callbacks so the
-// telemetry library stays independent of the control-plane layer (the
-// control plane adapts its CodeFlow into one of these; tests can harvest
-// straight from a HostMemory).
+// One-sided verb surface the collector needs, as tasks so the telemetry
+// library stays independent of the control-plane layer (the control plane
+// adapts its CodeFlow into one of these; tests can harvest straight from
+// a HostMemory).
 struct RingOps {
   // READ `len` bytes at remote `addr`.
-  std::function<void(std::uint64_t addr, std::uint32_t len,
-                     std::function<void(StatusOr<Bytes>)>)>
+  std::function<sim::Task<StatusOr<Bytes>>(std::uint64_t addr,
+                                           std::uint32_t len)>
       read;
   // FETCH_ADD `delta` onto the u64 at remote `addr`; yields the prior
   // value.
-  std::function<void(std::uint64_t addr, std::uint64_t delta,
-                     std::function<void(StatusOr<std::uint64_t>)>)>
+  std::function<sim::Task<StatusOr<std::uint64_t>>(std::uint64_t addr,
+                                                   std::uint64_t delta)>
       fetch_add;
 };
 
@@ -55,18 +55,15 @@ class Collector {
       : tracer_(tracer), cost_(cost) {}
 
   // Harvests the ring at `trace_addr` on the node rendered as `pid`,
-  // merging its events into the tracer's timeline. Asynchronous; `done`
-  // fires once the pass commits (tail advanced, events appended) or
-  // aborts (nothing touched).
-  void Harvest(const RingOps& ops, std::uint64_t trace_addr,
-               std::uint32_t pid, std::function<void(Status)> done);
+  // merging its events into the tracer's timeline. Finishes once the pass
+  // commits (tail advanced, events appended) or aborts (nothing touched).
+  sim::Task<Status> Harvest(RingOps ops, std::uint64_t trace_addr,
+                            std::uint32_t pid);
 
   const HarvestStats& stats() const { return stats_; }
   void ExportMetrics(MetricsRegistry& reg) const;
 
  private:
-  struct HarvestPass;
-  void Commit(const std::shared_ptr<HarvestPass>& pass);
   void AppendEvent(std::uint32_t pid, const RingEvent& ev);
 
   Tracer& tracer_;

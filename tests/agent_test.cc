@@ -241,6 +241,22 @@ TEST(NodeAgentPolling, PollingConsumesCpu) {
   EXPECT_LT(n.cpu->Utilization(), at_stop);  // decays once stopped
 }
 
+TEST(NodeAgentPolling, RestartWithinOneIntervalRunsOneLoop) {
+  AgentConfig config;
+  config.state_poll_interval = sim::Millis(10);
+  Node n(config);
+  n.agent->StartStatePolling();
+  n.events.RunUntil(sim::Millis(5));
+  // Stop cancels the pending poll, so the restart leaves one loop, not
+  // the old one plus a new one.
+  n.agent->StopStatePolling();
+  n.agent->StartStatePolling();
+  n.events.RunUntil(sim::Seconds(1));
+  // Polls at 15, 25, ..., 995 ms: 99 polls of 13.6M cycles.
+  const double one_loop = 99 * 13.6e6 / (24 * 3.4e9);
+  EXPECT_NEAR(n.cpu->Utilization(), one_loop, one_loop * 0.05);
+}
+
 // ---- controller ----
 
 struct ControllerHarness {
@@ -344,17 +360,29 @@ TEST(Controller, WavesRollOutSequentially) {
 }
 
 TEST(Controller, RolloutPropagatesAgentFailure) {
-  ControllerHarness h(3);
   bpf::Program bad;
   bad.name = "bad";
   bad.insns = bpf::Assemble("r0 = r9\nexit\n").value();
-  bool done = false;
-  h.controller.Rollout(bad, 0, {}, [&](StatusOr<RolloutResult> r) {
-    EXPECT_FALSE(r.ok());
-    done = true;
-  });
-  while (!done && !h.events.Empty()) h.events.Step();
-  EXPECT_TRUE(done);
+  // One unordered wave, then agent 0 alone ahead of agents 1 and 2.
+  const std::vector<std::vector<std::vector<std::size_t>>> inputs = {
+      {}, {{0}, {1, 2}}};
+  for (const auto& waves : inputs) {
+    SCOPED_TRACE(waves.size());
+    ControllerHarness h(3);
+    int reports = 0;
+    h.controller.Rollout(bad, 0, waves, [&](StatusOr<RolloutResult> r) {
+      EXPECT_FALSE(r.ok());
+      ++reports;
+    });
+    h.events.Run();
+    EXPECT_EQ(reports, 1);
+    if (!waves.empty()) {
+      // Wave 0 failed, so the later wave never reached its agents.
+      EXPECT_FALSE(h.agents[0]->tracer().events().empty());
+      EXPECT_TRUE(h.agents[1]->tracer().events().empty());
+      EXPECT_TRUE(h.agents[2]->tracer().events().empty());
+    }
+  }
 }
 
 // ---- one load path for both extension kinds ----

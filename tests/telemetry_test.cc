@@ -1,7 +1,7 @@
 // Telemetry subsystem tests: trace-ring wire contract (format, emit,
 // wraparound, producer-side drop accounting), the collector's one-sided
-// harvest (merge, overrun loss accounting, torn-slot skip, abort-on-
-// failed-READ leaves the ring untouched), harvest through the control
+// harvest (merge, overrun loss accounting, torn-slot skip, a pass that
+// fails any verb leaves the ring untouched), harvest through the control
 // plane under injected READ faults, the chrome://tracing exporter
 // (syntactic JSON validity + monotonic timestamps), the metrics
 // registry, and the agent pipeline's span migration.
@@ -9,6 +9,7 @@
 
 #include <cctype>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -100,25 +101,19 @@ TEST(TraceRing, OverflowOverwritesOldestAndCountsDrops) {
 // the RDMA path so harvest semantics are testable in isolation.
 RingOps DirectOps(rdma::HostMemory& mem) {
   RingOps ops;
-  ops.read = [&mem](std::uint64_t addr, std::uint32_t len,
-                    std::function<void(StatusOr<Bytes>)> done) {
+  ops.read = [&mem](std::uint64_t addr,
+                    std::uint32_t len) -> sim::Task<StatusOr<Bytes>> {
     Bytes out(len);
-    Status s = mem.Read(addr, MutableByteSpan(out.data(), out.size()));
-    if (!s.ok()) {
-      done(s);
-    } else {
-      done(std::move(out));
-    }
+    RDX_CO_RETURN_IF_ERROR(
+        mem.Read(addr, MutableByteSpan(out.data(), out.size())));
+    co_return out;
   };
-  ops.fetch_add = [&mem](std::uint64_t addr, std::uint64_t delta,
-                         std::function<void(StatusOr<std::uint64_t>)> done) {
-    auto prior = mem.ReadU64(addr);
-    if (!prior.ok()) {
-      done(prior.status());
-      return;
-    }
-    ASSERT_TRUE(mem.WriteU64(addr, prior.value() + delta).ok());
-    done(prior.value());
+  ops.fetch_add =
+      [&mem](std::uint64_t addr,
+             std::uint64_t delta) -> sim::Task<StatusOr<std::uint64_t>> {
+    RDX_CO_ASSIGN_OR_RETURN(const std::uint64_t prior, mem.ReadU64(addr));
+    EXPECT_TRUE(mem.WriteU64(addr, prior + delta).ok());
+    co_return prior;
   };
   return ops;
 }
@@ -138,8 +133,8 @@ struct LocalRing {
   Status Harvest(RingOps ops = {}) {
     if (!ops.read) ops = DirectOps(mem);
     Status result = InvalidArgument("never completed");
-    collector.Harvest(ops, addr, /*pid=*/1,
-                      [&result](Status s) { result = s; });
+    sim::Start(collector.Harvest(std::move(ops), addr, /*pid=*/1),
+               [&result](Status s) { result = s; });
     return result;
   }
 
@@ -225,38 +220,85 @@ TEST(Collector, TornSlotIsSkippedAndCountedNeverMerged) {
   }
 }
 
-TEST(Collector, FailedReadAbortsPassAndLeavesRingUntouched) {
-  LocalRing ring(16);
-  TraceRingWriter writer(ring.mem, ring.addr, 16);
+// The verb a harvest pass fails on; each is an early return of the pass.
+enum class FailingVerb { kHeaderRead, kSlotRead, kWrapRead, kFetchAdd };
+
+void PrintTo(FailingVerb verb, std::ostream* os) {
+  constexpr const char* kNames[] = {"HeaderRead", "SlotRead", "WrapRead",
+                                    "FetchAdd"};
+  *os << kNames[static_cast<int>(verb)];
+}
+
+class CollectorAbort : public ::testing::TestWithParam<FailingVerb> {};
+
+TEST_P(CollectorAbort, FailedVerbAbortsPassAndLeavesRingUntouched) {
+  // Drain 6 events, then emit 6 more into the 8-slot ring: the occupied
+  // region [6, 12) wraps, so the pass issues header, slot and wrap READs
+  // before its FETCH_ADD.
+  LocalRing ring(8);
+  TraceRingWriter writer(ring.mem, ring.addr, 8);
   for (int i = 0; i < 6; ++i) {
     writer.Emit(RingEventKind::kHookExecEbpf, 0, 0, /*ts=*/i + 1, /*arg=*/1);
   }
+  ASSERT_TRUE(ring.Harvest().ok());
+  for (int i = 6; i < 12; ++i) {
+    writer.Emit(RingEventKind::kHookExecEbpf, 0, 0, /*ts=*/i + 1, /*arg=*/1);
+  }
+  const telemetry::HarvestStats before = ring.collector.stats();
+  ASSERT_EQ(ring.Tail(), 6u);
+  ASSERT_EQ(ring.tracer.events().size(), 6u);
 
-  // Fail the second READ (the slot chunk), after the header succeeded:
-  // the pass must abort without advancing the tail or appending events.
+  // Fail the chosen verb: the pass must abort without advancing the tail,
+  // counting anything but the failure, or appending events.
   int reads = 0;
   RingOps flaky = DirectOps(ring.mem);
-  auto real_read = flaky.read;
-  flaky.read = [&reads, real_read](std::uint64_t addr, std::uint32_t len,
-                                   std::function<void(StatusOr<Bytes>)> done) {
-    if (++reads == 2) {
-      done(Unavailable("RETRY_EXC_ERR"));
-      return;
+  const RingOps real = flaky;
+  const FailingVerb failing = GetParam();
+  flaky.read = [&reads, real, failing](
+                   std::uint64_t addr,
+                   std::uint32_t len) -> sim::Task<StatusOr<Bytes>> {
+    const int nth = ++reads;
+    if ((failing == FailingVerb::kHeaderRead && nth == 1) ||
+        (failing == FailingVerb::kSlotRead && nth == 2) ||
+        (failing == FailingVerb::kWrapRead && nth == 3)) {
+      co_return Unavailable("RETRY_EXC_ERR");
     }
-    real_read(addr, len, std::move(done));
+    co_return co_await real.read(addr, len);
+  };
+  flaky.fetch_add = [real, failing](std::uint64_t addr, std::uint64_t delta)
+      -> sim::Task<StatusOr<std::uint64_t>> {
+    if (failing == FailingVerb::kFetchAdd) co_return Unavailable("WR_FLUSH");
+    co_return co_await real.fetch_add(addr, delta);
   };
   EXPECT_FALSE(ring.Harvest(flaky).ok());
-  EXPECT_EQ(ring.collector.stats().failed_reads, 1u);
-  EXPECT_EQ(ring.collector.stats().events, 0u);
-  EXPECT_EQ(ring.Tail(), 0u);
-  EXPECT_TRUE(ring.tracer.events().empty());
+  EXPECT_EQ(reads, failing == FailingVerb::kHeaderRead ? 1
+                   : failing == FailingVerb::kSlotRead ? 2
+                                                       : 3);
+  const telemetry::HarvestStats& after = ring.collector.stats();
+  EXPECT_EQ(after.failed_reads, before.failed_reads + 1);
+  EXPECT_EQ(after.harvests, before.harvests);
+  EXPECT_EQ(after.events, before.events);
+  EXPECT_EQ(after.overwritten, before.overwritten);
+  EXPECT_EQ(after.torn, before.torn);
+  EXPECT_EQ(ring.Tail(), 6u);
+  EXPECT_EQ(ring.tracer.events().size(), 6u);
 
   // The next (healthy) pass re-reads the same slots: nothing was lost or
   // duplicated by the failure.
   ASSERT_TRUE(ring.Harvest().ok());
-  EXPECT_EQ(ring.collector.stats().events, 6u);
-  EXPECT_EQ(ring.Tail(), 6u);
+  EXPECT_EQ(ring.collector.stats().events, 12u);
+  EXPECT_EQ(ring.collector.stats().overwritten, 0u);
+  EXPECT_EQ(ring.Tail(), 12u);
+  ASSERT_EQ(ring.tracer.events().size(), 12u);
+  for (std::size_t i = 0; i < 12; ++i) {
+    EXPECT_EQ(ring.tracer.events()[i].ts, static_cast<sim::SimTime>(i + 1));
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Verbs, CollectorAbort,
+    ::testing::Values(FailingVerb::kHeaderRead, FailingVerb::kSlotRead,
+                      FailingVerb::kWrapRead, FailingVerb::kFetchAdd));
 
 // ---- end-to-end: control plane + sandbox + fault injector ----
 
@@ -424,6 +466,27 @@ class JsonChecker {
   const std::string& s_;
   std::size_t pos_ = 0;
 };
+
+TEST(TelemetryE2E, InjectPhaseSpansSitWhereThePhasesRan) {
+  TelemetryRig rig;
+  rig.Deploy(0);
+  std::map<std::string, const telemetry::TimelineEvent*> spans;
+  for (const auto& ev : rig.tracer.events()) spans[ev.name] = &ev;
+  for (const char* name :
+       {"inject", "inject:link", "inject:transfer", "inject:commit"}) {
+    ASSERT_TRUE(spans.count(name)) << name;
+  }
+  auto end = [](const telemetry::TimelineEvent* ev) {
+    return ev->ts + ev->dur;
+  };
+  // The commit closes the inject, and the dispatch charge runs between
+  // link and transfer.
+  EXPECT_EQ(end(spans["inject:commit"]), end(spans["inject"]));
+  EXPECT_EQ(spans["inject:commit"]->ts, end(spans["inject:transfer"]));
+  EXPECT_EQ(spans["inject:transfer"]->ts,
+            end(spans["inject:link"]) +
+                rig.cp->config().cost.rdx_dispatch_overhead);
+}
 
 TEST(TelemetryE2E, OneTimelineCoversSpansRingEventsFaultsAndCounters) {
   TelemetryRig rig;
