@@ -4,8 +4,9 @@
 # Release builds), a doc-drift guard (docs/wire-contracts.md vs
 # core/layout.h + markdown link check), JIT-vs-interpreter speed ratio
 # gates for eBPF and for lowered Wasm (ablation_jit), a golden smoke gate
-# (bench stdout and the chrome://tracing file vs bench/golden/), an rdxbench virtual gate (each
-# workload's virtual-clock results vs bench/golden/rdxbench/), and an
+# (bench stdout and the chrome://tracing file vs bench/golden/), an
+# rdxbench virtual gate (each workload's virtual-clock results at seeds
+# 1-3 vs bench/golden/rdxbench/), and an
 # ASan+UBSan build + test pass (catches the lifetime/aliasing bugs the
 # guardrail and fault paths and the coroutine frames are most prone to).
 #
@@ -226,22 +227,24 @@ echo "golden smoke gate OK"
 echo
 echo "== rdxbench virtual gate: virtual {...} lines vs bench/golden/rdxbench/ =="
 # The benchmark's virtual-clock results are deterministic and do not
-# depend on --seconds: seed 1's `virtual {...}` line of each workload must
-# equal the checked-in one byte for byte. docs/benchmarks.md says how to
-# refresh them when a model change lands.
+# depend on --seconds: the `virtual {...}` line of each workload at seeds
+# 1-3 must equal the checked-in one byte for byte. docs/benchmarks.md says
+# how to refresh them when a model change lands.
 virtual_fail=0
 for workload in kv_ebpf fleet_deploy mesh_wasm; do
-  golden="bench/golden/rdxbench/$workload.virtual"
-  if ! out="$(python3 rdxbench/run.py --workload "$workload" --seed 1 \
-                --seconds 1 --trace 0 2>/dev/null)"; then
-    echo "virtual gate: rdxbench $workload failed to build or run"
-    virtual_fail=1
-    continue
-  fi
-  if ! grep '^virtual ' <<<"$out" | diff -u "$golden" - ; then
-    echo "virtual gate: $workload virtual line differs from $golden"
-    virtual_fail=1
-  fi
+  for seed in 1 2 3; do
+    golden="bench/golden/rdxbench/$workload.seed$seed.virtual"
+    if ! out="$(python3 rdxbench/run.py --workload "$workload" \
+                  --seed "$seed" --seconds 1 --trace 0 2>/dev/null)"; then
+      echo "virtual gate: rdxbench $workload seed $seed failed to build or run"
+      virtual_fail=1
+      continue
+    fi
+    if ! grep '^virtual ' <<<"$out" | diff -u "$golden" - ; then
+      echo "virtual gate: $workload seed $seed virtual line differs from $golden"
+      virtual_fail=1
+    fi
+  done
 done
 if [[ "$virtual_fail" != "0" ]]; then
   echo "rdxbench virtual gate FAILED (see above)"

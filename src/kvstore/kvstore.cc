@@ -1,5 +1,7 @@
 #include "kvstore/kvstore.h"
 
+#include <array>
+
 namespace rdx::kvstore {
 
 namespace {
@@ -153,7 +155,7 @@ void KvStore::Execute(const Command& command,
   std::uint64_t ext_cycles = 0;
   if (config_.run_extension &&
       sandbox_->VisibleVersion(config_.ebpf_hook) != 0) {
-    Bytes ctx(16, 0);
+    std::array<std::uint8_t, 16> ctx{};
     StoreLE(ctx.data(), Fnv1a64(ByteSpan(
                             reinterpret_cast<const std::uint8_t*>(
                                 command.key.data()),

@@ -1,5 +1,7 @@
 #include "mesh/mesh.h"
 
+#include <array>
+
 namespace rdx::mesh {
 
 namespace {
@@ -141,7 +143,7 @@ void MeshSim::RunHop(std::shared_ptr<Request> request) {
   }
   if (!request->failed &&
       service.sandbox->VisibleVersion(config_.ebpf_hook) != 0) {
-    Bytes packet(8);
+    std::array<std::uint8_t, 8> packet{};
     StoreLE(packet.data(), request->id);
     auto result = service.sandbox->ExecuteHook(config_.ebpf_hook, packet);
     if (!result.ok()) {

@@ -241,9 +241,9 @@ TEST(Cpu, TwoTasksOnOneCoreShare) {
   cpu.Submit(1000, [&] { a_done = q.Now(); });
   cpu.Submit(1000, [&] { b_done = q.Now(); });
   q.Run();
-  // Both get half speed: each finishes at ~2000 ns.
-  EXPECT_NEAR(static_cast<double>(a_done), 2000, 2);
-  EXPECT_NEAR(static_cast<double>(b_done), 2000, 2);
+  // Both get half speed: each finishes at 2000 ns.
+  EXPECT_EQ(a_done, 2000);
+  EXPECT_EQ(b_done, 2000);
 }
 
 TEST(Cpu, TwoTasksOnTwoCoresDoNotShare) {
@@ -253,8 +253,8 @@ TEST(Cpu, TwoTasksOnTwoCoresDoNotShare) {
   cpu.Submit(1000, [&] { a_done = q.Now(); });
   cpu.Submit(1000, [&] { b_done = q.Now(); });
   q.Run();
-  EXPECT_NEAR(static_cast<double>(a_done), 1000, 2);
-  EXPECT_NEAR(static_cast<double>(b_done), 1000, 2);
+  EXPECT_EQ(a_done, 1000);
+  EXPECT_EQ(b_done, 1000);
 }
 
 TEST(Cpu, ShortTaskDelaysLongTaskProportionally) {
@@ -265,9 +265,9 @@ TEST(Cpu, ShortTaskDelaysLongTaskProportionally) {
   cpu.Submit(1000, [&] { short_done = q.Now(); });
   q.Run();
   // Short task: shares until it accumulates 1000 cycles => 2000 ns.
-  EXPECT_NEAR(static_cast<double>(short_done), 2000, 5);
+  EXPECT_EQ(short_done, 2000);
   // Long task: 1000 cycles done at t=2000, 9000 more alone => 11000 ns.
-  EXPECT_NEAR(static_cast<double>(long_done), 11000, 5);
+  EXPECT_EQ(long_done, 11000);
 }
 
 TEST(Cpu, StaggeredArrival) {
@@ -281,7 +281,7 @@ TEST(Cpu, StaggeredArrival) {
   q.Run();
   // First task runs alone for 1000 ns (1000 cycles), then shares;
   // remaining 1000 cycles take 2000 ns => done at 3000.
-  EXPECT_NEAR(static_cast<double>(first_done), 3000, 5);
+  EXPECT_EQ(first_done, 3000);
 }
 
 TEST(Cpu, AbortCancelsCompletion) {
@@ -304,7 +304,7 @@ TEST(Cpu, AbortSpeedsUpSurvivor) {
   q.ScheduleAt(2000, [&] { cpu.Abort(victim); });
   q.Run();
   // 0-2000ns shared (1000 cycles done), then alone: 3000 more ns.
-  EXPECT_NEAR(static_cast<double>(done), 5000, 5);
+  EXPECT_EQ(done, 5000);
 }
 
 TEST(Cpu, UtilizationReflectsLoad) {
@@ -314,7 +314,7 @@ TEST(Cpu, UtilizationReflectsLoad) {
   q.Run();
   q.RunUntil(2000);
   // 1 core busy for 1000 ns out of 2 cores * 2000 ns.
-  EXPECT_NEAR(cpu.Utilization(), 0.25, 0.01);
+  EXPECT_EQ(cpu.Utilization(), 0.25);
 }
 
 TEST(Cpu, CompletionCanResubmit) {
@@ -341,7 +341,85 @@ TEST(Cpu, ManyConcurrentTasksConserveWork) {
   q.Run();
   EXPECT_EQ(done, kTasks);
   // Total work = 64 * 100 us; on 4 cores => 1.6 ms of virtual time.
-  EXPECT_NEAR(static_cast<double>(q.Now()), 1.6e6, 1e4);
+  EXPECT_EQ(q.Now(), 1'600'000);
+}
+
+TEST(Cpu, CohortCompletesInOneEvent) {
+  EventQueue q;
+  CpuScheduler cpu(q, 1, 1e9);
+  constexpr int kCohort = 5;
+  SimTime long_done = 0;
+  cpu.Submit(100'000, [&] { long_done = q.Now(); });
+  std::vector<SimTime> fired_at;
+  std::vector<int> active_in_callback;
+  for (int i = 0; i < kCohort; ++i) {
+    cpu.Submit(1000, [&] {
+      fired_at.push_back(q.Now());
+      active_in_callback.push_back(cpu.ActiveTasks());
+    });
+  }
+  // Six tasks share the core: the cohort's 1000 cycles take 6000 ns.
+  while (fired_at.empty() && q.Step()) {
+  }
+  EXPECT_EQ(fired_at, std::vector<SimTime>(kCohort, 6000));
+  // Inside each callback only the long task is still running.
+  EXPECT_EQ(active_in_callback, std::vector<int>(kCohort, 1));
+  q.Run();
+  // 1000 cycles shared by six, then 99000 alone.
+  EXPECT_EQ(long_done, 6000 + 99'000);
+}
+
+TEST(Cpu, AbortOfBatchPeerIsIgnored) {
+  // A completion that aborts a peer finished in the same event changes
+  // nothing: the peer's completion still fires, and the survivor's
+  // timing is the same as without the aborts.
+  for (const bool abort_peers : {false, true}) {
+    EventQueue q;
+    CpuScheduler cpu(q, 1, 1e9);
+    SimTime long_done = 0;
+    cpu.Submit(10'000, [&] { long_done = q.Now(); });
+    std::vector<CpuScheduler::TaskId> ids;
+    int fired = 0;
+    for (int i = 0; i < 3; ++i) {
+      ids.push_back(cpu.Submit(1000, [&] {
+        ++fired;
+        if (abort_peers) {
+          for (auto id : ids) cpu.Abort(id);
+        }
+      }));
+    }
+    q.Run();
+    EXPECT_EQ(fired, 3) << abort_peers;
+    EXPECT_EQ(long_done, 4000 + 9000) << abort_peers;
+    EXPECT_EQ(cpu.ActiveTasks(), 0);
+  }
+}
+
+TEST(Cpu, AbortOfUnknownIdChangesNothing) {
+  EventQueue q;
+  CpuScheduler cpu(q, 1, 1e9);
+  SimTime done = 0;
+  const auto id = cpu.Submit(1000, [&] { done = q.Now(); });
+  q.ScheduleAt(300, [&] {
+    cpu.Abort(id + 100);
+    cpu.Abort(0);
+  });
+  q.Run();
+  EXPECT_EQ(done, 1000);
+}
+
+TEST(Cpu, DriftBelowEpsilonStillCompletes) {
+  // 27 x 2295 cycles on one 3.4 GHz core is exactly 18225 ns of work, but
+  // in floating point the 18225 ns serve 4.5e-13 cycles too few. The
+  // epsilon absorbs that: all 27 finish at 18225, not one ns later.
+  EventQueue q;
+  CpuScheduler cpu(q, 1, 3.4e9);
+  std::vector<SimTime> fired_at;
+  for (int i = 0; i < 27; ++i) {
+    cpu.Submit(2295, [&] { fired_at.push_back(q.Now()); });
+  }
+  EXPECT_EQ(q.Run(), 1u);
+  EXPECT_EQ(fired_at, std::vector<SimTime>(27, 18225));
 }
 
 // ---- CacheModel ----
