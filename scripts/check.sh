@@ -6,7 +6,7 @@
 # gates for eBPF and for lowered Wasm (ablation_jit), a golden smoke gate
 # (bench stdout and the chrome://tracing file vs bench/golden/), an
 # rdxbench virtual gate (each workload's virtual-clock results at seeds
-# 1-3 vs bench/golden/rdxbench/), and an
+# 1-3, traced and untraced, vs bench/golden/rdxbench/), and an
 # ASan+UBSan build + test pass (catches the lifetime/aliasing bugs the
 # guardrail and fault paths and the coroutine frames are most prone to).
 #
@@ -226,24 +226,28 @@ echo "golden smoke gate OK"
 
 echo
 echo "== rdxbench virtual gate: virtual {...} lines vs bench/golden/rdxbench/ =="
-# The benchmark's virtual-clock results are deterministic and do not
-# depend on --seconds: the `virtual {...}` line of each workload at seeds
-# 1-3 must equal the checked-in one byte for byte. docs/benchmarks.md says
-# how to refresh them when a model change lands.
+# The benchmark's virtual-clock results are deterministic and depend on
+# neither --seconds nor tracing: the `virtual {...}` line of each workload
+# at seeds 1-3, with --trace 0 and with --trace 1, must equal the
+# checked-in one byte for byte. docs/benchmarks.md says how to refresh
+# them when a model change lands.
 virtual_fail=0
 for workload in kv_ebpf fleet_deploy mesh_wasm; do
   for seed in 1 2 3; do
     golden="bench/golden/rdxbench/$workload.seed$seed.virtual"
-    if ! out="$(python3 rdxbench/run.py --workload "$workload" \
-                  --seed "$seed" --seconds 1 --trace 0 2>/dev/null)"; then
-      echo "virtual gate: rdxbench $workload seed $seed failed to build or run"
-      virtual_fail=1
-      continue
-    fi
-    if ! grep '^virtual ' <<<"$out" | diff -u "$golden" - ; then
-      echo "virtual gate: $workload seed $seed virtual line differs from $golden"
-      virtual_fail=1
-    fi
+    for trace in 0 1; do
+      run="$workload seed $seed trace $trace"
+      if ! out="$(python3 rdxbench/run.py --workload "$workload" \
+                    --seed "$seed" --seconds 1 --trace "$trace" 2>/dev/null)"; then
+        echo "virtual gate: rdxbench $run failed to build or run"
+        virtual_fail=1
+        continue
+      fi
+      if ! grep '^virtual ' <<<"$out" | diff -u "$golden" - ; then
+        echo "virtual gate: $run virtual line differs from $golden"
+        virtual_fail=1
+      fi
+    done
   done
 done
 if [[ "$virtual_fail" != "0" ]]; then

@@ -1,6 +1,8 @@
 #include "core/broadcast.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <map>
 #include <optional>
 
 #include "core/for_all.h"
@@ -95,7 +97,7 @@ sim::Task<StatusOr<BroadcastResult>> CollectiveCodeFlow::BroadcastProgram(
   // Validate + compile once (the artifact cache makes this amortized),
   // then per node: deploy XStates, link, prepare.
   const std::uint64_t fp = ProgramFingerprint(prog);
-  const StatusOr<const bpf::JitImage*> image = co_await cp_.Build(prog, fp);
+  const StatusOr<ImagePtr<bpf::Program>> image = co_await cp_.Build(prog, fp);
   if (!image.ok()) {
     if (barrier != nullptr) barrier->ReleaseBuffered();
     co_return image.status();
@@ -119,20 +121,34 @@ sim::Task<StatusOr<BroadcastResult>> CollectiveCodeFlow::BroadcastFilters(
   if (filters.size() != group_.size()) {
     co_return InvalidArgument("one filter per group member required");
   }
+  if (std::find(filters.begin(), filters.end(), nullptr) != filters.end()) {
+    co_return InvalidArgument("null filter");
+  }
   const sim::SimTime t0 = cp_.events().Now();
   if (barrier != nullptr) barrier->BeginBuffering();
   // Own copies, made before the first suspension: the caller's filters
-  // need not outlive the async phases.
+  // need not outlive the async phases. One copy and one fingerprint per
+  // distinct filter; callers usually pass the same filter to every node.
   std::vector<wasm::FilterModule> owned;
-  owned.reserve(filters.size());
-  for (const wasm::FilterModule* filter : filters) owned.push_back(*filter);
+  std::vector<std::uint64_t> fps;
+  std::vector<std::size_t> owned_of(filters.size());
+  std::map<const wasm::FilterModule*, std::size_t> first_copy;
+  for (std::size_t i = 0; i < filters.size(); ++i) {
+    const auto [it, fresh] = first_copy.emplace(filters[i], owned.size());
+    if (fresh) {
+      owned.push_back(*filters[i]);
+      fps.push_back(WasmFingerprint(owned.back()));
+    }
+    owned_of[i] = it->second;
+  }
 
-  // Each node builds its own filter, then links and prepares it.
+  // Each node builds its filter (a shared image once one node compiled
+  // it), then links and prepares it.
   auto prepare = [&](std::size_t i)
       -> sim::Task<StatusOr<ControlPlane::PreparedImage>> {
-    const wasm::FilterModule& module = owned[i];
-    const std::uint64_t fp = WasmFingerprint(module);
-    RDX_CO_ASSIGN_OR_RETURN(const wasm::WasmImage* image,
+    const wasm::FilterModule& module = owned[owned_of[i]];
+    const std::uint64_t fp = fps[owned_of[i]];
+    RDX_CO_ASSIGN_OR_RETURN(const ImagePtr<wasm::FilterModule> image,
                             co_await cp_.Build(module, fp));
     co_return co_await cp_.LinkAndPrepare(*group_[i], module, *image, hook,
                                           fp);
@@ -178,7 +194,7 @@ sim::Task<void> CollectiveCodeFlow::RunPipeline(
   std::vector<bool> alive(group_.size(), true);
   // Compile-stage -> deploy-stage handoff (the pipeline registers); an
   // image is non-null once its wave compiled.
-  std::vector<const bpf::JitImage*> images(n, nullptr);
+  std::vector<ImagePtr<bpf::Program>> images(n);
   bool failed = false;  // terminal failure already reported
   auto fail = [&](const Status& why) {
     if (failed) return;
@@ -226,7 +242,7 @@ sim::Task<void> CollectiveCodeFlow::RunPipeline(
     WaveResult& wave = result.waves[k];
     wave.compile_cache_hit =
         cp_.artifact_cache().HasImage(ArtifactCache::Kind::kEbpf, fps[k]);
-    const StatusOr<const bpf::JitImage*> image =
+    const StatusOr<ImagePtr<bpf::Program>> image =
         co_await cp_.Build(progs[k], fps[k]);
     compile_waiter = nullptr;
     if (!image.ok()) {

@@ -92,8 +92,9 @@ class CollectiveCodeFlow {
   void Broadcast(const bpf::Program& prog, int hook, UpdateBarrier* barrier,
                  std::function<void(StatusOr<BroadcastResult>)> done);
 
-  // Wasm-filter variant: per-node filters (size must equal the group's).
-  // The filters are copied before the call returns.
+  // Wasm-filter variant: per-node filters (size must equal the group's,
+  // none null). Each distinct filter is copied and fingerprinted once,
+  // before the call returns.
   void BroadcastWasm(const std::vector<const wasm::FilterModule*>& filters,
                      int hook, UpdateBarrier* barrier,
                      std::function<void(StatusOr<BroadcastResult>)> done);

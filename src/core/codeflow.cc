@@ -15,6 +15,10 @@ constexpr std::uint64_t kAllocAlign = 64;
 // chain only every 4th WRITE (and always the tail) writes a CQE; PostChain
 // reconstructs the implied completions from RC ordering.
 constexpr std::uint32_t kSignalingPeriod = 4;
+// Why a commit is refused: the source fingerprint was blacklisted after
+// its deploy validated, so the image must not go live.
+constexpr const char* kQuarantinedInFlight =
+    "fingerprint was quarantined while its deploy was in flight";
 
 std::uint64_t AlignUp(std::uint64_t n, std::uint64_t a) {
   return (n + a - 1) & ~(a - 1);
@@ -32,10 +36,22 @@ std::uint64_t NextVersionFor(CodeFlow& flow, int hook) {
 }
 }  // namespace
 
+const bool* ArtifactCache::FindVerdict(Kind kind, std::uint64_t fp) {
+  auto it = entries_.find({kind, fp});
+  const bool* found = it == entries_.end() || !it->second.verdict
+                          ? nullptr
+                          : &*it->second.verdict;
+  ++(found != nullptr ? hits_ : misses_);
+  return found;
+}
+
+void ArtifactCache::PutVerdict(Kind kind, std::uint64_t fp, bool verdict) {
+  entries_[{kind, fp}].verdict = verdict;
+}
+
 bool ArtifactCache::HasImage(Kind kind, std::uint64_t fp) const {
   auto it = entries_.find({kind, fp});
-  return it != entries_.end() &&
-         !std::holds_alternative<std::monostate>(it->second.image);
+  return it != entries_.end() && it->second.published;
 }
 
 void ArtifactCache::Invalidate(std::uint64_t fp) {
@@ -47,8 +63,7 @@ void ArtifactCache::Invalidate(std::uint64_t fp) {
 std::size_t ArtifactCache::entries() const {
   std::size_t n = 0;
   for (const auto& [key, entry] : entries_) {
-    n += entry.verdict.has_value() +
-         !std::holds_alternative<std::monostate>(entry.image);
+    n += entry.verdict.has_value() + entry.published;
   }
   return n;
 }
@@ -356,32 +371,48 @@ sim::Task<Status> ControlPlane::ValidateCode(const Source& src,
   // is refused even though it verified fine before (verification is
   // necessary but not sufficient, §5).
   if (IsBlacklisted(fp)) co_return PermissionDenied(K::kQuarantined);
-  if (const bool* verdict = artifacts_.Find<bool>(K::kKind, fp)) {
+  if (const bool* verdict = artifacts_.FindVerdict(K::kKind, fp)) {
     co_return *verdict ? OkStatus() : InvalidArgument(K::kKnownBad);
   }
   // Real verification work happens now; virtual time is charged to the
   // control plane's CPU (not any data-plane node).
   const Status verdict = K::Validate(src);
-  artifacts_.Put(K::kKind, fp, verdict.ok());
+  artifacts_.PutVerdict(K::kKind, fp, verdict.ok());
   co_await sim::Charge(cpu_, (config_.cost.*K::kValidateCycles)(src.size()));
   co_return verdict;
 }
 
 template <class Source>
-sim::Task<StatusOr<const ImageOf<Source>*>> ControlPlane::JitCompileCode(
+sim::Task<StatusOr<ImagePtr<Source>>> ControlPlane::JitCompileCode(
     const Source& src, std::uint64_t fp) {
   using K = ExtensionKind<Source>;
-  if (const auto* hit = artifacts_.Find<ImageOf<Source>>(K::kKind, fp)) {
+  using Image = ImageOf<Source>;
+  if (ImagePtr<Source> hit = artifacts_.Find<Image>(K::kKind, fp)) {
     co_return hit;
   }
-  auto image = K::Compile(src);
+  // Every miss pays the compile charge, as if it compiled; only the first
+  // one in flight runs the compiler.
+  ImagePtr<Source> image = artifacts_.Parked<Image>(K::kKind, fp);
+  Status compiled;
+  if (image != nullptr) {
+    ++images_shared_;
+  } else {
+    ++images_built_;
+    StatusOr<Image> fresh = K::Compile(src);
+    compiled = fresh.status();
+    if (fresh.ok()) {
+      image = std::make_shared<const Image>(std::move(fresh).value());
+      artifacts_.Park(K::kKind, fp, image);
+    }
+  }
   co_await sim::Charge(cpu_, (config_.cost.*K::kCompileCycles)(src.size()));
-  if (!image.ok()) co_return image.status();
-  co_return artifacts_.Put(K::kKind, fp, std::move(image).value());
+  if (!compiled.ok()) co_return compiled;
+  artifacts_.Publish(K::kKind, fp, image);
+  co_return image;
 }
 
 template <class Source>
-sim::Task<StatusOr<const ImageOf<Source>*>> ControlPlane::Build(
+sim::Task<StatusOr<ImagePtr<Source>>> ControlPlane::Build(
     const Source& src, std::uint64_t fp) {
   RDX_CO_RETURN_IF_ERROR(co_await ValidateCode(src, fp));
   co_return co_await JitCompileCode(src, fp);
@@ -818,6 +849,9 @@ void ControlPlane::RecordCommit(CodeFlow& flow, int hook,
 
 sim::Task<Status> ControlPlane::CommitPrepared(CodeFlow& flow, int hook,
                                                PreparedImage prepared) {
+  if (IsBlacklisted(prepared.fingerprint)) {
+    co_return PermissionDenied(kQuarantinedInFlight);
+  }
   RDX_CO_RETURN_IF_ERROR(co_await CommitHook(flow, hook, prepared.desc_addr));
   RecordCommit(flow, hook, prepared);
   co_return OkStatus();
@@ -826,6 +860,9 @@ sim::Task<Status> ControlPlane::CommitPrepared(CodeFlow& flow, int hook,
 sim::Task<Status> ControlPlane::CommitPreparedCas(CodeFlow& flow, int hook,
                                                   PreparedImage prepared,
                                                   std::uint64_t expected_desc) {
+  if (IsBlacklisted(prepared.fingerprint)) {
+    co_return PermissionDenied(kQuarantinedInFlight);
+  }
   // CAS, not a blind write: wave commits race quarantines and other
   // writers, and a lost race must surface instead of clobbering the slot.
   RDX_CO_ASSIGN_OR_RETURN(
@@ -870,7 +907,7 @@ sim::Task<StatusOr<InjectTrace>> ControlPlane::Inject(CodeFlow& flow,
 
   RDX_CO_RETURN_IF_ERROR(co_await ValidateCode(src, fp));
   trace.validate = lap();
-  RDX_CO_ASSIGN_OR_RETURN(const ImageOf<Source>* image,
+  RDX_CO_ASSIGN_OR_RETURN(const ImagePtr<Source> image,
                           co_await JitCompileCode(src, fp));
   trace.jit = lap();
   RDX_CO_RETURN_IF_ERROR(co_await DeployXStates(flow, src));
@@ -891,6 +928,7 @@ sim::Task<StatusOr<InjectTrace>> ControlPlane::Inject(CodeFlow& flow,
     // then code — leaves a window during which the data-plane CPU reads a
     // *torn* image (new length/version, mixed code bytes). This is the
     // §3.5 hazard rdx_tx's shadow-copy + qword-swap eliminates.
+    if (IsBlacklisted(fp)) co_return PermissionDenied(kQuarantinedInFlight);
     const std::uint64_t image_addr = deployment.image_addr;
     Bytes desc(kImageDescBytes);
     StoreDesc(desc.data(), image_addr, wire, version, config_.signing_key);
@@ -925,7 +963,7 @@ sim::Task<StatusOr<InjectTrace>> ControlPlane::Inject(CodeFlow& flow,
 #define RDX_INSTANTIATE_PIPELINE(Source)                                      \
   template sim::Task<Status> ControlPlane::ValidateCode(const Source&,         \
                                                         std::uint64_t);        \
-  template sim::Task<StatusOr<const ImageOf<Source>*>> ControlPlane::Build(    \
+  template sim::Task<StatusOr<ImagePtr<Source>>> ControlPlane::Build(          \
       const Source&, std::uint64_t);                                           \
   template sim::Task<StatusOr<Bytes>> ControlPlane::LinkCode(                  \
       CodeFlow&, const ImageOf<Source>&, std::uint64_t);                       \
@@ -1000,6 +1038,8 @@ void ControlPlane::ExportMetrics(telemetry::MetricsRegistry& reg) const {
                  artifacts_.invalidations());
   reg.SetCounter("cp.blacklisted_fingerprints", blacklist_.size());
   reg.SetCounter("cp.codeflows", flows_.size());
+  reg.SetCounter("cp.compile.images_built", images_built_);
+  reg.SetCounter("cp.compile.images_shared", images_shared_);
   reg.SetCounter("cp.link.wires_built", wires_built_);
   reg.SetCounter("cp.link.wires_shared", wires_shared_);
 }

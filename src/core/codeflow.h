@@ -34,7 +34,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -100,49 +99,71 @@ struct InjectTrace {
 // Invalidation is tied to quarantine — blacklisting a fingerprint evicts
 // its artifacts so a quarantined program can never be served from cache
 // again.
+//
+// An image is compiled on the host once per key. The first compile parks
+// it in the entry; lookups see it only once it is published, when a CPU
+// charge for it ends. A compile that misses while the image is parked
+// takes it instead of compiling again. Images are shared: a caller keeps
+// its own reference, so Invalidate drops only the cache's.
 class ArtifactCache {
  public:
   using Kind = ImageKind;
-
-  // `T` is `bool` for a verification verdict, else the kind's image type.
-  // Find counts one hit or miss per lookup; HasImage probes are free.
   template <class T>
-  const T* Find(Kind kind, std::uint64_t fp) {
+  using Ptr = std::shared_ptr<const T>;
+
+  // Each lookup, of a verdict or of a published image, counts one hit or
+  // miss; HasImage and Parked probes are free.
+  const bool* FindVerdict(Kind kind, std::uint64_t fp);
+  void PutVerdict(Kind kind, std::uint64_t fp, bool verdict);
+  template <class T>
+  Ptr<T> Find(Kind kind, std::uint64_t fp) {
     auto it = entries_.find({kind, fp});
-    const T* found = it == entries_.end() ? nullptr : Get<T>(it->second);
+    const Ptr<T> found = it != entries_.end() && it->second.published
+                             ? Get<T>(it->second)
+                             : nullptr;
     ++(found != nullptr ? hits_ : misses_);
     return found;
   }
+  // The image a compile still in flight parked, or null.
   template <class T>
-  const T* Put(Kind kind, std::uint64_t fp, T artifact) {
-    Entry& entry = entries_[{kind, fp}];
-    if constexpr (std::is_same_v<T, bool>) {
-      entry.verdict = artifact;
-    } else {
-      entry.image = std::move(artifact);
+  Ptr<T> Parked(Kind kind, std::uint64_t fp) const {
+    auto it = entries_.find({kind, fp});
+    return it == entries_.end() || it->second.published ? nullptr
+                                                         : Get<T>(it->second);
+  }
+  template <class T>
+  void Park(Kind kind, std::uint64_t fp, Ptr<T> image) {
+    entries_[{kind, fp}].image = std::move(image);
+  }
+  // Makes `image` visible to lookups if it is still the one parked for
+  // (kind, fp); an image invalidated meanwhile stays out.
+  template <class T>
+  void Publish(Kind kind, std::uint64_t fp, const Ptr<T>& image) {
+    auto it = entries_.find({kind, fp});
+    if (it != entries_.end() && Get<T>(it->second) == image) {
+      it->second.published = true;
     }
-    return Get<T>(entry);
   }
   bool HasImage(Kind kind, std::uint64_t fp) const;
-  // Evicts every artifact derived from `fp` (verdicts + images).
+  // Evicts every artifact derived from `fp` (verdicts + images, parked or
+  // published).
   void Invalidate(std::uint64_t fp);
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
   std::uint64_t invalidations() const { return invalidations_; }
-  std::size_t entries() const;  // verdicts + images
+  std::size_t entries() const;  // verdicts + published images
 
  private:
   struct Entry {
     std::optional<bool> verdict;
-    std::variant<std::monostate, bpf::JitImage, wasm::WasmImage> image;
+    std::variant<std::monostate, Ptr<bpf::JitImage>, Ptr<wasm::WasmImage>>
+        image;
+    bool published = false;
   };
   template <class T>
-  static const T* Get(const Entry& entry) {
-    if constexpr (std::is_same_v<T, bool>) {
-      return entry.verdict ? &*entry.verdict : nullptr;
-    } else {
-      return std::get_if<T>(&entry.image);
-    }
+  static Ptr<T> Get(const Entry& entry) {
+    const Ptr<T>* image = std::get_if<Ptr<T>>(&entry.image);
+    return image == nullptr ? nullptr : *image;
   }
 
   std::map<std::pair<Kind, std::uint64_t>, Entry> entries_;
@@ -258,12 +279,13 @@ class ControlPlane {
   sim::Task<Status> ValidateCode(const Source& src) {
     return ValidateCode(src, ExtensionKind<Source>::Fingerprint(src));
   }
-  // ValidateCode, then compile (or take the cached image for) `src`.
+  // ValidateCode, then compile (or take the cached image for) `src`. The
+  // caller shares ownership of the image, so it outlives an eviction.
   template <class Source>
-  sim::Task<StatusOr<const ImageOf<Source>*>> Build(const Source& src,
-                                                    std::uint64_t fp);
+  sim::Task<StatusOr<ImagePtr<Source>>> Build(const Source& src,
+                                              std::uint64_t fp);
   template <class Source>
-  sim::Task<StatusOr<const ImageOf<Source>*>> Build(const Source& src) {
+  sim::Task<StatusOr<ImagePtr<Source>>> Build(const Source& src) {
     return Build(src, ExtensionKind<Source>::Fingerprint(src));
   }
 
@@ -339,7 +361,9 @@ class ControlPlane {
   sim::Task<StatusOr<PreparedImage>> PrepareImage(
       CodeFlow& flow, Bytes image_bytes, std::uint64_t version,
       std::uint64_t fingerprint = 0);
-  // Phase 2: atomically swing the hook slot to the prepared desc.
+  // Phase 2: atomically swing the hook slot to the prepared desc. Both
+  // commits refuse (PermissionDenied) an image whose fingerprint was
+  // blacklisted while it was being deployed.
   sim::Task<Status> CommitPrepared(CodeFlow& flow, int hook,
                                    PreparedImage prepared);
   // Phase 2 by CAS instead of a blind write: swings the slot from
@@ -413,7 +437,7 @@ class ControlPlane {
   void HarvestTrace(CodeFlow& flow, telemetry::Collector& collector,
                     Done done);
   // Control-plane counters (quarantines, compile caches, flow count,
-  // link wires built and shared).
+  // images compiled and shared, link wires built and shared).
   void ExportMetrics(telemetry::MetricsRegistry& reg) const;
 
   // ---- accessors ----
@@ -494,10 +518,12 @@ class ControlPlane {
       CodeFlow& flow, int first_hook, std::uint64_t count,
       const char* failure);
 
-  // Compiles (or returns the cached image for) `src`.
+  // Compiles (or returns the cached image for) `src`, charging the control
+  // plane's CPU on every miss. The host compiles once per key: a miss while
+  // an earlier compile's charge runs takes the image that compile parked.
   template <class Source>
-  sim::Task<StatusOr<const ImageOf<Source>*>> JitCompileCode(
-      const Source& src, std::uint64_t fp);
+  sim::Task<StatusOr<ImagePtr<Source>>> JitCompileCode(const Source& src,
+                                                       std::uint64_t fp);
   // Deploys the XStates `src` declares that the node lacks, one at a time.
   template <class Source>
   sim::Task<Status> DeployXStates(CodeFlow& flow, const Source& src);
@@ -553,6 +579,10 @@ class ControlPlane {
   std::optional<LinkedWire> linked_wire_;
   std::uint64_t wires_built_ = 0;
   std::uint64_t wires_shared_ = 0;
+  // Compile misses that ran the compiler on the host, and those that took
+  // the image an in-flight compile parked.
+  std::uint64_t images_built_ = 0;
+  std::uint64_t images_shared_ = 0;
 
   // Quarantined source-program fingerprints; checked before the verify
   // cache so a blacklisted program is refused even if it verified before.

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <variant>
@@ -137,6 +138,10 @@ struct ExtensionKind<wasm::WasmImage> : ExtensionKind<wasm::FilterModule> {};
 
 template <class Source>
 using ImageOf = typename ExtensionKind<Source>::Image;
+// A compiled image as the control plane hands it out: shared with the
+// artifact cache, so an eviction cannot free it under a caller.
+template <class Source>
+using ImagePtr = std::shared_ptr<const ImageOf<Source>>;
 
 // Links `image` in place against `target`: plan, resolve, apply.
 template <class Image>

@@ -499,8 +499,8 @@ TEST_P(CommitTailTest, CasAndWriteCommitsBecomeVisible) {
   // Prepare v2 and CAS-commit it over v1.
   const bpf::Program prog2 =
       bpf::GenerateProgram({.target_insns = 200, .seed = 5});
-  const bpf::JitImage* image = nullptr;
-  sim::Start(cluster.cp->Build(prog2), [&](StatusOr<const bpf::JitImage*> r) {
+  ImagePtr<bpf::Program> image;
+  sim::Start(cluster.cp->Build(prog2), [&](StatusOr<ImagePtr<bpf::Program>> r) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     image = r.value();
   });
@@ -603,6 +603,207 @@ TEST(VanillaMode, InPlaceRewriteCanTearImages) {
   ASSERT_TRUE(done2);
   EXPECT_TRUE(torn_seen);
   EXPECT_GT(sandbox.stats().torn_image_failures, 0u);
+}
+
+// Runs `task` to completion on the cluster's event queue and returns its
+// result.
+template <class T>
+T RunToEnd(Cluster& cluster, sim::Task<T> task) {
+  std::optional<T> result;
+  sim::Start(std::move(task), [&](T r) { result.emplace(std::move(r)); });
+  cluster.events.Run();
+  EXPECT_TRUE(result.has_value());
+  return std::move(result).value();
+}
+
+std::uint64_t CpCounter(Cluster& cluster, const char* name) {
+  telemetry::MetricsRegistry reg;
+  cluster.cp->ExportMetrics(reg);
+  return reg.counter(name);
+}
+
+// Eight overlapping builds of one never-seen filter, as a Wasm broadcast
+// to eight nodes issues them. The virtual schedule is the one the control
+// plane always had: node 0 validates (nodes 1-7 take its verdict, stored
+// before the charge) and finds the image published by the time its
+// validate charge ends; nodes 1-7 each miss and pay a compile charge.
+// The host runs the compiler once and all eight get the same image.
+TEST(Build, OverlappingBuildsCompileOnceOnTheHost) {
+  Cluster cluster(0);
+  ControlPlane& cp = *cluster.cp;
+  const wasm::FilterModule filter = wasm::GenerateFilter(200, 7);
+  const std::uint64_t fp = WasmFingerprint(filter);
+  std::vector<sim::SimTime> done_at(8, -1);
+  std::vector<ImagePtr<wasm::FilterModule>> images(8);
+  for (int i = 0; i < 8; ++i) {
+    sim::Start(cp.Build(filter),
+               [&, i](StatusOr<ImagePtr<wasm::FilterModule>> image) {
+                 ASSERT_TRUE(image.ok()) << image.status().ToString();
+                 images[i] = *image;
+                 done_at[i] = cluster.events.Now();
+               });
+  }
+  // 1 validate charge + 7 compile charges; the parked image is not
+  // visible before a charge ends.
+  EXPECT_EQ(cp.cpu().ActiveTasks(), 8);
+  EXPECT_FALSE(cp.artifact_cache().HasImage(ImageKind::kWasm, fp));
+  cluster.events.Run();
+
+  const std::vector<sim::SimTime> expected = {404000, 141400, 141400, 141400,
+                                              141400, 141400, 141400, 141400};
+  EXPECT_EQ(done_at, expected);
+  // 1 verdict miss + 7 image misses; 7 verdict hits + node 0's image hit.
+  EXPECT_EQ(cp.compile_cache_misses(), 8u);
+  EXPECT_EQ(cp.compile_cache_hits(), 8u);
+  EXPECT_EQ(CpCounter(cluster, "cp.compile.images_built"), 1u);
+  EXPECT_EQ(CpCounter(cluster, "cp.compile.images_shared"), 6u);
+  ASSERT_NE(images[0], nullptr);
+  for (const auto& image : images) EXPECT_EQ(image, images[0]);
+  EXPECT_TRUE(cp.artifact_cache().HasImage(ImageKind::kWasm, fp));
+}
+
+// A build torn down during its compile charge publishes nothing. Its
+// parked image waits for the next caller, which pays a whole charge of its
+// own before the image becomes visible.
+TEST(Build, TornDownCompileLeavesItsImageForTheNextCaller) {
+  const wasm::FilterModule filter = wasm::GenerateFilter(200, 7);
+  const std::uint64_t fp = WasmFingerprint(filter);
+  // An uncontended compile charge, measured on a fresh control plane.
+  sim::Duration compile_ns = 0;
+  {
+    Cluster solo(0);
+    ASSERT_TRUE(RunToEnd(solo, solo.cp->ValidateCode(filter)).ok());
+    const sim::SimTime start = solo.events.Now();
+    ASSERT_TRUE(RunToEnd(solo, solo.cp->Build(filter)).ok());
+    compile_ns = solo.events.Now() - start;
+  }
+  ASSERT_GT(compile_ns, 0);
+
+  Cluster cluster(0);
+  ControlPlane& cp = *cluster.cp;
+  ASSERT_TRUE(RunToEnd(cluster, cp.ValidateCode(filter)).ok());
+  // The id the next CPU task gets: the torn-down build's compile charge.
+  const sim::CpuScheduler::TaskId probe = cp.cpu().Submit(1, [] {});
+  cp.cpu().Abort(probe);
+  bool first_done = false;
+  sim::Start(cp.Build(filter), [&](StatusOr<ImagePtr<wasm::FilterModule>>) {
+    first_done = true;
+  });
+  ASSERT_EQ(cp.cpu().ActiveTasks(), 1);
+  cluster.events.RunUntil(cluster.events.Now() + compile_ns / 2);
+  cp.cpu().Abort(probe + 1);
+  cluster.events.Run();
+  EXPECT_FALSE(first_done);
+  EXPECT_FALSE(cp.artifact_cache().HasImage(ImageKind::kWasm, fp));
+
+  const sim::SimTime start = cluster.events.Now();
+  ImagePtr<wasm::FilterModule> image;
+  sim::Start(cp.Build(filter),
+             [&](StatusOr<ImagePtr<wasm::FilterModule>> r) {
+               ASSERT_TRUE(r.ok()) << r.status().ToString();
+               EXPECT_TRUE(cp.artifact_cache().HasImage(ImageKind::kWasm, fp));
+               image = *r;
+             });
+  EXPECT_FALSE(cp.artifact_cache().HasImage(ImageKind::kWasm, fp));
+  cluster.events.Run();
+  ASSERT_NE(image, nullptr);
+  EXPECT_EQ(cluster.events.Now() - start, compile_ns);
+  EXPECT_EQ(CpCounter(cluster, "cp.compile.images_built"), 1u);
+  EXPECT_EQ(CpCounter(cluster, "cp.compile.images_shared"), 1u);
+}
+
+// A quarantine lands while an Inject of the same fingerprint is between
+// its compile and its commit. The eviction must not free the image the
+// inject is linking (it holds its own reference), and the commit is
+// refused: a blacklisted fingerprint never goes live.
+TEST(Inject, BlacklistDuringDeployRefusesCommit) {
+  Cluster cluster(1);
+  const bpf::Program prog = CounterProgram();
+  const std::uint64_t fp = ProgramFingerprint(prog);
+  std::optional<Status> result;
+  cluster.cp->InjectExtension(
+      *cluster.flows[0], prog, 0,
+      [&](StatusOr<InjectTrace> r) { result = r.status(); });
+  cluster.RunUntil([&] {
+    return cluster.cp->artifact_cache().HasImage(ImageKind::kEbpf, fp);
+  });
+  ASSERT_FALSE(result.has_value());
+  cluster.cp->BlacklistFingerprint(fp);
+  cluster.events.Run();
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->code(), StatusCode::kPermissionDenied)
+      << result->ToString();
+  EXPECT_EQ(cluster.sandboxes[0]->CommittedVersion(0), 0u);
+  EXPECT_EQ(SlotDesc(cluster, 0, 0), 0u);
+}
+
+TEST(Broadcast, BlacklistDuringBroadcastRefusesEveryCommit) {
+  Cluster cluster(2);
+  CollectiveCodeFlow group(*cluster.cp, cluster.flows);
+  const bpf::Program prog = CounterProgram();
+  const std::uint64_t fp = ProgramFingerprint(prog);
+  RecordingBarrier barrier;
+  std::optional<Status> result;
+  group.Broadcast(prog, 0, &barrier, [&](StatusOr<BroadcastResult> r) {
+    result = r.status();
+  });
+  cluster.RunUntil([&] {
+    return cluster.cp->artifact_cache().HasImage(ImageKind::kEbpf, fp);
+  });
+  cluster.cp->BlacklistFingerprint(fp);
+  cluster.events.Run();
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->code(), StatusCode::kPermissionDenied);
+  EXPECT_FALSE(barrier.buffering);
+  for (int node = 0; node < 2; ++node) {
+    EXPECT_EQ(cluster.sandboxes[node]->CommittedVersion(0), 0u);
+    EXPECT_EQ(SlotDesc(cluster, node, 0), 0u);
+  }
+}
+
+// In the pipelined deploy a refused commit is a node failure: with
+// straggler isolation every node straggles and the wave commits nowhere.
+TEST(PipelinedDeploy, BlacklistDuringWaveStragglesEveryNode) {
+  Cluster cluster(2);
+  CollectiveCodeFlow group(*cluster.cp, cluster.flows);
+  const bpf::Program prog = CounterProgram();
+  const std::uint64_t fp = ProgramFingerprint(prog);
+  std::optional<StatusOr<PipelineResult>> result;
+  group.DeployPipelined({DeploySpec{&prog, 0}}, PipelineOptions{},
+                        [&](StatusOr<PipelineResult> r) { result = r; });
+  cluster.RunUntil([&] {
+    return cluster.cp->artifact_cache().HasImage(ImageKind::kEbpf, fp);
+  });
+  cluster.cp->BlacklistFingerprint(fp);
+  cluster.events.Run();
+  ASSERT_TRUE(result.has_value());
+  ASSERT_TRUE(result->ok()) << result->status().ToString();
+  EXPECT_EQ((*result)->stragglers, 2u);
+  EXPECT_EQ((*result)->waves[0].committed, 0u);
+  for (const NodeOutcome& node : (*result)->nodes) {
+    EXPECT_EQ(node.status.code(), StatusCode::kPermissionDenied);
+  }
+  for (int node = 0; node < 2; ++node) {
+    EXPECT_EQ(cluster.sandboxes[node]->CommittedVersion(0), 0u);
+  }
+}
+
+TEST(Broadcast, NullFilterIsRejectedBeforeBuffering) {
+  Cluster cluster(2);
+  CollectiveCodeFlow group(*cluster.cp, cluster.flows);
+  const wasm::FilterModule filter = wasm::GenerateFilter(200, 4);
+  RecordingBarrier barrier;
+  std::optional<Status> result;
+  group.BroadcastWasm({&filter, nullptr}, 1, &barrier,
+                      [&](StatusOr<BroadcastResult> r) {
+                        result = r.status();
+                      });
+  cluster.events.Run();
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(barrier.begins, 0);
+  EXPECT_FALSE(barrier.buffering);
+  EXPECT_EQ(cluster.sandboxes[1]->CommittedVersion(1), 0u);
 }
 
 }  // namespace
