@@ -23,32 +23,26 @@ double MeasureDeploy(std::uint32_t chunk_bytes, std::size_t insns) {
   core::Sandbox sandbox(events, node, sandbox_config);
   if (!sandbox.CtxInit().ok()) std::abort();
   auto reg = sandbox.CtxRegister();
-  core::CodeFlow* flow = nullptr;
-  cp.CreateCodeFlow(sandbox, reg.value(),
-                    [&](StatusOr<core::CodeFlow*> f) { flow = f.value(); });
+  core::CodeFlow* flow =
+      sim::RunToCompletion(events, cp.CreateCodeFlow(sandbox, reg.value()))
+          .value();
   events.Run();
 
   bpf::Program prog = bpf::GenerateProgram({.target_insns = insns, .seed = 1});
   // Warm the compile cache, then measure the deploy-only path.
-  bool warm = false;
-  cp.InjectExtension(*flow, prog, 1, [&](StatusOr<core::InjectTrace> r) {
-    if (!r.ok()) std::abort();
-    warm = true;
-  });
+  if (!sim::RunToCompletion(events, cp.Inject(*flow, prog, 1)).ok()) {
+    std::abort();
+  }
   events.Run();
-  if (!warm) std::abort();
 
   Summary total_us;
   const int reps = bench::ScaledIters(10, 1);
   for (int rep = 0; rep < reps; ++rep) {
-    bool done = false;
-    cp.InjectExtension(*flow, prog, 0, [&](StatusOr<core::InjectTrace> r) {
-      if (!r.ok()) std::abort();
-      total_us.Add(sim::ToMicros(r->total));
-      done = true;
-    });
+    const StatusOr<core::InjectTrace> r =
+        sim::RunToCompletion(events, cp.Inject(*flow, prog, 0));
+    if (!r.ok()) std::abort();
+    total_us.Add(sim::ToMicros(r->total));
     events.Run();
-    if (!done) std::abort();
   }
   return total_us.mean();
 }

@@ -36,9 +36,9 @@ SyncOutcome RunConfig(bool use_tx, bool use_cc_event, bool use_lock,
   core::Sandbox sandbox(events, node, sandbox_config);
   if (!sandbox.CtxInit().ok()) std::abort();
   auto reg = sandbox.CtxRegister();
-  core::CodeFlow* flow = nullptr;
-  cp.CreateCodeFlow(sandbox, reg.value(),
-                    [&](StatusOr<core::CodeFlow*> f) { flow = f.value(); });
+  core::CodeFlow* flow =
+      sim::RunToCompletion(events, cp.CreateCodeFlow(sandbox, reg.value()))
+          .value();
   events.Run();
 
   bpf::Program v1 = bpf::GenerateProgram({.target_insns = 4000, .seed = 1});
@@ -47,14 +47,8 @@ SyncOutcome RunConfig(bool use_tx, bool use_cc_event, bool use_lock,
 
   // ---- (a) injection latency + passive visibility on hook 1 ----
   {
-    bool done = false;
-    core::InjectTrace trace;
-    cp.InjectExtension(*flow, v2, 1, [&](StatusOr<core::InjectTrace> r) {
-      if (!r.ok()) std::abort();
-      trace = r.value();
-      done = true;
-    });
-    while (!done && !events.Empty()) events.Step();
+    const core::InjectTrace trace =
+        bench::Must(sim::RunToCompletion(events, cp.Inject(*flow, v2, 1)));
     outcome.inject_us =
         sim::ToMicros(trace.total - trace.validate - trace.jit);
     // Passive data plane: just let the scheduled visibility event fire.
@@ -65,19 +59,16 @@ SyncOutcome RunConfig(bool use_tx, bool use_cc_event, bool use_lock,
 
   // ---- (b) torn-image executions on hook 0 (active data plane) ----
   {
-    bool done = false;
-    cp.InjectExtension(*flow, v1, 0, [&](StatusOr<core::InjectTrace> r) {
-      if (!r.ok()) std::abort();
-      done = true;
-    });
-    while (!done && !events.Empty()) events.Step();
+    if (!sim::RunToCompletion(events, cp.Inject(*flow, v1, 0)).ok()) {
+      std::abort();
+    }
     sandbox.ScheduleHookRefresh(0, 0);
     events.RunUntil(events.Now());
 
     const std::uint64_t v1_version = sandbox.VisibleVersion(0);
     Bytes packet(8, 1);
     bool injected = false;
-    cp.InjectExtension(*flow, v2, 0, [&](StatusOr<core::InjectTrace> r) {
+    sim::Start(cp.Inject(*flow, v2, 0), [&](StatusOr<core::InjectTrace> r) {
       if (!r.ok()) std::abort();
       injected = true;
     });

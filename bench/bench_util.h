@@ -81,12 +81,11 @@ struct Cluster {
       if (!bundle.sandbox->CtxInit().ok()) std::abort();
       auto reg = bundle.sandbox->CtxRegister();
       if (!reg.ok()) std::abort();
-      cp->CreateCodeFlow(*bundle.sandbox, reg.value(),
-                         [&bundle](StatusOr<core::CodeFlow*> flow) {
-                           if (flow.ok()) bundle.flow = flow.value();
-                         });
+      StatusOr<core::CodeFlow*> flow = sim::RunToCompletion(
+          events, cp->CreateCodeFlow(*bundle.sandbox, reg.value()));
       events.Run();
-      if (bundle.flow == nullptr) std::abort();
+      if (!flow.ok()) std::abort();
+      bundle.flow = flow.value();
       bundle.agent = std::make_unique<agent::NodeAgent>(
           events, *bundle.sandbox, *bundle.cpu, agent_config);
       controller->RegisterAgent(bundle.agent.get());
@@ -99,6 +98,13 @@ struct Cluster {
     while (!flag && !events.Empty()) events.Step();
   }
 };
+
+// The value of a step a bench cannot go on without; aborts on an error.
+template <class T>
+T Must(StatusOr<T> result) {
+  if (!result.ok()) std::abort();
+  return std::move(result).value();
+}
 
 // ---- table printing ----
 

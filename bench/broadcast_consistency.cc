@@ -40,13 +40,11 @@ Outcome RunUpdate(Mode mode, const mesh::AppSpec& app, std::uint64_t seed) {
         events, sim.sandbox(i), sim.cpu(i), agent::AgentConfig{}));
     controller.RegisterAgent(agents.back().get());
     auto reg = sim.sandbox(i).CtxRegister();
-    core::CodeFlow* flow = nullptr;
-    cp.CreateCodeFlow(sim.sandbox(i), reg.value(),
-                      [&flow](StatusOr<core::CodeFlow*> f) {
-                        flow = f.value();
-                      });
+    flows.push_back(
+        sim::RunToCompletion(events,
+                             cp.CreateCodeFlow(sim.sandbox(i), reg.value()))
+            .value());
     events.Run();
-    flows.push_back(flow);
   }
 
   // Initial version everywhere (v1), via RDX broadcast for speed.
@@ -54,13 +52,10 @@ Outcome RunUpdate(Mode mode, const mesh::AppSpec& app, std::uint64_t seed) {
   {
     core::CollectiveCodeFlow group(cp, flows);
     std::vector<const wasm::FilterModule*> filters(sim.size(), &v1);
-    bool done = false;
-    group.BroadcastWasm(filters, 0, nullptr,
-                        [&](StatusOr<core::BroadcastResult> r) {
-                          if (!r.ok()) std::abort();
-                          done = true;
-                        });
-    while (!done && !events.Empty()) events.Step();
+    if (!sim::RunToCompletion(events, group.BroadcastWasm(filters, 0, nullptr))
+             .ok()) {
+      std::abort();
+    }
   }
 
   sim.StartWorkload();
@@ -71,41 +66,23 @@ Outcome RunUpdate(Mode mode, const mesh::AppSpec& app, std::uint64_t seed) {
   // The v1 -> v2 update, through the mode under test.
   wasm::FilterModule v2 = wasm::GenerateFilter(400, 22);
   Outcome outcome{};
-  bool done = false;
-  const sim::SimTime t0 = events.Now();
-  // Must outlive the asynchronous broadcast below.
-  core::CollectiveCodeFlow group(cp, flows);
-  switch (mode) {
-    case Mode::kAgent: {
-      controller.Rollout(v2, 0, app.DependencyWaves(),
-                         [&](StatusOr<agent::RolloutResult> r) {
-                           if (!r.ok()) std::abort();
-                           outcome.window_ms =
-                               sim::ToMillis(r->inconsistency_window);
-                           done = true;
-                         });
-      break;
-    }
-    case Mode::kRdx:
-    case Mode::kRdxBbu: {
-      std::vector<const wasm::FilterModule*> filters(sim.size(), &v2);
-      group.BroadcastWasm(filters, 0,
-                          mode == Mode::kRdxBbu ? &sim : nullptr,
-                          [&](StatusOr<core::BroadcastResult> r) {
-                            if (!r.ok()) std::abort();
-                            // The consistency-relevant window: first
-                            // commit -> cluster-wide visibility. Prepares
-                            // are invisible to the data path.
-                            outcome.window_ms =
-                                sim::ToMillis(r->commit_window);
-                            outcome.buffered = r->buffered_requests;
-                            done = true;
-                          });
-      break;
-    }
+  if (mode == Mode::kAgent) {
+    const StatusOr<agent::RolloutResult> r = sim::RunToCompletion(
+        events, controller.Rollout(v2, 0, app.DependencyWaves()));
+    if (!r.ok()) std::abort();
+    outcome.window_ms = sim::ToMillis(r->inconsistency_window);
+  } else {
+    core::CollectiveCodeFlow group(cp, flows);
+    std::vector<const wasm::FilterModule*> filters(sim.size(), &v2);
+    const StatusOr<core::BroadcastResult> r = sim::RunToCompletion(
+        events, group.BroadcastWasm(filters, 0,
+                                    mode == Mode::kRdxBbu ? &sim : nullptr));
+    if (!r.ok()) std::abort();
+    // The consistency-relevant window: first commit -> cluster-wide
+    // visibility. Prepares are invisible to the data path.
+    outcome.window_ms = sim::ToMillis(r->commit_window);
+    outcome.buffered = r->buffered_requests;
   }
-  while (!done && !events.Empty()) events.Step();
-  (void)t0;
   // Drain so late requests finish (200 ms; shorter in smoke mode).
   events.RunUntil(events.Now() +
                   (bench::SmokeMode() ? sim::Millis(20) : sim::Millis(200)));

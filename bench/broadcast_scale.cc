@@ -40,7 +40,7 @@ struct ModeResult {
   std::size_t stragglers = 0;
 };
 
-// Baseline: one InjectExtension at a time, batching off.
+// Baseline: one Inject at a time, batching off.
 ModeResult RunSerial(int n) {
   core::ControlPlaneConfig config;
   config.use_doorbell_batching = false;
@@ -51,13 +51,12 @@ ModeResult RunSerial(int n) {
   for (int wave = 0; wave < kWaves; ++wave) {
     bpf::Program prog = WaveProgram(wave);
     for (int node = 0; node < n; ++node) {
-      bool settled = false;
-      cluster.cp->InjectExtension(*cluster.nodes[node].flow, prog, wave,
-                                  [&settled](StatusOr<core::InjectTrace> r) {
-                                    if (!r.ok()) std::abort();
-                                    settled = true;
-                                  });
-      cluster.RunUntilFlag(settled);
+      if (!sim::RunToCompletion(
+               cluster.events,
+               cluster.cp->Inject(*cluster.nodes[node].flow, prog, wave))
+               .ok()) {
+        std::abort();
+      }
     }
   }
   ModeResult out;

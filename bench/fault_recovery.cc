@@ -46,20 +46,15 @@ int main() {
             {.target_insns = 1300,
              .seed = static_cast<std::uint64_t>(total + 1)});
         ++total;
-        bool settled = false;
-        sim::Start(recovery.DeployReliably(*cluster.nodes[node].flow, prog,
-                                           hook, kMaxRetries),
-                   [&](StatusOr<core::RecoveryOutcome> r) {
-                     if (r.ok()) {
-                       ++ok;
-                       latency_ns.Add(static_cast<std::uint64_t>(r->elapsed));
-                       if (r->attempts > max_attempts) {
-                         max_attempts = r->attempts;
-                       }
-                     }
-                     settled = true;
-                   });
-        cluster.RunUntilFlag(settled);
+        const StatusOr<core::RecoveryOutcome> r = sim::RunToCompletion(
+            cluster.events,
+            recovery.DeployReliably(*cluster.nodes[node].flow, prog, hook,
+                                    kMaxRetries));
+        if (r.ok()) {
+          ++ok;
+          latency_ns.Add(static_cast<std::uint64_t>(r->elapsed));
+          if (r->attempts > max_attempts) max_attempts = r->attempts;
+        }
       }
     }
 

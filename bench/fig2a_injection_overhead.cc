@@ -26,15 +26,8 @@ int main() {
     for (int rep = 0; rep < kReps; ++rep) {
       bpf::Program prog = bpf::GenerateProgram(
           {.target_insns = size, .seed = static_cast<std::uint64_t>(rep + 1)});
-      bool done = false;
-      agent::AgentTrace trace;
-      cluster.nodes[0].agent->Load(
-          prog, /*hook=*/0, [&](StatusOr<agent::AgentTrace> r) {
-            if (!r.ok()) std::abort();
-            trace = r.value();
-            done = true;
-          });
-      cluster.RunUntilFlag(done);
+      const agent::AgentTrace trace = bench::Must(sim::RunToCompletion(
+          cluster.events, cluster.nodes[0].agent->Load(prog, /*hook=*/0)));
       total_ms.Add(sim::ToMillis(trace.total));
       total_ns.Add(static_cast<std::uint64_t>(trace.total));
       verify_share.Add(static_cast<double>(trace.verify) /

@@ -30,27 +30,19 @@ int main() {
       bpf::Program prog = bpf::GenerateProgram(
           {.target_insns = 1300,
            .seed = static_cast<std::uint64_t>(rep + 1)});
-      bool done = false;
-      cluster.controller->Rollout(prog, 0, waves,
-                                  [&](StatusOr<agent::RolloutResult> r) {
-                                    if (!r.ok()) std::abort();
-                                    ebpf_ms.Add(sim::ToMillis(
-                                        r->inconsistency_window));
-                                    done = true;
-                                  });
-      cluster.RunUntilFlag(done);
+      ebpf_ms.Add(sim::ToMillis(
+          bench::Must(sim::RunToCompletion(
+                          cluster.events,
+                          cluster.controller->Rollout(prog, 0, waves)))
+              .inconsistency_window));
 
       wasm::FilterModule filter = wasm::GenerateFilter(
           600, static_cast<std::uint64_t>(rep + 1));
-      done = false;
-      cluster.controller->Rollout(filter, 1, waves,
-                                  [&](StatusOr<agent::RolloutResult> r) {
-                                    if (!r.ok()) std::abort();
-                                    wasm_ms.Add(sim::ToMillis(
-                                        r->inconsistency_window));
-                                    done = true;
-                                  });
-      cluster.RunUntilFlag(done);
+      wasm_ms.Add(sim::ToMillis(
+          bench::Must(sim::RunToCompletion(
+                          cluster.events,
+                          cluster.controller->Rollout(filter, 1, waves)))
+              .inconsistency_window));
     }
     bench::PrintRow({app.name, bench::FmtInt(app.size()),
                      bench::Fmt(ebpf_ms.mean(), 1),

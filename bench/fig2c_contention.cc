@@ -46,13 +46,11 @@ Point RunWindow(bool agent_path, int updates_per_10s, std::uint64_t seed) {
     agents.push_back(std::make_unique<agent::NodeAgent>(
         events, sim.sandbox(i), sim.cpu(i), agent::AgentConfig{}));
     auto reg = sim.sandbox(i).CtxRegister();
-    core::CodeFlow* flow = nullptr;
-    cp.CreateCodeFlow(sim.sandbox(i), reg.value(),
-                      [&flow](StatusOr<core::CodeFlow*> f) {
-                        flow = f.value();
-                      });
+    flows.push_back(
+        sim::RunToCompletion(events,
+                             cp.CreateCodeFlow(sim.sandbox(i), reg.value()))
+            .value());
     events.Run();
-    flows.push_back(flow);
   }
 
   sim.StartWorkload();
@@ -72,11 +70,11 @@ Point RunWindow(bool agent_path, int updates_per_10s, std::uint64_t seed) {
           5000, static_cast<std::uint64_t>(u + 1));
       for (std::size_t svc = 0; svc < sim.size(); ++svc) {
         if (agent_path) {
-          agents[svc]->Load(filter, 0,
-                            [](StatusOr<agent::AgentTrace>) {});
+          sim::Start(agents[svc]->Load(filter, 0),
+                     [](StatusOr<agent::AgentTrace>) {});
         } else {
-          cp.InjectWasmFilter(*flows[svc], filter, 0,
-                              [](StatusOr<core::InjectTrace>) {});
+          sim::Start(cp.Inject(*flows[svc], filter, 0),
+                     [](StatusOr<core::InjectTrace>) {});
         }
       }
     });

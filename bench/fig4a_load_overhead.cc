@@ -25,34 +25,22 @@ int main() {
       bpf::Program prog = bpf::GenerateProgram(
           {.target_insns = size, .seed = static_cast<std::uint64_t>(rep + 1)});
 
-      bool agent_done = false;
-      cluster.nodes[0].agent->Load(
-          prog, 0, [&](StatusOr<agent::AgentTrace> r) {
-            if (!r.ok()) std::abort();
-            agent_ms.Add(sim::ToMillis(r->total));
-            agent_done = true;
-          });
-      cluster.RunUntilFlag(agent_done);
+      agent_ms.Add(sim::ToMillis(
+          bench::Must(sim::RunToCompletion(cluster.events,
+                                           cluster.nodes[0].agent->Load(prog, 0)))
+              .total));
 
       // RDX steady state: the control plane has validated and compiled
       // this extension once ("validate and compile once, deploy
       // anywhere"); deployment repeats per node/update. Warm the cache
       // with an untimed first call on a different hook.
-      bool warm = false;
-      cluster.cp->InjectExtension(*cluster.nodes[1].flow, prog, 1,
-                                  [&](StatusOr<core::InjectTrace> r) {
-                                    if (!r.ok()) std::abort();
-                                    warm = true;
-                                  });
-      cluster.RunUntilFlag(warm);
-      bool rdx_done = false;
-      cluster.cp->InjectExtension(*cluster.nodes[1].flow, prog, 0,
-                                  [&](StatusOr<core::InjectTrace> r) {
-                                    if (!r.ok()) std::abort();
-                                    rdx_us.Add(sim::ToMicros(r->total));
-                                    rdx_done = true;
-                                  });
-      cluster.RunUntilFlag(rdx_done);
+      core::CodeFlow& flow = *cluster.nodes[1].flow;
+      bench::Must(sim::RunToCompletion(cluster.events,
+                                       cluster.cp->Inject(flow, prog, 1)));
+      rdx_us.Add(sim::ToMicros(
+          bench::Must(sim::RunToCompletion(cluster.events,
+                                           cluster.cp->Inject(flow, prog, 0)))
+              .total));
     }
     const double speedup =
         agent_ms.mean() * 1000.0 / std::max(rdx_us.mean(), 1e-9);

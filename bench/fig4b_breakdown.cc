@@ -18,53 +18,35 @@ int main() {
 
   Summary queue_ms, verify_ms, jit_ms, attach_ms, agent_total_ms;
   for (int rep = 0; rep < kReps; ++rep) {
-    bool done = false;
-    cluster.nodes[0].agent->Load(
-        prog, 0, [&](StatusOr<agent::AgentTrace> r) {
-          if (!r.ok()) std::abort();
-          queue_ms.Add(sim::ToMillis(r->queue));
-          verify_ms.Add(sim::ToMillis(r->verify));
-          jit_ms.Add(sim::ToMillis(r->jit));
-          attach_ms.Add(sim::ToMillis(r->attach));
-          agent_total_ms.Add(sim::ToMillis(r->total));
-          done = true;
-        });
-    cluster.RunUntilFlag(done);
+    const agent::AgentTrace r = bench::Must(sim::RunToCompletion(
+        cluster.events, cluster.nodes[0].agent->Load(prog, 0)));
+    queue_ms.Add(sim::ToMillis(r.queue));
+    verify_ms.Add(sim::ToMillis(r.verify));
+    jit_ms.Add(sim::ToMillis(r.jit));
+    attach_ms.Add(sim::ToMillis(r.attach));
+    agent_total_ms.Add(sim::ToMillis(r.total));
   }
 
   // Warm the control plane's verify/compile caches: the steady state of
   // "validate and compile once, deploy anywhere".
-  {
-    bool warm = false;
-    cluster.cp->InjectExtension(*cluster.nodes[1].flow, prog, 7,
-                                [&](StatusOr<core::InjectTrace> r) {
-                                  if (!r.ok()) std::abort();
-                                  warm = true;
-                                });
-    cluster.RunUntilFlag(warm);
-  }
+  bench::Must(sim::RunToCompletion(
+      cluster.events, cluster.cp->Inject(*cluster.nodes[1].flow, prog, 7)));
 
   Summary validate_us, compile_us, link_us, xstate_us, transfer_us,
       commit_us, dispatch_us, rdx_total_us;
   for (int rep = 0; rep < kReps; ++rep) {
-    bool done = false;
-    cluster.cp->InjectExtension(
-        *cluster.nodes[1].flow, prog, rep % 8,
-        [&](StatusOr<core::InjectTrace> r) {
-          if (!r.ok()) std::abort();
-          validate_us.Add(sim::ToMicros(r->validate));
-          compile_us.Add(sim::ToMicros(r->jit));
-          link_us.Add(sim::ToMicros(r->link));
-          xstate_us.Add(sim::ToMicros(r->xstate));
-          transfer_us.Add(sim::ToMicros(r->transfer));
-          commit_us.Add(sim::ToMicros(r->commit));
-          dispatch_us.Add(sim::ToMicros(r->total - r->validate - r->jit -
-                                        r->link - r->xstate - r->transfer -
-                                        r->commit));
-          rdx_total_us.Add(sim::ToMicros(r->total));
-          done = true;
-        });
-    cluster.RunUntilFlag(done);
+    const core::InjectTrace r = bench::Must(sim::RunToCompletion(
+        cluster.events,
+        cluster.cp->Inject(*cluster.nodes[1].flow, prog, rep % 8)));
+    validate_us.Add(sim::ToMicros(r.validate));
+    compile_us.Add(sim::ToMicros(r.jit));
+    link_us.Add(sim::ToMicros(r.link));
+    xstate_us.Add(sim::ToMicros(r.xstate));
+    transfer_us.Add(sim::ToMicros(r.transfer));
+    commit_us.Add(sim::ToMicros(r.commit));
+    dispatch_us.Add(sim::ToMicros(r.total - r.validate - r.jit - r.link -
+                                  r.xstate - r.transfer - r.commit));
+    rdx_total_us.Add(sim::ToMicros(r.total));
   }
 
   std::printf("\nAgent breakdown (mean over %d loads):\n", kReps);

@@ -28,25 +28,18 @@ sim::Duration MeasureIncoherence(bool use_cc_event, double cpki,
   core::Sandbox sandbox(events, node, sandbox_config);
   if (!sandbox.CtxInit().ok()) std::abort();
   auto reg = sandbox.CtxRegister();
-  core::CodeFlow* flow = nullptr;
-  cp.CreateCodeFlow(sandbox, reg.value(), [&](StatusOr<core::CodeFlow*> f) {
-    flow = f.value();
-  });
+  core::CodeFlow* flow =
+      sim::RunToCompletion(events, cp.CreateCodeFlow(sandbox, reg.value()))
+          .value();
   events.Run();
 
   bpf::Program prog;
   prog.name = "probe";
   prog.insns = bpf::Assemble("r0 = 1\nexit\n").value();
 
-  bool injected = false;
-  cp.InjectExtension(*flow, prog, 0, [&](StatusOr<core::InjectTrace> r) {
-    if (!r.ok()) std::abort();
-    injected = true;
-  });
-  while (!injected && !events.Empty()) events.Step();
+  bench::Must(sim::RunToCompletion(events, cp.Inject(*flow, prog, 0)));
 
-  // The injection callback fires when the control plane's commit
-  // completed. Visibility: poll the sandbox's CPU view in 100 ns steps.
+  // The injection finishes when the control plane's commit completed. Visibility: poll the sandbox's CPU view in 100 ns steps.
   const sim::SimTime commit_done = events.Now();
   while (sandbox.VisibleVersion(0) == 0 && !events.Empty()) {
     events.Step();

@@ -31,22 +31,14 @@ struct Rig {
     if (!sandbox->CtxInit().ok()) std::abort();
     auto reg = sandbox->CtxRegister();
     if (!reg.ok()) std::abort();
-    cp->CreateCodeFlow(*sandbox, reg.value(),
-                       [this](StatusOr<core::CodeFlow*> f) {
-                         if (f.ok()) flow = f.value();
-                       });
+    flow = bench::Must(
+        sim::RunToCompletion(events, cp->CreateCodeFlow(*sandbox, reg.value())));
     events.Run();
-    if (flow == nullptr) std::abort();
   }
 
   void Inject(const bpf::Program& prog, int hook) {
-    bool done = false;
-    cp->InjectExtension(*flow, prog, hook, [&](StatusOr<core::InjectTrace> r) {
-      if (!r.ok()) std::abort();
-      done = true;
-    });
+    bench::Must(sim::RunToCompletion(events, cp->Inject(*flow, prog, hook)));
     events.Run();
-    if (!done) std::abort();
     sandbox->RefreshHookNow(hook);
   }
 };

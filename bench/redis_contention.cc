@@ -28,28 +28,19 @@ double RunStore(bool agent_path, std::uint64_t seed) {
                               agent_config);
 
   auto reg = store.sandbox().CtxRegister();
-  core::CodeFlow* flow = nullptr;
-  cp.CreateCodeFlow(store.sandbox(), reg.value(),
-                    [&flow](StatusOr<core::CodeFlow*> f) {
-                      flow = f.value();
-                    });
+  core::CodeFlow* flow =
+      sim::RunToCompletion(events,
+                           cp.CreateCodeFlow(store.sandbox(), reg.value()))
+          .value();
   events.Run();
 
   // Attach the tracing extension through the path under test.
   bpf::Program prog = bpf::GenerateProgram({.target_insns = 800, .seed = 5});
-  bool attached = false;
   if (agent_path) {
-    node_agent.Load(prog, 0, [&](StatusOr<agent::AgentTrace> r) {
-      if (!r.ok()) std::abort();
-      attached = true;
-    });
+    bench::Must(sim::RunToCompletion(events, node_agent.Load(prog, 0)));
   } else {
-    cp.InjectExtension(*flow, prog, 0, [&](StatusOr<core::InjectTrace> r) {
-      if (!r.ok()) std::abort();
-      attached = true;
-    });
+    bench::Must(sim::RunToCompletion(events, cp.Inject(*flow, prog, 0)));
   }
-  while (!attached && !events.Empty()) events.Step();
 
   // Steady-state taxes: the agent polls XState and periodically reloads
   // updated extensions; RDX does both from the remote control plane.
@@ -62,11 +53,11 @@ double RunStore(bool agent_path, std::uint64_t seed) {
       bpf::Program update = bpf::GenerateProgram(
           {.target_insns = 800, .seed = static_cast<std::uint64_t>(n + 10)});
       if (agent_path) {
-        node_agent.Load(update, 0,
-                        [](StatusOr<agent::AgentTrace>) {});
+        sim::Start(node_agent.Load(update, 0),
+                   [](StatusOr<agent::AgentTrace>) {});
       } else {
-        cp.InjectExtension(*flow, update, 0,
-                           [](StatusOr<core::InjectTrace>) {});
+        sim::Start(cp.Inject(*flow, update, 0),
+                   [](StatusOr<core::InjectTrace>) {});
       }
       (*churn)(n + 1);
     });

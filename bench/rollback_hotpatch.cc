@@ -40,17 +40,18 @@ Recovery MeasureRecovery(double load_fraction) {
 
   // Install stable then buggy on both paths.
   for (const bpf::Program* prog : {&stable, &buggy}) {
+    // Both paths install at once; the next step waits for both.
     bool agent_done = false, rdx_done = false;
-    cluster.nodes[0].agent->Load(
-        *prog, 0, [&](StatusOr<agent::AgentTrace> r) {
-          if (!r.ok()) std::abort();
-          agent_done = true;
-        });
-    cluster.cp->InjectExtension(*cluster.nodes[1].flow, *prog, 0,
-                                [&](StatusOr<core::InjectTrace> r) {
-                                  if (!r.ok()) std::abort();
-                                  rdx_done = true;
-                                });
+    sim::Start(cluster.nodes[0].agent->Load(*prog, 0),
+               [&](StatusOr<agent::AgentTrace> r) {
+                 if (!r.ok()) std::abort();
+                 agent_done = true;
+               });
+    sim::Start(cluster.cp->Inject(*cluster.nodes[1].flow, *prog, 0),
+               [&](StatusOr<core::InjectTrace> r) {
+                 if (!r.ok()) std::abort();
+                 rdx_done = true;
+               });
     while ((!agent_done || !rdx_done) && !cluster.events.Empty()) {
       cluster.events.Step();
     }
@@ -60,25 +61,19 @@ Recovery MeasureRecovery(double load_fraction) {
   Recovery recovery{};
   {
     const sim::SimTime t0 = cluster.events.Now();
-    bool done = false;
     // The agent must re-run the full local pipeline for the stable
     // version (its caches don't survive the faulty state).
-    cluster.nodes[0].agent->Load(
-        stable, 0, [&](StatusOr<agent::AgentTrace> r) {
-          if (!r.ok()) std::abort();
-          done = true;
-        });
-    while (!done) cluster.events.Step();
+    bench::Must(sim::RunToCompletion(cluster.events,
+                                     cluster.nodes[0].agent->Load(stable, 0)));
     recovery.agent_ms = sim::ToMillis(cluster.events.Now() - t0);
   }
   {
     const sim::SimTime t0 = cluster.events.Now();
-    bool done = false;
-    sim::Start(cluster.cp->Rollback(*cluster.nodes[1].flow, 0), [&](Status s) {
-      if (!s.ok()) std::abort();
-      done = true;
-    });
-    while (!done) cluster.events.Step();
+    if (!sim::RunToCompletion(cluster.events,
+                              cluster.cp->Rollback(*cluster.nodes[1].flow, 0))
+             .ok()) {
+      std::abort();
+    }
     recovery.rdx_us = sim::ToMicros(cluster.events.Now() - t0);
   }
   return recovery;

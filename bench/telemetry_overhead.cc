@@ -36,23 +36,14 @@ struct Rig {
     store = std::make_unique<kvstore::KvStore>(events, node, config);
     auto reg = store->sandbox().CtxRegister();
     if (!reg.ok()) std::abort();
-    cp->CreateCodeFlow(store->sandbox(), reg.value(),
-                       [this](StatusOr<core::CodeFlow*> f) {
-                         if (f.ok()) flow = f.value();
-                       });
+    flow = bench::Must(sim::RunToCompletion(
+        events, cp->CreateCodeFlow(store->sandbox(), reg.value())));
     events.Run();
-    if (flow == nullptr) std::abort();
   }
 
   void Deploy(const bpf::Program& prog, int hook) {
-    bool done = false;
-    cp->InjectExtension(*flow, prog, hook,
-                        [&](StatusOr<core::InjectTrace> r) {
-                          if (!r.ok()) std::abort();
-                          done = true;
-                        });
+    bench::Must(sim::RunToCompletion(events, cp->Inject(*flow, prog, hook)));
     events.Run();
-    if (!done) std::abort();
     store->sandbox().RefreshHookNow(hook);
   }
 
@@ -116,13 +107,11 @@ int main() {
 
   // ---- agentless harvest + chrome://tracing export demo ----
   telemetry::Collector collector(tracer);
-  bool harvested = false;
-  on.cp->HarvestTrace(*on.flow, collector, [&](Status s) {
-    if (!s.ok()) std::abort();
-    harvested = true;
-  });
+  if (!sim::RunToCompletion(on.events, on.cp->HarvestTrace(*on.flow, collector))
+           .ok()) {
+    std::abort();
+  }
   on.events.Run();
-  if (!harvested) std::abort();
   telemetry::EmitFabricCounterEvents(tracer, *on.fabric);
 
   telemetry::MetricsRegistry registry;

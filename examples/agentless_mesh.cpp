@@ -33,14 +33,11 @@ int main() {
   for (std::size_t i = 0; i < mesh.size(); ++i) {
     auto reg = mesh.sandbox(i).CtxRegister();
     if (!reg.ok()) return 1;
-    core::CodeFlow* flow = nullptr;
-    cp.CreateCodeFlow(mesh.sandbox(i), reg.value(),
-                      [&flow](StatusOr<core::CodeFlow*> f) {
-                        if (f.ok()) flow = f.value();
-                      });
+    const StatusOr<core::CodeFlow*> flow = sim::RunToCompletion(
+        events, cp.CreateCodeFlow(mesh.sandbox(i), reg.value()));
     events.Run();
-    if (flow == nullptr) return 1;
-    flows.push_back(flow);
+    if (!flow.ok()) return 1;
+    flows.push_back(flow.value());
   }
 
   // A hand-built filter: tag every request (set_header) and count it
@@ -66,22 +63,15 @@ int main() {
   // Inject it into every sidecar with one collective call.
   core::CollectiveCodeFlow group(cp, flows);
   std::vector<const wasm::FilterModule*> filters(mesh.size(), &filter);
-  bool deployed = false;
-  group.BroadcastWasm(filters, 0, nullptr,
-                      [&](StatusOr<core::BroadcastResult> r) {
-                        if (!r.ok()) {
-                          std::printf("broadcast failed: %s\n",
-                                      r.status().ToString().c_str());
-                          return;
-                        }
-                        deployed = true;
-                        std::printf(
-                            "filter deployed to %zu sidecars; commit "
-                            "window %.1f us\n",
-                            r->nodes, sim::ToMicros(r->commit_window));
-                      });
+  const StatusOr<core::BroadcastResult> r = sim::RunToCompletion(
+      events, group.BroadcastWasm(filters, 0, nullptr));
+  if (!r.ok()) {
+    std::printf("broadcast failed: %s\n", r.status().ToString().c_str());
+    return 1;
+  }
+  std::printf("filter deployed to %zu sidecars; commit window %.1f us\n",
+              r->nodes, sim::ToMicros(r->commit_window));
   events.Run();
-  if (!deployed) return 1;
 
   // Serve one second of traffic.
   mesh.StartWorkload();

@@ -37,26 +37,20 @@ struct Deployment {
           events, mesh->sandbox(i), mesh->cpu(i)));
       controller->RegisterAgent(agents.back().get());
       auto reg = mesh->sandbox(i).CtxRegister();
-      core::CodeFlow* flow = nullptr;
-      cp->CreateCodeFlow(mesh->sandbox(i), reg.value(),
-                         [&flow](StatusOr<core::CodeFlow*> f) {
-                           if (f.ok()) flow = f.value();
-                         });
+      StatusOr<core::CodeFlow*> flow = sim::RunToCompletion(
+          events, cp->CreateCodeFlow(mesh->sandbox(i), reg.value()));
       events.Run();
-      flows.push_back(flow);
+      flows.push_back(flow.ok() ? flow.value() : nullptr);
     }
   }
 
   void InstallV1(const wasm::FilterModule& v1) {
     core::CollectiveCodeFlow group(*cp, flows);
     std::vector<const wasm::FilterModule*> filters(mesh->size(), &v1);
-    bool done = false;
-    group.BroadcastWasm(filters, 0, nullptr,
-                        [&](StatusOr<core::BroadcastResult> r) {
-                          if (!r.ok()) std::abort();
-                          done = true;
-                        });
-    while (!done && !events.Empty()) events.Step();
+    if (!sim::RunToCompletion(events, group.BroadcastWasm(filters, 0, nullptr))
+             .ok()) {
+      std::abort();
+    }
   }
 };
 
@@ -73,16 +67,11 @@ int main() {
     dep.mesh->StartWorkload();
     dep.events.RunUntil(dep.events.Now() + sim::Millis(100));
     (void)dep.mesh->TakeMetrics();
-    bool done = false;
-    double window_ms = 0;
-    dep.controller->Rollout(v2, 0, dep.mesh->app().DependencyWaves(),
-                            [&](StatusOr<agent::RolloutResult> r) {
-                              if (!r.ok()) std::abort();
-                              window_ms =
-                                  sim::ToMillis(r->inconsistency_window);
-                              done = true;
-                            });
-    while (!done && !dep.events.Empty()) dep.events.Step();
+    const StatusOr<agent::RolloutResult> r = sim::RunToCompletion(
+        dep.events,
+        dep.controller->Rollout(v2, 0, dep.mesh->app().DependencyWaves()));
+    if (!r.ok()) std::abort();
+    const double window_ms = sim::ToMillis(r->inconsistency_window);
     dep.events.RunUntil(dep.events.Now() + sim::Millis(100));
     mesh::MeshMetrics metrics = dep.mesh->TakeMetrics();
     std::printf(
@@ -101,15 +90,11 @@ int main() {
     (void)dep.mesh->TakeMetrics();
     core::CollectiveCodeFlow group(*dep.cp, dep.flows);
     std::vector<const wasm::FilterModule*> filters(dep.mesh->size(), &v2);
-    bool done = false;
-    core::BroadcastResult result;
-    group.BroadcastWasm(filters, 0, use_bbu ? dep.mesh.get() : nullptr,
-                        [&](StatusOr<core::BroadcastResult> r) {
-                          if (!r.ok()) std::abort();
-                          result = r.value();
-                          done = true;
-                        });
-    while (!done && !dep.events.Empty()) dep.events.Step();
+    const StatusOr<core::BroadcastResult> broadcast = sim::RunToCompletion(
+        dep.events,
+        group.BroadcastWasm(filters, 0, use_bbu ? dep.mesh.get() : nullptr));
+    if (!broadcast.ok()) std::abort();
+    const core::BroadcastResult& result = broadcast.value();
     dep.events.RunUntil(dep.events.Now() + sim::Millis(100));
     mesh::MeshMetrics metrics = dep.mesh->TakeMetrics();
     std::printf(

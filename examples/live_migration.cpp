@@ -31,13 +31,10 @@ int main() {
   };
   auto bind = [&](core::Sandbox& sandbox) {
     auto reg = sandbox.CtxRegister();
-    core::CodeFlow* flow = nullptr;
-    cp.CreateCodeFlow(sandbox, reg.value(),
-                      [&flow](StatusOr<core::CodeFlow*> f) {
-                        if (f.ok()) flow = f.value();
-                      });
+    const StatusOr<core::CodeFlow*> flow =
+        sim::RunToCompletion(events, cp.CreateCodeFlow(sandbox, reg.value()));
     events.Run();
-    return flow;
+    return flow.ok() ? flow.value() : nullptr;
   };
 
   auto sandbox_a = boot(pod_a);
@@ -78,13 +75,10 @@ int main() {
   )").value();
 
   // Deploy on pod A and serve some traffic.
-  bool done = false;
-  cp.InjectExtension(*flow_a, prog, 0, [&](StatusOr<core::InjectTrace> r) {
-    if (!r.ok()) std::abort();
-    done = true;
-  });
+  if (!sim::RunToCompletion(events, cp.Inject(*flow_a, prog, 0)).ok()) {
+    std::abort();
+  }
   events.Run();
-  if (!done) return 1;
   for (int i = 0; i < 500; ++i) {
     Bytes packet(4);
     StoreLE<std::uint32_t>(packet.data(), static_cast<std::uint32_t>(i % 3));
@@ -95,45 +89,38 @@ int main() {
   const sim::SimTime t0 = events.Now();
 
   // (a) binary: the compile cache makes this link + deploy only.
-  bool deployed = false;
-  core::InjectTrace trace;
-  cp.InjectExtension(*flow_b, prog, 0, [&](StatusOr<core::InjectTrace> r) {
-    if (!r.ok()) std::abort();
-    trace = r.value();
-    deployed = true;
-  });
+  const StatusOr<core::InjectTrace> trace =
+      sim::RunToCompletion(events, cp.Inject(*flow_b, prog, 0));
+  if (!trace.ok()) std::abort();
   events.Run();
-  if (!deployed) return 1;
 
   // (b) state: copy the live tenant counters A -> B.
   const std::uint64_t src = flow_a->xstates().at("tenants");
   const std::uint64_t dst = flow_b->xstates().at("tenants");
-  bool copied = false;
-  cp.CopyXState(*flow_a, src, *flow_b, dst, [&](Status s) {
-    if (!s.ok()) std::abort();
-    copied = true;
-  });
+  if (!sim::RunToCompletion(events, cp.CopyXState(*flow_a, src, *flow_b, dst))
+           .ok()) {
+    std::abort();
+  }
   events.Run();
-  if (!copied) return 1;
   sandbox_b->RefreshXState();
 
   const double migration_us = sim::ToMicros(events.Now() - t0);
   std::printf("sidecar extension migrated pod-a -> pod-b in %.1f us "
               "(binary: cache hit=%s; state: 1 READ + 1 WRITE)\n",
-              migration_us, trace.compile_cache_hit ? "yes" : "no");
+              migration_us, trace->compile_cache_hit ? "yes" : "no");
 
   // The replica continues exactly where the original left off.
   Bytes packet(4, 0);
   if (!sandbox_b->ExecuteHook(0, packet).ok()) return 1;
   Bytes key(4, 0);
-  cp.XStateLookup(*flow_b, dst, key, [&](StatusOr<Bytes> value) {
-    if (value.ok()) {
-      std::printf("tenant 0 count on replica: %llu (500 requests across 3 "
-                  "tenants on pod-a, +1 on pod-b)\n",
-                  static_cast<unsigned long long>(
-                      LoadLE<std::uint64_t>(value->data())));
-    }
-  });
+  const StatusOr<Bytes> value =
+      sim::RunToCompletion(events, cp.XStateLookup(*flow_b, dst, key));
+  if (value.ok()) {
+    std::printf("tenant 0 count on replica: %llu (500 requests across 3 "
+                "tenants on pod-a, +1 on pod-b)\n",
+                static_cast<unsigned long long>(
+                    LoadLE<std::uint64_t>(value->data())));
+  }
   events.Run();
   std::printf("vs. agent path: re-verify + re-JIT + reload would cost "
               "milliseconds-to-seconds of replica CPU during scale-out\n");

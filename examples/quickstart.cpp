@@ -33,13 +33,13 @@ int main() {
   if (!reg.ok()) return 1;
 
   // --- 3. a CodeFlow handle bound to the remote node ---
-  core::CodeFlow* flow = nullptr;
-  cp.CreateCodeFlow(sandbox, reg.value(),
-                    [&](StatusOr<core::CodeFlow*> result) {
-                      if (result.ok()) flow = result.value();
-                    });
+  // Every rdx_* operation is a coroutine; RunToCompletion drives one from
+  // plain code by stepping the event queue until it finishes.
+  StatusOr<core::CodeFlow*> created =
+      sim::RunToCompletion(events, cp.CreateCodeFlow(sandbox, reg.value()));
   events.Run();
-  if (flow == nullptr) return 1;
+  if (!created.ok()) return 1;
+  core::CodeFlow* flow = created.value();
   std::printf("CodeFlow bound: %llu hooks, %.1f MB scratchpad\n",
               static_cast<unsigned long long>(flow->remote_view().hook_count),
               static_cast<double>(flow->remote_view().scratch_size) /
@@ -78,24 +78,17 @@ int main() {
   prog.insns = std::move(insns).value();
 
   // --- 4. agentless injection ---
-  bool injected = false;
-  cp.InjectExtension(*flow, prog, /*hook=*/0,
-                     [&](StatusOr<core::InjectTrace> trace) {
-                       if (!trace.ok()) {
-                         std::printf("inject failed: %s\n",
-                                     trace.status().ToString().c_str());
-                         return;
-                       }
-                       injected = true;
-                       std::printf(
-                           "injected in %.1f us (image %llu bytes; "
-                           "verify+JIT on the control plane)\n",
-                           sim::ToMicros(trace->total),
-                           static_cast<unsigned long long>(
-                               trace->image_bytes));
-                     });
+  const StatusOr<core::InjectTrace> trace =
+      sim::RunToCompletion(events, cp.Inject(*flow, prog, /*hook=*/0));
+  if (!trace.ok()) {
+    std::printf("inject failed: %s\n", trace.status().ToString().c_str());
+    return 1;
+  }
+  std::printf("injected in %.1f us (image %llu bytes; "
+              "verify+JIT on the control plane)\n",
+              sim::ToMicros(trace->total),
+              static_cast<unsigned long long>(trace->image_bytes));
   events.Run();
-  if (!injected) return 1;
 
   // --- 5. data-plane execution ---
   int accepted = 0, dropped = 0;
@@ -114,13 +107,13 @@ int main() {
   // Remote introspection of the filter's XState.
   const std::uint64_t counters = flow->xstates().at("verdicts");
   Bytes key(4, 0);
-  cp.XStateLookup(*flow, counters, key, [&](StatusOr<Bytes> value) {
-    if (value.ok()) {
-      std::printf("remote XState read: %llu executions counted\n",
-                  static_cast<unsigned long long>(
-                      LoadLE<std::uint64_t>(value->data())));
-    }
-  });
+  const StatusOr<Bytes> value =
+      sim::RunToCompletion(events, cp.XStateLookup(*flow, counters, key));
+  if (value.ok()) {
+    std::printf("remote XState read: %llu executions counted\n",
+                static_cast<unsigned long long>(
+                    LoadLE<std::uint64_t>(value->data())));
+  }
   events.Run();
 
   std::printf("total simulated time: %.1f us; sandbox CPU involvement "

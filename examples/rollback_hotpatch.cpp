@@ -37,12 +37,11 @@ int main() {
   core::Sandbox sandbox(events, worker, core::SandboxConfig{});
   if (!sandbox.CtxInit().ok()) return 1;
   auto reg = sandbox.CtxRegister();
-  core::CodeFlow* flow = nullptr;
-  cp.CreateCodeFlow(sandbox, reg.value(), [&](StatusOr<core::CodeFlow*> f) {
-    if (f.ok()) flow = f.value();
-  });
+  const StatusOr<core::CodeFlow*> created =
+      sim::RunToCompletion(events, cp.CreateCodeFlow(sandbox, reg.value()));
   events.Run();
-  if (flow == nullptr) return 1;
+  if (!created.ok()) return 1;
+  core::CodeFlow* flow = created.value();
 
   // v1: stable filter, accepts everything.
   bpf::Program stable = MakeFilter("stable", "r0 = 1\nexit\n");
@@ -59,12 +58,9 @@ int main() {
   )");
 
   auto inject = [&](const bpf::Program& prog) {
-    bool done = false;
-    cp.InjectExtension(*flow, prog, 0, [&](StatusOr<core::InjectTrace> r) {
-      if (!r.ok()) std::abort();
-      done = true;
-    });
-    while (!done && !events.Empty()) events.Step();
+    if (!sim::RunToCompletion(events, cp.Inject(*flow, prog, 0)).ok()) {
+      std::abort();
+    }
     events.Run();  // drain the post-commit visibility event
   };
 
@@ -87,12 +83,7 @@ int main() {
 
   // Emergency rollback: microseconds, no pipeline re-run.
   const sim::SimTime t0 = events.Now();
-  bool rolled_back = false;
-  sim::Start(cp.Rollback(*flow, 0), [&](Status s) {
-    if (!s.ok()) std::abort();
-    rolled_back = true;
-  });
-  while (!rolled_back && !events.Empty()) events.Step();
+  if (!sim::RunToCompletion(events, cp.Rollback(*flow, 0)).ok()) std::abort();
   std::printf("rollback completed in %.1f us\n",
               sim::ToMicros(events.Now() - t0));
   events.Run();  // drain the post-commit visibility event

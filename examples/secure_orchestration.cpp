@@ -38,15 +38,12 @@ int main() {
         std::make_unique<core::Sandbox>(events, node, sandbox_config));
     if (!sandboxes.back()->CtxInit().ok()) return 1;
     auto reg = sandboxes.back()->CtxRegister();
-    core::CodeFlow* flow = nullptr;
-    cp.CreateCodeFlow(*sandboxes.back(), reg.value(),
-                      [&flow](StatusOr<core::CodeFlow*> f) {
-                        if (f.ok()) flow = f.value();
-                      });
+    const StatusOr<core::CodeFlow*> flow = sim::RunToCompletion(
+        events, cp.CreateCodeFlow(*sandboxes.back(), reg.value()));
     events.Run();
-    if (flow == nullptr) return 1;
-    flows.push_back(flow);
-    orchestrator.RegisterNode(flow);
+    if (!flow.ok()) return 1;
+    flows.push_back(flow.value());
+    orchestrator.RegisterNode(flow.value());
   }
 
   // --- 1. the privilege model ---
@@ -89,21 +86,16 @@ int main() {
     deploy firewall to=fleet strategy=broadcast
   )");
   if (!plan.ok()) return 1;
-  bool deployed = false;
-  orchestrator.Execute(plan.value(), nullptr,
-                       [&](StatusOr<core::OrchestrationReport> r) {
-                         if (!r.ok()) {
-                           std::printf("plan failed: %s\n",
-                                       r.status().ToString().c_str());
-                           return;
-                         }
-                         deployed = true;
-                         for (const std::string& line : r->log) {
-                           std::printf("plan: %s\n", line.c_str());
-                         }
-                       });
+  const StatusOr<core::OrchestrationReport> report = sim::RunToCompletion(
+      events, orchestrator.Execute(plan.value(), nullptr));
+  if (!report.ok()) {
+    std::printf("plan failed: %s\n", report.status().ToString().c_str());
+    return 1;
+  }
+  for (const std::string& line : report->log) {
+    std::printf("plan: %s\n", line.c_str());
+  }
   events.Run();
-  if (!deployed) return 1;
   Bytes attack(4);
   StoreLE<std::uint32_t>(attack.data(), 1337);
   std::printf("firewall live: packet 1337 verdict=%llu (signed images "
@@ -123,30 +115,24 @@ int main() {
   }
   core::Inspector inspector(cp);
   for (std::size_t i = 0; i < flows.size(); ++i) {
-    inspector.Sweep(*flows[i], [&, i](
-                                   StatusOr<std::vector<core::InspectReport>>
-                                       bad) {
-      if (!bad.ok()) return;
-      if (bad->empty()) {
-        std::printf("inspector: node%zu healthy\n", i);
-      } else {
-        std::printf("inspector: node%zu TAMPERED (hook %d: checksum=%d "
-                    "signature=%d)\n",
-                    i, (*bad)[0].hook, (*bad)[0].checksum_ok,
-                    (*bad)[0].signature_ok);
-      }
-    });
+    const StatusOr<std::vector<core::InspectReport>> bad =
+        sim::RunToCompletion(events, inspector.Sweep(*flows[i]));
+    if (bad.ok() && bad->empty()) {
+      std::printf("inspector: node%zu healthy\n", i);
+    } else if (bad.ok()) {
+      std::printf("inspector: node%zu TAMPERED (hook %d: checksum=%d "
+                  "signature=%d)\n",
+                  i, (*bad)[0].hook, (*bad)[0].checksum_ok,
+                  (*bad)[0].signature_ok);
+    }
     events.Run();
   }
 
   // --- 4. remediation requires operator privilege ---
   if (authorized("ci-bot", core::Operation::kRollback)) return 1;  // denied
   if (!authorized("ops-oncall", core::Operation::kDeploy)) return 1;
-  bool repaired = false;
-  cp.InjectExtension(*flows[1], firewall, 0,
-                     [&](StatusOr<core::InjectTrace> r) {
-                       if (r.ok()) repaired = true;
-                     });
+  const bool repaired =
+      sim::RunToCompletion(events, cp.Inject(*flows[1], firewall, 0)).ok();
   events.Run();
   if (!repaired) return 1;
   std::printf("node1 re-imaged by ops-oncall; verdict=%llu\n",

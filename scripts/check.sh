@@ -5,6 +5,8 @@
 # core/layout.h + markdown link check), JIT-vs-interpreter speed ratio
 # gates for eBPF and for lowered Wasm (ablation_jit), a golden smoke gate
 # (bench stdout and the chrome://tracing file vs bench/golden/), an
+# examples golden gate (example stdout vs bench/golden/examples/), an
+# API guard against completion-callback entry points, an
 # rdxbench virtual gate (each workload's virtual-clock results at seeds
 # 1-3, traced and untraced, vs bench/golden/rdxbench/), and an
 # ASan+UBSan build + test pass (catches the lifetime/aliasing bugs the
@@ -76,6 +78,44 @@ if [[ "$drift" != "0" ]]; then
   exit 1
 fi
 echo "doc guard OK"
+
+echo
+echo "== api guard: no new completion-callback entry points in src/ =="
+# Control-plane, collective, orchestrator, inspector, monitor and agent
+# operations are sim::Task coroutines; code that is not a coroutine
+# drives one with sim::Start or sim::RunToCompletion. A public
+# declaration in src/core/*.h or src/agent/*.h that takes a completion
+# callback (std::function<void(Status...)> or <void()>, or Done) fails,
+# unless it is one of the seven entry points rdxbench calls.
+allowed="CreateCodeFlow InjectExtension InjectWasmFilter XStateDump HarvestTrace BroadcastWasm DeployPipelined"
+awk -v allowed="$allowed" '
+  BEGIN { n = split(allowed, a, " "); for (i = 1; i <= n; ++i) ok[a[i]] = 1 }
+  FNR == 1 { access = "public"; decl = "" }
+  /^(class|struct) [A-Za-z0-9_]+[^;]*$/ {
+    access = ($1 == "class") ? "private" : "public"
+  }
+  /^ *(public|private|protected):/ { access = $1; sub(/:.*/, "", access); next }
+  /^ *\/\// { next }
+  {
+    decl = decl " " $0
+    if ($0 !~ /[;{}] *$/) next
+    if (access == "public" &&
+        decl ~ /(std::function<void\((Status[^)]*)?\)>|[^A-Za-z0-9_]Done) +[A-Za-z0-9_]+ *[,)=]/ &&
+        match(decl, /[A-Za-z0-9_]+\(/)) {
+      name = substr(decl, RSTART, RLENGTH - 1)
+      if (!(name in ok)) {
+        printf "callback guard: %s: public %s takes a completion callback\n",
+               FILENAME, name
+        bad = 1
+      }
+    }
+    decl = ""
+  }
+  END { exit bad }' src/core/*.h src/agent/*.h || {
+  echo "api guard FAILED (see above)"
+  exit 1
+}
+echo "api guard OK"
 
 src_libs=(rdx_common rdx_sim rdx_rdma rdx_bpf rdx_wasm rdx_telemetry
           rdx_agent rdx_core rdx_fault rdx_mesh rdx_kvstore)
@@ -223,6 +263,32 @@ if [[ "$golden_fail" != "0" ]]; then
   exit 1
 fi
 echo "golden smoke gate OK"
+
+echo
+echo "== examples golden gate: example stdout vs bench/golden/examples/ =="
+# The examples run on the virtual clock too, so each one's stdout must
+# equal bench/golden/examples/<example>.txt byte for byte. An example
+# with no golden fails the gate.
+examples_fail=0
+for bin in build/examples/*; do
+  [[ -f "$bin" && -x "$bin" ]] || continue
+  example="$(basename "$bin")"
+  golden="bench/golden/examples/$example.txt"
+  if [[ ! -f "$golden" ]]; then
+    echo "examples gate: $example has no $golden"
+    examples_fail=1
+    continue
+  fi
+  if ! "$bin" | diff -u "$golden" - ; then
+    echo "examples gate: $example stdout differs from $golden"
+    examples_fail=1
+  fi
+done
+if [[ "$examples_fail" != "0" ]]; then
+  echo "examples golden gate FAILED (see above)"
+  exit 1
+fi
+echo "examples golden gate OK"
 
 echo
 echo "== rdxbench virtual gate: virtual {...} lines vs bench/golden/rdxbench/ =="

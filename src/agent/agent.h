@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -31,7 +30,7 @@ struct AgentConfig {
 
 // Phase timings of one agent-side load, for the Fig 4b breakdown. Each
 // field is the duration of the telemetry span of the same stage
-// ("agent:queue" etc.), so the callback and the merged timeline agree.
+// ("agent:queue" etc.), so the result and the merged timeline agree.
 struct AgentTrace {
   sim::Duration queue = 0;   // daemon wakeup + config parse
   sim::Duration verify = 0;
@@ -56,11 +55,6 @@ class NodeAgent {
   // is charged to this node's CPU.
   template <class Source>
   sim::Task<StatusOr<AgentTrace>> Load(Source src, int hook);
-  template <class Source>
-  void Load(const Source& src, int hook,
-            std::function<void(StatusOr<AgentTrace>)> done) {
-    sim::Start(Load(src, hook), std::move(done));
-  }
 
   // Begins periodic XState polling (the steady-state agent "tax"); Stop
   // cancels the next poll.
@@ -136,11 +130,6 @@ class AgentController {
   template <class Source>
   sim::Task<StatusOr<AgentTrace>> Push(std::size_t agent_index, Source src,
                                        int hook);
-  template <class Source>
-  void Push(std::size_t agent_index, const Source& src, int hook,
-            std::function<void(StatusOr<AgentTrace>)> done) {
-    sim::Start(Push(agent_index, src, hook), std::move(done));
-  }
 
   // Eventual-consistency rollout to every agent at once (no ordering
   // guarantees — the Fig 2b baseline). `waves` optionally groups agents
@@ -149,12 +138,6 @@ class AgentController {
   template <class Source>
   sim::Task<StatusOr<RolloutResult>> Rollout(
       Source src, int hook, std::vector<std::vector<std::size_t>> waves);
-  template <class Source>
-  void Rollout(const Source& src, int hook,
-               std::vector<std::vector<std::size_t>> waves,
-               std::function<void(StatusOr<RolloutResult>)> done) {
-    sim::Start(Rollout(src, hook, std::move(waves)), std::move(done));
-  }
 
  private:
   sim::Duration SamplePushDelay(std::size_t config_bytes);

@@ -84,13 +84,7 @@ sim::Task<StatusOr<BroadcastResult>> CollectiveCodeFlow::PrepareAndCommit(
   co_return result;
 }
 
-void CollectiveCodeFlow::Broadcast(
-    const bpf::Program& prog, int hook, UpdateBarrier* barrier,
-    std::function<void(StatusOr<BroadcastResult>)> done) {
-  sim::Start(BroadcastProgram(prog, hook, barrier), std::move(done));
-}
-
-sim::Task<StatusOr<BroadcastResult>> CollectiveCodeFlow::BroadcastProgram(
+sim::Task<StatusOr<BroadcastResult>> CollectiveCodeFlow::Broadcast(
     bpf::Program prog, int hook, UpdateBarrier* barrier) {
   const sim::SimTime t0 = cp_.events().Now();
   if (barrier != nullptr) barrier->BeginBuffering();
@@ -108,14 +102,7 @@ sim::Task<StatusOr<BroadcastResult>> CollectiveCodeFlow::BroadcastProgram(
   co_return co_await PrepareAndCommit(prepare, hook, barrier, t0);
 }
 
-void CollectiveCodeFlow::BroadcastWasm(
-    const std::vector<const wasm::FilterModule*>& filters, int hook,
-    UpdateBarrier* barrier,
-    std::function<void(StatusOr<BroadcastResult>)> done) {
-  sim::Start(BroadcastFilters(filters, hook, barrier), std::move(done));
-}
-
-sim::Task<StatusOr<BroadcastResult>> CollectiveCodeFlow::BroadcastFilters(
+sim::Task<StatusOr<BroadcastResult>> CollectiveCodeFlow::BroadcastWasm(
     std::vector<const wasm::FilterModule*> filters, int hook,
     UpdateBarrier* barrier) {
   if (filters.size() != group_.size()) {

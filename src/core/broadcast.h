@@ -89,15 +89,20 @@ class CollectiveCodeFlow {
   // Deploys `prog` to `hook` on every node in the group, transactionally.
   // With a non-null `barrier`, requests are buffered across the commit
   // window (BBU), guaranteeing update consistency.
-  void Broadcast(const bpf::Program& prog, int hook, UpdateBarrier* barrier,
-                 std::function<void(StatusOr<BroadcastResult>)> done);
+  sim::Task<StatusOr<BroadcastResult>> Broadcast(bpf::Program prog, int hook,
+                                                 UpdateBarrier* barrier);
 
   // Wasm-filter variant: per-node filters (size must equal the group's,
   // none null). Each distinct filter is copied and fingerprinted once,
-  // before the call returns.
+  // before the task first suspends.
+  sim::Task<StatusOr<BroadcastResult>> BroadcastWasm(
+      std::vector<const wasm::FilterModule*> filters, int hook,
+      UpdateBarrier* barrier);
   void BroadcastWasm(const std::vector<const wasm::FilterModule*>& filters,
                      int hook, UpdateBarrier* barrier,
-                     std::function<void(StatusOr<BroadcastResult>)> done);
+                     std::function<void(StatusOr<BroadcastResult>)> done) {
+    sim::Start(BroadcastWasm(filters, hook, barrier), std::move(done));
+  }
 
   // Pipelined, doorbell-batched fleet deploy. Drives `specs` as a
   // sequence of waves through a two-stage pipeline: while wave k's image
@@ -110,20 +115,14 @@ class CollectiveCodeFlow {
   // stalling the healthy fan-out; a compile failure (including a
   // blacklisted fingerprint) fails the whole deploy. Unlike Broadcast
   // there is no BBU barrier: this is the fleet-provisioning path, and
-  // per-node visibility is driven by the commits' cc_event flushes.
+  // per-node visibility is driven by the commits' cc_event flushes. It
+  // reports through `done` (not as a task) because a failure reports at
+  // once, before the compile still in flight drains.
   void DeployPipelined(const std::vector<DeploySpec>& specs,
                        const PipelineOptions& opts,
                        std::function<void(StatusOr<PipelineResult>)> done);
 
  private:
-  // Body of Broadcast.
-  sim::Task<StatusOr<BroadcastResult>> BroadcastProgram(bpf::Program prog,
-                                                        int hook,
-                                                        UpdateBarrier* barrier);
-  // Body of BroadcastWasm; copies the filters before it first suspends.
-  sim::Task<StatusOr<BroadcastResult>> BroadcastFilters(
-      std::vector<const wasm::FilterModule*> filters, int hook,
-      UpdateBarrier* barrier);
   // Shared tail of both broadcasts: phase 1 awaits `prepare(i)`, a
   // StatusOr<PreparedImage> task, on every node; once all hold a
   // PreparedImage, phase 2 commits them in parallel and waits until every

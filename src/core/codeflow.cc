@@ -15,10 +15,11 @@ constexpr std::uint64_t kAllocAlign = 64;
 // chain only every 4th WRITE (and always the tail) writes a CQE; PostChain
 // reconstructs the implied completions from RC ordering.
 constexpr std::uint32_t kSignalingPeriod = 4;
-// Why a commit is refused: the source fingerprint was blacklisted after
-// its deploy validated, so the image must not go live.
-constexpr const char* kQuarantinedInFlight =
-    "fingerprint was quarantined while its deploy was in flight";
+// Why a commit is refused: the image's source fingerprint is blacklisted
+// (quarantined after its deploy validated, or a rollback target built from
+// a quarantined source), so it must not go live.
+constexpr const char* kQuarantined =
+    "fingerprint is quarantined; refusing to commit it";
 
 std::uint64_t AlignUp(std::uint64_t n, std::uint64_t a) {
   return (n + a - 1) & ~(a - 1);
@@ -248,13 +249,7 @@ sim::Task<StatusOr<std::uint64_t>> ControlPlane::RemoteAtomic(
 
 // ---- CodeFlow lifecycle ------------------------------------------------
 
-void ControlPlane::CreateCodeFlow(
-    Sandbox& sandbox, const Sandbox::Registration& reg,
-    std::function<void(StatusOr<CodeFlow*>)> done) {
-  sim::Start(NewCodeFlow(sandbox, reg), std::move(done));
-}
-
-sim::Task<StatusOr<CodeFlow*>> ControlPlane::NewCodeFlow(
+sim::Task<StatusOr<CodeFlow*>> ControlPlane::CreateCodeFlow(
     Sandbox& sandbox, Sandbox::Registration reg) {
   auto flow_owner = std::make_unique<CodeFlow>();
   CodeFlow* flow = flow_owner.get();
@@ -521,8 +516,10 @@ sim::Task<Status> ControlPlane::WriteQword(CodeFlow& flow,
 // ---- commit ------------------------------------------------------------
 
 sim::Task<Status> ControlPlane::CommitHook(CodeFlow& flow, int hook,
-                                           std::uint64_t desc_addr) {
+                                           std::uint64_t desc_addr,
+                                           std::uint64_t fp) {
   if (!config_.use_lock) {
+    if (IsBlacklisted(fp)) co_return PermissionDenied(kQuarantined);
     co_return co_await CommitTail(flow, hook, desc_addr, /*may_chain=*/true);
   }
   // rdx_mutual_excl around the commit: take the sandbox lock via RDMA
@@ -536,8 +533,12 @@ sim::Task<Status> ControlPlane::CommitHook(CodeFlow& flow, int hook,
     }
     co_await sim::Sleep(events_, sim::Micros(5));
   }
-  const Status committed =
-      co_await CommitTail(flow, hook, desc_addr, /*may_chain=*/true);
+  // The blacklist check waits for the lock: a quarantine can land while
+  // another owner holds it.
+  Status committed = PermissionDenied(kQuarantined);
+  if (!IsBlacklisted(fp)) {
+    committed = co_await CommitTail(flow, hook, desc_addr, /*may_chain=*/true);
+  }
   (void)co_await Unlock(flow, kOwner);
   co_return committed;
 }
@@ -699,14 +700,7 @@ sim::Task<StatusOr<Bytes>> ControlPlane::ReadXState(CodeFlow& flow,
       ring ? "ring body read failed" : "XState body read failed");
 }
 
-void ControlPlane::XStateLookup(CodeFlow& flow, std::uint64_t xstate_addr,
-                                Bytes key,
-                                std::function<void(StatusOr<Bytes>)> done) {
-  sim::Start(LookupXState(flow, xstate_addr, std::move(key)),
-             std::move(done));
-}
-
-sim::Task<StatusOr<Bytes>> ControlPlane::LookupXState(
+sim::Task<StatusOr<Bytes>> ControlPlane::XStateLookup(
     CodeFlow& flow, std::uint64_t xstate_addr, Bytes key) {
   // Read the full XState storage, then resolve the key locally. (An
   // array-map fast path could read just the value; the general path keeps
@@ -720,13 +714,7 @@ sim::Task<StatusOr<Bytes>> ControlPlane::LookupXState(
   co_return std::move(value);
 }
 
-void ControlPlane::XStateUpdate(CodeFlow& flow, std::uint64_t xstate_addr,
-                                Bytes key, Bytes value, Done done) {
-  sim::Start(UpdateXState(flow, xstate_addr, std::move(key), std::move(value)),
-             std::move(done));
-}
-
-sim::Task<Status> ControlPlane::UpdateXState(CodeFlow& flow,
+sim::Task<Status> ControlPlane::XStateUpdate(CodeFlow& flow,
                                              std::uint64_t xstate_addr,
                                              Bytes key, Bytes value) {
   // Same pattern: fetch storage, apply the update locally, write back the
@@ -737,13 +725,7 @@ sim::Task<Status> ControlPlane::UpdateXState(CodeFlow& flow,
   co_return co_await WriteChunked(flow, std::move(body), xstate_addr);
 }
 
-void ControlPlane::CopyXState(CodeFlow& src, std::uint64_t src_addr,
-                              CodeFlow& dst, std::uint64_t dst_addr,
-                              Done done) {
-  sim::Start(MoveXState(src, src_addr, dst, dst_addr), std::move(done));
-}
-
-sim::Task<Status> ControlPlane::MoveXState(CodeFlow& src,
+sim::Task<Status> ControlPlane::CopyXState(CodeFlow& src,
                                            std::uint64_t src_addr,
                                            CodeFlow& dst,
                                            std::uint64_t dst_addr) {
@@ -753,27 +735,14 @@ sim::Task<Status> ControlPlane::MoveXState(CodeFlow& src,
   co_return co_await WriteChunked(dst, std::move(body), dst_addr);
 }
 
-void ControlPlane::XStateDump(
-    CodeFlow& flow, std::uint64_t xstate_addr,
-    std::function<void(StatusOr<std::vector<std::pair<Bytes, Bytes>>>)>
-        done) {
-  sim::Start(DumpXState(flow, xstate_addr), std::move(done));
-}
-
 sim::Task<StatusOr<std::vector<std::pair<Bytes, Bytes>>>>
-ControlPlane::DumpXState(CodeFlow& flow, std::uint64_t xstate_addr) {
+ControlPlane::XStateDump(CodeFlow& flow, std::uint64_t xstate_addr) {
   RDX_CO_ASSIGN_OR_RETURN(Bytes body,
                           co_await ReadXState(flow, xstate_addr, false));
   co_return bpf::MapView(body).Dump();
 }
 
-void ControlPlane::XStateRingConsume(
-    CodeFlow& flow, std::uint64_t xstate_addr,
-    std::function<void(StatusOr<std::vector<Bytes>>)> done) {
-  sim::Start(ConsumeRing(flow, xstate_addr), std::move(done));
-}
-
-sim::Task<StatusOr<std::vector<Bytes>>> ControlPlane::ConsumeRing(
+sim::Task<StatusOr<std::vector<Bytes>>> ControlPlane::XStateRingConsume(
     CodeFlow& flow, std::uint64_t xstate_addr) {
   // Read the whole ring, decode records locally, then advance the remote
   // tail word. Records produced after our snapshot are simply picked up
@@ -849,10 +818,8 @@ void ControlPlane::RecordCommit(CodeFlow& flow, int hook,
 
 sim::Task<Status> ControlPlane::CommitPrepared(CodeFlow& flow, int hook,
                                                PreparedImage prepared) {
-  if (IsBlacklisted(prepared.fingerprint)) {
-    co_return PermissionDenied(kQuarantinedInFlight);
-  }
-  RDX_CO_RETURN_IF_ERROR(co_await CommitHook(flow, hook, prepared.desc_addr));
+  RDX_CO_RETURN_IF_ERROR(co_await CommitHook(flow, hook, prepared.desc_addr,
+                                             prepared.fingerprint));
   RecordCommit(flow, hook, prepared);
   co_return OkStatus();
 }
@@ -861,7 +828,7 @@ sim::Task<Status> ControlPlane::CommitPreparedCas(CodeFlow& flow, int hook,
                                                   PreparedImage prepared,
                                                   std::uint64_t expected_desc) {
   if (IsBlacklisted(prepared.fingerprint)) {
-    co_return PermissionDenied(kQuarantinedInFlight);
+    co_return PermissionDenied(kQuarantined);
   }
   // CAS, not a blind write: wave commits race quarantines and other
   // writers, and a lost race must surface instead of clobbering the slot.
@@ -928,7 +895,7 @@ sim::Task<StatusOr<InjectTrace>> ControlPlane::Inject(CodeFlow& flow,
     // then code — leaves a window during which the data-plane CPU reads a
     // *torn* image (new length/version, mixed code bytes). This is the
     // §3.5 hazard rdx_tx's shadow-copy + qword-swap eliminates.
-    if (IsBlacklisted(fp)) co_return PermissionDenied(kQuarantinedInFlight);
+    if (IsBlacklisted(fp)) co_return PermissionDenied(kQuarantined);
     const std::uint64_t image_addr = deployment.image_addr;
     Bytes desc(kImageDescBytes);
     StoreDesc(desc.data(), image_addr, wire, version, config_.signing_key);
@@ -1022,11 +989,10 @@ telemetry::RingOps ControlPlane::RingOpsFor(CodeFlow& flow) {
       }};
 }
 
-void ControlPlane::HarvestTrace(CodeFlow& flow,
-                                telemetry::Collector& collector, Done done) {
-  sim::Start(collector.Harvest(RingOpsFor(flow), flow.remote_view_.trace_addr,
-                               static_cast<std::uint32_t>(flow.node_)),
-             std::move(done));
+sim::Task<Status> ControlPlane::HarvestTrace(
+    CodeFlow& flow, telemetry::Collector& collector) {
+  return collector.Harvest(RingOpsFor(flow), flow.remote_view_.trace_addr,
+                           static_cast<std::uint32_t>(flow.node_));
 }
 
 void ControlPlane::ExportMetrics(telemetry::MetricsRegistry& reg) const {
@@ -1051,7 +1017,8 @@ sim::Task<Status> ControlPlane::Rollback(CodeFlow& flow, int hook) {
   }
   const CodeFlow::PastImage prev = it->second.desc_history.back();
   it->second.desc_history.pop_back();
-  RDX_CO_RETURN_IF_ERROR(co_await CommitHook(flow, hook, prev.desc_addr));
+  RDX_CO_RETURN_IF_ERROR(
+      co_await CommitHook(flow, hook, prev.desc_addr, prev.fingerprint));
   auto& deployment = flow.hooks_[hook];
   deployment.desc_addr = prev.desc_addr;
   deployment.fingerprint = prev.fingerprint;
@@ -1061,7 +1028,7 @@ sim::Task<Status> ControlPlane::Rollback(CodeFlow& flow, int hook) {
 }
 
 sim::Task<Status> ControlPlane::Detach(CodeFlow& flow, int hook) {
-  const Status s = co_await CommitHook(flow, hook, 0);
+  const Status s = co_await CommitHook(flow, hook, 0, /*fp=*/0);
   if (s.ok()) flow.hooks_.erase(hook);
   co_return s;
 }

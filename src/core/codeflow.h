@@ -21,11 +21,12 @@
 //   rdx_mutual_excl       Lock()/Unlock()    RDMA CAS sandbox lock
 //   rdx_broadcast         (core/broadcast.h) collective CodeFlow + BBU
 //
-// All operations are asynchronous over the event queue. Each step is a
+// All operations are asynchronous over the event queue. Each one is a
 // coroutine (sim::Task) that the composed flows await in a straight line;
-// the entry points that callers outside src/core drive report through
-// completion callbacks. The fabric, not wall-clock threads, provides
-// concurrency.
+// code that is not a coroutine starts one and carries on (Start, in
+// sim/task.h) or steps the event queue until it finishes
+// (RunToCompletion, in sim/event_queue.h). The fabric, not wall-clock
+// threads, provides concurrency.
 #pragma once
 
 #include <cstdint>
@@ -240,8 +241,12 @@ class ControlPlane {
                rdma::NodeId self, ControlPlaneConfig config = {});
 
   // ---- CodeFlow lifecycle ----
+  sim::Task<StatusOr<CodeFlow*>> CreateCodeFlow(Sandbox& sandbox,
+                                                Sandbox::Registration reg);
   void CreateCodeFlow(Sandbox& sandbox, const Sandbox::Registration& reg,
-                      std::function<void(StatusOr<CodeFlow*>)> done);
+                      std::function<void(StatusOr<CodeFlow*>)> done) {
+    sim::Start(CreateCodeFlow(sandbox, reg), std::move(done));
+  }
 
   // Recovery: tears down the flow's (errored) QP, establishes a fresh
   // connection, and re-runs the handshake — re-reads the control block
@@ -305,24 +310,29 @@ class ControlPlane {
                                                   bpf::MapSpec spec);
 
   // ---- remote XState access (control-plane side) ----
-  void XStateLookup(CodeFlow& flow, std::uint64_t xstate_addr, Bytes key,
-                    std::function<void(StatusOr<Bytes>)> done);
-  void XStateUpdate(CodeFlow& flow, std::uint64_t xstate_addr, Bytes key,
-                    Bytes value, Done done);
+  sim::Task<StatusOr<Bytes>> XStateLookup(CodeFlow& flow,
+                                          std::uint64_t xstate_addr,
+                                          Bytes key);
+  sim::Task<Status> XStateUpdate(CodeFlow& flow, std::uint64_t xstate_addr,
+                                 Bytes key, Bytes value);
 
   // Copies a live XState instance between nodes (read from src, write to
   // dst) — the state-transfer half of extension live migration (§4).
   // `dst_addr` must hold an XState of identical geometry.
-  void CopyXState(CodeFlow& src, std::uint64_t src_addr, CodeFlow& dst,
-                  std::uint64_t dst_addr, Done done);
+  sim::Task<Status> CopyXState(CodeFlow& src, std::uint64_t src_addr,
+                               CodeFlow& dst, std::uint64_t dst_addr);
 
   // Reads an entire remote XState and returns its (key, value) pairs —
   // the agentless equivalent of the per-node map-dump polling whose CPU
   // tax the Redis experiment quantifies.
+  sim::Task<StatusOr<std::vector<std::pair<Bytes, Bytes>>>> XStateDump(
+      CodeFlow& flow, std::uint64_t xstate_addr);
   void XStateDump(CodeFlow& flow, std::uint64_t xstate_addr,
                   std::function<void(
                       StatusOr<std::vector<std::pair<Bytes, Bytes>>>)>
-                      done);
+                      done) {
+    sim::Start(XStateDump(flow, xstate_addr), std::move(done));
+  }
 
   // Streaming telemetry: drains a remote ring-buffer XState — reads the
   // ring over RDMA, decodes complete records, and advances the remote
@@ -330,9 +340,8 @@ class ControlPlane {
   // per-node polling daemon whose CPU tax the Redis experiment measures:
   // the extension produces records locally; the control plane consumes
   // them with zero data-plane cycles.
-  void XStateRingConsume(CodeFlow& flow, std::uint64_t xstate_addr,
-                         std::function<void(StatusOr<std::vector<Bytes>>)>
-                             done);
+  sim::Task<StatusOr<std::vector<Bytes>>> XStateRingConsume(
+      CodeFlow& flow, std::uint64_t xstate_addr);
 
   // ---- sync primitives (§3.5) ----
   // Remote transaction: land `payload` at a fresh scratchpad address,
@@ -434,8 +443,12 @@ class ControlPlane {
   // collector harvests through (READ + FETCH_ADD only).
   telemetry::RingOps RingOpsFor(CodeFlow& flow);
   // Convenience: harvest the flow's sandbox TraceRing into `collector`.
+  sim::Task<Status> HarvestTrace(CodeFlow& flow,
+                                 telemetry::Collector& collector);
   void HarvestTrace(CodeFlow& flow, telemetry::Collector& collector,
-                    Done done);
+                    Done done) {
+    sim::Start(HarvestTrace(flow, collector), std::move(done));
+  }
   // Control-plane counters (quarantines, compile caches, flow count,
   // images compiled and shared, link wires built and shared).
   void ExportMetrics(telemetry::MetricsRegistry& reg) const;
@@ -498,9 +511,11 @@ class ControlPlane {
   sim::Task<Status> WriteQword(CodeFlow& flow, std::uint64_t remote_addr,
                                std::uint64_t value);
   // Commits desc_addr into the hook slot (under the sandbox lock with
-  // use_lock) and makes it visible.
+  // use_lock) and makes it visible. The commit point: an image whose
+  // source fingerprint `fp` is blacklisted by then (checked once the lock
+  // is held) is refused with PermissionDenied and the slot left as it was.
   sim::Task<Status> CommitHook(CodeFlow& flow, int hook,
-                               std::uint64_t desc_addr);
+                               std::uint64_t desc_addr, std::uint64_t fp);
   // The one commit tail: the optional hook-slot write of `slot_desc`, the
   // epoch FAA, then the cc_event flush (or, without use_cc_event, the
   // eviction-delay refresh). With use_doorbell_batching && use_cc_event
@@ -531,21 +546,6 @@ class ControlPlane {
   // from its InjectTrace deltas (walking back from the end time).
   void EmitInjectSpans(const CodeFlow& flow, int hook, const char* kind,
                        const InjectTrace& trace);
-
-  // Bodies of the callback entry points of the same purpose above.
-  sim::Task<StatusOr<CodeFlow*>> NewCodeFlow(Sandbox& sandbox,
-                                             Sandbox::Registration reg);
-  sim::Task<StatusOr<Bytes>> LookupXState(CodeFlow& flow,
-                                          std::uint64_t xstate_addr,
-                                          Bytes key);
-  sim::Task<Status> UpdateXState(CodeFlow& flow, std::uint64_t xstate_addr,
-                                 Bytes key, Bytes value);
-  sim::Task<Status> MoveXState(CodeFlow& src, std::uint64_t src_addr,
-                               CodeFlow& dst, std::uint64_t dst_addr);
-  sim::Task<StatusOr<std::vector<std::pair<Bytes, Bytes>>>> DumpXState(
-      CodeFlow& flow, std::uint64_t xstate_addr);
-  sim::Task<StatusOr<std::vector<Bytes>>> ConsumeRing(
-      CodeFlow& flow, std::uint64_t xstate_addr);
 
   sim::EventQueue& events_;
   rdma::Fabric& fabric_;

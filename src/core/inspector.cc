@@ -60,13 +60,7 @@ sim::Task<StatusOr<InspectReport>> Inspector::Inspect(CodeFlow& flow,
   co_return report;
 }
 
-void Inspector::Sweep(
-    CodeFlow& flow,
-    std::function<void(StatusOr<std::vector<InspectReport>>)> done) {
-  sim::Start(SweepHooks(flow), std::move(done));
-}
-
-sim::Task<StatusOr<std::vector<InspectReport>>> Inspector::SweepHooks(
+sim::Task<StatusOr<std::vector<InspectReport>>> Inspector::Sweep(
     CodeFlow& flow) {
   std::vector<int> hooks;
   for (const auto& [hook, deployment] : flow.hooks_) {

@@ -6,8 +6,6 @@
 // introspection [49]).
 #pragma once
 
-#include <functional>
-
 #include "core/codeflow.h"
 
 namespace rdx::core {
@@ -39,13 +37,9 @@ class Inspector {
 
   // Sweeps every hook the control plane has deployed on `flow`; reports
   // the unhealthy ones (empty = all good).
-  void Sweep(CodeFlow& flow,
-             std::function<void(StatusOr<std::vector<InspectReport>>)> done);
+  sim::Task<StatusOr<std::vector<InspectReport>>> Sweep(CodeFlow& flow);
 
  private:
-  // Body of Sweep.
-  sim::Task<StatusOr<std::vector<InspectReport>>> SweepHooks(CodeFlow& flow);
-
   ControlPlane& cp_;
 };
 

@@ -232,13 +232,7 @@ Status Orchestrator::ValidatePlan(const OrchestrationPlan& plan) const {
   return OkStatus();
 }
 
-void Orchestrator::Execute(
-    const OrchestrationPlan& plan, UpdateBarrier* barrier,
-    std::function<void(StatusOr<OrchestrationReport>)> done) {
-  sim::Start(RunPlan(plan, barrier), std::move(done));
-}
-
-sim::Task<StatusOr<OrchestrationReport>> Orchestrator::RunPlan(
+sim::Task<StatusOr<OrchestrationReport>> Orchestrator::Execute(
     OrchestrationPlan plan, UpdateBarrier* barrier) {
   RDX_CO_RETURN_IF_ERROR(ValidatePlan(plan));
   OrchestrationReport report;
@@ -285,18 +279,16 @@ sim::Task<StatusOr<std::string>> Orchestrator::RunAction(
     CollectiveCodeFlow collective(cp_, targets);
     UpdateBarrier* use_barrier =
         action.consistency == ConsistencyLevel::kBbu ? barrier : nullptr;
-    const StatusOr<BroadcastResult> r =
-        co_await sim::Await<StatusOr<BroadcastResult>>([&](auto done) {
-          if (const auto* module = std::get_if<wasm::FilterModule>(&artifact)) {
-            collective.BroadcastWasm(
-                std::vector<const wasm::FilterModule*>(targets.size(), module),
-                decl.hook, use_barrier, std::move(done));
-          } else {
-            collective.Broadcast(std::get<bpf::Program>(artifact), decl.hook,
-                                 use_barrier, std::move(done));
-          }
-        });
-    RDX_CO_RETURN_IF_ERROR(r.status());
+    if (const auto* module = std::get_if<wasm::FilterModule>(&artifact)) {
+      const StatusOr<BroadcastResult> r = co_await collective.BroadcastWasm(
+          std::vector<const wasm::FilterModule*>(targets.size(), module),
+          decl.hook, use_barrier);
+      RDX_CO_RETURN_IF_ERROR(r.status());
+    } else {
+      const StatusOr<BroadcastResult> r = co_await collective.Broadcast(
+          std::get<bpf::Program>(artifact), decl.hook, use_barrier);
+      RDX_CO_RETURN_IF_ERROR(r.status());
+    }
     co_return what + " [broadcast]";
   }
 

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <variant>
@@ -109,15 +108,11 @@ class Orchestrator {
 
   // Executes actions sequentially (each action's nodes in the strategy's
   // order). `barrier` enables consistency=bbu actions to buffer traffic.
-  void Execute(const OrchestrationPlan& plan, UpdateBarrier* barrier,
-               std::function<void(StatusOr<OrchestrationReport>)> done);
+  sim::Task<StatusOr<OrchestrationReport>> Execute(OrchestrationPlan plan,
+                                                   UpdateBarrier* barrier);
 
  private:
   using Artifact = std::variant<bpf::Program, wasm::FilterModule>;
-
-  // Body of Execute.
-  sim::Task<StatusOr<OrchestrationReport>> RunPlan(OrchestrationPlan plan,
-                                                   UpdateBarrier* barrier);
   // Runs one action; yields its log line.
   sim::Task<StatusOr<std::string>> RunAction(const OrchestrationPlan& plan,
                                              const Action& action,

@@ -138,7 +138,7 @@ sim::Task<void> HealthMonitor::Tick() {
           cp_.events().ScheduleAfter(policy_.poll_period, std::move(tick));
     });
     if (!running_) break;
-    co_await Poll();
+    co_await PollNow();
   }
 }
 
@@ -148,7 +148,7 @@ void HealthMonitor::Stop() {
   cp_.events().Cancel(next_tick_);
 }
 
-sim::Task<void> HealthMonitor::Poll() {
+sim::Task<void> HealthMonitor::PollNow() {
   ++polls_;
   auto poll = [&](std::size_t i) { return PollFlow(watched_[i]); };
   (void)co_await ForAll(watched_.size(), poll);

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -124,12 +123,10 @@ class HealthMonitor {
   void Start();
   void Stop();
   bool running() const { return running_; }
-  // One synchronous-ish sweep over every watched flow; `done` fires when
-  // all health reads (and any resulting quarantines) completed. Gives
-  // tests a deterministic poll point.
-  void PollNow(std::function<void()> done = [] {}) {
-    sim::Start(Poll(), std::move(done));
-  }
+  // One sweep over every watched flow; finishes when all health reads
+  // (and any resulting quarantines) completed. Gives tests a
+  // deterministic poll point.
+  sim::Task<void> PollNow();
 
   const std::vector<QuarantineRecord>& records() const { return records_; }
   std::uint64_t polls() const { return polls_; }
@@ -150,7 +147,6 @@ class HealthMonitor {
   };
   // The polling loop Start runs: a tick every poll period, then a poll.
   sim::Task<void> Tick();
-  sim::Task<void> Poll();
   // Both always report OK: an unreachable node is the lease layer's
   // problem, and a failed quarantine is recorded, not raised.
   sim::Task<Status> PollFlow(WatchedFlow& wf);

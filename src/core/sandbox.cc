@@ -1,5 +1,7 @@
 #include "core/sandbox.h"
 
+#include <iterator>
+
 #include "common/log.h"
 #include "core/gatekeeper.h"
 
@@ -69,16 +71,19 @@ Status Sandbox::WriteWord(std::uint64_t addr, std::uint64_t value) {
   return node_.memory().WriteU64(addr, value);
 }
 
+namespace {
+// eBPF helpers available in every sandbox.
+constexpr std::int32_t kExportedHelpers[] = {
+    bpf::kHelperMapLookupElem, bpf::kHelperMapUpdateElem,
+    bpf::kHelperMapDeleteElem, bpf::kHelperKtimeGetNs,
+    bpf::kHelperTracePrintk,   bpf::kHelperGetPrandomU32,
+    bpf::kHelperGetSmpProcessorId, bpf::kHelperRingbufOutput};
+}  // namespace
+
 std::vector<std::pair<std::uint64_t, std::uint64_t>> Sandbox::ExportedSymbols()
     const {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> symbols;
-  // eBPF helpers available in this sandbox.
-  static constexpr std::int32_t kExported[] = {
-      bpf::kHelperMapLookupElem, bpf::kHelperMapUpdateElem,
-      bpf::kHelperMapDeleteElem, bpf::kHelperKtimeGetNs,
-      bpf::kHelperTracePrintk,   bpf::kHelperGetPrandomU32,
-      bpf::kHelperGetSmpProcessorId, bpf::kHelperRingbufOutput};
-  for (std::int32_t id : kExported) {
+  for (std::int32_t id : kExportedHelpers) {
     symbols.emplace_back(SymbolHash("helper:", static_cast<std::uint64_t>(id)),
                          static_cast<std::uint64_t>(id));
   }
@@ -114,7 +119,10 @@ Status Sandbox::CtxInit() {
                        mem.Allocate(config_.meta_capacity * 8ull, 64));
   view_.meta_capacity = config_.meta_capacity;
 
-  view_.symtab_len = SymbolTable().size();
+  // The table Boot writes: a u32 count, then a (hash, value) u64 pair per
+  // exported helper and host function.
+  view_.symtab_len =
+      4 + 16 * (std::size(kExportedHelpers) + config_.wasm_host_fns.size());
   RDX_ASSIGN_OR_RETURN(view_.symtab_addr, mem.Allocate(view_.symtab_len, 64));
 
   RDX_ASSIGN_OR_RETURN(ctx_buf_addr_, mem.Allocate(kCtxBytes, 64));

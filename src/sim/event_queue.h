@@ -5,8 +5,12 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
+#include <optional>
 #include <queue>
+#include <type_traits>
 #include <vector>
 
 #include "sim/task.h"
@@ -85,6 +89,30 @@ inline auto Sleep(EventQueue& events, Duration delay) {
   return Await<void>([&events, delay](auto done) {
     events.ScheduleAfter(delay, std::move(done));
   });
+}
+
+// Drives `task` from code that is not a coroutine: starts it, steps the
+// queue until it finishes and returns its result. Events still pending
+// then (a flush, a poller's next tick) stay queued. A task the queue
+// drains under can never finish: that aborts.
+template <class T>
+T RunToCompletion(EventQueue& events, Task<T> task) {
+  std::optional<std::conditional_t<std::is_void_v<T>, bool, T>> result;
+  if constexpr (std::is_void_v<T>) {
+    Start(std::move(task), [&result] { result.emplace(true); });
+  } else {
+    Start(std::move(task),
+          [&result](T value) { result.emplace(std::move(value)); });
+  }
+  while (!result.has_value()) {
+    if (!events.Step()) {
+      std::fprintf(stderr,
+                   "RunToCompletion: the event queue drained before the "
+                   "task finished\n");
+      std::abort();
+    }
+  }
+  if constexpr (!std::is_void_v<T>) return std::move(*result);
 }
 
 }  // namespace rdx::sim

@@ -33,15 +33,10 @@ struct Node {
   }
 
   AgentTrace Load(const bpf::Program& prog, int hook = 0) {
-    AgentTrace trace;
-    bool done = false;
-    agent->Load(prog, hook, [&](StatusOr<AgentTrace> r) {
-      EXPECT_TRUE(r.ok()) << r.status().ToString();
-      if (r.ok()) trace = r.value();
-      done = true;
-    });
-    while (!done && !events.Empty()) events.Step();
-    return trace;
+    const StatusOr<AgentTrace> r =
+        sim::RunToCompletion(events, agent->Load(prog, hook));
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? r.value() : AgentTrace{};
   }
 };
 
@@ -118,13 +113,7 @@ TEST(NodeAgentPipeline, RejectsUnverifiableProgram) {
   bpf::Program bad;
   bad.name = "bad";
   bad.insns = bpf::Assemble("r0 = r9\nexit\n").value();  // uninit read
-  bool done = false;
-  n.agent->Load(bad, 0, [&](StatusOr<AgentTrace> r) {
-    EXPECT_FALSE(r.ok());
-    done = true;
-  });
-  while (!done && !n.events.Empty()) n.events.Step();
-  EXPECT_TRUE(done);
+  EXPECT_FALSE(sim::RunToCompletion(n.events, n.agent->Load(bad, 0)).ok());
   EXPECT_EQ(n.sandbox->VisibleVersion(0), 0u);
 }
 
@@ -197,13 +186,9 @@ TEST(NodeAgentPipeline, ReloadReusesExistingMapState) {
 TEST(NodeAgentPipeline, WasmFilterLoadsAndRuns) {
   Node n;
   wasm::FilterModule filter = wasm::GenerateFilter(200, 4);
-  bool done = false;
-  n.agent->Load(filter, 2, [&](StatusOr<AgentTrace> r) {
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    done = true;
-  });
-  while (!done && !n.events.Empty()) n.events.Step();
-  ASSERT_TRUE(done);
+  const StatusOr<AgentTrace> loaded =
+      sim::RunToCompletion(n.events, n.agent->Load(filter, 2));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   class NullHost final : public wasm::WasmHost {
    public:
@@ -285,30 +270,19 @@ struct ControllerHarness {
 TEST(Controller, PushAddsNetworkDelay) {
   ControllerHarness h(1);
   bpf::Program prog = TinyProgram(1);
-  sim::SimTime pushed_done = 0;
-  bool done = false;
-  h.controller.Push(0, prog, 0, [&](StatusOr<AgentTrace> r) {
-    ASSERT_TRUE(r.ok());
-    pushed_done = h.events.Now();
-    done = true;
-  });
-  while (!done && !h.events.Empty()) h.events.Step();
+  ASSERT_TRUE(
+      sim::RunToCompletion(h.events, h.controller.Push(0, prog, 0)).ok());
   // Push delay (>= 5 ms base) dominates the tiny program's load time.
-  EXPECT_GT(pushed_done, sim::Millis(5));
+  EXPECT_GT(h.events.Now(), sim::Millis(5));
 }
 
 TEST(Controller, RolloutReachesAllAgents) {
   ControllerHarness h(6);
   bpf::Program prog = TinyProgram(3);
-  bool done = false;
-  RolloutResult result;
-  h.controller.Rollout(prog, 0, {}, [&](StatusOr<RolloutResult> r) {
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    result = r.value();
-    done = true;
-  });
-  while (!done && !h.events.Empty()) h.events.Step();
-  EXPECT_EQ(result.nodes, 6u);
+  const StatusOr<RolloutResult> result =
+      sim::RunToCompletion(h.events, h.controller.Rollout(prog, 0, {}));
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->nodes, 6u);
   for (auto& sandbox : h.sandboxes) {
     EXPECT_EQ(sandbox->VisibleVersion(0), 1u);
   }
@@ -317,16 +291,11 @@ TEST(Controller, RolloutReachesAllAgents) {
 TEST(Controller, InconsistencyWindowSpansPropagationJitter) {
   ControllerHarness h(10);
   bpf::Program prog = bpf::GenerateProgram({.target_insns = 1300, .seed = 2});
-  bool done = false;
-  RolloutResult result;
-  h.controller.Rollout(prog, 0, {}, [&](StatusOr<RolloutResult> r) {
-    ASSERT_TRUE(r.ok());
-    result = r.value();
-    done = true;
-  });
-  while (!done && !h.events.Empty()) h.events.Step();
+  const StatusOr<RolloutResult> result =
+      sim::RunToCompletion(h.events, h.controller.Rollout(prog, 0, {}));
+  ASSERT_TRUE(result.ok());
   // Base 5ms + jitter + verify: the window is tens of ms at least.
-  EXPECT_GT(result.inconsistency_window, sim::Millis(8));
+  EXPECT_GT(result->inconsistency_window, sim::Millis(8));
 }
 
 TEST(Controller, WavesRollOutSequentially) {
@@ -338,25 +307,15 @@ TEST(Controller, WavesRollOutSequentially) {
   bpf::Program prog = TinyProgram(1);
   // Two waves: {0,1} then {2,3}.
   std::vector<std::vector<std::size_t>> waves = {{0, 1}, {2, 3}};
-  bool done = false;
-  RolloutResult unordered_result, waved_result;
-  h.controller.Rollout(prog, 0, waves, [&](StatusOr<RolloutResult> r) {
-    ASSERT_TRUE(r.ok());
-    waved_result = r.value();
-    done = true;
-  });
-  while (!done && !h.events.Empty()) h.events.Step();
-
-  done = false;
-  h.controller.Rollout(prog, 1, {}, [&](StatusOr<RolloutResult> r) {
-    ASSERT_TRUE(r.ok());
-    unordered_result = r.value();
-    done = true;
-  });
-  while (!done && !h.events.Empty()) h.events.Step();
+  const StatusOr<RolloutResult> waved_result =
+      sim::RunToCompletion(h.events, h.controller.Rollout(prog, 0, waves));
+  ASSERT_TRUE(waved_result.ok());
+  const StatusOr<RolloutResult> unordered_result =
+      sim::RunToCompletion(h.events, h.controller.Rollout(prog, 1, {}));
+  ASSERT_TRUE(unordered_result.ok());
   // Sequential waves take longer than one parallel wave.
-  EXPECT_GT(waved_result.total, unordered_result.total);
-  EXPECT_EQ(waved_result.nodes, 4u);
+  EXPECT_GT(waved_result->total, unordered_result->total);
+  EXPECT_EQ(waved_result->nodes, 4u);
 }
 
 TEST(Controller, RolloutPropagatesAgentFailure) {
@@ -370,10 +329,11 @@ TEST(Controller, RolloutPropagatesAgentFailure) {
     SCOPED_TRACE(waves.size());
     ControllerHarness h(3);
     int reports = 0;
-    h.controller.Rollout(bad, 0, waves, [&](StatusOr<RolloutResult> r) {
-      EXPECT_FALSE(r.ok());
-      ++reports;
-    });
+    sim::Start(h.controller.Rollout(bad, 0, waves),
+               [&](StatusOr<RolloutResult> r) {
+                 EXPECT_FALSE(r.ok());
+                 ++reports;
+               });
     h.events.Run();
     EXPECT_EQ(reports, 1);
     if (!waves.empty()) {
@@ -390,11 +350,7 @@ TEST(Controller, RolloutPropagatesAgentFailure) {
 // Runs one agent load to completion and returns its outcome.
 template <class Source>
 StatusOr<AgentTrace> RunLoad(Node& n, const Source& src, int hook = 0) {
-  std::optional<StatusOr<AgentTrace>> out;
-  n.agent->Load(src, hook, [&](StatusOr<AgentTrace> r) { out = r; });
-  while (!out && !n.events.Empty()) n.events.Step();
-  if (!out) return Internal("load never completed");
-  return *out;
+  return sim::RunToCompletion(n.events, n.agent->Load(src, hook));
 }
 
 // Span name -> duration of everything the agent recorded.
@@ -487,22 +443,15 @@ TYPED_TEST(AgentLoadTest, RejectedSourceReturnsErrorWithLoadSpanClosed) {
 TYPED_TEST(AgentLoadTest, PushAndRolloutReachEveryAgent) {
   ControllerHarness h(3);
   const TypeParam src = KindSources<TypeParam>::Good();
-  bool pushed = false;
-  h.controller.Push(0, src, 1, [&](StatusOr<AgentTrace> r) {
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
-    pushed = true;
-  });
-  while (!pushed && !h.events.Empty()) h.events.Step();
-  ASSERT_TRUE(pushed);
+  const StatusOr<AgentTrace> pushed =
+      sim::RunToCompletion(h.events, h.controller.Push(0, src, 1));
+  EXPECT_TRUE(pushed.ok()) << pushed.status().ToString();
   EXPECT_GT(h.events.Now(), sim::Millis(5));  // push delay dominates
 
-  std::optional<StatusOr<RolloutResult>> rolled;
-  h.controller.Rollout(src, 1, {{0}, {1, 2}},
-                       [&](StatusOr<RolloutResult> r) { rolled = r; });
-  while (!rolled && !h.events.Empty()) h.events.Step();
-  ASSERT_TRUE(rolled.has_value());
-  ASSERT_TRUE(rolled->ok()) << rolled->status().ToString();
-  EXPECT_EQ((*rolled)->nodes, 3u);
+  const StatusOr<RolloutResult> rolled = sim::RunToCompletion(
+      h.events, h.controller.Rollout(src, 1, {{0}, {1, 2}}));
+  ASSERT_TRUE(rolled.ok()) << rolled.status().ToString();
+  EXPECT_EQ(rolled->nodes, 3u);
   EXPECT_EQ(h.sandboxes[0]->VisibleVersion(1), 2u);
   EXPECT_EQ(h.sandboxes[1]->VisibleVersion(1), 1u);
   EXPECT_EQ(h.sandboxes[2]->VisibleVersion(1), 1u);

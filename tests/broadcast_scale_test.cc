@@ -211,15 +211,11 @@ struct Cluster {
       EXPECT_TRUE(sandboxes.back()->CtxInit().ok());
       auto reg = sandboxes.back()->CtxRegister();
       EXPECT_TRUE(reg.ok());
-      CodeFlow* flow = nullptr;
-      cp->CreateCodeFlow(*sandboxes.back(), reg.value(),
-                         [&flow](StatusOr<CodeFlow*> f) {
-                           ASSERT_TRUE(f.ok()) << f.status().ToString();
-                           flow = f.value();
-                         });
+      const StatusOr<CodeFlow*> flow = sim::RunToCompletion(
+          events, cp->CreateCodeFlow(*sandboxes.back(), reg.value()));
+      EXPECT_TRUE(flow.ok()) << flow.status().ToString();
       events.Run();
-      EXPECT_NE(flow, nullptr);
-      flows.push_back(flow);
+      flows.push_back(flow.ok() ? flow.value() : nullptr);
     }
   }
 
@@ -235,35 +231,21 @@ struct Cluster {
   }
 
   StatusOr<InjectTrace> Inject(int node, const bpf::Program& prog, int hook) {
-    StatusOr<InjectTrace> out = Internal("inject never finished");
-    bool done = false;
-    cp->InjectExtension(*flows[node], prog, hook,
-                        [&](StatusOr<InjectTrace> r) {
-                          out = std::move(r);
-                          done = true;
-                        });
-    RunUntil([&] { return done; });
-    return out;
+    return sim::RunToCompletion(events, cp->Inject(*flows[node], prog, hook));
   }
 
   template <class Source>
   StatusOr<core::BroadcastResult> Broadcast(const Source& src, int hook) {
     CollectiveCodeFlow collective(*cp, flows);
-    StatusOr<core::BroadcastResult> out = Internal("broadcast never finished");
-    bool done = false;
-    auto finish = [&](StatusOr<core::BroadcastResult> r) {
-      out = std::move(r);
-      done = true;
-    };
     if constexpr (std::is_same_v<Source, bpf::Program>) {
-      collective.Broadcast(src, hook, nullptr, finish);
+      return sim::RunToCompletion(events,
+                                  collective.Broadcast(src, hook, nullptr));
     } else {
-      collective.BroadcastWasm(
-          std::vector<const wasm::FilterModule*>(flows.size(), &src), hook,
-          nullptr, finish);
+      return sim::RunToCompletion(
+          events, collective.BroadcastWasm(std::vector<const wasm::FilterModule*>(
+                                               flows.size(), &src),
+                                           hook, nullptr));
     }
-    RunUntil([&] { return done; });
-    return out;
   }
 
   std::uint64_t Counter(const char* name) const {
@@ -522,13 +504,9 @@ TEST(LinkCode, ChargesOneRelocationOfCpCpu) {
   Cluster cluster(1);
   CodeFlow& flow = *cluster.flows[0];
   const bpf::Program prog = bpf::GenerateProgram({.target_insns = 400});
-  bool ready = false;
-  sim::Start(cluster.cp->DeployXState(flow, prog.maps[0]),
-             [&](StatusOr<std::uint64_t> addr) {
-               ASSERT_TRUE(addr.ok()) << addr.status().ToString();
-               ready = true;
-             });
-  cluster.RunUntil([&] { return ready; });
+  const StatusOr<std::uint64_t> addr = sim::RunToCompletion(
+      cluster.events, cluster.cp->DeployXState(flow, prog.maps[0]));
+  ASSERT_TRUE(addr.ok()) << addr.status().ToString();
   const bpf::JitImage image = bpf::JitCompiler().Compile(prog).value();
   ASSERT_GT(image.relocs.size(), 1u);
 
@@ -539,13 +517,11 @@ TEST(LinkCode, ChargesOneRelocationOfCpCpu) {
   };
   const double busy_before = busy_ns();
   const sim::SimTime start = cluster.events.Now();
-  sim::SimTime linked_at = -1;
-  sim::Start(cluster.cp->LinkCode(flow, image, core::ProgramFingerprint(prog)),
-             [&](StatusOr<Bytes> wire) {
-               ASSERT_TRUE(wire.ok()) << wire.status().ToString();
-               linked_at = cluster.events.Now();
-             });
-  cluster.RunUntil([&] { return linked_at >= 0; });
+  const StatusOr<Bytes> wire = sim::RunToCompletion(
+      cluster.events,
+      cluster.cp->LinkCode(flow, image, core::ProgramFingerprint(prog)));
+  ASSERT_TRUE(wire.ok()) << wire.status().ToString();
+  const sim::SimTime linked_at = cluster.events.Now();
   // link_cycles_per_reloc (500) at the CP's 3.4 GHz, completed on the
   // next whole ns.
   EXPECT_EQ(linked_at - start, 148);
@@ -634,14 +610,12 @@ class EbpfLinkGroup : public ::testing::TestWithParam<LinkGroup> {
   static void SetApart(Cluster& cluster, LinkGroup group,
                        const bpf::JitImage& image) {
     CodeFlow& flow = *cluster.flows[kOddNode];
-    bool done = false;
     if (group == LinkGroup::kOddValues) {
-      sim::Start(cluster.cp->DeployXState(
-                     flow, {"extra", bpf::MapType::kArray, 4, 8, 16}),
-                 [&](StatusOr<std::uint64_t> addr) {
-                   ASSERT_TRUE(addr.ok()) << addr.status().ToString();
-                   done = true;
-                 });
+      const StatusOr<std::uint64_t> addr = sim::RunToCompletion(
+          cluster.events,
+          cluster.cp->DeployXState(flow,
+                                   {"extra", bpf::MapType::kArray, 4, 8, 16}));
+      ASSERT_TRUE(addr.ok()) << addr.status().ToString();
     } else if (group == LinkGroup::kOddLacksSymbol) {
       std::int32_t helper = -1;
       for (const bpf::Relocation& reloc : image.relocs) {
@@ -667,15 +641,10 @@ class EbpfLinkGroup : public ::testing::TestWithParam<LinkGroup> {
         }
       }
       ASSERT_EQ(renamed, 1);
-      sim::Start(cluster.cp->ReconnectCodeFlow(flow), [&](Status s) {
-        ASSERT_TRUE(s.ok()) << s.ToString();
-        done = true;
-      });
-    } else {
-      return;
+      const Status s = sim::RunToCompletion(cluster.events,
+                                            cluster.cp->ReconnectCodeFlow(flow));
+      ASSERT_TRUE(s.ok()) << s.ToString();
     }
-    cluster.RunUntil([&] { return done; });
-    ASSERT_TRUE(done);
   }
 
   // The committed wire of `node` is its own and patches its own addresses.

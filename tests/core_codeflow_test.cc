@@ -5,6 +5,7 @@
 
 #include <optional>
 #include <tuple>
+#include <vector>
 
 #include "bpf/assembler.h"
 #include "bpf/proggen.h"
@@ -36,16 +37,11 @@ struct Cluster {
       EXPECT_TRUE(sandbox->CtxInit().ok());
       auto reg = sandbox->CtxRegister();
       EXPECT_TRUE(reg.ok());
-      CodeFlow* flow = nullptr;
-      cp->CreateCodeFlow(*sandbox, reg.value(),
-                         [&flow](StatusOr<CodeFlow*> result) {
-                           ASSERT_TRUE(result.ok())
-                               << result.status().ToString();
-                           flow = result.value();
-                         });
+      const StatusOr<CodeFlow*> flow = sim::RunToCompletion(
+          events, cp->CreateCodeFlow(*sandbox, reg.value()));
+      EXPECT_TRUE(flow.ok()) << flow.status().ToString();
       events.Run();
-      EXPECT_NE(flow, nullptr);
-      flows.push_back(flow);
+      flows.push_back(flow.ok() ? flow.value() : nullptr);
       sandboxes.push_back(std::move(sandbox));
     }
   }
@@ -94,6 +90,28 @@ TEST(CodeFlowCreate, ReadsControlBlockAndSymbols) {
   EXPECT_FALSE(flow.Symbol(SymbolHashName("host:", "nonexistent")).ok());
 }
 
+// CtxInit sizes the symbol-table region from the export counts; Boot then
+// writes the table into it. The two must agree exactly.
+TEST(SandboxBoot, SymbolTableFillsItsRegion) {
+  for (std::size_t extra : {0u, 3u}) {
+    SCOPED_TRACE(extra);
+    sim::EventQueue events;
+    rdma::Fabric fabric{events};
+    rdma::Node& node = fabric.AddNode("node");
+    SandboxConfig config;
+    for (std::size_t i = 0; i < extra; ++i) {
+      config.wasm_host_fns.push_back("extra" + std::to_string(i));
+    }
+    Sandbox sandbox(events, node, config);
+    ASSERT_TRUE(sandbox.CtxInit().ok());
+    std::uint8_t count[4];
+    ASSERT_TRUE(node.memory().Read(sandbox.view().symtab_addr, count).ok());
+    EXPECT_EQ(LoadLE<std::uint32_t>(count), sandbox.ExportedSymbols().size());
+    EXPECT_EQ(sandbox.view().symtab_len,
+              4 + 16 * sandbox.ExportedSymbols().size());
+  }
+}
+
 // The symbol hashes are a wire contract: the sandbox publishes them in its
 // symbol table and the control plane looks them up by value.
 TEST(SymbolHash, MatchesPublishedValues) {
@@ -109,20 +127,13 @@ TEST(Inject, EndToEndDeployAndExecute) {
   Sandbox& sandbox = *cluster.sandboxes[0];
 
   bpf::Program prog = CounterProgram();
-  bool injected = false;
-  InjectTrace trace;
-  cluster.cp->InjectExtension(flow, prog, /*hook=*/0,
-                              [&](StatusOr<InjectTrace> result) {
-                                ASSERT_TRUE(result.ok())
-                                    << result.status().ToString();
-                                trace = result.value();
-                                injected = true;
-                              });
+  const StatusOr<InjectTrace> trace = sim::RunToCompletion(
+      cluster.events, cluster.cp->Inject(flow, prog, /*hook=*/0));
+  ASSERT_TRUE(trace.ok()) << trace.status().ToString();
   cluster.events.Run();
-  ASSERT_TRUE(injected);
-  EXPECT_GT(trace.total, 0);
-  EXPECT_GT(trace.image_bytes, 0u);
-  EXPECT_FALSE(trace.compile_cache_hit);
+  EXPECT_GT(trace->total, 0);
+  EXPECT_GT(trace->image_bytes, 0u);
+  EXPECT_FALSE(trace->compile_cache_hit);
 
   // The data plane executes the injected program.
   Bytes packet = {0x05, 0x00, 0x00, 0x00};
@@ -135,18 +146,12 @@ TEST(Inject, EndToEndDeployAndExecute) {
   // Each execution bumped the counter map; read it back remotely.
   const std::uint64_t xstate_addr = flow.xstates().at("counters");
   Bytes key(4, 0);
-  Bytes value;
-  bool read_done = false;
-  cluster.cp->XStateLookup(flow, xstate_addr, key,
-                           [&](StatusOr<Bytes> v) {
-                             ASSERT_TRUE(v.ok()) << v.status().ToString();
-                             value = v.value();
-                             read_done = true;
-                           });
+  const StatusOr<Bytes> value = sim::RunToCompletion(
+      cluster.events, cluster.cp->XStateLookup(flow, xstate_addr, key));
+  ASSERT_TRUE(value.ok()) << value.status().ToString();
   cluster.events.Run();
-  ASSERT_TRUE(read_done);
-  ASSERT_EQ(value.size(), 8u);
-  EXPECT_EQ(LoadLE<std::uint64_t>(value.data()), 2u);
+  ASSERT_EQ(value->size(), 8u);
+  EXPECT_EQ(LoadLE<std::uint64_t>(value->data()), 2u);
 }
 
 TEST(Inject, SecondInjectionHitsCompileCache) {
@@ -154,25 +159,18 @@ TEST(Inject, SecondInjectionHitsCompileCache) {
   CodeFlow& flow = *cluster.flows[0];
   bpf::Program prog = CounterProgram();
 
-  bool first = false, second = false;
-  InjectTrace trace2;
-  cluster.cp->InjectExtension(flow, prog, 0, [&](StatusOr<InjectTrace> r) {
-    ASSERT_TRUE(r.ok());
-    first = true;
-  });
+  ASSERT_TRUE(
+      sim::RunToCompletion(cluster.events, cluster.cp->Inject(flow, prog, 0))
+          .ok());
   cluster.events.Run();
-  ASSERT_TRUE(first);
-  cluster.cp->InjectExtension(flow, prog, 1, [&](StatusOr<InjectTrace> r) {
-    ASSERT_TRUE(r.ok());
-    trace2 = r.value();
-    second = true;
-  });
+  const StatusOr<InjectTrace> trace2 =
+      sim::RunToCompletion(cluster.events, cluster.cp->Inject(flow, prog, 1));
+  ASSERT_TRUE(trace2.ok());
   cluster.events.Run();
-  ASSERT_TRUE(second);
-  EXPECT_TRUE(trace2.compile_cache_hit);
+  EXPECT_TRUE(trace2->compile_cache_hit);
   EXPECT_GE(cluster.cp->compile_cache_hits(), 1u);
   // Cached injection skips verify+JIT: it must be far below a fresh one.
-  EXPECT_LT(sim::ToMicros(trace2.validate + trace2.jit), 10.0);
+  EXPECT_LT(sim::ToMicros(trace2->validate + trace2->jit), 10.0);
 }
 
 TEST(Inject, RemoteXStateUpdateVisibleToDataPlane) {
@@ -180,38 +178,28 @@ TEST(Inject, RemoteXStateUpdateVisibleToDataPlane) {
   CodeFlow& flow = *cluster.flows[0];
   Sandbox& sandbox = *cluster.sandboxes[0];
 
-  bool injected = false;
-  cluster.cp->InjectExtension(flow, CounterProgram(), 0,
-                              [&](StatusOr<InjectTrace> r) {
-                                ASSERT_TRUE(r.ok());
-                                injected = true;
-                              });
+  ASSERT_TRUE(sim::RunToCompletion(cluster.events,
+                                   cluster.cp->Inject(flow, CounterProgram(), 0))
+                  .ok());
   cluster.events.Run();
-  ASSERT_TRUE(injected);
 
   // Control plane seeds the counter to 100 via remote XState update.
   const std::uint64_t xstate_addr = flow.xstates().at("counters");
   Bytes key(4, 0);
   Bytes value(8, 0);
   StoreLE<std::uint64_t>(value.data(), 100);
-  bool updated = false;
-  cluster.cp->XStateUpdate(flow, xstate_addr, key, value, [&](Status s) {
-    ASSERT_TRUE(s.ok()) << s.ToString();
-    updated = true;
-  });
+  const Status updated = sim::RunToCompletion(
+      cluster.events, cluster.cp->XStateUpdate(flow, xstate_addr, key, value));
+  ASSERT_TRUE(updated.ok()) << updated.ToString();
   cluster.events.Run();
-  ASSERT_TRUE(updated);
 
   Bytes packet = {0x01, 0, 0, 0};
   ASSERT_TRUE(sandbox.ExecuteHook(0, packet).ok());
-  bool read_done = false;
-  cluster.cp->XStateLookup(flow, xstate_addr, key, [&](StatusOr<Bytes> v) {
-    ASSERT_TRUE(v.ok());
-    EXPECT_EQ(LoadLE<std::uint64_t>(v->data()), 101u);
-    read_done = true;
-  });
+  const StatusOr<Bytes> v = sim::RunToCompletion(
+      cluster.events, cluster.cp->XStateLookup(flow, xstate_addr, key));
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(LoadLE<std::uint64_t>(v->data()), 101u);
   cluster.events.Run();
-  ASSERT_TRUE(read_done);
 }
 
 TEST(Rollback, RevertsToPreviousVersion) {
@@ -226,32 +214,25 @@ TEST(Rollback, RevertsToPreviousVersion) {
   v2.name = "v2";
   v2.insns = bpf::Assemble("r0 = 2\nexit\n").value();
 
-  int step = 0;
-  cluster.cp->InjectExtension(flow, v1, 0, [&](StatusOr<InjectTrace> r) {
-    ASSERT_TRUE(r.ok());
-    step = 1;
-  });
+  ASSERT_TRUE(
+      sim::RunToCompletion(cluster.events, cluster.cp->Inject(flow, v1, 0))
+          .ok());
   cluster.events.Run();
-  ASSERT_EQ(step, 1);
   Bytes packet(4, 0);
   EXPECT_EQ(sandbox.ExecuteHook(0, packet)->r0, 1u);
 
-  cluster.cp->InjectExtension(flow, v2, 0, [&](StatusOr<InjectTrace> r) {
-    ASSERT_TRUE(r.ok());
-    step = 2;
-  });
+  ASSERT_TRUE(
+      sim::RunToCompletion(cluster.events, cluster.cp->Inject(flow, v2, 0))
+          .ok());
   cluster.events.Run();
-  ASSERT_EQ(step, 2);
   EXPECT_EQ(sandbox.ExecuteHook(0, packet)->r0, 2u);
 
   // Microsecond rollback: no re-transfer, just a desc re-commit.
   const sim::SimTime before = cluster.events.Now();
-  sim::Start(cluster.cp->Rollback(flow, 0), [&](Status s) {
-    ASSERT_TRUE(s.ok()) << s.ToString();
-    step = 3;
-  });
+  const Status rolled_back =
+      sim::RunToCompletion(cluster.events, cluster.cp->Rollback(flow, 0));
+  ASSERT_TRUE(rolled_back.ok()) << rolled_back.ToString();
   cluster.events.Run();
-  ASSERT_EQ(step, 3);
   const sim::Duration rollback_time = cluster.events.Now() - before;
   EXPECT_LT(sim::ToMicros(rollback_time), 50.0);
   EXPECT_EQ(sandbox.ExecuteHook(0, packet)->r0, 1u);
@@ -261,32 +242,22 @@ TEST(SyncPrimitives, LockExcludesSecondOwner) {
   Cluster cluster;
   CodeFlow& flow = *cluster.flows[0];
 
-  bool locked = false;
-  sim::Start(cluster.cp->Lock(flow, 7), [&](Status s) {
-    ASSERT_TRUE(s.ok()) << s.ToString();
-    locked = true;
-  });
+  const Status locked =
+      sim::RunToCompletion(cluster.events, cluster.cp->Lock(flow, 7));
+  ASSERT_TRUE(locked.ok()) << locked.ToString();
   cluster.events.Run();
-  ASSERT_TRUE(locked);
 
   // Second acquisition must be refused.
-  bool refused = false;
-  sim::Start(cluster.cp->Lock(flow, 8), [&](Status s) {
-    EXPECT_EQ(s.code(), StatusCode::kAborted);
-    refused = true;
-  });
+  EXPECT_EQ(
+      sim::RunToCompletion(cluster.events, cluster.cp->Lock(flow, 8)).code(),
+      StatusCode::kAborted);
   cluster.events.Run();
-  ASSERT_TRUE(refused);
   // Local CPU also sees it held.
   EXPECT_FALSE(cluster.sandboxes[0]->TryLockLocal(9));
 
-  bool unlocked = false;
-  sim::Start(cluster.cp->Unlock(flow, 7), [&](Status s) {
-    ASSERT_TRUE(s.ok());
-    unlocked = true;
-  });
+  ASSERT_TRUE(
+      sim::RunToCompletion(cluster.events, cluster.cp->Unlock(flow, 7)).ok());
   cluster.events.Run();
-  ASSERT_TRUE(unlocked);
   EXPECT_TRUE(cluster.sandboxes[0]->TryLockLocal(9));
   cluster.sandboxes[0]->UnlockLocal(9);
 }
@@ -298,13 +269,11 @@ TEST(SyncPrimitives, TxLandsPayloadThenSwingsQword) {
 
   Bytes payload = {1, 2, 3, 4, 5, 6, 7, 8, 9};
   const std::uint64_t qword_addr = flow.remote_view().hook_table_addr + 8;
-  std::uint64_t payload_addr = 0;
-  sim::Start(cluster.cp->Tx(flow, payload, qword_addr, 0x1234),
-             [&](StatusOr<std::uint64_t> addr) {
-               ASSERT_TRUE(addr.ok()) << addr.status().ToString();
-               payload_addr = addr.value();
-             });
+  const StatusOr<std::uint64_t> tx = sim::RunToCompletion(
+      cluster.events, cluster.cp->Tx(flow, payload, qword_addr, 0x1234));
+  ASSERT_TRUE(tx.ok()) << tx.status().ToString();
   cluster.events.Run();
+  const std::uint64_t payload_addr = tx.value();
   ASSERT_NE(payload_addr, 0u);
   Bytes landed(payload.size());
   ASSERT_TRUE(sandbox.node().memory().Read(payload_addr, landed).ok());
@@ -336,14 +305,11 @@ TEST(Broadcast, FailedBuildReleasesBarrier) {
   bad.name = "bad";
   bad.insns = bpf::Assemble("r0 = r5\nexit\n").value();  // uninit read
   RecordingBarrier barrier;
-  bool done = false;
-  group.Broadcast(bad, 0, &barrier, [&](StatusOr<BroadcastResult> r) {
-    EXPECT_FALSE(r.ok());
-    EXPECT_FALSE(barrier.buffering) << "barrier still buffering at done";
-    done = true;
-  });
+  EXPECT_FALSE(
+      sim::RunToCompletion(cluster.events, group.Broadcast(bad, 0, &barrier))
+          .ok());
+  EXPECT_FALSE(barrier.buffering) << "barrier still buffering at done";
   cluster.events.Run();
-  ASSERT_TRUE(done);
   EXPECT_EQ(barrier.begins, 1);
   EXPECT_EQ(barrier.releases, 1);
   EXPECT_FALSE(barrier.buffering);
@@ -354,15 +320,11 @@ TEST(Broadcast, DeploysToAllNodesWithTightCommitWindow) {
   CollectiveCodeFlow group(*cluster.cp, cluster.flows);
   bpf::Program prog = CounterProgram();
 
-  BroadcastResult result;
-  bool done = false;
-  group.Broadcast(prog, 0, nullptr, [&](StatusOr<BroadcastResult> r) {
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    result = r.value();
-    done = true;
-  });
+  const StatusOr<BroadcastResult> broadcast =
+      sim::RunToCompletion(cluster.events, group.Broadcast(prog, 0, nullptr));
+  ASSERT_TRUE(broadcast.ok()) << broadcast.status().ToString();
   cluster.events.Run();
-  ASSERT_TRUE(done);
+  const BroadcastResult& result = broadcast.value();
   EXPECT_EQ(result.nodes, 4u);
   // Parallel commits: the window between first and last commit is tiny
   // compared to the prepare phase.
@@ -387,11 +349,10 @@ TEST(Teardown, InFlightFlowsDieWithTheSimulation) {
     CollectiveCodeFlow group(*cluster.cp, cluster.flows);
     RecoveryManager recovery(*cluster.cp);
     const bpf::Program prog = CounterProgram();
-    cluster.cp->InjectExtension(
-        *cluster.flows[0], prog, 0,
-        [token, &fired](StatusOr<InjectTrace>) { ++fired; });
-    group.Broadcast(prog, 1, nullptr,
-                    [token, &fired](StatusOr<BroadcastResult>) { ++fired; });
+    sim::Start(cluster.cp->Inject(*cluster.flows[0], prog, 0),
+               [token, &fired](StatusOr<InjectTrace>) { ++fired; });
+    sim::Start(group.Broadcast(prog, 1, nullptr),
+               [token, &fired](StatusOr<BroadcastResult>) { ++fired; });
     group.DeployPipelined(
         {DeploySpec{&prog, 2}}, PipelineOptions{},
         [token, &fired](StatusOr<PipelineResult>) { ++fired; });
@@ -416,35 +377,28 @@ std::uint64_t SlotDesc(Cluster& cluster, int node, int hook) {
 
 // Quarantines whatever node 0 runs at `hook` (revert target: detach).
 void QuarantineNode0(Cluster& cluster, int hook) {
-  bool done = false;
-  sim::Start(cluster.cp->QuarantineHook(*cluster.flows[0], hook,
-                                        SlotDesc(cluster, 0, hook),
-                                        /*good_desc=*/0),
-             [&](Status s) {
-               ASSERT_TRUE(s.ok()) << s.ToString();
-               done = true;
-             });
+  const Status s = sim::RunToCompletion(
+      cluster.events,
+      cluster.cp->QuarantineHook(*cluster.flows[0], hook,
+                                 SlotDesc(cluster, 0, hook),
+                                 /*good_desc=*/0));
+  ASSERT_TRUE(s.ok()) << s.ToString();
   cluster.events.Run();
-  ASSERT_TRUE(done);
 }
 
 TEST(Broadcast, QuarantineAfterBroadcastBlacklistsProgram) {
   Cluster cluster(2);
   CollectiveCodeFlow group(*cluster.cp, cluster.flows);
   bpf::Program prog = CounterProgram();
-  bool done = false;
-  group.Broadcast(prog, 0, nullptr, [&](StatusOr<BroadcastResult> r) {
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    done = true;
-  });
+  const StatusOr<BroadcastResult> r =
+      sim::RunToCompletion(cluster.events, group.Broadcast(prog, 0, nullptr));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
   cluster.events.Run();
-  ASSERT_TRUE(done);
 
   QuarantineNode0(cluster, 0);
   EXPECT_TRUE(cluster.cp->IsBlacklisted(ProgramFingerprint(prog)));
-  Status redeploy;
-  sim::Start(cluster.cp->ValidateCode(prog), [&](Status s) { redeploy = s; });
-  cluster.events.Run();
+  const Status redeploy =
+      sim::RunToCompletion(cluster.events, cluster.cp->ValidateCode(prog));
   EXPECT_EQ(redeploy.code(), StatusCode::kPermissionDenied);
 }
 
@@ -452,20 +406,15 @@ TEST(Broadcast, QuarantineAfterBroadcastWasmBlacklistsFilter) {
   Cluster cluster(2);
   CollectiveCodeFlow group(*cluster.cp, cluster.flows);
   const wasm::FilterModule filter = wasm::GenerateFilter(200, 4);
-  bool done = false;
-  group.BroadcastWasm({&filter, &filter}, 1, nullptr,
-                      [&](StatusOr<BroadcastResult> r) {
-                        ASSERT_TRUE(r.ok()) << r.status().ToString();
-                        done = true;
-                      });
+  const StatusOr<BroadcastResult> r = sim::RunToCompletion(
+      cluster.events, group.BroadcastWasm({&filter, &filter}, 1, nullptr));
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
   cluster.events.Run();
-  ASSERT_TRUE(done);
 
   QuarantineNode0(cluster, 1);
   EXPECT_TRUE(cluster.cp->IsBlacklisted(WasmFingerprint(filter)));
-  Status redeploy;
-  sim::Start(cluster.cp->ValidateCode(filter), [&](Status s) { redeploy = s; });
-  cluster.events.Run();
+  const Status redeploy =
+      sim::RunToCompletion(cluster.events, cluster.cp->ValidateCode(filter));
   EXPECT_EQ(redeploy.code(), StatusCode::kPermissionDenied);
 }
 
@@ -485,47 +434,32 @@ TEST_P(CommitTailTest, CasAndWriteCommitsBecomeVisible) {
   CodeFlow& flow = *cluster.flows[0];
   Sandbox& sandbox = *cluster.sandboxes[0];
 
-  bool injected = false;
-  cluster.cp->InjectExtension(flow, CounterProgram(), 0,
-                              [&](StatusOr<InjectTrace> r) {
-                                ASSERT_TRUE(r.ok())
-                                    << r.status().ToString();
-                                injected = true;
-                              });
+  const StatusOr<InjectTrace> injected = sim::RunToCompletion(
+      cluster.events, cluster.cp->Inject(flow, CounterProgram(), 0));
+  ASSERT_TRUE(injected.ok()) << injected.status().ToString();
   cluster.events.Run();
-  ASSERT_TRUE(injected);
   const std::uint64_t v1_desc = SlotDesc(cluster, 0, 0);
 
   // Prepare v2 and CAS-commit it over v1.
   const bpf::Program prog2 =
       bpf::GenerateProgram({.target_insns = 200, .seed = 5});
-  ImagePtr<bpf::Program> image;
-  sim::Start(cluster.cp->Build(prog2), [&](StatusOr<ImagePtr<bpf::Program>> r) {
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    image = r.value();
-  });
+  const StatusOr<ImagePtr<bpf::Program>> image =
+      sim::RunToCompletion(cluster.events, cluster.cp->Build(prog2));
+  ASSERT_TRUE(image.ok()) << image.status().ToString();
   cluster.events.Run();
-  ASSERT_NE(image, nullptr);
-  std::optional<ControlPlane::PreparedImage> prepared;
-  sim::Start(cluster.cp->LinkAndPrepare(flow, prog2, *image, 0,
-                                        ProgramFingerprint(prog2)),
-             [&](StatusOr<ControlPlane::PreparedImage> p) {
-               ASSERT_TRUE(p.ok()) << p.status().ToString();
-               prepared = p.value();
-             });
+  ASSERT_NE(*image, nullptr);
+  const StatusOr<ControlPlane::PreparedImage> prepared = sim::RunToCompletion(
+      cluster.events, cluster.cp->LinkAndPrepare(flow, prog2, **image, 0,
+                                                 ProgramFingerprint(prog2)));
+  ASSERT_TRUE(prepared.ok()) << prepared.status().ToString();
   cluster.events.Run();
-  ASSERT_TRUE(prepared.has_value());
 
   std::uint64_t doorbells = cluster.fabric.doorbells_rung();
   std::uint64_t chained_wrs = cluster.fabric.chained_wrs();
-  bool committed = false;
-  sim::Start(cluster.cp->CommitPreparedCas(flow, 0, *prepared, v1_desc),
-             [&](Status s) {
-               ASSERT_TRUE(s.ok()) << s.ToString();
-               committed = true;
-             });
+  const Status committed = sim::RunToCompletion(
+      cluster.events, cluster.cp->CommitPreparedCas(flow, 0, *prepared, v1_desc));
+  ASSERT_TRUE(committed.ok()) << committed.ToString();
   cluster.events.Run();
-  ASSERT_TRUE(committed);
   EXPECT_EQ(flow.HookVersion(0), 2u);
   EXPECT_EQ(sandbox.CommittedVersion(0), 2u);
   EXPECT_EQ(sandbox.VisibleVersion(0), sandbox.CommittedVersion(0));
@@ -537,13 +471,10 @@ TEST_P(CommitTailTest, CasAndWriteCommitsBecomeVisible) {
   // Rollback commits by slot write: write + FAA + flush.
   doorbells = cluster.fabric.doorbells_rung();
   chained_wrs = cluster.fabric.chained_wrs();
-  bool rolled_back = false;
-  sim::Start(cluster.cp->Rollback(flow, 0), [&](Status s) {
-    ASSERT_TRUE(s.ok()) << s.ToString();
-    rolled_back = true;
-  });
+  const Status rolled_back =
+      sim::RunToCompletion(cluster.events, cluster.cp->Rollback(flow, 0));
+  ASSERT_TRUE(rolled_back.ok()) << rolled_back.ToString();
   cluster.events.Run();
-  ASSERT_TRUE(rolled_back);
   EXPECT_EQ(SlotDesc(cluster, 0, 0), v1_desc);
   EXPECT_EQ(sandbox.CommittedVersion(0), 1u);
   EXPECT_EQ(sandbox.VisibleVersion(0), sandbox.CommittedVersion(0));
@@ -566,13 +497,10 @@ TEST(VanillaMode, InPlaceRewriteCanTearImages) {
   Sandbox& sandbox = *cluster.sandboxes[0];
 
   bpf::Program big = bpf::GenerateProgram({.target_insns = 6000, .seed = 2});
-  bool done1 = false;
-  cluster.cp->InjectExtension(flow, big, 0, [&](StatusOr<InjectTrace> r) {
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    done1 = true;
-  });
+  const StatusOr<InjectTrace> first =
+      sim::RunToCompletion(cluster.events, cluster.cp->Inject(flow, big, 0));
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
   cluster.events.Run();
-  ASSERT_TRUE(done1);
   // Make the CPU's view current.
   sandbox.RefreshHooks();
   cluster.events.Run();
@@ -584,7 +512,7 @@ TEST(VanillaMode, InPlaceRewriteCanTearImages) {
   bpf::Program big2 = bpf::GenerateProgram({.target_insns = 3000, .seed = 3});
   ASSERT_LT(3000u, 6000u);  // big2 must fit in big's region for in-place rewrite
   bool done2 = false;
-  cluster.cp->InjectExtension(flow, big2, 0, [&](StatusOr<InjectTrace> r) {
+  sim::Start(cluster.cp->Inject(flow, big2, 0), [&](StatusOr<InjectTrace> r) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     done2 = true;
   });
@@ -603,17 +531,6 @@ TEST(VanillaMode, InPlaceRewriteCanTearImages) {
   ASSERT_TRUE(done2);
   EXPECT_TRUE(torn_seen);
   EXPECT_GT(sandbox.stats().torn_image_failures, 0u);
-}
-
-// Runs `task` to completion on the cluster's event queue and returns its
-// result.
-template <class T>
-T RunToEnd(Cluster& cluster, sim::Task<T> task) {
-  std::optional<T> result;
-  sim::Start(std::move(task), [&](T r) { result.emplace(std::move(r)); });
-  cluster.events.Run();
-  EXPECT_TRUE(result.has_value());
-  return std::move(result).value();
 }
 
 std::uint64_t CpCounter(Cluster& cluster, const char* name) {
@@ -672,16 +589,21 @@ TEST(Build, TornDownCompileLeavesItsImageForTheNextCaller) {
   sim::Duration compile_ns = 0;
   {
     Cluster solo(0);
-    ASSERT_TRUE(RunToEnd(solo, solo.cp->ValidateCode(filter)).ok());
+    ASSERT_TRUE(
+        sim::RunToCompletion(solo.events, solo.cp->ValidateCode(filter)).ok());
+    solo.events.Run();
     const sim::SimTime start = solo.events.Now();
-    ASSERT_TRUE(RunToEnd(solo, solo.cp->Build(filter)).ok());
+    ASSERT_TRUE(sim::RunToCompletion(solo.events, solo.cp->Build(filter)).ok());
+    solo.events.Run();
     compile_ns = solo.events.Now() - start;
   }
   ASSERT_GT(compile_ns, 0);
 
   Cluster cluster(0);
   ControlPlane& cp = *cluster.cp;
-  ASSERT_TRUE(RunToEnd(cluster, cp.ValidateCode(filter)).ok());
+  ASSERT_TRUE(
+      sim::RunToCompletion(cluster.events, cp.ValidateCode(filter)).ok());
+  cluster.events.Run();
   // The id the next CPU task gets: the torn-down build's compile charge.
   const sim::CpuScheduler::TaskId probe = cp.cpu().Submit(1, [] {});
   cp.cpu().Abort(probe);
@@ -721,9 +643,8 @@ TEST(Inject, BlacklistDuringDeployRefusesCommit) {
   const bpf::Program prog = CounterProgram();
   const std::uint64_t fp = ProgramFingerprint(prog);
   std::optional<Status> result;
-  cluster.cp->InjectExtension(
-      *cluster.flows[0], prog, 0,
-      [&](StatusOr<InjectTrace> r) { result = r.status(); });
+  sim::Start(cluster.cp->Inject(*cluster.flows[0], prog, 0),
+             [&](StatusOr<InjectTrace> r) { result = r.status(); });
   cluster.RunUntil([&] {
     return cluster.cp->artifact_cache().HasImage(ImageKind::kEbpf, fp);
   });
@@ -737,6 +658,77 @@ TEST(Inject, BlacklistDuringDeployRefusesCommit) {
   EXPECT_EQ(SlotDesc(cluster, 0, 0), 0u);
 }
 
+// With use_lock a commit waits for the sandbox lock. A quarantine that
+// lands during that wait is caught at the commit point, once the lock is
+// held: the image never goes live and the lock is released.
+TEST(Inject, BlacklistDuringLockWaitRefusesCommit) {
+  ControlPlaneConfig config;
+  config.use_lock = true;
+  Cluster cluster(1, config);
+  Sandbox& sandbox = *cluster.sandboxes[0];
+  const bpf::Program prog = CounterProgram();
+  const std::uint64_t fp = ProgramFingerprint(prog);
+  ASSERT_TRUE(sandbox.TryLockLocal(9));  // another owner holds the lock
+  std::optional<Status> result;
+  sim::Start(cluster.cp->Inject(*cluster.flows[0], prog, 0),
+             [&](StatusOr<InjectTrace> r) { result = r.status(); });
+  // Ample time to build and prepare the image; the commit then retries
+  // the lock CAS for as long as the other owner holds it.
+  cluster.events.RunUntil(cluster.events.Now() + sim::Millis(10));
+  ASSERT_FALSE(result.has_value());
+  ASSERT_TRUE(cluster.cp->artifact_cache().HasImage(ImageKind::kEbpf, fp));
+  cluster.cp->BlacklistFingerprint(fp);
+  sandbox.UnlockLocal(9);
+  cluster.events.Run();
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->code(), StatusCode::kPermissionDenied)
+      << result->ToString();
+  EXPECT_EQ(sandbox.CommittedVersion(0), 0u);
+  EXPECT_EQ(SlotDesc(cluster, 0, 0), 0u);
+  EXPECT_TRUE(sandbox.TryLockLocal(9));
+}
+
+// Rollback commits through the same commit point: a rollback target built
+// from a quarantined fingerprint is refused, and the slot keeps the image
+// the quarantine left.
+TEST(Rollback, RefusesQuarantinedFingerprint) {
+  Cluster cluster;
+  CodeFlow& flow = *cluster.flows[0];
+  Sandbox& sandbox = *cluster.sandboxes[0];
+  bpf::Program a, b;
+  a.name = "a";
+  a.insns = bpf::Assemble("r0 = 1\nexit\n").value();
+  b.name = "b";
+  b.insns = bpf::Assemble("r0 = 2\nexit\n").value();
+  // v1 = a, v2 = b, v3 = a again.
+  std::vector<std::uint64_t> descs;
+  for (const bpf::Program* prog : {&a, &b, &a}) {
+    ASSERT_TRUE(
+        sim::RunToCompletion(cluster.events, cluster.cp->Inject(flow, *prog, 0))
+            .ok());
+    cluster.events.Run();
+    descs.push_back(SlotDesc(cluster, 0, 0));
+  }
+  // Quarantine v3 back to v2: a is blacklisted, and v1 (built from a) is
+  // the only rollback target left.
+  ASSERT_TRUE(sim::RunToCompletion(
+                  cluster.events,
+                  cluster.cp->QuarantineHook(flow, 0, descs[2], descs[1]))
+                  .ok());
+  cluster.events.Run();
+  ASSERT_TRUE(cluster.cp->IsBlacklisted(ProgramFingerprint(a)));
+
+  const Status rolled_back =
+      sim::RunToCompletion(cluster.events, cluster.cp->Rollback(flow, 0));
+  cluster.events.Run();
+  EXPECT_EQ(rolled_back.code(), StatusCode::kPermissionDenied)
+      << rolled_back.ToString();
+  EXPECT_EQ(SlotDesc(cluster, 0, 0), descs[1]);
+  EXPECT_EQ(sandbox.CommittedVersion(0), 2u);
+  Bytes packet(4, 0);
+  EXPECT_EQ(sandbox.ExecuteHook(0, packet)->r0, 2u);
+}
+
 TEST(Broadcast, BlacklistDuringBroadcastRefusesEveryCommit) {
   Cluster cluster(2);
   CollectiveCodeFlow group(*cluster.cp, cluster.flows);
@@ -744,9 +736,8 @@ TEST(Broadcast, BlacklistDuringBroadcastRefusesEveryCommit) {
   const std::uint64_t fp = ProgramFingerprint(prog);
   RecordingBarrier barrier;
   std::optional<Status> result;
-  group.Broadcast(prog, 0, &barrier, [&](StatusOr<BroadcastResult> r) {
-    result = r.status();
-  });
+  sim::Start(group.Broadcast(prog, 0, &barrier),
+             [&](StatusOr<BroadcastResult> r) { result = r.status(); });
   cluster.RunUntil([&] {
     return cluster.cp->artifact_cache().HasImage(ImageKind::kEbpf, fp);
   });
@@ -793,14 +784,10 @@ TEST(Broadcast, NullFilterIsRejectedBeforeBuffering) {
   CollectiveCodeFlow group(*cluster.cp, cluster.flows);
   const wasm::FilterModule filter = wasm::GenerateFilter(200, 4);
   RecordingBarrier barrier;
-  std::optional<Status> result;
-  group.BroadcastWasm({&filter, nullptr}, 1, &barrier,
-                      [&](StatusOr<BroadcastResult> r) {
-                        result = r.status();
-                      });
+  const StatusOr<BroadcastResult> result = sim::RunToCompletion(
+      cluster.events, group.BroadcastWasm({&filter, nullptr}, 1, &barrier));
   cluster.events.Run();
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(result->code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(barrier.begins, 0);
   EXPECT_FALSE(barrier.buffering);
   EXPECT_EQ(cluster.sandboxes[1]->CommittedVersion(1), 0u);

@@ -123,11 +123,11 @@ struct SecureRig {
     sandbox = std::make_unique<Sandbox>(events, node, sandbox_config);
     EXPECT_TRUE(sandbox->CtxInit().ok());
     auto reg = sandbox->CtxRegister();
-    cp->CreateCodeFlow(*sandbox, reg.value(), [&](StatusOr<CodeFlow*> f) {
-      if (f.ok()) flow = f.value();
-    });
+    const StatusOr<CodeFlow*> created =
+        sim::RunToCompletion(events, cp->CreateCodeFlow(*sandbox, reg.value()));
     events.Run();
-    EXPECT_NE(flow, nullptr);
+    EXPECT_TRUE(created.ok());
+    if (created.ok()) flow = created.value();
   }
 
   void Inject(std::uint64_t ret, int hook = 0) {
@@ -135,13 +135,10 @@ struct SecureRig {
     prog.name = "r" + std::to_string(ret);
     prog.insns =
         bpf::Assemble("r0 = " + std::to_string(ret) + "\nexit\n").value();
-    bool done = false;
-    cp->InjectExtension(*flow, prog, hook, [&](StatusOr<InjectTrace> r) {
-      ASSERT_TRUE(r.ok()) << r.status().ToString();
-      done = true;
-    });
+    const StatusOr<InjectTrace> r =
+        sim::RunToCompletion(events, cp->Inject(*flow, prog, hook));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
     events.Run();
-    ASSERT_TRUE(done);
   }
 };
 
@@ -196,34 +193,24 @@ TEST(Inspector, HealthyDeploymentPasses) {
   SecureRig rig;
   rig.Inject(7);
   Inspector inspector(*rig.cp);
-  bool done = false;
-  sim::Start(inspector.Inspect(*rig.flow, 0),
-             [&](StatusOr<InspectReport> report) {
-               ASSERT_TRUE(report.ok()) << report.status().ToString();
-               EXPECT_TRUE(report->deployed);
-               EXPECT_TRUE(report->desc_matches);
-               EXPECT_TRUE(report->version_matches);
-               EXPECT_TRUE(report->checksum_ok);
-               EXPECT_TRUE(report->signature_ok);
-               EXPECT_TRUE(report->Healthy(/*signing_enabled=*/true));
-               done = true;
-             });
-  rig.events.Run();
-  EXPECT_TRUE(done);
+  const StatusOr<InspectReport> report =
+      sim::RunToCompletion(rig.events, inspector.Inspect(*rig.flow, 0));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->deployed);
+  EXPECT_TRUE(report->desc_matches);
+  EXPECT_TRUE(report->version_matches);
+  EXPECT_TRUE(report->checksum_ok);
+  EXPECT_TRUE(report->signature_ok);
+  EXPECT_TRUE(report->Healthy(/*signing_enabled=*/true));
 }
 
 TEST(Inspector, EmptyHookReportsNotDeployed) {
   SecureRig rig;
   Inspector inspector(*rig.cp);
-  bool done = false;
-  sim::Start(inspector.Inspect(*rig.flow, 3),
-             [&](StatusOr<InspectReport> report) {
-               ASSERT_TRUE(report.ok());
-               EXPECT_FALSE(report->deployed);
-               done = true;
-             });
-  rig.events.Run();
-  EXPECT_TRUE(done);
+  const StatusOr<InspectReport> report =
+      sim::RunToCompletion(rig.events, inspector.Inspect(*rig.flow, 3));
+  ASSERT_TRUE(report.ok());
+  EXPECT_FALSE(report->deployed);
 }
 
 TEST(Inspector, DetectsImageTampering) {
@@ -240,18 +227,13 @@ TEST(Inspector, DetectsImageTampering) {
       rig.sandbox->node().memory().Write(image_addr + 12, byte).ok());
 
   Inspector inspector(*rig.cp);
-  bool done = false;
-  sim::Start(inspector.Inspect(*rig.flow, 0),
-             [&](StatusOr<InspectReport> report) {
-               ASSERT_TRUE(report.ok());
-               EXPECT_TRUE(report->deployed);
-               EXPECT_FALSE(report->checksum_ok);
-               EXPECT_FALSE(report->signature_ok);
-               EXPECT_FALSE(report->Healthy(true));
-               done = true;
-             });
-  rig.events.Run();
-  EXPECT_TRUE(done);
+  const StatusOr<InspectReport> report =
+      sim::RunToCompletion(rig.events, inspector.Inspect(*rig.flow, 0));
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->deployed);
+  EXPECT_FALSE(report->checksum_ok);
+  EXPECT_FALSE(report->signature_ok);
+  EXPECT_FALSE(report->Healthy(true));
 }
 
 TEST(Inspector, DetectsHookHijack) {
@@ -270,18 +252,13 @@ TEST(Inspector, DetectsHookHijack) {
       mem.WriteU64(rig.flow->remote_view().hook_table_addr, rogue).ok());
 
   Inspector inspector(*rig.cp);
-  bool done = false;
-  sim::Start(inspector.Inspect(*rig.flow, 0),
-             [&](StatusOr<InspectReport> report) {
-               ASSERT_TRUE(report.ok());
-               EXPECT_TRUE(report->deployed);
-               EXPECT_FALSE(report->desc_matches);
-               EXPECT_FALSE(report->version_matches);
-               EXPECT_FALSE(report->Healthy(true));
-               done = true;
-             });
-  rig.events.Run();
-  EXPECT_TRUE(done);
+  const StatusOr<InspectReport> report =
+      sim::RunToCompletion(rig.events, inspector.Inspect(*rig.flow, 0));
+  ASSERT_TRUE(report.ok());
+  EXPECT_TRUE(report->deployed);
+  EXPECT_FALSE(report->desc_matches);
+  EXPECT_FALSE(report->version_matches);
+  EXPECT_FALSE(report->Healthy(true));
 }
 
 TEST(Inspector, SweepFlagsOnlyUnhealthyHooks) {
@@ -301,15 +278,11 @@ TEST(Inspector, SweepFlagsOnlyUnhealthyHooks) {
       rig.sandbox->node().memory().Write(image_addr + 10, byte).ok());
 
   Inspector inspector(*rig.cp);
-  bool done = false;
-  inspector.Sweep(*rig.flow, [&](StatusOr<std::vector<InspectReport>> bad) {
-    ASSERT_TRUE(bad.ok()) << bad.status().ToString();
-    ASSERT_EQ(bad->size(), 1u);
-    EXPECT_EQ((*bad)[0].hook, 1);
-    done = true;
-  });
-  rig.events.Run();
-  EXPECT_TRUE(done);
+  const StatusOr<std::vector<InspectReport>> bad =
+      sim::RunToCompletion(rig.events, inspector.Sweep(*rig.flow));
+  ASSERT_TRUE(bad.ok()) << bad.status().ToString();
+  ASSERT_EQ(bad->size(), 1u);
+  EXPECT_EQ((*bad)[0].hook, 1);
 }
 
 // ---- forged Wasm images ----
@@ -387,14 +360,11 @@ TEST(ForgedWasmImage, DecodeAndSandboxRejectCodeTheExecutorWouldHaveToCheck) {
     // The same bytes, RDMA-written over a deployed filter of an unsigned
     // sandbox, are refused when the hook loads them: no host call runs.
     SecureRig rig(/*cp_key=*/0, /*sandbox_key=*/0);
-    bool injected = false;
-    rig.cp->InjectWasmFilter(*rig.flow, wasm::GenerateFilter(300, 1), 0,
-                             [&](StatusOr<InjectTrace> r) {
-                               ASSERT_TRUE(r.ok()) << r.status().ToString();
-                               injected = true;
-                             });
+    const StatusOr<InjectTrace> injected = sim::RunToCompletion(
+        rig.events, rig.cp->Inject(*rig.flow, wasm::GenerateFilter(300, 1), 0));
+    ASSERT_TRUE(injected.ok()) << c.what << ": "
+                               << injected.status().ToString();
     rig.events.Run();
-    ASSERT_TRUE(injected) << c.what;
     auto& mem = rig.sandbox->node().memory();
     const std::uint64_t desc =
         mem.ReadU64(rig.flow->remote_view().hook_table_addr).value();

@@ -25,49 +25,35 @@ struct Rig {
           std::make_unique<Sandbox>(events, node, sandbox_config));
       EXPECT_TRUE(sandboxes.back()->CtxInit().ok());
       auto reg = sandboxes.back()->CtxRegister();
-      CodeFlow* flow = nullptr;
-      cp->CreateCodeFlow(*sandboxes.back(), reg.value(),
-                         [&flow](StatusOr<CodeFlow*> f) {
-                           if (f.ok()) flow = f.value();
-                         });
+      const StatusOr<CodeFlow*> flow = sim::RunToCompletion(
+          events, cp->CreateCodeFlow(*sandboxes.back(), reg.value()));
       events.Run();
-      EXPECT_NE(flow, nullptr);
-      flows.push_back(flow);
+      EXPECT_TRUE(flow.ok());
+      flows.push_back(flow.ok() ? flow.value() : nullptr);
     }
   }
 
   std::uint64_t Deploy(CodeFlow& flow, const bpf::MapSpec& spec) {
-    std::uint64_t addr = 0;
-    sim::Start(cp->DeployXState(flow, spec), [&](StatusOr<std::uint64_t> a) {
-      EXPECT_TRUE(a.ok()) << a.status().ToString();
-      if (a.ok()) addr = a.value();
-    });
+    const StatusOr<std::uint64_t> addr =
+        sim::RunToCompletion(events, cp->DeployXState(flow, spec));
+    EXPECT_TRUE(addr.ok()) << addr.status().ToString();
     events.Run();
-    return addr;
+    return addr.ok() ? addr.value() : 0;
   }
 
   Bytes Lookup(CodeFlow& flow, std::uint64_t addr, Bytes key) {
-    Bytes value;
-    bool done = false;
-    cp->XStateLookup(flow, addr, std::move(key), [&](StatusOr<Bytes> v) {
-      EXPECT_TRUE(v.ok()) << v.status().ToString();
-      if (v.ok()) value = v.value();
-      done = true;
-    });
+    const StatusOr<Bytes> value = sim::RunToCompletion(
+        events, cp->XStateLookup(flow, addr, std::move(key)));
+    EXPECT_TRUE(value.ok()) << value.status().ToString();
     events.Run();
-    EXPECT_TRUE(done);
-    return value;
+    return value.ok() ? value.value() : Bytes();
   }
 
   void Update(CodeFlow& flow, std::uint64_t addr, Bytes key, Bytes value) {
-    bool done = false;
-    cp->XStateUpdate(flow, addr, std::move(key), std::move(value),
-                     [&](Status s) {
-                       EXPECT_TRUE(s.ok()) << s.ToString();
-                       done = true;
-                     });
+    const Status s = sim::RunToCompletion(
+        events, cp->XStateUpdate(flow, addr, std::move(key), std::move(value)));
+    EXPECT_TRUE(s.ok()) << s.ToString();
     events.Run();
-    EXPECT_TRUE(done);
   }
 };
 
@@ -163,13 +149,10 @@ TEST(XStateRemote, LookupMissingKeyFails) {
   Rig rig;
   const bpf::MapSpec spec{"h", bpf::MapType::kHash, 4, 8, 8};
   const std::uint64_t addr = rig.Deploy(*rig.flows[0], spec);
-  bool done = false;
-  rig.cp->XStateLookup(*rig.flows[0], addr, Key32(9), [&](StatusOr<Bytes> v) {
-    EXPECT_FALSE(v.ok());
-    done = true;
-  });
-  rig.events.Run();
-  EXPECT_TRUE(done);
+  EXPECT_FALSE(
+      sim::RunToCompletion(rig.events,
+                           rig.cp->XStateLookup(*rig.flows[0], addr, Key32(9)))
+          .ok());
 }
 
 TEST(XStateRemote, RemoteWriteVisibleToExtension) {
@@ -191,13 +174,9 @@ TEST(XStateRemote, RemoteWriteVisibleToExtension) {
     r0 = 0
     exit
   )").value();
-  bool injected = false;
-  rig.cp->InjectExtension(flow, prog, 0, [&](StatusOr<InjectTrace> r) {
-    ASSERT_TRUE(r.ok());
-    injected = true;
-  });
+  ASSERT_TRUE(
+      sim::RunToCompletion(rig.events, rig.cp->Inject(flow, prog, 0)).ok());
   rig.events.Run();
-  ASSERT_TRUE(injected);
 
   const std::uint64_t addr = flow.xstates().at("cfg");
   rig.Update(flow, addr, Key32(0), Value64(4242));
@@ -215,13 +194,10 @@ TEST(XStateMigrate, CopyPreservesContent) {
   for (std::uint32_t k = 0; k < 5; ++k) {
     rig.Update(*rig.flows[0], src, Key32(k), Value64(k + 1000));
   }
-  bool copied = false;
-  rig.cp->CopyXState(*rig.flows[0], src, *rig.flows[1], dst, [&](Status s) {
-    ASSERT_TRUE(s.ok()) << s.ToString();
-    copied = true;
-  });
+  const Status copied = sim::RunToCompletion(
+      rig.events, rig.cp->CopyXState(*rig.flows[0], src, *rig.flows[1], dst));
+  ASSERT_TRUE(copied.ok()) << copied.ToString();
   rig.events.Run();
-  ASSERT_TRUE(copied);
   for (std::uint32_t k = 0; k < 5; ++k) {
     const Bytes value = rig.Lookup(*rig.flows[1], dst, Key32(k));
     EXPECT_EQ(LoadLE<std::uint64_t>(value.data()), k + 1000);
@@ -238,17 +214,13 @@ TEST(XStateLimits, MetaDirectoryCapacityEnforced) {
     named.name = "m" + std::to_string(i);
     EXPECT_NE(rig.Deploy(*rig.flows[0], named), 0u);
   }
-  bool rejected = false;
   bpf::MapSpec overflow = spec;
   overflow.name = "overflow";
-  sim::Start(rig.cp->DeployXState(*rig.flows[0], overflow),
-             [&](StatusOr<std::uint64_t> a) {
-               EXPECT_EQ(a.status().code(),
-                         StatusCode::kResourceExhausted);
-               rejected = true;
-             });
-  rig.events.Run();
-  EXPECT_TRUE(rejected);
+  EXPECT_EQ(sim::RunToCompletion(rig.events,
+                                 rig.cp->DeployXState(*rig.flows[0], overflow))
+                .status()
+                .code(),
+            StatusCode::kResourceExhausted);
 }
 
 TEST(XStateLimits, ScratchpadExhaustionSurfaces) {
@@ -262,16 +234,13 @@ TEST(XStateLimits, ScratchpadExhaustionSurfaces) {
   bpf::MapSpec big1 = big;
   big1.name = "b1";
   EXPECT_NE(rig.Deploy(*rig.flows[0], big1), 0u);
-  bool rejected = false;
   bpf::MapSpec big2 = big;
   big2.name = "b2";
-  sim::Start(rig.cp->DeployXState(*rig.flows[0], big2),
-             [&](StatusOr<std::uint64_t> a) {
-               EXPECT_EQ(a.status().code(), StatusCode::kScratchExhausted);
-               rejected = true;
-             });
-  rig.events.Run();
-  EXPECT_TRUE(rejected);
+  EXPECT_EQ(sim::RunToCompletion(rig.events,
+                                 rig.cp->DeployXState(*rig.flows[0], big2))
+                .status()
+                .code(),
+            StatusCode::kScratchExhausted);
 }
 
 TEST(XStateTelemetry, RemoteRingConsumeDrainsExtensionOutput) {
@@ -293,13 +262,10 @@ TEST(XStateTelemetry, RemoteRingConsumeDrainsExtensionOutput) {
     r0 = 1
     exit
   )").value();
-  bool injected = false;
-  rig.cp->InjectExtension(flow, prog, 0, [&](StatusOr<InjectTrace> r) {
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    injected = true;
-  });
+  const StatusOr<InjectTrace> injected =
+      sim::RunToCompletion(rig.events, rig.cp->Inject(flow, prog, 0));
+  ASSERT_TRUE(injected.ok()) << injected.status().ToString();
   rig.events.Run();
-  ASSERT_TRUE(injected);
 
   for (std::uint32_t i = 0; i < 5; ++i) {
     Bytes packet(4);
@@ -308,47 +274,32 @@ TEST(XStateTelemetry, RemoteRingConsumeDrainsExtensionOutput) {
   }
 
   const std::uint64_t ring = flow.xstates().at("events");
-  std::vector<Bytes> records;
-  bool drained = false;
-  rig.cp->XStateRingConsume(flow, ring,
-                            [&](StatusOr<std::vector<Bytes>> r) {
-                              ASSERT_TRUE(r.ok()) << r.status().ToString();
-                              records = r.value();
-                              drained = true;
-                            });
-  rig.events.Run();
-  ASSERT_TRUE(drained);
-  ASSERT_EQ(records.size(), 5u);
+  auto consume = [&] {
+    StatusOr<std::vector<Bytes>> records = sim::RunToCompletion(
+        rig.events, rig.cp->XStateRingConsume(flow, ring));
+    rig.events.Run();
+    return records;
+  };
+  const StatusOr<std::vector<Bytes>> records = consume();
+  ASSERT_TRUE(records.ok()) << records.status().ToString();
+  ASSERT_EQ(records->size(), 5u);
   for (std::uint32_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(LoadLE<std::uint64_t>(records[i].data()), 100 + i);
+    EXPECT_EQ(LoadLE<std::uint64_t>((*records)[i].data()), 100 + i);
   }
 
   // Second consume finds nothing; producer can keep going after the
   // remote tail advance.
-  drained = false;
-  rig.cp->XStateRingConsume(flow, ring,
-                            [&](StatusOr<std::vector<Bytes>> r) {
-                              ASSERT_TRUE(r.ok());
-                              EXPECT_TRUE(r->empty());
-                              drained = true;
-                            });
-  rig.events.Run();
-  ASSERT_TRUE(drained);
+  const StatusOr<std::vector<Bytes>> none = consume();
+  ASSERT_TRUE(none.ok());
+  EXPECT_TRUE(none->empty());
 
   Bytes packet(4);
   StoreLE<std::uint32_t>(packet.data(), 999);
   ASSERT_TRUE(rig.sandboxes[0]->ExecuteHook(0, packet).ok());
-  drained = false;
-  rig.cp->XStateRingConsume(flow, ring,
-                            [&](StatusOr<std::vector<Bytes>> r) {
-                              ASSERT_TRUE(r.ok());
-                              ASSERT_EQ(r->size(), 1u);
-                              EXPECT_EQ(LoadLE<std::uint64_t>((*r)[0].data()),
-                                        999u);
-                              drained = true;
-                            });
-  rig.events.Run();
-  ASSERT_TRUE(drained);
+  const StatusOr<std::vector<Bytes>> one = consume();
+  ASSERT_TRUE(one.ok());
+  ASSERT_EQ(one->size(), 1u);
+  EXPECT_EQ(LoadLE<std::uint64_t>((*one)[0].data()), 999u);
 }
 
 TEST(XStateTelemetry, RingConsumeSurvivesManyRounds) {
@@ -370,19 +321,14 @@ TEST(XStateTelemetry, RingConsumeSurvivesManyRounds) {
       StoreLE(rec.data(), produced);
       if (view.RingOutput(rec).ok()) ++produced;
     }
-    bool drained = false;
-    rig.cp->XStateRingConsume(flow, ring,
-                              [&](StatusOr<std::vector<Bytes>> r) {
-                                ASSERT_TRUE(r.ok());
-                                for (const Bytes& rec : *r) {
-                                  EXPECT_EQ(LoadLE<std::uint64_t>(rec.data()),
-                                            consumed);
-                                  ++consumed;
-                                }
-                                drained = true;
-                              });
+    const StatusOr<std::vector<Bytes>> records = sim::RunToCompletion(
+        rig.events, rig.cp->XStateRingConsume(flow, ring));
+    ASSERT_TRUE(records.ok());
+    for (const Bytes& rec : *records) {
+      EXPECT_EQ(LoadLE<std::uint64_t>(rec.data()), consumed);
+      ++consumed;
+    }
     rig.events.Run();
-    ASSERT_TRUE(drained);
   }
   EXPECT_EQ(produced, consumed);
   EXPECT_GT(produced, 100u);
@@ -401,21 +347,15 @@ TEST(XStateTelemetry, RemoteDumpMatchesLocalState) {
     ASSERT_TRUE(view.Update(Key32(k * 3), Value64(k + 500)).ok());
   }
 
-  bool dumped = false;
-  rig.cp->XStateDump(
-      flow, addr,
-      [&](StatusOr<std::vector<std::pair<Bytes, Bytes>>> pairs) {
-        ASSERT_TRUE(pairs.ok()) << pairs.status().ToString();
-        ASSERT_EQ(pairs->size(), 12u);
-        for (const auto& [key, value] : *pairs) {
-          const std::uint32_t k = LoadLE<std::uint32_t>(key.data());
-          EXPECT_EQ(k % 3, 0u);
-          EXPECT_EQ(LoadLE<std::uint64_t>(value.data()), k / 3 + 500);
-        }
-        dumped = true;
-      });
-  rig.events.Run();
-  EXPECT_TRUE(dumped);
+  const StatusOr<std::vector<std::pair<Bytes, Bytes>>> pairs =
+      sim::RunToCompletion(rig.events, rig.cp->XStateDump(flow, addr));
+  ASSERT_TRUE(pairs.ok()) << pairs.status().ToString();
+  ASSERT_EQ(pairs->size(), 12u);
+  for (const auto& [key, value] : *pairs) {
+    const std::uint32_t k = LoadLE<std::uint32_t>(key.data());
+    EXPECT_EQ(k % 3, 0u);
+    EXPECT_EQ(LoadLE<std::uint64_t>(value.data()), k / 3 + 500);
+  }
 }
 
 }  // namespace

@@ -94,15 +94,11 @@ struct FaultRig {
       EXPECT_TRUE(sandboxes.back()->CtxInit().ok());
       auto reg = sandboxes.back()->CtxRegister();
       EXPECT_TRUE(reg.ok());
-      CodeFlow* flow = nullptr;
-      cp->CreateCodeFlow(*sandboxes.back(), reg.value(),
-                         [&flow](StatusOr<CodeFlow*> f) {
-                           ASSERT_TRUE(f.ok()) << f.status().ToString();
-                           flow = f.value();
-                         });
+      const StatusOr<CodeFlow*> flow = sim::RunToCompletion(
+          events, cp->CreateCodeFlow(*sandboxes.back(), reg.value()));
+      EXPECT_TRUE(flow.ok()) << flow.status().ToString();
       events.Run();
-      EXPECT_NE(flow, nullptr);
-      flows.push_back(flow);
+      flows.push_back(flow.ok() ? flow.value() : nullptr);
     }
   }
 
@@ -118,16 +114,8 @@ struct FaultRig {
   StatusOr<RecoveryOutcome> DeployReliably(RecoveryManager& rm, int node,
                                            const bpf::Program& prog,
                                            int hook, int max_retries = -1) {
-    StatusOr<RecoveryOutcome> result = InvalidArgument("never completed");
-    bool settled = false;
-    sim::Start(rm.DeployReliably(*flows[node], prog, hook, max_retries),
-               [&](StatusOr<RecoveryOutcome> r) {
-                 result = std::move(r);
-                 settled = true;
-               });
-    while (!settled && !events.Empty()) events.Step();
-    EXPECT_TRUE(settled);
-    return result;
+    return sim::RunToCompletion(
+        events, rm.DeployReliably(*flows[node], prog, hook, max_retries));
   }
 
   std::uint64_t RemoteEpochWord(int node) {
@@ -296,14 +284,10 @@ TEST(Recovery, CorruptedImageWriteRejectedByMacAndRedeployed) {
 
   // The corrupted transfer "succeeds" from the wire's point of view: the
   // bytes land, the commit goes through, the control plane sees no error.
-  bool deployed = false;
-  rig.cp->InjectExtension(*rig.flows[0], BigProgram(), 0,
-                          [&](StatusOr<core::InjectTrace> r) {
-                            EXPECT_TRUE(r.ok()) << r.status().ToString();
-                            deployed = true;
-                          });
+  const StatusOr<core::InjectTrace> deployed = sim::RunToCompletion(
+      rig.events, rig.cp->Inject(*rig.flows[0], BigProgram(), 0));
+  EXPECT_TRUE(deployed.ok()) << deployed.status().ToString();
   rig.events.Run();
-  ASSERT_TRUE(deployed);
   EXPECT_GE(rig.injector->faults_injected(), 1u);
 
   // ...but the data plane refuses to execute it: the ImageDesc MAC does
@@ -485,16 +469,11 @@ TEST(Orchestration, RollingDeployRollsBackWhenANodeIsDead) {
   )");
   ASSERT_TRUE(orch_plan.ok()) << orch_plan.status().ToString();
 
-  core::OrchestrationReport report;
-  bool done = false;
-  orchestrator.Execute(orch_plan.value(), nullptr,
-                       [&](StatusOr<core::OrchestrationReport> r) {
-                         ASSERT_TRUE(r.ok()) << r.status().ToString();
-                         report = r.value();
-                         done = true;
-                       });
+  const StatusOr<core::OrchestrationReport> executed = sim::RunToCompletion(
+      rig.events, orchestrator.Execute(orch_plan.value(), nullptr));
+  ASSERT_TRUE(executed.ok()) << executed.status().ToString();
   rig.events.Run();
-  ASSERT_TRUE(done);
+  const core::OrchestrationReport& report = executed.value();
 
   // The plan finished (rollback policy absorbs the failure), and the
   // report spells out what happened.

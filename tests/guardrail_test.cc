@@ -84,50 +84,33 @@ struct GuardrailRig {
     EXPECT_TRUE(sandbox->CtxInit().ok());
     auto reg = sandbox->CtxRegister();
     EXPECT_TRUE(reg.ok());
-    cp->CreateCodeFlow(*sandbox, reg.value(), [this](StatusOr<CodeFlow*> f) {
-      ASSERT_TRUE(f.ok()) << f.status().ToString();
-      flow = f.value();
-    });
+    const StatusOr<CodeFlow*> created =
+        sim::RunToCompletion(events, cp->CreateCodeFlow(*sandbox, reg.value()));
+    EXPECT_TRUE(created.ok()) << created.status().ToString();
     events.Run();
-    EXPECT_NE(flow, nullptr);
+    if (created.ok()) flow = created.value();
   }
 
-  Status Inject(const bpf::Program& prog, int hook) {
-    Status result = InvalidArgument("never completed");
-    cp->InjectExtension(*flow, prog, hook, [&](StatusOr<core::InjectTrace> r) {
-      result = r.status();
-    });
+  template <class Source>
+  Status Inject(const Source& src, int hook) {
+    const StatusOr<core::InjectTrace> r =
+        sim::RunToCompletion(events, cp->Inject(*flow, src, hook));
     events.Run();
-    return result;
-  }
-
-  Status InjectWasm(const wasm::FilterModule& module, int hook) {
-    Status result = InvalidArgument("never completed");
-    cp->InjectWasmFilter(*flow, module, hook,
-                         [&](StatusOr<core::InjectTrace> r) {
-                           result = r.status();
-                         });
-    events.Run();
-    return result;
+    return r.status();
   }
 
   // Committed desc address of `hook` as the control plane sees it.
   std::uint64_t DescAddr(int hook) {
-    std::uint64_t addr = 0;
-    sim::Start(cp->ProbeHook(*flow, hook),
-               [&](StatusOr<ControlPlane::HookProbe> p) {
-                 ASSERT_TRUE(p.ok()) << p.status().ToString();
-                 addr = p->desc_addr;
-               });
+    const StatusOr<ControlPlane::HookProbe> p =
+        sim::RunToCompletion(events, cp->ProbeHook(*flow, hook));
+    EXPECT_TRUE(p.ok()) << p.status().ToString();
     events.Run();
-    return addr;
+    return p.ok() ? p->desc_addr : 0;
   }
 
   void Poll(HealthMonitor& monitor) {
-    bool polled = false;
-    monitor.PollNow([&] { polled = true; });
+    sim::RunToCompletion(events, monitor.PollNow());
     events.Run();
-    ASSERT_TRUE(polled);
   }
 
   std::uint64_t RemoteWord(std::uint64_t addr) {
@@ -205,16 +188,11 @@ TEST(Guardrail, HealthBlockWireContractMatchesLocalView) {
   EXPECT_EQ(rig.RemoteWord(hb + core::kHbLastGoodDesc), rig.DescAddr(2));
 
   // A one-sided READ decodes to the same view the local CPU has.
-  core::HealthView remote;
-  bool read = false;
-  sim::Start(rig.cp->ReadHealth(*rig.flow, 2),
-             [&](StatusOr<core::HealthView> h) {
-               ASSERT_TRUE(h.ok()) << h.status().ToString();
-               remote = h.value();
-               read = true;
-             });
+  const StatusOr<core::HealthView> read =
+      sim::RunToCompletion(rig.events, rig.cp->ReadHealth(*rig.flow, 2));
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
   rig.events.Run();
-  ASSERT_TRUE(read);
+  const core::HealthView& remote = read.value();
   const core::HealthView local = rig.sandbox->ReadLocalHealth(2);
   EXPECT_EQ(remote.executions, local.executions);
   EXPECT_EQ(remote.traps, local.traps);
@@ -342,7 +320,7 @@ TEST(Guardrail, MonitorQuarantinesFuelBurningWasmByRemoteCas) {
   GuardrailRig rig(config);
 
   NullHost host;
-  ASSERT_TRUE(rig.InjectWasm(GoodFilter(), 0).ok());
+  ASSERT_TRUE(rig.Inject(GoodFilter(), 0).ok());
   rig.sandbox->RefreshHookNow(0);
   auto exec = rig.sandbox->ExecuteWasmHook(0, host);
   ASSERT_TRUE(exec.ok());
@@ -350,7 +328,7 @@ TEST(Guardrail, MonitorQuarantinesFuelBurningWasmByRemoteCas) {
   const std::uint64_t good_desc = rig.DescAddr(0);
 
   wasm::FilterModule burner = BurnFilter(1024);
-  ASSERT_TRUE(rig.InjectWasm(burner, 0).ok());
+  ASSERT_TRUE(rig.Inject(burner, 0).ok());
   rig.sandbox->RefreshHookNow(0);
   const std::uint64_t bad_desc = rig.DescAddr(0);
   for (int i = 0; i < 8; ++i) {
@@ -378,7 +356,7 @@ TEST(Guardrail, MonitorQuarantinesFuelBurningWasmByRemoteCas) {
   ASSERT_TRUE(healed.ok()) << healed.status().ToString();
   EXPECT_EQ(healed->verdict, 7u);
 
-  Status redeploy = rig.InjectWasm(burner, 0);
+  Status redeploy = rig.Inject(burner, 0);
   ASSERT_FALSE(redeploy.ok());
   EXPECT_EQ(redeploy.code(), StatusCode::kPermissionDenied);
 }
@@ -427,13 +405,10 @@ TEST(Guardrail, SupersededImagesReclaimedOnCommit) {
   EXPECT_EQ(rig.RemoteWord(desc1 + core::kDescRefcount), 0u);
 
   // Rollback within the retained depth still works: v3 -> v2.
-  bool rolled = false;
-  sim::Start(rig.cp->Rollback(*rig.flow, 0), [&](Status s) {
-    ASSERT_TRUE(s.ok()) << s.ToString();
-    rolled = true;
-  });
+  const Status rolled =
+      sim::RunToCompletion(rig.events, rig.cp->Rollback(*rig.flow, 0));
+  ASSERT_TRUE(rolled.ok()) << rolled.ToString();
   rig.events.Run();
-  ASSERT_TRUE(rolled);
   rig.sandbox->RefreshHookNow(0);
   Bytes packet(8, 0);
   auto exec = rig.sandbox->ExecuteHook(0, packet);
@@ -472,17 +447,11 @@ TEST(Guardrail, ScratchExhaustionIsCleanStatusAndNotRetried) {
   // with no backoff schedule behind it.
   RecoveryManager rm(*rig.cp);
   const sim::SimTime t0 = rig.events.Now();
-  Status through_recovery = InvalidArgument("never completed");
-  bool settled = false;
   gen.seed = 999;
-  sim::Start(rm.DeployReliably(*rig.flow, bpf::GenerateProgram(gen), 0),
-             [&](StatusOr<core::RecoveryOutcome> r) {
-               through_recovery = r.status();
-               settled = true;
-             });
+  const StatusOr<core::RecoveryOutcome> through_recovery = sim::RunToCompletion(
+      rig.events, rm.DeployReliably(*rig.flow, bpf::GenerateProgram(gen), 0));
   rig.events.Run();
-  ASSERT_TRUE(settled);
-  EXPECT_EQ(through_recovery.code(), StatusCode::kScratchExhausted);
+  EXPECT_EQ(through_recovery.status().code(), StatusCode::kScratchExhausted);
   EXPECT_LT(rig.events.Now() - t0,
             2 * one_attempt + rm.policy().base_backoff);
 }
@@ -520,10 +489,9 @@ ContainmentRun RunRogueScenario() {
       rig.sandbox->node().id(),
       {.on_rogue = [&rig](int hook, fault::RogueFaultKind) {
         bpf::RogueGenOptions rogue;  // kTrapLoop
-        rig.cp->InjectExtension(*rig.flow, bpf::GenerateRogueProgram(rogue),
-                                hook, [](StatusOr<core::InjectTrace> r) {
-                                  EXPECT_TRUE(r.ok());
-                                });
+        sim::Start(
+            rig.cp->Inject(*rig.flow, bpf::GenerateRogueProgram(rogue), hook),
+            [](StatusOr<core::InjectTrace> r) { EXPECT_TRUE(r.ok()); });
       }});
   EXPECT_TRUE(injector.Arm(plan.value()).ok());
 

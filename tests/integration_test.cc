@@ -37,37 +37,20 @@ struct World {
       agents.push_back(std::make_unique<agent::NodeAgent>(
           events, *sandboxes.back(), *cpus.back()));
       auto reg = sandboxes.back()->CtxRegister();
-      CodeFlow* flow = nullptr;
-      cp->CreateCodeFlow(*sandboxes.back(), reg.value(),
-                         [&flow](StatusOr<CodeFlow*> f) {
-                           if (f.ok()) flow = f.value();
-                         });
+      const StatusOr<CodeFlow*> flow = sim::RunToCompletion(
+          events, cp->CreateCodeFlow(*sandboxes.back(), reg.value()));
+      EXPECT_TRUE(flow.ok());
       events.Run();
-      EXPECT_NE(flow, nullptr);
-      flows.push_back(flow);
+      flows.push_back(flow.ok() ? flow.value() : nullptr);
     }
   }
 
-  void Inject(CodeFlow& flow, const bpf::Program& prog, int hook) {
-    bool done = false;
-    cp->InjectExtension(flow, prog, hook, [&](StatusOr<core::InjectTrace> r) {
-      ASSERT_TRUE(r.ok()) << r.status().ToString();
-      done = true;
-    });
+  template <class Source>
+  void Inject(CodeFlow& flow, const Source& src, int hook) {
+    const StatusOr<core::InjectTrace> r =
+        sim::RunToCompletion(events, cp->Inject(flow, src, hook));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
     events.Run();
-    ASSERT_TRUE(done);
-  }
-
-  void InjectWasm(CodeFlow& flow, const wasm::FilterModule& module,
-                  int hook) {
-    bool done = false;
-    cp->InjectWasmFilter(flow, module, hook,
-                         [&](StatusOr<core::InjectTrace> r) {
-                           ASSERT_TRUE(r.ok()) << r.status().ToString();
-                           done = true;
-                         });
-    events.Run();
-    ASSERT_TRUE(done);
   }
 };
 
@@ -92,7 +75,7 @@ bpf::Program ReturnN(std::uint64_t n) {
 TEST(Integration, EbpfAndWasmCoexistOnOneSandbox) {
   World world;
   world.Inject(*world.flows[0], ReturnN(5), 0);
-  world.InjectWasm(*world.flows[0], wasm::GenerateFilter(100, 1), 1);
+  world.Inject(*world.flows[0], wasm::GenerateFilter(100, 1), 1);
 
   Bytes packet(4, 0);
   EXPECT_EQ(world.sandboxes[0]->ExecuteHook(0, packet)->r0, 5u);
@@ -106,13 +89,9 @@ TEST(Integration, EbpfAndWasmCoexistOnOneSandbox) {
 TEST(Integration, AgentAndRdxManageDifferentHooks) {
   World world;
   // Agent owns hook 0, RDX owns hook 1 — both on the same sandbox.
-  bool agent_done = false;
-  world.agents[0]->Load(ReturnN(1), 0,
-                        [&](StatusOr<agent::AgentTrace> r) {
-                          ASSERT_TRUE(r.ok());
-                          agent_done = true;
-                        });
-  while (!agent_done && !world.events.Empty()) world.events.Step();
+  ASSERT_TRUE(
+      sim::RunToCompletion(world.events, world.agents[0]->Load(ReturnN(1), 0))
+          .ok());
   world.Inject(*world.flows[0], ReturnN(2), 1);
 
   Bytes packet(4, 0);
@@ -126,13 +105,10 @@ TEST(Integration, DetachEmptiesHook) {
   Bytes packet(4, 0);
   EXPECT_EQ(world.sandboxes[0]->ExecuteHook(0, packet)->r0, 9u);
 
-  bool detached = false;
-  sim::Start(world.cp->Detach(*world.flows[0], 0), [&](Status s) {
-    ASSERT_TRUE(s.ok()) << s.ToString();
-    detached = true;
-  });
+  const Status detached =
+      sim::RunToCompletion(world.events, world.cp->Detach(*world.flows[0], 0));
+  ASSERT_TRUE(detached.ok()) << detached.ToString();
   world.events.Run();
-  ASSERT_TRUE(detached);
   // Empty hook falls back to accept-by-default.
   auto result = world.sandboxes[0]->ExecuteHook(0, packet);
   ASSERT_TRUE(result.ok());
@@ -175,23 +151,14 @@ TEST(Integration, RollbackChainRestoresEachVersion) {
   Bytes packet(4, 0);
   EXPECT_EQ(world.sandboxes[0]->ExecuteHook(0, packet)->r0, 40u);
   for (std::uint64_t expect : {30u, 20u, 10u}) {
-    bool done = false;
-    sim::Start(world.cp->Rollback(flow, 0), [&](Status s) {
-      ASSERT_TRUE(s.ok());
-      done = true;
-    });
+    ASSERT_TRUE(
+        sim::RunToCompletion(world.events, world.cp->Rollback(flow, 0)).ok());
     world.events.Run();
-    ASSERT_TRUE(done);
     EXPECT_EQ(world.sandboxes[0]->ExecuteHook(0, packet)->r0, expect);
   }
   // Nothing left to roll back to.
-  bool failed = false;
-  sim::Start(world.cp->Rollback(flow, 0), [&](Status s) {
-    EXPECT_FALSE(s.ok());
-    failed = true;
-  });
-  world.events.Run();
-  EXPECT_TRUE(failed);
+  EXPECT_FALSE(
+      sim::RunToCompletion(world.events, world.cp->Rollback(flow, 0)).ok());
 }
 
 TEST(Integration, BroadcastWithFailingNodeReportsError) {
@@ -205,14 +172,9 @@ TEST(Integration, BroadcastWithFailingNodeReportsError) {
                   .ok());
 
   core::CollectiveCodeFlow group(*world.cp, world.flows);
-  bool done = false;
-  group.Broadcast(ReturnN(1), 0, nullptr,
-                  [&](StatusOr<core::BroadcastResult> r) {
-                    EXPECT_FALSE(r.ok());
-                    done = true;
-                  });
-  world.events.Run();
-  EXPECT_TRUE(done);
+  EXPECT_FALSE(
+      sim::RunToCompletion(world.events, group.Broadcast(ReturnN(1), 0, nullptr))
+          .ok());
 }
 
 TEST(Integration, SharedCompileCacheAcrossNodes) {
@@ -240,7 +202,7 @@ TEST(Integration, WasmFilterCountsHostCallsThroughSandbox) {
       {wasm::WOp::kCallHost, 0},
       {wasm::WOp::kReturn, 0},
   };
-  world.InjectWasm(*world.flows[0], filter, 2);
+  world.Inject(*world.flows[0], filter, 2);
   CountingHost host;
   for (int i = 0; i < 7; ++i) {
     auto result = world.sandboxes[0]->ExecuteWasmHook(2, host);
@@ -279,16 +241,13 @@ TEST(Integration, MigrationEndToEnd) {
 
   // Migrate: binary via cached inject, state via CopyXState.
   world.Inject(*world.flows[1], prog, 0);
-  bool copied = false;
-  world.cp->CopyXState(*world.flows[0], world.flows[0]->xstates().at("state"),
-                       *world.flows[1],
-                       world.flows[1]->xstates().at("state"),
-                       [&](Status s) {
-                         ASSERT_TRUE(s.ok());
-                         copied = true;
-                       });
+  ASSERT_TRUE(sim::RunToCompletion(
+                  world.events,
+                  world.cp->CopyXState(
+                      *world.flows[0], world.flows[0]->xstates().at("state"),
+                      *world.flows[1], world.flows[1]->xstates().at("state")))
+                  .ok());
   world.events.Run();
-  ASSERT_TRUE(copied);
   world.sandboxes[1]->RefreshXState();
   // The replica continues at 11.
   EXPECT_EQ(world.sandboxes[1]->ExecuteHook(0, packet)->r0, 11u);
@@ -307,24 +266,17 @@ TEST(Integration, ManyNodesBroadcastUnderLoadKeepsConsistency) {
   std::vector<CodeFlow*> flows;
   for (std::size_t i = 0; i < mesh.size(); ++i) {
     auto reg = mesh.sandbox(i).CtxRegister();
-    CodeFlow* flow = nullptr;
-    cp.CreateCodeFlow(mesh.sandbox(i), reg.value(),
-                      [&flow](StatusOr<CodeFlow*> f) {
-                        if (f.ok()) flow = f.value();
-                      });
+    const StatusOr<CodeFlow*> flow = sim::RunToCompletion(
+        events, cp.CreateCodeFlow(mesh.sandbox(i), reg.value()));
     events.Run();
-    flows.push_back(flow);
+    flows.push_back(flow.ok() ? flow.value() : nullptr);
   }
   core::CollectiveCodeFlow group(cp, flows);
   wasm::FilterModule v1 = wasm::GenerateFilter(200, 1);
   std::vector<const wasm::FilterModule*> v1s(mesh.size(), &v1);
-  bool seeded = false;
-  group.BroadcastWasm(v1s, 0, nullptr, [&](StatusOr<core::BroadcastResult> r) {
-    ASSERT_TRUE(r.ok());
-    seeded = true;
-  });
+  ASSERT_TRUE(
+      sim::RunToCompletion(events, group.BroadcastWasm(v1s, 0, nullptr)).ok());
   events.Run();
-  ASSERT_TRUE(seeded);
 
   mesh.StartWorkload();
   events.RunUntil(events.Now() + sim::Millis(100));
@@ -334,13 +286,9 @@ TEST(Integration, ManyNodesBroadcastUnderLoadKeepsConsistency) {
   for (std::uint64_t round = 2; round <= 4; ++round) {
     wasm::FilterModule vn = wasm::GenerateFilter(200, round);
     std::vector<const wasm::FilterModule*> vns(mesh.size(), &vn);
-    bool done = false;
-    group.BroadcastWasm(vns, 0, &mesh,
-                        [&](StatusOr<core::BroadcastResult> r) {
-                          ASSERT_TRUE(r.ok()) << r.status().ToString();
-                          done = true;
-                        });
-    while (!done && !events.Empty()) events.Step();
+    const StatusOr<core::BroadcastResult> r =
+        sim::RunToCompletion(events, group.BroadcastWasm(vns, 0, &mesh));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
     events.RunUntil(events.Now() + sim::Millis(50));
   }
   mesh.StopWorkload();

@@ -149,14 +149,11 @@ struct OrchestraRig {
           events, node, SandboxConfig{}));
       EXPECT_TRUE(sandboxes.back()->CtxInit().ok());
       auto reg = sandboxes.back()->CtxRegister();
-      CodeFlow* flow = nullptr;
-      cp->CreateCodeFlow(*sandboxes.back(), reg.value(),
-                         [&flow](StatusOr<CodeFlow*> f) {
-                           if (f.ok()) flow = f.value();
-                         });
+      const StatusOr<CodeFlow*> flow = sim::RunToCompletion(
+          events, cp->CreateCodeFlow(*sandboxes.back(), reg.value()));
       events.Run();
-      flows.push_back(flow);
-      orchestrator->RegisterNode(flow);
+      flows.push_back(flow.ok() ? flow.value() : nullptr);
+      orchestrator->RegisterNode(flows.back());
     }
     bpf::Program firewall;
     firewall.name = "firewall";
@@ -169,17 +166,11 @@ struct OrchestraRig {
                           UpdateBarrier* barrier = nullptr) {
     auto plan = ParseOrchestration(text);
     EXPECT_TRUE(plan.ok()) << plan.status().ToString();
-    OrchestrationReport report;
-    bool done = false;
-    orchestrator->Execute(plan.value(), barrier,
-                          [&](StatusOr<OrchestrationReport> r) {
-                            EXPECT_TRUE(r.ok()) << r.status().ToString();
-                            if (r.ok()) report = r.value();
-                            done = true;
-                          });
+    const StatusOr<OrchestrationReport> report = sim::RunToCompletion(
+        events, orchestrator->Execute(plan.value(), barrier));
+    EXPECT_TRUE(report.ok()) << report.status().ToString();
     events.Run();
-    EXPECT_TRUE(done);
-    return report;
+    return report.ok() ? report.value() : OrchestrationReport{};
   }
 };
 

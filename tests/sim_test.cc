@@ -2,6 +2,7 @@
 // processor-sharing CPU model, cache-coherence model, link model.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -221,6 +222,62 @@ TEST(Task, StartHandsTheResultOverExactlyOnce) {
   });
   EXPECT_EQ(calls, 2);
   EXPECT_EQ(result, 5);
+}
+
+// ---- RunToCompletion ----
+
+TEST(RunToCompletion, ReturnsTheTasksValue) {
+  EventQueue q;
+  int destroyed = 0;
+  EXPECT_EQ(RunToCompletion(q, Parent(q, &destroyed)), 12);
+  EXPECT_EQ(q.Now(), 10);
+  // Both leaves and the parent are gone by the time it returns.
+  EXPECT_EQ(destroyed, 3);
+  EXPECT_EQ(RunToCompletion(q, Immediate(5)), 5);
+}
+
+TEST(RunToCompletion, ReturnsWithALaterEventPending) {
+  EventQueue q;
+  int destroyed = 0;
+  bool later_fired = false;
+  q.ScheduleAt(100, [&] { later_fired = true; });
+  EXPECT_EQ(RunToCompletion(q, Parent(q, &destroyed)), 12);
+  EXPECT_EQ(q.Now(), 10);
+  EXPECT_FALSE(later_fired);
+  EXPECT_FALSE(q.Empty());
+  q.Run();
+  EXPECT_TRUE(later_fired);
+  EXPECT_EQ(q.Now(), 100);
+}
+
+TEST(RunToCompletion, ReturnsWhileAPeriodicPollerRuns) {
+  EventQueue q;
+  int destroyed = 0;
+  int ticks = 0;
+  // Reschedules itself forever: q.Run() would never return.
+  std::function<void()> tick = [&] {
+    ++ticks;
+    q.ScheduleAfter(3, tick);
+  };
+  q.ScheduleAfter(3, tick);
+  EXPECT_EQ(RunToCompletion(q, Parent(q, &destroyed)), 12);
+  EXPECT_EQ(q.Now(), 10);
+  EXPECT_EQ(ticks, 3);  // at 3, 6 and 9
+  EXPECT_FALSE(q.Empty());
+}
+
+Task<void> WaitForever(std::function<void()>* resume) {
+  co_await Await<void>([resume](auto done) { *resume = std::move(done); });
+}
+
+TEST(RunToCompletionDeathTest, TaskThatCannotFinishAborts) {
+  EXPECT_DEATH(
+      {
+        EventQueue q;
+        std::function<void()> resume;  // held, never called
+        RunToCompletion(q, WaitForever(&resume));
+      },
+      "drained before the task finished");
 }
 
 // ---- CpuScheduler ----

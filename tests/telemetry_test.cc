@@ -132,10 +132,8 @@ struct LocalRing {
 
   Status Harvest(RingOps ops = {}) {
     if (!ops.read) ops = DirectOps(mem);
-    Status result = InvalidArgument("never completed");
-    sim::Start(collector.Harvest(std::move(ops), addr, /*pid=*/1),
-               [&result](Status s) { result = s; });
-    return result;
+    return sim::RunToCompletion(
+        events, collector.Harvest(std::move(ops), addr, /*pid=*/1));
   }
 
   std::uint64_t Tail() { return mem.ReadU64(addr + core::kTrTail).value(); }
@@ -336,23 +334,18 @@ struct TelemetryRig {
     EXPECT_TRUE(sandbox->CtxInit().ok());
     auto reg = sandbox->CtxRegister();
     EXPECT_TRUE(reg.ok());
-    cp->CreateCodeFlow(*sandbox, reg.value(), [this](StatusOr<CodeFlow*> f) {
-      ASSERT_TRUE(f.ok()) << f.status().ToString();
-      flow = f.value();
-    });
+    const StatusOr<CodeFlow*> created =
+        sim::RunToCompletion(events, cp->CreateCodeFlow(*sandbox, reg.value()));
+    EXPECT_TRUE(created.ok()) << created.status().ToString();
     events.Run();
-    EXPECT_NE(flow, nullptr);
+    if (created.ok()) flow = created.value();
   }
 
   void Deploy(int hook) {
-    bool done = false;
-    cp->InjectExtension(*flow, SumProgram(), hook,
-                        [&](StatusOr<core::InjectTrace> r) {
-                          ASSERT_TRUE(r.ok()) << r.status().ToString();
-                          done = true;
-                        });
+    const StatusOr<core::InjectTrace> r =
+        sim::RunToCompletion(events, cp->Inject(*flow, SumProgram(), hook));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
     events.Run();
-    ASSERT_TRUE(done);
     sandbox->RefreshHookNow(hook);
   }
 
@@ -366,8 +359,8 @@ struct TelemetryRig {
   }
 
   Status Harvest(Collector& collector) {
-    Status result = InvalidArgument("never completed");
-    cp->HarvestTrace(*flow, collector, [&result](Status s) { result = s; });
+    const Status result =
+        sim::RunToCompletion(events, cp->HarvestTrace(*flow, collector));
     events.Run();
     return result;
   }
@@ -574,13 +567,10 @@ TEST(TelemetryE2E, HarvestUnderReadFaultsAccountsLossThenRecovers) {
   // lost nor duplicated anything.
   rig.events.ScheduleAfter(sim::Micros(100), [] {});
   rig.events.Run();
-  bool reconnected = false;
-  sim::Start(rig.cp->ReconnectCodeFlow(*rig.flow), [&](Status s) {
-    ASSERT_TRUE(s.ok()) << s.ToString();
-    reconnected = true;
-  });
+  const Status reconnected =
+      sim::RunToCompletion(rig.events, rig.cp->ReconnectCodeFlow(*rig.flow));
+  ASSERT_TRUE(reconnected.ok()) << reconnected.ToString();
   rig.events.Run();
-  ASSERT_TRUE(reconnected);
   ASSERT_TRUE(rig.Harvest(collector).ok());
   EXPECT_EQ(collector.stats().events, emitted);
   EXPECT_EQ(collector.stats().overwritten, 0u);
@@ -605,21 +595,17 @@ TEST(TelemetryE2E, TelemetryOffPublishesNoRingAndHarvestRefuses) {
   ASSERT_TRUE(sandbox.CtxInit().ok());
   EXPECT_EQ(sandbox.trace_writer(), nullptr);
 
-  CodeFlow* flow = nullptr;
-  cp.CreateCodeFlow(sandbox, sandbox.CtxRegister().value(),
-                    [&flow](StatusOr<CodeFlow*> f) {
-                      ASSERT_TRUE(f.ok());
-                      flow = f.value();
-                    });
+  const StatusOr<CodeFlow*> created = sim::RunToCompletion(
+      events, cp.CreateCodeFlow(sandbox, sandbox.CtxRegister().value()));
+  ASSERT_TRUE(created.ok());
   events.Run();
-  ASSERT_NE(flow, nullptr);
+  CodeFlow* flow = created.value();
   EXPECT_EQ(flow->remote_view().trace_addr, 0u);
 
   Tracer tracer(events);
   Collector collector(tracer);
-  Status result = OkStatus();
-  cp.HarvestTrace(*flow, collector, [&result](Status s) { result = s; });
-  events.Run();
+  const Status result =
+      sim::RunToCompletion(events, cp.HarvestTrace(*flow, collector));
   EXPECT_EQ(result.code(), StatusCode::kFailedPrecondition);
 }
 
