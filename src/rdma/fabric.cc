@@ -227,18 +227,20 @@ void Fabric::ExecuteOne(QueuePair& qp, const SendWr& wr,
   const bool is_inline = wr.send_inline && is_payload_op &&
                          wr.local.length <= link_.max_inline_data;
 
+  // The gather is checked before anything is copied, so the payload is
+  // built from its source in one copy.
   Bytes payload;
   if (is_payload_op) {
-    payload.resize(wr.local.length);
-    Status s = is_inline
-                   ? local.memory().Read(wr.local.addr, payload)
-                   : local.memory().DmaRead(wr.local.lkey, /*remote=*/false,
-                                            wr.local.addr, payload);
-    if (!s.ok()) {
+    const StatusOr<ByteSpan> source =
+        is_inline ? local.memory().ReadSpan(wr.local.addr, wr.local.length)
+                  : local.memory().DmaReadSpan(wr.local.lkey, /*remote=*/false,
+                                               wr.local.addr, wr.local.length);
+    if (!source.ok()) {
       preflight.status = WcStatus::kLocalProtectionError;
       Complete(qp, wr, preflight, events_.Now());
       return;
     }
+    payload.assign(source->begin(), source->end());
   }
 
   // Fault hook: the injector may lose the packet, stretch the wire, or
@@ -376,12 +378,13 @@ Fabric::OpOutcome Fabric::ApplyRemote(QueuePair& qp, const SendWr& wr,
       break;
     }
     case Opcode::kRead: {
-      outcome.read_payload.resize(wr.local.length);
-      Status s = remote.memory().DmaRead(wr.rkey, /*remote=*/true,
-                                         wr.remote_addr,
-                                         outcome.read_payload);
+      const StatusOr<ByteSpan> source = remote.memory().DmaReadSpan(
+          wr.rkey, /*remote=*/true, wr.remote_addr, wr.local.length);
+      if (source.ok()) {
+        outcome.read_payload.assign(source->begin(), source->end());
+      }
       outcome.status =
-          s.ok() ? WcStatus::kSuccess : WcStatus::kRemoteAccessError;
+          source.ok() ? WcStatus::kSuccess : WcStatus::kRemoteAccessError;
       outcome.byte_len = wr.local.length;
       break;
     }

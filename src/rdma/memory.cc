@@ -92,6 +92,12 @@ Status HostMemory::CheckAccess(MemoryKey key, bool remote, std::uint64_t addr,
   return OkStatus();
 }
 
+StatusOr<ByteSpan> HostMemory::ReadSpan(std::uint64_t addr,
+                                        std::uint64_t len) const {
+  if (!InBounds(addr, len)) return OutOfRange("CPU read out of bounds");
+  return ByteSpan(Translate(addr), len);
+}
+
 Status HostMemory::Read(std::uint64_t addr, MutableByteSpan out) const {
   if (!InBounds(addr, out.size())) return OutOfRange("CPU read out of bounds");
   std::memcpy(out.data(), Translate(addr), out.size());
@@ -116,6 +122,14 @@ Status HostMemory::WriteU64(std::uint64_t addr, std::uint64_t value) {
   std::uint8_t buf[8];
   StoreLE(buf, value);
   return Write(addr, buf);
+}
+
+StatusOr<ByteSpan> HostMemory::DmaReadSpan(MemoryKey key, bool remote,
+                                           std::uint64_t addr,
+                                           std::uint64_t len) const {
+  const std::uint32_t required = remote ? kAccessRemoteRead : 0u;
+  RDX_RETURN_IF_ERROR(CheckAccess(key, remote, addr, len, required));
+  return ReadSpan(addr, len);
 }
 
 Status HostMemory::DmaRead(MemoryKey key, bool remote, std::uint64_t addr,

@@ -59,13 +59,19 @@ class HostMemory {
   }
 
   // Raw CPU-side access (no key checks — this is the node's own CPU).
+  // ReadSpan is Read's bounds check without the copy: a window the caller
+  // copies from itself.
+  StatusOr<ByteSpan> ReadSpan(std::uint64_t addr, std::uint64_t len) const;
   Status Read(std::uint64_t addr, MutableByteSpan out) const;
   Status Write(std::uint64_t addr, ByteSpan data);
   StatusOr<std::uint64_t> ReadU64(std::uint64_t addr) const;
   Status WriteU64(std::uint64_t addr, std::uint64_t value);
 
   // RNIC-side access paths, validated against a registered region.
-  // `remote` selects rkey (true) vs lkey (false) lookup.
+  // `remote` selects rkey (true) vs lkey (false) lookup. DmaReadSpan is
+  // DmaRead's checks without the copy.
+  StatusOr<ByteSpan> DmaReadSpan(MemoryKey key, bool remote,
+                                 std::uint64_t addr, std::uint64_t len) const;
   Status DmaRead(MemoryKey key, bool remote, std::uint64_t addr,
                  MutableByteSpan out) const;
   Status DmaWrite(MemoryKey key, bool remote, std::uint64_t addr,
