@@ -463,10 +463,6 @@ void Sandbox::RefreshXState() {
   }
 }
 
-std::uint64_t Sandbox::VisibleVersion(int hook) const {
-  return hooks_[hook].visible_version;
-}
-
 std::uint64_t Sandbox::CommittedVersion(int hook) const {
   const auto slot = ReadWord(view_.hook_table_addr + hook * 8ull);
   if (!slot.ok() || slot.value() == 0) return 0;

@@ -152,7 +152,10 @@ class Sandbox {
   void AccountReclaim(std::uint64_t bytes);
 
   // Version of the image the CPU currently executes at `hook` (0 = none).
-  std::uint64_t VisibleVersion(int hook) const;
+  // Inline: the harness observers call it after every event.
+  std::uint64_t VisibleVersion(int hook) const {
+    return hooks_[hook].visible_version;
+  }
   // Version currently committed in memory (what RDMA wrote), which the
   // CPU may not see yet.
   std::uint64_t CommittedVersion(int hook) const;
