@@ -1,6 +1,7 @@
 #include "core/codeflow.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 
 #include "common/log.h"
@@ -73,6 +74,28 @@ StatusOr<std::uint64_t> CodeFlow::Symbol(std::uint64_t hash) const {
   auto it = symbols_.find(hash);
   if (it == symbols_.end()) return NotFound("symbol not exported by target");
   return it->second;
+}
+
+void CodeFlow::GraceFreeBlocks(int hook, std::uint64_t seq_bound,
+                               const HealthView& health) {
+  for (FreeBlock& block : free_blocks_) {
+    if (block.hook == hook && block.seq < seq_bound) {
+      block.graced = block.desc_addr != health.visible_desc &&
+                     block.desc_addr != health.last_good_desc;
+    }
+  }
+}
+
+std::optional<std::uint64_t> CodeFlow::TakeFreeBlock(int hook,
+                                                     std::uint64_t bytes) {
+  auto it = std::find_if(
+      free_blocks_.begin(), free_blocks_.end(), [&](const FreeBlock& b) {
+        return b.graced && b.hook == hook && b.bytes == bytes;
+      });
+  if (it == free_blocks_.end()) return std::nullopt;
+  const std::uint64_t addr = it->addr;
+  free_blocks_.erase(it);
+  return addr;
 }
 
 ControlPlane::ControlPlane(sim::EventQueue& events, rdma::Fabric& fabric,
@@ -263,6 +286,11 @@ sim::Task<StatusOr<CodeFlow*>> ControlPlane::CreateCodeFlow(
 }
 
 sim::Task<Status> ControlPlane::ReconnectCodeFlow(CodeFlow& flow) {
+  // The free list is only as good as the bump cursor it was carved from,
+  // and a reboot resets that: drop it, and keep reclaims still in flight
+  // off the next one.
+  flow.free_blocks_.clear();
+  ++flow.free_generation_;
   // QP plumbing (the CM exchange). On reconnect the old QP is unusable
   // once errored (real verbs would destroy it); bring up a fresh pair on
   // both ends and re-run the handshake over it.
@@ -461,6 +489,29 @@ sim::Task<StatusOr<std::uint64_t>> ControlPlane::RemoteAlloc(
     co_return ScratchExhausted("remote scratchpad exhausted");
   }
   co_return addr;
+}
+
+sim::Task<StatusOr<std::uint64_t>> ControlPlane::AllocImageBlock(
+    CodeFlow& flow, std::uint64_t bytes) {
+  const auto oldest = std::find_if(
+      flow.free_blocks_.begin(), flow.free_blocks_.end(),
+      [&](const CodeFlow::FreeBlock& b) { return b.bytes == bytes; });
+  if (oldest != flow.free_blocks_.end() &&
+      flow.remote_view_.health_addr != 0) {
+    // The grace check (DESIGN.md "Scratchpad reuse"): the refcount write's
+    // completion says nothing about the CPU, so read what it published.
+    // Only blocks already on the list when the READ is posted are judged
+    // by it.
+    const int hook = oldest->hook;
+    const std::uint64_t seq_bound = flow.free_seq_;
+    RDX_CO_ASSIGN_OR_RETURN(const HealthView health,
+                            co_await ReadHealth(flow, hook));
+    flow.GraceFreeBlocks(hook, seq_bound, health);
+    if (const auto reused = flow.TakeFreeBlock(hook, bytes)) {
+      co_return *reused;
+    }
+  }
+  co_return co_await RemoteAlloc(flow, bytes);
 }
 
 sim::Task<Status> ControlPlane::WriteChunked(CodeFlow& flow, Bytes payload,
@@ -767,8 +818,11 @@ sim::Task<StatusOr<ControlPlane::PreparedImage>> ControlPlane::PrepareImage(
     std::uint64_t fingerprint) {
   const std::uint64_t image_len = image_bytes.size();
   const std::uint64_t region = ImageRegionBytes(image_len);
-  RDX_CO_ASSIGN_OR_RETURN(const std::uint64_t image_addr,
-                          co_await RemoteAlloc(flow, region));
+  // The region sits at the start of a power-of-two block, so a reclaimed
+  // block can take any image of its size class.
+  RDX_CO_ASSIGN_OR_RETURN(
+      const std::uint64_t image_addr,
+      co_await AllocImageBlock(flow, std::bit_ceil(region)));
   const std::uint64_t desc_addr = image_addr + region - kImageDescBytes;
   // Image + desc in one buffer; RC ordering lets the payload writes and
   // the desc write go out back-to-back (doorbell batch). The image bytes
@@ -786,33 +840,42 @@ sim::Task<StatusOr<ControlPlane::PreparedImage>> ControlPlane::PrepareImage(
                           fingerprint};
 }
 
+void ControlPlane::Reclaim(CodeFlow& flow, int hook,
+                           const CodeFlow::ImageRegion& region) {
+  // Accounting lands on the sandbox's stats once the write completes
+  // (simulation-side backref). The block joins the free list then too,
+  // unless its placement is unknown or the flow reconnected meanwhile.
+  const std::uint64_t generation = flow.free_generation_;
+  sim::Start(
+      WriteQword(flow, region.desc_addr + kDescRefcount, 0),
+      [&flow, hook, region, generation](Status reclaimed) {
+        if (!reclaimed.ok()) return;
+        const std::uint64_t bytes = region.region_capacity + kImageDescBytes;
+        if (flow.sandbox != nullptr) flow.sandbox->AccountReclaim(bytes);
+        if (region.image_addr == 0 || generation != flow.free_generation_) {
+          return;
+        }
+        flow.free_blocks_.push_back(CodeFlow::FreeBlock{
+            region.image_addr, std::bit_ceil(bytes), region.desc_addr, hook,
+            flow.free_seq_++});
+      });
+}
+
 void ControlPlane::RecordCommit(CodeFlow& flow, int hook,
                                 const PreparedImage& prepared) {
   auto& deployment = flow.hooks_[hook];
   if (deployment.desc_addr != 0) {
-    deployment.desc_history.push_back(CodeFlow::PastImage{
-        deployment.desc_addr, deployment.region_capacity + kImageDescBytes,
-        deployment.fingerprint});
+    deployment.desc_history.push_back(deployment);
   }
-  deployment.desc_addr = prepared.desc_addr;
-  deployment.image_addr = prepared.image_addr;
-  deployment.region_capacity = prepared.region_capacity;
+  static_cast<CodeFlow::ImageRegion&>(deployment) = {
+      prepared.desc_addr, prepared.image_addr, prepared.region_capacity,
+      prepared.fingerprint};
   deployment.version = prepared.version;
-  deployment.fingerprint = prepared.fingerprint;
-  // Reclaim history beyond hook_history_depth: drop each superseded
-  // desc's refcount over RDMA; its region is dead scratchpad from here
-  // on. Accounting lands on the sandbox's stats once the write
-  // completes (simulation-side backref).
+  // Reclaim history beyond hook_history_depth.
   auto& history = deployment.desc_history;
   while (history.size() > config_.hook_history_depth) {
-    const CodeFlow::PastImage past = history.front();
+    Reclaim(flow, hook, history.front());
     history.erase(history.begin());
-    sim::Start(WriteQword(flow, past.desc_addr + kDescRefcount, 0),
-               [&flow, past](Status reclaimed) {
-                 if (reclaimed.ok() && flow.sandbox != nullptr) {
-                   flow.sandbox->AccountReclaim(past.region_bytes);
-                 }
-               });
   }
 }
 
@@ -1015,13 +1078,22 @@ sim::Task<Status> ControlPlane::Rollback(CodeFlow& flow, int hook) {
   if (it == flow.hooks_.end() || it->second.desc_history.empty()) {
     co_return FailedPrecondition("no previous version to roll back to");
   }
-  const CodeFlow::PastImage prev = it->second.desc_history.back();
-  it->second.desc_history.pop_back();
+  // The target leaves the history only once it is committed: a failed
+  // commit keeps it for the next attempt.
+  const CodeFlow::ImageRegion target = it->second.desc_history.back();
   RDX_CO_RETURN_IF_ERROR(
-      co_await CommitHook(flow, hook, prev.desc_addr, prev.fingerprint));
+      co_await CommitHook(flow, hook, target.desc_addr, target.fingerprint));
   auto& deployment = flow.hooks_[hook];
-  deployment.desc_addr = prev.desc_addr;
-  deployment.fingerprint = prev.fingerprint;
+  auto& history = deployment.desc_history;
+  const auto entry = std::find_if(
+      history.rbegin(), history.rend(),
+      [&](const CodeFlow::ImageRegion& r) {
+        return r.desc_addr == target.desc_addr;
+      });
+  if (entry != history.rend()) history.erase(std::next(entry).base());
+  // The rolled-from region is left as it is, never reclaimed: a rollback
+  // posts nothing but its commit.
+  static_cast<CodeFlow::ImageRegion&>(deployment) = target;
   // Recover the rolled-back version for introspection.
   deployment.version = flow.sandbox->CommittedVersion(hook);
   co_return OkStatus();
@@ -1060,6 +1132,7 @@ HealthView ParseHealthBlock(const Bytes& raw, std::size_t off) {
       LoadLE<std::uint64_t>(raw.data() + off + kHbLastGoodDesc);
   hv.failsafe_detaches =
       LoadLE<std::uint64_t>(raw.data() + off + kHbFailsafeDetaches);
+  hv.visible_desc = LoadLE<std::uint64_t>(raw.data() + off + kHbVisibleDesc);
   return hv;
 }
 }  // namespace
@@ -1119,17 +1192,30 @@ sim::Task<Status> ControlPlane::QuarantineHook(CodeFlow& flow, int hook,
       BlacklistFingerprint(it->second.fingerprint);
     }
     // Repair bookkeeping: the surviving image is current again; drop it
-    // from the history so a later Rollback does not revisit it.
-    it->second.desc_addr = good_desc;
+    // from the history so a later Rollback does not revisit it. The bad
+    // image's region is left as it is, never reclaimed. (good_desc 0, a
+    // detach, matches neither search.)
+    CodeFlow::ImageRegion good{good_desc, 0, 0, 0};
     auto& history = it->second.desc_history;
-    for (auto h = history.rbegin(); h != history.rend(); ++h) {
-      if (h->desc_addr == good_desc) {
-        it->second.fingerprint = h->fingerprint;
-        history.erase(std::next(h).base());
-        break;
-      }
+    const auto past = std::find_if(
+        history.rbegin(), history.rend(),
+        [&](const CodeFlow::ImageRegion& r) {
+          return r.desc_addr == good_desc;
+        });
+    const auto freed = std::find_if(
+        flow.free_blocks_.begin(), flow.free_blocks_.end(),
+        [&](const CodeFlow::FreeBlock& b) { return b.desc_addr == good_desc; });
+    if (past != history.rend()) {
+      good = *past;
+      history.erase(std::next(past).base());
+    } else if (freed != flow.free_blocks_.end()) {
+      // A last-good image older than the history: live again, so off the
+      // free list (its fingerprint is not known any more).
+      good.image_addr = freed->addr;
+      good.region_capacity = good_desc - freed->addr;
+      flow.free_blocks_.erase(freed);
     }
-    if (good_desc == 0) it->second.fingerprint = 0;
+    static_cast<CodeFlow::ImageRegion&>(it->second) = good;
   }
   // Protection change: a quarantine invalidates the NIC's cached
   // translations for the flow's control region (MTT shootdown, the

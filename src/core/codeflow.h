@@ -12,8 +12,9 @@
 //                                            node-local XState addresses,
 //                                            check helper/host symbols;
 //                                            yields the wire bytes
-//   rdx_deploy_prog       PrepareImage()     scratchpad FETCH_ADD alloc,
-//                         + CommitPrepared() chunked RDMA WRITEs, ImageDesc,
+//   rdx_deploy_prog       PrepareImage()     scratchpad block (a reclaimed
+//                         + CommitPrepared() one, or FETCH_ADD), chunked
+//                                            RDMA WRITEs, ImageDesc,
 //                                            atomic qword commit (rdx_tx)
 //   rdx_deploy_xstate     DeployXState()     Meta-XState allocation (§3.4)
 //   rdx_tx                Tx()               shadow write + qword swap
@@ -74,7 +75,8 @@ struct ControlPlaneConfig {
   std::uint64_t signing_key = 0;
   // How many superseded ImageDescs to keep per hook as rollback targets.
   // Older regions are reclaimed on commit: refcount dropped to 0 over
-  // RDMA and the freed bytes accounted in SandboxStats.
+  // RDMA, the freed bytes accounted in SandboxStats, and the region put on
+  // the flow's free list for reuse (DESIGN.md "Scratchpad reuse").
   std::uint32_t hook_history_depth = 8;
 };
 
@@ -206,27 +208,53 @@ class CodeFlow {
   ControlBlockView remote_view_;
   SymbolMap symbols_;
   XStateMap xstate_addrs_;
-  // Per-hook deployment bookkeeping.
-  struct PastImage {
+  // Per-hook deployment bookkeeping. An image region: the image at
+  // image_addr, then its ImageDesc at image_addr + region_capacity, inside
+  // a power-of-two block that starts at image_addr.
+  struct ImageRegion {
     std::uint64_t desc_addr = 0;
-    // Scratchpad bytes the superseded region occupies (image + desc),
-    // accounted when the control plane reclaims it.
-    std::uint64_t region_bytes = 0;
+    // 0 when the placement is unknown (a commit adopted by the recovery
+    // layer): such a region is never written in place or reused.
+    std::uint64_t image_addr = 0;
+    // Image bytes the region holds before its desc (the padded image, not
+    // the block).
+    std::uint64_t region_capacity = 0;
     // Source-program fingerprint the image was built from (0 = unknown).
     std::uint64_t fingerprint = 0;
   };
-  struct HookDeployment {
-    std::uint64_t desc_addr = 0;
-    std::uint64_t image_addr = 0;
-    std::uint64_t region_capacity = 0;
+  // The committed image plus the version history for rollback (desc
+  // addresses stay valid in the scratchpad until reclaimed; only the
+  // newest hook_history_depth entries are kept).
+  struct HookDeployment : ImageRegion {
     std::uint64_t version = 0;
-    std::uint64_t fingerprint = 0;
-    // Version history for rollback (desc addresses stay valid in the
-    // scratchpad until reclaimed; only the newest hook_history_depth
-    // entries are kept).
-    std::vector<PastImage> desc_history;
+    std::vector<ImageRegion> desc_history;
   };
+  // A reclaimed image block. `graced`: the last READ of its hook's
+  // HealthBlock showed that the CPU neither runs its image nor can revert
+  // to it. A block is reused only right after such a READ.
+  struct FreeBlock {
+    std::uint64_t addr = 0;
+    std::uint64_t bytes = 0;  // a power of two
+    std::uint64_t desc_addr = 0;
+    int hook = 0;
+    std::uint64_t seq = 0;  // join order on the list
+    bool graced = false;
+  };
+  // Judges `hook`'s blocks that joined before `seq_bound` by `health`, a
+  // READ of the hook's HealthBlock posted after they joined: graced unless
+  // it names their desc.
+  void GraceFreeBlocks(int hook, std::uint64_t seq_bound,
+                       const HealthView& health);
+  // Takes `hook`'s oldest graced block of exactly `bytes`, or nullopt.
+  std::optional<std::uint64_t> TakeFreeBlock(int hook, std::uint64_t bytes);
+
   std::unordered_map<int, HookDeployment> hooks_;
+  // In join order. Dropped on every reconnect (a reboot resets the bump
+  // cursor); `free_generation_` keeps reclaims that complete afterwards
+  // off the new list.
+  std::vector<FreeBlock> free_blocks_;
+  std::uint64_t free_seq_ = 0;
+  std::uint64_t free_generation_ = 0;
   std::uint32_t next_meta_slot_ = 0;
   std::uint64_t epoch_ = 0;
 };
@@ -504,6 +532,15 @@ class ControlPlane {
   // Allocates `bytes` in the remote scratchpad via FETCH_ADD on brk.
   sim::Task<StatusOr<std::uint64_t>> RemoteAlloc(CodeFlow& flow,
                                                  std::uint64_t bytes);
+  // An image block of `bytes` (a power of two). When the flow has a free
+  // block of that size, one READ of the oldest one's hook's HealthBlock
+  // (the grace check), then a block of that hook it graces. Otherwise, or
+  // if it graces none, RemoteAlloc.
+  sim::Task<StatusOr<std::uint64_t>> AllocImageBlock(CodeFlow& flow,
+                                                     std::uint64_t bytes);
+  // Drops `region`'s refcount to 0 over RDMA; once that write completes,
+  // accounts the bytes on the sandbox and puts the block on the free list.
+  void Reclaim(CodeFlow& flow, int hook, const CodeFlow::ImageRegion& region);
   // Writes `payload` to `remote_addr` in chunks; done after the last WR.
   // The payload is freed once its WRs are posted.
   sim::Task<Status> WriteChunked(CodeFlow& flow, Bytes payload,
@@ -525,7 +562,7 @@ class ControlPlane {
                                std::optional<std::uint64_t> slot_desc,
                                bool may_chain);
   // After a successful commit of `prepared`, updates the flow's per-hook
-  // bookkeeping: history push, then reclaim of the regions beyond
+  // bookkeeping: history push, then Reclaim of the regions beyond
   // hook_history_depth.
   void RecordCommit(CodeFlow& flow, int hook, const PreparedImage& prepared);
   // One READ of `count` HealthBlocks starting at `first_hook`.

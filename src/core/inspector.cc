@@ -1,5 +1,7 @@
 #include "core/inspector.h"
 
+#include <string>
+
 #include "core/for_all.h"
 #include "core/gatekeeper.h"
 
@@ -76,6 +78,68 @@ sim::Task<StatusOr<std::vector<InspectReport>>> Inspector::Sweep(
   };
   RDX_CO_RETURN_IF_ERROR(co_await ForAll(hooks.size(), inspect));
   co_return std::move(unhealthy);
+}
+
+Status Inspector::CheckFreeList(const CodeFlow& flow) {
+  if (flow.sandbox == nullptr) return OkStatus();
+  const rdma::HostMemory& mem = flow.sandbox->node().memory();
+  const ControlBlockView& view = flow.remote_view_;
+  auto word = [&](std::uint64_t addr) {
+    const StatusOr<std::uint64_t> w = mem.ReadU64(addr);
+    return w.ok() ? w.value() : 0ull;
+  };
+  auto violation = [](const CodeFlow::FreeBlock& block, const char* what,
+                      std::uint64_t desc) {
+    return FailedPrecondition(
+        "free block at " + std::to_string(block.addr) + " (" +
+        std::to_string(block.bytes) + " bytes) holds desc " +
+        std::to_string(desc) + " named by " + what);
+  };
+  const std::uint64_t brk = word(view.cb_addr + kCbScratchBrk);
+  const auto& blocks = flow.free_blocks_;
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    const CodeFlow::FreeBlock& block = blocks[i];
+    auto holds = [&](std::uint64_t desc) {
+      return desc != 0 && desc >= block.addr && desc < block.addr + block.bytes;
+    };
+    if (block.addr < view.scratch_addr || block.addr + block.bytes > brk) {
+      return FailedPrecondition("free block at " + std::to_string(block.addr) +
+                                " lies outside the allocated scratchpad");
+    }
+    for (std::size_t j = i + 1; j < blocks.size(); ++j) {
+      if (block.addr < blocks[j].addr + blocks[j].bytes &&
+          blocks[j].addr < block.addr + block.bytes) {
+        return FailedPrecondition("free blocks at " +
+                                  std::to_string(block.addr) + " and " +
+                                  std::to_string(blocks[j].addr) + " overlap");
+      }
+    }
+    for (const auto& [hook, deployment] : flow.hooks_) {
+      if (holds(deployment.desc_addr)) {
+        return violation(block, "a committed image", deployment.desc_addr);
+      }
+      for (const CodeFlow::ImageRegion& past : deployment.desc_history) {
+        if (holds(past.desc_addr)) {
+          return violation(block, "a history entry", past.desc_addr);
+        }
+      }
+    }
+    if (!block.graced) continue;
+    for (std::uint64_t hook = 0; hook < view.hook_count; ++hook) {
+      const std::uint64_t slot = word(view.hook_table_addr + hook * 8);
+      if (holds(slot)) return violation(block, "a hook slot", slot);
+      const HealthView health =
+          flow.sandbox->ReadLocalHealth(static_cast<int>(hook));
+      if (holds(health.visible_desc)) {
+        return violation(block, "a published visible_desc",
+                         health.visible_desc);
+      }
+      if (holds(health.last_good_desc)) {
+        return violation(block, "a last_good_desc", health.last_good_desc);
+      }
+    }
+  }
+  return OkStatus();
 }
 
 }  // namespace rdx::core

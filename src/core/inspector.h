@@ -39,6 +39,18 @@ class Inspector {
   // the unhealthy ones (empty = all good).
   sim::Task<StatusOr<std::vector<InspectReport>>> Sweep(CodeFlow& flow);
 
+  // The scratchpad-reuse invariant (DESIGN.md "Scratchpad reuse"). It
+  // reads the sandbox's memory from its own side and posts no verb, so a
+  // test or an interleaving explorer can check it between any two events.
+  // Every block on `flow`'s free list lies below the scratchpad's bump
+  // cursor and overlaps no other block; none holds the desc of an image
+  // the flow has committed or keeps as a rollback target; and none that
+  // passed its grace check holds the desc a hook slot, a published
+  // visible_desc or a last_good_desc names. (A block still waiting for
+  // its check may: that is what the check is for.) Returns the first
+  // violation as FailedPrecondition.
+  static Status CheckFreeList(const CodeFlow& flow);
+
  private:
   ControlPlane& cp_;
 };

@@ -14,7 +14,10 @@
 //     +0x30 meta_capacity
 //     +0x38 scratch_addr     extension scratchpad (images, descs, XState)
 //     +0x40 scratch_size
-//     +0x48 scratch_brk      bump cursor, advanced remotely via FETCH_ADD
+//     +0x48 scratch_brk      bump cursor, advanced remotely via FETCH_ADD;
+//                            image regions are carved as power-of-two
+//                            blocks, and the control plane reuses a
+//                            reclaimed block without moving the cursor
 //     +0x50 symtab_addr      serialized symbol table (the exposed GOT)
 //     +0x58 symtab_len
 //     +0x60 doorbell         rdx_cc_event flush-trigger word
@@ -55,6 +58,12 @@
 //     +0x28 failsafe_detaches     times the local fail-safe reverted the
 //                                 hook to last_good_desc (K consecutive
 //                                 failures)
+//     +0x30 visible_desc          ImageDesc the CPU's hook cache last
+//                                 refreshed to (written on every refresh,
+//                                 guardrails on or off); with
+//                                 last_good_desc, what the control plane
+//                                 reads before it reuses a reclaimed
+//                                 image region
 //
 //   ImageDesc (16-aligned, in the scratchpad):
 //     +0x00 image_addr   +0x08 image_len
@@ -118,7 +127,8 @@ constexpr std::uint64_t kHbFuelExhaustions = 0x10;
 constexpr std::uint64_t kHbConsecutiveFailures = 0x18;
 constexpr std::uint64_t kHbLastGoodDesc = 0x20;
 constexpr std::uint64_t kHbFailsafeDetaches = 0x28;
-constexpr std::uint64_t kHealthBlockBytes = 0x30;
+constexpr std::uint64_t kHbVisibleDesc = 0x30;
+constexpr std::uint64_t kHealthBlockBytes = 0x38;
 
 // CPU-side (and control-plane-side, after an RDMA read) view of one
 // hook's HealthBlock.
@@ -129,6 +139,7 @@ struct HealthView {
   std::uint64_t consecutive_failures = 0;
   std::uint64_t last_good_desc = 0;
   std::uint64_t failsafe_detaches = 0;
+  std::uint64_t visible_desc = 0;
 };
 
 // ImageDesc field offsets.

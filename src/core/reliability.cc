@@ -77,15 +77,13 @@ sim::Task<StatusOr<RecoveryOutcome>> RecoveryManager::DeployReliably(
           probe->version == target_version) {
         auto& dep = flow.hooks_[hook];
         if (dep.desc_addr != 0 && dep.desc_addr != probe->desc_addr) {
-          dep.desc_history.push_back(CodeFlow::PastImage{
-              dep.desc_addr, dep.region_capacity + kImageDescBytes,
-              dep.fingerprint});
+          dep.desc_history.push_back(dep);
         }
-        dep.desc_addr = probe->desc_addr;
-        // The image region behind the adopted desc is unknown; force the
-        // next update onto a fresh transactional allocation.
-        dep.image_addr = 0;
-        dep.region_capacity = 0;
+        // The image region behind the adopted desc is unknown: the next
+        // update takes a fresh transactional allocation, and the region is
+        // never reused.
+        static_cast<CodeFlow::ImageRegion&>(dep) = {probe->desc_addr, 0, 0,
+                                                    dep.fingerprint};
         dep.version = probe->version;
         out.adopted = true;
         RDX_DEBUG("recovery: hook %d on node %u adopted committed v%llu",

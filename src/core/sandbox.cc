@@ -229,6 +229,7 @@ HealthView Sandbox::ReadLocalHealth(int hook) const {
   hv.consecutive_failures = word(kHbConsecutiveFailures);
   hv.last_good_desc = word(kHbLastGoodDesc);
   hv.failsafe_detaches = word(kHbFailsafeDetaches);
+  hv.visible_desc = word(kHbVisibleDesc);
   return hv;
 }
 
@@ -390,6 +391,7 @@ Status Sandbox::CtxTeardown(int hook) {
   }
   RDX_RETURN_IF_ERROR(WriteWord(view_.hook_table_addr + hook * 8ull, 0));
   state = HookState{};
+  SetHealth(hook, kHbVisibleDesc, 0);
   return OkStatus();
 }
 
@@ -407,6 +409,9 @@ void Sandbox::RefreshHookNow(int hook) {
   HookState& state = hooks_[hook];
   if (state.visible_desc_addr != slot.value()) {
     state.visible_desc_addr = slot.value();
+    // Published for the control plane, which reuses no image region this
+    // CPU may still run (DESIGN.md "Scratchpad reuse").
+    SetHealth(hook, kHbVisibleDesc, slot.value());
     state.image.reset();
     state.visible_version = 0;
     if (slot.value() != 0) {

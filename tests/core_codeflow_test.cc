@@ -729,6 +729,46 @@ TEST(Rollback, RefusesQuarantinedFingerprint) {
   EXPECT_EQ(sandbox.ExecuteHook(0, packet)->r0, 2u);
 }
 
+// A rollback whose commit fails keeps its target: after a reconnect the
+// same rollback succeeds and runs the previous version.
+TEST(Rollback, FailedCommitKeepsTarget) {
+  Cluster cluster;
+  CodeFlow& flow = *cluster.flows[0];
+  Sandbox& sandbox = *cluster.sandboxes[0];
+  bpf::Program a, b;
+  a.name = "a";
+  a.insns = bpf::Assemble("r0 = 1\nexit\n").value();
+  b.name = "b";
+  b.insns = bpf::Assemble("r0 = 2\nexit\n").value();
+  for (const bpf::Program* prog : {&a, &b}) {
+    ASSERT_TRUE(
+        sim::RunToCompletion(cluster.events, cluster.cp->Inject(flow, *prog, 0))
+            .ok());
+    cluster.events.Run();
+  }
+  for (rdma::QueuePair* qp : cluster.fabric.QpsTouching(flow.node())) {
+    qp->SetError();
+  }
+  const Status failed =
+      sim::RunToCompletion(cluster.events, cluster.cp->Rollback(flow, 0));
+  cluster.events.Run();
+  EXPECT_EQ(failed.code(), StatusCode::kUnavailable) << failed.ToString();
+  EXPECT_EQ(sandbox.CommittedVersion(0), 2u);
+
+  ASSERT_TRUE(
+      sim::RunToCompletion(cluster.events, cluster.cp->ReconnectCodeFlow(flow))
+          .ok());
+  cluster.events.Run();
+  const Status rolled_back =
+      sim::RunToCompletion(cluster.events, cluster.cp->Rollback(flow, 0));
+  cluster.events.Run();
+  ASSERT_TRUE(rolled_back.ok()) << rolled_back.ToString();
+  EXPECT_EQ(sandbox.CommittedVersion(0), 1u);
+  EXPECT_EQ(flow.HookVersion(0), 1u);
+  Bytes packet(4, 0);
+  EXPECT_EQ(sandbox.ExecuteHook(0, packet)->r0, 1u);
+}
+
 TEST(Broadcast, BlacklistDuringBroadcastRefusesEveryCommit) {
   Cluster cluster(2);
   CollectiveCodeFlow group(*cluster.cp, cluster.flows);

@@ -421,13 +421,19 @@ TEST(Guardrail, SupersededImagesReclaimedOnCommit) {
 TEST(Guardrail, ScratchExhaustionIsCleanStatusAndNotRetried) {
   SandboxConfig config;
   config.scratch_bytes = 8192;
-  GuardrailRig rig(config);
+  // Every image stays live as a rollback target, so reuse of reclaimed
+  // regions cannot make room: 17 live images of ~600 bytes need more than
+  // the scratchpad.
+  ControlPlaneConfig cp_config;
+  cp_config.hook_history_depth = 16;
+  GuardrailRig rig(config, cp_config);
 
   bpf::ProgGenOptions gen;
   gen.target_insns = 64;
   gen.use_maps = false;
-  // Fill the scratchpad with distinct images until the bump allocator
-  // runs dry; the failure is the dedicated status, not a generic abort.
+  // Fill the scratchpad with distinct live images until the bump
+  // allocator runs dry; the failure is the dedicated status, not a
+  // generic abort.
   Status last = OkStatus();
   for (int i = 0; i < 64 && last.ok(); ++i) {
     gen.seed = 100 + i;
