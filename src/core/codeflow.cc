@@ -253,8 +253,11 @@ sim::Task<StatusOr<Bytes>> ControlPlane::RemoteRead(CodeFlow& flow,
       ScratchWr(flow, rdma::Opcode::kRead, remote_addr, len));
   const rdma::WorkCompletion wc = co_await Post(flow, wr);
   if (wc.status != rdma::WcStatus::kSuccess) co_return Unavailable(failure);
-  Bytes raw(len);
-  (void)fabric_.node(self_).memory().Read(wr.local.addr, raw);
+  RDX_CO_ASSIGN_OR_RETURN(const ByteSpan landed,
+                          fabric_.node(self_).memory().ReadSpan(
+                              wr.local.addr, len));
+  Bytes raw;
+  raw.assign(landed.begin(), landed.end());
   co_return std::move(raw);
 }
 
