@@ -12,8 +12,7 @@ namespace {
 
 // Background CPU hog: keeps `load_fraction` of the node's cores busy with
 // a steady stream of short tasks.
-void StartBackgroundLoad(sim::EventQueue& events, sim::CpuScheduler& cpu,
-                         double load_fraction) {
+void StartBackgroundLoad(sim::CpuScheduler& cpu, double load_fraction) {
   const int cores = cpu.cores();
   const int tasks = static_cast<int>(cores * load_fraction + 0.5);
   for (int t = 0; t < tasks; ++t) {
@@ -32,8 +31,8 @@ struct Recovery {
 
 Recovery MeasureRecovery(double load_fraction) {
   bench::Cluster cluster(2);
-  StartBackgroundLoad(cluster.events, *cluster.nodes[0].cpu, load_fraction);
-  StartBackgroundLoad(cluster.events, *cluster.nodes[1].cpu, load_fraction);
+  StartBackgroundLoad(*cluster.nodes[0].cpu, load_fraction);
+  StartBackgroundLoad(*cluster.nodes[1].cpu, load_fraction);
 
   bpf::Program stable = bpf::GenerateProgram({.target_insns = 1300, .seed = 1});
   bpf::Program buggy = bpf::GenerateProgram({.target_insns = 1300, .seed = 2});

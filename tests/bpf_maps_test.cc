@@ -358,7 +358,9 @@ TEST_P(HashMapProperty, MatchesReferenceModel) {
       Status s = map.view().Lookup(key, out);
       auto it = reference.find(ref_key);
       ASSERT_EQ(s.ok(), it != reference.end());
-      if (s.ok()) EXPECT_EQ(out, it->second);
+      if (s.ok()) {
+        EXPECT_EQ(out, it->second);
+      }
     }
     ASSERT_EQ(map.view().Used().value(), reference.size());
   }

@@ -337,7 +337,8 @@ TEST(Recovery, CrashAndRebootMidDeployRecovers) {
   rig.injector->SetNodeHooks(
       rig.NodeId(0),
       {.on_crash = [sandbox] { sandbox->Crash(); },
-       .on_reboot = [sandbox] { EXPECT_TRUE(sandbox->Reboot().ok()); }});
+       .on_reboot = [sandbox] { EXPECT_TRUE(sandbox->Reboot().ok()); },
+       .on_rogue = {}});
 
   RetryPolicy policy;
   policy.max_retries = 10;

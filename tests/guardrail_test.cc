@@ -493,7 +493,9 @@ ContainmentRun RunRogueScenario() {
   EXPECT_TRUE(plan.ok()) << plan.status().ToString();
   injector.SetNodeHooks(
       rig.sandbox->node().id(),
-      {.on_rogue = [&rig](int hook, fault::RogueFaultKind) {
+      {.on_crash = {},
+       .on_reboot = {},
+       .on_rogue = [&rig](int hook, fault::RogueFaultKind) {
         bpf::RogueGenOptions rogue;  // kTrapLoop
         sim::Start(
             rig.cp->Inject(*rig.flow, bpf::GenerateRogueProgram(rogue), hook),
@@ -527,7 +529,9 @@ ContainmentRun RunRogueScenario() {
   rig.sandbox->RefreshHookNow(0);
   auto exec = rig.sandbox->ExecuteHook(0, packet);
   EXPECT_TRUE(exec.ok());
-  if (exec.ok()) EXPECT_EQ(exec->r0, 42u);
+  if (exec.ok()) {
+    EXPECT_EQ(exec->r0, 42u);
+  }
   return run;
 }
 
