@@ -10,7 +10,6 @@
 namespace rdx::core {
 
 namespace {
-constexpr std::uint64_t kLocalArenaBytes = 16u << 20;
 constexpr std::uint64_t kAllocAlign = 64;
 // Selective-signaling period of every CodeFlow QP: within a doorbell-batched
 // chain only every 4th WRITE (and always the tail) writes a CQE; PostChain
@@ -160,16 +159,27 @@ void ControlPlane::PostChain(
     std::function<void(const rdma::WorkCompletion&)> done;
     std::uint64_t first_id = 0;
     std::size_t cursor = 0;  // chain index of the next undelivered WR
+    // Each READ's or atomic's landing slot, by chain index (addr 0 for a
+    // WRITE, whose slot is given back at post).
+    std::vector<rdma::Sge> landings;
   };
   auto chain = std::make_shared<ChainState>(
-      ChainState{flow.node_, std::move(per_wr_done), next_wr_id_});
+      ChainState{flow.node_, std::move(per_wr_done), next_wr_id_, 0, {}});
+  chain->landings.reserve(wrs.size());
+  for (const rdma::SendWr& wr : wrs) {
+    chain->landings.push_back(wr.opcode == rdma::Opcode::kWrite ? rdma::Sge{}
+                                                                 : wr.local);
+  }
   auto deliver = [this, chain](const rdma::WorkCompletion& wc) {
     // Every successful completion renews the target node's health lease.
+    // Once the handler has consumed a landing slot, the slot is free.
     auto complete = [&](const rdma::WorkCompletion& c) {
       if (c.status == rdma::WcStatus::kSuccess) {
         last_success_[chain->target] = events_.Now();
       }
       chain->done(c);
+      const rdma::Sge& landing = chain->landings[c.wr_id - chain->first_id];
+      if (landing.addr != 0) ReleaseSlot(landing);
     };
     const std::size_t idx =
         static_cast<std::size_t>(wc.wr_id - chain->first_id);
@@ -200,7 +210,14 @@ void ControlPlane::PostChain(
     pending_.emplace(wr.wr_id,
                      PendingOp{deliver, wr.opcode, wr.local.length});
   }
-  if (!flow.qp->PostSendChain(wrs).ok()) {
+  const bool posted = flow.qp->PostSendChain(wrs).ok();
+  // The fabric has copied every WRITE's payload (or never will): its
+  // staging slot is free again. Last first, so slots on top of the
+  // arena's carved part shrink it.
+  for (auto wr = wrs.rbegin(); wr != wrs.rend(); ++wr) {
+    if (wr->opcode == rdma::Opcode::kWrite) ReleaseSlot(wr->local);
+  }
+  if (!posted) {
     // Error-state flushes were already delivered through the CQ; surface
     // completions for any WR the QP rejected without flushing.
     for (const rdma::SendWr& wr : wrs) {
@@ -223,22 +240,55 @@ auto ControlPlane::Post(CodeFlow& flow, rdma::SendWr wr) {
   });
 }
 
+namespace {
+// Index of the smallest slot size (kMinSlot << index) that holds `len`.
+std::size_t SlotClass(std::uint64_t len, std::uint64_t min_slot) {
+  return static_cast<std::size_t>(
+      std::bit_width((std::max<std::uint64_t>(len, 1) - 1) / min_slot));
+}
+}  // namespace
+
+std::optional<std::uint64_t> ControlPlane::StagingArena::Take(
+    std::uint64_t len) {
+  const std::size_t cls = SlotClass(len, kMinSlot);
+  std::vector<std::uint64_t>& free = free_[cls];
+  if (!free.empty()) {
+    const std::uint64_t offset = free.back();
+    free.pop_back();
+    return offset;
+  }
+  const std::uint64_t slot = kMinSlot << cls;
+  if (bump_ + slot > kLocalArenaBytes) return std::nullopt;
+  const std::uint64_t offset = bump_;
+  bump_ += slot;
+  high_water_ = std::max(high_water_, bump_);
+  return offset;
+}
+
+void ControlPlane::StagingArena::Give(std::uint64_t offset,
+                                      std::uint64_t len) {
+  const std::size_t cls = SlotClass(len, kMinSlot);
+  // The slot on top of the carved part goes back to the untouched end
+  // instead, so a chain that filled the arena leaves nothing behind in
+  // its size's list when its slots are given back top down.
+  if (offset + (kMinSlot << cls) == bump_) {
+    bump_ = offset;
+  } else {
+    free_[cls].push_back(offset);
+  }
+}
+
 StatusOr<rdma::SendWr> ControlPlane::ScratchWr(CodeFlow& flow,
                                                rdma::Opcode op,
                                                std::uint64_t remote_addr,
                                                std::uint64_t len) {
-  // Ring allocation inside the local arena. The fabric copies WRITE
-  // payloads at post time and scatters READ results at completion time, so
-  // reuse after wrap cannot corrupt in-flight operations.
-  const std::uint64_t bytes = AlignUp(std::max<std::uint64_t>(len, 1),
-                                      kAllocAlign);
-  if (bytes > kLocalArenaBytes) return ResourceExhausted("payload too large");
-  if (arena_cursor_ + bytes > kLocalArenaBytes) arena_cursor_ = 0;
+  if (len > kLocalArenaBytes) return ResourceExhausted("payload too large");
+  const std::optional<std::uint64_t> slot = staging_.Take(len);
+  if (!slot) return ResourceExhausted("staging arena full");
   rdma::SendWr wr;
   wr.opcode = op;
-  wr.local = {local_mr_.addr + arena_cursor_, static_cast<std::uint32_t>(len),
+  wr.local = {local_mr_.addr + *slot, static_cast<std::uint32_t>(len),
               local_mr_.lkey};
-  arena_cursor_ += bytes;
   wr.remote_addr = remote_addr;
   wr.rkey = flow.rkey;
   return wr;
@@ -264,7 +314,8 @@ sim::Task<StatusOr<Bytes>> ControlPlane::RemoteRead(CodeFlow& flow,
 sim::Task<StatusOr<std::uint64_t>> ControlPlane::RemoteAtomic(
     CodeFlow& flow, rdma::Opcode op, std::uint64_t remote_addr,
     std::uint64_t compare_add, std::uint64_t swap, const char* failure) {
-  // An 8-byte landing buffer always fits the staging arena.
+  // An 8-byte slot is only ever short when READs in flight hold the
+  // whole staging arena.
   rdma::SendWr wr = ScratchWr(flow, op, remote_addr).value();
   wr.compare_add = compare_add;
   wr.swap = swap;
@@ -447,9 +498,8 @@ sim::Task<StatusOr<ImagePtr<Source>>> ControlPlane::Build(
 // ---- link -------------------------------------------------------------
 
 template <class Image>
-sim::Task<StatusOr<Bytes>> ControlPlane::LinkCode(CodeFlow& flow,
-                                                  const Image& image,
-                                                  std::uint64_t fp) {
+sim::Task<StatusOr<ControlPlane::Wire>> ControlPlane::LinkCode(
+    CodeFlow& flow, const Image& image, std::uint64_t fp) {
   using K = ExtensionKind<Image>;
   if (!linked_wire_ || linked_wire_->kind != K::kKind ||
       linked_wire_->fp != fp) {
@@ -458,16 +508,16 @@ sim::Task<StatusOr<Bytes>> ControlPlane::LinkCode(CodeFlow& flow,
   LinkedWire& memo = *linked_wire_;
   auto values = ResolveLink(memo.plan, flow.link_target());
   if (!values.ok()) co_return values.status();
-  if (memo.wire.empty() || *values != memo.values) {
+  if (memo.wire == nullptr || *values != memo.values) {
     Image linked = image;
     K::Apply(memo.plan, *values, linked);
     memo.values = std::move(values).value();
-    memo.wire = linked.Serialize();
+    memo.wire = std::make_shared<const Bytes>(linked.Serialize());
     ++wires_built_;
   } else {
     ++wires_shared_;
   }
-  Bytes wire = memo.wire;
+  Wire wire = memo.wire;
   // One relocation's worth whatever the image's count: what the model has
   // always charged. Charging per relocation is a model change (ROADMAP
   // item 1).
@@ -520,45 +570,72 @@ sim::Task<StatusOr<std::uint64_t>> ControlPlane::AllocImageBlock(
 sim::Task<Status> ControlPlane::WriteChunked(CodeFlow& flow, Bytes payload,
                                              std::uint64_t remote_addr) {
   co_return co_await sim::Await<Status>([&](auto done) {
-    // Staged and posted chunk by chunk from the stack: the fabric copies a
-    // WRITE's payload when it is posted, so the payload dies here, not
-    // after the round trip. Nothing below touches the frame after the
-    // last post, which may resume and finish it.
+    // Moved onto the stack of the launch that stages and posts it: the
+    // payload dies once its WRs are posted, not after the round trip.
     const Bytes data = std::move(payload);
-    const std::uint64_t base = remote_addr;
-    const std::size_t total = data.size();
-    const std::size_t nchunks =
-        std::max<std::size_t>(1, (total + config_.chunk_bytes - 1) /
-                                     config_.chunk_bytes);
-    auto on_wc = AllCompleted(nchunks, "RDMA write failed", done);
-    auto& mem = fabric_.node(self_).memory();
-
-    // Multi-chunk payloads go out as one doorbell-batched chain: the NIC
-    // walks the WR linked list after a single MMIO ring, amortizing the
-    // per-post doorbell cost across the whole transfer.
-    const bool batch = config_.use_doorbell_batching && nchunks > 1;
-    std::vector<rdma::SendWr> chain;
-    if (batch) chain.reserve(nchunks);
-
-    std::size_t off = 0;
-    for (std::size_t c = 0; c < nchunks; ++c) {
-      const std::size_t len =
-          std::min<std::size_t>(config_.chunk_bytes, total - off);
-      auto write = ScratchWr(flow, rdma::Opcode::kWrite, base + off, len);
-      if (!write.ok()) return done(write.status());
-      if (len > 0) {
-        (void)mem.Write(write->local.addr, ByteSpan(data.data() + off, len));
-      }
-      if (batch) {
-        chain.push_back(*write);
-      } else {
-        PostChain(flow, std::vector<rdma::SendWr>(1, *write), on_wc);
-      }
-      off += len;
-    }
-    if (batch) PostChain(flow, std::move(chain), std::move(on_wc));
+    StageWrites(flow, {data}, remote_addr, std::move(done));
   });
 }
+
+sim::Task<Status> ControlPlane::WriteChunked(CodeFlow& flow, Wire wire,
+                                             ByteSpan tail,
+                                             std::uint64_t remote_addr) {
+  co_return co_await sim::Await<Status>([&](auto done) {
+    const Wire data = std::move(wire);
+    StageWrites(flow, {*data, tail}, remote_addr, std::move(done));
+  });
+}
+
+void ControlPlane::StageWrites(CodeFlow& flow,
+                               std::initializer_list<ByteSpan> parts,
+                               std::uint64_t remote_addr, Done done) {
+  std::size_t total = 0;
+  for (const ByteSpan part : parts) total += part.size();
+  const std::size_t nchunks = std::max<std::size_t>(
+      1, (total + config_.chunk_bytes - 1) / config_.chunk_bytes);
+  auto on_wc = AllCompleted(nchunks, "RDMA write failed", done);
+  auto& mem = fabric_.node(self_).memory();
+
+  // Multi-chunk payloads go out as doorbell-batched chains: the NIC walks
+  // the WR linked list after a single MMIO ring, amortizing the per-post
+  // doorbell cost across the chain. One chain, unless the free staging
+  // slots run out first.
+  const bool batch = config_.use_doorbell_batching && nchunks > 1;
+  std::vector<rdma::SendWr> chain;
+  const ByteSpan* part = parts.begin();
+  std::size_t part_off = 0;
+  std::size_t off = 0;
+  for (std::size_t c = 0; c < nchunks; ++c) {
+    const std::size_t len =
+        std::min<std::size_t>(config_.chunk_bytes, total - off);
+    auto write = ScratchWr(flow, rdma::Opcode::kWrite, remote_addr + off, len);
+    if (!write.ok() && !chain.empty()) {
+      PostChain(flow, std::exchange(chain, {}), on_wc);
+      write = ScratchWr(flow, rdma::Opcode::kWrite, remote_addr + off, len);
+    }
+    if (!write.ok()) return done(write.status());
+    // Gather the chunk from the parts into its slot.
+    std::uint8_t* out = mem.SpanForCpu(write->local.addr, len).data();
+    for (std::size_t left = len; left > 0;) {
+      const std::size_t n = std::min(left, part->size() - part_off);
+      out = std::copy_n(part->data() + part_off, n, out);
+      left -= n;
+      part_off += n;
+      if (part_off == part->size()) {
+        ++part;
+        part_off = 0;
+      }
+    }
+    off += len;
+    if (batch) {
+      chain.push_back(*write);
+    } else {
+      PostChain(flow, std::vector<rdma::SendWr>(1, *write), on_wc);
+    }
+  }
+  if (batch) PostChain(flow, std::move(chain), std::move(on_wc));
+}
+
 sim::Task<Status> ControlPlane::WriteQword(CodeFlow& flow,
                                            std::uint64_t remote_addr,
                                            std::uint64_t value) {
@@ -626,8 +703,8 @@ sim::Task<Status> ControlPlane::CommitTail(
   // One doorbell for [commit write] + epoch FAA + cc_event flush. RC
   // orders them anyway, so separate posts would only add doorbells and a
   // round trip between commit and visibility. The FAA needs no completion
-  // of its own (unsignaled; implied by the tail). 8-byte staging buffers
-  // always fit the arena.
+  // of its own (unsignaled; implied by the tail). 8-byte slots are only
+  // ever short when READs in flight hold the whole staging arena.
   std::vector<rdma::SendWr> chain;
   if (slot_desc) {
     chain.push_back(
@@ -817,9 +894,9 @@ sim::Task<StatusOr<std::vector<Bytes>>> ControlPlane::XStateRingConsume(
 // ---- deploy ------------------------------------------------------------
 
 sim::Task<StatusOr<ControlPlane::PreparedImage>> ControlPlane::PrepareImage(
-    CodeFlow& flow, Bytes image_bytes, std::uint64_t version,
+    CodeFlow& flow, Wire image, std::uint64_t version,
     std::uint64_t fingerprint) {
-  const std::uint64_t image_len = image_bytes.size();
+  const std::uint64_t image_len = image->size();
   const std::uint64_t region = ImageRegionBytes(image_len);
   // The region sits at the start of a power-of-two block, so a reclaimed
   // block can take any image of its size class.
@@ -827,14 +904,16 @@ sim::Task<StatusOr<ControlPlane::PreparedImage>> ControlPlane::PrepareImage(
       const std::uint64_t image_addr,
       co_await AllocImageBlock(flow, std::bit_ceil(region)));
   const std::uint64_t desc_addr = image_addr + region - kImageDescBytes;
-  // Image + desc in one buffer; RC ordering lets the payload writes and
-  // the desc write go out back-to-back (doorbell batch). The image bytes
-  // die as soon as they are composed, not after the write's round trip.
-  Bytes composed = ComposeImageRegion(image_bytes, image_addr, version,
-                                      config_.signing_key);
-  image_bytes = Bytes();
-  RDX_CO_RETURN_IF_ERROR(
-      co_await WriteChunked(flow, std::move(composed), image_addr));
+  // The image, then the rest of the region: zero padding to 64 bytes and
+  // the ImageDesc. Both are staged straight from where they are, in one
+  // transfer, so RC ordering lets the payload writes and the desc write go
+  // out back-to-back (doorbell batch).
+  std::array<std::uint8_t, 63 + kImageDescBytes> tail{};
+  const std::size_t tail_len = region - image_len;
+  StoreDesc(tail.data() + tail_len - kImageDescBytes, image_addr, *image,
+            version, config_.signing_key);
+  RDX_CO_RETURN_IF_ERROR(co_await WriteChunked(
+      flow, std::move(image), ByteSpan(tail.data(), tail_len), image_addr));
   co_return PreparedImage{desc_addr,
                           image_addr,
                           image_len,
@@ -917,7 +996,7 @@ sim::Task<StatusOr<ControlPlane::PreparedImage>> ControlPlane::LinkAndPrepare(
     CodeFlow& flow, const Source& src, const ImageOf<Source>& image, int hook,
     std::uint64_t fp) {
   RDX_CO_RETURN_IF_ERROR(co_await DeployXStates(flow, src));
-  RDX_CO_ASSIGN_OR_RETURN(Bytes wire, co_await LinkCode(flow, image, fp));
+  RDX_CO_ASSIGN_OR_RETURN(Wire wire, co_await LinkCode(flow, image, fp));
   co_return co_await PrepareImage(flow, std::move(wire),
                                   NextVersionFor(flow, hook), fp);
 }
@@ -945,9 +1024,9 @@ sim::Task<StatusOr<InjectTrace>> ControlPlane::Inject(CodeFlow& flow,
   trace.jit = lap();
   RDX_CO_RETURN_IF_ERROR(co_await DeployXStates(flow, src));
   trace.xstate = lap();
-  RDX_CO_ASSIGN_OR_RETURN(Bytes wire, co_await LinkCode(flow, *image, fp));
+  RDX_CO_ASSIGN_OR_RETURN(Wire wire, co_await LinkCode(flow, *image, fp));
   trace.link = lap();
-  trace.image_bytes = wire.size();
+  trace.image_bytes = wire->size();
 
   // Deploy: one dispatch charge, then the transfer and the commit.
   const std::uint64_t version = NextVersionFor(flow, hook);
@@ -955,7 +1034,7 @@ sim::Task<StatusOr<InjectTrace>> ControlPlane::Inject(CodeFlow& flow,
   lap();
   const CodeFlow::HookDeployment& deployment = flow.hooks_[hook];
   if (!config_.use_tx && deployment.desc_addr != 0 &&
-      wire.size() <= deployment.region_capacity) {
+      wire->size() <= deployment.region_capacity) {
     // Vanilla (non-transactional) path: overwrite the live image region
     // in place when it fits. The naive update order — metadata first,
     // then code — leaves a window during which the data-plane CPU reads a
@@ -964,11 +1043,11 @@ sim::Task<StatusOr<InjectTrace>> ControlPlane::Inject(CodeFlow& flow,
     if (IsBlacklisted(fp)) co_return PermissionDenied(kQuarantined);
     const std::uint64_t image_addr = deployment.image_addr;
     Bytes desc(kImageDescBytes);
-    StoreDesc(desc.data(), image_addr, wire, version, config_.signing_key);
+    StoreDesc(desc.data(), image_addr, *wire, version, config_.signing_key);
     RDX_CO_RETURN_IF_ERROR(
         co_await WriteChunked(flow, std::move(desc), deployment.desc_addr));
     RDX_CO_RETURN_IF_ERROR(
-        co_await WriteChunked(flow, std::move(wire), image_addr));
+        co_await WriteChunked(flow, std::move(wire), {}, image_addr));
     flow.hooks_[hook].version = version;
     flow.hooks_[hook].fingerprint = fp;
     trace.transfer = lap();
@@ -998,7 +1077,7 @@ sim::Task<StatusOr<InjectTrace>> ControlPlane::Inject(CodeFlow& flow,
                                                         std::uint64_t);        \
   template sim::Task<StatusOr<ImagePtr<Source>>> ControlPlane::Build(          \
       const Source&, std::uint64_t);                                           \
-  template sim::Task<StatusOr<Bytes>> ControlPlane::LinkCode(                  \
+  template sim::Task<StatusOr<ControlPlane::Wire>> ControlPlane::LinkCode(     \
       CodeFlow&, const ImageOf<Source>&, std::uint64_t);                       \
   template sim::Task<StatusOr<ControlPlane::PreparedImage>>                    \
   ControlPlane::LinkAndPrepare(CodeFlow&, const Source&,                       \
@@ -1074,6 +1153,7 @@ void ControlPlane::ExportMetrics(telemetry::MetricsRegistry& reg) const {
   reg.SetCounter("cp.compile.images_shared", images_shared_);
   reg.SetCounter("cp.link.wires_built", wires_built_);
   reg.SetCounter("cp.link.wires_shared", wires_shared_);
+  reg.SetCounter("cp.staging_high_water_bytes", staging_.high_water());
 }
 
 sim::Task<Status> ControlPlane::Rollback(CodeFlow& flow, int hook) {

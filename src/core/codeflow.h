@@ -30,9 +30,11 @@
 // threads, provides concurrency.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <optional>
@@ -262,6 +264,9 @@ class CodeFlow {
 class ControlPlane {
  public:
   using Done = std::function<void(Status)>;
+  // A linked image's wire bytes. Immutable and shared: every node that
+  // resolves to the same link values deploys the one wire LinkCode built.
+  using Wire = std::shared_ptr<const Bytes>;
 
   // `self` must be a node in the fabric (the control plane's own server);
   // its DRAM provides staging buffers and READ landing zones.
@@ -328,11 +333,11 @@ class ControlPlane {
   // be the artifact compiled from the source whose fingerprint is `fp`.
   // Nodes that resolve to the same values get the same bytes, so the wire
   // is built (copy, patch, Serialize) only when (kind, fp, values) differs
-  // from the last one built; otherwise that wire is reused. Either way the
-  // link is charged to the control plane's CPU.
+  // from the last one built; otherwise that wire is shared, not copied.
+  // Either way the link is charged to the control plane's CPU.
   template <class Image>
-  sim::Task<StatusOr<Bytes>> LinkCode(CodeFlow& flow, const Image& image,
-                                      std::uint64_t fp);
+  sim::Task<StatusOr<Wire>> LinkCode(CodeFlow& flow, const Image& image,
+                                     std::uint64_t fp);
   // Allocates + formats an XState instance on the remote node (§3.4).
   sim::Task<StatusOr<std::uint64_t>> DeployXState(CodeFlow& flow,
                                                   bpf::MapSpec spec);
@@ -396,7 +401,7 @@ class ControlPlane {
     std::uint64_t fingerprint = 0;
   };
   sim::Task<StatusOr<PreparedImage>> PrepareImage(
-      CodeFlow& flow, Bytes image_bytes, std::uint64_t version,
+      CodeFlow& flow, Wire image, std::uint64_t version,
       std::uint64_t fingerprint = 0);
   // Phase 2: atomically swing the hook slot to the prepared desc. Both
   // commits refuse (PermissionDenied) an image whose fingerprint was
@@ -478,7 +483,8 @@ class ControlPlane {
     sim::Start(HarvestTrace(flow, collector), std::move(done));
   }
   // Control-plane counters (quarantines, compile caches, flow count,
-  // images compiled and shared, link wires built and shared).
+  // images compiled and shared, link wires built and shared, the staging
+  // arena's high-water mark).
   void ExportMetrics(telemetry::MetricsRegistry& reg) const;
 
   // ---- accessors ----
@@ -509,11 +515,19 @@ class ControlPlane {
   // Awaitable one-WR PostChain; yields the WR's completion. (Defined in
   // codeflow.cc, its only user.)
   auto Post(CodeFlow& flow, rdma::SendWr wr);
-  // A WR on the flow's rkey whose local side is fresh scratch in local
-  // DRAM: the WRITE source or the READ/atomic landing buffer.
+  // A WR on the flow's rkey whose local side is a staging slot of its
+  // own: the WRITE source or the READ/atomic landing buffer. The slot
+  // belongs to the WR's post, and PostChain gives it back: a WRITE's once
+  // its chain is posted (the fabric has copied the payload by then), a
+  // READ's or atomic's once the completion handler that consumes it has
+  // returned. Every such WR must go to PostChain. ResourceExhausted when
+  // no slot is free.
   StatusOr<rdma::SendWr> ScratchWr(CodeFlow& flow, rdma::Opcode op,
                                    std::uint64_t remote_addr,
                                    std::uint64_t len = 8);
+  void ReleaseSlot(const rdma::Sge& local) {
+    staging_.Give(local.addr - local_mr_.addr, local.length);
+  }
   // Single-WR one-sided verbs. A failed completion reports
   // Unavailable(`failure`).
   sim::Task<StatusOr<Bytes>> RemoteRead(CodeFlow& flow,
@@ -545,6 +559,18 @@ class ControlPlane {
   // The payload is freed once its WRs are posted.
   sim::Task<Status> WriteChunked(CodeFlow& flow, Bytes payload,
                                  std::uint64_t remote_addr);
+  // Writes `wire` and then `tail` to `remote_addr` in chunks. The
+  // reference to `wire` is dropped once its WRs are posted.
+  sim::Task<Status> WriteChunked(CodeFlow& flow, Wire wire, ByteSpan tail,
+                                 std::uint64_t remote_addr);
+  // The staging core of both: copies `parts`, in order, chunk by chunk
+  // into staging slots and posts them to `remote_addr`, batched into
+  // doorbell chains; `done` gets the status after the last WR completes.
+  // A chain is posted early when no slot is free for its next chunk, which
+  // gives its slots back for the rest. `parts` are not read after the
+  // last post, which may resume and finish the caller.
+  void StageWrites(CodeFlow& flow, std::initializer_list<ByteSpan> parts,
+                   std::uint64_t remote_addr, Done done);
   sim::Task<Status> WriteQword(CodeFlow& flow, std::uint64_t remote_addr,
                                std::uint64_t value);
   // Commits desc_addr into the hook slot (under the sandbox lock with
@@ -590,8 +616,34 @@ class ControlPlane {
   ControlPlaneConfig config_;
   sim::CpuScheduler cpu_;
   rdma::CompletionQueue* cq_ = nullptr;
+
+  // The registered local region that stages WRITE sources and lands READ
+  // and atomic results (DESIGN.md "Staging buffers"). Its size caps the
+  // bytes staged at once.
+  static constexpr std::uint64_t kLocalArenaBytes = 16u << 20;
+  // Power-of-two slots, 64 B up to the whole arena: one free list per
+  // size, and slots carved from the arena's untouched end (a bump
+  // cursor) only when that size's list is empty.
+  class StagingArena {
+   public:
+    static constexpr std::uint64_t kMinSlot = 64;
+    static constexpr std::size_t kClasses = 19;  // kMinSlot << 18 = 16 MiB
+    // The offset of a free slot of at least `len` bytes, or nullopt.
+    std::optional<std::uint64_t> Take(std::uint64_t len);
+    // Frees the slot Take returned at `offset` for `len`.
+    void Give(std::uint64_t offset, std::uint64_t len);
+    // The furthest the bump cursor has reached: the bytes ever touched.
+    std::uint64_t high_water() const { return high_water_; }
+
+   private:
+    std::array<std::vector<std::uint64_t>, kClasses> free_;
+    std::uint64_t bump_ = 0;
+    std::uint64_t high_water_ = 0;
+  };
+  static_assert(StagingArena::kMinSlot << (StagingArena::kClasses - 1) ==
+                kLocalArenaBytes);
   rdma::MemoryRegion local_mr_;
-  std::uint64_t arena_cursor_ = 0;
+  StagingArena staging_;
 
   std::vector<std::unique_ptr<CodeFlow>> flows_;
   std::unordered_map<std::uint64_t, PendingOp> pending_;
@@ -611,7 +663,7 @@ class ControlPlane {
     std::uint64_t fp;
     LinkPlan plan;
     LinkValues values;
-    Bytes wire;  // empty until built for `values`
+    Wire wire;  // null until built for `values`
   };
   std::optional<LinkedWire> linked_wire_;
   std::uint64_t wires_built_ = 0;

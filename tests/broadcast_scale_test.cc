@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <string>
 
 #include "bpf/assembler.h"
@@ -517,7 +518,7 @@ TEST(LinkCode, ChargesOneRelocationOfCpCpu) {
   };
   const double busy_before = busy_ns();
   const sim::SimTime start = cluster.events.Now();
-  const StatusOr<Bytes> wire = sim::RunToCompletion(
+  const StatusOr<ControlPlane::Wire> wire = sim::RunToCompletion(
       cluster.events,
       cluster.cp->LinkCode(flow, image, core::ProgramFingerprint(prog)));
   ASSERT_TRUE(wire.ok()) << wire.status().ToString();
@@ -836,6 +837,174 @@ INSTANTIATE_TEST_SUITE_P(Groups, WasmLinkGroup,
                                            LinkGroup::kOddValues,
                                            LinkGroup::kOddLacksSymbol),
                          LinkGroupParamName);
+
+// ---- Staging buffers ----
+
+// A doorbell-batched write larger than the control plane's 16 MiB staging
+// arena lands intact: it goes out as consecutive chains that each fit.
+TEST(Staging, BatchedWriteLargerThanArenaLandsIntact) {
+  SandboxConfig roomy;
+  roomy.scratch_bytes = 48u << 20;
+  Cluster cluster(1, ControlPlaneConfig{}, {roomy});
+  Sandbox& sandbox = *cluster.sandboxes[0];
+  rdma::HostMemory& mem = sandbox.node().memory();
+  // Fill the free scratch, so bytes no chunk carried read back as 0xA5.
+  const core::ControlBlockView& view = sandbox.view();
+  const std::uint64_t brk =
+      mem.ReadU64(view.cb_addr + core::kCbScratchBrk).value();
+  const MutableByteSpan free_scratch =
+      mem.SpanForCpu(brk, view.scratch_addr + view.scratch_size - brk);
+  std::fill(free_scratch.begin(), free_scratch.end(), 0xA5);
+
+  const bpf::MapSpec spec{"big", bpf::MapType::kArray, 4, 64, 300000};
+  const std::uint64_t bytes = bpf::MapRequiredBytes(spec);
+  ASSERT_GT(bytes, 16u << 20);
+  const StatusOr<std::uint64_t> addr = sim::RunToCompletion(
+      cluster.events, cluster.cp->DeployXState(*cluster.flows[0], spec));
+  ASSERT_TRUE(addr.ok()) << addr.status().ToString();
+  cluster.events.Run();
+
+  Bytes header(bpf::kMapHeaderBytes);
+  ASSERT_TRUE(mem.Read(*addr, header).ok());
+  const StatusOr<bpf::MapHeader> parsed = bpf::MapView(header).Header();
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->max_entries, spec.max_entries);
+  // The last chunk's final word is the zeroed last value, not the fill.
+  EXPECT_EQ(mem.ReadU64(*addr + bytes - 8).value(), 0u);
+  // And every other byte: the storage equals one formatted locally.
+  Bytes expected(bytes, 0);
+  ASSERT_TRUE(bpf::MapView(expected).Init(spec).ok());
+  Bytes landed(bytes);
+  ASSERT_TRUE(mem.Read(*addr, landed).ok());
+  EXPECT_TRUE(landed == expected);  // EXPECT_EQ would print 19 MB
+}
+
+// Once a write larger than the arena has filled it with chunk-sized
+// slots, every other slot size is still served: landings in flight
+// together split free chunk slots, and a landing larger than any free
+// slot starts the idle arena over.
+TEST(Staging, ArenaServesEverySizeAfterItFills) {
+  constexpr int kNodes = 8;
+  std::vector<SandboxConfig> configs(kNodes);
+  configs[0].scratch_bytes = 48u << 20;
+  Cluster cluster(kNodes, ControlPlaneConfig{}, configs);
+  auto deploy = [&](int node, std::uint32_t entries) {
+    const StatusOr<std::uint64_t> addr = sim::RunToCompletion(
+        cluster.events,
+        cluster.cp->DeployXState(*cluster.flows[node],
+                                 {"m", bpf::MapType::kArray, 4, 64, entries}));
+    EXPECT_TRUE(addr.ok()) << addr.status().ToString();
+    cluster.events.Run();
+    return addr.ok() ? *addr : 0;
+  };
+  Bytes key(4);
+  StoreLE<std::uint32_t>(key.data(), 7);
+  deploy(0, 300000);  // 19.2 MB in 256 KiB chunks
+  std::vector<std::uint64_t> maps;
+  for (int i = 0; i < kNodes; ++i) maps.push_back(deploy(i, 1600));
+  // Eight 100 KiB body READs in flight at once, one per node.
+  int looked_up = 0;
+  for (int i = 0; i < kNodes; ++i) {
+    sim::Start(cluster.cp->XStateLookup(*cluster.flows[i], maps[i], key),
+               [&looked_up](StatusOr<Bytes> value) {
+                 EXPECT_TRUE(value.ok()) << value.status().ToString();
+                 looked_up += value.ok() && *value == Bytes(64, 0);
+               });
+  }
+  cluster.events.Run();
+  EXPECT_EQ(looked_up, kNodes);
+  // A 300 KiB body READ: larger than every free slot.
+  const StatusOr<Bytes> value = sim::RunToCompletion(
+      cluster.events,
+      cluster.cp->XStateLookup(*cluster.flows[0], deploy(0, 4800), key));
+  ASSERT_TRUE(value.ok()) << value.status().ToString();
+  EXPECT_EQ(*value, Bytes(64, 0));
+}
+
+// Logs each WR's local range when the fabric executes it (at post) and
+// when it completes; injects nothing.
+class StagingRecorder : public rdma::FaultHook {
+ public:
+  WireFault OnExecute(const rdma::QueuePair&, const SendWr& wr,
+                      Bytes*) override {
+    log.push_back({true, wr});
+    return {};
+  }
+  bool NodeDown(rdma::NodeId) const override { return false; }
+  void OnComplete(const rdma::QueuePair&, const SendWr& wr,
+                  WcStatus) override {
+    log.push_back({false, wr});
+  }
+
+  struct Event {
+    bool posted;
+    SendWr wr;
+  };
+  std::vector<Event> log;
+};
+
+// Every READ or atomic landing range is the landing WR's alone from its
+// post until its completion: no WR posted meanwhile stages over it.
+void ExpectLandingsUnshared(const StagingRecorder& recorder) {
+  auto overlap = [](const rdma::Sge& a, const rdma::Sge& b) {
+    return a.addr < b.addr + b.length && b.addr < a.addr + a.length;
+  };
+  std::map<std::uint64_t, rdma::Sge> in_flight;  // landing wr_id -> range
+  std::size_t landings = 0;
+  for (const StagingRecorder::Event& event : recorder.log) {
+    if (!event.posted) {
+      in_flight.erase(event.wr.wr_id);
+      continue;
+    }
+    for (const auto& [id, landing] : in_flight) {
+      ASSERT_FALSE(overlap(event.wr.local, landing))
+          << "WR " << event.wr.wr_id << " staged over the landing of WR "
+          << id;
+    }
+    if (event.wr.opcode != Opcode::kWrite) {
+      in_flight.emplace(event.wr.wr_id, event.wr.local);
+      ++landings;
+    }
+  }
+  EXPECT_GT(landings, 0u);
+}
+
+TEST(Staging, LandingZonesAreNeverSharedInFlight) {
+  {
+    Cluster cluster(32);
+    StagingRecorder recorder;
+    cluster.fabric.SetFaultHook(&recorder);
+    std::vector<bpf::Program> progs;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      progs.push_back(bpf::GenerateProgram(
+          {.target_insns = 200 + 150 * seed, .seed = seed}));
+    }
+    for (std::size_t rollout = 0; rollout < 100; ++rollout) {
+      auto result = cluster.Deploy({{&progs[rollout % 4], 0},
+                                    {&progs[(rollout + 1) % 4], 1}},
+                                   PipelineOptions{});
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+    }
+    cluster.events.Run();
+    ExpectLandingsUnshared(recorder);
+    EXPECT_LE(cluster.Counter("cp.staging_high_water_bytes"), 1u << 20);
+    cluster.fabric.SetFaultHook(nullptr);
+  }
+  {
+    Cluster cluster(8);
+    StagingRecorder recorder;
+    cluster.fabric.SetFaultHook(&recorder);
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const wasm::FilterModule filter = wasm::GenerateFilter(400, seed);
+      auto result = cluster.Broadcast(filter, 1);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+    }
+    cluster.events.Run();
+    ExpectLandingsUnshared(recorder);
+    EXPECT_LE(cluster.Counter("cp.staging_high_water_bytes"), 1u << 20);
+    cluster.fabric.SetFaultHook(nullptr);
+  }
+}
 
 }  // namespace
 }  // namespace rdx
