@@ -159,27 +159,16 @@ void ControlPlane::PostChain(
     std::function<void(const rdma::WorkCompletion&)> done;
     std::uint64_t first_id = 0;
     std::size_t cursor = 0;  // chain index of the next undelivered WR
-    // Each READ's or atomic's landing slot, by chain index (addr 0 for a
-    // WRITE, whose slot is given back at post).
-    std::vector<rdma::Sge> landings;
   };
   auto chain = std::make_shared<ChainState>(
-      ChainState{flow.node_, std::move(per_wr_done), next_wr_id_, 0, {}});
-  chain->landings.reserve(wrs.size());
-  for (const rdma::SendWr& wr : wrs) {
-    chain->landings.push_back(wr.opcode == rdma::Opcode::kWrite ? rdma::Sge{}
-                                                                 : wr.local);
-  }
+      ChainState{flow.node_, std::move(per_wr_done), next_wr_id_});
   auto deliver = [this, chain](const rdma::WorkCompletion& wc) {
     // Every successful completion renews the target node's health lease.
-    // Once the handler has consumed a landing slot, the slot is free.
     auto complete = [&](const rdma::WorkCompletion& c) {
       if (c.status == rdma::WcStatus::kSuccess) {
         last_success_[chain->target] = events_.Now();
       }
       chain->done(c);
-      const rdma::Sge& landing = chain->landings[c.wr_id - chain->first_id];
-      if (landing.addr != 0) ReleaseSlot(landing);
     };
     const std::size_t idx =
         static_cast<std::size_t>(wc.wr_id - chain->first_id);
@@ -212,10 +201,9 @@ void ControlPlane::PostChain(
   }
   const bool posted = flow.qp->PostSendChain(wrs).ok();
   // The fabric has copied every WRITE's payload (or never will): its
-  // staging slot is free again. Last first, so slots on top of the
-  // arena's carved part shrink it.
-  for (auto wr = wrs.rbegin(); wr != wrs.rend(); ++wr) {
-    if (wr->opcode == rdma::Opcode::kWrite) ReleaseSlot(wr->local);
+  // staging slot is free again.
+  for (const rdma::SendWr& wr : wrs) {
+    if (wr.opcode == rdma::Opcode::kWrite) ReleaseSlot(wr.local);
   }
   if (!posted) {
     // Error-state flushes were already delivered through the CQ; surface
@@ -250,32 +238,74 @@ std::size_t SlotClass(std::uint64_t len, std::uint64_t min_slot) {
 
 std::optional<std::uint64_t> ControlPlane::StagingArena::Take(
     std::uint64_t len) {
-  const std::size_t cls = SlotClass(len, kMinSlot);
-  std::vector<std::uint64_t>& free = free_[cls];
-  if (!free.empty()) {
-    const std::uint64_t offset = free.back();
-    free.pop_back();
-    return offset;
+  std::optional<std::uint64_t> offset;
+  if (len <= kMaxClassSlot) {
+    const std::size_t cls = SlotClass(len, kMinSlot);
+    std::vector<std::uint64_t>& free = free_[cls];
+    if (!free.empty()) {
+      offset = free.back();
+      free.pop_back();
+    } else if (bump_ + (kMinSlot << cls) <= top_) {
+      offset = bump_;
+      bump_ += kMinSlot << cls;
+    }
+  } else {
+    const std::uint64_t bytes = AlignUp(len, kMinSlot);
+    for (auto it = free_extents_.begin(); it != free_extents_.end(); ++it) {
+      if (it->second < bytes) continue;
+      offset = it->first;
+      if (it->second > bytes) {
+        free_extents_.emplace(it->first + bytes, it->second - bytes);
+      }
+      free_extents_.erase(it);
+      break;
+    }
+    if (!offset && top_ - bump_ >= bytes) {
+      top_ -= bytes;
+      offset = top_;
+    }
   }
-  const std::uint64_t slot = kMinSlot << cls;
-  if (bump_ + slot > kLocalArenaBytes) return std::nullopt;
-  const std::uint64_t offset = bump_;
-  bump_ += slot;
-  high_water_ = std::max(high_water_, bump_);
+  if (!offset) return std::nullopt;
+  ++held_;
+  high_water_ = std::max(high_water_, bump_ + (kLocalArenaBytes - top_));
   return offset;
 }
 
 void ControlPlane::StagingArena::Give(std::uint64_t offset,
                                       std::uint64_t len) {
-  const std::size_t cls = SlotClass(len, kMinSlot);
-  // The slot on top of the carved part goes back to the untouched end
-  // instead, so a chain that filled the arena leaves nothing behind in
-  // its size's list when its slots are given back top down.
-  if (offset + (kMinSlot << cls) == bump_) {
-    bump_ = offset;
-  } else {
-    free_[cls].push_back(offset);
+  if (--held_ == 0) {
+    // Nothing is staged: every slot is free, so the arena starts over
+    // from untouched ends, whatever order its slots came back in.
+    for (std::vector<std::uint64_t>& free : free_) free.clear();
+    free_extents_.clear();
+    bump_ = 0;
+    top_ = kLocalArenaBytes;
+    return;
   }
+  if (len <= kMaxClassSlot) {
+    free_[SlotClass(len, kMinSlot)].push_back(offset);
+    return;
+  }
+  std::uint64_t bytes = AlignUp(len, kMinSlot);
+  // Coalesce with the free extents on either side, or with the untouched
+  // middle below.
+  auto next = free_extents_.lower_bound(offset);
+  if (next != free_extents_.end() && next->first == offset + bytes) {
+    bytes += next->second;
+    next = free_extents_.erase(next);
+  }
+  if (offset == top_) {
+    top_ += bytes;
+    return;
+  }
+  if (next != free_extents_.begin()) {
+    auto prev = std::prev(next);
+    if (prev->first + prev->second == offset) {
+      prev->second += bytes;
+      return;
+    }
+  }
+  free_extents_.emplace_hint(next, offset, bytes);
 }
 
 StatusOr<rdma::SendWr> ControlPlane::ScratchWr(CodeFlow& flow,
@@ -302,24 +332,30 @@ sim::Task<StatusOr<Bytes>> ControlPlane::RemoteRead(CodeFlow& flow,
       const rdma::SendWr wr,
       ScratchWr(flow, rdma::Opcode::kRead, remote_addr, len));
   const rdma::WorkCompletion wc = co_await Post(flow, wr);
-  if (wc.status != rdma::WcStatus::kSuccess) co_return Unavailable(failure);
-  RDX_CO_ASSIGN_OR_RETURN(const ByteSpan landed,
-                          fabric_.node(self_).memory().ReadSpan(
-                              wr.local.addr, len));
+  // The landing is read here and given back before the caller resumes,
+  // so a caller's next READ (ReadXState's body after its header) may
+  // have the whole arena.
+  Status status = Unavailable(failure);
   Bytes raw;
-  raw.assign(landed.begin(), landed.end());
+  if (wc.status == rdma::WcStatus::kSuccess) {
+    const StatusOr<ByteSpan> landed =
+        fabric_.node(self_).memory().ReadSpan(wr.local.addr, len);
+    status = landed.status();
+    if (landed.ok()) raw.assign(landed->begin(), landed->end());
+  }
+  ReleaseSlot(wr.local);
+  RDX_CO_RETURN_IF_ERROR(status);
   co_return std::move(raw);
 }
 
 sim::Task<StatusOr<std::uint64_t>> ControlPlane::RemoteAtomic(
     CodeFlow& flow, rdma::Opcode op, std::uint64_t remote_addr,
     std::uint64_t compare_add, std::uint64_t swap, const char* failure) {
-  // An 8-byte slot is only ever short when READs in flight hold the
-  // whole staging arena.
-  rdma::SendWr wr = ScratchWr(flow, op, remote_addr).value();
+  RDX_CO_ASSIGN_OR_RETURN(rdma::SendWr wr, ScratchWr(flow, op, remote_addr));
   wr.compare_add = compare_add;
   wr.swap = swap;
   const rdma::WorkCompletion wc = co_await Post(flow, wr);
+  ReleaseSlot(wr.local);
   if (wc.status != rdma::WcStatus::kSuccess) co_return Unavailable(failure);
   co_return wc.atomic_original;
 }
@@ -567,81 +603,71 @@ sim::Task<StatusOr<std::uint64_t>> ControlPlane::AllocImageBlock(
   co_return co_await RemoteAlloc(flow, bytes);
 }
 
-sim::Task<Status> ControlPlane::WriteChunked(CodeFlow& flow, Bytes payload,
-                                             std::uint64_t remote_addr) {
-  co_return co_await sim::Await<Status>([&](auto done) {
-    // Moved onto the stack of the launch that stages and posts it: the
-    // payload dies once its WRs are posted, not after the round trip.
-    const Bytes data = std::move(payload);
-    StageWrites(flow, {data}, remote_addr, std::move(done));
-  });
-}
-
 sim::Task<Status> ControlPlane::WriteChunked(CodeFlow& flow, Wire wire,
                                              ByteSpan tail,
                                              std::uint64_t remote_addr) {
   co_return co_await sim::Await<Status>([&](auto done) {
-    const Wire data = std::move(wire);
-    StageWrites(flow, {*data, tail}, remote_addr, std::move(done));
-  });
-}
+    // Moved onto the stack of the launch that stages and posts it: the
+    // wire's reference dies once its WRs are posted, not after the round
+    // trip. Nothing here reads the wire or `tail` after the last post,
+    // which may resume and finish the caller.
+    const Wire held = std::move(wire);
+    const std::array<ByteSpan, 2> parts{held ? ByteSpan(*held) : ByteSpan(),
+                                        tail};
+    const std::size_t total = parts[0].size() + parts[1].size();
+    const std::size_t nchunks = std::max<std::size_t>(
+        1, (total + config_.chunk_bytes - 1) / config_.chunk_bytes);
+    auto on_wc = AllCompleted(nchunks, "RDMA write failed", done);
+    auto& mem = fabric_.node(self_).memory();
 
-void ControlPlane::StageWrites(CodeFlow& flow,
-                               std::initializer_list<ByteSpan> parts,
-                               std::uint64_t remote_addr, Done done) {
-  std::size_t total = 0;
-  for (const ByteSpan part : parts) total += part.size();
-  const std::size_t nchunks = std::max<std::size_t>(
-      1, (total + config_.chunk_bytes - 1) / config_.chunk_bytes);
-  auto on_wc = AllCompleted(nchunks, "RDMA write failed", done);
-  auto& mem = fabric_.node(self_).memory();
-
-  // Multi-chunk payloads go out as doorbell-batched chains: the NIC walks
-  // the WR linked list after a single MMIO ring, amortizing the per-post
-  // doorbell cost across the chain. One chain, unless the free staging
-  // slots run out first.
-  const bool batch = config_.use_doorbell_batching && nchunks > 1;
-  std::vector<rdma::SendWr> chain;
-  const ByteSpan* part = parts.begin();
-  std::size_t part_off = 0;
-  std::size_t off = 0;
-  for (std::size_t c = 0; c < nchunks; ++c) {
-    const std::size_t len =
-        std::min<std::size_t>(config_.chunk_bytes, total - off);
-    auto write = ScratchWr(flow, rdma::Opcode::kWrite, remote_addr + off, len);
-    if (!write.ok() && !chain.empty()) {
-      PostChain(flow, std::exchange(chain, {}), on_wc);
-      write = ScratchWr(flow, rdma::Opcode::kWrite, remote_addr + off, len);
-    }
-    if (!write.ok()) return done(write.status());
-    // Gather the chunk from the parts into its slot.
-    std::uint8_t* out = mem.SpanForCpu(write->local.addr, len).data();
-    for (std::size_t left = len; left > 0;) {
-      const std::size_t n = std::min(left, part->size() - part_off);
-      out = std::copy_n(part->data() + part_off, n, out);
-      left -= n;
-      part_off += n;
-      if (part_off == part->size()) {
-        ++part;
-        part_off = 0;
+    // Multi-chunk payloads go out as doorbell-batched chains: the NIC walks
+    // the WR linked list after a single MMIO ring, amortizing the per-post
+    // doorbell cost across the chain. One chain, unless the free staging
+    // slots run out first.
+    const bool batch = config_.use_doorbell_batching && nchunks > 1;
+    std::vector<rdma::SendWr> chain;
+    const ByteSpan* part = parts.data();
+    std::size_t part_off = 0;
+    std::size_t off = 0;
+    for (std::size_t c = 0; c < nchunks; ++c) {
+      const std::size_t len =
+          std::min<std::size_t>(config_.chunk_bytes, total - off);
+      auto write =
+          ScratchWr(flow, rdma::Opcode::kWrite, remote_addr + off, len);
+      if (!write.ok() && !chain.empty()) {
+        PostChain(flow, std::exchange(chain, {}), on_wc);
+        write = ScratchWr(flow, rdma::Opcode::kWrite, remote_addr + off, len);
+      }
+      if (!write.ok()) return done(write.status());
+      // Gather the chunk from the parts into its slot.
+      std::uint8_t* out = mem.SpanForCpu(write->local.addr, len).data();
+      for (std::size_t left = len; left > 0;) {
+        const std::size_t n = std::min(left, part->size() - part_off);
+        out = std::copy_n(part->data() + part_off, n, out);
+        left -= n;
+        part_off += n;
+        if (part_off == part->size()) {
+          ++part;
+          part_off = 0;
+        }
+      }
+      off += len;
+      if (batch) {
+        chain.push_back(*write);
+      } else {
+        PostChain(flow, std::vector<rdma::SendWr>(1, *write), on_wc);
       }
     }
-    off += len;
-    if (batch) {
-      chain.push_back(*write);
-    } else {
-      PostChain(flow, std::vector<rdma::SendWr>(1, *write), on_wc);
-    }
-  }
-  if (batch) PostChain(flow, std::move(chain), std::move(on_wc));
+    if (batch) PostChain(flow, std::move(chain), std::move(on_wc));
+  });
 }
 
 sim::Task<Status> ControlPlane::WriteQword(CodeFlow& flow,
                                            std::uint64_t remote_addr,
                                            std::uint64_t value) {
-  Bytes qword(8);
+  std::array<std::uint8_t, 8> qword;
   StoreLE(qword.data(), value);
-  return WriteChunked(flow, std::move(qword), remote_addr);
+  co_return co_await WriteChunked(flow, nullptr, qword, remote_addr);
 }
 
 // ---- commit ------------------------------------------------------------
@@ -699,31 +725,41 @@ sim::Task<Status> ControlPlane::CommitTail(
         hook, flow.sandbox->VisibilityDelay(/*coherent_flush=*/false));
     co_return OkStatus();
   }
-  ++flow.epoch_;
   // One doorbell for [commit write] + epoch FAA + cc_event flush. RC
   // orders them anyway, so separate posts would only add doorbells and a
   // round trip between commit and visibility. The FAA needs no completion
-  // of its own (unsignaled; implied by the tail). 8-byte slots are only
-  // ever short when READs in flight hold the whole staging arena.
+  // of its own (unsignaled; implied by the tail).
   std::vector<rdma::SendWr> chain;
+  auto stage = [&](rdma::Opcode op, std::uint64_t remote_addr) -> Status {
+    StatusOr<rdma::SendWr> wr = ScratchWr(flow, op, remote_addr);
+    if (!wr.ok()) {
+      // Nothing is posted: the slots staged so far go back.
+      for (const rdma::SendWr& staged : chain) ReleaseSlot(staged.local);
+      return wr.status();
+    }
+    chain.push_back(*wr);
+    return OkStatus();
+  };
   if (slot_desc) {
-    chain.push_back(
-        ScratchWr(flow, rdma::Opcode::kWrite, SlotAddr(flow, hook)).value());
+    RDX_CO_RETURN_IF_ERROR(stage(rdma::Opcode::kWrite, SlotAddr(flow, hook)));
     (void)fabric_.node(self_).memory().WriteU64(chain.back().local.addr,
                                                 *slot_desc);
   }
-  chain.push_back(
-      ScratchWr(flow, rdma::Opcode::kFetchAdd, cb + kCbEpoch).value());
+  RDX_CO_RETURN_IF_ERROR(stage(rdma::Opcode::kFetchAdd, cb + kCbEpoch));
   chain.back().compare_add = 1;
   chain.back().signaled = false;
-  chain.push_back(
-      ScratchWr(flow, rdma::Opcode::kWrite, cb + kCbDoorbell).value());
+  const rdma::Sge faa_landing = chain.back().local;
+  RDX_CO_RETURN_IF_ERROR(stage(rdma::Opcode::kWrite, cb + kCbDoorbell));
+  ++flow.epoch_;
   const char* failure =
       slot_desc ? "commit chain failed" : "cc_event write failed";
-  RDX_CO_RETURN_IF_ERROR(co_await sim::Await<Status>([&](auto done) {
+  const Status posted = co_await sim::Await<Status>([&](auto done) {
     const std::size_t n = chain.size();
     PostChain(flow, std::move(chain), AllCompleted(n, failure, done));
-  }));
+  });
+  // Every WR of the chain has completed, the FAA's landing with it.
+  ReleaseSlot(faa_landing);
+  RDX_CO_RETURN_IF_ERROR(posted);
   flow.sandbox->ScheduleHookRefresh(
       hook, flow.sandbox->VisibilityDelay(/*coherent_flush=*/true));
   co_return OkStatus();
@@ -733,10 +769,11 @@ sim::Task<Status> ControlPlane::CcEvent(CodeFlow& flow, int hook) {
   // Models injecting a tiny cache-coherent flush binary at the event
   // hook: one header-sized verb (at the control block's "event hook"
   // doorbell word) plus the flush execution latency.
-  const rdma::WorkCompletion wc = co_await Post(
-      flow, ScratchWr(flow, rdma::Opcode::kWrite,
-                      flow.remote_view_.cb_addr + kCbDoorbell)
-                .value());
+  RDX_CO_ASSIGN_OR_RETURN(
+      const rdma::SendWr wr,
+      ScratchWr(flow, rdma::Opcode::kWrite,
+                flow.remote_view_.cb_addr + kCbDoorbell));
+  const rdma::WorkCompletion wc = co_await Post(flow, wr);
   if (wc.status != rdma::WcStatus::kSuccess) {
     co_return Unavailable("cc_event write failed");
   }
@@ -769,8 +806,9 @@ sim::Task<StatusOr<std::uint64_t>> ControlPlane::Tx(
     std::optional<std::uint64_t> qword_value) {
   RDX_CO_ASSIGN_OR_RETURN(const std::uint64_t payload_addr,
                           co_await RemoteAlloc(flow, payload.size()));
-  RDX_CO_RETURN_IF_ERROR(
-      co_await WriteChunked(flow, std::move(payload), payload_addr));
+  RDX_CO_RETURN_IF_ERROR(co_await WriteChunked(
+      flow, std::make_shared<const Bytes>(std::move(payload)), {},
+      payload_addr));
   RDX_CO_RETURN_IF_ERROR(co_await WriteQword(
       flow, qword_addr, qword_value.value_or(payload_addr)));
   co_return payload_addr;
@@ -853,7 +891,8 @@ sim::Task<Status> ControlPlane::XStateUpdate(CodeFlow& flow,
   RDX_CO_ASSIGN_OR_RETURN(Bytes body,
                           co_await ReadXState(flow, xstate_addr, false));
   RDX_CO_RETURN_IF_ERROR(bpf::MapView(body).Update(key, value));
-  co_return co_await WriteChunked(flow, std::move(body), xstate_addr);
+  co_return co_await WriteChunked(
+      flow, std::make_shared<const Bytes>(std::move(body)), {}, xstate_addr);
 }
 
 sim::Task<Status> ControlPlane::CopyXState(CodeFlow& src,
@@ -863,7 +902,8 @@ sim::Task<Status> ControlPlane::CopyXState(CodeFlow& src,
   // Read the source storage, then move it in one chunked write.
   RDX_CO_ASSIGN_OR_RETURN(Bytes body,
                           co_await ReadXState(src, src_addr, false));
-  co_return co_await WriteChunked(dst, std::move(body), dst_addr);
+  co_return co_await WriteChunked(
+      dst, std::make_shared<const Bytes>(std::move(body)), {}, dst_addr);
 }
 
 sim::Task<StatusOr<std::vector<std::pair<Bytes, Bytes>>>>
@@ -1042,10 +1082,10 @@ sim::Task<StatusOr<InjectTrace>> ControlPlane::Inject(CodeFlow& flow,
     // §3.5 hazard rdx_tx's shadow-copy + qword-swap eliminates.
     if (IsBlacklisted(fp)) co_return PermissionDenied(kQuarantined);
     const std::uint64_t image_addr = deployment.image_addr;
-    Bytes desc(kImageDescBytes);
+    std::array<std::uint8_t, kImageDescBytes> desc;
     StoreDesc(desc.data(), image_addr, *wire, version, config_.signing_key);
     RDX_CO_RETURN_IF_ERROR(
-        co_await WriteChunked(flow, std::move(desc), deployment.desc_addr));
+        co_await WriteChunked(flow, nullptr, desc, deployment.desc_addr));
     RDX_CO_RETURN_IF_ERROR(
         co_await WriteChunked(flow, std::move(wire), {}, image_addr));
     flow.hooks_[hook].version = version;

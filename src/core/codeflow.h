@@ -34,7 +34,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <initializer_list>
 #include <map>
 #include <memory>
 #include <optional>
@@ -517,10 +516,10 @@ class ControlPlane {
   auto Post(CodeFlow& flow, rdma::SendWr wr);
   // A WR on the flow's rkey whose local side is a staging slot of its
   // own: the WRITE source or the READ/atomic landing buffer. The slot
-  // belongs to the WR's post, and PostChain gives it back: a WRITE's once
-  // its chain is posted (the fabric has copied the payload by then), a
-  // READ's or atomic's once the completion handler that consumes it has
-  // returned. Every such WR must go to PostChain. ResourceExhausted when
+  // belongs to the WR's post. PostChain gives a WRITE's back once its
+  // chain is posted (the fabric has copied the payload by then); the verb
+  // that posted a READ or atomic gives its landing back once it has read
+  // the completion, before it resumes its caller. ResourceExhausted when
   // no slot is free.
   StatusOr<rdma::SendWr> ScratchWr(CodeFlow& flow, rdma::Opcode op,
                                    std::uint64_t remote_addr,
@@ -555,22 +554,14 @@ class ControlPlane {
   // Drops `region`'s refcount to 0 over RDMA; once that write completes,
   // accounts the bytes on the sandbox and puts the block on the free list.
   void Reclaim(CodeFlow& flow, int hook, const CodeFlow::ImageRegion& region);
-  // Writes `payload` to `remote_addr` in chunks; done after the last WR.
-  // The payload is freed once its WRs are posted.
-  sim::Task<Status> WriteChunked(CodeFlow& flow, Bytes payload,
-                                 std::uint64_t remote_addr);
-  // Writes `wire` and then `tail` to `remote_addr` in chunks. The
-  // reference to `wire` is dropped once its WRs are posted.
+  // Writes `wire` (which may be null) and then `tail` to `remote_addr`:
+  // copies them chunk by chunk into staging slots and posts the chunks,
+  // batched into doorbell chains; done after the last WR completes. A
+  // chain is posted early when no slot is free for its next chunk, which
+  // gives its slots back for the rest. The reference to `wire` is dropped,
+  // and `tail` not read, once the last chunk is posted.
   sim::Task<Status> WriteChunked(CodeFlow& flow, Wire wire, ByteSpan tail,
                                  std::uint64_t remote_addr);
-  // The staging core of both: copies `parts`, in order, chunk by chunk
-  // into staging slots and posts them to `remote_addr`, batched into
-  // doorbell chains; `done` gets the status after the last WR completes.
-  // A chain is posted early when no slot is free for its next chunk, which
-  // gives its slots back for the rest. `parts` are not read after the
-  // last post, which may resume and finish the caller.
-  void StageWrites(CodeFlow& flow, std::initializer_list<ByteSpan> parts,
-                   std::uint64_t remote_addr, Done done);
   sim::Task<Status> WriteQword(CodeFlow& flow, std::uint64_t remote_addr,
                                std::uint64_t value);
   // Commits desc_addr into the hook slot (under the sandbox lock with
@@ -621,27 +612,33 @@ class ControlPlane {
   // and atomic results (DESIGN.md "Staging buffers"). Its size caps the
   // bytes staged at once.
   static constexpr std::uint64_t kLocalArenaBytes = 16u << 20;
-  // Power-of-two slots, 64 B up to the whole arena: one free list per
-  // size, and slots carved from the arena's untouched end (a bump
-  // cursor) only when that size's list is empty.
+  // Slots up to kMaxClassSlot are powers of two, carved upward from the
+  // arena's bottom (a bump cursor) only when that size's free list is
+  // empty. Larger landings are carved downward from its top at their
+  // 64 B-rounded length and, once given back, kept as coalesced free
+  // extents. Once no slot is held the whole arena is untouched again.
   class StagingArena {
    public:
     static constexpr std::uint64_t kMinSlot = 64;
-    static constexpr std::size_t kClasses = 19;  // kMinSlot << 18 = 16 MiB
+    static constexpr std::size_t kClasses = 13;
+    // 256 KiB, the default write chunk.
+    static constexpr std::uint64_t kMaxClassSlot = kMinSlot
+                                                   << (kClasses - 1);
     // The offset of a free slot of at least `len` bytes, or nullopt.
     std::optional<std::uint64_t> Take(std::uint64_t len);
     // Frees the slot Take returned at `offset` for `len`.
     void Give(std::uint64_t offset, std::uint64_t len);
-    // The furthest the bump cursor has reached: the bytes ever touched.
+    // The most of the arena ever carved from its two ends together.
     std::uint64_t high_water() const { return high_water_; }
 
    private:
     std::array<std::vector<std::uint64_t>, kClasses> free_;
+    std::map<std::uint64_t, std::uint64_t> free_extents_;  // offset -> bytes
     std::uint64_t bump_ = 0;
+    std::uint64_t top_ = kLocalArenaBytes;
+    std::uint64_t held_ = 0;
     std::uint64_t high_water_ = 0;
   };
-  static_assert(StagingArena::kMinSlot << (StagingArena::kClasses - 1) ==
-                kLocalArenaBytes);
   rdma::MemoryRegion local_mr_;
   StagingArena staging_;
 

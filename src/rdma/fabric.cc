@@ -194,26 +194,7 @@ std::size_t ResponseBytes(const SendWr& wr) {
 // How long the requester NIC keeps retransmitting before it gives up and
 // reports RETRY_EXCEEDED (≈ retry_cnt × local ACK timeout on real HCAs).
 constexpr sim::Duration kRetryExceededDelay = sim::Micros(30);
-// The most capacity the spare payload buffers may hold.
-constexpr std::uint64_t kSparePayloadBytes = 4u << 20;
 }  // namespace
-
-Bytes Fabric::TakePayloadBuffer() {
-  if (spare_payloads_.empty()) return {};
-  Bytes buffer = std::move(spare_payloads_.back());
-  spare_payloads_.pop_back();
-  spare_payload_bytes_ -= buffer.capacity();
-  return buffer;
-}
-
-void Fabric::ReturnPayloadBuffer(Bytes buffer) {
-  if (buffer.capacity() == 0 ||
-      spare_payload_bytes_ + buffer.capacity() > kSparePayloadBytes) {
-    return;
-  }
-  spare_payload_bytes_ += buffer.capacity();
-  spare_payloads_.push_back(std::move(buffer));
-}
 
 void Fabric::ExecuteChain(QueuePair& qp, std::span<const SendWr> wrs) {
   ++doorbells_rung_;
@@ -259,7 +240,6 @@ void Fabric::ExecuteOne(QueuePair& qp, const SendWr& wr,
       Complete(qp, wr, preflight, events_.Now());
       return;
     }
-    payload = TakePayloadBuffer();
     payload.assign(source->begin(), source->end());
   }
 
@@ -308,7 +288,6 @@ void Fabric::ExecuteOne(QueuePair& qp, const SendWr& wr,
                            : WcStatus::kRetryExceeded;
       Complete(qp, wr, dropped, now);
     });
-    ReturnPayloadBuffer(std::move(payload));
     return;
   }
 
@@ -351,7 +330,6 @@ void Fabric::ExecuteOne(QueuePair& qp, const SendWr& wr,
         flushed.status = WcStatus::kWorkRequestFlushed;
         Complete(qp, wr, flushed, now);
       });
-      ReturnPayloadBuffer(std::move(payload));
       return;
     }
     SendWr wr_copy = wr;
@@ -362,7 +340,6 @@ void Fabric::ExecuteOne(QueuePair& qp, const SendWr& wr,
     } else {
       outcome = ApplyRemote(qp, wr, payload);
     }
-    ReturnPayloadBuffer(std::move(payload));
     if (outcome.status != WcStatus::kSuccess) {
       // The responder NAKs (or the retry budget burns out) at this point
       // in the packet stream: the QP stops here, so WRs still in flight

@@ -150,12 +150,6 @@ class Fabric {
   // Per-QP MTT cache, created on first use with the link's capacity.
   MttCache& MttFor(QpNum num);
 
-  // A buffer for a WRITE/SEND payload snapshot: a spare one when there is
-  // one, so its capacity is reused. A snapshot goes back once the remote
-  // side applied it (or the WR was dropped or flushed).
-  Bytes TakePayloadBuffer();
-  void ReturnPayloadBuffer(Bytes buffer);
-
   sim::EventQueue& events_;
   sim::LinkModel link_;
   FaultHook* fault_hook_ = nullptr;
@@ -168,10 +162,6 @@ class Fabric {
   std::uint64_t inline_wrs_ = 0;
   std::uint64_t unsignaled_wrs_ = 0;
   std::uint64_t coalesced_completions_ = 0;
-  // Payload snapshots no WR holds any more, and their summed capacity
-  // (capped, so one burst of large writes is not kept for good).
-  std::vector<Bytes> spare_payloads_;
-  std::uint64_t spare_payload_bytes_ = 0;
   // Per-QP wire/ordering state: RC guarantees that work requests are
   // executed and completed in post order, and the sender NIC serializes
   // payloads onto the wire (store-and-forward).

@@ -880,9 +880,8 @@ TEST(Staging, BatchedWriteLargerThanArenaLandsIntact) {
 }
 
 // Once a write larger than the arena has filled it with chunk-sized
-// slots, every other slot size is still served: landings in flight
-// together split free chunk slots, and a landing larger than any free
-// slot starts the idle arena over.
+// slots, every other slot size is still served: the arena starts over
+// once the write's slots are all back.
 TEST(Staging, ArenaServesEverySizeAfterItFills) {
   constexpr int kNodes = 8;
   std::vector<SandboxConfig> configs(kNodes);
@@ -919,6 +918,111 @@ TEST(Staging, ArenaServesEverySizeAfterItFills) {
       cluster.cp->XStateLookup(*cluster.flows[0], deploy(0, 4800), key));
   ASSERT_TRUE(value.ok()) << value.status().ToString();
   EXPECT_EQ(*value, Bytes(64, 0));
+}
+
+// Deploys an array XState of `entries` 64-byte values on the first
+// node, then updates one value and looks it up again: each reads the
+// whole storage back in one READ.
+void ExpectXStateRoundTrip(Cluster& cluster, std::uint32_t entries) {
+  CodeFlow& flow = *cluster.flows[0];
+  const bpf::MapSpec spec{"m", bpf::MapType::kArray, 4, 64, entries};
+  ASSERT_LE(bpf::MapRequiredBytes(spec), 16u << 20);
+  const StatusOr<std::uint64_t> addr = sim::RunToCompletion(
+      cluster.events, cluster.cp->DeployXState(flow, spec));
+  ASSERT_TRUE(addr.ok()) << addr.status().ToString();
+  cluster.events.Run();
+  Bytes key(4);
+  StoreLE<std::uint32_t>(key.data(), entries - 1);
+  const Bytes value(64, 0x5C);
+  const Status updated = sim::RunToCompletion(
+      cluster.events, cluster.cp->XStateUpdate(flow, *addr, key, value));
+  ASSERT_TRUE(updated.ok()) << updated.ToString();
+  const StatusOr<Bytes> looked_up = sim::RunToCompletion(
+      cluster.events, cluster.cp->XStateLookup(flow, *addr, key));
+  ASSERT_TRUE(looked_up.ok()) << looked_up.status().ToString();
+  EXPECT_EQ(*looked_up, value);
+}
+
+std::vector<SandboxConfig> FirstNodeRoomy(int nodes) {
+  std::vector<SandboxConfig> configs(nodes);
+  configs[0].scratch_bytes = 48u << 20;
+  return configs;
+}
+
+// A landing over the largest slot size is carved at its own length, not
+// rounded up to a power of two: a 9.6 MB XState reads back, though
+// ReadXState's header READ came first.
+TEST(Staging, XStateOver8MiBReadsBack) {
+  Cluster cluster(1, ControlPlaneConfig{}, FirstNodeRoomy(1));
+  ExpectXStateRoundTrip(cluster, 150000);
+}
+
+// One READ may land the whole 16 MiB arena once nothing else is staged,
+// even after pipelined rollouts gave their slots back out of order:
+// ReadXState's header landing is given back before its body READ is
+// staged, and an idle arena starts over.
+TEST(Staging, XStateFillingTheArenaReadsBack) {
+  Cluster cluster(8, ControlPlaneConfig{}, FirstNodeRoomy(8));
+  std::vector<bpf::Program> progs;
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    progs.push_back(bpf::GenerateProgram(
+        {.target_insns = 300 + 200 * seed, .seed = seed}));
+  }
+  for (std::size_t rollout = 0; rollout < 4; ++rollout) {
+    auto result = cluster.Deploy(
+        {{&progs[rollout % 2], 0}, {&progs[(rollout + 1) % 2], 1}},
+        PipelineOptions{});
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+  }
+  cluster.events.Run();
+  ExpectXStateRoundTrip(cluster, ((16u << 20) - bpf::kMapHeaderBytes) / 64);
+}
+
+// Two XState reads over 4 MiB in flight at once, on different flows, take
+// their own lengths of the arena, not 8 MiB each, and leave room for a
+// third flow's lock and commit staged meanwhile.
+TEST(Staging, ConcurrentLargeReadsLeaveRoomForCommits) {
+  SandboxConfig roomy;
+  roomy.scratch_bytes = 16u << 20;
+  Cluster cluster(3, ControlPlaneConfig{}, {roomy, roomy, SandboxConfig{}});
+  const bpf::MapSpec spec{"m", bpf::MapType::kArray, 4, 64, 72000};
+  ASSERT_GT(bpf::MapRequiredBytes(spec), 4u << 20);
+  std::vector<std::uint64_t> maps;
+  for (int i = 0; i < 2; ++i) {
+    const StatusOr<std::uint64_t> addr = sim::RunToCompletion(
+        cluster.events, cluster.cp->DeployXState(*cluster.flows[i], spec));
+    ASSERT_TRUE(addr.ok()) << addr.status().ToString();
+    cluster.events.Run();
+    maps.push_back(*addr);
+  }
+  Bytes key(4);
+  StoreLE<std::uint32_t>(key.data(), 7);
+  int looked_up = 0;
+  for (int i = 0; i < 2; ++i) {
+    sim::Start(cluster.cp->XStateLookup(*cluster.flows[i], maps[i], key),
+               [&looked_up](StatusOr<Bytes> value) {
+                 EXPECT_TRUE(value.ok()) << value.status().ToString();
+                 looked_up += value.ok() && *value == Bytes(64, 0);
+               });
+  }
+  // Both body landings are held once the arena's reach passes 8 MiB.
+  cluster.RunUntil([&] {
+    return cluster.Counter("cp.staging_high_water_bytes") > (8u << 20);
+  });
+  ASSERT_EQ(looked_up, 0);
+  // The third flow's deploy (lock CAS, image writes, commit chain)
+  // completes while both landings are still held.
+  const bpf::Program prog =
+      bpf::GenerateProgram({.target_insns = 200, .seed = 1});
+  int looked_up_at_commit = -1;
+  sim::Start(cluster.cp->Inject(*cluster.flows[2], prog, 0),
+             [&](StatusOr<InjectTrace> injected) {
+               EXPECT_TRUE(injected.ok()) << injected.status().ToString();
+               looked_up_at_commit = looked_up;
+             });
+  cluster.events.Run();
+  EXPECT_EQ(looked_up_at_commit, 0);
+  EXPECT_EQ(looked_up, 2);
 }
 
 // Logs each WR's local range when the fabric executes it (at post) and
