@@ -209,6 +209,35 @@ BENCHMARK(BM_WasmOracle)->Arg(1000);
 void BM_WasmLowered(benchmark::State& state) { BM_Wasm<RunLowered>(state); }
 BENCHMARK(BM_WasmLowered)->Arg(1000);
 
+// The Wasm twin of the eBPF image codec pair: what the control plane pays
+// per linked wire, and what every sandbox pays per hook load.
+void BM_WasmImageSerialize(benchmark::State& state) {
+  const WasmImage image =
+      LinkedFilter(static_cast<std::size_t>(state.range(0)));
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    Bytes wire = image.Serialize();
+    bytes += wire.size();
+    benchmark::DoNotOptimize(wire.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_WasmImageSerialize)->Arg(1000);
+
+void BM_WasmImageDeserialize(benchmark::State& state) {
+  const Bytes wire =
+      LinkedFilter(static_cast<std::size_t>(state.range(0))).Serialize();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    auto image = WasmImage::Deserialize(wire);
+    if (!image.ok()) state.SkipWithError("deserialize failed");
+    bytes += wire.size();
+    benchmark::DoNotOptimize(image->code.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_WasmImageDeserialize)->Arg(1000);
+
 }  // namespace
 }  // namespace rdx::wasm
 

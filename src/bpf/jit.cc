@@ -20,7 +20,7 @@ bool JitImage::IsLinked() const {
 }
 
 namespace {
-constexpr std::uint32_t kImageVersion = 4;
+constexpr std::uint32_t kImageVersion = 5;
 
 bool KindHasTarget(OpKind kind) {
   return kind == OpKind::kJumpAbs || kind == OpKind::kCondJmpK ||
@@ -91,7 +91,7 @@ Bytes JitImage::Serialize() const {
     AppendLE<std::uint32_t>(out, map.max_entries);
   }
 
-  AppendLE<std::uint64_t>(out, Fnv1a64(out));
+  AppendLE<std::uint64_t>(out, ImageHash(out));
   return out;
 }
 
@@ -99,7 +99,7 @@ StatusOr<JitImage> JitImage::Deserialize(ByteSpan bytes) {
   if (bytes.size() < 20) return InvalidArgument("image too small");
   const std::uint64_t stored_sum =
       LoadLE<std::uint64_t>(bytes.data() + bytes.size() - 8);
-  if (Fnv1a64(bytes.subspan(0, bytes.size() - 8)) != stored_sum) {
+  if (ImageHash(bytes.subspan(0, bytes.size() - 8)) != stored_sum) {
     return FailedPrecondition("image checksum mismatch");
   }
   std::size_t off = 0;
@@ -194,7 +194,7 @@ std::uint64_t JitImage::Fingerprint() const {
       normalized.code[reloc.index].imm64 = kUnlinkedPlaceholder;
     }
   }
-  return Fnv1a64(normalized.Serialize());
+  return ImageHash(normalized.Serialize());
 }
 
 StatusOr<JitImage> JitCompiler::Compile(const Program& prog) const {

@@ -1,6 +1,7 @@
 // Byte-level helpers shared by the RDMA fabric, the eBPF encoder, and the
-// binary-image formats: little-endian load/store, hex rendering, and a
-// FNV-1a checksum used to tag deployed extension images.
+// binary-image formats: little-endian load/store, hex rendering, the
+// word-wide hash that checks, fingerprints and signs whole extension
+// images, and FNV-1a for short keys.
 #pragma once
 
 #include <cstdint>
@@ -39,11 +40,22 @@ inline void AppendLE(Bytes& out, T v) {
   StoreLE(out.data() + off, v);
 }
 
-// 64-bit FNV-1a. Used to fingerprint extension binaries for the control
-// plane's compile cache and integrity checks. Passing the hash of a prefix
-// as `h` continues it: Fnv1a64(b, Fnv1a64(a)) hashes a then b.
+// 64-bit FNV-1a, one byte per multiply. Kept for short inputs whose values
+// are pinned: symbol hashes, XState hash-map slots and the kvstore hook's
+// ctx. Passing the hash of a prefix as `h` continues it:
+// Fnv1a64(b, Fnv1a64(a)) hashes a then b.
 inline constexpr std::uint64_t kFnv1a64Offset = 0xcbf29ce484222325ULL;
 std::uint64_t Fnv1a64(ByteSpan data, std::uint64_t h = kFnv1a64Offset);
+
+// XXH64 with seed 0: reads the input as little-endian 8-byte words into
+// four independent lanes, folds in the 0-7 tail bytes and the length, and
+// ends with a full avalanche. The one hash of a whole extension image:
+// its wire checksum, its fingerprint and the input of its signing MAC.
+// A change within one 8-byte word (any single-bit flip) always changes the
+// hash under 32 bytes, where each step is a bijection of the state; from
+// 32 bytes on it always changes its lane, and only a 64-bit cancellation
+// in the final merge could hide it. Not a cryptographic hash.
+std::uint64_t ImageHash(ByteSpan data);
 
 // Lowercase hex rendering, e.g. {0xde, 0xad} -> "dead".
 std::string ToHex(ByteSpan data);

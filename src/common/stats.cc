@@ -37,8 +37,6 @@ std::string Summary::ToJson() const {
   return buf;
 }
 
-Histogram::Histogram() : buckets_(64 << kSubBucketBits, 0) {}
-
 std::size_t Histogram::BucketIndex(std::uint64_t value) {
   if (value < (1u << kSubBucketBits)) return static_cast<std::size_t>(value);
   const int msb = 63 - std::countl_zero(value);
@@ -68,9 +66,8 @@ void Histogram::Add(std::uint64_t value) {
   max_ = std::max(max_, value);
   ++count_;
   sum_ += static_cast<double>(value);
-  std::size_t idx = BucketIndex(value);
-  if (idx >= buckets_.size()) idx = buckets_.size() - 1;
-  ++buckets_[idx];
+  if (buckets_.empty()) buckets_.assign(kBuckets, 0);
+  ++buckets_[std::min(BucketIndex(value), kBuckets - 1)];
 }
 
 void Histogram::Merge(const Histogram& other) {
@@ -83,7 +80,8 @@ void Histogram::Merge(const Histogram& other) {
   max_ = std::max(max_, other.max_);
   count_ += other.count_;
   sum_ += other.sum_;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
+  if (buckets_.empty()) buckets_.assign(kBuckets, 0);
+  for (std::size_t i = 0; i < kBuckets; ++i) {
     buckets_[i] += other.buckets_[i];
   }
 }

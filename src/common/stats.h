@@ -38,8 +38,6 @@ class Summary {
 // reproducing figure shapes.
 class Histogram {
  public:
-  Histogram();
-
   void Add(std::uint64_t value);
   void Merge(const Histogram& other);
 
@@ -58,9 +56,12 @@ class Histogram {
 
  private:
   static constexpr int kSubBucketBits = 4;  // 16 sub-buckets per octave
+  static constexpr std::size_t kBuckets = 64 << kSubBucketBits;
   static std::size_t BucketIndex(std::uint64_t value);
   static std::uint64_t BucketMidpoint(std::size_t index);
 
+  // kBuckets counts, allocated by the first Add or Merge that brings a
+  // sample: an empty histogram is cheap to make, move and copy.
   std::vector<std::uint64_t> buckets_;
   std::uint64_t count_ = 0;
   std::uint64_t min_ = 0;

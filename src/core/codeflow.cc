@@ -617,7 +617,14 @@ sim::Task<Status> ControlPlane::WriteChunked(CodeFlow& flow, Wire wire,
     const std::size_t total = parts[0].size() + parts[1].size();
     const std::size_t nchunks = std::max<std::size_t>(
         1, (total + config_.chunk_bytes - 1) / config_.chunk_bytes);
-    auto on_wc = AllCompleted(nchunks, "RDMA write failed", done);
+    // A staging failure is reported only once every chunk already posted
+    // has completed: those still land after it, on memory the caller may
+    // reuse as soon as it hears of the failure.
+    auto staging = std::make_shared<Status>();
+    auto on_wc = AllCompleted(
+        nchunks, "RDMA write failed", [staging, done](Status status) {
+          done(staging->ok() ? std::move(status) : *staging);
+        });
     auto& mem = fabric_.node(self_).memory();
 
     // Multi-chunk payloads go out as doorbell-batched chains: the NIC walks
@@ -638,7 +645,13 @@ sim::Task<Status> ControlPlane::WriteChunked(CodeFlow& flow, Wire wire,
         PostChain(flow, std::exchange(chain, {}), on_wc);
         write = ScratchWr(flow, rdma::Opcode::kWrite, remote_addr + off, len);
       }
-      if (!write.ok()) return done(write.status());
+      if (!write.ok()) {
+        // Retire the chunks that will never be posted; the last posted
+        // chunk's completion, or this loop if none was, reports `staging`.
+        *staging = write.status();
+        for (; c < nchunks; ++c) on_wc(rdma::WorkCompletion{});
+        return;
+      }
       // Gather the chunk from the parts into its slot.
       std::uint8_t* out = mem.SpanForCpu(write->local.addr, len).data();
       for (std::size_t left = len; left > 0;) {

@@ -15,7 +15,7 @@ std::uint64_t ProgramFingerprint(const bpf::Program& prog) {
     AppendLE<std::uint32_t>(bytes, map.value_size);
     AppendLE<std::uint32_t>(bytes, map.max_entries);
   }
-  return Fnv1a64(bytes);
+  return ImageHash(bytes);
 }
 
 std::uint64_t WasmFingerprint(const wasm::FilterModule& module) {
@@ -28,7 +28,7 @@ std::uint64_t WasmFingerprint(const wasm::FilterModule& module) {
     bytes.insert(bytes.end(), import.name.begin(), import.name.end());
     bytes.push_back(0);
   }
-  return Fnv1a64(bytes);
+  return ImageHash(bytes);
 }
 
 namespace {

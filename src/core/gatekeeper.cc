@@ -78,12 +78,12 @@ Status Gatekeeper::Authorize(const std::string& principal, Operation op,
 }
 
 std::uint64_t SignImage(ByteSpan image, std::uint64_t key) {
-  // MAC = H(key || H(image) || key'), FNV-based.
+  // MAC = H(key || H(image) || key'), H = ImageHash.
   Bytes material;
   AppendLE<std::uint64_t>(material, key);
-  AppendLE<std::uint64_t>(material, Fnv1a64(image));
+  AppendLE<std::uint64_t>(material, ImageHash(image));
   AppendLE<std::uint64_t>(material, key ^ 0x5c5c5c5c5c5c5c5cull);
-  return Fnv1a64(material);
+  return ImageHash(material);
 }
 
 bool VerifyImageSignature(ByteSpan image, std::uint64_t key,

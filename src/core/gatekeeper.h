@@ -86,8 +86,8 @@ class Gatekeeper {
 
 // ---- image signing (integrity) ----
 
-// Keyed MAC over image bytes. Not cryptographic (FNV-based), but the
-// mechanics — key distribution at boot, MAC in the ImageDesc, verify
+// Keyed MAC over image bytes. Not cryptographic (built on ImageHash), but
+// the mechanics — key distribution at boot, MAC in the ImageDesc, verify
 // before execute — are exactly what a production HMAC would do.
 std::uint64_t SignImage(ByteSpan image, std::uint64_t key);
 bool VerifyImageSignature(ByteSpan image, std::uint64_t key,

@@ -447,11 +447,12 @@ void Sandbox::RefreshHooks() {
 void Sandbox::RefreshXState() {
   // Walk the Meta-XState directory and (re)register every map with the
   // runtime so helper calls can resolve them by address.
+  const StatusOr<ByteSpan> directory = node_.memory().ReadSpan(
+      view_.meta_xstate_addr, view_.meta_capacity * 8);
+  if (!directory.ok()) return;
   for (std::uint64_t i = 0; i < view_.meta_capacity; ++i) {
-    const auto entry = ReadWord(view_.meta_xstate_addr + i * 8);
-    if (!entry.ok() || entry.value() == 0) continue;
-    const std::uint64_t addr = entry.value();
-    if (rt_.maps.count(addr) != 0) continue;
+    const auto addr = LoadLE<std::uint64_t>(directory->data() + i * 8);
+    if (addr == 0 || rt_.maps.count(addr) != 0) continue;
     // The XState header is self-describing (bpf::MapHeader).
     auto span = mem_space_.SpanAt(addr, bpf::kMapHeaderBytes);
     if (!span.ok()) continue;

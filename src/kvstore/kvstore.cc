@@ -1,6 +1,7 @@
 #include "kvstore/kvstore.h"
 
 #include <array>
+#include <utility>
 
 namespace rdx::kvstore {
 
@@ -186,8 +187,7 @@ void KvStore::Execute(const Command& command,
 
 StoreMetrics KvStore::TakeMetrics() {
   metrics_.window_end = events_.Now();
-  StoreMetrics out = metrics_;
-  metrics_ = StoreMetrics{};
+  StoreMetrics out = std::exchange(metrics_, StoreMetrics{});
   metrics_.window_start = events_.Now();
   return out;
 }

@@ -1,6 +1,7 @@
 #include "mesh/mesh.h"
 
 #include <array>
+#include <utility>
 
 namespace rdx::mesh {
 
@@ -81,8 +82,7 @@ void MeshSim::StopWorkload() { running_ = false; }
 
 MeshMetrics MeshSim::TakeMetrics() {
   metrics_.window_end = events_.Now();
-  MeshMetrics out = metrics_;
-  metrics_ = MeshMetrics{};
+  MeshMetrics out = std::exchange(metrics_, MeshMetrics{});
   metrics_.window_start = events_.Now();
   return out;
 }

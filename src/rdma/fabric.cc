@@ -357,7 +357,8 @@ void Fabric::ExecuteOne(QueuePair& qp, const SendWr& wr,
         std::max(events_.Now() + response, t.last_completion) +
         (writes_cqe ? link_.cqe_write_latency : sim::Duration{0});
     t.last_completion = completion;
-    events_.ScheduleAt(completion, [this, &qp, wr_copy, outcome, now]() {
+    events_.ScheduleAt(completion, [this, &qp, wr_copy,
+                                    outcome = std::move(outcome), now]() {
       Complete(qp, wr_copy, outcome, now);
     });
   });

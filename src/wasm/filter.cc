@@ -534,7 +534,7 @@ bool WasmImage::IsLinked() const {
 Bytes WasmImage::Serialize() const {
   Bytes out;
   AppendLE<std::uint32_t>(out, kMagic);
-  AppendLE<std::uint32_t>(out, 1);            // version
+  AppendLE<std::uint32_t>(out, kVersion);
   AppendLE<std::uint32_t>(out,
                           static_cast<std::uint32_t>(filter_name.size()));
   out.insert(out.end(), filter_name.begin(), filter_name.end());
@@ -553,7 +553,7 @@ Bytes WasmImage::Serialize() const {
                                 reloc.import_name.size()));
     out.insert(out.end(), reloc.import_name.begin(), reloc.import_name.end());
   }
-  AppendLE<std::uint64_t>(out, Fnv1a64(out));
+  AppendLE<std::uint64_t>(out, ImageHash(out));
   return out;
 }
 
@@ -561,14 +561,18 @@ StatusOr<WasmImage> WasmImage::Deserialize(ByteSpan bytes) {
   if (bytes.size() < 24) return InvalidArgument("wasm image too small");
   const std::uint64_t sum =
       LoadLE<std::uint64_t>(bytes.data() + bytes.size() - 8);
-  if (Fnv1a64(bytes.subspan(0, bytes.size() - 8)) != sum) {
+  if (ImageHash(bytes.subspan(0, bytes.size() - 8)) != sum) {
     return FailedPrecondition("wasm image checksum mismatch");
   }
   std::size_t off = 0;
   if (LoadLE<std::uint32_t>(bytes.data()) != kMagic) {
     return InvalidArgument("bad wasm image magic");
   }
-  off += 8;  // magic + version
+  off += 4;
+  if (LoadLE<std::uint32_t>(bytes.data() + off) != kVersion) {
+    return InvalidArgument("unsupported wasm image version");
+  }
+  off += 4;
   WasmImage image;
   const std::uint32_t name_len = LoadLE<std::uint32_t>(bytes.data() + off);
   off += 4;
@@ -646,7 +650,7 @@ std::uint64_t WasmImage::Fingerprint() const {
   for (const WasmReloc& reloc : normalized.relocs) {
     normalized.code[reloc.insn_index].imm = -1;
   }
-  return Fnv1a64(normalized.Serialize());
+  return ImageHash(normalized.Serialize());
 }
 
 StatusOr<WasmImage> CompileFilter(const FilterModule& module) {

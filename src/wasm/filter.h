@@ -78,6 +78,7 @@ struct WasmReloc {
 
 struct WasmImage {
   static constexpr std::uint32_t kMagic = 0x46574452;  // "RDWF"
+  static constexpr std::uint32_t kVersion = 2;
 
   std::string filter_name;
   std::uint32_t num_locals = 0;
@@ -95,10 +96,11 @@ struct WasmImage {
   bool runnable() const { return runnable_; }
   const bpf::FrameCode& lowered() const { return lowered_; }
 
-  // Wire format. Deserialize rejects (InvalidArgument) any image whose
-  // code breaks a ValidateFilter rule, and any image whose relocations are
-  // not one-to-one with its host calls: each reloc must sit on a
-  // kCallHost, and each kCallHost must carry exactly one reloc.
+  // Wire format. Deserialize rejects (InvalidArgument) any image of
+  // another version, any image whose code breaks a ValidateFilter rule,
+  // and any image whose relocations are not one-to-one with its host
+  // calls: each reloc must sit on a kCallHost, and each kCallHost must
+  // carry exactly one reloc.
   Bytes Serialize() const;
   static StatusOr<WasmImage> Deserialize(ByteSpan bytes);
   std::uint64_t Fingerprint() const;

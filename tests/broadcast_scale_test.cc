@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
+#include <optional>
+#include <set>
 #include <string>
 
 #include "bpf/assembler.h"
@@ -1108,6 +1110,70 @@ TEST(Staging, LandingZonesAreNeverSharedInFlight) {
     EXPECT_LE(cluster.Counter("cp.staging_high_water_bytes"), 1u << 20);
     cluster.fabric.SetFaultHook(nullptr);
   }
+}
+
+// A multi-chunk write that runs out of staging slots partway reports the
+// failure only once every chunk it already posted has completed: when the
+// caller hears of it, none of its WRITEs is still in flight.
+TEST(Staging, WriteReportsStagingFailureAfterPostedChunksComplete) {
+  SandboxConfig roomy;
+  roomy.scratch_bytes = 16u << 20;
+  Cluster cluster(2, ControlPlaneConfig{}, {roomy, roomy});
+  const bpf::MapSpec held{"held", bpf::MapType::kArray, 4, 64, 200000};
+  const std::uint64_t held_bytes = bpf::MapRequiredBytes(held);
+  ASSERT_GT(held_bytes, 12u << 20);
+  const StatusOr<std::uint64_t> held_addr = sim::RunToCompletion(
+      cluster.events, cluster.cp->DeployXState(*cluster.flows[0], held));
+  ASSERT_TRUE(held_addr.ok()) << held_addr.status().ToString();
+  cluster.events.Run();
+
+  StagingRecorder recorder;
+  cluster.fabric.SetFaultHook(&recorder);
+  // Another flow's READ of the whole XState holds most of the arena.
+  Bytes key(4);
+  bool looked_up = false;
+  sim::Start(cluster.cp->XStateLookup(*cluster.flows[0], *held_addr, key),
+             [&looked_up](StatusOr<Bytes> value) {
+               EXPECT_TRUE(value.ok()) << value.status().ToString();
+               looked_up = true;
+             });
+  cluster.RunUntil([&] {
+    return std::any_of(recorder.log.begin(), recorder.log.end(),
+                       [&](const StagingRecorder::Event& e) {
+                         return e.posted && e.wr.local.length == held_bytes;
+                       });
+  });
+  ASSERT_FALSE(looked_up);
+
+  // 6 MiB in 256 KiB chunks: fewer than half find a slot.
+  const bpf::MapSpec spec{"m", bpf::MapType::kArray, 4, 64, 100000};
+  ASSERT_GT(bpf::MapRequiredBytes(spec), 6u << 20);
+  std::optional<Status> deployed;
+  std::size_t posted = 0;
+  std::size_t outstanding = 0;
+  sim::Start(cluster.cp->DeployXState(*cluster.flows[1], spec),
+             [&](StatusOr<std::uint64_t> addr) {
+               deployed = addr.status();
+               std::set<std::uint64_t> writes;
+               for (const StagingRecorder::Event& e : recorder.log) {
+                 if (e.wr.opcode != Opcode::kWrite) continue;
+                 if (e.posted) {
+                   writes.insert(e.wr.wr_id);
+                   ++posted;
+                 } else {
+                   writes.erase(e.wr.wr_id);
+                 }
+               }
+               outstanding = writes.size();
+             });
+  cluster.events.Run();
+  ASSERT_TRUE(deployed.has_value());
+  EXPECT_EQ(deployed->code(), StatusCode::kResourceExhausted)
+      << deployed->ToString();
+  EXPECT_GT(posted, 1u);
+  EXPECT_EQ(outstanding, 0u);
+  EXPECT_TRUE(looked_up);
+  cluster.fabric.SetFaultHook(nullptr);
 }
 
 }  // namespace

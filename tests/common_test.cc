@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string_view>
+#include <utility>
 
 #include "common/bytes.h"
 #include "common/rng.h"
@@ -242,6 +244,45 @@ TEST(Bytes, Fnv1aMatchesKnownVector) {
   EXPECT_EQ(Fnv1a64(ByteSpan{}), 0xcbf29ce484222325ull);
 }
 
+TEST(Bytes, ImageHashMatchesPublishedXxh64Values) {
+  auto hash = [](std::string_view s) {
+    return ImageHash(
+        {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
+  };
+  EXPECT_EQ(hash(""), 0xef46db3751d8e999ull);
+  EXPECT_EQ(hash("a"), 0xd24ec4f1a98c6e5bull);
+  EXPECT_EQ(hash("abc"), 0x44bc2cf5ad770999ull);
+  // 39 bytes: one 32-byte stripe through the four lanes, then a 4-byte
+  // and three 1-byte tail steps.
+  EXPECT_EQ(hash("Nobody inspects the spammish repetition"),
+            0xfbcea83c8a378bf1ull);
+}
+
+// Every single-bit flip changes the hash at every length up to 80 bytes:
+// each tail length (0-7 past a word), the 32-byte switch to four lanes,
+// and each lane of two full stripes. Zero-filled inputs of different
+// lengths hash apart too, since the length is folded in.
+TEST(Bytes, ImageHashSeesEverySingleBitFlip) {
+  std::uint64_t previous_zeros = 0;
+  for (std::size_t len = 0; len <= 80; ++len) {
+    Bytes data(len);
+    for (std::size_t i = 0; i < len; ++i) {
+      data[i] = static_cast<std::uint8_t>(i * 37 + 11);
+    }
+    const std::uint64_t base = ImageHash(data);
+    for (std::size_t bit = 0; bit < len * 8; ++bit) {
+      data[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      EXPECT_NE(ImageHash(data), base) << "length " << len << " bit " << bit;
+      data[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    }
+    const std::uint64_t zeros = ImageHash(Bytes(len, 0));
+    if (len > 0) {
+      EXPECT_NE(zeros, previous_zeros) << "length " << len;
+    }
+    previous_zeros = zeros;
+  }
+}
+
 TEST(Stats, SummaryToJsonCarriesAllFields) {
   Summary s;
   s.Add(1.0);
@@ -286,12 +327,43 @@ TEST(Stats, HistogramMergePreservesSmallerMin) {
 
   // Merging an empty histogram changes nothing.
   Histogram empty;
+  const std::string before = other.ToJson();
   other.Merge(empty);
   EXPECT_EQ(other.min(), 5u);
+  EXPECT_EQ(other.ToJson(), before);
   Histogram into_empty;
   into_empty.Merge(small);
   EXPECT_EQ(into_empty.min(), 5u);
   EXPECT_EQ(into_empty.count(), 2u);
+  EXPECT_EQ(into_empty.ToJson(), small.ToJson());
+  EXPECT_EQ(into_empty.Percentile(0.99), small.Percentile(0.99));
+}
+
+// A histogram holds no buckets until its first sample; empty, it reads
+// the same whether just made, merged with another empty one, or moved
+// out of (the state TakeMetrics leaves behind).
+TEST(Stats, EmptyHistogramReadsZero) {
+  const std::string zero =
+      "{\"count\": 0, \"mean\": 0.000, \"min\": 0, \"p50\": 0, "
+      "\"p90\": 0, \"p99\": 0, \"max\": 0}";
+  Histogram fresh;
+  EXPECT_EQ(fresh.count(), 0u);
+  EXPECT_EQ(fresh.Percentile(0.5), 0u);
+  EXPECT_EQ(fresh.Percentile(1.0), 0u);
+  EXPECT_EQ(fresh.ToJson(), zero);
+  fresh.Merge(Histogram{});
+  EXPECT_EQ(fresh.ToJson(), zero);
+
+  Histogram used;
+  used.Add(70);
+  Histogram taken = std::exchange(used, Histogram{});
+  EXPECT_EQ(used.ToJson(), zero);
+  EXPECT_EQ(taken.count(), 1u);
+  // And it fills from there as a new one does.
+  used.Add(7);
+  EXPECT_EQ(used.count(), 1u);
+  EXPECT_EQ(used.Percentile(0.5), 7u);
+  EXPECT_EQ(used.min(), 7u);
 }
 
 TEST(Bytes, FnvSensitiveToEveryByte) {

@@ -1,10 +1,13 @@
 // §5 security layer tests: role-based gatekeeper + audit log, image
 // signing end-to-end (sandbox refuses unsigned/forged images), forged Wasm
-// images refused at decode even unsigned, and the remote Inspector
-// detecting in-memory tampering.
+// images refused at decode even unsigned, torn or restamped images of
+// either kind refused at decode, and the remote Inspector detecting
+// in-memory tampering.
 #include <gtest/gtest.h>
 
 #include "bpf/assembler.h"
+#include "bpf/jit.h"
+#include "bpf/proggen.h"
 #include "core/gatekeeper.h"
 #include "core/inspector.h"
 #include "core/layout.h"
@@ -98,6 +101,70 @@ TEST(Signing, TamperedImageFails) {
   const std::uint64_t sig = SignImage(image, 42);
   image[100] ^= 1;
   EXPECT_FALSE(VerifyImageSignature(image, 42, sig));
+}
+
+// ---- image checksum and version, both image kinds ----
+
+template <class Image>
+struct ImageKindTraits;
+
+template <>
+struct ImageKindTraits<bpf::JitImage> {
+  static constexpr std::uint32_t kVersion = 5;  // kImageVersion in jit.cc
+  static Bytes Wire() {
+    const bpf::Program prog =
+        bpf::GenerateProgram({.target_insns = 200, .seed = 4});
+    return bpf::JitCompiler().Compile(prog).value().Serialize();
+  }
+};
+
+template <>
+struct ImageKindTraits<wasm::WasmImage> {
+  static constexpr std::uint32_t kVersion = wasm::WasmImage::kVersion;
+  static Bytes Wire() {
+    return wasm::CompileFilter(wasm::GenerateFilter(200, 4))
+        .value()
+        .Serialize();
+  }
+};
+
+template <class Image>
+class ImageFormatTest : public ::testing::Test {};
+using ImageKinds = ::testing::Types<bpf::JitImage, wasm::WasmImage>;
+TYPED_TEST_SUITE(ImageFormatTest, ImageKinds);
+
+// A torn write can change any byte, the checksum's own included.
+TYPED_TEST(ImageFormatTest, EveryFlippedByteIsRefused) {
+  Bytes wire = ImageKindTraits<TypeParam>::Wire();
+  ASSERT_TRUE(TypeParam::Deserialize(wire).ok());
+  for (std::size_t i = 0; i < wire.size(); ++i) {
+    const auto bit = static_cast<std::uint8_t>(1u << (i % 8));
+    wire[i] ^= bit;
+    EXPECT_FALSE(TypeParam::Deserialize(wire).ok()) << "byte " << i;
+    wire[i] ^= bit;
+  }
+}
+
+// Both formats carry their version after the magic; an image of any
+// other version is refused even with a valid checksum.
+TYPED_TEST(ImageFormatTest, OtherVersionsAreRefused) {
+  constexpr std::uint32_t kVersion = ImageKindTraits<TypeParam>::kVersion;
+  const Bytes wire = ImageKindTraits<TypeParam>::Wire();
+  ASSERT_EQ(LoadLE<std::uint32_t>(wire.data() + 4), kVersion);
+  auto restamp = [&wire](std::uint32_t version) {
+    Bytes out = wire;
+    StoreLE<std::uint32_t>(out.data() + 4, version);
+    StoreLE<std::uint64_t>(out.data() + out.size() - 8,
+                           ImageHash(ByteSpan(out).first(out.size() - 8)));
+    return out;
+  };
+  EXPECT_TRUE(TypeParam::Deserialize(restamp(kVersion)).ok());
+  for (const std::uint32_t version : {0u, kVersion - 1, kVersion + 1}) {
+    const auto decoded = TypeParam::Deserialize(restamp(version));
+    ASSERT_FALSE(decoded.ok()) << "version " << version;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+        << "version " << version << ": " << decoded.status().ToString();
+  }
 }
 
 // ---- end-to-end signing + inspection ----
